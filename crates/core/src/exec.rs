@@ -21,9 +21,10 @@
 //! 3. for qualified users: assign the cohort from the birth tuple, bump the
 //!    cohort size, then fold every positive-age tuple that passes the age
 //!    condition into the `(cohort, age)` aggregates;
-//! 4. **array-based aggregation** (§4.4): when the cohort key is a single
-//!    dictionary attribute with a small domain, the `(cohort, age)` table is
-//!    a dense array indexed by `gid × age`, not a hash map;
+//! 4. **array-based aggregation** (§4.4), for any cohort key: the key is
+//!    interned to a dense cohort id once per qualified user (a direct-indexed
+//!    LUT for a single dictionary attribute, one hash probe otherwise) and
+//!    every tuple then indexes that cohort's state array by age;
 //! 5. **UserCount** (§4.5): within a user block ages are non-decreasing
 //!    (time-ordering property), so "distinct users at age g" needs only a
 //!    last-age check per user, and per-chunk counts sum exactly because no
@@ -38,26 +39,29 @@
 //! allocations.
 
 use crate::agg::{AggFunc, AggState};
+use crate::cells::{self, CohortTable};
 use crate::error::EngineError;
 use crate::plan::PhysicalPlan;
 use crate::query::CohortAttr;
-use crate::report::{CohortReport, ReportRow};
+use crate::report::CohortReport;
 use crate::scan::{compile_predicate, ChunkScan, CompiledExpr, EvalCtx};
+use crate::wire::WireBatch;
 use cohana_activity::{TimeBin, Timestamp, Value, ValueType};
 use cohana_storage::rle::{UserRle, UserRun};
 use cohana_storage::{
-    with_recorder, Chunk, ChunkCursors, ChunkIndexEntry, ChunkSource, ColumnMeta, IoRecorder,
-    TableMeta,
+    with_recorder, Chunk, ChunkCursors, ChunkIndexEntry, ChunkSource, IoRecorder, TableMeta,
 };
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex, OnceLock};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-/// Upper bound on dense-array cells (`cohorts × ages × aggregates`); beyond
-/// this the executor falls back to hash aggregation.
-const DENSE_CELL_LIMIT: usize = 1 << 22;
+/// Largest age, in units of the query's age granularity, one chunk may
+/// span. The accumulator indexes a cohort's states by age, so this bounds
+/// its arrays (2^20 daily ages is 2 870 years); a chunk whose time range is
+/// wider is refused rather than allocated for.
+const MAX_AGE_UNITS: i64 = 1 << 20;
 
 /// Encoded cohort key: one `u64` per cohort attribute (global id for
 /// strings, bit-cast `i64` for integers and binned birth times).
@@ -79,51 +83,8 @@ enum KeyPart {
     TimeBin(TimeBin),
 }
 
-/// Per-chunk (and merged) partial aggregation result.
-#[derive(Debug, Default)]
-pub(crate) struct Partial {
-    /// Cohort → number of qualified users.
-    sizes: HashMap<Key, u64>,
-    /// Cohort → age → one state per aggregate.
-    cells: HashMap<Key, BTreeMap<i64, Vec<AggState>>>,
-}
-
-impl Partial {
-    pub(crate) fn merge(&mut self, other: Partial) -> Result<(), EngineError> {
-        for (k, s) in other.sizes {
-            *self.sizes.entry(k).or_insert(0) += s;
-        }
-        for (k, ages) in other.cells {
-            // One hash lookup per cohort; the per-age loop below works on
-            // the resolved tree, never re-hashing the cohort key.
-            let into = self.cells.entry(k).or_default();
-            if into.is_empty() {
-                // Common case (each cohort usually first seen whole): adopt
-                // the other side's tree instead of inserting age by age.
-                *into = ages;
-                continue;
-            }
-            for (age, states) in ages {
-                match into.entry(age) {
-                    std::collections::btree_map::Entry::Vacant(v) => {
-                        v.insert(states);
-                    }
-                    std::collections::btree_map::Entry::Occupied(mut o) => {
-                        for (a, b) in o.get_mut().iter_mut().zip(states.iter()) {
-                            a.merge(b)?;
-                        }
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Total `(cohort, age)` cells across all cohorts.
-    pub(crate) fn num_cells(&self) -> usize {
-        self.cells.values().map(BTreeMap::len).sum()
-    }
-}
+/// Per-chunk (and merged) partial aggregation result, keys still encoded.
+pub(crate) type Partial = CohortTable<u64>;
 
 /// One per-chunk batch of partial results, as yielded by a
 /// [`QueryStream`](crate::QueryStream).
@@ -161,7 +122,7 @@ impl ResultBatch {
 
     /// Cohorts with at least one qualified user in this chunk.
     pub fn num_cohorts(&self) -> usize {
-        self.partial.sizes.len()
+        self.partial.num_cohorts()
     }
 
     /// `(cohort, age)` cells this chunk contributed to.
@@ -171,7 +132,7 @@ impl ResultBatch {
 
     /// Qualified users this chunk contributed (summed over cohorts).
     pub fn num_users(&self) -> u64 {
-        self.partial.sizes.values().sum()
+        self.partial.num_users()
     }
 }
 
@@ -182,14 +143,14 @@ pub(crate) struct ExecContext {
     age_pred: Option<CompiledExpr>,
     key_parts: Vec<KeyPart>,
     aggs: Vec<AggFunc>,
+    /// Fresh state of every aggregate: what a new `(cohort, age)` cell holds.
+    inits: Vec<AggState>,
     agg_attrs: Vec<Option<usize>>,
     /// Whether any aggregate folds tuple values (vs. per-user counting
     /// only); when false, repeated-age tuples cannot change any state and
     /// the inner loop skips cell resolution for them.
     has_value_aggs: bool,
     age_bin: TimeBin,
-    /// Dense path: `(dict_len, age_domain)` when enabled.
-    dense: Option<(usize, usize)>,
 }
 
 impl ExecContext {
@@ -229,39 +190,16 @@ impl ExecContext {
             .map(|a| a.attr().map(|n| schema.require(n)).transpose())
             .collect::<Result<_, _>>()?;
 
-        // Dense path: single string cohort attribute with a small domain.
-        let dense = if plan.options.array_aggregation && key_parts.len() == 1 {
-            if let KeyPart::Str(idx) = key_parts[0] {
-                let dict_len = table.global_dict(idx).map(|d| d.len()).unwrap_or(0);
-                let age_domain = match table.meta(schema.time_idx()) {
-                    ColumnMeta::Int { min, max } => query.age_bin.age_units(max - min) as usize + 2,
-                    _ => 0,
-                };
-                let cells = dict_len
-                    .saturating_mul(age_domain)
-                    .saturating_mul(query.aggregates.len().max(1));
-                if dict_len > 0 && age_domain > 0 && cells <= DENSE_CELL_LIMIT {
-                    Some((dict_len, age_domain))
-                } else {
-                    None
-                }
-            } else {
-                None
-            }
-        } else {
-            None
-        };
-
         Ok(ExecContext {
             birth_gid,
             birth_pred,
             age_pred,
             key_parts,
+            inits: query.aggregates.iter().map(AggFunc::init).collect(),
             aggs: query.aggregates.clone(),
             agg_attrs,
             has_value_aggs: query.aggregates.iter().any(|a| !a.per_user()),
             age_bin: query.age_bin,
-            dense,
         })
     }
 }
@@ -398,36 +336,48 @@ impl QueryCore {
         (rx, handles, busy)
     }
 
-    /// Decode merged partials into the final report.
-    pub(crate) fn build_report(&self, merged: Partial) -> Result<CohortReport, EngineError> {
-        build_report(self.source.table_meta(), &self.plan, &self.ctx, merged)
+    /// Decode merged partials into the final report, sorted by cohort then
+    /// age: each cohort key is decoded once, not once per row.
+    pub(crate) fn build_report(&self, merged: Partial) -> CohortReport {
+        let query = &self.plan.query;
+        cells::build_report(
+            query.cohort_by.iter().map(|c| c.to_string()).collect(),
+            query.aggregates.iter().map(|a| a.header()).collect(),
+            merged.cohorts().map(|(key, size, run)| (self.decode_key(key), size, run)).collect(),
+        )
     }
 
     /// Convert a batch into its network-portable form: every encoded cohort
     /// key is decoded to [`Value`]s using this statement's table metadata,
     /// so the receiver needs no dictionaries to merge batches.
-    pub(crate) fn wire_batch(&self, batch: &ResultBatch) -> crate::wire::WireBatch {
+    pub(crate) fn wire_batch(&self, batch: &ResultBatch) -> WireBatch {
+        WireBatch::from_cohorts(
+            [batch.chunk_index as u64, batch.rows_scanned as u64, batch.morsels],
+            self.ctx.key_parts.len(),
+            &self.ctx.inits,
+            batch
+                .partial
+                .cohorts()
+                .map(|(key, size, run)| (self.decode_key(key), size, run))
+                .collect(),
+        )
+    }
+
+    /// Decode an encoded cohort key into its reported [`Value`]s. Injective
+    /// for keys of one statement: distinct global ids map to distinct
+    /// dictionary strings, the integer bit-cast is the identity, and distinct
+    /// bin starts render distinct dates — so decoded keys collide iff the
+    /// encoded ones did.
+    fn decode_key(&self, key: &[u64]) -> Vec<Value> {
         let table = self.source.table_meta();
-        crate::wire::WireBatch {
-            chunk_index: batch.chunk_index as u64,
-            rows_scanned: batch.rows_scanned as u64,
-            morsels: batch.morsels,
-            sizes: batch
-                .partial
-                .sizes
-                .iter()
-                .map(|(k, s)| (decode_key(table, &self.ctx, k), *s))
-                .collect(),
-            cells: batch
-                .partial
-                .cells
-                .iter()
-                .flat_map(|(k, ages)| {
-                    let cohort = decode_key(table, &self.ctx, k);
-                    ages.iter().map(move |(age, states)| (cohort.clone(), *age, states.clone()))
-                })
-                .collect(),
-        }
+        key.iter()
+            .zip(self.ctx.key_parts.iter())
+            .map(|(v, part)| match part {
+                KeyPart::Str(idx) => Value::Str(table.gid_value(*idx, *v as u32).clone()),
+                KeyPart::Int(_) => Value::Int(*v as i64),
+                KeyPart::TimeBin(_) => Value::from(Timestamp(*v as i64).render_date()),
+            })
+            .collect()
     }
 }
 
@@ -500,9 +450,7 @@ pub(crate) struct RunProcessor<'a> {
     /// The specialized birth predicate proved no user in this chunk can
     /// qualify: callers should not run any morsel.
     pub(crate) skip_chunk: bool,
-    n_aggs: usize,
-    dense: Option<DenseAgg>,
-    partial: Partial,
+    acc: Accumulator,
     /// Deduplicated attribute indexes of the value columns the aggregates
     /// read, the per-aggregate slot into them, and their chunk minima.
     vattrs: Vec<usize>,
@@ -514,7 +462,6 @@ pub(crate) struct RunProcessor<'a> {
     // value columns of a contributing user's block.
     tbuf: Vec<u64>,
     abuf: Vec<i64>,
-    key_buf: Key,
     runs_buf: Vec<UserRun>,
     birth_rows: Vec<Option<usize>>,
     vbufs: Vec<Vec<u64>>,
@@ -553,20 +500,23 @@ impl<'a> RunProcessor<'a> {
         }
         let pbufs = vec![Vec::new(); age_slot_cols.len()];
 
-        // Dense or hash accumulators.
-        let n_aggs = ctx.aggs.len();
-        let dense = ctx.dense.map(|(cohorts, ages)| DenseAgg {
-            ages,
-            sizes: vec![0u64; cohorts],
-            states: vec![AggState::Count(0); cohorts * ages * n_aggs],
-            touched: vec![false; cohorts * ages],
-            inits: ctx.aggs.iter().map(|a| a.init()).collect(),
-        });
+        // Every age this chunk can produce indexes an accumulator array.
+        let (tmin, tmax) = chunk
+            .column_required(table.schema().time_idx())
+            .int_range()
+            .expect("ChunkScan::open checked the time column is an integer segment");
+        let age_span = ctx.age_bin.age_units(tmax.saturating_sub(tmin));
+        if age_span > MAX_AGE_UNITS {
+            return Err(EngineError::Unsupported(format!(
+                "a chunk spans {age_span} age units (limit {MAX_AGE_UNITS}); use a coarser age \
+                 granularity"
+            )));
+        }
 
         // Resolve which value columns the aggregates read, deduplicated so
         // two aggregates over the same attribute share one decoded buffer.
         let mut vattrs: Vec<usize> = Vec::new();
-        let mut agg_vslots: Vec<Option<usize>> = Vec::with_capacity(n_aggs);
+        let mut agg_vslots: Vec<Option<usize>> = Vec::with_capacity(ctx.aggs.len());
         for (agg, attr) in ctx.aggs.iter().zip(&ctx.agg_attrs) {
             agg_vslots.push(match (agg.per_user(), attr) {
                 (false, Some(idx)) => Some(match vattrs.iter().position(|v| v == idx) {
@@ -586,7 +536,6 @@ impl<'a> RunProcessor<'a> {
         let time_min = scan.time_min();
         Ok(RunProcessor {
             scan,
-            cursors,
             rle: chunk.user_rle(),
             plan,
             ctx,
@@ -598,15 +547,13 @@ impl<'a> RunProcessor<'a> {
             age_block_pred,
             age_slot_cols,
             skip_chunk,
-            n_aggs,
-            dense,
-            partial: Partial::default(),
+            acc: Accumulator::new(ctx, plan.options.array_aggregation, &cursors),
+            cursors,
             vattrs,
             agg_vslots,
             vmins,
             tbuf: Vec::new(),
             abuf: Vec::new(),
-            key_buf: Vec::with_capacity(ctx.key_parts.len()),
             runs_buf: Vec::new(),
             birth_rows: Vec::new(),
             vbufs,
@@ -626,7 +573,6 @@ impl<'a> RunProcessor<'a> {
         let plan = self.plan;
         let time_deltas = self.time_deltas;
         let time_min = self.time_min;
-        let n_aggs = self.n_aggs;
         let age_dead = self.age_dead;
         let birth_pred = self.birth_pred.as_ref();
         let age_pred = self.age_pred.as_ref();
@@ -674,29 +620,11 @@ impl<'a> RunProcessor<'a> {
 
             let birth_time = time_min + birth_delta;
 
-            // Cohort assignment from the birth tuple (Definition 6).
-            self.key_buf.clear();
-            for part in &ctx.key_parts {
-                self.key_buf.push(match part {
-                    KeyPart::Str(idx) => cursors.gid(*idx, birth_row) as u64,
-                    KeyPart::Int(idx) => cursors.int(*idx, birth_row) as u64,
-                    KeyPart::TimeBin(bin) => bin.bin_start(Timestamp(birth_time)).secs() as u64,
-                });
-            }
-
-            // Cohort size counts every qualified user exactly once. The hash
-            // path gets then inserts: the key is cloned only the first time
-            // a cohort appears, not per user.
-            let dense_cohort = self.dense.as_ref().map(|_| self.key_buf[0] as usize);
-            match (&mut self.dense, dense_cohort) {
-                (Some(d), Some(c)) => d.sizes[c] += 1,
-                _ => match self.partial.sizes.get_mut(&self.key_buf) {
-                    Some(size) => *size += 1,
-                    None => {
-                        self.partial.sizes.insert(self.key_buf.clone(), 1);
-                    }
-                },
-            }
+            // Cohort assignment from the birth tuple (Definition 6): intern
+            // the key once; everything below addresses the cohort by id.
+            // Cohort size counts every qualified user exactly once.
+            let cohort = self.acc.intern(ctx, cursors, birth_row, birth_time);
+            self.acc.sizes[cohort] += 1;
             if age_dead || count == 1 {
                 continue; // no tuple of this user can reach the aggregates
             }
@@ -776,18 +704,9 @@ impl<'a> RunProcessor<'a> {
                 cursors.unpack(self.vattrs[s], start + pos0, start + count, &mut self.vbufs[s]);
             }
 
-            // Resolve the cohort's age table once per contributing user
-            // (hash path); the inner loop then updates it without hashing or
-            // cloning the key.
-            let mut user_cells: Option<&mut BTreeMap<i64, Vec<AggState>>> = match dense_cohort {
-                Some(_) => None,
-                None => {
-                    if !self.partial.cells.contains_key(&self.key_buf) {
-                        self.partial.cells.insert(self.key_buf.clone(), BTreeMap::new());
-                    }
-                    self.partial.cells.get_mut(&self.key_buf)
-                }
-            };
+            // The cohort's age-indexed state array, resolved once per
+            // contributing user; the inner loop only indexes it.
+            let cells = &mut self.acc.ages[cohort];
 
             // Fold this user's age activity tuples in a tight loop over the
             // precomputed mask and decoded age buffer.
@@ -806,14 +725,7 @@ impl<'a> RunProcessor<'a> {
                     continue;
                 }
 
-                let states: &mut [AggState] = match (&mut self.dense, dense_cohort) {
-                    (Some(d), Some(c)) => d.cell(c, age_units as usize, n_aggs),
-                    _ => user_cells
-                        .as_deref_mut()
-                        .expect("hash path resolved the cohort's age table")
-                        .entry(age_units)
-                        .or_insert_with(|| ctx.aggs.iter().map(|a| a.init()).collect()),
-                };
+                let states = cells.slot(age_units as usize, &ctx.inits);
                 for (i, agg) in ctx.aggs.iter().enumerate() {
                     if agg.per_user() {
                         // Ages within a user block are non-decreasing
@@ -834,13 +746,9 @@ impl<'a> RunProcessor<'a> {
         }
     }
 
-    /// Drain the dense accumulator (if any) and yield the accumulated
-    /// partial.
-    pub(crate) fn finish(mut self) -> Partial {
-        if let Some(d) = self.dense.take() {
-            d.drain_into(&mut self.partial, self.n_aggs);
-        }
-        self.partial
+    /// Yield what this processor accumulated.
+    pub(crate) fn finish(self) -> Partial {
+        self.acc.finish(self.ctx.inits.len())
     }
 }
 
@@ -1095,109 +1003,141 @@ fn fill_age_units_const<const UNIT: i64>(deltas: &[u64], birth_delta: i64, out: 
     }
 }
 
-/// Dense `(cohort gid × age)` aggregation table (§4.4).
-struct DenseAgg {
-    ages: usize,
-    sizes: Vec<u64>,
+/// Marks a chunk code the direct-indexed interner has not seen yet.
+const NO_ID: u32 = u32::MAX;
+
+/// Cohort key → dense cohort id, scoped to one processor over one chunk.
+enum Interner {
+    /// The key is a single dictionary attribute: the birth tuple's chunk
+    /// code indexes a LUT as long as the chunk's dictionary — no hashing.
+    Direct { attr: usize, ids: Vec<u32> },
+    /// Any other key (and every key when array aggregation is ablated);
+    /// `key` is the scratch the probed key is assembled in.
+    Hashed { ids: HashMap<Key, u32>, key: Key },
+}
+
+/// One cohort's states indexed by age (`age × n_aggs`), grown on demand. A
+/// slot exists for every age up to the largest seen; `present` tells a cell
+/// that received a tuple from one that merely sits below a later age.
+#[derive(Default)]
+struct AgeArray {
+    present: Vec<bool>,
     states: Vec<AggState>,
-    touched: Vec<bool>,
-    inits: Vec<AggState>,
 }
 
-impl DenseAgg {
+impl AgeArray {
     #[inline]
-    fn cell(&mut self, cohort: usize, age: usize, n_aggs: usize) -> &mut [AggState] {
-        let slot = cohort * self.ages + age;
-        if !self.touched[slot] {
-            self.touched[slot] = true;
-            let base = slot * n_aggs;
-            self.states[base..base + n_aggs].copy_from_slice(&self.inits);
+    fn slot(&mut self, age: usize, inits: &[AggState]) -> &mut [AggState] {
+        if age >= self.present.len() {
+            let new = age + 1 - self.present.len();
+            self.present.resize(age + 1, false);
+            self.states.extend(inits.iter().cycle().take(new * inits.len()));
         }
-        let base = slot * n_aggs;
-        &mut self.states[base..base + n_aggs]
+        self.present[age] = true;
+        &mut self.states[age * inits.len()..(age + 1) * inits.len()]
+    }
+}
+
+/// The §4.4 array aggregation table of one [`RunProcessor`], for any cohort
+/// key: cohorts are interned to ids in order of first appearance, and sizes,
+/// keys and age arrays are flat vectors by id. It holds
+/// `O(cohorts seen × ages seen)` states whatever the size of the
+/// dictionaries behind the key.
+struct Accumulator {
+    interner: Interner,
+    /// Encoded keys by id, `arity` parts each.
+    keys: Vec<u64>,
+    sizes: Vec<u64>,
+    ages: Vec<AgeArray>,
+}
+
+impl Accumulator {
+    /// `direct` is the §4.4 ablation switch (`array_aggregation`): whether a
+    /// single dictionary attribute may skip hashing.
+    fn new(ctx: &ExecContext, direct: bool, cursors: &ChunkCursors<'_>) -> Accumulator {
+        let interner = match ctx.key_parts[..] {
+            [KeyPart::Str(attr)] if direct => {
+                Interner::Direct { attr, ids: vec![NO_ID; cursors.lut(attr).len()] }
+            }
+            _ => Interner::Hashed { ids: HashMap::new(), key: Vec::new() },
+        };
+        Accumulator { interner, keys: Vec::new(), sizes: Vec::new(), ages: Vec::new() }
     }
 
-    fn drain_into(self, partial: &mut Partial, n_aggs: usize) {
-        for (gid, size) in self.sizes.iter().enumerate() {
-            if *size > 0 {
-                *partial.sizes.entry(vec![gid as u64]).or_insert(0) += size;
+    /// The id of the cohort the user born at `birth_row` belongs to.
+    #[inline]
+    fn intern(
+        &mut self,
+        ctx: &ExecContext,
+        cursors: &ChunkCursors<'_>,
+        birth_row: usize,
+        birth_time: i64,
+    ) -> usize {
+        let next = self.sizes.len() as u32;
+        let id = match &mut self.interner {
+            Interner::Direct { attr, ids } => {
+                let code = cursors.code(*attr, birth_row) as usize;
+                if ids[code] != NO_ID {
+                    return ids[code] as usize;
+                }
+                ids[code] = next;
+                self.keys.push(cursors.lut(*attr)[code] as u64);
+                next
             }
-        }
-        for (slot, touched) in self.touched.iter().enumerate() {
-            if !touched {
-                continue;
+            Interner::Hashed { ids, key } => {
+                key.clear();
+                key.extend(ctx.key_parts.iter().map(|part| match part {
+                    KeyPart::Str(idx) => cursors.gid(*idx, birth_row) as u64,
+                    KeyPart::Int(idx) => cursors.int(*idx, birth_row) as u64,
+                    KeyPart::TimeBin(bin) => bin.bin_start(Timestamp(birth_time)).secs() as u64,
+                }));
+                if let Some(&id) = ids.get(key.as_slice()) {
+                    return id as usize;
+                }
+                ids.insert(key.clone(), next);
+                self.keys.extend_from_slice(key);
+                next
             }
-            let cohort = slot / self.ages;
-            let age = (slot % self.ages) as i64;
-            let base = slot * n_aggs;
+        };
+        self.sizes.push(0);
+        self.ages.push(AgeArray::default());
+        id as usize
+    }
+
+    /// Compact into the mergeable layout: per cohort, the present ages in
+    /// ascending order with their states.
+    fn finish(self, n_aggs: usize) -> Partial {
+        let mut partial = Partial::default();
+        let arity = self.keys.len() / self.sizes.len().max(1);
+        let (mut ages, mut states) = (Vec::new(), Vec::new());
+        for (id, cells) in self.ages.iter().enumerate() {
+            ages.clear();
+            states.clear();
+            for (age, _) in cells.present.iter().enumerate().filter(|(_, &p)| p) {
+                ages.push(age as i64);
+                states.extend_from_slice(&cells.states[age * n_aggs..(age + 1) * n_aggs]);
+            }
             partial
-                .cells
-                .entry(vec![cohort as u64])
-                .or_default()
-                .insert(age, self.states[base..base + n_aggs].to_vec());
+                .absorb(&self.keys[id * arity..(id + 1) * arity], self.sizes[id], &ages, &states)
+                .expect("a cohort is interned once, so nothing merges");
         }
+        partial
     }
-}
 
-/// Decode an encoded cohort key into its reported [`Value`]s. Injective for
-/// keys of one statement: distinct global ids map to distinct dictionary
-/// strings, the integer bit-cast is the identity, and distinct bin starts
-/// render distinct dates — so decoded keys collide iff the encoded ones did.
-fn decode_key(table: &TableMeta, ctx: &ExecContext, key: &Key) -> Vec<Value> {
-    key.iter()
-        .zip(ctx.key_parts.iter())
-        .map(|(v, part)| match part {
-            KeyPart::Str(idx) => Value::Str(table.gid_value(*idx, *v as u32).clone()),
-            KeyPart::Int(_) => Value::Int(*v as i64),
-            KeyPart::TimeBin(_) => Value::from(Timestamp(*v as i64).render_date()),
-        })
-        .collect()
-}
-
-/// Decode merged partials into the final report, sorted by cohort then age.
-fn build_report(
-    table: &TableMeta,
-    plan: &PhysicalPlan,
-    ctx: &ExecContext,
-    merged: Partial,
-) -> Result<CohortReport, EngineError> {
-    let decode_key = |key: &Key| -> Vec<Value> { decode_key(table, ctx, key) };
-
-    // One row per (cohort, age) cell: size the vector once up front.
-    let mut rows = Vec::with_capacity(merged.num_cells());
-    for (key, ages) in &merged.cells {
-        let cohort = decode_key(key);
-        let size = merged.sizes.get(key).copied().unwrap_or(0);
-        for (age, states) in ages {
-            rows.push(ReportRow {
-                cohort: cohort.clone(),
-                size,
-                age: *age,
-                measures: states.iter().map(|s| s.finalize()).collect(),
-            });
-        }
+    /// States currently allocated, over all cohorts.
+    #[cfg(test)]
+    fn allocated_states(&self) -> usize {
+        self.ages.iter().map(|a| a.states.len()).sum()
     }
-    // Cohorts with a size but no qualifying age tuples still appear in the
-    // size map; they contribute no rows (no (cohort, age) bucket exists),
-    // matching Definition 6's output.
-    rows.sort_by(|a, b| a.cohort.cmp(&b.cohort).then(a.age.cmp(&b.age)));
-
-    Ok(CohortReport {
-        cohort_attrs: plan.query.cohort_by.iter().map(|c| c.to_string()).collect(),
-        agg_names: plan.query.aggregates.iter().map(|a| a.header()).collect(),
-        rows,
-        cohort_sizes: merged
-            .sizes
-            .iter()
-            .map(|(k, s)| (decode_key(k), *s))
-            .collect::<BTreeMap<_, _>>(),
-        stats: None,
-    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::{plan_query, PlannerOptions};
+    use crate::query::CohortQuery;
+    use cohana_activity::{Schema, TableBuilder};
+    use cohana_storage::{ColumnMeta, CompressedTable, CompressionOptions, GlobalDict};
 
     #[test]
     fn fill_age_units_matches_timebin_age_units() {
@@ -1212,6 +1152,66 @@ mod tests {
                     assert_eq!(out[i], expect, "{bin:?} delta {d} birth {birth_delta}");
                 }
             }
+        }
+    }
+
+    /// Three users in three countries, active for `days` days each, encoded
+    /// against a country dictionary of 100 003 entries.
+    fn wide_dictionary_table(days: i64) -> CompressedTable {
+        let mut b = TableBuilder::new(Schema::game_actions());
+        for (user, country) in [("u1", "Chile"), ("u2", "Ghana"), ("u3", "Nepal")] {
+            for day in 0..=days {
+                let action = if day == 0 { "launch" } else { "shop" };
+                let row: [Value; 8] = [
+                    user.into(),
+                    (day * 86_400 + 60).into(),
+                    action.into(),
+                    country.into(),
+                    "city".into(),
+                    "dwarf".into(),
+                    1.into(),
+                    (10 * day).into(),
+                ];
+                b.push(row.to_vec()).unwrap();
+            }
+        }
+        let table = b.finish().unwrap();
+        let options = CompressionOptions::with_chunk_size(1 << 16);
+        let mut metas = CompressedTable::build(&table, options).unwrap().metas().to_vec();
+        let filler: Vec<String> = (0..100_000).map(|i| format!("country-{i:06}")).collect();
+        let countries = filler.iter().map(String::as_str).chain(["Chile", "Ghana", "Nepal"]);
+        let country_idx = table.schema().index_of("country").unwrap();
+        metas[country_idx] = ColumnMeta::Str { dict: GlobalDict::build(countries) };
+        CompressedTable::build_with_metas(&table, metas, options).unwrap()
+    }
+
+    #[test]
+    fn accumulator_footprint_follows_cohorts_seen_not_dictionary_size() {
+        let days = 5;
+        let table = wide_dictionary_table(days);
+        let query = CohortQuery::builder("launch")
+            .cohort_by(["country"])
+            .aggregate(AggFunc::sum("gold"))
+            .aggregate(AggFunc::user_count())
+            .build()
+            .unwrap();
+        for array_aggregation in [true, false] {
+            let options = PlannerOptions { array_aggregation, ..PlannerOptions::default() };
+            let plan = plan_query(&query, table.schema(), options).unwrap();
+            let ctx = ExecContext::new(table.table_meta(), &plan).unwrap();
+            let chunk = &table.chunks()[0];
+            let mut proc = RunProcessor::new(table.table_meta(), chunk, &plan, &ctx).unwrap();
+            proc.process_runs(0, chunk.num_users());
+            // 3 cohorts × ages 0..=5 × 2 aggregates — not 100 003 × 7 × 2.
+            let bound = 3 * (days as usize + 1) * 2;
+            assert!(
+                proc.acc.allocated_states() <= bound,
+                "{} states allocated for 3 cohorts of {days} ages (bound {bound})",
+                proc.acc.allocated_states()
+            );
+            let partial = proc.finish();
+            assert_eq!((partial.num_cohorts(), partial.num_cells()), (3, 3 * days as usize));
+            assert_eq!(partial.num_users(), 3);
         }
     }
 }

@@ -52,6 +52,7 @@
 
 pub mod agg;
 pub mod analysis;
+mod cells;
 pub mod engine;
 pub mod error;
 pub mod exec;
@@ -80,7 +81,7 @@ pub use report::{CohortReport, ReportRow};
 pub use session::{QueryStream, Session, Statement};
 pub use sharded::{MaintenanceConfig, MaintenanceStats, ShardedTable};
 pub use stats::QueryStats;
-pub use wire::{ReportAssembler, WireBatch};
+pub use wire::{ReportAssembler, WireBatch, WireCohort};
 
 /// Result alias for this crate.
 pub type Result<T> = std::result::Result<T, EngineError>;

@@ -14,7 +14,8 @@
 //! * `push_down_birth_selection` — Equation 1 push-down (§4.2);
 //! * `skip_unqualified_users` — `SkipCurUser` in the TableScan (§4.3);
 //! * `prune_chunks` — two-level dictionary / range chunk skipping (§4.1);
-//! * `array_aggregation` — array-based hash tables in γᶜ (§4.4).
+//! * `array_aggregation` — array-based (direct-indexed) cohort lookup in γᶜ
+//!   (§4.4).
 
 use crate::error::EngineError;
 use crate::expr::Expr;
@@ -32,8 +33,9 @@ pub struct PlannerOptions {
     pub skip_unqualified_users: bool,
     /// Skip chunks whose dictionaries/ranges prove no tuple can qualify.
     pub prune_chunks: bool,
-    /// Use dense arrays instead of hash maps for aggregation when the
-    /// cohort key domain is small.
+    /// Intern a cohort key that is a single dictionary attribute through a
+    /// direct-indexed LUT (§4.4) instead of hashing it. The aggregation
+    /// table itself is an age-indexed array per cohort either way.
     pub array_aggregation: bool,
 }
 

@@ -292,7 +292,7 @@ impl Statement {
         for batch in batches {
             merged.merge(batch.partial)?;
         }
-        self.core.build_report(merged)
+        Ok(self.core.build_report(merged))
     }
 
     /// Convert a pulled batch into its network-portable [`WireBatch`](crate::wire::WireBatch) form,
@@ -428,7 +428,7 @@ impl<'s> QueryStream<'s> {
         for batch in &mut self {
             merged.merge(batch?.partial)?;
         }
-        let mut report = self.stmt.core.build_report(merged)?;
+        let mut report = self.stmt.core.build_report(merged);
         report.stats = Some(self.stats());
         Ok(report)
     }

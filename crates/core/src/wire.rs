@@ -13,17 +13,31 @@
 //! cohort-size semantics), because aggregate partials are additive across
 //! chunks and key decoding is injective.
 //!
+//! A batch keeps the executor's cohort-interned layout: each cohort is stated
+//! once (key, size), followed by its cells as columns — ascending ages, then
+//! one column per aggregate. `docs/PROTOCOL.md` has the byte layout. Two
+//! properties the rest of the system leans on:
+//!
+//! * **self-contained** — a batch names its own strings and cohorts, so any
+//!   subset of a query's batches, in any order, still merges (cancellation,
+//!   early drop and concurrent readers depend on it);
+//! * **deterministic** — cohorts are in ascending key order and ages ascend,
+//!   so the encoded bytes are a function of the batch.
+//!
 //! The module also carries the compact little-endian binary codec the
-//! `cohana-server` protocol uses for batch and stats payloads
-//! ([`WireWriter`] / [`WireReader`]); decode failures surface as
-//! [`EngineError::Corrupt`] so a malformed payload can never panic a reader.
+//! `cohana-server` protocol uses for its other payloads ([`WireWriter`] /
+//! [`WireReader`]); decode failures surface as [`EngineError::Corrupt`] so a
+//! malformed payload can never panic a reader, and every count is checked
+//! against the bytes that remain before anything is allocated for it.
 
 use crate::agg::AggState;
+use crate::cells::{self, AgeRun, CohortTable};
 use crate::error::EngineError;
-use crate::report::{CohortReport, ReportRow};
+use crate::report::CohortReport;
 use crate::stats::QueryStats;
 use cohana_activity::Value;
-use std::collections::BTreeMap;
+use std::collections::HashMap;
+use std::sync::Arc;
 use std::time::Duration;
 
 /// One per-chunk partial result with decoded cohort keys — the unit the
@@ -31,71 +45,280 @@ use std::time::Duration;
 ///
 /// Like [`ResultBatch`](crate::ResultBatch), a `WireBatch` is *partial*: the
 /// same `(cohort, age)` cell may appear in many batches and their
-/// contributions add.
+/// contributions add. Within one batch every cohort appears once, in
+/// ascending key order, and its ages ascend; read them with
+/// [`cohorts`](Self::cohorts).
 #[derive(Debug, Clone, PartialEq)]
 pub struct WireBatch {
-    /// Index of the source chunk that produced this batch.
-    pub chunk_index: u64,
-    /// Rows of the source chunk the scan covered.
-    pub rows_scanned: u64,
-    /// User-block morsels executed to produce this batch.
-    pub morsels: u64,
-    /// Cohort → qualified users in this chunk.
-    pub sizes: Vec<(Vec<Value>, u64)>,
-    /// `(cohort, age)` → one partial state per aggregate.
-    pub cells: Vec<(Vec<Value>, i64, Vec<AggState>)>,
+    chunk_index: u64,
+    rows_scanned: u64,
+    morsels: u64,
+    /// Values per cohort key.
+    arity: usize,
+    /// State tag of each aggregate; every cell holds one state per tag.
+    tags: Vec<u8>,
+    /// Cohort keys, `arity` values each.
+    keys: Vec<Value>,
+    /// Qualified users of each cohort in this chunk.
+    sizes: Vec<u64>,
+    /// Where each cohort's cells end in `ages` (they start where the
+    /// previous cohort's end).
+    cell_ends: Vec<usize>,
+    ages: Vec<i64>,
+    /// `tags.len()` states per cell, cell after cell.
+    states: Vec<AggState>,
+}
+
+/// One cohort of a [`WireBatch`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct WireCohort<'a> {
+    /// The decoded cohort key, one value per cohort attribute.
+    pub key: &'a [Value],
+    /// Qualified users of this cohort in the batch's chunk.
+    pub size: u64,
+    /// Ages the cohort has cells at, strictly ascending.
+    pub ages: &'a [i64],
+    /// One partial state per aggregate for each age, cell after cell
+    /// (`ages.len() × n_aggs`).
+    pub states: &'a [AggState],
 }
 
 impl WireBatch {
+    /// Assemble a batch from `[chunk_index, rows_scanned, morsels]` and its
+    /// cohorts (any order; each key `arity` values, each cell one state per
+    /// entry of `inits`, of that entry's kind).
+    pub(crate) fn from_cohorts(
+        [chunk_index, rows_scanned, morsels]: [u64; 3],
+        arity: usize,
+        inits: &[AggState],
+        mut cohorts: Vec<(Vec<Value>, u64, &AgeRun)>,
+    ) -> WireBatch {
+        cohorts.sort_by(|a, b| a.0.cmp(&b.0));
+        let tags: Vec<u8> = inits.iter().map(state_tag).collect();
+        let cells = cohorts.iter().map(|c| c.2.ages.len()).sum();
+        let mut batch = WireBatch {
+            chunk_index,
+            rows_scanned,
+            morsels,
+            arity,
+            keys: Vec::with_capacity(cohorts.len() * arity),
+            sizes: Vec::with_capacity(cohorts.len()),
+            cell_ends: Vec::with_capacity(cohorts.len()),
+            ages: Vec::with_capacity(cells),
+            states: Vec::with_capacity(cells * tags.len()),
+            tags,
+        };
+        for (key, size, run) in cohorts {
+            debug_assert_eq!(key.len(), arity);
+            debug_assert!(run.ages.first().is_none_or(|&a| a >= 1));
+            debug_assert!(run.ages.windows(2).all(|w| w[0] < w[1]));
+            debug_assert!(run
+                .states
+                .chunks(batch.tags.len())
+                .all(|cell| cell.iter().map(state_tag).eq(batch.tags.iter().copied())));
+            batch.keys.extend(key);
+            batch.sizes.push(size);
+            batch.ages.extend_from_slice(&run.ages);
+            batch.states.extend_from_slice(&run.states);
+            batch.cell_ends.push(batch.ages.len());
+        }
+        batch
+    }
+
+    /// Index of the source chunk that produced this batch.
+    pub fn chunk_index(&self) -> u64 {
+        self.chunk_index
+    }
+
+    /// Rows of the source chunk the scan covered.
+    pub fn rows_scanned(&self) -> u64 {
+        self.rows_scanned
+    }
+
+    /// User-block morsels executed to produce this batch.
+    pub fn morsels(&self) -> u64 {
+        self.morsels
+    }
+
+    /// Cohorts with at least one qualified user in this chunk.
+    pub fn num_cohorts(&self) -> usize {
+        self.sizes.len()
+    }
+
+    /// `(cohort, age)` cells this chunk contributed to.
+    pub fn num_cells(&self) -> usize {
+        self.ages.len()
+    }
+
+    /// The batch's cohorts in ascending key order.
+    pub fn cohorts(&self) -> impl Iterator<Item = WireCohort<'_>> {
+        let n_aggs = self.tags.len();
+        let mut start = 0;
+        self.cell_ends.iter().enumerate().map(move |(i, &end)| {
+            let cohort = WireCohort {
+                key: &self.keys[i * self.arity..(i + 1) * self.arity],
+                size: self.sizes[i],
+                ages: &self.ages[start..end],
+                states: &self.states[start * n_aggs..end * n_aggs],
+            };
+            start = end;
+            cohort
+        })
+    }
+
     /// Serialize into the binary wire form.
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = WireWriter::new();
-        w.u64(self.chunk_index);
-        w.u64(self.rows_scanned);
-        w.u64(self.morsels);
-        w.u32(self.sizes.len() as u32);
-        for (cohort, size) in &self.sizes {
-            encode_values(&mut w, cohort);
-            w.u64(*size);
+        let mut out = Vec::new();
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Append the binary wire form to `out` (a server reuses one buffer per
+    /// connection, with the frame header in front).
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        for v in [self.chunk_index, self.rows_scanned, self.morsels] {
+            put_varint(out, v);
         }
-        w.u32(self.cells.len() as u32);
-        for (cohort, age, states) in &self.cells {
-            encode_values(&mut w, cohort);
-            w.i64(*age);
-            w.u16(states.len() as u16);
-            for s in states {
-                encode_agg_state(&mut w, s);
+        put_varint(out, self.arity as u64);
+        put_varint(out, self.tags.len() as u64);
+        out.extend_from_slice(&self.tags);
+
+        // String table: each distinct string once, in order of first use.
+        let mut table: HashMap<&str, u64> = HashMap::new();
+        let mut strings: Vec<&str> = Vec::new();
+        let mut refs: Vec<u64> = Vec::new();
+        for s in self.keys.iter().filter_map(Value::as_str) {
+            refs.push(*table.entry(s).or_insert_with(|| {
+                strings.push(s);
+                strings.len() as u64 - 1
+            }));
+        }
+        put_varint(out, strings.len() as u64);
+        for s in strings {
+            put_varint(out, s.len() as u64);
+            out.extend_from_slice(s.as_bytes());
+        }
+
+        // Cohort table: key value refs + size.
+        put_varint(out, self.sizes.len() as u64);
+        let mut refs = refs.into_iter();
+        for cohort in self.cohorts() {
+            for v in cohort.key {
+                match v {
+                    Value::Null => out.push(VALUE_NULL),
+                    Value::Int(i) => {
+                        out.push(VALUE_INT);
+                        put_varint(out, zigzag(*i));
+                    }
+                    Value::Str(_) => {
+                        out.push(VALUE_STR);
+                        put_varint(out, refs.next().expect("one ref per string value"));
+                    }
+                }
+            }
+            put_varint(out, cohort.size);
+        }
+
+        // Cells, cohort by cohort: age deltas, then one column per aggregate.
+        let n_aggs = self.tags.len();
+        for cohort in self.cohorts() {
+            put_varint(out, cohort.ages.len() as u64);
+            let mut prev = 0;
+            for &age in cohort.ages {
+                put_varint(out, (age - prev) as u64);
+                prev = age;
+            }
+            for a in 0..n_aggs {
+                for state in cohort.states.iter().skip(a).step_by(n_aggs) {
+                    put_state(out, state);
+                }
             }
         }
-        w.into_bytes()
     }
 
     /// Deserialize from the binary wire form.
     pub fn decode(bytes: &[u8]) -> Result<WireBatch, EngineError> {
         let mut r = WireReader::new(bytes);
-        let chunk_index = r.u64()?;
-        let rows_scanned = r.u64()?;
-        let morsels = r.u64()?;
-        let n_sizes = r.u32()? as usize;
-        let mut sizes = Vec::with_capacity(n_sizes.min(1 << 16));
-        for _ in 0..n_sizes {
-            let cohort = decode_values(&mut r)?;
-            sizes.push((cohort, r.u64()?));
+        let chunk_index = r.varint()?;
+        let rows_scanned = r.varint()?;
+        let morsels = r.varint()?;
+        let arity = r.count(1)?;
+        let n_aggs = r.count(1)?;
+        let tags = r.take(n_aggs)?.to_vec();
+        if arity == 0 || tags.is_empty() {
+            return Err(corrupt("batch without cohort attributes or aggregates"));
         }
-        let n_cells = r.u32()? as usize;
-        let mut cells = Vec::with_capacity(n_cells.min(1 << 16));
-        for _ in 0..n_cells {
-            let cohort = decode_values(&mut r)?;
-            let age = r.i64()?;
-            let n_states = r.u16()? as usize;
-            let mut states = Vec::with_capacity(n_states);
-            for _ in 0..n_states {
-                states.push(decode_agg_state(&mut r)?);
+        if let Some(t) = tags.iter().find(|&&t| t > TAG_USER_COUNT) {
+            return Err(corrupt(format!("unknown aggregate-state tag {t}")));
+        }
+
+        let n_strings = r.count(1)?;
+        let mut strings: Vec<Arc<str>> = Vec::with_capacity(n_strings);
+        for _ in 0..n_strings {
+            let len = r.count(1)?;
+            let s = std::str::from_utf8(r.take(len)?)
+                .map_err(|_| corrupt("invalid UTF-8 in wire string"))?;
+            strings.push(Arc::from(s));
+        }
+
+        // A cohort is at least its value kinds, its size and its cell count.
+        let n_cohorts = r.count(arity + 2)?;
+        let mut keys = Vec::with_capacity(n_cohorts * arity);
+        let mut sizes = Vec::with_capacity(n_cohorts);
+        for _ in 0..n_cohorts {
+            for _ in 0..arity {
+                keys.push(match r.u8()? {
+                    VALUE_NULL => Value::Null,
+                    VALUE_INT => Value::Int(r.zigzag()?),
+                    VALUE_STR => {
+                        let idx = r.varint()?;
+                        let s = usize::try_from(idx).ok().and_then(|i| strings.get(i));
+                        Value::Str(s.ok_or_else(|| corrupt("string ref out of range"))?.clone())
+                    }
+                    t => return Err(corrupt(format!("unknown value kind {t}"))),
+                });
             }
-            cells.push((cohort, age, states));
+            sizes.push(r.varint()?);
+        }
+
+        let mut cell_ends = Vec::with_capacity(n_cohorts);
+        let mut ages: Vec<i64> = Vec::new();
+        let mut states: Vec<AggState> = Vec::new();
+        for _ in 0..n_cohorts {
+            // A cell is at least its age delta and one byte per state.
+            let n_cells = r.count(1 + n_aggs)?;
+            let mut age = 0i64;
+            for _ in 0..n_cells {
+                let delta = r.varint()?;
+                age = i64::try_from(delta)
+                    .ok()
+                    .filter(|&d| d >= 1)
+                    .and_then(|d| age.checked_add(d))
+                    .ok_or_else(|| corrupt("ages of a cohort must ascend from 1"))?;
+                ages.push(age);
+            }
+            let base = states.len();
+            states.resize(base + n_cells * n_aggs, AggState::Count(0));
+            for (a, &tag) in tags.iter().enumerate() {
+                for state in states[base..].iter_mut().skip(a).step_by(n_aggs) {
+                    *state = r.state(tag)?;
+                }
+            }
+            cell_ends.push(ages.len());
         }
         r.finish()?;
-        Ok(WireBatch { chunk_index, rows_scanned, morsels, sizes, cells })
+        Ok(WireBatch {
+            chunk_index,
+            rows_scanned,
+            morsels,
+            arity,
+            tags,
+            keys,
+            sizes,
+            cell_ends,
+            ages,
+            states,
+        })
     }
 }
 
@@ -108,48 +331,27 @@ impl WireBatch {
 /// the engine's row order; a cohort with a size but no qualifying cells
 /// contributes no rows, and a cell whose cohort never reported a size (never
 /// happens in engine-produced batches) gets size 0 — both exactly as the
-/// engine's own report builder behaves.
+/// engine's own report builder behaves, because it is the same code.
 #[derive(Debug)]
 pub struct ReportAssembler {
     cohort_attrs: Vec<String>,
     agg_names: Vec<String>,
-    sizes: BTreeMap<Vec<Value>, u64>,
-    cells: BTreeMap<Vec<Value>, BTreeMap<i64, Vec<AggState>>>,
+    merged: CohortTable<Value>,
 }
 
 impl ReportAssembler {
     /// Start assembling a report with the given headers (from the PREPARE
     /// response, or [`CohortQuery`](crate::CohortQuery) directly).
     pub fn new(cohort_attrs: Vec<String>, agg_names: Vec<String>) -> ReportAssembler {
-        ReportAssembler { cohort_attrs, agg_names, sizes: BTreeMap::new(), cells: BTreeMap::new() }
+        ReportAssembler { cohort_attrs, agg_names, merged: CohortTable::default() }
     }
 
-    /// Fold one batch in. Sizes add; aggregate states merge (commutative, so
-    /// batch arrival order does not matter).
+    /// Fold one batch in: one probe per cohort of the batch, then sizes add
+    /// and the cohort's cells merge age by age (commutative, so batch
+    /// arrival order does not matter).
     pub fn push(&mut self, batch: &WireBatch) -> Result<(), EngineError> {
-        for (cohort, size) in &batch.sizes {
-            *self.sizes.entry(cohort.clone()).or_insert(0) += size;
-        }
-        for (cohort, age, states) in &batch.cells {
-            let ages = self.cells.entry(cohort.clone()).or_default();
-            match ages.entry(*age) {
-                std::collections::btree_map::Entry::Vacant(v) => {
-                    v.insert(states.clone());
-                }
-                std::collections::btree_map::Entry::Occupied(mut o) => {
-                    let into = o.get_mut();
-                    if into.len() != states.len() {
-                        return Err(EngineError::Corrupt(format!(
-                            "aggregate arity mismatch across batches: {} vs {}",
-                            into.len(),
-                            states.len()
-                        )));
-                    }
-                    for (a, b) in into.iter_mut().zip(states.iter()) {
-                        a.merge(b)?;
-                    }
-                }
-            }
+        for c in batch.cohorts() {
+            self.merged.absorb(c.key, c.size, c.ages, c.states)?;
         }
         Ok(())
     }
@@ -157,25 +359,11 @@ impl ReportAssembler {
     /// Finalize into the report, sorted by (cohort, age). Carries no stats
     /// (the server reports those separately in its STATS frame).
     pub fn finish(self) -> CohortReport {
-        let mut rows = Vec::with_capacity(self.cells.values().map(BTreeMap::len).sum());
-        for (cohort, ages) in &self.cells {
-            let size = self.sizes.get(cohort).copied().unwrap_or(0);
-            for (age, states) in ages {
-                rows.push(ReportRow {
-                    cohort: cohort.clone(),
-                    size,
-                    age: *age,
-                    measures: states.iter().map(|s| s.finalize()).collect(),
-                });
-            }
-        }
-        CohortReport {
-            cohort_attrs: self.cohort_attrs,
-            agg_names: self.agg_names,
-            rows,
-            cohort_sizes: self.sizes,
-            stats: None,
-        }
+        cells::build_report(
+            self.cohort_attrs,
+            self.agg_names,
+            self.merged.cohorts().map(|(key, size, run)| (key.to_vec(), size, run)).collect(),
+        )
     }
 }
 
@@ -215,95 +403,63 @@ pub fn decode_query_stats(r: &mut WireReader<'_>) -> Result<QueryStats, EngineEr
     })
 }
 
-fn encode_values(w: &mut WireWriter, values: &[Value]) {
-    w.u16(values.len() as u16);
-    for v in values {
-        match v {
-            Value::Null => w.u8(0),
-            Value::Int(i) => {
-                w.u8(1);
-                w.i64(*i);
-            }
-            Value::Str(s) => {
-                w.u8(2);
-                w.str(s);
-            }
-        }
-    }
-}
+// Value kinds of a cohort-table entry.
+const VALUE_NULL: u8 = 0;
+const VALUE_INT: u8 = 1;
+const VALUE_STR: u8 = 2;
 
-fn decode_values(r: &mut WireReader<'_>) -> Result<Vec<Value>, EngineError> {
-    let n = r.u16()? as usize;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push(match r.u8()? {
-            0 => Value::Null,
-            1 => Value::Int(r.i64()?),
-            2 => Value::str(r.str()?),
-            t => return Err(EngineError::Corrupt(format!("unknown value tag {t}"))),
-        });
-    }
-    Ok(out)
-}
+// Aggregate-state tags of the batch header.
+const TAG_SUM: u8 = 0;
+const TAG_AVG: u8 = 1;
+const TAG_MIN: u8 = 2;
+const TAG_MAX: u8 = 3;
+const TAG_COUNT: u8 = 4;
+const TAG_USER_COUNT: u8 = 5;
 
-fn encode_agg_state(w: &mut WireWriter, s: &AggState) {
+fn state_tag(s: &AggState) -> u8 {
     match s {
-        AggState::Sum(v) => {
-            w.u8(0);
-            w.i64(*v);
-        }
+        AggState::Sum(_) => TAG_SUM,
+        AggState::Avg { .. } => TAG_AVG,
+        AggState::Min(_) => TAG_MIN,
+        AggState::Max(_) => TAG_MAX,
+        AggState::Count(_) => TAG_COUNT,
+        AggState::UserCount(_) => TAG_USER_COUNT,
+    }
+}
+
+fn corrupt(msg: impl Into<String>) -> EngineError {
+    EngineError::Corrupt(msg.into())
+}
+
+/// Zig-zag map a signed integer so small magnitudes encode short.
+fn zigzag(v: i64) -> u64 {
+    ((v << 1) ^ (v >> 63)) as u64
+}
+
+/// Append an unsigned LEB128 varint (1–10 bytes).
+fn put_varint(out: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        out.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    out.push(v as u8);
+}
+
+/// Append one state's payload; its tag is in the batch header.
+fn put_state(out: &mut Vec<u8>, s: &AggState) {
+    match s {
+        AggState::Sum(v) => put_varint(out, zigzag(*v)),
         AggState::Avg { sum, count } => {
-            w.u8(1);
-            w.i64(*sum);
-            w.u64(*count);
+            put_varint(out, zigzag(*sum));
+            put_varint(out, *count);
         }
-        AggState::Min(m) => {
-            w.u8(2);
-            encode_opt_i64(w, m);
+        AggState::Min(None) | AggState::Max(None) => out.push(0),
+        AggState::Min(Some(v)) | AggState::Max(Some(v)) => {
+            out.push(1);
+            put_varint(out, zigzag(*v));
         }
-        AggState::Max(m) => {
-            w.u8(3);
-            encode_opt_i64(w, m);
-        }
-        AggState::Count(c) => {
-            w.u8(4);
-            w.u64(*c);
-        }
-        AggState::UserCount(c) => {
-            w.u8(5);
-            w.u64(*c);
-        }
+        AggState::Count(c) | AggState::UserCount(c) => put_varint(out, *c),
     }
-}
-
-fn decode_agg_state(r: &mut WireReader<'_>) -> Result<AggState, EngineError> {
-    Ok(match r.u8()? {
-        0 => AggState::Sum(r.i64()?),
-        1 => AggState::Avg { sum: r.i64()?, count: r.u64()? },
-        2 => AggState::Min(decode_opt_i64(r)?),
-        3 => AggState::Max(decode_opt_i64(r)?),
-        4 => AggState::Count(r.u64()?),
-        5 => AggState::UserCount(r.u64()?),
-        t => return Err(EngineError::Corrupt(format!("unknown aggregate-state tag {t}"))),
-    })
-}
-
-fn encode_opt_i64(w: &mut WireWriter, v: &Option<i64>) {
-    match v {
-        None => w.u8(0),
-        Some(x) => {
-            w.u8(1);
-            w.i64(*x);
-        }
-    }
-}
-
-fn decode_opt_i64(r: &mut WireReader<'_>) -> Result<Option<i64>, EngineError> {
-    Ok(match r.u8()? {
-        0 => None,
-        1 => Some(r.i64()?),
-        t => return Err(EngineError::Corrupt(format!("unknown option tag {t}"))),
-    })
 }
 
 /// Little-endian payload writer for the wire codec. Strings are
@@ -414,6 +570,56 @@ impl<'a> WireReader<'a> {
             .map_err(|_| EngineError::Corrupt("invalid UTF-8 in wire string".into()))
     }
 
+    /// Read an unsigned LEB128 varint: at most 10 bytes, no bits beyond 64.
+    fn varint(&mut self) -> Result<u64, EngineError> {
+        let mut v = 0u64;
+        for (i, &b) in self.buf[self.pos..].iter().take(10).enumerate() {
+            if i == 9 && b > 1 {
+                return Err(corrupt("varint wider than 64 bits"));
+            }
+            v |= u64::from(b & 0x7f) << (7 * i);
+            if b < 0x80 {
+                self.pos += i + 1;
+                return Ok(v);
+            }
+        }
+        Err(corrupt("varint truncated or longer than 10 bytes"))
+    }
+
+    /// Read a zig-zag varint.
+    fn zigzag(&mut self) -> Result<i64, EngineError> {
+        let v = self.varint()?;
+        Ok((v >> 1) as i64 ^ -((v & 1) as i64))
+    }
+
+    /// Read an element count whose elements take at least `min_bytes` each,
+    /// refusing one the remaining bytes cannot hold — so a caller may
+    /// allocate for it.
+    fn count(&mut self, min_bytes: usize) -> Result<usize, EngineError> {
+        usize::try_from(self.varint()?)
+            .ok()
+            .filter(|n| n.checked_mul(min_bytes).is_some_and(|b| b <= self.remaining()))
+            .ok_or_else(|| corrupt("count exceeds the wire payload"))
+    }
+
+    /// Read the payload of one aggregate state of kind `tag` (a tag
+    /// [`WireBatch::decode`] has validated).
+    fn state(&mut self, tag: u8) -> Result<AggState, EngineError> {
+        let opt = |r: &mut Self| match r.u8()? {
+            0 => Ok(None),
+            1 => r.zigzag().map(Some),
+            t => Err(corrupt(format!("unknown option tag {t}"))),
+        };
+        Ok(match tag {
+            TAG_SUM => AggState::Sum(self.zigzag()?),
+            TAG_AVG => AggState::Avg { sum: self.zigzag()?, count: self.varint()? },
+            TAG_MIN => AggState::Min(opt(self)?),
+            TAG_MAX => AggState::Max(opt(self)?),
+            TAG_COUNT => AggState::Count(self.varint()?),
+            _ => AggState::UserCount(self.varint()?),
+        })
+    }
+
     /// Bytes not yet consumed.
     pub fn remaining(&self) -> usize {
         self.buf.len() - self.pos
@@ -437,62 +643,176 @@ mod tests {
     use super::*;
     use crate::agg::AggValue;
 
-    fn sample_batch() -> WireBatch {
-        WireBatch {
-            chunk_index: 3,
-            rows_scanned: 1000,
-            morsels: 7,
-            sizes: vec![
-                (vec![Value::str("Australia")], 3),
-                (vec![Value::str("China")], 5),
-                (vec![Value::Int(-4), Value::Null], 1),
-            ],
-            cells: vec![
-                (vec![Value::str("Australia")], 1, vec![AggState::Sum(52), AggState::UserCount(3)]),
-                (vec![Value::str("China")], 2, vec![AggState::Min(None), AggState::UserCount(5)]),
-                (
-                    vec![Value::Int(-4), Value::Null],
-                    1,
-                    vec![AggState::Avg { sum: 9, count: 2 }, AggState::Max(Some(-1))],
-                ),
-            ],
+    const INITS: [AggState; 6] = [
+        AggState::Sum(0),
+        AggState::Avg { sum: 0, count: 0 },
+        AggState::Min(None),
+        AggState::Max(None),
+        AggState::Count(0),
+        AggState::UserCount(0),
+    ];
+
+    /// A cell with one state of every kind, derived from `v`.
+    fn cell(v: i64) -> [AggState; 6] {
+        [
+            AggState::Sum(v),
+            AggState::Avg { sum: v.wrapping_neg(), count: v.unsigned_abs() },
+            AggState::Min(Some(v)),
+            AggState::Max(None),
+            AggState::Count(v.unsigned_abs() + 1),
+            AggState::UserCount(1),
+        ]
+    }
+
+    fn run(cells: &[(i64, i64)]) -> AgeRun {
+        AgeRun {
+            ages: cells.iter().map(|c| c.0).collect(),
+            states: cells.iter().flat_map(|c| cell(c.1)).collect(),
         }
     }
 
+    fn sample_cohorts() -> Vec<(Vec<Value>, u64, AgeRun)> {
+        vec![
+            (vec![Value::str("China"), Value::Int(-4)], 5, run(&[(1, 52), (2, -7), (40, 0)])),
+            (vec![Value::str("Australia"), Value::Null], 3, run(&[(7, i64::MIN)])),
+            (vec![Value::str("Australia"), Value::Int(i64::MAX)], 1, AgeRun::default()),
+        ]
+    }
+
+    fn batch_of(cohorts: &[(Vec<Value>, u64, AgeRun)]) -> WireBatch {
+        let cohorts = cohorts.iter().map(|(k, s, r)| (k.clone(), *s, r)).collect();
+        WireBatch::from_cohorts([3, 1000, 7], 2, &INITS, cohorts)
+    }
+
     #[test]
-    fn batch_codec_roundtrips() {
-        let batch = sample_batch();
+    fn batch_codec_roundtrips_and_orders_cohorts() {
+        let batch = batch_of(&sample_cohorts());
         let bytes = batch.encode();
         assert_eq!(WireBatch::decode(&bytes).unwrap(), batch);
+        assert_eq!((batch.chunk_index(), batch.rows_scanned(), batch.morsels()), (3, 1000, 7));
+        assert_eq!((batch.num_cohorts(), batch.num_cells()), (3, 4));
+        let cohorts: Vec<WireCohort<'_>> = batch.cohorts().collect();
+        assert!(cohorts.windows(2).all(|w| w[0].key < w[1].key));
+        assert_eq!(cohorts[2].key, [Value::str("China"), Value::Int(-4)]);
+        assert_eq!((cohorts[2].size, cohorts[2].ages), (5, &[1i64, 2, 40][..]));
+        assert_eq!(cohorts[2].states[6..12], cell(-7));
+        assert!(cohorts[0].ages.is_empty() && cohorts[0].states.is_empty());
+    }
+
+    #[test]
+    fn encoded_bytes_do_not_depend_on_cohort_arrival_order() {
+        let mut cohorts = sample_cohorts();
+        let bytes = batch_of(&cohorts).encode();
+        cohorts.reverse();
+        assert_eq!(batch_of(&cohorts).encode(), bytes);
+        // "Australia" is stated once, although two cohorts use it.
+        let hits = bytes.windows(9).filter(|w| w == b"Australia").count();
+        assert_eq!(hits, 1);
     }
 
     #[test]
     fn decode_rejects_truncation_and_trailing_garbage() {
-        let bytes = sample_batch().encode();
-        for cut in [0, 1, bytes.len() / 2, bytes.len() - 1] {
+        let bytes = batch_of(&sample_cohorts()).encode();
+        for cut in 0..bytes.len() {
             assert!(
                 matches!(WireBatch::decode(&bytes[..cut]), Err(EngineError::Corrupt(_))),
                 "cut at {cut} must fail"
             );
         }
         let mut extended = bytes.clone();
-        extended.push(0xff);
+        extended.push(0);
         assert!(matches!(WireBatch::decode(&extended), Err(EngineError::Corrupt(_))));
     }
 
+    /// A one-cohort batch (`arity` 1, one `Sum`) written field by field, so
+    /// each test can bend exactly one of them.
+    struct Raw {
+        arity: u64,
+        tags: Vec<u8>,
+        strings: u64,
+        cohorts: u64,
+        string_ref: u64,
+        cells: u64,
+        deltas: Vec<u64>,
+    }
+
+    impl Raw {
+        fn valid() -> Raw {
+            Raw {
+                arity: 1,
+                tags: vec![TAG_SUM],
+                strings: 1,
+                cohorts: 1,
+                string_ref: 0,
+                cells: 2,
+                deltas: vec![1, 3],
+            }
+        }
+
+        fn bytes(&self) -> Vec<u8> {
+            let mut out = vec![0, 0, 0]; // chunk_index, rows_scanned, morsels
+            put_varint(&mut out, self.arity);
+            put_varint(&mut out, self.tags.len() as u64);
+            out.extend_from_slice(&self.tags);
+            put_varint(&mut out, self.strings);
+            out.extend_from_slice(b"\x02au");
+            put_varint(&mut out, self.cohorts);
+            out.push(VALUE_STR);
+            put_varint(&mut out, self.string_ref);
+            out.push(9); // size
+            put_varint(&mut out, self.cells);
+            for &d in &self.deltas {
+                put_varint(&mut out, d);
+            }
+            out.extend_from_slice(&[2, 4]); // Sum(1), Sum(2)
+            out
+        }
+    }
+
     #[test]
-    fn decode_rejects_unknown_tags() {
-        // A batch with one size entry whose single value has a bogus tag.
-        let mut w = WireWriter::new();
-        w.u64(0);
-        w.u64(0);
-        w.u64(0);
-        w.u32(1); // one size entry
-        w.u16(1); // one value in the cohort key
-        w.u8(9); // bogus value tag
-        w.u64(1);
-        w.u32(0); // no cells
-        assert!(matches!(WireBatch::decode(&w.into_bytes()), Err(EngineError::Corrupt(_))));
+    fn decode_rejects_out_of_range_fields() {
+        let ok = WireBatch::decode(&Raw::valid().bytes()).unwrap();
+        let only = ok.cohorts().next().unwrap();
+        assert_eq!((only.key, only.size, only.ages), (&[Value::str("au")][..], 9, &[1i64, 4][..]));
+        assert_eq!(only.states, [AggState::Sum(1), AggState::Sum(2)]);
+
+        let bent: Vec<(&str, Raw)> = vec![
+            ("no cohort attributes", Raw { arity: 0, ..Raw::valid() }),
+            ("arity beyond the payload", Raw { arity: 1 << 40, ..Raw::valid() }),
+            ("unknown state tag", Raw { tags: vec![6], ..Raw::valid() }),
+            ("no aggregates", Raw { tags: vec![], ..Raw::valid() }),
+            ("string count beyond the payload", Raw { strings: u64::MAX, ..Raw::valid() }),
+            ("cohort count beyond the payload", Raw { cohorts: 1 << 32, ..Raw::valid() }),
+            ("string ref out of range", Raw { string_ref: 1, ..Raw::valid() }),
+            ("cell count beyond the payload", Raw { cells: 1 << 20, ..Raw::valid() }),
+            ("zero age delta", Raw { deltas: vec![1, 0], ..Raw::valid() }),
+            ("age overflow", Raw { deltas: vec![i64::MAX as u64, 1], ..Raw::valid() }),
+            ("age delta above i64", Raw { deltas: vec![1, u64::MAX], ..Raw::valid() }),
+        ];
+        for (what, raw) in bent {
+            assert!(
+                matches!(WireBatch::decode(&raw.bytes()), Err(EngineError::Corrupt(_))),
+                "{what} must be refused"
+            );
+        }
+    }
+
+    #[test]
+    fn varints_are_bounded() {
+        let read = |bytes: &[u8]| WireReader::new(bytes).varint();
+        assert_eq!(read(&[0x7f]).unwrap(), 127);
+        let mut max = vec![0xff; 9];
+        max.push(0x01);
+        assert_eq!(read(&max).unwrap(), u64::MAX);
+        max[9] = 0x02; // a 65th bit
+        assert!(read(&max).is_err());
+        assert!(read(&[0x80; 11]).is_err(), "11-byte varint");
+        assert!(read(&[0x80]).is_err(), "truncated varint");
+        for v in [0, 1, -1, i64::MAX, i64::MIN] {
+            let mut out = Vec::new();
+            put_varint(&mut out, zigzag(v));
+            assert_eq!(WireReader::new(&out).zigzag().unwrap(), v);
+        }
     }
 
     #[test]
@@ -520,25 +840,26 @@ mod tests {
         r.finish().unwrap();
     }
 
+    /// Cohorts as `(key, size, [(age, sum)])`.
+    type SumCohort<'a> = (&'a str, u64, &'a [(i64, i64)]);
+
+    fn sum_batch(chunk: u64, cohorts: &[SumCohort<'_>]) -> WireBatch {
+        let runs: Vec<AgeRun> = cohorts
+            .iter()
+            .map(|c| AgeRun {
+                ages: c.2.iter().map(|cell| cell.0).collect(),
+                states: c.2.iter().map(|cell| AggState::Sum(cell.1)).collect(),
+            })
+            .collect();
+        let cohorts =
+            cohorts.iter().zip(&runs).map(|(c, r)| (vec![Value::str(c.0)], c.1, r)).collect();
+        WireBatch::from_cohorts([chunk, 10, 1], 1, &[AggState::Sum(0)], cohorts)
+    }
+
     #[test]
     fn assembler_merges_batches_in_any_order() {
-        let a = WireBatch {
-            chunk_index: 0,
-            rows_scanned: 10,
-            morsels: 1,
-            sizes: vec![(vec![Value::str("au")], 2)],
-            cells: vec![(vec![Value::str("au")], 1, vec![AggState::Sum(5)])],
-        };
-        let b = WireBatch {
-            chunk_index: 1,
-            rows_scanned: 10,
-            morsels: 1,
-            sizes: vec![(vec![Value::str("au")], 1), (vec![Value::str("cn")], 4)],
-            cells: vec![
-                (vec![Value::str("au")], 1, vec![AggState::Sum(7)]),
-                (vec![Value::str("cn")], 2, vec![AggState::Sum(1)]),
-            ],
-        };
+        let a = sum_batch(0, &[("au", 2, &[(1, 5)])]);
+        let b = sum_batch(1, &[("au", 1, &[(1, 7), (3, 2)]), ("cn", 4, &[(2, 1)])]);
         let assemble = |batches: &[&WireBatch]| {
             let mut asm = ReportAssembler::new(vec!["country".into()], vec!["Sum(gold)".into()]);
             for batch in batches {
@@ -549,7 +870,7 @@ mod tests {
         let ab = assemble(&[&a, &b]);
         let ba = assemble(&[&b, &a]);
         assert_eq!(ab, ba);
-        assert_eq!(ab.num_rows(), 2);
+        assert_eq!(ab.num_rows(), 3);
         let row = ab.find(&[Value::str("au")], 1).unwrap();
         assert_eq!(row.size, 3);
         assert_eq!(row.measures, vec![AggValue::Int(12)]);
@@ -558,17 +879,14 @@ mod tests {
 
     #[test]
     fn assembler_rejects_arity_mismatch() {
-        let one = WireBatch {
-            chunk_index: 0,
-            rows_scanned: 1,
-            morsels: 1,
-            sizes: vec![],
-            cells: vec![(vec![Value::str("au")], 1, vec![AggState::Sum(5)])],
-        };
-        let two = WireBatch {
-            cells: vec![(vec![Value::str("au")], 1, vec![AggState::Sum(5), AggState::Count(1)])],
-            ..one.clone()
-        };
+        let one = sum_batch(0, &[("au", 1, &[(1, 5)])]);
+        let run = AgeRun { ages: vec![2], states: vec![AggState::Sum(5), AggState::Count(1)] };
+        let two = WireBatch::from_cohorts(
+            [0, 1, 1],
+            1,
+            &[AggState::Sum(0), AggState::Count(0)],
+            vec![(vec![Value::str("au")], 1, &run)],
+        );
         let mut asm = ReportAssembler::new(vec![], vec![]);
         asm.push(&one).unwrap();
         assert!(asm.push(&two).is_err());

@@ -1,16 +1,20 @@
 //! Sharded-table integration tests: a table partitioned by user-id range
 //! into many shard files must be **observationally identical** to the same
-//! data in one file — Q1–Q8, across parallelism levels, through K-batch
+//! data in one file — Q1–Q8 and the wide-key queries of `common`, across
+//! parallelism levels, through K-batch
 //! parallel ingest, background compaction racing the ingest, user deletion,
 //! and prepared-statement snapshots.
 
 use cohana_activity::{generate, ActivityTable, GeneratorConfig, TableBuilder, TimeBin, Timestamp};
+use cohana_core::naive::naive_execute;
 use cohana_core::{
     paper, Cohana, CohortQuery, CohortReport, EngineError, EngineOptions, MaintenanceConfig,
 };
 use cohana_storage::{persist, CompressedTable, CompressionOptions};
 use std::path::PathBuf;
 use std::time::Duration;
+
+mod common;
 
 const CHUNK: usize = 256;
 
@@ -28,7 +32,7 @@ fn temp_file(name: &str) -> PathBuf {
 }
 
 fn base_table() -> ActivityTable {
-    generate(&GeneratorConfig::small())
+    common::with_signed_sessions(&generate(&GeneratorConfig::small()))
 }
 
 /// Contiguous time slices: later batches revisit users of earlier ones, the
@@ -51,7 +55,7 @@ fn split_by_time(table: &ActivityTable, k: usize) -> Vec<ActivityTable> {
 }
 
 /// The paper's eight benchmark queries, with the birth-range bounds derived
-/// from the dataset window.
+/// from the dataset window, then the wide-key queries.
 fn q1_to_q8(table: &ActivityTable) -> Vec<CohortQuery> {
     let tidx = table.schema().time_idx();
     let start = table.int_range(tidx).map(|(lo, _)| lo).unwrap_or(0);
@@ -67,6 +71,9 @@ fn q1_to_q8(table: &ActivityTable) -> Vec<CohortQuery> {
         paper::q7(7),
         paper::q8(7),
     ]
+    .into_iter()
+    .chain(common::wide_key_queries().into_iter().map(|(_, q)| q))
+    .collect()
 }
 
 fn run_all(engine: &Cohana, queries: &[CohortQuery], parallelism: usize) -> Vec<CohortReport> {
@@ -100,6 +107,12 @@ fn sharded_answers_match_single_file_over_q1_q8() {
         let expect = run_all(&reference, &queries, parallelism);
         let got = run_all(&engine, &queries, parallelism);
         assert_eq!(expect, got, "sharded reports diverge at parallelism {parallelism}");
+        // ... and both equal the executable spec.
+        for (query, got) in queries.iter().zip(&got) {
+            let spec = naive_execute(&table, query).expect("naive reference evaluates");
+            assert_eq!(spec.rows, got.rows, "sharded vs naive p={parallelism}: {query}");
+            assert_eq!(spec.cohort_sizes, got.cohort_sizes, "sizes p={parallelism}: {query}");
+        }
     }
 
     // prepare_on: an explicit handle through a configured session gives the

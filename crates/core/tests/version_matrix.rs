@@ -1,4 +1,6 @@
-//! The on-disk version matrix: the paper's benchmark queries Q1–Q8 must
+//! The on-disk version matrix: the paper's benchmark queries Q1–Q8 and the
+//! wide-key queries of `common` (2- and 3-attribute cohort keys mixing
+//! string, integer and binned-time parts, over every aggregate) must
 //! produce identical reports over every supported format and access path —
 //! v1 (eager only), v2 (lazy, whole-chunk fetch), v3 (lazy, per-column
 //! fetch), and v4 (lazy, per-column fetch through the per-blob codec
@@ -20,16 +22,19 @@ use cohana_storage::{persist, ChunkSource, CompressedTable, CompressionOptions, 
 use std::path::PathBuf;
 use std::sync::Arc;
 
+mod common;
+
 fn temp_file(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join("cohana-version-matrix-test");
     std::fs::create_dir_all(&dir).unwrap();
     dir.join(name)
 }
 
+/// Q1–Q8, then the wide-key queries.
 fn paper_queries() -> Vec<(String, CohortQuery)> {
     let d1 = Timestamp::parse("2013-05-21").unwrap().secs();
     let d2 = Timestamp::parse("2013-05-27").unwrap().secs();
-    vec![
+    let mut queries = vec![
         ("q1".into(), paper::q1()),
         ("q2".into(), paper::q2()),
         ("q3".into(), paper::q3()),
@@ -38,7 +43,9 @@ fn paper_queries() -> Vec<(String, CohortQuery)> {
         ("q6".into(), paper::q6(d1, d2)),
         ("q7".into(), paper::q7(7)),
         ("q8".into(), paper::q8(7)),
-    ]
+    ];
+    queries.extend(common::wide_key_queries());
+    queries
 }
 
 fn prepare(source: Arc<dyn ChunkSource>, query: &CohortQuery, parallelism: usize) -> Statement {
@@ -68,7 +75,7 @@ fn execute_via_stream(stmt: &Statement) -> CohortReport {
 
 #[test]
 fn q1_to_q8_identical_across_v1_v2_v3_v4_eager_and_streamed() {
-    let table = generate(&GeneratorConfig::small());
+    let table = common::with_signed_sessions(&generate(&GeneratorConfig::small()));
     let memory =
         Arc::new(CompressedTable::build(&table, CompressionOptions::with_chunk_size(256)).unwrap());
     assert!(memory.chunks().len() > 1, "need multiple chunks to be meaningful");
@@ -99,6 +106,13 @@ fn q1_to_q8_identical_across_v1_v2_v3_v4_eager_and_streamed() {
         // table. Every storage format, access path, and parallelism level of
         // the vectorized executor must reproduce it exactly.
         let reference = naive_execute(&table, &query).expect("naive reference evaluates");
+        if name.starts_with('w') {
+            // The wide-key inputs are only worth their name if they produce
+            // many cohorts, some keyed by a negative integer.
+            let keys = || reference.cohort_sizes.keys().flatten();
+            assert!(reference.cohort_sizes.len() > 12 && !reference.rows.is_empty(), "{name}");
+            assert!(keys().any(|v| v.as_int().is_some_and(|i| i < 0)) || name == "wt", "{name}");
+        }
         for parallelism in [1, 4] {
             let expect = prepare(memory.clone(), &query, parallelism).execute().unwrap();
             assert_eq!(expect.rows, reference.rows, "{name} resident vs naive p={parallelism}");
@@ -106,6 +120,15 @@ fn q1_to_q8_identical_across_v1_v2_v3_v4_eager_and_streamed() {
                 expect.cohort_sizes, reference.cohort_sizes,
                 "{name} resident sizes vs naive p={parallelism}"
             );
+            // §4.4 ablation: hashing the cohort key instead of direct-
+            // indexing it changes no answer.
+            let hashed = PlannerOptions { array_aggregation: false, ..PlannerOptions::default() };
+            let ablated = Statement::over(memory.clone(), &query, hashed, parallelism)
+                .expect("query plans")
+                .with_morsel_rows(96)
+                .execute()
+                .unwrap();
+            assert_eq!(ablated, expect, "{name} hashed interner p={parallelism}");
             for (vname, source) in [
                 ("v1", Arc::clone(&v1_eager) as Arc<dyn ChunkSource>),
                 ("v2", Arc::clone(&v2_lazy) as Arc<dyn ChunkSource>),

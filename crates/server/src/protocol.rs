@@ -13,7 +13,7 @@ use std::io::{self, Read, Write};
 use std::time::Duration;
 
 /// Protocol version sent (and required to match) in the HELLO handshake.
-pub const PROTOCOL_VERSION: u32 = 1;
+pub const PROTOCOL_VERSION: u32 = 2;
 
 /// Largest accepted frame payload (64 MiB).
 pub const MAX_FRAME: u32 = 64 << 20;
@@ -87,13 +87,33 @@ pub fn engine_error_code(e: &EngineError) -> u16 {
     }
 }
 
+/// Bytes of the frame header: payload length and frame type.
+const HEADER_LEN: usize = 5;
+
 /// Write one frame (header + payload) and flush.
 pub fn write_frame(w: &mut impl Write, frame_type: u8, payload: &[u8]) -> io::Result<()> {
-    let mut header = [0u8; 5];
-    header[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
-    header[4] = frame_type;
-    w.write_all(&header)?;
-    w.write_all(payload)?;
+    let mut buf = Vec::with_capacity(HEADER_LEN + payload.len());
+    write_frame_with(w, frame_type, &mut buf, |out| out.extend_from_slice(payload))
+}
+
+/// Write one frame whose payload `fill` appends to `buf`, and flush. `buf`
+/// is scratch the caller keeps across frames; header and payload leave it in
+/// **one** write, so a `TCP_NODELAY` socket sends no 5-byte header segment
+/// ahead of the payload.
+pub fn write_frame_with(
+    w: &mut impl Write,
+    frame_type: u8,
+    buf: &mut Vec<u8>,
+    fill: impl FnOnce(&mut Vec<u8>),
+) -> io::Result<()> {
+    buf.clear();
+    buf.resize(HEADER_LEN, 0);
+    fill(buf);
+    let len = u32::try_from(buf.len() - HEADER_LEN)
+        .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "frame payload over 4 GiB"))?;
+    buf[..4].copy_from_slice(&len.to_le_bytes());
+    buf[4] = frame_type;
+    w.write_all(buf)?;
     w.flush()
 }
 
@@ -362,6 +382,38 @@ mod tests {
             other => panic!("unexpected {other:?}"),
         }
         assert!(matches!(read_frame(&mut r, MAX_FRAME).unwrap(), ReadFrame::Eof));
+    }
+
+    #[test]
+    fn a_frame_is_one_write() {
+        /// Accepts everything it is handed and counts the calls.
+        struct Counting {
+            writes: usize,
+            bytes: Vec<u8>,
+        }
+        impl Write for Counting {
+            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+                self.writes += 1;
+                self.bytes.extend_from_slice(buf);
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut w = Counting { writes: 0, bytes: Vec::new() };
+        write_frame(&mut w, FRAME_BATCH, &[7; 100_000]).unwrap();
+        assert_eq!(w.writes, 1, "header and payload must leave in one write");
+        let mut scratch = vec![0xee; 9]; // stale bytes from an earlier frame
+        write_frame_with(&mut w, FRAME_ERROR, &mut scratch, |out| out.push(1)).unwrap();
+        assert_eq!(w.writes, 2);
+        let mut r = io::Cursor::new(w.bytes);
+        for (ty, len) in [(FRAME_BATCH, 100_000), (FRAME_ERROR, 1)] {
+            match read_frame(&mut r, MAX_FRAME).unwrap() {
+                ReadFrame::Frame(t, payload) => assert_eq!((t, payload.len()), (ty, len)),
+                other => panic!("unexpected {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -383,6 +383,8 @@ fn serve_conn(shared: Arc<Shared>, stream: &mut TcpStream) {
     let session = shared.engine.session();
     let mut statements: HashMap<u64, Statement> = HashMap::new();
     let mut next_stmt_id: u64 = 1;
+    // Every BATCH frame of this connection is encoded into this one buffer.
+    let mut frame_buf = Vec::new();
 
     loop {
         match next_event(stream, &shared.shutdown) {
@@ -476,7 +478,7 @@ fn serve_conn(shared: Arc<Shared>, stream: &mut TcpStream) {
                         continue;
                     }
                 };
-                let keep_going = run_query(&shared, stream, &tenant, stmt, permit);
+                let keep_going = run_query(&shared, stream, &tenant, stmt, permit, &mut frame_buf);
                 if !keep_going {
                     return;
                 }
@@ -525,6 +527,7 @@ fn run_query(
     tenant: &str,
     stmt: &Statement,
     permit: Permit,
+    frame_buf: &mut Vec<u8>,
 ) -> bool {
     enum Outcome {
         Completed,
@@ -556,7 +559,11 @@ fn run_query(
             match batch {
                 Ok(b) => {
                     let wire = stmt.wire_batch(&b);
-                    if proto::write_frame(stream, proto::FRAME_BATCH, &wire.encode()).is_err() {
+                    let sent =
+                        proto::write_frame_with(stream, proto::FRAME_BATCH, frame_buf, |out| {
+                            wire.encode_into(out)
+                        });
+                    if sent.is_err() {
                         outcome = Outcome::Disconnected;
                         break;
                     }

@@ -16,10 +16,15 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
 
+#[path = "../../core/tests/common/mod.rs"]
+mod common;
+
+/// Q1–Q8, then the wide-key queries (2- and 3-attribute cohort keys mixing
+/// string, integer and binned-time parts).
 fn paper_queries() -> Vec<(String, CohortQuery)> {
     let d1 = Timestamp::parse("2013-05-21").unwrap().secs();
     let d2 = Timestamp::parse("2013-05-27").unwrap().secs();
-    vec![
+    let mut queries = vec![
         ("q1".into(), paper::q1()),
         ("q2".into(), paper::q2()),
         ("q3".into(), paper::q3()),
@@ -28,12 +33,15 @@ fn paper_queries() -> Vec<(String, CohortQuery)> {
         ("q6".into(), paper::q6(d1, d2)),
         ("q7".into(), paper::q7(7)),
         ("q8".into(), paper::q8(7)),
-    ]
+    ];
+    queries.extend(common::wide_key_queries());
+    queries
 }
 
-/// An engine over a freshly generated in-memory table.
+/// An engine over a freshly generated in-memory table (its `session`
+/// attribute spanning negative values).
 fn resident_engine(users: usize, chunk_rows: usize) -> Arc<Cohana> {
-    let table = generate(&GeneratorConfig::new(users));
+    let table = common::with_signed_sessions(&generate(&GeneratorConfig::new(users)));
     let compressed =
         CompressedTable::build(&table, CompressionOptions::with_chunk_size(chunk_rows)).unwrap();
     let engine = Cohana::new(EngineOptions::default());
@@ -72,6 +80,7 @@ fn concurrent_clients_are_bit_identical_to_in_process() {
     let addr = server.local_addr();
 
     let expected = Arc::new(expected);
+    let per_client = expected.len() as u64;
     let handles: Vec<_> = (0..8)
         .map(|i| {
             let expected = expected.clone();
@@ -97,16 +106,15 @@ fn concurrent_clients_are_bit_identical_to_in_process() {
     }
 
     let stats = server.admission_stats();
-    assert_eq!(stats.admitted_total, 64, "8 clients x 8 queries all admitted");
+    assert_eq!(stats.admitted_total, 8 * per_client, "every query of 8 clients admitted");
     assert!(stats.peak_active <= 4, "cap 4 exceeded: peak {}", stats.peak_active);
     assert_eq!(stats.active, 0);
 
-    // Tenant accounting: the three tenants' totals partition all 64
-    // executions (clients map onto tenants round-robin: 3 + 3 + 2 clients
-    // of 8 queries each).
-    assert_eq!(server.tenant_stats("tenant-0").queries, 24);
-    assert_eq!(server.tenant_stats("tenant-1").queries, 24);
-    assert_eq!(server.tenant_stats("tenant-2").queries, 16);
+    // Tenant accounting: the three tenants' totals partition all
+    // executions (clients map onto tenants round-robin: 3 + 3 + 2 clients).
+    assert_eq!(server.tenant_stats("tenant-0").queries, 3 * per_client);
+    assert_eq!(server.tenant_stats("tenant-1").queries, 3 * per_client);
+    assert_eq!(server.tenant_stats("tenant-2").queries, 2 * per_client);
     server.shutdown();
 }
 
@@ -365,6 +373,23 @@ fn malformed_and_oversized_frames_close_only_that_connection() {
         }
         other => panic!("expected ERROR frame, got {other:?}"),
     }
+
+    // A well-formed HELLO from a version-1 client (whose BATCH layout this
+    // server no longer speaks): refused up front, not served garbage later.
+    let mut raw = TcpStream::connect(addr).unwrap();
+    let mut v1_hello = 1u32.to_le_bytes().to_vec();
+    v1_hello.extend_from_slice(&proto::encode_hello("old-client")[4..]);
+    proto::write_frame(&mut raw, proto::FRAME_HELLO, &v1_hello).unwrap();
+    match proto::read_frame(&mut raw, proto::MAX_FRAME).unwrap() {
+        proto::ReadFrame::Frame(proto::FRAME_ERROR, payload) => {
+            let (code, message) = proto::decode_error(&payload).unwrap();
+            assert_eq!(code, proto::ERR_PROTOCOL, "{message}");
+        }
+        other => panic!("expected ERROR frame, got {other:?}"),
+    }
+    let mut rest = Vec::new();
+    raw.read_to_end(&mut rest).unwrap();
+    assert!(rest.is_empty(), "server kept a version-1 connection open");
 
     // The abuse never panicked the server or hurt the good connection.
     let report = good.query(&sql).unwrap();

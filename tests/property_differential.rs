@@ -1,9 +1,14 @@
 //! Property-based differential testing: random activity tables and random
 //! cohort queries must produce identical results from the optimized COHANA
-//! executor, the naive reference evaluator, and both relational baselines.
+//! executor, the naive reference evaluator, and both relational baselines —
+//! and the executor's per-chunk batches must survive the wire codec intact
+//! and assemble to the same report in any arrival order.
 
 use cohana::engine::naive::naive_execute;
-use cohana::engine::{plan_query, AggFunc, CohortQuery, Expr, PlannerOptions, Statement};
+use cohana::engine::{
+    plan_query, AggFunc, CohortAttr, CohortQuery, Expr, PlannerOptions, ReportAssembler, Statement,
+    WireBatch,
+};
 use cohana::prelude::*;
 use cohana::relational::{ColEngine, RowEngine};
 use cohana_activity::{Schema, TableBuilder};
@@ -134,6 +139,53 @@ proptest! {
             }
         }
         prop_assert_eq!(&got.cohort_sizes, &reference.cohort_sizes);
+    }
+
+    #[test]
+    fn wire_batches_roundtrip_and_assemble_in_any_order(
+        tuples in proptest::collection::vec(raw_tuple(), 0..150),
+        query in query_strategy(),
+        key_width in 1usize..4,
+        arrival in proptest::collection::vec(0u32..1000, 16..17),
+        chunk_size in prop::sample::select(vec![8usize, 64]),
+    ) {
+        // Widen the cohort key with a binned-time and an integer part, and
+        // cover the aggregates `query_strategy` leaves out.
+        let mut query = query;
+        query.cohort_by.extend(
+            [CohortAttr::TimeBin(TimeBin::Week), CohortAttr::Attr("gold".into())]
+                .into_iter()
+                .take(key_width - 1),
+        );
+        query.aggregates.extend([AggFunc::min("gold"), AggFunc::max("gold")]);
+
+        let table = build_table(tuples);
+        let compressed = CompressedTable::build(
+            &table,
+            CompressionOptions::with_chunk_size(chunk_size),
+        ).unwrap();
+        let stmt =
+            Statement::over(Arc::new(compressed), &query, PlannerOptions::default(), 1).unwrap();
+        let expect = stmt.execute().unwrap();
+
+        let mut batches = Vec::new();
+        for batch in stmt.stream() {
+            let wire = stmt.wire_batch(&batch.unwrap());
+            let decoded = WireBatch::decode(&wire.encode()).unwrap();
+            prop_assert_eq!(&decoded, &wire, "decode(encode(b)) != b on {}", query);
+            batches.push(decoded);
+        }
+        // `arrival` ranks the batches: any permutation can come up.
+        let mut order: Vec<usize> = (0..batches.len()).collect();
+        order.sort_by_key(|&i| arrival[i % arrival.len()]);
+        let mut asm = ReportAssembler::new(
+            query.cohort_by.iter().map(|c| c.to_string()).collect(),
+            query.aggregates.iter().map(|a| a.header()).collect(),
+        );
+        for i in order {
+            asm.push(&batches[i]).unwrap();
+        }
+        prop_assert_eq!(asm.finish(), expect, "assembled report diverged on {}", query);
     }
 
     #[test]
