@@ -25,13 +25,22 @@
 //! in smoke mode, where criterion runs a single iteration); CI asserts
 //! the line and its floor.
 //!
+//! Last come three `decode/column_fetch/<codec>` lines: what a lazy column
+//! fetch pays per blob, end to end — footer record and blob bytes in,
+//! range-proved `ChunkColumn` (packed words, codes checked against the
+//! blob's own dictionary or range) out — over the blobs a v4 file of the
+//! same table actually stores under each codec, as `persist::inspect` times
+//! them (best of a few walks). The entropy loop above is one part of that;
+//! packing and the bounds proof ride in the same loop, and this is the line
+//! that shows it if a second pass over the values ever comes back.
+//!
 //! Full mode uses a ~560K-row table; smoke mode (`COHANA_BENCH_SMOKE=1`,
 //! CI) shrinks it to a bit-rot check.
 
 use cohana_activity::{generate, GeneratorConfig};
 use cohana_storage::{
     codec::{decode_section_into, encode_section, raw_section_len},
-    Codec, CompressedTable, CompressionOptions,
+    persist, Codec, CompressedTable, CompressionOptions,
 };
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::time::Instant;
@@ -185,6 +194,41 @@ fn bench_decode(c: &mut Criterion) {
         ));
     }
     record_line(&format!("{{\"bench\": \"decode/speedup\", {}}}", speedups.join(", ")));
+
+    record_column_fetch(&compressed, smoke);
+}
+
+/// Write the table as a v4 file and report, per codec, the cost of turning
+/// its blobs into validated columns (see the module docs).
+fn record_column_fetch(compressed: &CompressedTable, smoke: bool) {
+    let dir = std::env::temp_dir().join("cohana-bench-decode");
+    std::fs::create_dir_all(&dir).expect("create temp dir");
+    let path = dir.join(format!("column-fetch-{}.cohana", std::process::id()));
+    persist::write_file(compressed, &path).expect("write v4 file");
+    let walks = if smoke { 3 } else { 10 };
+    let mut best = persist::inspect(&path).expect("inspect v4 file").codecs;
+    for _ in 1..walks {
+        let again = persist::inspect(&path).expect("inspect v4 file").codecs;
+        for (b, a) in best.iter_mut().zip(again) {
+            b.decode_nanos = b.decode_nanos.min(a.decode_nanos);
+        }
+    }
+    std::fs::remove_file(&path).ok();
+    for (tag, stats) in best.iter().enumerate() {
+        let name = Codec::from_tag(tag as u8).expect("codec tag").name();
+        let bytes_per_sec = stats.decode_mbps() * 1e6;
+        eprintln!(
+            "# decode/column_fetch/{name}: {} blobs, {} decoded bytes, {:.0} MB/s",
+            stats.blobs,
+            stats.uncompressed_bytes,
+            bytes_per_sec / 1e6
+        );
+        record_line(&format!(
+            "{{\"bench\": \"decode/column_fetch/{name}\", \"blobs\": {}, \
+             \"uncompressed_bytes\": {}, \"decode_ns\": {}, \"bytes_per_sec\": {bytes_per_sec:.1}}}",
+            stats.blobs, stats.uncompressed_bytes, stats.decode_nanos
+        ));
+    }
 }
 
 /// Append one extra JSON line to the same report file the criterion shim

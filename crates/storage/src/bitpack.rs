@@ -16,6 +16,10 @@ use std::fmt;
 /// address (row positions are `u32` on disk).
 const RECIP_SHIFT: u32 = 57;
 
+/// Values per block of the whole-array walks ([`BitPacked::iter`],
+/// [`BitPacked::max_value`]): an 8 KiB stack buffer that stays in L1.
+const BLOCK: usize = 1024;
+
 /// A bit-packed array of `u64` values.
 #[derive(Clone)]
 pub struct BitPacked {
@@ -306,14 +310,49 @@ impl BitPacked {
         None
     }
 
-    /// Iterate over all values in order.
+    /// Iterate over all values in order. Values are block-decoded 1 Ki at a
+    /// time through [`BitPacked::unpack_range`]; no position is probed with
+    /// [`BitPacked::get`].
     pub fn iter(&self) -> impl Iterator<Item = u64> + '_ {
-        (0..self.len).map(move |i| self.get(i))
+        let mut block = [0u64; BLOCK];
+        let mut next = 0usize;
+        std::iter::from_fn(move || {
+            if next == self.len {
+                return None;
+            }
+            let at = next % BLOCK;
+            if at == 0 {
+                let n = BLOCK.min(self.len - next);
+                self.unpack_range(next, next + n, &mut block[..n]);
+            }
+            next += 1;
+            Some(block[at])
+        })
     }
 
-    /// Decode to a vector.
+    /// Decode to a vector (one [`BitPacked::unpack_range`] sweep).
     pub fn to_vec(&self) -> Vec<u64> {
-        self.iter().collect()
+        let mut out = vec![0u64; self.len];
+        self.unpack_range(0, self.len, &mut out);
+        out
+    }
+
+    /// The largest packed value (0 when empty), from one block-decode pass
+    /// through a stack buffer — the kernel behind every per-value range
+    /// check on an array that did not arrive with a decoder's running
+    /// maximum.
+    pub fn max_value(&self) -> u64 {
+        if self.width == 0 {
+            return 0;
+        }
+        let mut block = [0u64; BLOCK];
+        let mut max = 0u64;
+        for start in (0..self.len).step_by(BLOCK) {
+            let n = BLOCK.min(self.len - start);
+            self.unpack_range(start, start + n, &mut block[..n]);
+            max = block[..n].iter().copied().fold(max, u64::max);
+        }
+        max
     }
 
     /// Bytes consumed by the packed words (excluding the struct header).
@@ -328,12 +367,7 @@ impl BitPacked {
 
     /// Rebuild from raw parts (for persistence). Validates word count.
     pub(crate) fn from_raw(width: u8, len: usize, words: Vec<u64>) -> crate::Result<Self> {
-        let expected = if width == 0 {
-            0
-        } else {
-            let per_word = (64 / width as usize).max(1);
-            len.div_ceil(per_word)
-        };
+        let expected = words_for(width, len);
         if words.len() != expected {
             return Err(crate::StorageError::Corrupt(format!(
                 "bitpack expects {expected} words, found {}",
@@ -446,6 +480,14 @@ impl fmt::Debug for BitPacked {
     }
 }
 
+/// Words that `len` values packed at `width` bits occupy (none at width 0).
+pub(crate) fn words_for(width: u8, len: usize) -> usize {
+    match width {
+        0 => 0,
+        w => len.div_ceil((64 / w as usize).max(1)),
+    }
+}
+
 /// Minimum number of bits needed to represent `v` (0 for 0).
 #[inline]
 pub fn bits_for(v: u64) -> u8 {
@@ -551,6 +593,25 @@ mod tests {
                     assert_eq!(out, expect, "width {width}, range {start}..{end}");
                     assert_eq!(&out[..], &vals[start..end], "width {width} roundtrip");
                 }
+            }
+        }
+    }
+
+    /// The whole-array walks are built on `unpack_range` blocks: they must
+    /// agree with `get` across block boundaries at every width.
+    #[test]
+    fn iter_to_vec_and_max_value_match_get_all_widths() {
+        for width in 0u8..=64 {
+            let mask = if width == 64 { u64::MAX } else { (1u64 << width) - 1 };
+            for len in [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 37] {
+                let vals: Vec<u64> =
+                    (0..len as u64).map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15) & mask).collect();
+                let p = BitPacked::from_slice_with_width(&vals, width);
+                let by_get: Vec<u64> = (0..len).map(|i| p.get(i)).collect();
+                assert_eq!(by_get, vals, "width {width}, len {len}");
+                assert_eq!(p.to_vec(), vals, "width {width}, len {len}");
+                assert_eq!(p.iter().collect::<Vec<_>>(), vals, "width {width}, len {len}");
+                assert_eq!(p.max_value(), vals.iter().copied().max().unwrap_or(0));
             }
         }
     }

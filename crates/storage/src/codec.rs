@@ -53,8 +53,21 @@
 //! words (see `docs/FORMAT.md`). Old files decode unchanged; new files
 //! fall back to single-state below `INTERLEAVE_MIN_SYMBOLS` where the
 //! extra initial states would not amortize.
+//!
+//! ## One pass per value
+//!
+//! Both entropy decoders are one loop body, generic over where a decoded
+//! group goes: the caller's `Vec<u64>` ([`decode_section_into`]) or
+//! `width`-bit lanes assembled into `u64` words in a register and stored
+//! once (`PackSink`, the column read path). Neither destination is a
+//! staging area for the other: a value fetched from a file is written once,
+//! packed, and never revisited before the scan reads it. The decoders also
+//! hand back an upper bound on what they produced — the delta loop's
+//! running maximum (it needs one anyway for the width check), the ANS
+//! table's top symbol — which is what lets `persist` prove a column's codes
+//! within its dictionary or range without a walk of its own.
 
-use crate::bitpack::{bits_for, BitPacked};
+use crate::bitpack::{bits_for, words_for, BitPacked};
 use crate::error::StorageError;
 use crate::Result;
 
@@ -607,6 +620,108 @@ fn low_mask(n: u32) -> u64 {
 
 // ------------------------------------------------------- array codecs
 
+/// Where a decoder's values go. The entropy decoders are written once
+/// against this trait and monomorphized per destination: a caller's
+/// `Vec<u64>` ([`decode_section_into`]) or packed words ([`PackSink`],
+/// [`decode_array`]).
+trait Sink {
+    /// Called once, after every header check has passed and before the
+    /// first value: exactly `len` values of at most `width` bits follow.
+    fn begin(&mut self, width: u8, len: usize);
+    fn push(&mut self, v: u64);
+    /// One interleave group, in symbol order.
+    fn push_group<const N: usize>(&mut self, vs: &[u64; N]);
+}
+
+impl Sink for Vec<u64> {
+    fn begin(&mut self, _width: u8, len: usize) {
+        self.reserve(len.min(MAX_EAGER_RESERVE));
+    }
+
+    #[inline(always)]
+    fn push(&mut self, v: u64) {
+        Vec::push(self, v);
+    }
+
+    #[inline(always)]
+    fn push_group<const N: usize>(&mut self, vs: &[u64; N]) {
+        // One grow check per group instead of one per value.
+        self.extend_from_slice(vs);
+    }
+}
+
+/// Packs values into [`BitPacked`] words as they arrive: the current word
+/// is built in a register (`acc`, next free bit `shift`) and stored once
+/// when no further lane fits, so a decoded value is written exactly once,
+/// in its final form. A value wider than `width` would bleed into its
+/// neighbours; the decoders bound what they produce by the width's mask
+/// (delta: its running maximum; ANS: the table's top symbol) and fail the
+/// whole section before the words are used.
+#[derive(Default)]
+struct PackSink {
+    width: u32,
+    /// `64 - width`: a `shift` above this leaves no room for another lane.
+    limit: u32,
+    shift: u32,
+    acc: u64,
+    len: usize,
+    words: Vec<u64>,
+}
+
+impl PackSink {
+    #[inline(always)]
+    fn flush_if_full(&mut self) {
+        if self.shift > self.limit {
+            self.words.push(self.acc);
+            self.acc = 0;
+            self.shift = 0;
+        }
+    }
+
+    /// The packed array. `from_raw` re-checks the word count against
+    /// `len` and `width`.
+    fn finish(mut self) -> Result<BitPacked> {
+        if self.shift > 0 {
+            self.words.push(self.acc);
+        }
+        BitPacked::from_raw(self.width as u8, self.len, self.words)
+    }
+}
+
+impl Sink for PackSink {
+    fn begin(&mut self, width: u8, len: usize) {
+        self.width = width as u32;
+        self.limit = 64 - width as u32;
+        self.len = len;
+        self.words.reserve(words_for(width, len).min(MAX_EAGER_RESERVE));
+    }
+
+    #[inline(always)]
+    fn push(&mut self, v: u64) {
+        // `shift <= limit` here, so the shift amount is below 64 (at
+        // width 0 it stays 0 and no word is ever stored).
+        self.acc |= v << self.shift;
+        self.shift += self.width;
+        self.flush_if_full();
+    }
+
+    #[inline(always)]
+    fn push_group<const N: usize>(&mut self, vs: &[u64; N]) {
+        if self.shift + N as u32 * self.width > 64 {
+            // The group straddles a word boundary.
+            for &v in vs {
+                self.push(v);
+            }
+            return;
+        }
+        for &v in vs {
+            self.acc |= v << self.shift;
+            self.shift += self.width;
+        }
+        self.flush_if_full();
+    }
+}
+
 /// Exact on-disk size of a raw (v3) packed-array section. Saturates on
 /// absurd lengths (only reachable from crafted input — decoders compare
 /// this against the footer's bounded `uncompressed`, so a saturated value
@@ -661,22 +776,35 @@ pub(crate) fn encode_array(packed: &BitPacked) -> (Codec, Vec<u8>) {
 }
 
 /// Decode a codec-transformed array section (the whole of `buf`) into a
-/// [`BitPacked`], given the raw section size the footer promised.
-pub(crate) fn decode_array(codec: Codec, buf: &[u8], expected_raw: u64) -> Result<BitPacked> {
-    if codec == Codec::Raw {
-        return Err(StorageError::Corrupt("raw sections decode on the v3 path".into()));
-    }
-    let mut values = Vec::new();
-    let width = decode_section_into(codec, buf, expected_raw, None, &mut values)?;
-    Ok(BitPacked::from_slice_with_width(&values, width))
+/// [`BitPacked`], given the raw section size the footer promised. Values
+/// are packed as they are decoded — no intermediate `Vec<u64>` of values —
+/// and an upper bound on them comes back with the array (the delta
+/// decoder's running maximum, exact; the ANS table's top symbol, exact for
+/// any stream the encoder wrote), so the caller can prove the column's own
+/// bound (dictionary size, `max − min`) without walking the result again.
+pub(crate) fn decode_array(
+    codec: Codec,
+    buf: &[u8],
+    expected_raw: u64,
+) -> Result<(BitPacked, u64)> {
+    let mut sink = PackSink::default();
+    let (_, bound) = match codec {
+        Codec::Raw => {
+            return Err(StorageError::Corrupt("raw sections decode on the v3 path".into()))
+        }
+        Codec::Delta => decode_delta(buf, expected_raw, None, &mut sink)?,
+        Codec::Ans => decode_ans(buf, expected_raw, None, &mut sink)?,
+    };
+    Ok((sink.finish()?, bound))
 }
 
 /// Decode an array section straight into a caller-provided scratch vector
 /// (cleared first), returning the section's declared width — the
-/// decode-into-scratch path for consumers that block-decode anyway
-/// (`persist::inspect`, compaction rewrite, the decode bench), skipping
-/// the [`BitPacked`] repack. Unlike `decode_array` this also accepts
-/// [`Codec::Raw`] sections (`width u8 | len u64 | words…`).
+/// decode-into-scratch path for consumers that want plain values (the
+/// decode bench, the repo benchmark's replay probes). Same decoders as
+/// `decode_array`, writing values instead of packed words. Unlike
+/// `decode_array` this also accepts [`Codec::Raw`] sections
+/// (`width u8 | len u64 | words…`).
 ///
 /// All size checks — the declared length against the footer's
 /// `expected_raw` (and against `expected_len`, when the caller knows the
@@ -690,10 +818,11 @@ pub fn decode_section_into(
     expected_len: Option<u64>,
     out: &mut Vec<u64>,
 ) -> Result<u8> {
+    out.clear();
     match codec {
         Codec::Raw => decode_raw_into(buf, expected_raw, expected_len, out),
-        Codec::Delta => decode_delta_into(buf, expected_raw, expected_len, out),
-        Codec::Ans => decode_ans_into(buf, expected_raw, expected_len, out),
+        Codec::Delta => decode_delta(buf, expected_raw, expected_len, out).map(|(w, _)| w),
+        Codec::Ans => decode_ans(buf, expected_raw, expected_len, out).map(|(w, _)| w),
     }
 }
 
@@ -743,7 +872,7 @@ fn decode_raw_into(
     }
     check_expected_len(len, expected_len)?;
     let len = len as usize;
-    let words = if width == 0 { 0 } else { len.div_ceil((64 / width as usize).max(1)) };
+    let words = words_for(width, len);
     if buf.len() != words * 8 {
         return Err(StorageError::Corrupt("raw section word count disagrees with input".into()));
     }
@@ -752,7 +881,6 @@ fn decode_raw_into(
         ws.push(u64::from_le_bytes(chunk.try_into().expect("8-byte chunk")));
     }
     let packed = BitPacked::from_raw(width, len, ws)?;
-    out.clear();
     out.resize(len, 0);
     packed.unpack_range(0, len, out);
     Ok(width)
@@ -872,12 +1000,14 @@ pub(crate) fn encode_delta(values: &[u64], width: u8, ways: usize) -> Option<Vec
     Some(out)
 }
 
-fn decode_delta_into(
+/// Decode a delta section into `out`, returning the declared width and
+/// the largest value produced (0 for an empty section).
+fn decode_delta<S: Sink>(
     buf: &[u8],
     expected_raw: u64,
     expected_len: Option<u64>,
-    out: &mut Vec<u64>,
-) -> Result<u8> {
+    out: &mut S,
+) -> Result<(u8, u64)> {
     let mut buf = buf;
     let (ways, width) = take_layout(&mut buf)?;
     let len = take_u64(&mut buf)?;
@@ -888,20 +1018,20 @@ fn decode_delta_into(
         )));
     }
     check_expected_len(len, expected_len)?;
-    let fits = |v: u64| width == 64 || v < (1u64 << width);
-    out.clear();
     if len == 0 {
         expect_consumed(buf)?;
-        return Ok(width);
+        out.begin(width, 0);
+        return Ok((width, 0));
     }
     let first = take_u64(&mut buf)?;
-    if !fits(first) {
+    if first > low_mask(width as u32) {
         return Err(StorageError::Corrupt("delta first value exceeds declared width".into()));
     }
     if len == 1 {
         expect_consumed(buf)?;
+        out.begin(width, 1);
         out.push(first);
-        return Ok(width);
+        return Ok((width, first));
     }
     let table = FreqTable::read(&mut buf, DELTA_MAX_SYM)?;
     let class_stream_len = take_u32(&mut buf)? as usize;
@@ -910,40 +1040,41 @@ fn decode_delta_into(
     }
     let (class_stream, offset_bytes) = buf.split_at(class_stream_len);
     let n = len as usize - 1;
-    match ways {
-        1 => delta_body::<1, false>(class_stream, offset_bytes, n, first, width, &table, out),
-        2 => delta_body::<2, true>(class_stream, offset_bytes, n, first, width, &table, out),
-        3 => delta_body::<3, true>(class_stream, offset_bytes, n, first, width, &table, out),
-        4 => delta_body::<4, true>(class_stream, offset_bytes, n, first, width, &table, out),
+    let max = match ways {
+        1 => delta_body::<1, false, S>(class_stream, offset_bytes, n, first, width, &table, out),
+        2 => delta_body::<2, true, S>(class_stream, offset_bytes, n, first, width, &table, out),
+        3 => delta_body::<3, true, S>(class_stream, offset_bytes, n, first, width, &table, out),
+        4 => delta_body::<4, true, S>(class_stream, offset_bytes, n, first, width, &table, out),
         _ => unreachable!("take_layout bounds ways"),
     }?;
-    Ok(width)
+    Ok((width, max))
 }
 
 /// Fused rANS + offset-bit delta decode loop, monomorphized per stream
-/// width so the group loops unroll. Decoding the class and its offset
-/// bits in one pass avoids materializing the class array (measurably
-/// faster on the time column, the largest blob in every file).
-fn delta_body<const WAYS: usize, const WIDE: bool>(
+/// width (so the group loops unroll) and per destination. Decoding the
+/// class and its offset bits in one pass avoids materializing the class
+/// array (measurably faster on the time column, the largest blob in every
+/// file). Returns the largest value produced.
+fn delta_body<const WAYS: usize, const WIDE: bool, S: Sink>(
     class_stream: &[u8],
     offset_bytes: &[u8],
     n: usize,
     first: u64,
     width: u8,
     table: &FreqTable,
-    out: &mut Vec<u64>,
-) -> Result<()> {
+    out: &mut S,
+) -> Result<u64> {
     let lut = table.slot_lut();
     let mut lanes = RansLanes::<WAYS, WIDE>::new(class_stream)?;
     let fast_limit = lanes.fast_limit();
     let mut bits = BitCursor::new(offset_bytes);
-    out.reserve((n + 1).min(MAX_EAGER_RESERVE));
+    out.begin(width, n + 1);
     out.push(first);
-    let wmask = low_mask(width as u32);
     let mut prev = first;
-    // Width violations accumulate into `bad` instead of branching per
-    // value; one check at the end fails the whole decode either way.
-    let mut bad = 0u64;
+    // Width violations are caught through the running maximum instead of a
+    // branch per value; one check at the end fails the whole decode either
+    // way.
+    let mut max = first;
     for _ in 0..n / WAYS {
         let syms = if lanes.pos <= fast_limit {
             lanes.step_group_fast::<false>(&lut)
@@ -959,13 +1090,10 @@ fn delta_body<const WAYS: usize, const WIDE: bool>(
             prev = prev.wrapping_add(d);
             vs[j] = prev;
         }
-        // Accumulate the raw values and mask once per group: cheaper than
-        // a masked test per value, same final verdict.
-        for &v in &vs {
-            bad |= v;
-        }
-        // One grow check per group instead of one per value.
-        out.extend_from_slice(&vs);
+        // The group's own maximum first: the chain through `max` is then
+        // one op per group, not one per value.
+        max = max.max(vs.iter().copied().fold(0, u64::max));
+        out.push_group(&vs);
     }
     for j in 0..n % WAYS {
         let sym = lanes.step_one(j, &lut)?;
@@ -975,46 +1103,72 @@ fn delta_body<const WAYS: usize, const WIDE: bool>(
         let s = (sym & 1) as u64;
         let d = (mag ^ s.wrapping_neg()).wrapping_add(s);
         let v = prev.wrapping_add(d);
-        bad |= v;
+        max = max.max(v);
         out.push(v);
         prev = v;
     }
-    if bad & !wmask != 0 {
+    if max > low_mask(width as u32) {
         return Err(StorageError::Corrupt("delta value exceeds declared width".into()));
     }
     lanes.finish()?;
-    bits.finish()
+    bits.finish()?;
+    Ok(max)
+}
+
+/// The 64-bit little-endian window whose bit 0 is stream bit `bitpos`.
+/// Caller ensures `(bitpos >> 3) + 8 <= buf.len()`; the top `bitpos & 7`
+/// bits of the result are zero fill, not stream bits.
+#[inline(always)]
+fn bit_window(buf: &[u8], bitpos: usize) -> u64 {
+    let byte = bitpos >> 3;
+    u64::from_le_bytes(buf[byte..byte + 8].try_into().expect("8-byte slice")) >> (bitpos & 7)
+}
+
+/// Split a window into consecutive lanes' offsets: each lane masks its
+/// bits off the bottom and shifts the window down ([`DELTA_MASK`] makes
+/// that an `and` + `shr` per lane, no per-lane shift-amount prefix sums).
+/// Caller ensures the lanes' bits total at most 63.
+#[inline(always)]
+fn split_window(mut w: u64, syms: &[u16], ms: &[u32], out: &mut [u64]) {
+    for ((o, &sym), &m) in out.iter_mut().zip(syms).zip(ms) {
+        *o = w & DELTA_MASK[(sym & 0xff) as usize];
+        w >>= m;
+    }
 }
 
 /// Pull one group's verbatim offset bits: lane `j` takes
-/// `DELTA_MS[syms[j]]` bits (none for classes 0 and 1). When the whole
-/// group's bits fit one 64-bit window, a single unaligned load feeds all
-/// four lanes; each lane then masks its bits off the bottom and shifts
-/// the window down ([`DELTA_MASK`] makes that an `and` + `shr` per lane,
-/// no per-lane shift-amount prefix sums). With the `simd` feature and a
-/// 4-way group the lanes are instead extracted in parallel through
-/// per-lane variable shifts ([`U64x4`](crate::bitpack)).
+/// `DELTA_MS[syms[j]]` bits (none for classes 0 and 1). Three tiers:
+///
+/// 1. the whole group's bits fit one 64-bit window — a single unaligned
+///    load feeds every lane (with the `simd` feature and a 4-way group the
+///    lanes are extracted in parallel through per-lane variable shifts,
+///    [`U64x4`](crate::bitpack));
+/// 2. each *half* of the group fits a window of its own — two loads, which
+///    covers offsets up to 28 bits per lane and keeps wide-delta columns
+///    (the time column) off the checked path;
+/// 3. otherwise, and within 16 bytes of the stream's end, one checked
+///    [`BitCursor::take`] per lane.
 #[inline(always)]
 fn take_offsets<const WAYS: usize>(
     bits: &mut BitCursor,
     syms: &[u16; WAYS],
 ) -> Result<[u64; WAYS]> {
     let mut ms = [0u32; WAYS];
-    let mut total = 0u32;
     for j in 0..WAYS {
         ms[j] = DELTA_MS[(syms[j] & 0xff) as usize] as u32;
-        total += ms[j];
     }
+    let half = WAYS / 2;
+    let lo: u32 = ms[..half].iter().sum();
+    let hi: u32 = ms[half..].iter().sum();
+    let total = lo + hi;
     let byte = bits.bitpos >> 3;
     let sh = (bits.bitpos & 7) as u32;
+    let mut out = [0u64; WAYS];
     // `<= 63` (not 64) keeps every shift below strictly in range with no
-    // per-lane clamping; the skipped exactly-64-bit case falls through to
-    // the cursor path.
+    // per-lane clamping; the skipped exactly-64-bit case falls through.
     if sh + total <= 63 && byte + 8 <= bits.buf.len() {
-        // One unaligned load covers the whole group's bits.
-        let w = u64::from_le_bytes(bits.buf[byte..byte + 8].try_into().expect("8-byte slice"));
+        let w = bit_window(bits.buf, bits.bitpos);
         bits.bitpos += total as usize;
-        let w = w >> sh;
         #[cfg(feature = "simd")]
         if WAYS == 4 {
             use crate::bitpack::U64x4;
@@ -1030,19 +1184,25 @@ fn take_offsets<const WAYS: usize>(
                     DELTA_MASK[(syms[3] & 0xff) as usize],
                 ])
                 .to_array();
-            let mut out = [0u64; WAYS];
             out.copy_from_slice(&lanes);
             return Ok(out);
         }
-        let mut out = [0u64; WAYS];
-        let mut w = w;
-        for j in 0..WAYS {
-            out[j] = w & DELTA_MASK[(syms[j] & 0xff) as usize];
-            w >>= ms[j];
-        }
+        split_window(w, syms, &ms, &mut out);
         return Ok(out);
     }
-    let mut out = [0u64; WAYS];
+    // A half's bits start at most 7 bits into its window, so 56 bits per
+    // half is the `<= 63` rule again; the second window starts at most 7
+    // bytes after the first, so 16 readable bytes cover both loads. Scalar
+    // under `simd` too: two lanes per window leave nothing to vectorize.
+    if WAYS >= 2 && lo <= 56 && hi <= 56 && byte + 16 <= bits.buf.len() {
+        let w = bit_window(bits.buf, bits.bitpos);
+        split_window(w, &syms[..half], &ms[..half], &mut out[..half]);
+        bits.bitpos += lo as usize;
+        let w = bit_window(bits.buf, bits.bitpos);
+        split_window(w, &syms[half..], &ms[half..], &mut out[half..]);
+        bits.bitpos += hi as usize;
+        return Ok(out);
+    }
     for j in 0..WAYS {
         if ms[j] > 0 {
             out[j] = bits.take(ms[j])?;
@@ -1054,7 +1214,6 @@ fn take_offsets<const WAYS: usize>(
 /// ANS codec: `[0x80|ways u8]? | width u8 | len u64 | value table | rANS
 /// stream`. Applicable when every value fits the 12-bit table alphabet.
 pub(crate) fn encode_ans(values: &[u64], width: u8, ways: usize) -> Option<Vec<u8>> {
-    debug_assert!(ways == 1 || (2..=MAX_WAYS).contains(&ways));
     if values.is_empty() || values.iter().any(|&v| v >= SCALE as u64) {
         return None;
     }
@@ -1062,6 +1221,20 @@ pub(crate) fn encode_ans(values: &[u64], width: u8, ways: usize) -> Option<Vec<u
     for &v in values {
         counts[v as usize] += 1;
     }
+    Some(encode_ans_with_counts(values, width, ways, &counts))
+}
+
+/// [`encode_ans`] against given symbol counts, which must be non-zero for
+/// every value that occurs. The table lists exactly the symbols with a
+/// non-zero count — the seam through which tests list a symbol the stream
+/// never produces.
+fn encode_ans_with_counts(
+    values: &[u64],
+    width: u8,
+    ways: usize,
+    counts: &[u64; SCALE as usize],
+) -> Vec<u8> {
+    debug_assert!(ways == 1 || (2..=MAX_WAYS).contains(&ways));
     let syms: Vec<u16> = (0..SCALE as u16).filter(|&v| counts[v as usize] > 0).collect();
     let sym_counts: Vec<u64> = syms.iter().map(|&v| counts[v as usize]).collect();
     let mut index_of = [0u16; SCALE as usize];
@@ -1080,15 +1253,39 @@ pub(crate) fn encode_ans(values: &[u64], width: u8, ways: usize) -> Option<Vec<u
     out.extend_from_slice(&(values.len() as u64).to_le_bytes());
     table.write(&mut out);
     out.extend_from_slice(&stream);
-    Some(out)
+    out
 }
 
-fn decode_ans_into(
+/// Test support: an ANS section over `values` whose table additionally
+/// lists `unused` (with the minimum frequency) although no value equals it.
+#[cfg(test)]
+pub(crate) fn encode_ans_listing_unused(
+    values: &[u64],
+    width: u8,
+    ways: usize,
+    unused: u16,
+) -> Vec<u8> {
+    let mut counts = [0u64; SCALE as usize];
+    for &v in values {
+        counts[v as usize] += 1;
+    }
+    assert_eq!(counts[unused as usize], 0, "symbol {unused} does occur");
+    counts[unused as usize] = 1;
+    encode_ans_with_counts(values, width, ways, &counts)
+}
+
+/// Decode an ANS section into `out`, returning the declared width and an
+/// upper bound on every value produced: the table's top symbol. Streams
+/// the encoder wrote list exactly the symbols that occur, so the bound is
+/// the maximum itself; a crafted table may list a symbol its stream never
+/// produces, in which case the bound overshoots (callers that care take
+/// the exact maximum from the decoded array — see `persist`).
+fn decode_ans<S: Sink>(
     buf: &[u8],
     expected_raw: u64,
     expected_len: Option<u64>,
-    out: &mut Vec<u64>,
-) -> Result<u8> {
+    out: &mut S,
+) -> Result<(u8, u64)> {
     let mut buf = buf;
     let (ways, width) = take_layout(&mut buf)?;
     let len = take_u64(&mut buf)?;
@@ -1100,45 +1297,41 @@ fn decode_ans_into(
     }
     check_expected_len(len, expected_len)?;
     let table = FreqTable::read(&mut buf, SCALE as u16 - 1)?;
-    if let Some(&top) = table.syms.last() {
-        if !(width == 64 || (top as u64) < (1u64 << width)) {
-            return Err(StorageError::Corrupt("ANS symbol exceeds declared width".into()));
-        }
+    let top = *table.syms.last().expect("FreqTable::read rejects empty tables") as u64;
+    // No decoded value can exceed `top`, so this also keeps every lane the
+    // packing sink writes inside its `width` bits.
+    if top > low_mask(width as u32) {
+        return Err(StorageError::Corrupt("ANS symbol exceeds declared width".into()));
     }
-    out.clear();
     let n = len as usize;
     match ways {
-        1 => ans_body::<1, false>(buf, n, &table, out),
-        2 => ans_body::<2, true>(buf, n, &table, out),
-        3 => ans_body::<3, true>(buf, n, &table, out),
-        4 => ans_body::<4, true>(buf, n, &table, out),
+        1 => ans_body::<1, false, S>(buf, n, width, &table, out),
+        2 => ans_body::<2, true, S>(buf, n, width, &table, out),
+        3 => ans_body::<3, true, S>(buf, n, width, &table, out),
+        4 => ans_body::<4, true, S>(buf, n, width, &table, out),
         _ => unreachable!("take_layout bounds ways"),
     }?;
-    Ok(width)
+    Ok((width, top))
 }
 
-fn ans_body<const WAYS: usize, const WIDE: bool>(
+fn ans_body<const WAYS: usize, const WIDE: bool, S: Sink>(
     stream: &[u8],
     n: usize,
+    width: u8,
     table: &FreqTable,
-    out: &mut Vec<u64>,
+    out: &mut S,
 ) -> Result<()> {
     let lut = table.slot_lut();
     let mut lanes = RansLanes::<WAYS, WIDE>::new(stream)?;
     let fast_limit = lanes.fast_limit();
-    out.reserve(n.min(MAX_EAGER_RESERVE));
+    out.begin(width, n);
     for _ in 0..n / WAYS {
         let syms = if lanes.pos <= fast_limit {
             lanes.step_group_fast::<true>(&lut)
         } else {
             lanes.step_group(&lut)?
         };
-        let mut vs = [0u64; WAYS];
-        for j in 0..WAYS {
-            vs[j] = syms[j] as u64;
-        }
-        // One grow check per group instead of one per value.
-        out.extend_from_slice(&vs);
+        out.push_group(&syms.map(u64::from));
     }
     for j in 0..n % WAYS {
         out.push(lanes.step_one(j, &lut)? as u64);
@@ -1193,19 +1386,19 @@ mod tests {
         BitPacked::from_slice(values)
     }
 
-    fn decode_delta(buf: &[u8], expected_raw: u64) -> Result<BitPacked> {
-        decode_array(Codec::Delta, buf, expected_raw)
+    fn delta_array(buf: &[u8], expected_raw: u64) -> Result<BitPacked> {
+        decode_array(Codec::Delta, buf, expected_raw).map(|(packed, _)| packed)
     }
 
-    fn decode_ans(buf: &[u8], expected_raw: u64) -> Result<BitPacked> {
-        decode_array(Codec::Ans, buf, expected_raw)
+    fn ans_array(buf: &[u8], expected_raw: u64) -> Result<BitPacked> {
+        decode_array(Codec::Ans, buf, expected_raw).map(|(packed, _)| packed)
     }
 
     fn roundtrip_delta(values: &[u64], width: u8) {
         let raw = raw_section_len(width, values.len() as u64);
         for ways in [1, 2, 4] {
             let enc = encode_delta(values, width, ways).expect("delta always encodes");
-            let dec = decode_delta(&enc, raw).expect("decodes");
+            let dec = delta_array(&enc, raw).expect("decodes");
             assert_eq!(dec.to_vec(), values, "ways={ways}");
             assert_eq!(dec.width(), width);
             // The scratch path must agree with the BitPacked path.
@@ -1227,7 +1420,7 @@ mod tests {
         let raw = raw_section_len(width, values.len() as u64);
         for ways in [1, 2, 4] {
             let Some(enc) = encode_ans(values, width, ways) else { return false };
-            let dec = decode_ans(&enc, raw).expect("decodes");
+            let dec = ans_array(&enc, raw).expect("decodes");
             assert_eq!(dec.to_vec(), values, "ways={ways}");
             assert_eq!(dec.width(), width);
             let mut scratch = Vec::new();
@@ -1333,7 +1526,7 @@ mod tests {
             let enc = encode_delta(&values, 11, ways).unwrap();
             for cut in [1, 4, 9, 12, enc.len() / 2, enc.len() - 1] {
                 assert!(
-                    decode_delta(&enc[..cut], raw).is_err(),
+                    delta_array(&enc[..cut], raw).is_err(),
                     "ways={ways}: truncation at {cut} accepted"
                 );
             }
@@ -1343,22 +1536,22 @@ mod tests {
             for i in 0..enc.len() {
                 let mut bad = enc.clone();
                 bad[i] ^= 0x5a;
-                let _ = decode_delta(&bad, raw);
+                let _ = delta_array(&bad, raw);
             }
             // A declared length that disagrees with the footer's raw size.
-            assert!(decode_delta(&enc, raw + 8).is_err());
+            assert!(delta_array(&enc, raw + 8).is_err());
             // A declared length that disagrees with the caller's row count.
             let mut scratch = Vec::new();
             assert!(decode_section_into(Codec::Delta, &enc, raw, Some(401), &mut scratch).is_err());
 
             let ans = encode_ans(&values, 11, ways).unwrap();
             for cut in [1, 4, 9, 11, ans.len() - 1] {
-                assert!(decode_ans(&ans[..cut], raw).is_err(), "ways={ways}: cut {cut}");
+                assert!(ans_array(&ans[..cut], raw).is_err(), "ways={ways}: cut {cut}");
             }
             for i in 0..ans.len() {
                 let mut bad = ans.clone();
                 bad[i] ^= 0x5a;
-                let _ = decode_ans(&bad, raw);
+                let _ = ans_array(&bad, raw);
             }
         }
     }
@@ -1372,13 +1565,13 @@ mod tests {
         for tag in [0x80u8, 0x81, 0x85, 0xff] {
             let mut bad = enc.clone();
             bad[0] = tag;
-            assert!(decode_delta(&bad, raw).is_err(), "sub-tag {tag:#04x} accepted");
+            assert!(delta_array(&bad, raw).is_err(), "sub-tag {tag:#04x} accepted");
         }
         // Claiming fewer states than the encoder wrote leaves trailing
         // stream bytes (and wrong states) — must not round-trip.
         let mut fewer = enc.clone();
         fewer[0] = 0x82;
-        assert!(decode_delta(&fewer, raw).is_err());
+        assert!(delta_array(&fewer, raw).is_err());
     }
 
     #[test]
@@ -1395,6 +1588,102 @@ mod tests {
         let mut scratch: Vec<u64> = Vec::new();
         assert!(decode_section_into(Codec::Delta, cut, raw, None, &mut scratch).is_err());
         assert_eq!(scratch.capacity(), 0, "truncated header must not allocate output");
+    }
+
+    /// Packing as it decodes must leave exactly the words a repack of the
+    /// decoded values would, and the bound that comes back must be their
+    /// maximum.
+    fn assert_packing_equals_repack(values: &[u64], width: u8, codec: Codec, ways: usize) {
+        let Some(enc) = encode_section(values, width, codec, ways) else { return };
+        let raw = raw_section_len(width, values.len() as u64);
+        let mut scratch = Vec::new();
+        let w = decode_section_into(codec, &enc, raw, Some(values.len() as u64), &mut scratch)
+            .expect("scratch decodes");
+        assert_eq!((w, &scratch[..]), (width, values), "{codec:?} ways={ways} width={width}");
+        let (packed, bound) = decode_array(codec, &enc, raw).expect("packs");
+        let repacked = BitPacked::from_slice_with_width(&scratch, width);
+        assert_eq!(packed.words(), repacked.words(), "{codec:?} ways={ways} width={width}");
+        assert_eq!(packed, repacked);
+        assert_eq!(bound, values.iter().copied().max().unwrap_or(0));
+    }
+
+    #[test]
+    fn packing_sink_equals_repack_every_width_and_boundary() {
+        // Lengths straddling the interleave threshold, group remainders
+        // (len % ways) and, through `per_word` below, packed-word
+        // boundaries at every width.
+        for width in 0u8..=64 {
+            let per_word = (64 / width.max(1) as usize).max(1);
+            let mask = low_mask(width as u32);
+            let mut lens = vec![1, 2, 3, 4, 5, 63, 64, 65, 66, 67, 68];
+            lens.extend([per_word - 1, per_word, per_word + 1, 4 * per_word + 3, 257]);
+            lens.retain(|&n| n > 0);
+            for len in lens {
+                let values: Vec<u64> = (0..len as u64)
+                    .map(|i| {
+                        i.wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(i as u32 % 64) & mask
+                    })
+                    .collect();
+                for ways in 1..=MAX_WAYS {
+                    assert_packing_equals_repack(&values, width, Codec::Delta, ways);
+                    // Silently skipped where the alphabet exceeds the table.
+                    assert_packing_equals_repack(&values, width, Codec::Ans, ways);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn delta_offsets_take_every_tier() {
+        // Offsets of ~24 bits per lane overflow the single 64-bit window
+        // (tier 1) on every group and land on the two-window tier; the
+        // last groups, within 16 bytes of the stream's end, fall through
+        // to the checked per-lane path. 40-bit offsets skip tier 2 too.
+        for (bits, width) in [(3u32, 30u8), (24, 30), (28, 34), (29, 34), (40, 46)] {
+            let step = (1u64 << bits) - 1;
+            let values: Vec<u64> = (0..500u64)
+                .map(|i| (1u64 << (width - 1)) + if i % 2 == 0 { step - i % 4 } else { i % 3 })
+                .collect();
+            roundtrip_delta(&values, width);
+            for ways in 1..=MAX_WAYS {
+                assert_packing_equals_repack(&values, width, Codec::Delta, ways);
+            }
+        }
+    }
+
+    #[test]
+    fn ans_bound_is_the_tables_top_symbol() {
+        let values: Vec<u64> = (0..300u64).map(|i| i % 3).collect();
+        let raw = raw_section_len(3, values.len() as u64);
+        for ways in [1usize, 4] {
+            // Honest stream: the bound is the maximum.
+            let enc = encode_ans(&values, 3, ways).unwrap();
+            let (packed, bound) = decode_array(Codec::Ans, &enc, raw).unwrap();
+            assert_eq!((packed.to_vec(), bound), (values.clone(), 2));
+            // A listed symbol that never occurs lifts the bound, not the
+            // values: callers must fall back to the exact maximum.
+            let enc = encode_ans_listing_unused(&values, 3, ways, 6);
+            let (packed, bound) = decode_array(Codec::Ans, &enc, raw).unwrap();
+            assert_eq!((packed.to_vec(), bound), (values.clone(), 6));
+            assert_eq!(packed.max_value(), 2);
+            // Past the declared width it is rejected outright.
+            let enc = encode_ans_listing_unused(&values, 2, ways, 6);
+            assert!(decode_array(Codec::Ans, &enc, raw_section_len(2, 300)).is_err());
+        }
+    }
+
+    #[test]
+    fn over_wide_delta_values_fail_without_yielding_words() {
+        // Values that do not fit the declared width would bleed across
+        // packed lanes; the running maximum rejects the section.
+        let values: Vec<u64> = (0..200u64).map(|i| i * 5).collect();
+        for ways in [1usize, 4] {
+            let enc = encode_delta(&values, 9, ways).unwrap(); // 995 needs 10 bits
+            let raw = raw_section_len(9, 200);
+            assert!(delta_array(&enc, raw).is_err(), "ways={ways}");
+            let mut scratch = Vec::new();
+            assert!(decode_section_into(Codec::Delta, &enc, raw, None, &mut scratch).is_err());
+        }
     }
 
     #[test]
@@ -1456,6 +1745,27 @@ mod tests {
         }
 
         #[test]
+        fn prop_packing_sink_equals_repack(
+            raw in prop::collection::vec(any::<u64>(), 1..400),
+            width in 0u8..=64,
+            ways in 1usize..=4,
+            smooth in prop::bool::ANY,
+        ) {
+            // `smooth` keeps consecutive values close (small deltas, the
+            // single-window offset tier); otherwise deltas are as wide as
+            // the width allows (the two-window and per-lane tiers).
+            let mask = low_mask(width as u32);
+            let values: Vec<u64> = if smooth {
+                let mut acc = raw[0] & mask;
+                raw.iter().map(|r| { acc = acc.wrapping_add(r % 7) & mask; acc }).collect()
+            } else {
+                raw.iter().map(|r| r & mask).collect()
+            };
+            assert_packing_equals_repack(&values, width, Codec::Delta, ways);
+            assert_packing_equals_repack(&values, width, Codec::Ans, ways);
+        }
+
+        #[test]
         fn prop_raw_section_roundtrips_through_scratch(
             values in prop::collection::vec(any::<u64>(), 0..300),
         ) {
@@ -1480,7 +1790,8 @@ mod tests {
             match codec {
                 Codec::Raw => prop_assert_eq!(&bytes, &raw_section(&p)),
                 _ => {
-                    let dec = decode_array(codec, &bytes, raw).unwrap();
+                    let (dec, max) = decode_array(codec, &bytes, raw).unwrap();
+                    prop_assert_eq!(max, values.iter().copied().max().unwrap_or(0));
                     prop_assert_eq!(dec, p);
                 }
             }
@@ -1499,8 +1810,8 @@ mod tests {
                 buf.insert(0, lead);
             }
             let mut scratch = Vec::new();
-            let _ = decode_delta(&buf, raw);
-            let _ = decode_ans(&buf, raw);
+            let _ = delta_array(&buf, raw);
+            let _ = ans_array(&buf, raw);
             let _ = decode_section_into(Codec::Raw, &buf, raw, None, &mut scratch);
             let _ = decode_section_into(Codec::Delta, &buf, raw, Some(42), &mut scratch);
             let _ = decode_section_into(Codec::Ans, &buf, raw, Some(42), &mut scratch);

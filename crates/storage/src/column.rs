@@ -112,6 +112,30 @@ impl ChunkColumn {
         }
     }
 
+    /// The per-value bound of a segment, stated against its own header:
+    /// every chunk id must index the chunk dictionary, every delta must lie
+    /// within `max − min`. `max_code` is the largest code in the segment —
+    /// a decoder's running maximum on the read path, one
+    /// [`BitPacked::max_value`] pass anywhere else — so the whole check is
+    /// one comparison.
+    pub(crate) fn check_code_range(&self, max_code: u64) -> crate::Result<()> {
+        let out_of_range = match self {
+            ChunkColumn::Str { dict, codes } => {
+                (!codes.is_empty() && max_code >= dict.len() as u64).then_some("code")
+            }
+            ChunkColumn::Int { min, max, deltas } => {
+                if min > max {
+                    return Err(crate::StorageError::Corrupt("min > max".into()));
+                }
+                (!deltas.is_empty() && max_code > max.wrapping_sub(*min) as u64).then_some("delta")
+            }
+        };
+        match out_of_range {
+            Some(what) => Err(crate::StorageError::Corrupt(format!("{what} out of range"))),
+            None => Ok(()),
+        }
+    }
+
     /// Re-base a string segment's chunk dictionary onto a merged global
     /// dictionary: each stored global id is replaced by `remap[gid]` (the
     /// decode path for chunks written under an older dictionary epoch). The

@@ -12,10 +12,10 @@
 //! Cursors always read [`BitPacked`] words: the v4 entropy codecs (delta,
 //! rANS — interleaved or single-state) are decoded back to `BitPacked` at
 //! chunk materialization, and the segment LRU caches that decoded form, so
-//! the per-tuple path never touches a compressed stream. The
-//! decode-into-scratch variant (`decode_column_values_into`) is for one-shot
-//! consumers like `persist::inspect`; cached segments keep the packed form
-//! because it is what `unpack_range` and the SIMD lanes read directly.
+//! the per-tuple path never touches a compressed stream. The decoders pack
+//! as they decode (see `codec::decode_array`), so the cached form is also
+//! the only form a fetched value is ever written in; it is what
+//! `unpack_range` and the SIMD lanes read directly.
 
 use crate::bitpack::BitPacked;
 use crate::chunk::Chunk;

@@ -32,6 +32,19 @@ pub enum StorageError {
     Busy(String),
 }
 
+impl StorageError {
+    /// Name the chunk and column a segment-level corruption was found in
+    /// (other kinds pass through unchanged).
+    pub(crate) fn in_column(self, chunk: usize, column: usize) -> StorageError {
+        match self {
+            StorageError::Corrupt(m) => {
+                StorageError::Corrupt(format!("chunk {chunk}: column {column}: {m}"))
+            }
+            other => other,
+        }
+    }
+}
+
 impl fmt::Display for StorageError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

@@ -78,7 +78,13 @@ pub mod shard;
 pub mod source;
 pub mod stats;
 pub mod table;
+#[cfg(test)]
+mod test_alloc;
 pub mod writer;
+
+#[cfg(test)]
+#[global_allocator]
+static TEST_ALLOC: test_alloc::LargestRequest = test_alloc::LargestRequest;
 
 pub use bitpack::BitPacked;
 pub use chunk::Chunk;

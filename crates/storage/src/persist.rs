@@ -49,6 +49,24 @@
 //! [`BitPacked`] the raw path would produce — cursors, the SIMD
 //! `unpack_range`, and the morsel executor never see the difference.
 //!
+//! # What a decoded column guarantees
+//!
+//! Every [`ChunkColumn`] this module returns — from a v1/v2 chunk blob, a
+//! raw v3 blob or a codec-compressed v4 blob, on the eager, lazy and append
+//! paths alike — has **in-range codes**: each chunk id of a string segment
+//! indexes its chunk dictionary, each delta of an integer segment lies
+//! within the segment's own `max − min` (and `min ≤ max`). It is a
+//! construction invariant, established in one place (`ColumnHeader::with_codes`)
+//! from a bound the decode itself produces: the delta decoder's running
+//! maximum, the ANS table's top symbol (re-examined against the exact
+//! maximum only if it fails, since a crafted table may list a symbol its
+//! stream never produces), or, for raw sections, one block-decode pass over
+//! the words. Callers therefore check only what relates a column to the
+//! *table* — its kind, its dictionary's gids against the global dictionary,
+//! the footer's statistics (`table::validate_column_header`,
+//! `FileSource::fetch_column`) — and never walk the values again before the
+//! scan reads them.
+//!
 //! # Appending
 //!
 //! v3/v4 files grow in place: [`append`] writes a batch's chunks after the
@@ -373,9 +391,7 @@ fn from_bytes_footered(data: &[u8], version: u32) -> Result<CompressedTable> {
                         continue;
                     }
                     let (start, end) = (loc.offset as usize, (loc.offset + loc.len) as usize);
-                    let col_err = |e: StorageError| {
-                        StorageError::Corrupt(format!("chunk {ci}: col {idx}: {e}"))
-                    };
+                    let col_err = |e: StorageError| e.in_column(ci, idx);
                     let mut col =
                         decode_column_blob_loc(&data[start..end], loc).map_err(col_err)?;
                     if let Some(remap) = footer.remap_for(ci, idx) {
@@ -494,10 +510,38 @@ fn require_growable(header: &[u8], what: &str) -> Result<u32> {
     }
 }
 
-fn read_exact_at(file: &mut std::fs::File, offset: u64, len: u64) -> Result<Vec<u8>> {
+/// Fill `buf` from `offset` without touching the handle's cursor: one
+/// `pread` per blob, safe to issue from several threads at once.
+#[cfg(unix)]
+pub(crate) fn fill_at(file: &std::fs::File, buf: &mut [u8], offset: u64) -> std::io::Result<()> {
+    std::os::unix::fs::FileExt::read_exact_at(file, buf, offset)
+}
+
+#[cfg(windows)]
+pub(crate) fn fill_at(
+    file: &std::fs::File,
+    mut buf: &mut [u8],
+    mut offset: u64,
+) -> std::io::Result<()> {
+    use std::os::windows::fs::FileExt;
+    while !buf.is_empty() {
+        match file.seek_read(buf, offset) {
+            Ok(0) => return Err(std::io::ErrorKind::UnexpectedEof.into()),
+            Ok(n) => {
+                let rest = buf;
+                buf = &mut rest[n..];
+                offset += n as u64;
+            }
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
+}
+
+fn read_exact_at(file: &std::fs::File, offset: u64, len: u64) -> Result<Vec<u8>> {
     let mut buf = vec![0u8; len as usize];
-    file.seek(SeekFrom::Start(offset))?;
-    file.read_exact(&mut buf)?;
+    fill_at(file, &mut buf, offset)?;
     Ok(buf)
 }
 
@@ -609,7 +653,7 @@ pub fn append(path: &Path, batch: &ActivityTable) -> Result<AppendStats> {
     if total < HEADER_LEN + TAIL_LEN {
         return Err(StorageError::Corrupt("file too short for header + tail".into()));
     }
-    let header = read_exact_at(&mut file, 0, HEADER_LEN)?;
+    let header = read_exact_at(&file, 0, HEADER_LEN)?;
     let version = require_growable(&header, "append to")?;
     let footer = read_footer_from_file(&mut file)?;
     let schema = footer.meta.schema().clone();
@@ -675,7 +719,7 @@ pub fn append(path: &Path, batch: &ActivityTable) -> Result<AppendStats> {
     if !returning.is_empty() {
         for (ci, layout) in layouts.iter().enumerate() {
             let mut rle =
-                decode_rle_blob(&read_exact_at(&mut file, layout.rle.offset, layout.rle.len)?)
+                decode_rle_blob(&read_exact_at(&file, layout.rle.offset, layout.rle.len)?)
                     .map_err(|e| StorageError::Corrupt(format!("chunk {ci}: {e}")))?;
             if let Some(remap) = footer.remap_for(ci, user_idx) {
                 rle = rle
@@ -965,9 +1009,11 @@ impl FormatInfo {
 }
 
 /// Walk every live blob of a v3/v4 file, decode each through its codec
-/// tag, and report per-column and per-codec size and decode-time
-/// aggregates. This is the measurement backbone of the `lazy-io` bench
-/// experiment and doubles as a whole-file decode validation pass.
+/// tag exactly as a lazy column fetch would (blob in, range-proved
+/// [`ChunkColumn`] out), and report per-column and per-codec size and
+/// decode-time aggregates. This is the measurement backbone of the
+/// `lazy-io` and `decode/column_fetch` bench lines and doubles as a
+/// whole-file decode validation pass.
 pub fn inspect(path: &Path) -> Result<FormatInfo> {
     let data = std::fs::read(path)?;
     if data.len() < HEADER_LEN as usize {
@@ -1005,11 +1051,7 @@ pub fn inspect(path: &Path) -> Result<FormatInfo> {
         c.uncompressed_bytes += loc.uncompressed;
         c.decode_nanos += ns;
     };
-    // One scratch vector reused across every column blob: inspect only
-    // needs the decoded values for timing/validation, so it takes the
-    // decode-into-scratch path and skips the BitPacked repack.
-    let mut scratch: Vec<u64> = Vec::new();
-    for (layout, entry) in layouts.iter().zip(&footer.entries) {
+    for (ci, (layout, entry)) in layouts.iter().zip(&footer.entries).enumerate() {
         let loc = &layout.rle;
         let blob = &data[loc.offset as usize..(loc.offset + loc.len) as usize];
         let start = std::time::Instant::now();
@@ -1020,9 +1062,18 @@ pub fn inspect(path: &Path) -> Result<FormatInfo> {
                 continue;
             }
             let blob = &data[loc.offset as usize..(loc.offset + loc.len) as usize];
+            // The step a lazy column fetch pays: blob -> range-proved
+            // `ChunkColumn`.
             let start = std::time::Instant::now();
-            decode_column_values_into(blob, loc, entry.num_rows, &mut scratch)?;
+            let col = decode_column_blob_loc(blob, loc).map_err(|e| e.in_column(ci, idx))?;
             record(&mut columns, idx, loc, start.elapsed().as_nanos() as u64);
+            if col.len() as u64 != entry.num_rows {
+                return Err(StorageError::Corrupt(format!(
+                    "chunk {ci}: column {idx} has {} rows, footer claims {}",
+                    col.len(),
+                    entry.num_rows
+                )));
+            }
         }
     }
     Ok(FormatInfo {
@@ -1498,91 +1549,88 @@ pub(crate) fn decode_column_blob(blob: &[u8]) -> Result<ChunkColumn> {
     Ok(col)
 }
 
+/// The raw head of a column blob — tag byte, then the chunk dictionary's
+/// gids or the integer range — which no codec transforms.
+enum ColumnHeader {
+    Str(ChunkDict),
+    Int { min: i64, max: i64 },
+}
+
+impl ColumnHeader {
+    /// Parse a tagged header (0 = absent segment, 1 = string, 2 = integer).
+    fn read(buf: &mut &[u8]) -> Result<Option<ColumnHeader>> {
+        match get_u8(buf)? {
+            0 => Ok(None),
+            1 => {
+                let n = get_u32(buf)? as usize;
+                if n > buf.remaining() / 4 {
+                    return Err(StorageError::Corrupt(format!(
+                        "chunk dictionary count {n} overruns input"
+                    )));
+                }
+                let mut gids = Vec::with_capacity(n);
+                for _ in 0..n {
+                    gids.push(get_u32(buf)?);
+                }
+                Ok(Some(ColumnHeader::Str(ChunkDict::from_sorted(gids)?)))
+            }
+            2 => {
+                let min = get_i64(buf)?;
+                let max = get_i64(buf)?;
+                Ok(Some(ColumnHeader::Int { min, max }))
+            }
+            t => Err(StorageError::Corrupt(format!("bad column tag {t}"))),
+        }
+    }
+
+    /// Like [`ColumnHeader::read`] where an absent segment is an error.
+    fn read_present(buf: &mut &[u8]) -> Result<ColumnHeader> {
+        Self::read(buf)?.ok_or_else(|| StorageError::Corrupt("column blob holds no segment".into()))
+    }
+
+    /// Bytes this header serializes to.
+    fn serialized_len(&self) -> u64 {
+        match self {
+            ColumnHeader::Str(dict) => 5 + 4 * dict.len() as u64,
+            ColumnHeader::Int { .. } => 17,
+        }
+    }
+
+    /// The one place a decoded [`ChunkColumn`] is put together: the packed
+    /// codes join their header only once they are known to be within the
+    /// header's bound. `code_bound` is at least the largest code; when it
+    /// passes, nothing else is looked at. It may overshoot (an ANS table
+    /// can list a symbol its stream never produces), so a failing bound is
+    /// re-examined against the exact maximum before the blob is rejected —
+    /// the check stays on values produced.
+    fn with_codes(self, packed: BitPacked, code_bound: u64) -> Result<ChunkColumn> {
+        let col = match self {
+            ColumnHeader::Str(dict) => ChunkColumn::Str { dict, codes: packed },
+            ColumnHeader::Int { min, max } => ChunkColumn::Int { min, max, deltas: packed },
+        };
+        if col.check_code_range(code_bound).is_err() {
+            col.check_code_range(col.packed().max_value())?;
+        }
+        Ok(col)
+    }
+}
+
 /// Decode one column blob through its footer record: raw blobs take the v3
 /// path unchanged; codec-compressed blobs parse the raw header, then hand
 /// the remaining bytes to [`codec::decode_array`] with the exact raw
 /// section length implied by `loc.uncompressed` — which the codecs verify
 /// against their own embedded width/length *before* allocating, and which
 /// pins the decoded blob's v3 serialization to exactly `uncompressed`
-/// bytes.
+/// bytes. The bound the decoder returns proves the codes in range.
 pub(crate) fn decode_column_blob_loc(blob: &[u8], loc: &BlobLoc) -> Result<ChunkColumn> {
     if loc.codec == Codec::Raw {
         return decode_column_blob(blob);
     }
     let mut buf = blob;
-    let col = match get_u8(&mut buf)? {
-        1 => {
-            let n = get_u32(&mut buf)? as usize;
-            if n > buf.remaining() / 4 {
-                return Err(StorageError::Corrupt(format!(
-                    "chunk dictionary count {n} overruns input"
-                )));
-            }
-            let mut gids = Vec::with_capacity(n);
-            for _ in 0..n {
-                gids.push(get_u32(&mut buf)?);
-            }
-            let dict = ChunkDict::from_sorted(gids)?;
-            let header_len = 5 + 4 * dict.len() as u64;
-            let expected = section_len(loc, header_len)?;
-            let codes = codec::decode_array(loc.codec, buf, expected)?;
-            ChunkColumn::Str { dict, codes }
-        }
-        2 => {
-            let min = get_i64(&mut buf)?;
-            let max = get_i64(&mut buf)?;
-            let deltas = codec::decode_array(loc.codec, buf, section_len(loc, 17)?)?;
-            ChunkColumn::Int { min, max, deltas }
-        }
-        t => return Err(StorageError::Corrupt(format!("bad column tag {t}"))),
-    };
-    Ok(col)
-}
-
-/// Decode just the packed values of one column blob straight into a
-/// caller-provided scratch vector — the decode-into-scratch path for
-/// consumers that block-decode anyway ([`inspect`], the decode bench),
-/// skipping the [`crate::bitpack::BitPacked`] repack. Works for raw and
-/// codec-compressed blobs alike; `expected_rows` is the footer's row
-/// count for the chunk, cross-checked against the section's own declared
-/// length before any output allocation.
-pub(crate) fn decode_column_values_into(
-    blob: &[u8],
-    loc: &BlobLoc,
-    expected_rows: u64,
-    values: &mut Vec<u64>,
-) -> Result<()> {
-    let mut buf = blob;
-    let header_len = match get_u8(&mut buf)? {
-        1 => {
-            let n = get_u32(&mut buf)? as usize;
-            if n > buf.remaining() / 4 {
-                return Err(StorageError::Corrupt(format!(
-                    "chunk dictionary count {n} overruns input"
-                )));
-            }
-            let mut gids = Vec::with_capacity(n);
-            for _ in 0..n {
-                gids.push(get_u32(&mut buf)?);
-            }
-            let dict = ChunkDict::from_sorted(gids)?;
-            5 + 4 * dict.len() as u64
-        }
-        2 => {
-            get_i64(&mut buf)?;
-            get_i64(&mut buf)?;
-            17
-        }
-        t => return Err(StorageError::Corrupt(format!("bad column tag {t}"))),
-    };
-    codec::decode_section_into(
-        loc.codec,
-        buf,
-        section_len(loc, header_len)?,
-        Some(expected_rows),
-        values,
-    )?;
-    Ok(())
+    let header = ColumnHeader::read_present(&mut buf)?;
+    let expected = section_len(loc, header.serialized_len())?;
+    let (packed, code_bound) = codec::decode_array(loc.codec, buf, expected)?;
+    header.with_codes(packed, code_bound)
 }
 
 /// The raw packed-section length a blob's footer record implies once its
@@ -1864,33 +1912,14 @@ fn write_column_blob_v4(buf: &mut BytesMut, col: &ChunkColumn) -> (Codec, u64) {
     (chosen, header_len + codec::raw_section_len(packed.width(), packed.len() as u64))
 }
 
-/// One tagged column segment (0 = absent, 1 = string, 2 = integer).
+/// One tagged column segment (0 = absent, 1 = string, 2 = integer) in the
+/// raw v3 layout. The words are kept as read; one block pass over them
+/// finds the maximum that proves the codes in range.
 fn read_column(buf: &mut &[u8]) -> Result<Option<ChunkColumn>> {
-    match get_u8(buf)? {
-        0 => Ok(None),
-        1 => {
-            let n = get_u32(buf)? as usize;
-            if n > buf.remaining() / 4 {
-                return Err(StorageError::Corrupt(format!(
-                    "chunk dictionary count {n} overruns input"
-                )));
-            }
-            let mut gids = Vec::with_capacity(n);
-            for _ in 0..n {
-                gids.push(get_u32(buf)?);
-            }
-            let dict = ChunkDict::from_sorted(gids)?;
-            let codes = read_packed(buf)?;
-            Ok(Some(ChunkColumn::Str { dict, codes }))
-        }
-        2 => {
-            let min = get_i64(buf)?;
-            let max = get_i64(buf)?;
-            let deltas = read_packed(buf)?;
-            Ok(Some(ChunkColumn::Int { min, max, deltas }))
-        }
-        t => Err(StorageError::Corrupt(format!("bad column tag {t}"))),
-    }
+    let Some(header) = ColumnHeader::read(buf)? else { return Ok(None) };
+    let packed = read_packed(buf)?;
+    let max_code = packed.max_value();
+    header.with_codes(packed, max_code).map(Some)
 }
 
 /// One whole chunk as a self-contained blob (the v1/v2 chunk encoding).
@@ -1923,6 +1952,9 @@ fn read_chunk(buf: &mut &[u8], arity: usize) -> Result<Chunk> {
     }
     Chunk::new(rle, columns)
 }
+
+#[cfg(test)]
+mod range_tests;
 
 #[cfg(test)]
 mod tests {

@@ -28,12 +28,13 @@ use crate::column::ChunkColumn;
 use crate::persist::{self, ChunkLayout};
 use crate::record;
 use crate::rle::UserRle;
-use crate::table::{validate_chunk, validate_column, validate_rle, CompressedTable, TableMeta};
+use crate::table::{
+    validate_chunk, validate_column_header, validate_rle, CompressedTable, TableMeta,
+};
 use crate::{Result, StorageError};
 use cohana_activity::Schema;
 use std::collections::HashMap;
 use std::fs::File;
-use std::io::{Read, Seek, SeekFrom};
 use std::ops::Deref;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -368,8 +369,11 @@ struct CacheEntry {
     tick: u64,
 }
 
-/// Bounded LRU over decoded segments, keyed `(source, chunk, column)`,
-/// accounted in compressed payload bytes. Eviction happens **before**
+/// Bounded LRU over decoded segments, keyed `(source, chunk, column)`. Each
+/// entry is charged what the decoded segment holds in memory — its
+/// `packed_bytes()`: bit-packed words plus chunk dictionary, the size of
+/// the v3 (raw) serialization, not the blob's codec-compressed size on
+/// disk. Eviction happens **before**
 /// insertion, so the resident total never exceeds the budget, even
 /// transiently; a segment larger than the whole budget is simply never
 /// retained. One cache can back several sources (the shards of a sharded
@@ -471,7 +475,9 @@ pub(crate) fn shared_cache(budget: usize) -> Arc<Mutex<SegmentCache>> {
 #[derive(Debug)]
 pub struct FileSource {
     path: PathBuf,
-    file: Mutex<File>,
+    /// Read with positional reads only, so concurrent fetches share the
+    /// handle without a lock (and without a shared cursor to race on).
+    file: File,
     meta: TableMeta,
     entries: Vec<ChunkIndexEntry>,
     /// Byte `(offset, length)` of each chunk's full payload span.
@@ -583,7 +589,7 @@ impl FileSource {
         let footer = persist::read_footer_from_file(&mut file)?;
         Ok(FileSource {
             path: path.to_path_buf(),
-            file: Mutex::new(file),
+            file,
             meta: footer.meta,
             entries: footer.entries,
             locations: footer.locations,
@@ -686,7 +692,7 @@ impl FileSource {
         let footer = persist::read_footer_from_file(&mut file)?;
         let chunks_before = self.locations.len();
 
-        let grown_in_place = same_inode(&self.file.lock().expect("file lock poisoned"), &file);
+        let grown_in_place = same_inode(&self.file, &file);
         let same_remap = |chunk: usize, attr: usize| {
             self.remap_for(chunk, attr).map(|r| r.as_slice())
                 == footer.remap_for(chunk, attr).map(|r| r.as_slice())
@@ -738,7 +744,7 @@ impl FileSource {
         // Swap the file handle too: after a compact the path names a new
         // inode, and the old handle would keep reading the pre-compact
         // image.
-        *self.file.lock().expect("file lock poisoned") = file;
+        self.file = file;
         Ok(RefreshStats { chunks_before, chunks_after, segments_invalidated })
     }
 
@@ -810,20 +816,16 @@ impl FileSource {
             )));
         }
         let mut buf = vec![0u8; len as usize];
-        {
-            let mut file = self.file.lock().expect("file lock poisoned");
-            file.seek(SeekFrom::Start(offset))?;
-            file.read_exact(&mut buf).map_err(|e| {
-                if e.kind() == std::io::ErrorKind::UnexpectedEof {
-                    StorageError::Corrupt(format!(
-                        "blob at offset {offset} (length {len}) reaches past the end of the \
-                         file (truncated?)"
-                    ))
-                } else {
-                    StorageError::Io(e.to_string())
-                }
-            })?;
-        }
+        persist::fill_at(&self.file, &mut buf, offset).map_err(|e| {
+            if e.kind() == std::io::ErrorKind::UnexpectedEof {
+                StorageError::Corrupt(format!(
+                    "blob at offset {offset} (length {len}) reaches past the end of the file \
+                     (truncated?)"
+                ))
+            } else {
+                StorageError::Io(e.to_string())
+            }
+        })?;
         self.bytes_read.fetch_add(len, Ordering::Relaxed);
         record::credit(|r| r.add_bytes_read(len));
         Ok(buf)
@@ -885,7 +887,11 @@ impl FileSource {
         let loc = &layout.cols[attr];
         let blob = self.read_range(loc.offset, loc.len)?;
         let start = std::time::Instant::now();
-        let mut col = persist::decode_column_blob_loc(&blob, loc)?;
+        // Decode proves every code within the segment's own header as it
+        // packs; only the header is left to check against the table's
+        // metadata below.
+        let mut col =
+            persist::decode_column_blob_loc(&blob, loc).map_err(|e| e.in_column(idx, attr))?;
         self.decode_cells[loc.codec.tag() as usize]
             .add(loc.uncompressed, start.elapsed().as_nanos() as u64);
         self.bytes_decompressed.fetch_add(loc.uncompressed, Ordering::Relaxed);
@@ -896,7 +902,7 @@ impl FileSource {
         if let Some(remap) = self.overlay_for(attr) {
             col = col.remap_gids(remap)?;
         }
-        validate_column(&self.meta, idx, attr, &col)?;
+        validate_column_header(&self.meta, idx, attr, &col)?;
         if col.len() as u64 != entry.num_rows {
             return Err(StorageError::Corrupt(format!(
                 "chunk {idx}: column {attr} has {} rows, footer claims {}",

@@ -211,7 +211,10 @@ impl CompressedTable {
         Ok(CompressedTable { meta, chunks, index })
     }
 
-    /// Assemble from parts (persistence path). Validates global row count.
+    /// Assemble from chunks `persist` decoded (the resident open).
+    /// Validates the global row count and each chunk's structure
+    /// ([`validate_chunk`]); the per-value code ranges were proved when
+    /// the columns were decoded and are not walked again.
     pub(crate) fn from_parts(
         schema: Schema,
         metas: Vec<ColumnMeta>,
@@ -227,19 +230,27 @@ impl CompressedTable {
             )));
         }
         let index = chunks.iter().map(|c| ChunkIndexEntry::of_chunk(c, meta.schema())).collect();
-        let table = CompressedTable { meta, chunks, index };
-        table.validate_consistency()?;
-        Ok(table)
+        for (ci, chunk) in chunks.iter().enumerate() {
+            validate_chunk(&meta, ci, chunk)?;
+        }
+        Ok(CompressedTable { meta, chunks, index })
     }
 
-    /// Deep consistency check used when loading untrusted images: every
+    /// Deep consistency check of any table, however it was built: every
     /// chunk-dictionary id must resolve into the global dictionary, every
-    /// packed code into its chunk dictionary, and the RLE user column must
-    /// describe contiguous runs covering exactly the chunk's rows. Without
-    /// this, a corrupted file could drive decode paths out of bounds.
+    /// packed code into its chunk dictionary, every delta into its chunk
+    /// range, and the RLE user column must describe contiguous runs
+    /// covering exactly the chunk's rows. Tables read from files already
+    /// hold all of this by construction (see [`crate::persist`]); the
+    /// per-value half here is one block-decode pass per column.
     pub fn validate_consistency(&self) -> Result<()> {
         for (ci, chunk) in self.chunks.iter().enumerate() {
             validate_chunk(&self.meta, ci, chunk)?;
+            for (idx, col) in chunk.columns().iter().enumerate() {
+                if let Some(col) = col {
+                    validate_codes(ci, idx, col)?;
+                }
+            }
         }
         Ok(())
     }
@@ -377,15 +388,15 @@ pub(crate) fn chunk_rows(meta: &TableMeta, chunk: &Chunk) -> Vec<Vec<Value>> {
     out
 }
 
-/// Validate one chunk against the table-level metadata: the RLE user column
-/// must describe contiguous runs covering exactly the chunk's rows with
-/// in-range user gids; chunk-dictionary ids must resolve into the global
-/// dictionary; packed codes/deltas must stay within their chunk dictionary /
-/// range. Shared between the eager [`CompressedTable::validate_consistency`]
-/// pass and the lazy per-chunk decode of
-/// [`FileSource`](crate::source::FileSource). Every non-user column must be
-/// materialized; partial chunks validate each piece as it is decoded with
-/// [`validate_rle`] / [`validate_column`] instead.
+/// Validate one chunk's structure against the table-level metadata: the RLE
+/// user column must describe contiguous runs covering exactly the chunk's
+/// rows with in-range user gids, and every non-user column must be
+/// materialized with a header that agrees with the metadata
+/// ([`validate_column_header`]). Per-value code ranges are **not** walked:
+/// chunks decoded by [`crate::persist`] carry them by construction, and
+/// [`CompressedTable::validate_consistency`] checks them itself. Partial
+/// chunks validate each piece as it is decoded with [`validate_rle`] /
+/// [`validate_column_header`] instead.
 pub(crate) fn validate_chunk(meta: &TableMeta, ci: usize, chunk: &Chunk) -> Result<()> {
     validate_rle(meta, ci, chunk.user_rle(), chunk.num_rows())?;
     let user_idx = meta.schema().user_idx();
@@ -397,7 +408,7 @@ pub(crate) fn validate_chunk(meta: &TableMeta, ci: usize, chunk: &Chunk) -> Resu
                     "chunk {ci}: column {idx}: segment missing"
                 )))
             }
-            Some(col) => validate_column(meta, ci, idx, col)?,
+            Some(col) => validate_column_header(meta, ci, idx, col)?,
         }
     }
     Ok(())
@@ -433,43 +444,41 @@ pub(crate) fn validate_rle(
     Ok(())
 }
 
-/// Validate one column segment on its own: chunk dict ids within the global
-/// dictionary, codes within the chunk dictionary, deltas within the chunk
-/// range, and the segment kind agreeing with the attribute's metadata.
-pub(crate) fn validate_column(
+/// The O(dictionary) half of column validation: the segment's kind agrees
+/// with the attribute's metadata, chunk dict ids resolve into the global
+/// dictionary, and an integer range is ordered. What every file-backed path
+/// runs on a freshly decoded segment — the per-value half was proved by the
+/// decoder.
+pub(crate) fn validate_column_header(
     meta: &TableMeta,
     ci: usize,
     idx: usize,
     col: &ChunkColumn,
 ) -> Result<()> {
-    let corrupt = |msg: String| StorageError::Corrupt(format!("chunk {ci}: {msg}"));
+    let corrupt = |msg: String| StorageError::Corrupt(format!("chunk {ci}: column {idx}: {msg}"));
     match (col, meta.meta(idx)) {
-        (ChunkColumn::Str { dict, codes }, ColumnMeta::Str { dict: global }) => {
-            if let Some(&max_gid) = dict.global_ids().last() {
-                if (max_gid as usize) >= global.len() {
-                    return Err(corrupt(format!(
-                        "column {idx}: chunk dict gid {max_gid} out of range"
-                    )));
+        (ChunkColumn::Str { dict, .. }, ColumnMeta::Str { dict: global }) => {
+            match dict.global_ids().last() {
+                Some(&max_gid) if max_gid as usize >= global.len() => {
+                    Err(corrupt(format!("chunk dict gid {max_gid} out of range")))
                 }
+                _ => Ok(()),
             }
-            let dict_len = dict.len() as u64;
-            if codes.iter().any(|c| c >= dict_len) {
-                return Err(corrupt(format!("column {idx}: code out of range")));
-            }
-            Ok(())
         }
-        (ChunkColumn::Int { min, max, deltas }, ColumnMeta::Int { .. }) => {
-            if min > max {
-                return Err(corrupt(format!("column {idx}: min > max")));
-            }
-            let span = max.wrapping_sub(*min) as u64;
-            if deltas.iter().any(|d| d > span) {
-                return Err(corrupt(format!("column {idx}: delta out of range")));
-            }
-            Ok(())
+        (ChunkColumn::Int { min, max, .. }, ColumnMeta::Int { .. }) if min > max => {
+            Err(corrupt("min > max".into()))
         }
-        _ => Err(corrupt(format!("column {idx}: segment kind disagrees with metadata"))),
+        (ChunkColumn::Int { .. }, ColumnMeta::Int { .. }) => Ok(()),
+        _ => Err(corrupt("segment kind disagrees with metadata".into())),
     }
+}
+
+/// The per-value half: codes within the chunk dictionary, deltas within the
+/// chunk range, through [`BitPacked::max_value`](crate::BitPacked::max_value)'s
+/// block kernel. Only [`CompressedTable::validate_consistency`] calls this;
+/// no file read path does.
+fn validate_codes(ci: usize, idx: usize, col: &ChunkColumn) -> Result<()> {
+    col.check_code_range(col.packed().max_value()).map_err(|e| e.in_column(ci, idx))
 }
 
 fn build_metas(table: &ActivityTable) -> Vec<ColumnMeta> {
@@ -563,6 +572,70 @@ mod tests {
         let back = c.decompress().unwrap();
         assert_eq!(back.num_rows(), t.num_rows());
         assert_eq!(back.rows(), t.rows());
+    }
+
+    /// `c` with one code of chunk 0's `attr` column replaced.
+    fn with_code(
+        c: &CompressedTable,
+        attr: usize,
+        code: impl Fn(&ChunkColumn) -> u64,
+    ) -> Vec<Chunk> {
+        let chunk = &c.chunks()[0];
+        let mut cols = chunk.columns().to_vec();
+        let col = chunk.column_required(attr);
+        let mut codes = col.packed().to_vec();
+        codes[1] = code(col);
+        let packed = crate::BitPacked::from_slice(&codes);
+        cols[attr] = Some(Arc::new(match col {
+            ChunkColumn::Str { dict, .. } => ChunkColumn::Str { dict: dict.clone(), codes: packed },
+            ChunkColumn::Int { min, max, .. } => {
+                ChunkColumn::Int { min: *min, max: *max, deltas: packed }
+            }
+        }));
+        let mut chunks = c.chunks().to_vec();
+        chunks[0] = Chunk::from_shared(Arc::new(chunk.user_rle().clone()), cols).unwrap();
+        chunks
+    }
+
+    #[test]
+    fn validate_consistency_walks_code_ranges_on_any_table() {
+        let c =
+            CompressedTable::build(&sample(), CompressionOptions::with_chunk_size(256)).unwrap();
+        c.validate_consistency().unwrap();
+        let schema = c.schema().clone();
+        for (attr, code, what) in [
+            (
+                schema.action_idx(),
+                (|col: &ChunkColumn| col.dict().unwrap().len() as u64) as fn(&ChunkColumn) -> u64,
+                "code out of range",
+            ),
+            (
+                schema.time_idx(),
+                |col: &ChunkColumn| {
+                    let (min, max) = col.int_range().unwrap();
+                    (max - min) as u64 + 1
+                },
+                "delta out of range",
+            ),
+        ] {
+            // Structure alone — all `from_parts` checks, because its callers
+            // proved the ranges while decoding — does not see the bad code;
+            // the full public check does, and names where it is.
+            let bad = CompressedTable::from_parts(
+                schema.clone(),
+                c.metas().to_vec(),
+                with_code(&c, attr, code),
+                c.num_rows(),
+                c.options(),
+            )
+            .unwrap();
+            match bad.validate_consistency() {
+                Err(StorageError::Corrupt(msg)) => {
+                    assert_eq!(msg, format!("chunk 0: column {attr}: {what}"));
+                }
+                other => panic!("expected Corrupt, got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -6,8 +6,11 @@
 //! (`FileSource`, whole-chunk and projected per-column) read paths.
 
 use cohana_activity::{generate, GeneratorConfig};
+use cohana_storage::codec::encode_section;
 use cohana_storage::persist::{from_bytes, to_bytes, to_bytes_v1, to_bytes_v2, to_bytes_v3};
-use cohana_storage::{ChunkSource, CompressedTable, CompressionOptions, FileSource};
+use cohana_storage::{
+    ChunkColumn, ChunkSource, Codec, CompressedTable, CompressionOptions, FileSource, StorageError,
+};
 use proptest::prelude::*;
 
 fn compressed() -> CompressedTable {
@@ -115,7 +118,6 @@ fn footer_past_eof_names_the_offset_every_footered_version() {
     // truncated or torn-append image) must produce a corruption error that
     // names the impossible offset — not a bare UnexpectedEof, and never a
     // slice panic. Both the eager and the lazy open paths report it.
-    use cohana_storage::StorageError;
     for version in [2, 3, 4] {
         let mut bytes = image(version);
         let tail = bytes.len() - 12;
@@ -261,4 +263,138 @@ fn tampered_column_stats_detected(version: u32) {
         std::fs::remove_file(&path).ok();
     }
     assert!(seen_reject, "no tampering detected anywhere in the v{version} footer");
+}
+
+// ------------------------------------------------- per-value range checks
+//
+// The reader proves every code within its own column header while it
+// decodes (see `persist`'s module docs). These craft, through public
+// functions only and without moving a byte of the footer, images whose
+// codes leave that range; `crates/storage/src/persist/range_tests.rs` holds
+// the cases that need a rebuilt footer (delta sections, an ANS symbol that
+// is listed but never produced).
+
+/// The one value past a column's own header: a chunk id equal to the
+/// dictionary's size, a delta one past `max - min`.
+fn first_invalid_code(col: &ChunkColumn) -> u64 {
+    match col {
+        ChunkColumn::Str { dict, .. } => dict.len() as u64,
+        ChunkColumn::Int { min, max, .. } => (max - min) as u64 + 1,
+    }
+}
+
+/// Offset of `needle` in `image` if it occurs exactly once.
+fn find_once(image: &[u8], needle: &[u8]) -> Option<usize> {
+    let mut hits = image.windows(needle.len()).enumerate().filter(|(_, w)| *w == needle);
+    let first = hits.next()?.0;
+    hits.next().is_none().then_some(first)
+}
+
+/// Eager load, lazy whole-chunk fetch and lazy projected fetch of one
+/// chunk column must all refuse `bytes` with a `Corrupt` that names the
+/// chunk and the column and says a value is out of range.
+fn assert_every_path_refuses(bytes: &[u8], ci: usize, attr: usize, tag: &str) {
+    let dir = std::env::temp_dir().join("cohana-corruption-test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join(format!("range-{tag}.cohana"));
+    std::fs::write(&path, bytes).unwrap();
+    let src = FileSource::open(&path).expect("the footer is untouched");
+    let outcomes = [
+        ("eager", cohana_storage::persist::read_file(&path).map(|_| ())),
+        ("whole-chunk", src.chunk(ci).map(|_| ())),
+        ("projected", src.chunk_columns(ci, &[attr]).map(|_| ())),
+    ];
+    std::fs::remove_file(&path).ok();
+    for (name, outcome) in outcomes {
+        match outcome {
+            Err(StorageError::Corrupt(msg)) => assert!(
+                msg.contains(&format!("chunk {ci}"))
+                    && msg.contains(&format!("column {attr}"))
+                    && msg.contains("out of range"),
+                "{tag}, {name}: weak message: {msg}"
+            ),
+            other => panic!("{tag}, {name}: expected Corrupt, got {other:?}"),
+        }
+    }
+}
+
+#[test]
+fn raw_lane_past_its_header_is_refused_by_every_read_path() {
+    // A raw section is `width | len | words`; re-packing the column's own
+    // codes with one of them replaced gives a section of the same length,
+    // so it can be patched over the original in place.
+    let c = compressed();
+    for version in [3u32, 4] {
+        let image = image(version);
+        let (mut str_done, mut int_done) = (false, false);
+        for (ci, chunk) in c.chunks().iter().enumerate() {
+            for (attr, col) in chunk.columns().iter().enumerate() {
+                let Some(col) = col else { continue };
+                let is_str = col.dict().is_some();
+                if if is_str { str_done } else { int_done } {
+                    continue;
+                }
+                let width = col.packed().width();
+                let bad = first_invalid_code(col);
+                if width == 64 || bad >> width != 0 {
+                    continue; // the invalid code does not fit this column's lanes
+                }
+                let mut values = col.packed().to_vec();
+                let honest = encode_section(&values, width, Codec::Raw, 1).unwrap();
+                // Absent when v4 stored this blob under an entropy codec.
+                let Some(at) = find_once(&image, &honest) else { continue };
+                let mid = values.len() / 2;
+                values[mid] = bad;
+                let crafted = encode_section(&values, width, Codec::Raw, 1).unwrap();
+                assert_eq!(crafted.len(), honest.len());
+                let mut bytes = image.clone();
+                bytes[at..at + crafted.len()].copy_from_slice(&crafted);
+                let kind = if is_str { "str" } else { "int" };
+                assert_every_path_refuses(&bytes, ci, attr, &format!("v{version}-raw-{kind}"));
+                if is_str {
+                    str_done = true;
+                } else {
+                    int_done = true;
+                }
+            }
+        }
+        assert!(str_done && int_done, "v{version}: no raw string/integer blob could be crafted");
+    }
+}
+
+#[test]
+fn ans_table_symbol_past_the_column_bound_is_refused_when_it_occurs() {
+    // An ANS section is `0x84 | width | len u64 | n u16 | (sym u16, freq
+    // u16) x n | stream`. Renaming the table's top symbol to the first
+    // invalid code changes no length, and every value that was the top
+    // code now decodes past the column's bound. (With this generator the
+    // ANS-coded columns whose lanes have room for that code are integer
+    // ones: `action`'s 16 entries fill its 4 bits.)
+    let t = generate(&GeneratorConfig::new(200));
+    let c = CompressedTable::build(&t, CompressionOptions::with_chunk_size(16 * 1024)).unwrap();
+    let image = to_bytes(&c).to_vec();
+    let mut crafted_any = false;
+    'search: for (ci, chunk) in c.chunks().iter().enumerate() {
+        for (attr, col) in chunk.columns().iter().enumerate() {
+            let Some(col) = col else { continue };
+            let width = col.packed().width();
+            let bad = first_invalid_code(col);
+            if bad >> width != 0 {
+                continue;
+            }
+            let values = col.packed().to_vec();
+            let Some(honest) = encode_section(&values, width, Codec::Ans, 4) else { continue };
+            let Some(at) = find_once(&image, &honest) else { continue };
+            let n = u16::from_le_bytes([honest[10], honest[11]]) as usize;
+            let top_at = at + 12 + 4 * (n - 1);
+            let top = u16::from_le_bytes([image[top_at], image[top_at + 1]]) as u64;
+            assert_eq!(top, bad - 1, "the top code occurs, so the table lists it");
+            let mut bytes = image.clone();
+            bytes[top_at..top_at + 2].copy_from_slice(&(bad as u16).to_le_bytes());
+            assert_every_path_refuses(&bytes, ci, attr, "v4-ans");
+            crafted_any = true;
+            break 'search;
+        }
+    }
+    assert!(crafted_any, "no ANS-coded blob could be crafted");
 }
