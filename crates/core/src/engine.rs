@@ -9,7 +9,7 @@ use crate::report::CohortReport;
 use crate::session::Session;
 use crate::sharded::ShardedTable;
 use cohana_activity::{ActivityTable, Schema};
-use cohana_storage::{ChunkSource, CompressedTable, CompressionOptions, FileSource};
+use cohana_storage::{ChunkSource, CompressedTable, CompressionOptions, FileSource, StorageError};
 use std::collections::HashMap;
 use std::path::Path;
 use std::sync::{Arc, RwLock};
@@ -272,9 +272,12 @@ impl Cohana {
     ///   [`persist::append`](cohana_storage::persist::append): new chunks are
     ///   appended to the file, chunks holding returning users are rewritten
     ///   at the tail, and the catalog entry is swapped for a freshly opened
-    ///   source (same cache budget) describing the grown file.
-    /// * A resident table is rebuilt in memory from its rows plus the batch
-    ///   and swapped.
+    ///   source (same cache budget) describing the grown file, its cache
+    ///   already holding the chunks the append wrote.
+    /// * A resident table grows the same way in memory
+    ///   ([`CompressedTable::ingest`]) and is swapped.
+    /// * An empty batch changes nothing: the catalog entry, and whatever its
+    ///   source has cached, stays.
     /// * Generic sources registered with [`Cohana::register_source`] are not
     ///   ingestable — the engine does not know what backs them.
     ///
@@ -310,12 +313,16 @@ impl Cohana {
             .ok_or_else(|| EngineError::UnknownTable(name.into()))?;
         match entry {
             CatalogEntry::File(source) => {
-                let stats = cohana_storage::persist::append(source.path(), batch)?;
-                let reopened = Arc::new(FileSource::open_with_budget(
-                    source.path(),
-                    source.cache_budget_bytes(),
-                )?);
-                self.insert(name.to_string(), CatalogEntry::File(reopened));
+                let (stats, written) =
+                    cohana_storage::persist::append_with_chunks(source.path(), batch)?;
+                if !batch.is_empty() {
+                    let reopened = Arc::new(FileSource::open_seeded(
+                        source.path(),
+                        source.cache_budget_bytes(),
+                        written,
+                    )?);
+                    self.insert(name.to_string(), CatalogEntry::File(reopened));
+                }
                 Ok(stats)
             }
             CatalogEntry::Sharded(table) => {
@@ -324,37 +331,14 @@ impl Cohana {
                 Ok(table.ingest(batch)?.total())
             }
             CatalogEntry::Memory(table) => {
-                if table.schema() != batch.schema() {
-                    return Err(EngineError::Unsupported(
-                        "ingest batch schema differs from the table's schema".into(),
-                    ));
-                }
-                let chunks_before = table.chunks().len();
-                let mut rows = table.decompress()?;
-                let mut builder = cohana_activity::TableBuilder::with_capacity(
-                    table.schema().clone(),
-                    rows.num_rows() + batch.num_rows(),
-                );
-                for row in rows.rows().iter().chain(batch.rows()) {
-                    builder.push(row.values().to_vec())?;
-                }
-                rows = builder.finish().map_err(|e| {
-                    EngineError::Unsupported(format!(
-                        "ingest batch conflicts with existing data: {e}"
-                    ))
+                let (grown, stats) = table.ingest(batch).map_err(|e| match e {
+                    StorageError::Invalid(msg) => EngineError::Unsupported(msg),
+                    other => other.into(),
                 })?;
-                let rebuilt = CompressedTable::build(&rows, table.options())?;
-                let chunks_after = rebuilt.chunks().len();
-                self.register(name, rebuilt);
-                Ok(cohana_storage::AppendStats {
-                    rows_appended: batch.num_rows(),
-                    chunks_before,
-                    chunks_after,
-                    // The in-memory path re-sorts globally, so every chunk is
-                    // effectively rewritten and nothing goes dead.
-                    chunks_rewritten: chunks_before,
-                    ..Default::default()
-                })
+                if !batch.is_empty() {
+                    self.register(name, grown);
+                }
+                Ok(stats)
             }
             CatalogEntry::Source(_) => Err(EngineError::Unsupported(format!(
                 "table {name:?} is a generic registered source; only resident tables and \
@@ -393,27 +377,26 @@ impl Cohana {
             .ok_or_else(|| EngineError::UnknownTable(name.into()))?;
         match entry {
             CatalogEntry::File(source) => {
-                let stats = cohana_storage::persist::compact(source.path())?;
-                let reopened = Arc::new(FileSource::open_with_budget(
+                let (stats, written) = cohana_storage::persist::compact_with_chunks(source.path())?;
+                let reopened = Arc::new(FileSource::open_seeded(
                     source.path(),
                     source.cache_budget_bytes(),
+                    written,
                 )?);
                 self.insert(name.to_string(), CatalogEntry::File(reopened));
                 Ok(stats)
             }
             CatalogEntry::Sharded(table) => Ok(table.compact()?),
             CatalogEntry::Memory(table) => {
-                let chunks_before = table.chunks().len();
-                let rebuilt = CompressedTable::build(&table.decompress()?, table.options())?;
-                let chunks_after = rebuilt.chunks().len();
-                let rows = rebuilt.num_rows();
-                self.register(name, rebuilt);
-                Ok(cohana_storage::CompactStats {
-                    chunks_before,
-                    chunks_after,
-                    rows,
+                let rebuilt = table.compacted()?;
+                let stats = cohana_storage::CompactStats {
+                    chunks_before: table.chunks().len(),
+                    chunks_after: rebuilt.chunks().len(),
+                    rows: rebuilt.num_rows(),
                     ..Default::default()
-                })
+                };
+                self.register(name, rebuilt);
+                Ok(stats)
             }
             CatalogEntry::Source(_) => Err(EngineError::Unsupported(format!(
                 "table {name:?} is a generic registered source and cannot be compacted"

@@ -244,15 +244,18 @@ impl<'e> TableHandle<'e> {
 
     /// Ingest a batch of activity tuples. Sharded tables route the batch by
     /// user range and append all touched shards in parallel; single-file
-    /// tables append in place; resident tables rebuild. Statements prepared
-    /// before this call keep their snapshot.
+    /// tables append in place; resident tables grow in memory the same way.
+    /// The snapshot this publishes starts with the chunks the write produced
+    /// already cached (within the cache budget); an empty batch publishes
+    /// nothing. Statements prepared before this call keep their snapshot.
     pub fn ingest(&self, batch: &ActivityTable) -> Result<AppendStats, EngineError> {
         self.engine.ingest_inner(&self.name, batch)
     }
 
     /// Compact the table: merge under-filled chunks, restore primary
     /// ordering, reclaim dead bytes. Sharded tables compact every shard
-    /// that has dead bytes.
+    /// that has dead bytes. Like [`TableHandle::ingest`], the new snapshot
+    /// starts warm.
     pub fn compact(&self) -> Result<CompactStats, EngineError> {
         self.engine.compact_inner(&self.name)
     }

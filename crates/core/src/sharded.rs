@@ -18,7 +18,7 @@
 use crate::error::EngineError;
 use cohana_activity::ActivityTable;
 use cohana_storage::shard::{self, ShardedAppendStats};
-use cohana_storage::{CompactStats, DeleteStats, FileSpaceStats, ShardedSource};
+use cohana_storage::{CompactStats, DeleteStats, FileSpaceStats, ShardedSource, WrittenChunks};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Condvar, Mutex, RwLock, Weak};
 use std::time::Duration;
@@ -155,22 +155,30 @@ impl ShardedTable {
         self.source().num_shards()
     }
 
-    /// Swap in a freshly opened source reflecting the files' current state.
-    fn reopen(&self) -> Result<(), EngineError> {
-        let fresh = Arc::new(ShardedSource::open_with_budget(&self.manifest, self.cache_bytes)?);
+    /// Swap in a freshly opened source reflecting the files' current state,
+    /// its cache seeded with what the write paths just encoded (`(shard,
+    /// chunks)`; empty for a cold reopen).
+    fn publish(&self, written: Vec<(usize, WrittenChunks)>) -> Result<(), EngineError> {
+        let fresh =
+            Arc::new(ShardedSource::open_seeded(&self.manifest, self.cache_bytes, written)?);
         *self.current.write().expect("source lock poisoned") = fresh;
         Ok(())
     }
 
     /// Ingest a batch: route rows to their range-owning shards, append all
     /// touched shards in parallel (each under its single-writer lock file),
-    /// swap in a fresh snapshot, and poke the maintenance thread so it can
-    /// react to freshly created dead bytes without waiting out its poll
-    /// interval.
+    /// swap in a fresh snapshot that starts with the rewritten chunks
+    /// cached, and poke the maintenance thread so it can react to freshly
+    /// created dead bytes without waiting out its poll interval. A batch that
+    /// reaches no shard (an empty one) changes nothing: the current snapshot,
+    /// and everything cached under it, stays.
     pub fn ingest(&self, batch: &ActivityTable) -> Result<ShardedAppendStats, EngineError> {
         let _w = self.write.lock().expect("write lock poisoned");
-        let stats = shard::append_sharded(&self.manifest, batch)?;
-        self.reopen()?;
+        let (stats, written) = shard::append_sharded_with_chunks(&self.manifest, batch)?;
+        if written.is_empty() {
+            return Ok(stats);
+        }
+        self.publish(written)?;
         drop(_w);
         self.poke();
         Ok(stats)
@@ -183,7 +191,7 @@ impl ShardedTable {
         let _w = self.write.lock().expect("write lock poisoned");
         let space = shard::shard_space_stats(&self.manifest)?;
         let mut total = CompactStats::default();
-        let mut any = false;
+        let mut written = Vec::new();
         for (i, s) in space.iter().enumerate() {
             if s.dead_bytes == 0 {
                 total.rows += s.rows as usize;
@@ -193,17 +201,17 @@ impl ShardedTable {
                 total.bytes_after += s.file_bytes;
                 continue;
             }
-            let stats = shard::compact_shard(&self.manifest, i)?;
+            let (stats, chunks) = shard::compact_shard_with_chunks(&self.manifest, i)?;
             total.bytes_before += stats.bytes_before;
             total.bytes_after += stats.bytes_after;
             total.reclaimed_bytes += stats.reclaimed_bytes;
             total.chunks_before += stats.chunks_before;
             total.chunks_after += stats.chunks_after;
             total.rows += stats.rows;
-            any = true;
+            written.push((i, chunks));
         }
-        if any {
-            self.reopen()?;
+        if !written.is_empty() {
+            self.publish(written)?;
         }
         Ok(total)
     }
@@ -215,7 +223,7 @@ impl ShardedTable {
     pub fn delete_users(&self, users: &[&str]) -> Result<DeleteStats, EngineError> {
         let _w = self.write.lock().expect("write lock poisoned");
         let stats = shard::delete_users(&self.manifest, users)?;
-        self.reopen()?;
+        self.publish(Vec::new())?;
         Ok(stats)
     }
 
@@ -239,19 +247,20 @@ impl ShardedTable {
         let _w = self.write.lock().expect("write lock poisoned");
         let recovered = shard::apply_pending_tombstones(&self.manifest)?;
         let space = shard::shard_space_stats(&self.manifest)?;
-        let mut compactions = 0u64;
+        let mut written = Vec::new();
         let mut reclaimed = 0u64;
         let mut max_ratio = 0.0f64;
         for (i, s) in space.iter().enumerate() {
             max_ratio = max_ratio.max(s.dead_ratio());
             if s.dead_bytes > 0 && s.dead_ratio() > self.config.dead_ratio {
-                let stats = shard::compact_shard(&self.manifest, i)?;
-                compactions += 1;
+                let (stats, chunks) = shard::compact_shard_with_chunks(&self.manifest, i)?;
+                written.push((i, chunks));
                 reclaimed += stats.reclaimed_bytes;
             }
         }
+        let compactions = written.len() as u64;
         if compactions > 0 || recovered.shards_rewritten > 0 {
-            self.reopen()?;
+            self.publish(written)?;
         }
         let mut stats = self.stats.lock().expect("stats lock poisoned");
         stats.passes += 1;

@@ -270,3 +270,69 @@ fn ingest_of_v1_file_is_cleanly_rejected() {
     }
     std::fs::remove_file(&path).ok();
 }
+
+/// Column segments one execution of `query` decodes on the engine's default
+/// table right now.
+fn columns_decoded(engine: &Cohana, query: &CohortQuery) -> usize {
+    let report = engine.session().execute(query).expect("query executes");
+    report.stats.expect("engine executions carry stats").columns_decoded
+}
+
+#[test]
+fn a_snapshot_published_by_ingest_or_compact_starts_warm() {
+    let table = base_table();
+    let batches = split_by_time(&table, 3);
+    let q3 = paper::q3();
+    let path = temp_path("warm-publish.cohana");
+    let first =
+        CompressedTable::build(&batches[0], CompressionOptions::with_chunk_size(CHUNK)).unwrap();
+    persist::write_file(&first, &path).unwrap();
+
+    let engine = Cohana::new(EngineOptions::default());
+    let handle = engine.open(&path).open().unwrap();
+    assert!(columns_decoded(&engine, &q3) > 0, "a plain open starts cold");
+
+    // Every user returns in a later time slice: the ingest rewrites every
+    // chunk, and the snapshot it publishes holds them all already.
+    let stats = handle.ingest(&batches[1]).unwrap();
+    assert_eq!(stats.chunks_rewritten, stats.chunks_before);
+    assert_eq!(columns_decoded(&engine, &q3), 0, "first query after ingest decoded columns");
+    let io = handle.source().unwrap().io_stats();
+    assert!(io.cache_resident_bytes > 0 && io.cache_resident_bytes <= io.cache_budget_bytes);
+
+    handle.compact().unwrap();
+    assert_eq!(columns_decoded(&engine, &q3), 0, "first query after compact decoded columns");
+
+    // With no budget nothing is retained, and queries decode as ever.
+    let cold = Cohana::new(EngineOptions::default());
+    let handle = cold.open(&path).cache_bytes(0).open().unwrap();
+    handle.ingest(&batches[2]).unwrap();
+    assert_eq!(handle.source().unwrap().io_stats().cache_resident_bytes, 0);
+    assert!(columns_decoded(&cold, &q3) > 0);
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn an_empty_batch_publishes_nothing_and_keeps_the_cache_warm() {
+    let table = base_table();
+    let empty = TableBuilder::new(table.schema().clone()).finish().unwrap();
+    let q3 = paper::q3();
+    let path = temp_path("empty-batch.cohana");
+    let built = CompressedTable::build(&table, CompressionOptions::with_chunk_size(CHUNK)).unwrap();
+    persist::write_file(&built, &path).unwrap();
+    let resident = Cohana::from_compressed(built, EngineOptions::default());
+
+    let engine = Cohana::new(EngineOptions::default());
+    let handle = engine.open(&path).open().unwrap();
+    assert!(columns_decoded(&engine, &q3) > 0);
+    for (engine, handle) in [(&engine, handle), (&resident, resident.default_table().unwrap())] {
+        let before = handle.source().unwrap();
+        let stats = handle.ingest(&empty).unwrap();
+        assert_eq!((stats.rows_appended, stats.chunks_rewritten, stats.bytes_appended), (0, 0, 0));
+        assert_eq!(stats.chunks_before, stats.chunks_after);
+        let after = handle.source().unwrap();
+        assert!(std::ptr::addr_eq(std::sync::Arc::as_ptr(&before), std::sync::Arc::as_ptr(&after)));
+        assert_eq!(columns_decoded(engine, &q3), 0, "an empty ingest dropped the cache");
+    }
+    std::fs::remove_file(&path).ok();
+}

@@ -339,3 +339,59 @@ fn sharded_table_reopens_after_restart() {
 
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn sharded_snapshots_start_warm_and_an_empty_batch_swaps_nothing() {
+    let table = base_table();
+    let batches = split_by_time(&table, 3);
+    let q3 = paper::q3();
+    let columns_decoded = |engine: &Cohana| {
+        let report = engine.session().execute(&q3).expect("query executes");
+        report.stats.expect("engine executions carry stats").columns_decoded
+    };
+
+    let dir = temp_dir("warm-publish");
+    let engine = Cohana::new(EngineOptions::default());
+    let handle = engine.open(&dir).shards(4).chunk_size(CHUNK).create_from(&batches[0]).unwrap();
+    assert!(columns_decoded(&engine) > 0, "a plain open starts cold");
+
+    // Every user returns in a later time slice: each shard's append rewrites
+    // all its chunks, and the published snapshot holds them, passed through
+    // the shard's overlay into the unified dictionaries.
+    let stats = handle.ingest(&batches[1]).unwrap();
+    assert_eq!(stats.chunks_rewritten, stats.chunks_before);
+    assert_eq!(columns_decoded(&engine), 0, "first query after ingest decoded columns");
+
+    // An empty batch reaches no shard: same snapshot, same warm cache, all
+    // stats zero.
+    let before = handle.sharded_table().unwrap().source();
+    let empty = TableBuilder::new(table.schema().clone()).finish().unwrap();
+    assert_eq!(handle.ingest(&empty).unwrap(), cohana_storage::AppendStats::default());
+    assert!(std::sync::Arc::ptr_eq(&before, &handle.sharded_table().unwrap().source()));
+    assert_eq!(columns_decoded(&engine), 0, "an empty ingest dropped the cache");
+
+    handle.ingest(&batches[2]).unwrap();
+    handle.compact().unwrap();
+    assert_eq!(columns_decoded(&engine), 0, "first query after compact decoded columns");
+    let expect = Cohana::from_activity_table(&table, CompressionOptions::with_chunk_size(CHUNK))
+        .unwrap()
+        .execute(&q3)
+        .unwrap();
+    assert_eq!(engine.execute(&q3).unwrap(), expect, "a warm snapshot answers like build-once");
+    std::fs::remove_dir_all(&dir).ok();
+
+    // With no budget nothing is retained.
+    let dir = temp_dir("warm-publish-no-budget");
+    let cold = Cohana::new(EngineOptions::default());
+    let handle = cold
+        .open(&dir)
+        .shards(4)
+        .chunk_size(CHUNK)
+        .cache_bytes(0)
+        .create_from(&batches[0])
+        .unwrap();
+    handle.ingest(&batches[1]).unwrap();
+    assert_eq!(handle.source().unwrap().io_stats().cache_resident_bytes, 0);
+    assert!(columns_decoded(&cold) > 0);
+    std::fs::remove_dir_all(&dir).ok();
+}

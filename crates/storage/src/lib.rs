@@ -73,6 +73,7 @@ pub mod dict;
 pub mod error;
 pub mod persist;
 pub mod record;
+mod rewrite;
 pub mod rle;
 pub mod shard;
 pub mod source;
@@ -95,6 +96,7 @@ pub use dict::{ChunkDict, GlobalDict};
 pub use error::StorageError;
 pub use persist::{
     AppendStats, CodecStats, ColumnCompression, CompactStats, FileSpaceStats, FormatInfo,
+    WrittenChunks,
 };
 pub use record::{with_recorder, IoRecorder};
 pub use rle::UserRle;

@@ -79,9 +79,10 @@
 //! the current format — is the migration path from v3 to v4. Dictionary
 //! growth is recorded as per-epoch gid remaps in the footer instead of
 //! rewriting blobs; chunks holding users that reappear in a batch are
-//! re-encoded so no user ever spans two chunks. See `docs/FORMAT.md` for
-//! the exact layout and `crate::writer::TableWriter` for the batching
-//! front end.
+//! rewritten so no user ever spans two chunks — spliced and re-cut in their
+//! columnar form by `crate::rewrite`, never through rows. See
+//! `docs/FORMAT.md` for the exact layout and `crate::writer::TableWriter`
+//! for the batching front end.
 //!
 //! # v3, v2 and v1 compatibility
 //!
@@ -101,12 +102,13 @@ use crate::chunk::Chunk;
 use crate::codec::{self, Codec};
 use crate::column::ChunkColumn;
 use crate::dict::{ChunkDict, GlobalDict};
+use crate::rewrite::{self, Splice};
 use crate::rle::UserRle;
 use crate::source::{ChunkIndexEntry, ColumnStats};
 use crate::table::{ColumnMeta, CompressedTable, CompressionOptions, TableMeta};
 use crate::{Result, StorageError};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
-use cohana_activity::{ActivityTable, Attribute, AttributeRole, Schema, TableBuilder, ValueType};
+use cohana_activity::{ActivityTable, Attribute, AttributeRole, Schema, ValueType};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::Path;
 use std::sync::Arc;
@@ -134,6 +136,12 @@ pub fn to_bytes_v3(table: &CompressedTable) -> Bytes {
 }
 
 fn to_bytes_versioned(table: &CompressedTable, version: u32) -> Bytes {
+    image_versioned(table, version).0
+}
+
+/// A whole v3/v4 image, plus where it put every chunk's blobs and where its
+/// footer starts.
+fn image_versioned(table: &CompressedTable, version: u32) -> (Bytes, Vec<ChunkLayout>, u64) {
     debug_assert!(version == 3 || version == 4);
     let mut buf = BytesMut::new();
     buf.put_u32_le(MAGIC);
@@ -155,7 +163,7 @@ fn to_bytes_versioned(table: &CompressedTable, version: u32) -> Bytes {
     let footer_len = buf.len() as u64 - footer_start;
     buf.put_u64_le(footer_len);
     buf.put_u32_le(MAGIC);
-    buf.freeze()
+    (buf.freeze(), layouts, footer_start)
 }
 
 /// Write every chunk's blobs back-to-back into `buf`, returning their
@@ -545,36 +553,27 @@ fn read_exact_at(file: &std::fs::File, offset: u64, len: u64) -> Result<Vec<u8>>
     Ok(buf)
 }
 
-/// Decode one chunk of an open v3/v4 file into current-dictionary terms.
-/// `rle` is the chunk's already-decoded (and remapped) user column when the
-/// caller has it — the returning-user scan decodes every RLE anyway.
+/// Decode the columns of one chunk of an open v3/v4 file into
+/// current-dictionary terms, around its already decoded (and remapped) user
+/// column.
 fn read_chunk_at(
-    file: &mut std::fs::File,
+    file: &std::fs::File,
     footer: &Footer,
     layout: &ChunkLayout,
     ci: usize,
-    rle: Option<UserRle>,
+    rle: UserRle,
 ) -> Result<Chunk> {
     let schema = footer.meta.schema();
-    let rle = match rle {
-        Some(rle) => rle,
-        None => {
-            let mut rle =
-                decode_rle_blob(&read_exact_at(file, layout.rle.offset, layout.rle.len)?)?;
-            if let Some(remap) = footer.remap_for(ci, schema.user_idx()) {
-                rle = rle.remap_users(remap)?;
-            }
-            rle
-        }
-    };
     let mut columns: Vec<Option<Arc<ChunkColumn>>> = vec![None; schema.arity()];
     for (idx, loc) in layout.cols.iter().enumerate() {
         if idx == schema.user_idx() {
             continue;
         }
-        let mut col = decode_column_blob_loc(&read_exact_at(file, loc.offset, loc.len)?, loc)?;
+        let col_err = |e: StorageError| e.in_column(ci, idx);
+        let mut col = decode_column_blob_loc(&read_exact_at(file, loc.offset, loc.len)?, loc)
+            .map_err(col_err)?;
         if let Some(remap) = footer.remap_for(ci, idx) {
-            col = col.remap_gids(remap)?;
+            col = col.remap_gids(remap).map_err(col_err)?;
         }
         columns[idx] = Some(Arc::new(col));
     }
@@ -615,15 +614,19 @@ fn compose_remaps(a: &EpochRemaps, step: &EpochRemaps) -> Result<EpochRemaps> {
 /// tuples, preserving the file's format version (v4 appends codec-compress
 /// the new blobs, v3 appends stay raw).
 ///
-/// The batch is sorted and encoded into chunk-sized runs against the file's
+/// The batch is encoded into chunk-sized runs against the file's
 /// dictionaries *merged* with the batch's new values; the new chunks' blobs
 /// are written after the old footer position and a fresh footer is
 /// serialized at the tail. Nothing already on disk is re-encoded **except**
 /// chunks holding users that also appear in the batch: a returning user's
 /// old and new tuples must live in one chunk (the §4.1 invariant every
-/// executor pass relies on), so those chunks are decoded, merged with the
-/// user's new activity, and re-appended — their old blob versions, like the
-/// old footer, become dead bytes until [`compact`] reclaims them.
+/// executor pass relies on), so those chunks' user runs are block-decoded,
+/// spliced with each user's new activity (appended when it is later than
+/// what the run holds, merged by `(time, action)` otherwise), re-cut at the
+/// chunk size together with the batch's new users, and re-appended — their
+/// old blob versions, like the old footer, become dead bytes until
+/// [`compact`] reclaims them. No chunk comes out larger than `chunk_size`
+/// plus its last user.
 ///
 /// New dictionary values that sort into the middle of a global dictionary do
 /// **not** shift the ids stored in existing blobs: the footer records, per
@@ -634,7 +637,8 @@ fn compose_remaps(a: &EpochRemaps, step: &EpochRemaps) -> Result<EpochRemaps> {
 ///
 /// v1/v2 files are rejected with [`StorageError::Unsupported`] — re-save
 /// them as v3 first. The batch must have the file's schema, and its primary
-/// keys must not collide with existing tuples.
+/// keys must not collide with existing tuples: a collision is
+/// [`StorageError::Invalid`] and leaves the file untouched.
 ///
 /// Readers holding the file open (e.g. a
 /// [`FileSource`](crate::source::FileSource)) are unaffected: their footer
@@ -648,6 +652,28 @@ fn compose_remaps(a: &EpochRemaps, step: &EpochRemaps) -> Result<EpochRemaps> {
 /// engine's `Cohana::ingest` does (one write lock per engine);
 /// out-of-engine callers own the coordination.
 pub fn append(path: &Path, batch: &ActivityTable) -> Result<AppendStats> {
+    Ok(append_with_chunks(path, batch)?.0)
+}
+
+/// The chunks a write path encoded, each with its position and blob layout
+/// in the footer that write produced. A source opened over that footer can
+/// adopt them ([`FileSource::open_seeded`](crate::source::FileSource::open_seeded))
+/// instead of reading back and decoding what the writer held in memory.
+#[derive(Debug, Default)]
+pub struct WrittenChunks {
+    /// File offset of the footer the write produced.
+    pub(crate) footer_start: u64,
+    /// `(chunk index in that footer, where its blobs went, the chunk)`, in
+    /// the file's own (current) dictionary terms.
+    pub(crate) chunks: Vec<(usize, ChunkLayout, Chunk)>,
+}
+
+/// [`append`], also handing back the chunks it wrote (none for an empty
+/// batch).
+pub fn append_with_chunks(
+    path: &Path,
+    batch: &ActivityTable,
+) -> Result<(AppendStats, WrittenChunks)> {
     let mut file = std::fs::OpenOptions::new().read(true).write(true).open(path)?;
     let total = file.seek(SeekFrom::End(0))?;
     if total < HEADER_LEN + TAIL_LEN {
@@ -664,43 +690,21 @@ pub fn append(path: &Path, batch: &ActivityTable) -> Result<AppendStats> {
     }
     let chunks_before = footer.locations.len();
     if batch.is_empty() {
-        return Ok(AppendStats {
+        let stats = AppendStats {
             chunks_before,
             chunks_after: chunks_before,
             file_bytes: total,
             dead_bytes: dead_bytes(total, &footer),
             ..AppendStats::default()
-        });
+        };
+        return Ok((stats, WrittenChunks::default()));
     }
     let layouts = footer.layouts.as_ref().expect("v3+ footers always carry layouts").clone();
 
-    // Merge the batch's new values into every dictionary, remembering the
-    // strictly increasing remap of each old dictionary into its merged form;
-    // widen integer ranges.
-    let old_is_empty = footer.meta.num_rows() == 0;
-    let mut metas = Vec::with_capacity(schema.arity());
-    let mut step: EpochRemaps = Vec::with_capacity(schema.arity());
-    for (idx, meta) in footer.meta.metas().iter().enumerate() {
-        match meta {
-            ColumnMeta::User { dict } | ColumnMeta::Str { dict } => {
-                let (merged, remap) = dict.merge_with(batch.distinct_strings(idx));
-                let identity = merged.len() == dict.len();
-                step.push((!identity).then(|| Arc::new(remap)));
-                metas.push(if matches!(meta, ColumnMeta::User { .. }) {
-                    ColumnMeta::User { dict: merged }
-                } else {
-                    ColumnMeta::Str { dict: merged }
-                });
-            }
-            ColumnMeta::Int { min, max } => {
-                let (bmin, bmax) = batch.int_range(idx).expect("batch is non-empty");
-                let (min, max) =
-                    if old_is_empty { (bmin, bmax) } else { ((*min).min(bmin), (*max).max(bmax)) };
-                step.push(None);
-                metas.push(ColumnMeta::Int { min, max });
-            }
-        }
-    }
+    // Merge the batch's new values into every dictionary (remembering the
+    // strictly increasing step remap of each old dictionary into its merged
+    // form), widen integer ranges, and encode the batch in those terms.
+    let splice = Splice::plan(&footer.meta, batch)?;
 
     // Old chunks containing users that also appear in the batch must be
     // rewritten (their RLE blobs are cheap to scan relative to full chunk
@@ -708,50 +712,26 @@ pub fn append(path: &Path, batch: &ActivityTable) -> Result<AppendStats> {
     // its dictionary epoch as corruption instead of silently misclassifying
     // the chunk, and hands the decoded user column to the rewrite below.
     let user_idx = schema.user_idx();
-    let old_user_dict = footer.meta.global_dict(user_idx).expect("user dictionary");
-    let returning: std::collections::HashSet<u32> = batch
-        .distinct_strings(user_idx)
-        .into_iter()
-        .filter_map(|u| old_user_dict.lookup(u))
-        .collect();
-    let mut affected = vec![false; chunks_before];
-    let mut affected_rles: Vec<Option<UserRle>> = (0..chunks_before).map(|_| None).collect();
-    if !returning.is_empty() {
+    let mut touched: Vec<(usize, Chunk)> = Vec::new();
+    if splice.has_returning_users() {
         for (ci, layout) in layouts.iter().enumerate() {
-            let mut rle =
-                decode_rle_blob(&read_exact_at(&file, layout.rle.offset, layout.rle.len)?)
-                    .map_err(|e| StorageError::Corrupt(format!("chunk {ci}: {e}")))?;
+            let in_chunk = |e: StorageError| StorageError::Corrupt(format!("chunk {ci}: {e}"));
+            let blob = read_exact_at(&file, layout.rle.offset, layout.rle.len)?;
+            let mut rle = decode_rle_blob(&blob).map_err(in_chunk)?;
             if let Some(remap) = footer.remap_for(ci, user_idx) {
-                rle = rle
-                    .remap_users(remap)
-                    .map_err(|e| StorageError::Corrupt(format!("chunk {ci}: {e}")))?;
+                rle = rle.remap_users(remap).map_err(in_chunk)?;
             }
-            if rle.runs().any(|run| returning.contains(&run.user_gid)) {
-                affected[ci] = true;
-                affected_rles[ci] = Some(rle);
+            if splice.touches(&rle).map_err(in_chunk)? {
+                touched.push((ci, read_chunk_at(&file, &footer, layout, ci, rle)?));
             }
         }
     }
 
-    // The delta: every rewritten chunk's rows plus the batch, re-sorted into
-    // primary-key order and encoded against the merged dictionaries.
-    let mut builder = TableBuilder::with_capacity(schema.clone(), batch.num_rows());
-    for (ci, layout) in layouts.iter().enumerate() {
-        if !affected[ci] {
-            continue;
-        }
-        let chunk = read_chunk_at(&mut file, &footer, layout, ci, affected_rles[ci].take())?;
-        for values in crate::table::chunk_rows(&footer.meta, &chunk) {
-            builder.push(values).map_err(|e| StorageError::Corrupt(e.to_string()))?;
-        }
-    }
-    for row in batch.rows() {
-        builder.push(row.values().to_vec()).map_err(|e| StorageError::Invalid(e.to_string()))?;
-    }
-    let delta = builder.finish().map_err(|e| {
-        StorageError::Invalid(format!("append batch conflicts with existing data: {e}"))
-    })?;
-    let delta_ct = CompressedTable::build_with_metas(&delta, metas.clone(), footer.meta.options())?;
+    // The delta: every touched chunk's user runs with the batch spliced in,
+    // re-cut at the chunk size, against the merged dictionaries. A colliding
+    // primary key fails here, before anything is written.
+    let delta = splice.rewrite(&touched)?;
+    let Splice { metas, step, .. } = splice;
 
     // Compose the dictionary epochs. Surviving chunks keep their numeric
     // epoch tag: when the step is non-trivial it is pushed as a new epoch at
@@ -760,7 +740,9 @@ pub fn append(path: &Path, batch: &ActivityTable) -> Result<AppendStats> {
     let old_epoch_of = |ci: usize| -> u32 {
         footer.chunk_epochs.get(ci).copied().unwrap_or(footer.epochs.len() as u32)
     };
-    let surviving: Vec<usize> = (0..chunks_before).filter(|&ci| !affected[ci]).collect();
+    let mut rewritten = touched.iter().map(|(ci, _)| *ci).peekable();
+    let surviving: Vec<usize> =
+        (0..chunks_before).filter(|ci| rewritten.next_if_eq(ci).is_none()).collect();
     let step_identity = step.iter().all(Option::is_none);
     let epochs: Vec<EpochRemaps> = if surviving.is_empty() {
         Vec::new()
@@ -778,8 +760,7 @@ pub fn append(path: &Path, batch: &ActivityTable) -> Result<AppendStats> {
     // action gids re-based onto the merged dictionary) followed by the delta
     // chunks at the tail.
     let action_remap = step[schema.action_idx()].as_ref();
-    let mut all_layouts: Vec<ChunkLayout> =
-        Vec::with_capacity(surviving.len() + delta_ct.chunks().len());
+    let mut all_layouts: Vec<ChunkLayout> = Vec::with_capacity(surviving.len() + delta.len());
     let mut all_entries: Vec<ChunkIndexEntry> = Vec::with_capacity(all_layouts.capacity());
     let mut chunk_epochs: Vec<u32> = Vec::with_capacity(all_layouts.capacity());
     for &ci in &surviving {
@@ -798,10 +779,10 @@ pub fn append(path: &Path, batch: &ActivityTable) -> Result<AppendStats> {
         chunk_epochs.push(old_epoch_of(ci));
     }
     let mut tail_buf = BytesMut::new();
-    let new_layouts = write_blobs(&mut tail_buf, delta_ct.chunks(), &schema, total, version);
-    for (layout, entry) in new_layouts.into_iter().zip(delta_ct.index_entries()) {
-        all_layouts.push(layout);
-        all_entries.push(entry.clone());
+    let new_layouts = write_blobs(&mut tail_buf, &delta, &schema, total, version);
+    for (layout, chunk) in new_layouts.iter().zip(&delta) {
+        all_layouts.push(layout.clone());
+        all_entries.push(ChunkIndexEntry::of_chunk(chunk, &schema));
         chunk_epochs.push(current_epoch);
     }
     let num_rows: u64 = all_entries.iter().map(|e| e.num_rows).sum();
@@ -832,15 +813,17 @@ pub fn append(path: &Path, batch: &ActivityTable) -> Result<AppendStats> {
     let file_bytes = total + tail_buf.len() as u64;
     let live_payload: u64 =
         all_layouts.iter().map(|l| l.rle.len + l.cols.iter().map(|loc| loc.len).sum::<u64>()).sum();
-    Ok(AppendStats {
+    let stats = AppendStats {
         rows_appended: batch.num_rows(),
         chunks_before,
         chunks_after: all_layouts.len(),
-        chunks_rewritten: affected.iter().filter(|a| **a).count(),
+        chunks_rewritten: touched.len(),
         bytes_appended: tail_buf.len() as u64,
         dead_bytes: file_bytes - HEADER_LEN - live_payload - footer_len - TAIL_LEN,
         file_bytes,
-    })
+    };
+    let chunks = (surviving.len()..).zip(new_layouts).zip(delta).map(|((i, l), c)| (i, l, c));
+    Ok((stats, WrittenChunks { footer_start, chunks: chunks.collect() }))
 }
 
 /// Dead (unreferenced) payload bytes in a parsed file image.
@@ -891,15 +874,22 @@ pub fn file_space_stats(path: &Path) -> Result<FileSpaceStats> {
 }
 
 /// Rewrite a v3/v4 file compactly: decode everything (through any
-/// dictionary epochs), re-sort into the paper's §3 `(user, time, action)`
-/// primary order, re-chunk at the configured target size, rebuild minimal
-/// sorted dictionaries, and atomically replace the file (write to a sibling
-/// temp file, then rename). This merges the under-filled chunks appends
-/// leave behind, restores the §4.2 pruning quality of time-clustered
-/// chunks, drops every dead byte, and resets the epoch history. The rewrite
-/// always emits the current [`VERSION`], so compacting a v3 file doubles as
-/// the v3 → v4 migration path.
+/// dictionary epochs), put every user's run back into the paper's §3
+/// `(user, time, action)` primary order, re-chunk at the configured target
+/// size, rebuild minimal sorted dictionaries, and atomically replace the
+/// file (write to a sibling temp file, then rename). This merges the
+/// under-filled chunks appends leave behind, restores the §4.2 pruning
+/// quality of time-clustered chunks, drops every dead byte, and resets the
+/// epoch history — the image is byte for byte what building the table once
+/// from the same tuples writes. The rewrite always emits the current
+/// [`VERSION`], so compacting a v3 file doubles as the v3 → v4 migration
+/// path.
 pub fn compact(path: &Path) -> Result<CompactStats> {
+    Ok(compact_with_chunks(path)?.0)
+}
+
+/// [`compact`], also handing back the chunks of the new image.
+pub fn compact_with_chunks(path: &Path) -> Result<(CompactStats, WrittenChunks)> {
     let data = std::fs::read(path)?;
     let bytes_before = data.len() as u64;
     if data.len() < HEADER_LEN as usize {
@@ -907,25 +897,33 @@ pub fn compact(path: &Path) -> Result<CompactStats> {
     }
     require_growable(&data[..HEADER_LEN as usize], "compact")?;
     let table = from_bytes(&data)?;
-    let chunks_before = table.chunks().len();
-    let rows = table.decompress()?;
-    let rebuilt = CompressedTable::build(&rows, table.options())?;
-    let bytes = to_bytes(&rebuilt);
+    let (rebuilt, _) = rewrite::rebuild(table.table_meta(), table.chunks(), &[])?;
+    let (bytes, layouts, footer_start) = image_versioned(&rebuilt, VERSION);
+    replace_file(path, "compact-tmp", &bytes)?;
 
-    let mut tmp = path.as_os_str().to_os_string();
-    tmp.push(".compact-tmp");
-    let tmp = std::path::PathBuf::from(tmp);
-    std::fs::write(&tmp, &bytes)?;
-    std::fs::rename(&tmp, path)?;
-
-    Ok(CompactStats {
+    let stats = CompactStats {
         bytes_before,
         bytes_after: bytes.len() as u64,
         reclaimed_bytes: bytes_before.saturating_sub(bytes.len() as u64),
-        chunks_before,
+        chunks_before: table.chunks().len(),
         chunks_after: rebuilt.chunks().len(),
         rows: rebuilt.num_rows(),
-    })
+    };
+    let chunks = layouts.into_iter().zip(rebuilt.chunks()).enumerate();
+    let chunks = chunks.map(|(i, (layout, chunk))| (i, layout, chunk.clone())).collect();
+    Ok((stats, WrittenChunks { footer_start, chunks }))
+}
+
+/// Atomically replace `path` with `bytes`: write a sibling `path.<suffix>`
+/// file, then rename it over the target, so open readers keep the old inode.
+pub(crate) fn replace_file(path: &Path, suffix: &str, bytes: &[u8]) -> Result<()> {
+    let mut tmp = path.as_os_str().to_os_string();
+    tmp.push(".");
+    tmp.push(suffix);
+    let tmp = std::path::PathBuf::from(tmp);
+    std::fs::write(&tmp, bytes)?;
+    std::fs::rename(&tmp, path)?;
+    Ok(())
 }
 
 // --------------------------------------------------------------- inspect
@@ -1959,7 +1957,7 @@ mod range_tests;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cohana_activity::{generate, GeneratorConfig};
+    use cohana_activity::{generate, GeneratorConfig, TableBuilder};
 
     fn compressed() -> CompressedTable {
         let t = generate(&GeneratorConfig::small());

@@ -41,7 +41,7 @@
 //! shard.
 
 use crate::dict::GlobalDict;
-use crate::persist::{self, AppendStats, CompactStats};
+use crate::persist::{self, AppendStats, CompactStats, WrittenChunks};
 use crate::source::{shared_cache, ChunkIndexEntry, ChunkRef, ChunkSource, SourceIoStats};
 use crate::source::{FileSource, DEFAULT_CACHE_BUDGET};
 use crate::table::{ColumnMeta, CompressedTable, TableMeta};
@@ -264,13 +264,7 @@ pub fn read_manifest(path: &Path) -> Result<ShardManifest> {
 /// rename over the target, so a reader never observes a partial map.
 pub fn write_manifest(path: &Path, manifest: &ShardManifest) -> Result<()> {
     manifest.validate()?;
-    let target = manifest_path(path);
-    let mut tmp = target.as_os_str().to_os_string();
-    tmp.push(".tmp");
-    let tmp = PathBuf::from(tmp);
-    std::fs::write(&tmp, manifest.encode())?;
-    std::fs::rename(&tmp, &target)?;
-    Ok(())
+    persist::replace_file(&manifest_path(path), "tmp", &manifest.encode())
 }
 
 // ------------------------------------------------------------ shard lock
@@ -471,6 +465,15 @@ impl ShardedAppendStats {
 /// manifest is not modified (boundaries are immutable after creation), so
 /// concurrent readers are unaffected until they reopen.
 pub fn append_sharded(path: &Path, batch: &ActivityTable) -> Result<ShardedAppendStats> {
+    Ok(append_sharded_with_chunks(path, batch)?.0)
+}
+
+/// [`append_sharded`], also handing back what each touched shard wrote (for
+/// [`ShardedSource::open_seeded`]).
+pub fn append_sharded_with_chunks(
+    path: &Path,
+    batch: &ActivityTable,
+) -> Result<(ShardedAppendStats, Vec<(usize, WrittenChunks)>)> {
     let manifest_file = manifest_path(path);
     let dir = manifest_file.parent().unwrap_or(Path::new(".")).to_path_buf();
     let manifest = read_manifest(&manifest_file)?;
@@ -483,19 +486,21 @@ pub fn append_sharded(path: &Path, batch: &ActivityTable) -> Result<ShardedAppen
             let shard_path = manifest.shard_path(&dir, i);
             handles.push((
                 i,
-                scope.spawn(move || -> Result<AppendStats> {
+                scope.spawn(move || -> Result<(AppendStats, WrittenChunks)> {
                     let _lock = ShardLock::acquire(&shard_path, LOCK_TIMEOUT)?;
-                    persist::append(&shard_path, part)
+                    persist::append_with_chunks(&shard_path, part)
                 }),
             ));
         }
         handles
             .into_iter()
-            .map(|(i, h)| h.join().expect("shard append thread panicked").map(|s| (i, s)))
+            .map(|(i, h)| h.join().expect("shard append thread panicked").map(|r| (i, r)))
             .collect::<Result<Vec<_>>>()
     })?;
 
-    Ok(ShardedAppendStats { per_shard: results })
+    let (per_shard, written) =
+        results.into_iter().map(|(i, (stats, written))| ((i, stats), (i, written))).unzip();
+    Ok((ShardedAppendStats { per_shard }, written))
 }
 
 // ----------------------------------------------------------- maintenance
@@ -504,6 +509,14 @@ pub fn append_sharded(path: &Path, batch: &ActivityTable) -> Result<ShardedAppen
 /// [`persist::compact`]'s temp-file + rename, so open readers keep their
 /// pre-compact snapshot through the old inode.
 pub fn compact_shard(path: &Path, shard: usize) -> Result<CompactStats> {
+    Ok(compact_shard_with_chunks(path, shard)?.0)
+}
+
+/// [`compact_shard`], also handing back the chunks of the shard's new image.
+pub fn compact_shard_with_chunks(
+    path: &Path,
+    shard: usize,
+) -> Result<(CompactStats, WrittenChunks)> {
     let manifest_file = manifest_path(path);
     let dir = manifest_file.parent().unwrap_or(Path::new(".")).to_path_buf();
     let manifest = read_manifest(&manifest_file)?;
@@ -516,7 +529,7 @@ pub fn compact_shard(path: &Path, shard: usize) -> Result<CompactStats> {
     }
     let shard_path = manifest.shard_path(&dir, shard);
     let _lock = ShardLock::acquire(&shard_path, LOCK_TIMEOUT)?;
-    persist::compact(&shard_path)
+    persist::compact_with_chunks(&shard_path)
 }
 
 /// Space accounting of every shard, cheapest-possible (one footer parse per
@@ -597,32 +610,14 @@ pub fn apply_pending_tombstones(path: &Path) -> Result<DeleteStats> {
         let _lock = ShardLock::acquire(&shard_path, LOCK_TIMEOUT)?;
         let bytes_before = std::fs::metadata(&shard_path)?.len();
         let table = persist::read_file(&shard_path)?;
-        let rows = table.decompress()?;
-        let user_idx = rows.schema().user_idx();
-        let victim_set: BTreeSet<&str> = victims.iter().copied().collect();
-        let mut deleted_users: BTreeSet<&str> = BTreeSet::new();
-        let mut kept = Vec::with_capacity(rows.num_rows());
-        for row in rows.rows() {
-            let user = row.get(user_idx).as_str().expect("user is a string");
-            if victim_set.contains(user) {
-                deleted_users.insert(user);
-                stats.rows_deleted += 1;
-            } else {
-                kept.push(row.clone());
-            }
-        }
-        if deleted_users.is_empty() {
+        let (rebuilt, dropped) =
+            crate::rewrite::rebuild(table.table_meta(), table.chunks(), victims)?;
+        if dropped.users == 0 {
             continue; // Nothing of these users in this shard: no rewrite.
         }
-        stats.users_deleted += deleted_users.len();
-        let filtered = ActivityTable::from_sorted_rows(rows.schema().clone(), kept)
-            .expect("dropping whole users keeps a sorted table sorted");
-        let rebuilt = CompressedTable::build(&filtered, table.options())?;
-        let mut tmp = shard_path.as_os_str().to_os_string();
-        tmp.push(".delete-tmp");
-        let tmp = PathBuf::from(tmp);
-        persist::write_file(&rebuilt, &tmp)?;
-        std::fs::rename(&tmp, &shard_path)?;
+        stats.users_deleted += dropped.users;
+        stats.rows_deleted += dropped.rows;
+        persist::replace_file(&shard_path, "delete-tmp", &persist::to_bytes(&rebuilt))?;
         stats.shards_rewritten += 1;
         let bytes_after = std::fs::metadata(&shard_path)?.len();
         stats.reclaimed_bytes += bytes_before.saturating_sub(bytes_after);
@@ -660,6 +655,18 @@ impl ShardedSource {
     /// Open with an explicit shared segment-cache byte budget (one budget
     /// across all shards).
     pub fn open_with_budget(path: &Path, cache_budget: usize) -> Result<ShardedSource> {
+        Self::open_seeded(path, cache_budget, Vec::new())
+    }
+
+    /// Like [`ShardedSource::open_with_budget`], starting with the chunks
+    /// the write paths just encoded — `(shard, what it wrote)`, from
+    /// [`append_sharded_with_chunks`] / [`compact_shard_with_chunks`] —
+    /// already in the shared cache (see [`FileSource::open_seeded`]).
+    pub fn open_seeded(
+        path: &Path,
+        cache_budget: usize,
+        written: Vec<(usize, WrittenChunks)>,
+    ) -> Result<ShardedSource> {
         let manifest_file = manifest_path(path);
         let dir = manifest_file.parent().unwrap_or(Path::new(".")).to_path_buf();
         let manifest = read_manifest(&manifest_file)?;
@@ -674,6 +681,11 @@ impl ShardedSource {
         for shard in &mut shards {
             let overlay = overlay_for_shard(&meta, shard.table_meta())?;
             shard.rebase(meta.clone(), overlay)?;
+        }
+        for (i, written) in written {
+            if let Some(shard) = shards.get(i) {
+                shard.seed(written)?;
+            }
         }
 
         let mut chunk_map = Vec::new();
@@ -971,20 +983,19 @@ mod tests {
         let sharded = ShardedSource::open(&dir).unwrap();
         assert_eq!(sharded.num_shards(), 3);
         assert_eq!(sharded.table_meta().num_rows(), t.num_rows());
-        // Decompressing every chunk through the source yields the original
-        // rows (order within the table differs across shard boundaries only
-        // by user ranges, which are disjoint and ascending — so the simple
-        // concatenation equals the sorted original).
-        let mut all_rows = Vec::new();
-        let meta = sharded.table_meta().clone();
-        for i in 0..sharded.num_chunks() {
-            let chunk = sharded.chunk(i).unwrap();
-            all_rows.extend(crate::table::chunk_rows(&meta, &chunk));
-        }
-        assert_eq!(all_rows.len(), t.num_rows());
-        let original: Vec<Vec<cohana_activity::Value>> =
-            t.rows().iter().map(|r| r.values().to_vec()).collect();
-        assert_eq!(all_rows, original);
+        // The chunks the source serves, taken as one table in its unified
+        // dictionary space, decompress to the original rows.
+        let meta = sharded.table_meta();
+        let chunks = (0..sharded.num_chunks()).map(|i| (*sharded.chunk(i).unwrap()).clone());
+        let whole = CompressedTable::from_parts(
+            meta.schema().clone(),
+            meta.metas().to_vec(),
+            chunks.collect(),
+            meta.num_rows(),
+            meta.options(),
+        )
+        .unwrap();
+        assert_eq!(whole.decompress().unwrap().rows(), t.rows());
         std::fs::remove_dir_all(&dir).ok();
     }
 

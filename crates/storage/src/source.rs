@@ -575,6 +575,61 @@ impl FileSource {
         Self::open_shared(path, shared_cache(cache_budget), 0)
     }
 
+    /// Like [`FileSource::open_with_budget`], starting with the chunks a
+    /// write path just encoded ([`persist::append_with_chunks`],
+    /// [`persist::compact_with_chunks`]) already in the cache, so the first
+    /// reader of the new snapshot does not decode what the writer held in
+    /// memory a moment earlier. They enter through the ordinary cache insert:
+    /// charged like any decoded segment, within the budget, evicted LRU.
+    pub fn open_seeded(
+        path: &Path,
+        cache_budget: usize,
+        written: persist::WrittenChunks,
+    ) -> Result<FileSource> {
+        let source = Self::open_with_budget(path, cache_budget)?;
+        source.seed(written)?;
+        Ok(source)
+    }
+
+    /// Adopt written chunks as cached segments, passed through the overlay
+    /// exactly as a decoded segment is (so call after any
+    /// [`FileSource::rebase`]). A chunk is adopted only where this source's
+    /// footer is the one its writer produced — same footer offset, same blob
+    /// locations — and is otherwise left to be decoded on demand.
+    pub(crate) fn seed(&self, written: persist::WrittenChunks) -> Result<()> {
+        let Some(layouts) = &self.layouts else { return Ok(()) };
+        if written.footer_start != self.payload_end {
+            return Ok(());
+        }
+        let user_idx = self.meta.schema().user_idx();
+        for (idx, layout, chunk) in written.chunks {
+            if layouts.get(idx) != Some(&layout) {
+                continue;
+            }
+            let rle = match self.overlay_for(user_idx) {
+                Some(remap) => Arc::new(chunk.user_rle().remap_users(remap)?),
+                None => chunk.shared_rle().clone(),
+            };
+            let mut cache = self.cache.lock().expect("cache lock poisoned");
+            let bytes = rle.packed_bytes();
+            cache.insert((self.cache_id, idx as u32, SEG_RLE), CacheSlot::Rle(rle), bytes);
+            for (attr, col) in chunk.columns().iter().enumerate() {
+                let Some(col) = col else { continue };
+                let col = match self.overlay_for(attr) {
+                    Some(remap) => Arc::new(col.remap_gids(remap)?),
+                    None => col.clone(),
+                };
+                let bytes = col.packed_bytes();
+                cache.insert(
+                    (self.cache_id, idx as u32, seg_col(attr)),
+                    CacheSlot::Col(col),
+                    bytes,
+                );
+            }
+        }
+        Ok(())
+    }
+
     /// Open a file against an existing (possibly shared) segment cache,
     /// tagging every cache entry with `cache_id`. This is how a sharded
     /// table gives all its shard files one byte budget; each shard gets a

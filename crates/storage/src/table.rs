@@ -58,6 +58,16 @@ pub enum ColumnMeta {
     },
 }
 
+impl ColumnMeta {
+    /// The global dictionary of a user or string attribute.
+    pub fn dict(&self) -> Option<&GlobalDict> {
+        match self {
+            ColumnMeta::User { dict } | ColumnMeta::Str { dict } => Some(dict),
+            ColumnMeta::Int { .. } => None,
+        }
+    }
+}
+
 /// The chunk-independent part of a compressed table: schema, per-attribute
 /// global metadata (dictionaries / ranges), row count, and compression
 /// options.
@@ -128,10 +138,7 @@ impl TableMeta {
 
     /// The global dictionary of a string (or user) attribute.
     pub fn global_dict(&self, attr_idx: usize) -> Option<&GlobalDict> {
-        match &self.metas[attr_idx] {
-            ColumnMeta::User { dict } | ColumnMeta::Str { dict } => Some(dict),
-            ColumnMeta::Int { .. } => None,
-        }
+        self.metas[attr_idx].dict()
     }
 
     /// Resolve a string to its global id in an attribute's dictionary.
@@ -345,9 +352,9 @@ impl CompressedTable {
 }
 
 /// Decode every row of one fully materialized chunk back into values, in
-/// storage order (shared by [`CompressedTable::decompress`] and the append
-/// path, which must re-encode the chunks of returning users).
-pub(crate) fn chunk_rows(meta: &TableMeta, chunk: &Chunk) -> Vec<Vec<Value>> {
+/// storage order — the row export behind [`CompressedTable::decompress`].
+/// Nothing that rewrites a table goes through rows; see `crate::rewrite`.
+fn chunk_rows(meta: &TableMeta, chunk: &Chunk) -> Vec<Vec<Value>> {
     let schema = meta.schema();
     let user_idx = schema.user_idx();
     let n = chunk.num_rows();

@@ -3,11 +3,12 @@
 //! dictionary-epoch remapping, refresh-based cache invalidation, and
 //! compaction.
 
-use cohana_activity::{generate, ActivityTable, GeneratorConfig, TableBuilder};
+use cohana_activity::{generate, ActivityTable, GeneratorConfig, Schema, TableBuilder, Value};
 use cohana_storage::{
-    persist, ChunkSource, CompressedTable, CompressionOptions, FileSource, StorageError,
-    TableWriter,
+    persist, shard, ChunkSource, CompressedTable, CompressionOptions, FileSource, ShardedSource,
+    StorageError, TableWriter, DEFAULT_CACHE_BUDGET,
 };
+use proptest::prelude::*;
 use std::path::PathBuf;
 
 const CHUNK: usize = 256;
@@ -194,12 +195,211 @@ fn append_rejects_v1_and_v2_files() {
 #[test]
 fn append_rejects_duplicate_keys_and_foreign_schema() {
     let table = base_table();
+    let batches = split_by_time(&table, 2);
     let path = temp_path("conflict.cohana");
     let c = CompressedTable::build(&table, CompressionOptions::with_chunk_size(CHUNK)).unwrap();
     persist::write_file(&c, &path).unwrap();
-    // Re-appending the same rows collides on every primary key.
-    assert!(matches!(persist::append(&path, &table).unwrap_err(), StorageError::Invalid(_)));
+    let before = std::fs::read(&path).unwrap();
+
+    // Re-appending the same rows collides on every primary key; so does a
+    // batch of new tuples hiding a single existing one. Either way nothing
+    // is written.
+    let mut one_collision = TableBuilder::new(table.schema().clone());
+    let tidx = table.schema().time_idx();
+    for row in batches[1].rows() {
+        let mut later = row.values().to_vec();
+        later[tidx] = Value::int(later[tidx].as_int().unwrap() + 1_000_000_000);
+        one_collision.push(later).unwrap();
+    }
+    let existing = &table.rows()[table.num_rows() / 2];
+    one_collision.push(existing.values().to_vec()).unwrap();
+    for batch in [table.clone(), one_collision.finish().unwrap()] {
+        match persist::append(&path, &batch).unwrap_err() {
+            StorageError::Invalid(msg) => {
+                assert!(msg.starts_with("append batch conflicts with existing data: "), "{msg}")
+            }
+            other => panic!("expected Invalid, got {other:?}"),
+        }
+        assert_eq!(std::fs::read(&path).unwrap(), before, "a rejected append wrote bytes");
+    }
+
+    let narrower = Schema::new(table.schema().attributes()[..3].to_vec()).unwrap();
+    let foreign = TableBuilder::new(narrower).finish().unwrap();
+    assert!(matches!(persist::append(&path, &foreign).unwrap_err(), StorageError::Invalid(_)));
+    assert_eq!(std::fs::read(&path).unwrap(), before);
     std::fs::remove_file(&path).ok();
+}
+
+/// Every chunk obeys the bound `CompressedTable::build` gives: it closed at
+/// the first user boundary at or past the chunk size.
+fn assert_chunk_bound(table: &CompressedTable, chunk_size: usize) {
+    for (ci, chunk) in table.chunks().iter().enumerate() {
+        let last = chunk.user_rle().run(chunk.num_users() - 1);
+        assert!(
+            chunk.num_rows() - (last.count as usize) < chunk_size,
+            "chunk {ci} holds {} rows, {} of its last user: past the {chunk_size}-row target",
+            chunk.num_rows(),
+            last.count
+        );
+    }
+}
+
+#[test]
+fn twenty_appends_to_one_user_set_never_outgrow_the_chunk_bound() {
+    let table = base_table();
+    let batches = split_by_time(&table, 21);
+    let (path, stats) = build_by_appends("twenty.cohana", &batches);
+    assert_eq!(stats.len(), 20);
+    assert!(stats.iter().all(|s| s.chunks_rewritten > 0), "every slice revisits users");
+    let eager = persist::read_file(&path).unwrap();
+    assert_chunk_bound(&eager, CHUNK);
+    // Re-cut chunks stay full, so the table has about as many chunks as
+    // building it once would give it, not one more per append.
+    let once = CompressedTable::build(&table, CompressionOptions::with_chunk_size(CHUNK)).unwrap();
+    assert!(eager.chunks().len() <= once.chunks().len() + 20, "{}", eager.chunks().len());
+    assert_eq!(eager.decompress().unwrap().rows(), table.rows());
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn append_stats_on_a_two_chunk_file() {
+    // Users a, b fill chunk 0 and c, d chunk 1 (two tuples each, four rows
+    // per chunk). The batch brings two more tuples of `a` and a new user
+    // `e`: chunk 0 goes through the splice and is re-cut into [a] (four
+    // rows: full) and [b, e]; chunk 1 is not touched.
+    let schema = Schema::game_actions();
+    let row = |user: &str, time: i64| {
+        vec![
+            Value::str(user),
+            Value::int(time),
+            Value::str("launch"),
+            Value::str("Australia"),
+            Value::str("Sydney"),
+            Value::str("dwarf"),
+            Value::int(1),
+            Value::int(0),
+        ]
+    };
+    let table_of = |rows: &[(&str, i64)]| {
+        let mut b = TableBuilder::new(schema.clone());
+        for (user, time) in rows {
+            b.push(row(user, *time)).unwrap();
+        }
+        b.finish().unwrap()
+    };
+    let base =
+        table_of(&[("a", 1), ("a", 2), ("b", 1), ("b", 2), ("c", 1), ("c", 2), ("d", 1), ("d", 2)]);
+    let path = temp_path("two-chunks.cohana");
+    let c = CompressedTable::build(&base, CompressionOptions::with_chunk_size(4)).unwrap();
+    assert_eq!(c.chunks().len(), 2);
+    persist::write_file(&c, &path).unwrap();
+    let len_before = std::fs::metadata(&path).unwrap().len();
+
+    let stats =
+        persist::append(&path, &table_of(&[("a", 3), ("a", 4), ("e", 1), ("e", 2)])).unwrap();
+    let len_after = std::fs::metadata(&path).unwrap().len();
+    assert_eq!(stats.rows_appended, 4);
+    assert_eq!((stats.chunks_before, stats.chunks_rewritten, stats.chunks_after), (2, 1, 3));
+    assert_eq!(stats.bytes_appended, len_after - len_before);
+    assert_eq!(stats.file_bytes, len_after);
+    // Dead bytes are what the new footer no longer references — the old
+    // footer and tail, and chunk 0's old blobs — as a fresh parse of the
+    // file counts them.
+    let space = persist::file_space_stats(&path).unwrap();
+    assert_eq!(stats.dead_bytes, space.dead_bytes);
+    assert!(stats.dead_bytes > 0 && stats.dead_bytes < len_before);
+    assert_eq!((space.rows, space.chunks), (12, 3));
+
+    let users_of = |chunk: &cohana_storage::Chunk| -> Vec<u32> {
+        chunk.user_rle().runs().map(|r| r.user_gid).collect()
+    };
+    let eager = persist::read_file(&path).unwrap();
+    // Gids in the merged dictionary: a=0 … e=4. The surviving chunk first.
+    let chunks: Vec<Vec<u32>> = eager.chunks().iter().map(users_of).collect();
+    assert_eq!(chunks, [vec![2, 3], vec![0], vec![1, 4]]);
+    std::fs::remove_file(&path).ok();
+}
+
+/// A source seeded with what a write produced serves, chunk for chunk, what
+/// a cold open of the same file decodes — having decoded nothing itself.
+fn assert_seeded_matches_cold(seeded: &dyn ChunkSource, cold: &dyn ChunkSource) {
+    assert_eq!(seeded.num_chunks(), cold.num_chunks());
+    for i in 0..cold.num_chunks() {
+        let (warm, decoded) = (seeded.chunk(i).unwrap(), cold.chunk(i).unwrap());
+        assert_eq!(warm.user_rle(), decoded.user_rle(), "chunk {i}: user column");
+        assert_eq!(warm.columns(), decoded.columns(), "chunk {i}: columns");
+        assert_eq!(seeded.index_entry(i), cold.index_entry(i));
+    }
+    let io = seeded.io_stats();
+    assert_eq!((io.chunks_decoded, io.columns_decoded, io.bytes_read), (0, 0, 0));
+    assert!(cold.io_stats().columns_decoded > 0);
+}
+
+#[test]
+fn a_seeded_source_equals_a_cold_open_of_a_flat_file() {
+    let table = base_table();
+    let batches = split_by_time(&table, 3);
+    let path = temp_path("seeded.cohana");
+    let first =
+        CompressedTable::build(&batches[0], CompressionOptions::with_chunk_size(CHUNK)).unwrap();
+    persist::write_file(&first, &path).unwrap();
+
+    // Every user returns in a later time slice, so the append rewrites every
+    // chunk and the seeded source has nothing left to decode.
+    let (stats, written) = persist::append_with_chunks(&path, &batches[1]).unwrap();
+    assert_eq!(stats.chunks_rewritten, stats.chunks_before);
+    let seeded = FileSource::open_seeded(&path, DEFAULT_CACHE_BUDGET, written).unwrap();
+    assert_seeded_matches_cold(&seeded, &FileSource::open(&path).unwrap());
+
+    // The budget holds: a zero-budget source retains nothing and decodes on
+    // demand like any other.
+    let (_, written) = persist::append_with_chunks(&path, &batches[2]).unwrap();
+    let unseeded = FileSource::open_seeded(&path, 0, written).unwrap();
+    assert_eq!((unseeded.cache_resident_bytes(), unseeded.chunks_resident()), (0, 0));
+    unseeded.chunk(0).unwrap();
+    assert!(unseeded.columns_decoded() > 0);
+
+    let (_, written) = persist::compact_with_chunks(&path).unwrap();
+    let seeded = FileSource::open_seeded(&path, DEFAULT_CACHE_BUDGET, written).unwrap();
+    assert_seeded_matches_cold(&seeded, &FileSource::open(&path).unwrap());
+    assert!(seeded.cache_resident_bytes() <= seeded.cache_budget_bytes());
+
+    // What one file's write produced seeds no other footer: written against
+    // the pre-compact file, offered to the compacted one.
+    let stale = temp_path("seeded-stale.cohana");
+    std::fs::write(&stale, persist::to_bytes(&first)).unwrap();
+    let (_, written) = persist::append_with_chunks(&stale, &batches[1]).unwrap();
+    let other = FileSource::open_seeded(&path, DEFAULT_CACHE_BUDGET, written).unwrap();
+    assert_eq!(other.cache_resident_bytes(), 0);
+    std::fs::remove_file(&path).ok();
+    std::fs::remove_file(&stale).ok();
+}
+
+#[test]
+fn a_seeded_source_equals_a_cold_open_of_a_sharded_table() {
+    let table = base_table();
+    let batches = split_by_time(&table, 2);
+    let dir = std::env::temp_dir().join("cohana-append-test").join("seeded-shards");
+    std::fs::remove_dir_all(&dir).ok();
+    let options = CompressionOptions::with_chunk_size(CHUNK);
+    shard::create_sharded(&dir, &batches[0], 4, options).unwrap();
+
+    // Each shard's segments pass through its overlay into the unified
+    // dictionaries (every shard has its own user dictionary at least).
+    let (stats, written) = shard::append_sharded_with_chunks(&dir, &batches[1]).unwrap();
+    assert_eq!(stats.shards_touched(), 4);
+    assert_eq!(stats.total().chunks_rewritten, stats.total().chunks_before);
+    let seeded = ShardedSource::open_seeded(&dir, DEFAULT_CACHE_BUDGET, written).unwrap();
+    assert_seeded_matches_cold(&seeded, &ShardedSource::open(&dir).unwrap());
+
+    let written = (0..4).map(|i| (i, shard::compact_shard_with_chunks(&dir, i).unwrap().1));
+    let seeded = ShardedSource::open_seeded(&dir, DEFAULT_CACHE_BUDGET, written.collect()).unwrap();
+    assert_seeded_matches_cold(&seeded, &ShardedSource::open(&dir).unwrap());
+    assert_eq!(
+        ShardedSource::open_with_budget(&dir, 0).unwrap().io_stats().cache_resident_bytes,
+        0
+    );
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -386,4 +586,118 @@ fn truncated_appended_file_reports_named_corruption() {
         assert!(persist::from_bytes(&bytes[..cut]).is_err(), "cut at {cut} should fail");
     }
     std::fs::remove_file(&path).ok();
+}
+
+/// One generated tuple: `(user, time, action)` is the primary key, the rest
+/// rides along; `batch` says which append brings it.
+#[derive(Debug, Clone)]
+struct Event {
+    user: u8,
+    time: i64,
+    action: u8,
+    dims: u8,
+    measure: i64,
+    batch: usize,
+}
+
+fn events(batches: usize) -> impl Strategy<Value = Vec<Event>> {
+    // Few users, times and actions: a user's tuples land in several batches
+    // in no time order (later, earlier and interleaved arrivals), often at
+    // a time they already have under another action; a user whose tuples
+    // all fall into late batches is brand new there.
+    let event = (0u8..24, 0i64..12, 0u8..3, 0u8..12, -50i64..50, 0..batches).prop_map(
+        |(user, time, action, dims, measure, batch)| Event {
+            user,
+            time,
+            action,
+            dims,
+            measure,
+            batch,
+        },
+    );
+    proptest::collection::vec(event, 1..400)
+}
+
+fn event_table(events: &[&Event]) -> ActivityTable {
+    const ACTIONS: [&str; 3] = ["launch", "shop", "fight"];
+    const PLACES: [(&str, &str); 4] =
+        [("China", "Beijing"), ("China", "Shanghai"), ("Australia", "Sydney"), ("Fiji", "Suva")];
+    const ROLES: [&str; 3] = ["dwarf", "wizard", "bandit"];
+    let mut b = TableBuilder::new(Schema::game_actions());
+    for e in events {
+        let (country, city) = PLACES[e.dims as usize % 4];
+        b.push(vec![
+            Value::str(format!("user-{:03}", e.user)),
+            Value::int(1_000 * e.time),
+            Value::str(ACTIONS[e.action as usize]),
+            Value::str(country),
+            Value::str(city),
+            Value::str(ROLES[e.dims as usize % 3]),
+            Value::int(e.measure),
+            Value::int(e.measure * e.measure),
+        ])
+        .unwrap();
+    }
+    b.finish().unwrap()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig {
+        cases: if cfg!(debug_assertions) { 16 } else { 512 },
+        ..ProptestConfig::default()
+    })]
+
+    /// Any way of cutting a table into a first build and K appends — new
+    /// users, returning users whose tuples arrive later, earlier or
+    /// interleaved, equal times that differ only in action — decodes to the
+    /// rows of building the union once, chunk bound intact, in v3 and v4; and
+    /// compacting it gives the build-once image byte for byte.
+    #[test]
+    fn any_batch_sequence_appends_to_the_build_once_table(
+        events in events(5),
+        chunk_size in 1usize..40,
+    ) {
+        let mut unique = std::collections::BTreeMap::new();
+        for e in &events {
+            unique.entry((e.user, e.time, e.action)).or_insert(e);
+        }
+        let all: Vec<&Event> = unique.values().copied().collect();
+        let union = event_table(&all);
+        let options = CompressionOptions::with_chunk_size(chunk_size);
+        let once = persist::to_bytes(&CompressedTable::build(&union, options).unwrap());
+        let batches: Vec<ActivityTable> = (0..5)
+            .map(|k| event_table(&all.iter().copied().filter(|e| e.batch == k).collect::<Vec<_>>()))
+            .collect();
+
+        let first = CompressedTable::build(&batches[0], options).unwrap();
+        for (version, image) in [(3u32, persist::to_bytes_v3(&first)), (4, persist::to_bytes(&first))] {
+            let path = temp_path(&format!("prop-v{version}.cohana"));
+            std::fs::write(&path, &image).unwrap();
+            let mut rows = batches[0].num_rows();
+            for batch in &batches[1..] {
+                let stats = persist::append(&path, batch).unwrap();
+                rows += batch.num_rows();
+                prop_assert_eq!(stats.rows_appended, batch.num_rows());
+                let grown = persist::read_file(&path).unwrap();
+                prop_assert_eq!(grown.num_rows(), rows);
+                prop_assert_eq!(grown.chunks().len(), stats.chunks_after);
+                assert_chunk_bound(&grown, chunk_size);
+                grown.validate_consistency().unwrap();
+            }
+            prop_assert_eq!(&std::fs::read(&path).unwrap()[4..8], &version.to_le_bytes());
+            let appended = persist::read_file(&path).unwrap();
+            prop_assert_eq!(appended.decompress().unwrap().rows(), union.rows());
+
+            // A tuple already in the file is refused, whichever batch
+            // brought it, and the refusal writes nothing.
+            let image = std::fs::read(&path).unwrap();
+            let again = batches.iter().rev().find(|b| !b.is_empty()).unwrap();
+            prop_assert!(matches!(persist::append(&path, again), Err(StorageError::Invalid(_))));
+            prop_assert_eq!(&std::fs::read(&path).unwrap(), &image);
+
+            persist::compact(&path).unwrap();
+            prop_assert_eq!(&std::fs::read(&path).unwrap(), &once.to_vec());
+            std::fs::remove_file(&path).ok();
+        }
+    }
 }
