@@ -106,18 +106,23 @@ impl TimeBin {
         }
     }
 
+    /// Seconds in one age unit of this granularity.
+    pub fn unit_secs(&self) -> i64 {
+        match self {
+            TimeBin::Day => SECONDS_PER_DAY,
+            TimeBin::Week => SECONDS_PER_WEEK,
+            // Months vary in length; the 30-day convention is fine for ages.
+            TimeBin::Month => 30 * SECONDS_PER_DAY,
+        }
+    }
+
     /// Normalize a raw age (seconds) to this granularity. Ages are counted in
     /// whole units: an activity 10 hours after birth is age `1` in `Day`
     /// granularity per the paper's examples (t2 is "the week 1 age
     /// sub-partition" even though it is <7 days after birth), i.e. the unit
     /// count is `ceil`-like: `floor((secs - 1) / unit) + 1` for positive ages.
     pub fn age_units(&self, age_secs: i64) -> i64 {
-        let unit = match self {
-            TimeBin::Day => SECONDS_PER_DAY,
-            TimeBin::Week => SECONDS_PER_WEEK,
-            // Months vary in length; the 30-day convention is fine for ages.
-            TimeBin::Month => 30 * SECONDS_PER_DAY,
-        };
+        let unit = self.unit_secs();
         if age_secs <= 0 {
             // Non-positive ages are excluded from aggregation; normalize to
             // zero so callers can test `> 0` uniformly.

@@ -1062,10 +1062,12 @@ mod tests {
     }
 
     #[test]
-    fn fig9_normalized_increases() {
+    fn fig9_rows_cover_sweep() {
         let r = fig9(&mut quick_cache());
         assert_eq!(r.rows.len(), 14);
-        // Normalized times are positive.
+        // The shape itself (work grows with `g`, below Q1/Q3) is pinned by
+        // tuple counts, not clocks: `cohana_core`'s
+        // `age_bounds_decode_in_proportion_to_the_ages_selected`.
         for row in &r.rows {
             assert!(row[1].parse::<f64>().unwrap() > 0.0);
         }

@@ -153,6 +153,30 @@ impl AggState {
         }
     }
 
+    /// Fold in one `(user, age)` run — a user's qualifying tuples of one
+    /// age — in a single step, so the executor matches the state's kind once
+    /// per run instead of once per tuple. `raw` holds the run's measure
+    /// values as offsets from `base` (empty for aggregates that read no
+    /// attribute) and `sum` their wrapping total `Σ (base + raw[i])`, which
+    /// the caller has from a prefix sum; wrapping addition is associative,
+    /// so the state ends bit-identical to `len` calls of
+    /// [`AggState::update`].
+    #[inline]
+    pub fn fold_run(&mut self, len: u64, sum: i64, raw: &[u64], base: i64) {
+        let value = |r: &u64| base.wrapping_add(*r as i64);
+        match self {
+            AggState::Sum(s) => *s = s.wrapping_add(sum),
+            AggState::Avg { sum: s, count } => {
+                *s = s.wrapping_add(sum);
+                *count += len;
+            }
+            AggState::Min(m) => *m = raw.iter().map(value).chain(*m).min(),
+            AggState::Max(m) => *m = raw.iter().map(value).chain(*m).max(),
+            AggState::Count(c) => *c += len,
+            AggState::UserCount(c) => *c += 1,
+        }
+    }
+
     /// Merge a partial state from another chunk. Correct for `UserCount`
     /// because a user's tuples are confined to a single chunk.
     pub fn merge(&mut self, other: &AggState) -> Result<(), EngineError> {
@@ -313,6 +337,49 @@ mod tests {
         assert_eq!(s.finalize(), AggValue::Int(2));
         assert!(AggFunc::user_count().per_user());
         assert!(!AggFunc::count().per_user());
+    }
+
+    /// One `fold_run` ≡ `update` per tuple (`update_user` once), for every
+    /// kind of state, a negative base, raw offsets past `i64::MAX` and a
+    /// raw total that wraps `u64`.
+    #[test]
+    fn fold_run_matches_tuple_by_tuple_updates() {
+        let base = -3_000_000_000_000_000_000i64;
+        let raw = [0u64, 7_000_000_000_000_000_000, 0, 7_000_000_000_000_000_000, 0, u64::MAX / 2];
+        let values: Vec<i64> = raw.iter().map(|&r| base.wrapping_add(r as i64)).collect();
+        let sum = values.iter().fold(0i64, |s, v| s.wrapping_add(*v));
+        for f in [
+            AggFunc::sum("g"),
+            AggFunc::avg("g"),
+            AggFunc::min("g"),
+            AggFunc::max("g"),
+            AggFunc::count(),
+            AggFunc::user_count(),
+        ] {
+            // Start from a state that already holds a tuple.
+            let mut by_run = f.init();
+            let mut by_tuple = f.init();
+            for s in [&mut by_run, &mut by_tuple] {
+                if f.per_user() {
+                    s.update_user();
+                } else {
+                    s.update(5);
+                }
+            }
+            by_run.fold_run(raw.len() as u64, sum, &raw, base);
+            if f.per_user() {
+                by_tuple.update_user();
+            } else {
+                // `update` adds without wrapping; the running total here
+                // stays inside `i64` even though the raw offsets do not.
+                values.iter().for_each(|&v| by_tuple.update(v));
+            }
+            assert_eq!(by_run, by_tuple, "{f}");
+        }
+        // Aggregates over no attribute get an empty run of the same length.
+        let mut count = AggFunc::count().init();
+        count.fold_run(4, 0, &[], 0);
+        assert_eq!(count.finalize(), AggValue::Int(4));
     }
 
     #[test]

@@ -18,25 +18,40 @@
 //! 2. per user: **GetBirthTuple**, evaluate the birth condition on that one
 //!    tuple, and **SkipCurUser** on failure — so the pass touches only
 //!    `O(l·m)` tuples for `l` qualified users;
-//! 3. for qualified users: assign the cohort from the birth tuple, bump the
-//!    cohort size, then fold every positive-age tuple that passes the age
-//!    condition into the `(cohort, age)` aggregates;
-//! 4. **array-based aggregation** (§4.4), for any cohort key: the key is
-//!    interned to a dense cohort id once per qualified user (a direct-indexed
-//!    LUT for a single dictionary attribute, one hash probe otherwise) and
-//!    every tuple then indexes that cohort's state array by age;
-//! 5. **UserCount** (§4.5): within a user block ages are non-decreasing
-//!    (time-ordering property), so "distinct users at age g" needs only a
-//!    last-age check per user, and per-chunk counts sum exactly because no
-//!    user spans chunks.
+//! 3. for qualified users: assign the cohort from the birth tuple — the key
+//!    is interned to a dense cohort id once per user (a direct-indexed LUT
+//!    for a single dictionary attribute, one hash probe otherwise) — and
+//!    bump the cohort size; then the user's block goes through three steps
+//!    that all rest on its tuples being time-ordered (§4.1), so ages never
+//!    decrease along it:
+//!    * **range** — tuples at or before the birth row have age ≤ 0, and the
+//!      age selection's `AGE` bounds ([`CompiledExpr::split_age_range`]) are
+//!      row positions found by binary search on the *packed* time column
+//!      (`BitPacked::partition_point`); only that row range of the time,
+//!      predicate and value columns is ever unpacked, which is why
+//!      `AGE < g` gets cheaper as `g` shrinks (Figure 9);
+//!    * **selection** — what is left of the age selection compacts the
+//!      range into a selection vector of offsets
+//!      ([`CompiledExpr::refine`]); ages are divided out, and value columns
+//!      gathered, for selected tuples only. With no residual the selection
+//!      is the range and nothing is materialized;
+//!    * **runs** — equal ages are adjacent, so the selected tuples split
+//!      into `(user, age)` runs; run starts are found without a branch per
+//!      tuple, and each run updates its cell of the cohort's age-indexed
+//!      state array (**array-based aggregation**, §4.4) once
+//!      ([`AggState::fold_run`]): `COUNT += len`, `SUM`/`AVG` from a prefix
+//!      sum, `MIN`/`MAX` over the run's values;
+//! 4. **UserCount** (§4.5): "distinct users at age g" is one increment per
+//!    run — no last-age check per tuple — and per-chunk counts sum exactly
+//!    because no user spans chunks.
 //!
 //! The per-chunk pass is **vectorized** (see `docs/PERF.md`): columns are
 //! resolved once per chunk into [`ChunkCursors`],
 //! predicates are re-specialized against each chunk's dictionaries and
-//! ranges ([`CompiledExpr::specialize`]), each user block's time column is
-//! block-decoded into scratch buffers reused across users, and the inner
-//! loop performs no column lookups, no hardware divisions, and no
-//! allocations.
+//! ranges ([`CompiledExpr::specialize`]), and every step above is a
+//! straight-line pass over scratch buffers reused across users: no column
+//! lookups, no hardware divisions, no allocations, and no branch that
+//! depends on a tuple's age or on whether it was selected.
 
 use crate::agg::{AggFunc, AggState};
 use crate::cells::{self, CohortTable};
@@ -44,7 +59,7 @@ use crate::error::EngineError;
 use crate::plan::PhysicalPlan;
 use crate::query::CohortAttr;
 use crate::report::CohortReport;
-use crate::scan::{compile_predicate, ChunkScan, CompiledExpr, EvalCtx};
+use crate::scan::{compile_predicate, ChunkScan, CompiledExpr, EvalCtx, SlotCol};
 use crate::wire::WireBatch;
 use cohana_activity::{TimeBin, Timestamp, Value, ValueType};
 use cohana_storage::rle::{UserRle, UserRun};
@@ -142,14 +157,9 @@ pub(crate) struct ExecContext {
     birth_pred: Option<CompiledExpr>,
     age_pred: Option<CompiledExpr>,
     key_parts: Vec<KeyPart>,
-    aggs: Vec<AggFunc>,
     /// Fresh state of every aggregate: what a new `(cohort, age)` cell holds.
     inits: Vec<AggState>,
     agg_attrs: Vec<Option<usize>>,
-    /// Whether any aggregate folds tuple values (vs. per-user counting
-    /// only); when false, repeated-age tuples cannot change any state and
-    /// the inner loop skips cell resolution for them.
-    has_value_aggs: bool,
     age_bin: TimeBin,
 }
 
@@ -196,9 +206,7 @@ impl ExecContext {
             age_pred,
             key_parts,
             inits: query.aggregates.iter().map(AggFunc::init).collect(),
-            aggs: query.aggregates.clone(),
             agg_attrs,
-            has_value_aggs: query.aggregates.iter().any(|a| !a.per_user()),
             age_bin: query.age_bin,
         })
     }
@@ -417,13 +425,12 @@ fn prune_chunk(entry: &ChunkIndexEntry, plan: &PhysicalPlan, ctx: &ExecContext) 
 ///
 /// This is the vectorized path: columns are resolved **once** into
 /// [`ChunkCursors`], predicates are specialized against this chunk's
-/// dictionaries and ranges ([`CompiledExpr::specialize`]), each user block's
-/// time column — and, for value aggregates, its value columns — are
-/// block-decoded into scratch buffers reused across users through
-/// [`cohana_storage::BitPacked::unpack_range`] (the SIMD lane path when
-/// compiled in), and birth rows are located for a whole morsel at once with
-/// [`ChunkScan::find_birth_rows_batch`]. The inner loop performs no column
-/// lookups, no per-element div/mod, and no allocations.
+/// dictionaries and ranges ([`CompiledExpr::specialize`]), birth rows are
+/// located for a whole morsel at once with
+/// [`ChunkScan::find_birth_rows_batch`], and a qualified user's block goes
+/// through **range → selection → runs** (see the module docs) over scratch
+/// buffers reused across users: no column lookups, no hardware divisions,
+/// no allocations and no per-tuple branch.
 pub(crate) struct RunProcessor<'a> {
     scan: ChunkScan<'a>,
     cursors: ChunkCursors<'a>,
@@ -432,21 +439,26 @@ pub(crate) struct RunProcessor<'a> {
     ctx: &'a ExecContext,
     time_deltas: &'a cohana_storage::BitPacked,
     time_min: i64,
-    /// §4.3 "compile once per chunk": predicates folded against this chunk's
-    /// metadata, gid comparisons rewritten to raw chunk codes.
+    /// §4.3 "compile once per chunk": the birth predicate folded against
+    /// this chunk's metadata, gid comparisons rewritten to raw chunk codes.
     birth_pred: Option<CompiledExpr>,
-    age_pred: Option<CompiledExpr>,
-    /// A constant-false age predicate still lets users qualify (their cohort
-    /// sizes count), but no tuple ever reaches the aggregates.
+    /// The age predicate's `AGE` bounds ([`CompiledExpr::split_age_range`])
+    /// as seconds past a user's birth: a tuple is old enough when its time
+    /// delta exceeds `birth + age_lo_secs` and young enough when it does not
+    /// exceed `birth + age_hi_secs`. `None` where the bound cannot bind in
+    /// this chunk (`AGE >= 1`, or an upper bound past the chunk's time
+    /// span) and so needs no search.
+    age_lo_secs: Option<u64>,
+    age_hi_secs: Option<u64>,
+    /// What the age predicate tests beyond its bounds, with every scalar
+    /// that varies inside a block bound to a slot
+    /// ([`CompiledExpr::bind_slots`]), and what each slot holds; `pbufs` are
+    /// the slots.
+    residual: Option<CompiledExpr>,
+    slot_cols: Vec<SlotCol>,
+    /// The age selection is empty in this chunk: users still qualify (their
+    /// cohort sizes count), but no tuple ever reaches the aggregates.
     age_dead: bool,
-    /// The age predicate with every current-row column read bound to a
-    /// block-decoded slot ([`CompiledExpr::bind_slots`]); `None` when there
-    /// is no age predicate or it cannot be bound (the mask loop then falls
-    /// back to per-row [`CompiledExpr::eval`]).
-    age_block_pred: Option<CompiledExpr>,
-    /// Columns the bound age predicate reads, decoded per user block into
-    /// `pbufs` (slot order).
-    age_slot_cols: Vec<usize>,
     /// The specialized birth predicate proved no user in this chunk can
     /// qualify: callers should not run any morsel.
     pub(crate) skip_chunk: bool,
@@ -457,19 +469,25 @@ pub(crate) struct RunProcessor<'a> {
     agg_vslots: Vec<Option<usize>>,
     vmins: Vec<i64>,
     // Scratch reused across users and morsels: one growth to the largest
-    // block, then allocation-free. `tbuf` holds a block's decoded time
-    // deltas, `abuf` the normalized age of every tuple, `vbufs` the decoded
-    // value columns of a contributing user's block.
+    // block, then allocation-free. `tbuf` holds the decoded time deltas of
+    // a user's range, `sel` the offsets the residual keeps, `ages` and
+    // `vbufs` the selected tuples' ages and raw measure values, `starts`
+    // where each age run begins and `psums` each value column's running
+    // total.
     tbuf: Vec<u64>,
-    abuf: Vec<i64>,
+    sel: Vec<u32>,
+    ages: Vec<u32>,
+    starts: Vec<u32>,
     runs_buf: Vec<UserRun>,
     birth_rows: Vec<Option<usize>>,
     vbufs: Vec<Vec<u64>>,
+    psums: Vec<Vec<u64>>,
     pbufs: Vec<Vec<u64>>,
-    /// Per-row age-selection outcome of the current user block (`age > 0`
-    /// AND the age predicate), computed in one pass before any accumulator
-    /// or value-column work.
-    mbuf: Vec<bool>,
+    /// Work counters: tuples whose time delta was unpacked, tuples that
+    /// reached the aggregates, and the `(user, age)` runs they formed.
+    pub(crate) tuples_decoded: u64,
+    pub(crate) tuples_folded: u64,
+    pub(crate) runs_folded: u64,
 }
 
 impl<'a> RunProcessor<'a> {
@@ -482,30 +500,16 @@ impl<'a> RunProcessor<'a> {
         let scan = ChunkScan::open(table, chunk, ctx.birth_gid)?;
         let cursors = chunk.cursors();
         let birth_pred = ctx.birth_pred.as_ref().map(|p| p.specialize(chunk));
-        let age_pred = ctx.age_pred.as_ref().map(|p| p.specialize(chunk));
         let skip_chunk = plan.options.skip_unqualified_users
             && birth_pred.as_ref().is_some_and(CompiledExpr::is_const_false);
-        let age_dead = age_pred.as_ref().is_some_and(CompiledExpr::is_const_false);
-
-        // Bind the age predicate's current-row reads to block-decoded
-        // slots: the per-block mask loop then reads flat buffers instead of
-        // random-accessing packed bits per row.
-        let mut age_slot_cols = Vec::new();
-        let age_block_pred = match &age_pred {
-            Some(p) if !age_dead => p.bind_slots(&cursors, &mut age_slot_cols),
-            _ => None,
-        };
-        if age_block_pred.is_none() {
-            age_slot_cols.clear();
-        }
-        let pbufs = vec![Vec::new(); age_slot_cols.len()];
 
         // Every age this chunk can produce indexes an accumulator array.
         let (tmin, tmax) = chunk
             .column_required(table.schema().time_idx())
             .int_range()
             .expect("ChunkScan::open checked the time column is an integer segment");
-        let age_span = ctx.age_bin.age_units(tmax.saturating_sub(tmin));
+        let span_secs = tmax.saturating_sub(tmin);
+        let age_span = ctx.age_bin.age_units(span_secs);
         if age_span > MAX_AGE_UNITS {
             return Err(EngineError::Unsupported(format!(
                 "a chunk spans {age_span} age units (limit {MAX_AGE_UNITS}); use a coarser age \
@@ -513,24 +517,35 @@ impl<'a> RunProcessor<'a> {
             )));
         }
 
+        // Age selection: bounds become seconds past birth (`age <= g` iff
+        // `secs <= g * unit`), the rest is bound to block-decoded slots.
+        let age_pred =
+            ctx.age_pred.as_ref().map_or(CompiledExpr::Const(true), |p| p.specialize(chunk));
+        let age = age_pred.split_age_range();
+        let secs = |g: i64| g.saturating_mul(ctx.age_bin.unit_secs());
+        // No tuple of this chunk is `span_secs` past any other.
+        let age_dead = age.is_empty() || secs(age.lo - 1) >= span_secs;
+        let age_lo_secs = (!age_dead && age.lo > 1).then(|| secs(age.lo - 1) as u64);
+        let age_hi_secs = (!age_dead && secs(age.hi) < span_secs).then(|| secs(age.hi) as u64);
+        let mut slot_cols = Vec::new();
+        let residual = age.residual.map(|r| r.bind_slots(&cursors, &mut slot_cols));
+
         // Resolve which value columns the aggregates read, deduplicated so
         // two aggregates over the same attribute share one decoded buffer.
         let mut vattrs: Vec<usize> = Vec::new();
-        let mut agg_vslots: Vec<Option<usize>> = Vec::with_capacity(ctx.aggs.len());
-        for (agg, attr) in ctx.aggs.iter().zip(&ctx.agg_attrs) {
-            agg_vslots.push(match (agg.per_user(), attr) {
-                (false, Some(idx)) => Some(match vattrs.iter().position(|v| v == idx) {
-                    Some(s) => s,
-                    None => {
-                        vattrs.push(*idx);
+        let agg_vslots: Vec<Option<usize>> = ctx
+            .agg_attrs
+            .iter()
+            .map(|attr| {
+                attr.map(|idx| {
+                    vattrs.iter().position(|v| *v == idx).unwrap_or_else(|| {
+                        vattrs.push(idx);
                         vattrs.len() - 1
-                    }
-                }),
-                _ => None,
-            });
-        }
+                    })
+                })
+            })
+            .collect();
         let vmins: Vec<i64> = vattrs.iter().map(|&i| cursors.int_min(i)).collect();
-        let vbufs = vec![Vec::new(); vattrs.len()];
 
         let time_deltas = scan.time_deltas();
         let time_min = scan.time_min();
@@ -542,23 +557,29 @@ impl<'a> RunProcessor<'a> {
             time_deltas,
             time_min,
             birth_pred,
-            age_pred,
+            age_lo_secs,
+            age_hi_secs,
+            residual,
             age_dead,
-            age_block_pred,
-            age_slot_cols,
             skip_chunk,
             acc: Accumulator::new(ctx, plan.options.array_aggregation, &cursors),
             cursors,
+            vbufs: vec![Vec::new(); vattrs.len()],
+            psums: vec![Vec::new(); vattrs.len()],
+            pbufs: vec![Vec::new(); slot_cols.len()],
+            slot_cols,
             vattrs,
             agg_vslots,
             vmins,
             tbuf: Vec::new(),
-            abuf: Vec::new(),
+            sel: Vec::new(),
+            ages: Vec::new(),
+            starts: Vec::new(),
             runs_buf: Vec::new(),
             birth_rows: Vec::new(),
-            vbufs,
-            pbufs,
-            mbuf: Vec::new(),
+            tuples_decoded: 0,
+            tuples_folded: 0,
+            runs_folded: 0,
         })
     }
 
@@ -567,17 +588,6 @@ impl<'a> RunProcessor<'a> {
     /// processor's partial. Correct for any tiling of the chunk's runs
     /// because every per-user operator is local to the user's block.
     pub(crate) fn process_runs(&mut self, lo: usize, hi: usize) {
-        // Copy-out references so the per-user body borrows only the fields
-        // it mutates.
-        let ctx = self.ctx;
-        let plan = self.plan;
-        let time_deltas = self.time_deltas;
-        let time_min = self.time_min;
-        let age_dead = self.age_dead;
-        let birth_pred = self.birth_pred.as_ref();
-        let age_pred = self.age_pred.as_ref();
-        let cursors = &self.cursors;
-
         self.runs_buf.clear();
         for i in lo..hi {
             self.runs_buf.push(self.rle.run(i));
@@ -592,158 +602,159 @@ impl<'a> RunProcessor<'a> {
                 continue; // user never performed the birth action
             };
             let birth_ctx = EvalCtx { row: birth_row, birth_row, age_units: 0 };
-            let qualified = birth_pred.map(|p| p.eval(cursors, &birth_ctx)).unwrap_or(true);
-            let start = run.first as usize;
-            let count = run.count as usize;
-            let birth_delta = time_deltas.get(birth_row) as i64;
-
+            let qualified =
+                self.birth_pred.as_ref().is_none_or(|p| p.eval(&self.cursors, &birth_ctx));
+            if !qualified && self.plan.options.skip_unqualified_users {
+                continue; // SkipCurUser(): this user's tuples stay untouched
+            }
+            let birth_delta = self.time_deltas.get(birth_row);
             if !qualified {
-                if plan.options.skip_unqualified_users {
-                    // SkipCurUser(): do not touch this user's remaining tuples.
-                    continue;
-                }
-                // Ablation mode: perform the per-tuple scan work the skip
-                // would have avoided, discarding results. black_box prevents
-                // the optimizer from deleting the loop.
-                self.tbuf.resize(count, 0);
-                time_deltas.unpack_range(start, start + count, &mut self.tbuf);
-                self.abuf.resize(count, 0);
-                fill_age_units(ctx.age_bin, &self.tbuf, birth_delta, &mut self.abuf);
-                for (off, &age_units) in self.abuf.iter().enumerate() {
-                    let tctx = EvalCtx { row: start + off, birth_row, age_units };
-                    let keep =
-                        age_units > 0 && age_pred.map(|p| p.eval(cursors, &tctx)).unwrap_or(true);
-                    std::hint::black_box(keep);
-                }
+                // Ablation mode: perform the scan work the skip would have
+                // avoided, discarding the result. black_box prevents the
+                // optimizer from deleting it.
+                std::hint::black_box(self.select(run, birth_row, birth_delta));
                 continue;
             }
-
-            let birth_time = time_min + birth_delta;
 
             // Cohort assignment from the birth tuple (Definition 6): intern
             // the key once; everything below addresses the cohort by id.
             // Cohort size counts every qualified user exactly once.
-            let cohort = self.acc.intern(ctx, cursors, birth_row, birth_time);
+            let birth_time = self.time_min + birth_delta as i64;
+            let cohort = self.acc.intern(self.ctx, &self.cursors, birth_row, birth_time);
             self.acc.sizes[cohort] += 1;
-            if age_dead || count == 1 {
+            if self.age_dead {
                 continue; // no tuple of this user can reach the aggregates
             }
-
-            // Block-decode this user's time deltas once and normalize every
-            // tuple's age in one pass; ages fall out as delta differences
-            // (the chunk minimum cancels) and the per-bin division is by a
-            // compile-time constant.
-            self.tbuf.resize(count, 0);
-            time_deltas.unpack_range(start, start + count, &mut self.tbuf);
-            self.abuf.resize(count, 0);
-            fill_age_units(ctx.age_bin, &self.tbuf, birth_delta, &mut self.abuf);
-
-            // Ages within a user block are non-decreasing (time-ordering),
-            // so `age > 0` splits the block at a partition point: binary-
-            // search the first post-birth tuple instead of scanning — and
-            // masking — the pre-birth prefix.
-            let pos0 = self.abuf.partition_point(|&a| a <= 0);
-            if pos0 == count {
-                continue; // every tuple is at or before the birth tuple
+            // A user whose every tuple fails the age selection leaves no
+            // trace: no value decode, no accumulator traffic.
+            let selected = self.select(run, birth_row, birth_delta);
+            if selected > 0 {
+                self.fold(cohort, selected);
             }
-            let mlen = count - pos0;
+        }
+    }
 
-            // Evaluate the whole post-birth span's age predicate into a
-            // mask *before* resolving any accumulator state or decoding
-            // value columns: a user whose every tuple fails the age
-            // selection leaves no trace (no hash traffic, no value decode),
-            // and each tuple's predicate is evaluated exactly once. The
-            // slot-bound form runs vectorized lane loops over block-decoded
-            // columns (`CompiledExpr::and_into_mask`); without an age
-            // predicate no mask is materialized at all.
-            self.mbuf.clear();
-            if let Some(bp) = self.age_block_pred.as_ref() {
-                self.mbuf.resize(mlen, true);
-                for s in 0..self.age_slot_cols.len() {
-                    self.pbufs[s].resize(mlen, 0);
-                    cursors.unpack(
-                        self.age_slot_cols[s],
-                        start + pos0,
-                        start + count,
-                        &mut self.pbufs[s],
-                    );
-                }
-                bp.and_into_mask(
-                    cursors,
-                    birth_row,
-                    start + pos0,
-                    &self.pbufs,
-                    &self.abuf[pos0..],
-                    &mut self.mbuf,
-                );
-            } else if let Some(p) = age_pred {
-                self.mbuf.resize(mlen, false);
-                for i in 0..mlen {
-                    let age_units = self.abuf[pos0 + i];
-                    self.mbuf[i] =
-                        p.eval(cursors, &EvalCtx { row: start + pos0 + i, birth_row, age_units });
-                }
-            }
-            // The first masked tuple always contributes (its age is
-            // trivially fresh); with no age predicate that is offset 0.
-            let first_i = if self.mbuf.is_empty() {
-                0
-            } else {
-                match self.mbuf.iter().position(|&m| m) {
-                    Some(i) => i,
-                    None => continue, // every tuple failed the age selection
-                }
-            };
+    /// **Range** and **selection** for one user block. Ages within a block
+    /// are non-decreasing (time-ordering), so the age bounds are row
+    /// positions found by binary search on the packed time column *before*
+    /// anything is decoded, and only that row range is unpacked; the
+    /// residual predicate then compacts it to a selection vector. Returns
+    /// how many tuples are selected, leaving their ages in `ages[..n]` and
+    /// their raw measure values in `vbufs[..][..n]`.
+    fn select(&mut self, run: UserRun, birth_row: usize, birth_delta: u64) -> usize {
+        let cursors = &self.cursors;
+        let bin = self.ctx.age_bin;
+        // Tuples at or before the birth row have age <= 0.
+        let (mut lo, mut hi) = (birth_row + 1, (run.first + run.count) as usize);
+        if let Some(secs) = self.age_hi_secs {
+            hi = self.time_deltas.partition_point(lo, hi, |d| d <= birth_delta + secs);
+        }
+        if let Some(secs) = self.age_lo_secs {
+            lo = self.time_deltas.partition_point(lo, hi, |d| d <= birth_delta + secs);
+        }
+        let deltas = scratch(&mut self.tbuf, hi - lo);
+        self.time_deltas.unpack_range(lo, hi, deltas);
+        self.tuples_decoded += (hi - lo) as u64;
+        // Tuples sharing the birth timestamp but sorting after the birth
+        // row have age 0 and head the range.
+        let same_time = deltas.iter().take_while(|&&d| d <= birth_delta).count();
+        lo += same_time;
+        let deltas = &mut deltas[same_time..];
+        let mut n = hi - lo;
 
-            // Block-decode the value columns of this contributing user's
-            // post-birth span through the same (SIMD when enabled) path as
-            // the time column; the inner loop then reads a flat local
-            // buffer instead of re-extracting bits per row.
-            for s in 0..self.vattrs.len() {
-                self.vbufs[s].resize(mlen, 0);
-                cursors.unpack(self.vattrs[s], start + pos0, start + count, &mut self.vbufs[s]);
-            }
-
-            // The cohort's age-indexed state array, resolved once per
-            // contributing user; the inner loop only indexes it.
-            let cells = &mut self.acc.ages[cohort];
-
-            // Fold this user's age activity tuples in a tight loop over the
-            // precomputed mask and decoded age buffer.
-            let mut last_age_contributed = i64::MIN;
-            let masked = !self.mbuf.is_empty();
-            for off in first_i..mlen {
-                if masked && !self.mbuf[off] {
-                    continue; // failed the age selection
-                }
-                let age_units = self.abuf[pos0 + off];
-                let fresh_age = age_units != last_age_contributed;
-                last_age_contributed = age_units;
-                if !fresh_age && !ctx.has_value_aggs {
-                    // Every aggregate is per-user (e.g. USER_COUNT) and this
-                    // age was already credited: nothing can change.
-                    continue;
-                }
-
-                let states = cells.slot(age_units as usize, &ctx.inits);
-                for (i, agg) in ctx.aggs.iter().enumerate() {
-                    if agg.per_user() {
-                        // Ages within a user block are non-decreasing
-                        // (time-ordering), so this counts each user once per
-                        // age.
-                        if fresh_age {
-                            states[i].update_user();
-                        }
-                    } else {
-                        let v = match self.agg_vslots[i] {
-                            Some(s) => self.vmins[s] + self.vbufs[s][off] as i64,
-                            None => 0,
-                        };
-                        states[i].update(v);
+        if let Some(residual) = &self.residual {
+            for (buf, col) in self.pbufs.iter_mut().zip(&self.slot_cols) {
+                let buf = scratch(buf, n);
+                match *col {
+                    SlotCol::Attr(attr) => cursors.unpack(attr, lo, hi, buf),
+                    SlotCol::Age => {
+                        let ages = scratch(&mut self.ages, n);
+                        fill_ages(bin, deltas, birth_delta, ages);
+                        buf.iter_mut().zip(ages).for_each(|(b, a)| *b = *a as u64);
                     }
                 }
             }
+            self.sel.clear();
+            self.sel.extend(0..n as u32);
+            residual.refine(cursors, birth_row, &self.pbufs, &mut self.sel);
+            n = self.sel.len();
+            compact(deltas, &self.sel);
         }
+        if n == 0 {
+            return 0;
+        }
+        // Ages (and the division behind them) for selected tuples only.
+        fill_ages(bin, &deltas[..n], birth_delta, scratch(&mut self.ages, n));
+        for (buf, &attr) in self.vbufs.iter_mut().zip(&self.vattrs) {
+            let buf = scratch(buf, hi - lo);
+            cursors.unpack(attr, lo, hi, buf);
+            if n < hi - lo {
+                compact(buf, &self.sel);
+            }
+        }
+        n
+    }
+
+    /// **Runs**: fold one qualified user's `n` selected tuples. The ages
+    /// are non-decreasing, so equal ages are adjacent; each `(user, age)`
+    /// run updates its `(cohort, age)` cell once ([`AggState::fold_run`])
+    /// with sums taken from a prefix sum, and "distinct users at age g"
+    /// (§4.5) is one increment per run. Run starts and prefix sums are found
+    /// in straight-line passes, so nothing branches per tuple.
+    fn fold(&mut self, cohort: usize, n: usize) {
+        let ages = &self.ages[..n];
+        // Every index is stored; the write position advances only past an
+        // index whose age differs from its predecessor's.
+        let starts = scratch(&mut self.starts, n + 1);
+        starts[0] = 0;
+        let mut runs = 1;
+        for i in 1..n {
+            starts[runs] = i as u32;
+            runs += (ages[i] != ages[i - 1]) as usize;
+        }
+        starts[runs] = n as u32;
+        for (psum, vbuf) in self.psums.iter_mut().zip(&self.vbufs) {
+            let psum = scratch(psum, n + 1);
+            psum[0] = 0;
+            let mut total = 0u64;
+            for (p, &v) in psum[1..].iter_mut().zip(&vbuf[..n]) {
+                total = total.wrapping_add(v);
+                *p = total;
+            }
+        }
+
+        // The cohort's age-indexed state array, resolved and grown once per
+        // user (to the largest run age — the last one, but a block that
+        // breaks time order must not index past the array). Runs are walked
+        // per aggregate, which settles what the aggregate reads outside the
+        // loop over runs.
+        let cells = &mut self.acc.ages[cohort];
+        let k = self.ctx.inits.len();
+        let each_run = || starts[..=runs].windows(2).map(|w| (w[0] as usize, w[1] as usize));
+        let oldest = each_run().fold(0, |oldest, (a, _)| oldest.max(ages[a]));
+        cells.reserve(oldest as usize, &self.ctx.inits);
+        for (a, _) in each_run() {
+            cells.present[ages[a] as usize] = true;
+        }
+        for (i, vslot) in self.agg_vslots.iter().enumerate() {
+            let Some(s) = *vslot else {
+                for (a, b) in each_run() {
+                    cells.states[ages[a] as usize * k + i].fold_run((b - a) as u64, 0, &[], 0);
+                }
+                continue;
+            };
+            let (psum, vbuf, vmin) = (&self.psums[s][..=n], &self.vbufs[s][..n], self.vmins[s]);
+            for (a, b) in each_run() {
+                // Σ (vmin + raw) = vmin·len + Σ raw, wrapping like the
+                // tuple-by-tuple sum it replaces.
+                let len = (b - a) as u64;
+                let raw_sum = psum[b].wrapping_sub(psum[a]);
+                let sum = (vmin as u64).wrapping_mul(len).wrapping_add(raw_sum) as i64;
+                cells.states[ages[a] as usize * k + i].fold_run(len, sum, &vbuf[a..b], vmin);
+            }
+        }
+        self.tuples_folded += n as u64;
+        self.runs_folded += runs as u64;
     }
 
     /// Yield what this processor accumulated.
@@ -979,27 +990,47 @@ fn drain_slot(
     Ok(())
 }
 
-/// Normalize one user block's ages into `out`, dispatching once per block so
-/// the per-row division inside is by a **compile-time constant** (the
-/// optimizer strength-reduces it to a multiply — no hardware division in the
-/// loop). Semantics are exactly [`TimeBin::age_units`] of
-/// `delta - birth_delta`: 0 for non-positive ages, else whole units counted
-/// from 1.
-fn fill_age_units(bin: TimeBin, deltas: &[u64], birth_delta: i64, out: &mut [i64]) {
+/// Normalize the ages of one user's tuples into `out`, dispatching once per
+/// block so the per-row division inside is by a **compile-time constant**
+/// (the optimizer strength-reduces it to a multiply — no hardware division
+/// in the loop). Every delta is past `birth_delta` (time order, with the
+/// same-timestamp tuples already dropped), so the age is
+/// [`TimeBin::age_units`] of a positive `delta - birth_delta`: whole units
+/// counted from 1, at most the chunk's age span (which `MAX_AGE_UNITS`
+/// bounds). The subtraction saturates so that a block that breaks time
+/// order cannot produce an age beyond that span.
+fn fill_ages(bin: TimeBin, deltas: &[u64], birth_delta: u64, out: &mut [u32]) {
     use cohana_activity::{SECONDS_PER_DAY, SECONDS_PER_WEEK};
-    const MONTH: i64 = 30 * SECONDS_PER_DAY;
+    const DAY: u64 = SECONDS_PER_DAY as u64;
+    const WEEK: u64 = SECONDS_PER_WEEK as u64;
     match bin {
-        TimeBin::Day => fill_age_units_const::<{ SECONDS_PER_DAY }>(deltas, birth_delta, out),
-        TimeBin::Week => fill_age_units_const::<{ SECONDS_PER_WEEK }>(deltas, birth_delta, out),
-        TimeBin::Month => fill_age_units_const::<MONTH>(deltas, birth_delta, out),
+        TimeBin::Day => fill_ages_const::<DAY>(deltas, birth_delta, out),
+        TimeBin::Week => fill_ages_const::<WEEK>(deltas, birth_delta, out),
+        TimeBin::Month => fill_ages_const::<{ 30 * DAY }>(deltas, birth_delta, out),
     }
 }
 
 #[inline(always)]
-fn fill_age_units_const<const UNIT: i64>(deltas: &[u64], birth_delta: i64, out: &mut [i64]) {
+fn fill_ages_const<const UNIT: u64>(deltas: &[u64], birth_delta: u64, out: &mut [u32]) {
     for (slot, &d) in out.iter_mut().zip(deltas) {
-        let age_secs = d as i64 - birth_delta;
-        *slot = if age_secs <= 0 { 0 } else { (age_secs - 1).div_euclid(UNIT) + 1 };
+        *slot = (d.saturating_sub(birth_delta + 1) / UNIT) as u32 + 1;
+    }
+}
+
+/// The first `n` slots of a scratch buffer that only ever grows: once it has
+/// seen the largest block, taking a slice neither allocates nor clears.
+fn scratch<T: Copy + Default>(buf: &mut Vec<T>, n: usize) -> &mut [T] {
+    if buf.len() < n {
+        buf.resize(n, T::default());
+    }
+    &mut buf[..n]
+}
+
+/// Gather `buf[sel[k]]` into `buf[k]`, in place: `sel` ascends, so
+/// `sel[k] >= k` and no element is overwritten before it is read.
+fn compact(buf: &mut [u64], sel: &[u32]) {
+    for (k, &i) in sel.iter().enumerate() {
+        buf[k] = buf[i as usize];
     }
 }
 
@@ -1026,15 +1057,13 @@ struct AgeArray {
 }
 
 impl AgeArray {
-    #[inline]
-    fn slot(&mut self, age: usize, inits: &[AggState]) -> &mut [AggState] {
+    /// Make room for the states of every age up to `age`.
+    fn reserve(&mut self, age: usize, inits: &[AggState]) {
         if age >= self.present.len() {
             let new = age + 1 - self.present.len();
             self.present.resize(age + 1, false);
             self.states.extend(inits.iter().cycle().take(new * inits.len()));
         }
-        self.present[age] = true;
-        &mut self.states[age * inits.len()..(age + 1) * inits.len()]
     }
 }
 
@@ -1134,24 +1163,127 @@ impl Accumulator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::expr::Expr;
     use crate::plan::{plan_query, PlannerOptions};
     use crate::query::CohortQuery;
     use cohana_activity::{Schema, TableBuilder};
     use cohana_storage::{ColumnMeta, CompressedTable, CompressionOptions, GlobalDict};
 
     #[test]
-    fn fill_age_units_matches_timebin_age_units() {
-        let deltas: Vec<u64> = vec![0, 1, 86_399, 86_400, 86_401, 604_800, 2_591_999, 2_592_001];
+    fn fill_ages_matches_timebin_age_units() {
+        let deltas: Vec<u64> = vec![1, 86_399, 86_400, 86_401, 604_800, 2_591_999, 2_592_001];
         for bin in [TimeBin::Day, TimeBin::Week, TimeBin::Month] {
-            for birth_delta in [0i64, 1, 86_400, 700_000] {
-                let mut out = vec![i64::MAX; deltas.len()];
-                fill_age_units(bin, &deltas, birth_delta, &mut out);
-                for (i, &d) in deltas.iter().enumerate() {
-                    let age_secs = d as i64 - birth_delta;
-                    let expect = if age_secs <= 0 { 0 } else { bin.age_units(age_secs) };
-                    assert_eq!(out[i], expect, "{bin:?} delta {d} birth {birth_delta}");
+            for birth_delta in [0u64, 1, 86_400, 700_000] {
+                let after: Vec<u64> = deltas.iter().map(|d| d + birth_delta).collect();
+                let mut out = vec![u32::MAX; after.len()];
+                fill_ages(bin, &after, birth_delta, &mut out);
+                for (&age, &d) in out.iter().zip(&deltas) {
+                    assert_eq!(age as i64, bin.age_units(d as i64), "{bin:?} {d}s past birth");
                 }
             }
+        }
+        // A delta that breaks time order still lands inside the age span.
+        let mut out = [0u32; 2];
+        fill_ages(TimeBin::Day, &[5, 10], 10, &mut out);
+        assert_eq!(out, [1, 1]);
+    }
+
+    /// Run `query` serially over every chunk of `table` and sum the kernel's
+    /// work counters: `(tuples decoded, tuples folded, runs folded)`.
+    fn kernel_work(table: &CompressedTable, query: &CohortQuery) -> (u64, u64, u64) {
+        let plan = plan_query(query, table.schema(), PlannerOptions::default()).unwrap();
+        let ctx = ExecContext::new(table.table_meta(), &plan).unwrap();
+        let mut work = (0, 0, 0);
+        for chunk in table.chunks() {
+            let mut proc = RunProcessor::new(table.table_meta(), chunk, &plan, &ctx).unwrap();
+            if !proc.skip_chunk {
+                proc.process_runs(0, chunk.num_users());
+            }
+            work.0 += proc.tuples_decoded;
+            work.1 += proc.tuples_folded;
+            work.2 += proc.runs_folded;
+        }
+        work
+    }
+
+    /// Figure 9 by counts, not by clock: the tuples an `AGE < g` query
+    /// decodes grow with `g` and stay below what the unbounded query
+    /// decodes, because the bound is a row range found before decoding.
+    #[test]
+    fn age_bounds_decode_in_proportion_to_the_ages_selected() {
+        use crate::paper;
+        let activity = cohana_activity::generate(&cohana_activity::GeneratorConfig::new(300));
+        let options = CompressionOptions::with_chunk_size(1 << 12);
+        let table = CompressedTable::build(&activity, options).unwrap();
+        type Sweep = fn(i64) -> CohortQuery;
+        for (name, bounded, unbounded) in
+            [("Q7/Q1", paper::q7 as Sweep, paper::q1()), ("Q8/Q3", paper::q8 as Sweep, paper::q3())]
+        {
+            let (full_decoded, full_folded, full_runs) = kernel_work(&table, &unbounded);
+            assert!(full_runs > 0 && full_runs <= full_folded && full_folded <= full_decoded);
+            let mut last = 0;
+            let mut sweep = Vec::new();
+            for g in 1..=14 {
+                let (decoded, folded, runs) = kernel_work(&table, &bounded(g));
+                sweep.push(decoded);
+                assert!(decoded >= last, "{name}: g = {g} decodes {decoded} after {last}");
+                assert!(runs <= folded && folded <= decoded && decoded < full_decoded);
+                if g <= 5 {
+                    assert!(
+                        2 * decoded < full_decoded,
+                        "{name}: AGE < {g} decodes {decoded} of the unbounded {full_decoded}"
+                    );
+                }
+                last = decoded;
+            }
+            // Shown under `--nocapture`: the Figure 9 curve in tuples.
+            println!("{name}: AGE < 1..=14 decodes {sweep:?}, unbounded {full_decoded}");
+            // `AGE < 1` selects nothing and decodes nothing.
+            assert_eq!(kernel_work(&table, &bounded(1)), (0, 0, 0), "{name}");
+            assert!(last > 0, "{name}: AGE < 14 selects tuples");
+        }
+        // SkipCurUser: Q2 and Q4 decode no tuple of an unqualified user —
+        // at most those of the users their birth selections keep.
+        let (q1_decoded, ..) = kernel_work(&table, &paper::q1());
+        let (q2_decoded, ..) = kernel_work(&table, &paper::q2());
+        let (q3_decoded, ..) = kernel_work(&table, &paper::q3());
+        let (q4_decoded, ..) = kernel_work(&table, &paper::q4());
+        assert!(0 < q2_decoded && q2_decoded < q1_decoded, "Q2 {q2_decoded} vs Q1 {q1_decoded}");
+        assert!(q4_decoded < q3_decoded, "Q4 {q4_decoded} vs Q3 {q3_decoded}");
+    }
+
+    /// A user block whose time column is not sorted (a file damaged where
+    /// no range check sees it) may answer anything, but the kernel must
+    /// stay inside its arrays: the oldest age is then not the last one.
+    #[test]
+    fn a_block_that_breaks_time_order_stays_in_bounds() {
+        use cohana_storage::ChunkColumn;
+        let table = wide_dictionary_table(5);
+        let chunk = &table.chunks()[0];
+        let time_idx = table.schema().time_idx();
+        // Each user's six tuples (days 0..=5) now run 0, 5, 1, 4, 2, 3.
+        let times: Vec<i64> = (0..chunk.num_rows())
+            .map(|row| (row / 6 * 6 + [0, 5, 1, 4, 2, 3][row % 6]) as i64 * 86_400 + 60)
+            .collect();
+        let mut columns = chunk.columns().to_vec();
+        columns[time_idx] = Some(Arc::new(ChunkColumn::from_ints(&times)));
+        let broken = Chunk::from_shared(chunk.shared_rle().clone(), columns).unwrap();
+        for age in [None, Some(Expr::age().between_int(2, 4))] {
+            let mut query = CohortQuery::builder("launch").cohort_by(["country"]);
+            if let Some(age) = age {
+                query = query.age_where(age);
+            }
+            let query = query
+                .aggregate(AggFunc::sum("gold"))
+                .aggregate(AggFunc::user_count())
+                .build()
+                .unwrap();
+            let plan = plan_query(&query, table.schema(), PlannerOptions::default()).unwrap();
+            let ctx = ExecContext::new(table.table_meta(), &plan).unwrap();
+            let mut proc = RunProcessor::new(table.table_meta(), &broken, &plan, &ctx).unwrap();
+            proc.process_runs(0, broken.num_users());
+            assert!(proc.tuples_folded <= proc.tuples_decoded);
+            assert_eq!(proc.finish().num_users(), 3);
         }
     }
 

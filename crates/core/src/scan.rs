@@ -15,7 +15,10 @@
 //!   literal absent from the dictionary still compares correctly;
 //! * integer columns decode as `chunk_min + delta` — one add per access;
 //! * `Birth(A)` terms read the same columns at the user's birth row;
-//! * `AGE` reads the pre-computed age of the current tuple.
+//! * `AGE` reads the age of the current tuple — except in top-level
+//!   `AGE <op> constant` conjuncts of an age selection, which
+//!   [`CompiledExpr::split_age_range`] takes out as bounds the executor
+//!   turns into a row range without evaluating them per tuple.
 //!
 //! [`CompiledExpr::specialize`] then runs once per **chunk**, the paper's
 //! "compile once per chunk" claim made literal: terms are const-folded
@@ -26,7 +29,10 @@
 //! chunk-code** comparisons — valid because each chunk dictionary is sorted
 //! by gid, so code order equals gid order equals value order. Evaluation
 //! reads columns through pre-resolved [`ChunkCursors`], never re-matching
-//! the column enum per tuple.
+//! the column enum per tuple; an age selection is further bound to
+//! block-decoded buffers ([`CompiledExpr::bind_slots`]) and run as a
+//! selection-vector filter over a whole user block
+//! ([`CompiledExpr::refine`]).
 
 use crate::error::EngineError;
 use crate::expr::{CmpOp, Expr};
@@ -225,8 +231,24 @@ pub enum Scalar {
     /// Only valid under [`CompiledExpr::eval_slots`].
     CodeSlot(usize),
     /// Integer attribute served as `min + raw` from slot `s` of a
-    /// block-decoded buffer set (block-bound form).
+    /// block-decoded buffer set (block-bound form). `AGE` binds to this
+    /// form too, over a slot the executor fills with the block's ages.
     IntSlot(usize, i64),
+    /// Global id of string attribute `attr`, translated from the raw chunk
+    /// code in slot `s` (block-bound form of a gid read specialization
+    /// could not rewrite to codes: a comparison of two different string
+    /// columns).
+    GidSlot(usize, usize),
+}
+
+/// What the executor decodes into one slot of a bound predicate's buffer
+/// set (see [`CompiledExpr::bind_slots`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SlotCol {
+    /// The raw codes of an attribute's column.
+    Attr(usize),
+    /// The normalized age of every tuple of the decoded range.
+    Age,
 }
 
 impl Scalar {
@@ -241,26 +263,28 @@ impl Scalar {
             Scalar::CodeBirth(idx) => cur.code(*idx, ctx.birth_row) as i64,
             Scalar::Age => ctx.age_units,
             Scalar::Const(v) => *v,
-            Scalar::CodeSlot(_) | Scalar::IntSlot(..) => {
+            Scalar::CodeSlot(_) | Scalar::IntSlot(..) | Scalar::GidSlot(..) => {
                 unreachable!("slot-bound scalar evaluated without block buffers")
             }
         }
     }
 
     /// Evaluate under block-decoded buffers: slot scalars read offset `off`
-    /// of their buffer, everything else falls back to the row path.
+    /// of their buffer; what binding left alone reads the birth row or is a
+    /// constant.
     #[inline]
     fn eval_slots(
         &self,
         cur: &ChunkCursors<'_>,
-        ctx: &EvalCtx,
+        birth_row: usize,
         bufs: &[Vec<u64>],
         off: usize,
     ) -> i64 {
         match self {
             Scalar::CodeSlot(s) => bufs[*s][off] as i64,
             Scalar::IntSlot(s, min) => min + bufs[*s][off] as i64,
-            other => other.eval(cur, ctx),
+            Scalar::GidSlot(s, attr) => cur.lut(*attr)[bufs[*s][off] as usize] as i64,
+            other => other.eval(cur, &EvalCtx { row: birth_row, birth_row, age_units: 0 }),
         }
     }
 
@@ -270,29 +294,29 @@ impl Scalar {
         match self {
             Scalar::GidAttr(i) | Scalar::IntAttr(i) | Scalar::CodeAttr(i) => Some((*i, false)),
             Scalar::GidBirth(i) | Scalar::IntBirth(i) | Scalar::CodeBirth(i) => Some((*i, true)),
-            Scalar::Age | Scalar::Const(_) | Scalar::CodeSlot(_) | Scalar::IntSlot(..) => None,
+            Scalar::Age | Scalar::Const(_) => None,
+            Scalar::CodeSlot(_) | Scalar::IntSlot(..) | Scalar::GidSlot(..) => None,
         }
     }
 }
 
-/// Rewrite a current-row column scalar to its slot-bound form, registering
-/// the column in `cols` (deduplicated). Birth-row scalars, `Age`, and
-/// constants pass through; `GidAttr` (a dictionary column the chunk holds
-/// no dictionary for, so specialization could not rewrite it to codes)
-/// aborts binding — the caller stays on the row path.
-fn bind_scalar(s: &Scalar, cur: &ChunkCursors<'_>, cols: &mut Vec<usize>) -> Option<Scalar> {
-    let mut slot = |idx: usize| match cols.iter().position(|c| *c == idx) {
+/// Rewrite a scalar that varies inside a user block — a current-row column
+/// read or `AGE` — to its slot-bound form, registering what the slot holds
+/// in `cols` (deduplicated). Birth-row scalars and constants pass through.
+fn bind_scalar(s: &Scalar, cur: &ChunkCursors<'_>, cols: &mut Vec<SlotCol>) -> Scalar {
+    let mut slot = |col: SlotCol| match cols.iter().position(|c| *c == col) {
         Some(s) => s,
         None => {
-            cols.push(idx);
+            cols.push(col);
             cols.len() - 1
         }
     };
     match s {
-        Scalar::CodeAttr(i) => Some(Scalar::CodeSlot(slot(*i))),
-        Scalar::IntAttr(i) => Some(Scalar::IntSlot(slot(*i), cur.int_min(*i))),
-        Scalar::GidAttr(_) => None,
-        other => Some(other.clone()),
+        Scalar::CodeAttr(i) => Scalar::CodeSlot(slot(SlotCol::Attr(*i))),
+        Scalar::IntAttr(i) => Scalar::IntSlot(slot(SlotCol::Attr(*i)), cur.int_min(*i)),
+        Scalar::GidAttr(i) => Scalar::GidSlot(slot(SlotCol::Attr(*i)), *i),
+        Scalar::Age => Scalar::IntSlot(slot(SlotCol::Age), 0),
+        other => other.clone(),
     }
 }
 
@@ -336,73 +360,58 @@ impl CompiledExpr {
         matches!(self, CompiledExpr::Const(false))
     }
 
-    /// Bind every current-row column read to a slot of a block-decoded
-    /// buffer set (the executor decodes each registered column once per
-    /// user block through `BitPacked::unpack_range` — the SIMD lane path
-    /// when compiled in — instead of random-accessing packed bits per
-    /// row). Returns `None` when the predicate holds a current-row scalar
-    /// that cannot be served from raw decoded words (`GidAttr` on a
-    /// dictionary-less chunk column); the caller then stays on the
-    /// per-row [`CompiledExpr::eval`] path.
-    pub fn bind_slots(
-        &self,
-        cur: &ChunkCursors<'_>,
-        cols: &mut Vec<usize>,
-    ) -> Option<CompiledExpr> {
+    /// Bind every scalar that varies inside a user block — current-row
+    /// column reads and `AGE` — to a slot of a block-decoded buffer set: the
+    /// executor fills each registered [`SlotCol`] once per user block
+    /// (columns through `BitPacked::unpack_range`, the SIMD lane path when
+    /// compiled in) and [`CompiledExpr::refine`] reads flat buffers instead
+    /// of random-accessing packed bits per row.
+    pub fn bind_slots(&self, cur: &ChunkCursors<'_>, cols: &mut Vec<SlotCol>) -> CompiledExpr {
+        let bind = |e: &CompiledExpr, cols: &mut Vec<SlotCol>| Box::new(e.bind_slots(cur, cols));
         match self {
-            CompiledExpr::Const(b) => Some(CompiledExpr::Const(*b)),
+            CompiledExpr::Const(b) => CompiledExpr::Const(*b),
             CompiledExpr::Cmp(op, a, b) => {
-                Some(CompiledExpr::Cmp(*op, bind_scalar(a, cur, cols)?, bind_scalar(b, cur, cols)?))
+                CompiledExpr::Cmp(*op, bind_scalar(a, cur, cols), bind_scalar(b, cur, cols))
             }
-            CompiledExpr::And(a, b) => Some(CompiledExpr::And(
-                Box::new(a.bind_slots(cur, cols)?),
-                Box::new(b.bind_slots(cur, cols)?),
-            )),
-            CompiledExpr::Or(a, b) => Some(CompiledExpr::Or(
-                Box::new(a.bind_slots(cur, cols)?),
-                Box::new(b.bind_slots(cur, cols)?),
-            )),
-            CompiledExpr::Not(a) => Some(CompiledExpr::Not(Box::new(a.bind_slots(cur, cols)?))),
+            CompiledExpr::And(a, b) => CompiledExpr::And(bind(a, cols), bind(b, cols)),
+            CompiledExpr::Or(a, b) => CompiledExpr::Or(bind(a, cols), bind(b, cols)),
+            CompiledExpr::Not(a) => CompiledExpr::Not(bind(a, cols)),
             CompiledExpr::InSet(s, set) => {
-                Some(CompiledExpr::InSet(bind_scalar(s, cur, cols)?, set.clone()))
+                CompiledExpr::InSet(bind_scalar(s, cur, cols), set.clone())
             }
         }
     }
 
     /// Evaluate a slot-bound predicate (see [`CompiledExpr::bind_slots`])
-    /// for the tuple at buffer offset `off`; `bufs` holds the decoded
-    /// columns in registration order. Birth-row and `Age` terms still read
-    /// through `cur` / `ctx`.
+    /// for the tuple at buffer offset `off`; `bufs` holds the decoded slots
+    /// in registration order. Birth-row terms still read through `cur`.
     #[inline]
     pub fn eval_slots(
         &self,
         cur: &ChunkCursors<'_>,
-        ctx: &EvalCtx,
+        birth_row: usize,
         bufs: &[Vec<u64>],
         off: usize,
     ) -> bool {
+        let scalar = |s: &Scalar| s.eval_slots(cur, birth_row, bufs, off);
         match self {
             CompiledExpr::Const(b) => *b,
-            CompiledExpr::Cmp(op, a, b) => {
-                op.test(a.eval_slots(cur, ctx, bufs, off).cmp(&b.eval_slots(cur, ctx, bufs, off)))
-            }
+            CompiledExpr::Cmp(op, a, b) => op.test(scalar(a).cmp(&scalar(b))),
             CompiledExpr::And(a, b) => {
-                a.eval_slots(cur, ctx, bufs, off) && b.eval_slots(cur, ctx, bufs, off)
+                a.eval_slots(cur, birth_row, bufs, off) && b.eval_slots(cur, birth_row, bufs, off)
             }
             CompiledExpr::Or(a, b) => {
-                a.eval_slots(cur, ctx, bufs, off) || b.eval_slots(cur, ctx, bufs, off)
+                a.eval_slots(cur, birth_row, bufs, off) || b.eval_slots(cur, birth_row, bufs, off)
             }
-            CompiledExpr::Not(a) => !a.eval_slots(cur, ctx, bufs, off),
-            CompiledExpr::InSet(s, set) => {
-                set.binary_search(&s.eval_slots(cur, ctx, bufs, off)).is_ok()
-            }
+            CompiledExpr::Not(a) => !a.eval_slots(cur, birth_row, bufs, off),
+            CompiledExpr::InSet(s, set) => set.binary_search(&scalar(s)).is_ok(),
         }
     }
 
     /// Whether every scalar the predicate reads is constant within one
-    /// user block (birth-row reads and literals only — not current-row
-    /// slots, not `Age`). Such a predicate has one outcome for the whole
-    /// block and is evaluated once per user, not once per tuple.
+    /// user block (birth-row reads and literals only — no slot). Such a
+    /// predicate has one outcome for the whole block and is evaluated once
+    /// per user, not once per tuple.
     fn is_block_invariant(&self) -> bool {
         fn scalar_inv(s: &Scalar) -> bool {
             matches!(
@@ -421,64 +430,102 @@ impl CompiledExpr {
         }
     }
 
-    /// AND a slot-bound predicate (see [`CompiledExpr::bind_slots`]) into
-    /// `mask` over one user block, vectorized where the shape allows:
+    /// Narrow `sel` — ascending offsets into one user block's decoded
+    /// range — to the tuples a slot-bound predicate (see
+    /// [`CompiledExpr::bind_slots`]) keeps, so everything downstream touches
+    /// selected tuples only:
     ///
-    /// * slot-vs-constant comparisons run a branch-free lane loop over the
-    ///   decoded buffer (the common §4.3-specialized shape — e.g. Q3's
-    ///   `action = 'shop'` is `code == c` by this point);
-    /// * conjunctions distribute, AND-ing each side into the mask in turn;
+    /// * slot-vs-constant comparisons run a branch-free compaction loop
+    ///   over the decoded buffer (the common §4.3-specialized shape — e.g.
+    ///   Q3's `action = 'shop'` is `code == c` by this point);
+    /// * conjunctions narrow by each side in turn;
     /// * block-invariant subtrees (birth-row reads, constants) evaluate
-    ///   **once per user** and either keep or clear the whole mask;
-    /// * anything else falls back to per-offset
-    ///   [`CompiledExpr::eval_slots`], guarded by the mask so each tuple is
-    ///   tested at most once.
+    ///   **once per user** and either keep or clear the whole selection;
+    /// * anything else (`OR`, `NOT`, `IN`, slot-vs-slot) evaluates
+    ///   [`CompiledExpr::eval_slots`] per selected offset.
     ///
-    /// `mask[i]` corresponds to row `base_row + i`, offset `i` of every
-    /// buffer in `bufs`, and age `ages[i]`.
-    pub fn and_into_mask(
+    /// Offset `i` addresses element `i` of every buffer in `bufs`.
+    pub fn refine(
         &self,
         cur: &ChunkCursors<'_>,
         birth_row: usize,
-        base_row: usize,
         bufs: &[Vec<u64>],
-        ages: &[i64],
-        mask: &mut [bool],
+        sel: &mut Vec<u32>,
     ) {
         match self {
-            CompiledExpr::Const(true) => {}
-            CompiledExpr::Const(false) => mask.fill(false),
             CompiledExpr::And(a, b) => {
-                a.and_into_mask(cur, birth_row, base_row, bufs, ages, mask);
-                b.and_into_mask(cur, birth_row, base_row, bufs, ages, mask);
+                a.refine(cur, birth_row, bufs, sel);
+                b.refine(cur, birth_row, bufs, sel);
             }
             CompiledExpr::Cmp(op, Scalar::CodeSlot(s), Scalar::Const(c)) => {
-                and_cmp_mask(*op, &bufs[*s], 0, *c, mask);
+                retain_cmp(*op, &bufs[*s], 0, *c, sel);
             }
             CompiledExpr::Cmp(op, Scalar::IntSlot(s, min), Scalar::Const(c)) => {
-                and_cmp_mask(*op, &bufs[*s], *min, *c, mask);
+                retain_cmp(*op, &bufs[*s], *min, *c, sel);
             }
             CompiledExpr::Cmp(op, Scalar::Const(c), Scalar::CodeSlot(s)) => {
-                and_cmp_mask(op.swapped(), &bufs[*s], 0, *c, mask);
+                retain_cmp(op.swapped(), &bufs[*s], 0, *c, sel);
             }
             CompiledExpr::Cmp(op, Scalar::Const(c), Scalar::IntSlot(s, min)) => {
-                and_cmp_mask(op.swapped(), &bufs[*s], *min, *c, mask);
+                retain_cmp(op.swapped(), &bufs[*s], *min, *c, sel);
             }
             inv if inv.is_block_invariant() => {
-                let ctx = EvalCtx { row: birth_row, birth_row, age_units: 0 };
-                if !inv.eval(cur, &ctx) {
-                    mask.fill(false);
+                if !inv.eval(cur, &EvalCtx { row: birth_row, birth_row, age_units: 0 }) {
+                    sel.clear();
                 }
             }
-            other => {
-                for (i, m) in mask.iter_mut().enumerate() {
-                    if *m {
-                        let ctx = EvalCtx { row: base_row + i, birth_row, age_units: ages[i] };
-                        *m = other.eval_slots(cur, &ctx, bufs, i);
+            other => sel.retain(|&i| other.eval_slots(cur, birth_row, bufs, i as usize)),
+        }
+    }
+
+    /// Split a (specialized) age predicate into the inclusive age bounds
+    /// its top-level `AGE <op> constant` conjuncts imply and the residual
+    /// conjunction of everything else. Only positive ages reach the age
+    /// selection, so the lower bound starts at 1; contradictory bounds leave
+    /// an empty range. Ages within a user block are non-decreasing, so the
+    /// executor turns the bounds into a row range by binary search instead
+    /// of testing them per tuple; `OR`, `NOT`, `AGE !=` and `AGE` compared
+    /// to a column stay in the residual.
+    pub fn split_age_range(self) -> AgeSelection {
+        fn walk(e: CompiledExpr, out: &mut AgeSelection) {
+            let cmp = match &e {
+                CompiledExpr::Cmp(op, Scalar::Age, Scalar::Const(c)) => Some((*op, *c)),
+                CompiledExpr::Cmp(op, Scalar::Const(c), Scalar::Age) => Some((op.swapped(), *c)),
+                _ => None,
+            };
+            // The comparison as an inclusive bound; none for `!=` or when
+            // the strict bound's neighbour does not exist.
+            let bound = cmp.and_then(|(op, c)| match op {
+                CmpOp::Lt => Some((op, c.checked_sub(1)?)),
+                CmpOp::Gt => Some((op, c.checked_add(1)?)),
+                CmpOp::Ne => None,
+                _ => Some((op, c)),
+            });
+            match (e, bound) {
+                (CompiledExpr::And(a, b), _) => {
+                    walk(*a, out);
+                    walk(*b, out);
+                }
+                (CompiledExpr::Const(true), _) => {}
+                (_, Some((op, bound))) => {
+                    if matches!(op, CmpOp::Lt | CmpOp::Le | CmpOp::Eq) {
+                        out.hi = out.hi.min(bound);
                     }
+                    if matches!(op, CmpOp::Gt | CmpOp::Ge | CmpOp::Eq) {
+                        out.lo = out.lo.max(bound);
+                    }
+                }
+                (other, None) => {
+                    out.residual = Some(match out.residual.take() {
+                        Some(r) => CompiledExpr::And(Box::new(r), Box::new(other)),
+                        None => other,
+                    });
                 }
             }
         }
+        let mut out = AgeSelection { lo: 1, hi: i64::MAX, residual: None };
+        walk(self, &mut out);
+        out
     }
 
     /// The §4.3 per-chunk specialization pass: fold terms whose outcome the
@@ -526,16 +573,42 @@ impl CompiledExpr {
     }
 }
 
-/// Branch-free lane loop ANDing `(min + raw) op c` into `mask`. The
-/// operator match is hoisted out of the loop so every arm is a plain
-/// compare-and-mask pass the autovectorizer can turn into SIMD compares.
-fn and_cmp_mask(op: CmpOp, raw: &[u64], min: i64, c: i64, mask: &mut [bool]) {
+/// An age predicate as the executor runs it (see
+/// [`CompiledExpr::split_age_range`]): ages `lo..=hi` of the tuples the
+/// residual keeps.
+#[derive(Debug, Clone, PartialEq)]
+pub struct AgeSelection {
+    /// Smallest selected age (at least 1).
+    pub lo: i64,
+    /// Largest selected age (`i64::MAX` when unbounded).
+    pub hi: i64,
+    /// What is left of the predicate once the bounds are taken out.
+    pub residual: Option<CompiledExpr>,
+}
+
+impl AgeSelection {
+    /// Whether no tuple can pass: users still qualify (their cohort sizes
+    /// count), but nothing reaches the aggregates.
+    pub fn is_empty(&self) -> bool {
+        self.lo > self.hi || self.residual.as_ref().is_some_and(CompiledExpr::is_const_false)
+    }
+}
+
+/// Branch-free compaction keeping the offsets of `sel` whose tuple passes
+/// `(min + raw) op c`: every offset is stored and the write position
+/// advances by the outcome, so there is no data-dependent branch to
+/// mispredict. The operator match is hoisted out of the loop.
+fn retain_cmp(op: CmpOp, raw: &[u64], min: i64, c: i64, sel: &mut Vec<u32>) {
     macro_rules! lanes {
-        ($cmp:tt) => {
-            for (m, &v) in mask.iter_mut().zip(raw) {
-                *m &= (min + v as i64) $cmp c;
+        ($cmp:tt) => {{
+            let mut kept = 0;
+            for k in 0..sel.len() {
+                let i = sel[k];
+                sel[kept] = i;
+                kept += ((min + raw[i as usize] as i64) $cmp c) as usize;
             }
-        };
+            sel.truncate(kept);
+        }};
     }
     match op {
         CmpOp::Eq => lanes!(==),
@@ -1266,6 +1339,116 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    #[test]
+    fn split_age_range_folds_top_level_bounds() {
+        use CmpOp::*;
+        let age = |op, c| CompiledExpr::Cmp(op, Scalar::Age, Scalar::Const(c));
+        let and = |a, b| CompiledExpr::And(Box::new(a), Box::new(b));
+        let range = |lo, hi, residual| AgeSelection { lo, hi, residual };
+        let live = || int_cmp(Le, 120);
+
+        assert_eq!(age(Lt, 7).split_age_range(), range(1, 6, None));
+        assert_eq!(age(Le, 7).split_age_range(), range(1, 7, None));
+        assert_eq!(age(Gt, 2).split_age_range(), range(3, i64::MAX, None));
+        assert_eq!(age(Eq, 4).split_age_range(), range(4, 4, None));
+        // Constant first: `3 <= AGE` is `AGE >= 3`.
+        let flipped = CompiledExpr::Cmp(Le, Scalar::Const(3), Scalar::Age);
+        assert_eq!(flipped.split_age_range(), range(3, i64::MAX, None));
+        // BETWEEN is two conjuncts; other conjuncts collect in the residual.
+        let between = and(and(age(Ge, 2), live()), and(age(Le, 5), gid_cmp(Eq, 5)));
+        let rest = and(live(), gid_cmp(Eq, 5));
+        assert_eq!(between.split_age_range(), range(2, 5, Some(rest)));
+        // The tightest of repeated bounds wins; bounds below 1 do not widen.
+        assert_eq!(and(age(Lt, 9), age(Lt, 4)).split_age_range(), range(1, 3, None));
+        assert_eq!(age(Ge, -3).split_age_range(), range(1, i64::MAX, None));
+
+        // Empty selections: contradictory bounds, no positive age, and a
+        // predicate specialization already proved false.
+        assert!(and(age(Gt, 5), age(Lt, 5)).split_age_range().is_empty());
+        assert!(and(age(Eq, 2), age(Eq, 3)).split_age_range().is_empty());
+        assert!(age(Lt, 1).split_age_range().is_empty());
+        assert!(age(Le, i64::MIN).split_age_range().is_empty());
+        assert!(CompiledExpr::Const(false).split_age_range().is_empty());
+        assert!(!age(Lt, 2).split_age_range().is_empty());
+
+        // Not a range: `!=`, a strict bound with no neighbour, anything
+        // under OR / NOT, AGE against a column.
+        for e in [
+            age(Ne, 3),
+            age(Gt, i64::MAX),
+            age(Lt, i64::MIN),
+            CompiledExpr::Or(Box::new(age(Lt, 3)), Box::new(live())),
+            CompiledExpr::Not(Box::new(age(Lt, 3))),
+            CompiledExpr::Cmp(Lt, Scalar::Age, Scalar::IntAttr(1)),
+        ] {
+            assert_eq!(e.clone().split_age_range(), range(1, i64::MAX, Some(e)));
+        }
+    }
+
+    /// The slot-bound selection of every user block ≡ evaluating the
+    /// predicate row by row, for every shape `refine` distinguishes —
+    /// including the two bindings that used to fall off the block path: a
+    /// gid read specialization cannot turn into a code (two different
+    /// string columns compared) and `AGE` outside a top-level bound.
+    #[test]
+    fn refine_selects_the_rows_eval_accepts() {
+        let (t, c) = setup();
+        let schema = t.schema();
+        let shop = || Expr::attr("action").eq(Expr::lit_str("shop"));
+        let predicates = [
+            shop().and(Expr::attr("gold").gt(Expr::lit_int(3))),
+            Expr::lit_int(40)
+                .ge(Expr::attr("gold"))
+                .and(Expr::attr("session").ne(Expr::lit_int(2))),
+            Expr::attr("country").eq(Expr::attr("city")),
+            Expr::attr("country").lt(Expr::attr("role")).or(shop()),
+            Expr::attr("country").eq(Expr::birth("country")).and(shop()),
+            Expr::birth("role").eq(Expr::lit_str("dwarf")),
+            Expr::age().ne(Expr::lit_int(3)).and(shop().not()),
+            Expr::age().lt(Expr::lit_int(4)).or(shop()),
+            Expr::age().lt(Expr::attr("session")),
+            Expr::attr("action").in_list([Value::str("shop"), Value::str("fight")]),
+        ];
+        for e in &predicates {
+            let compiled = compile_predicate(e, schema, c.table_meta()).unwrap();
+            let mut selected = 0;
+            for chunk in c.chunks() {
+                let cur = chunk.cursors();
+                let spec = compiled.specialize(chunk);
+                let mut cols = Vec::new();
+                let bound = spec.bind_slots(&cur, &mut cols);
+                for run in chunk.user_rle().runs() {
+                    let birth_row = run.first as usize;
+                    let (lo, hi) = (birth_row + 1, birth_row + run.count as usize);
+                    let ages: Vec<u64> = (0..hi - lo).map(|i| 1 + i as u64 / 3).collect();
+                    let bufs: Vec<Vec<u64>> = cols
+                        .iter()
+                        .map(|col| match *col {
+                            SlotCol::Age => ages.clone(),
+                            SlotCol::Attr(attr) => {
+                                let mut buf = vec![0; hi - lo];
+                                cur.unpack(attr, lo, hi, &mut buf);
+                                buf
+                            }
+                        })
+                        .collect();
+                    let mut sel: Vec<u32> = (0..(hi - lo) as u32).collect();
+                    bound.refine(&cur, birth_row, &bufs, &mut sel);
+                    let expect: Vec<u32> = (0..hi - lo)
+                        .filter(|&i| {
+                            let age_units = ages[i] as i64;
+                            spec.eval(&cur, &EvalCtx { row: lo + i, birth_row, age_units })
+                        })
+                        .map(|i| i as u32)
+                        .collect();
+                    assert_eq!(sel, expect, "`{e}` on the block at row {birth_row}");
+                    selected += sel.len();
+                }
+            }
+            assert!(selected > 0, "`{e}` selects nothing: the case is vacuous");
         }
     }
 

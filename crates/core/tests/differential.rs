@@ -40,11 +40,21 @@ fn assert_reports_equal(optimized: &CohortReport, reference: &CohortReport, what
 }
 
 fn check_query(query: &CohortQuery, what: &str) {
-    let table = dataset();
-    let reference = naive_execute(&table, query).expect("naive evaluation succeeds");
-    for chunk_size in [64usize, 1024, 1 << 20] {
+    check_on(&dataset(), &[64, 1024, 1 << 20], query, what);
+}
+
+/// The executor ≡ the reference on `table`, at every chunk size, under
+/// every plan, serially and on four workers. Returns the reference report.
+fn check_on(
+    table: &cohana_activity::ActivityTable,
+    chunk_sizes: &[usize],
+    query: &CohortQuery,
+    what: &str,
+) -> CohortReport {
+    let reference = naive_execute(table, query).expect("naive evaluation succeeds");
+    for &chunk_size in chunk_sizes {
         let compressed = Arc::new(
-            CompressedTable::build(&table, CompressionOptions::with_chunk_size(chunk_size))
+            CompressedTable::build(table, CompressionOptions::with_chunk_size(chunk_size))
                 .expect("compression succeeds"),
         );
         for options in [
@@ -67,6 +77,7 @@ fn check_query(query: &CohortQuery, what: &str) {
             }
         }
     }
+    reference
 }
 
 #[test]
@@ -331,4 +342,160 @@ fn engine_facade_equals_direct_execution() {
     let via_engine = engine.execute(&q).unwrap();
     let reference = naive_execute(&table, &q).unwrap();
     assert_reports_equal(&via_engine, &reference, "facade");
+}
+
+// ---------------------------------------------------------------------------
+// Edges of the per-user kernel (range → selection → runs)
+
+const DAY: i64 = 86_400;
+const E18: i64 = 1_000_000_000_000_000_000;
+
+/// Four users, one country each, built around the places the kernel cuts a
+/// user block:
+///
+/// * `ann` (Chile) launches at `t0` with a `fight` (sorts before the birth
+///   row) and a `shop` (sorts after it) on the same timestamp — both age 0 —
+///   then shops six times on day 1 with gold alternating −3e18 / +4e18, so
+///   the running sum changes sign at every tuple, the column minimum is
+///   negative and the raw offsets from it sum past `u64::MAX`; one more
+///   shop on day 3.
+/// * `bob` (Ghana) shops, then launches: under a `launch` birth the birth
+///   tuple is his last row.
+/// * `cy` (Nepal) has a single tuple.
+/// * `dee` (Peru) launches and then only fights: exactly one day later (the
+///   last second of age 1) and one and two seconds after that (age 2).
+fn edge_table() -> cohana_activity::ActivityTable {
+    let mut b = cohana_activity::TableBuilder::new(cohana_activity::Schema::game_actions());
+    let t0 = 10 * DAY + 1_000;
+    let mut push = |user: &str, time: i64, action: &str, country: &str, gold: i64| {
+        let row: [cohana_activity::Value; 8] = [
+            user.into(),
+            time.into(),
+            action.into(),
+            country.into(),
+            "city".into(),
+            "dwarf".into(),
+            1.into(),
+            gold.into(),
+        ];
+        b.push(row.to_vec()).unwrap();
+    };
+    for action in ["fight", "launch", "shop"] {
+        push("ann", t0, action, "Chile", 1_000);
+    }
+    for i in 0..6 {
+        push("ann", t0 + 3_600 + i, "shop", "Chile", if i % 2 == 0 { -3 * E18 } else { 4 * E18 });
+    }
+    push("ann", t0 + 2 * DAY + 5, "shop", "Chile", 11);
+    push("bob", t0 - DAY, "shop", "Ghana", 5);
+    push("bob", t0, "launch", "Ghana", 6);
+    push("cy", t0 + 7, "launch", "Nepal", 7);
+    push("dee", t0, "launch", "Peru", 8);
+    push("dee", t0 + DAY, "fight", "Peru", 9);
+    push("dee", t0 + DAY + 1, "fight", "Peru", 10);
+    push("dee", t0 + DAY + 2, "fight", "Peru", 12);
+    b.finish().unwrap()
+}
+
+fn edge_query(birth: &str, age: Option<Expr>) -> CohortQuery {
+    let mut b = CohortQuery::builder(birth).cohort_by(["country"]);
+    if let Some(p) = age {
+        b = b.age_where(p);
+    }
+    for agg in [
+        AggFunc::sum("gold"),
+        AggFunc::avg("gold"),
+        AggFunc::min("gold"),
+        AggFunc::max("gold"),
+        AggFunc::count(),
+        AggFunc::user_count(),
+    ] {
+        b = b.aggregate(agg);
+    }
+    b.build().unwrap()
+}
+
+/// `(cohort, age, Sum, Min, Max, Count, UserCount)` of every report row.
+fn edge_rows(report: &CohortReport) -> Vec<(String, i64, i64, i64, i64, i64, i64)> {
+    let int = |v: &cohana_core::AggValue| v.as_i64().expect("integer measure");
+    report
+        .rows
+        .iter()
+        .map(|r| {
+            let m = &r.measures;
+            let cohort = r.cohort[0].as_str().unwrap().to_string();
+            (cohort, r.age, int(&m[0]), int(&m[2]), int(&m[3]), int(&m[4]), int(&m[5]))
+        })
+        .collect()
+}
+
+#[test]
+fn same_timestamp_tuples_after_the_birth_row_have_age_zero() {
+    // Chunk size 1 closes a chunk at every user boundary; 1 << 20 keeps the
+    // negative-minimum gold column of `ann` in one chunk with the others.
+    let reference = check_on(&edge_table(), &[1, 1 << 20], &edge_query("launch", None), "edges");
+    // ann's same-timestamp shop (gold 1 000) is in no cell; day 1 sums
+    // 3 × (−3e18 + 4e18); bob (birth is his last row) and cy (one tuple)
+    // have a size and no row; dee's last two fights share one (user, age) run.
+    assert_eq!(
+        edge_rows(&reference),
+        vec![
+            ("Chile".to_string(), 1, 3 * E18, -3 * E18, 4 * E18, 6, 1),
+            ("Chile".to_string(), 3, 11, 11, 11, 1, 1),
+            ("Peru".to_string(), 1, 9, 9, 9, 1, 1),
+            ("Peru".to_string(), 2, 22, 10, 12, 2, 1),
+        ]
+    );
+    assert_eq!(reference.cohort_sizes.values().sum::<u64>(), 4);
+}
+
+#[test]
+fn tuples_at_or_before_a_later_birth_row_are_excluded() {
+    // Under a `shop` birth ann's birth row is the third tuple of its
+    // timestamp and bob's is his first row, with a launch after it.
+    let reference = check_on(&edge_table(), &[1, 1 << 20], &edge_query("shop", None), "shop birth");
+    assert_eq!(
+        edge_rows(&reference),
+        vec![
+            ("Chile".to_string(), 1, 3 * E18, -3 * E18, 4 * E18, 6, 1),
+            ("Chile".to_string(), 3, 11, 11, 11, 1, 1),
+            ("Ghana".to_string(), 1, 6, 6, 6, 1, 1),
+        ]
+    );
+}
+
+#[test]
+fn a_user_with_every_tuple_masked_out_counts_in_size_only() {
+    let shop = Expr::attr("action").eq(Expr::lit_str("shop"));
+    let reference =
+        check_on(&edge_table(), &[1, 1 << 20], &edge_query("launch", Some(shop)), "mask");
+    // dee never shops: Peru has a size and no cell.
+    assert!(edge_rows(&reference).iter().all(|r| r.0 == "Chile"));
+    assert_eq!(reference.cohort_sizes[&vec![cohana_activity::Value::str("Peru")]], 1);
+}
+
+#[test]
+fn age_bounds_select_row_ranges() {
+    let table = edge_table();
+    let age = |e: Expr| edge_query("launch", Some(e));
+    // `AGE < 1` is an empty range: sizes only.
+    let empty = check_on(&table, &[1, 1 << 20], &age(Expr::age().lt(Expr::lit_int(1))), "AGE < 1");
+    assert!(empty.rows.is_empty());
+    assert_eq!(empty.cohort_sizes.values().sum::<u64>(), 4);
+    // A bound cuts between two tuples one second apart.
+    let first_day = check_on(&table, &[1, 1 << 20], &age(Expr::age().le(Expr::lit_int(1))), "<= 1");
+    assert_eq!(
+        edge_rows(&first_day).iter().map(|r| (r.1, r.5)).collect::<Vec<_>>(),
+        [(1, 6), (1, 1)]
+    );
+    // Bounds on both sides, alone and beside a residual conjunct.
+    let day_two_on =
+        check_on(&table, &[1, 1 << 20], &age(Expr::age().ge(Expr::lit_int(2))), ">= 2");
+    assert_eq!(edge_rows(&day_two_on).iter().map(|r| r.1).collect::<Vec<_>>(), [3, 2]);
+    let only_day_one = Expr::age().between_int(1, 1).and(Expr::attr("gold").lt(Expr::lit_int(0)));
+    let negative = check_on(&table, &[1, 1 << 20], &age(only_day_one), "day 1, gold < 0");
+    assert_eq!(
+        edge_rows(&negative),
+        vec![("Chile".to_string(), 1, -9 * E18, -3 * E18, -3 * E18, 3, 1)]
+    );
 }

@@ -310,6 +310,32 @@ impl BitPacked {
         None
     }
 
+    /// First position in `start..end` whose value fails `pred` (`end` when
+    /// none does), for a range partitioned like
+    /// [`slice::partition_point`]'s: every value passing `pred` sits before
+    /// every value failing it — a sorted range under a `<= bound` test.
+    /// Binary search over [`BitPacked::get`]: `⌈log2(end − start)⌉ + 1` random
+    /// probes and nothing decoded. The executor uses it to turn an `AGE`
+    /// bound into a row bound on a user block's sorted time column before
+    /// unpacking any of it.
+    pub fn partition_point(&self, start: usize, end: usize, pred: impl Fn(u64) -> bool) -> usize {
+        assert!(start <= end && end <= self.len, "range {start}..{end} out of bounds");
+        if start == end {
+            return start;
+        }
+        // `base` is the last position known to pass (or `start`, untested);
+        // each step halves what is left with a select, not a branch: which
+        // way a probe falls is a coin flip no predictor learns.
+        let (mut base, mut size) = (start, end - start);
+        while size > 1 {
+            let half = size / 2;
+            let mid = base + half;
+            base = if pred(self.get(mid)) { mid } else { base };
+            size -= half;
+        }
+        base + pred(self.get(base)) as usize
+    }
+
     /// Iterate over all values in order. Values are block-decoded 1 Ki at a
     /// time through [`BitPacked::unpack_range`]; no position is probed with
     /// [`BitPacked::get`].
@@ -706,6 +732,49 @@ mod tests {
         assert_eq!(p.find_first(3, 3, 2), None);
     }
 
+    /// `partition_point` ≡ the slice's on the decoded range, for sorted
+    /// values at every width 0–64: ranges starting on, before and after a
+    /// word boundary, empty and one-element ranges, every bound that falls
+    /// below, between, on and above the values, and all-equal ranges.
+    #[test]
+    fn partition_point_matches_slice_all_widths() {
+        for width in 0u8..=64 {
+            let mask = if width == 64 { u64::MAX } else { (1u64 << width) - 1 };
+            let per_word = (64 / width.max(1) as usize).max(1);
+            let len = (3 * per_word + 5).max(67);
+            // Sorted, with repeats, spread over the whole width.
+            let step = (mask / len as u64).max(1);
+            let sorted: Vec<u64> = (0..len as u64).map(|i| ((i / 2) * step).min(mask)).collect();
+            let equal = vec![mask / 2; len];
+            for vals in [&sorted, &equal] {
+                let p = BitPacked::from_slice_with_width(vals, width);
+                let starts = [0, 1, per_word - 1, per_word, per_word + 1, 2 * per_word, len - 1];
+                for &start in &starts {
+                    for end in [start, start + 1, (start + per_word + 1).min(len), len] {
+                        let slice = &vals[start..end];
+                        let mut bounds = vec![0, mask];
+                        for &v in slice.iter().take(3).chain(slice.last()) {
+                            bounds.extend([v.saturating_sub(1), v, v.saturating_add(1)]);
+                        }
+                        for bound in bounds {
+                            assert_eq!(
+                                p.partition_point(start, end, |v| v <= bound),
+                                start + slice.partition_point(|&v| v <= bound),
+                                "width {width}, range {start}..{end}, bound {bound}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn partition_point_rejects_out_of_bounds() {
+        BitPacked::from_slice(&[1, 2, 3]).partition_point(2, 4, |v| v < 2);
+    }
+
     proptest! {
         #[test]
         fn prop_unpack_range_matches_get(
@@ -769,6 +838,32 @@ mod tests {
             let start = start % (vals.len() + 1);
             let expect = (start..vals.len()).find(|&i| vals[i] == value);
             prop_assert_eq!(p.find_first(start, vals.len(), value), expect);
+        }
+
+        #[test]
+        fn prop_partition_point_matches_slice(
+            vals in proptest::collection::vec(0u64..u64::MAX, 1..300),
+            shift in 0u32..64,
+            cut in 0usize..300,
+            pick in 0usize..300,
+            nudge in 0u64..3,
+        ) {
+            // Any width: shifting keeps the order and narrows the values.
+            let mut vals: Vec<u64> = vals.iter().map(|v| v >> shift).collect();
+            vals.sort_unstable();
+            let p = BitPacked::from_slice(&vals);
+            let start = cut % vals.len();
+            let end = start + (cut * 7 + 1) % (vals.len() - start + 1);
+            // A bound just below, on or just above one of the values.
+            let bound = vals[pick % vals.len()].saturating_add(nudge).saturating_sub(1);
+            prop_assert_eq!(
+                p.partition_point(start, end, |v| v <= bound),
+                start + p.to_vec()[start..end].partition_point(|&v| v <= bound)
+            );
+            prop_assert_eq!(
+                p.partition_point(start, end, |v| v < bound),
+                start + p.to_vec()[start..end].partition_point(|&v| v < bound)
+            );
         }
 
         #[test]

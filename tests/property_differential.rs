@@ -6,8 +6,8 @@
 
 use cohana::engine::naive::naive_execute;
 use cohana::engine::{
-    plan_query, AggFunc, CohortAttr, CohortQuery, Expr, PlannerOptions, ReportAssembler, Statement,
-    WireBatch,
+    plan_query, AggFunc, CohortAttr, CohortQuery, CohortReport, Expr, PlannerOptions,
+    ReportAssembler, Statement, WireBatch,
 };
 use cohana::prelude::*;
 use cohana::relational::{ColEngine, RowEngine};
@@ -72,6 +72,66 @@ fn build_table(tuples: Vec<RawTuple>) -> ActivityTable {
     b.finish().unwrap()
 }
 
+/// `AGE <op> g`, with the literal on either side.
+fn age_cmp(op: usize, g: i64, literal_first: bool) -> Expr {
+    let (a, b) = if literal_first {
+        (Expr::lit_int(g), Expr::age())
+    } else {
+        (Expr::age(), Expr::lit_int(g))
+    };
+    match op {
+        0 => a.eq(b),
+        1 => a.ne(b),
+        2 => a.lt(b),
+        3 => a.le(b),
+        4 => a.gt(b),
+        _ => a.ge(b),
+    }
+}
+
+/// Age selections that constrain `AGE`: every operator in both operand
+/// orders, `BETWEEN`, pairs of bounds (contradictory when `lo >= hi`),
+/// bounds at or below 0 and past the 40 days the data spans, and shapes the
+/// executor cannot turn into a row range (`NOT`, `OR`) or must combine with
+/// one (an attribute and a `Birth()` conjunct beside the bound).
+fn age_selection() -> impl Strategy<Value = Expr> {
+    let shop = || Expr::attr("action").eq(Expr::lit_str("shop"));
+    prop_oneof![
+        (0usize..6, -2i64..60, prop::bool::ANY).prop_map(|(op, g, f)| age_cmp(op, g, f)),
+        (-2i64..60, -2i64..60).prop_map(|(lo, hi)| Expr::age().between_int(lo, hi)),
+        (-2i64..45, -2i64..45).prop_map(|(lo, hi)| age_cmp(4, lo, false).and(age_cmp(4, hi, true))),
+        (-2i64..60).prop_map(|g| age_cmp(2, g, false).not()),
+        (-2i64..60).prop_map(move |g| age_cmp(2, g, false).or(shop())),
+        (2usize..6, 0i64..45, prop::sample::select(ACTIONS.to_vec())).prop_map(
+            |(op, g, action)| {
+                Expr::attr("action")
+                    .eq(Expr::lit_str(action))
+                    .and(age_cmp(op, g, false))
+                    .and(Expr::attr("country").eq(Expr::birth("country")))
+            }
+        ),
+    ]
+}
+
+/// Aggregate lists: each function alone, QW's pair, two aggregates sharing
+/// one column, and all six together.
+fn aggregates() -> impl Strategy<Value = Vec<AggFunc>> {
+    let (sum, avg) = (AggFunc::sum("gold"), AggFunc::avg("gold"));
+    let (min, max) = (AggFunc::min("gold"), AggFunc::max("gold"));
+    let (count, users) = (AggFunc::count(), AggFunc::user_count());
+    prop::sample::select(vec![
+        vec![sum.clone()],
+        vec![avg.clone()],
+        vec![count.clone()],
+        vec![users.clone()],
+        vec![min.clone()],
+        vec![max.clone()],
+        vec![users.clone(), sum.clone()],
+        vec![min.clone(), max.clone()],
+        vec![sum, avg, min, max, count, users],
+    ])
+}
+
 /// A random query over the generated schema.
 fn query_strategy() -> impl Strategy<Value = CohortQuery> {
     let birth_action = prop::sample::select(ACTIONS.to_vec());
@@ -86,13 +146,12 @@ fn query_strategy() -> impl Strategy<Value = CohortQuery> {
         Just(None),
         prop::sample::select(ACTIONS.to_vec())
             .prop_map(|a| Some(Expr::attr("action").eq(Expr::lit_str(a)))),
-        (1i64..15).prop_map(|g| Some(Expr::age().lt(Expr::lit_int(g)))),
+        age_selection().prop_map(Some),
         Just(Some(Expr::attr("country").eq(Expr::birth("country")))),
     ];
     let cohort_attr = prop::sample::select(vec!["country", "role"]);
-    let agg = prop::sample::select(vec![0usize, 1, 2, 3]);
-    (birth_action, birth_pred, age_pred, cohort_attr, agg).prop_map(
-        |(action, bp, ap, cohort, agg)| {
+    (birth_action, birth_pred, age_pred, cohort_attr, aggregates()).prop_map(
+        |(action, bp, ap, cohort, aggs)| {
             let mut b = CohortQuery::builder(action).cohort_by([cohort]);
             if let Some(p) = bp {
                 b = b.birth_where(p);
@@ -100,19 +159,43 @@ fn query_strategy() -> impl Strategy<Value = CohortQuery> {
             if let Some(p) = ap {
                 b = b.age_where(p);
             }
-            let agg = match agg {
-                0 => AggFunc::sum("gold"),
-                1 => AggFunc::avg("gold"),
-                2 => AggFunc::count(),
-                _ => AggFunc::user_count(),
-            };
-            b.aggregate(agg).build().expect("generated queries are valid")
+            for agg in aggs {
+                b = b.aggregate(agg);
+            }
+            b.build().expect("generated queries are valid")
         },
     )
 }
 
+/// Every plan the executor can run a query under: all optimizations, none,
+/// and each one switched off alone.
+fn planner_options() -> [PlannerOptions; 6] {
+    [
+        PlannerOptions::default(),
+        PlannerOptions::naive(),
+        PlannerOptions { push_down_birth_selection: false, ..Default::default() },
+        PlannerOptions { skip_unqualified_users: false, ..Default::default() },
+        PlannerOptions { prune_chunks: false, ..Default::default() },
+        PlannerOptions { array_aggregation: false, ..Default::default() },
+    ]
+}
+
+fn assert_same_report(got: &CohortReport, reference: &CohortReport, what: &str) {
+    assert_eq!(got.rows.len(), reference.rows.len(), "{what}");
+    for (a, b) in got.rows.iter().zip(reference.rows.iter()) {
+        assert_eq!((&a.cohort, a.age, a.size), (&b.cohort, b.age, b.size), "{what}");
+        for (x, y) in a.measures.iter().zip(b.measures.iter()) {
+            assert!(x.approx_eq(y), "{x:?} vs {y:?} at age {} on {what}", a.age);
+        }
+    }
+    assert_eq!(&got.cohort_sizes, &reference.cohort_sizes, "{what}");
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig {
+        cases: if cfg!(debug_assertions) { 48 } else { 384 },
+        ..ProptestConfig::default()
+    })]
 
     #[test]
     fn cohana_matches_reference_on_random_data(
@@ -128,17 +211,36 @@ proptest! {
         ).unwrap();
         let plan = plan_query(&query, table.schema(), PlannerOptions::default()).unwrap();
         let got = Statement::with_plan(Arc::new(compressed), plan, 1).unwrap().execute().unwrap();
+        assert_same_report(&got, &reference, &query.to_string());
+    }
 
-        prop_assert_eq!(got.rows.len(), reference.rows.len(), "query {}", query);
-        for (a, b) in got.rows.iter().zip(reference.rows.iter()) {
-            prop_assert_eq!(&a.cohort, &b.cohort);
-            prop_assert_eq!(a.age, b.age);
-            prop_assert_eq!(a.size, b.size);
-            for (x, y) in a.measures.iter().zip(b.measures.iter()) {
-                prop_assert!(x.approx_eq(y), "{:?} vs {:?} on {}", x, y, query);
+    /// The age selection always constrains `AGE`: the executor's row-range,
+    /// selection-vector and per-run fold must answer like the reference
+    /// serially and on four workers, under every plan.
+    #[test]
+    fn age_selections_match_reference_under_every_plan(
+        tuples in proptest::collection::vec(raw_tuple(), 0..150),
+        query in query_strategy(),
+        selection in age_selection(),
+        chunk_size in prop::sample::select(vec![8usize, 64, 4096]),
+    ) {
+        let mut query = query;
+        query.age_predicate = Some(selection);
+        let table = build_table(tuples);
+        let reference = naive_execute(&table, &query).unwrap();
+        let compressed = Arc::new(
+            CompressedTable::build(&table, CompressionOptions::with_chunk_size(chunk_size)).unwrap(),
+        );
+        for options in planner_options() {
+            for parallelism in [1usize, 4] {
+                let got = Statement::over(compressed.clone(), &query, options, parallelism)
+                    .unwrap()
+                    .execute()
+                    .unwrap();
+                let what = format!("{query} ({options:?}, parallelism {parallelism})");
+                assert_same_report(&got, &reference, &what);
             }
         }
-        prop_assert_eq!(&got.cohort_sizes, &reference.cohort_sizes);
     }
 
     #[test]
