@@ -6,8 +6,8 @@
 //! chunk and summing the per-chunk counts is exact, with no cross-chunk
 //! distinct set needed.
 
-use crate::error::EngineError;
 use std::fmt;
+use std::ops::Range;
 
 /// An aggregate function over a measure attribute (or over users, for
 /// `UserCount`).
@@ -104,7 +104,9 @@ impl fmt::Display for AggFunc {
     }
 }
 
-/// Accumulator state of one aggregate in one `(cohort, age)` bucket.
+/// Accumulator state of one aggregate in one `(cohort, age)` bucket — the
+/// scalar view of one cell of a state column, and the state the reference
+/// evaluators fold tuple by tuple. Sums and counts wrap, in every build.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AggState {
     /// Running sum.
@@ -132,14 +134,14 @@ impl AggState {
     #[inline]
     pub fn update(&mut self, v: i64) {
         match self {
-            AggState::Sum(s) => *s += v,
+            AggState::Sum(s) => *s = s.wrapping_add(v),
             AggState::Avg { sum, count } => {
-                *sum += v;
-                *count += 1;
+                *sum = sum.wrapping_add(v);
+                *count = count.wrapping_add(1);
             }
             AggState::Min(m) => *m = Some(m.map_or(v, |cur| cur.min(v))),
             AggState::Max(m) => *m = Some(m.map_or(v, |cur| cur.max(v))),
-            AggState::Count(c) => *c += 1,
+            AggState::Count(c) => *c = c.wrapping_add(1),
             AggState::UserCount(_) => unreachable!("UserCount updates once per user"),
         }
     }
@@ -148,65 +150,9 @@ impl AggState {
     #[inline]
     pub fn update_user(&mut self) {
         match self {
-            AggState::UserCount(c) => *c += 1,
+            AggState::UserCount(c) => *c = c.wrapping_add(1),
             _ => unreachable!("update_user only applies to UserCount"),
         }
-    }
-
-    /// Fold in one `(user, age)` run — a user's qualifying tuples of one
-    /// age — in a single step, so the executor matches the state's kind once
-    /// per run instead of once per tuple. `raw` holds the run's measure
-    /// values as offsets from `base` (empty for aggregates that read no
-    /// attribute) and `sum` their wrapping total `Σ (base + raw[i])`, which
-    /// the caller has from a prefix sum; wrapping addition is associative,
-    /// so the state ends bit-identical to `len` calls of
-    /// [`AggState::update`].
-    #[inline]
-    pub fn fold_run(&mut self, len: u64, sum: i64, raw: &[u64], base: i64) {
-        let value = |r: &u64| base.wrapping_add(*r as i64);
-        match self {
-            AggState::Sum(s) => *s = s.wrapping_add(sum),
-            AggState::Avg { sum: s, count } => {
-                *s = s.wrapping_add(sum);
-                *count += len;
-            }
-            AggState::Min(m) => *m = raw.iter().map(value).chain(*m).min(),
-            AggState::Max(m) => *m = raw.iter().map(value).chain(*m).max(),
-            AggState::Count(c) => *c += len,
-            AggState::UserCount(c) => *c += 1,
-        }
-    }
-
-    /// Merge a partial state from another chunk. Correct for `UserCount`
-    /// because a user's tuples are confined to a single chunk.
-    pub fn merge(&mut self, other: &AggState) -> Result<(), EngineError> {
-        match (self, other) {
-            (AggState::Sum(a), AggState::Sum(b)) => *a += b,
-            (AggState::Avg { sum, count }, AggState::Avg { sum: s2, count: c2 }) => {
-                *sum += s2;
-                *count += c2;
-            }
-            (AggState::Min(a), AggState::Min(b)) => {
-                *a = match (*a, *b) {
-                    (Some(x), Some(y)) => Some(x.min(y)),
-                    (x, y) => x.or(y),
-                }
-            }
-            (AggState::Max(a), AggState::Max(b)) => {
-                *a = match (*a, *b) {
-                    (Some(x), Some(y)) => Some(x.max(y)),
-                    (x, y) => x.or(y),
-                }
-            }
-            (AggState::Count(a), AggState::Count(b)) => *a += b,
-            (AggState::UserCount(a), AggState::UserCount(b)) => *a += b,
-            (a, b) => {
-                return Err(EngineError::TypeError(format!(
-                    "cannot merge aggregate states {a:?} and {b:?}"
-                )))
-            }
-        }
-        Ok(())
     }
 
     /// Produce the final reported value.
@@ -225,6 +171,249 @@ impl AggState {
             AggState::Count(c) => AggValue::Int(*c as i64),
             AggState::UserCount(c) => AggValue::Int(*c as i64),
         }
+    }
+}
+
+/// What an aggregate's cells hold. The discriminants are the BATCH frame's
+/// state tags (`docs/PROTOCOL.md`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Kind {
+    Sum = 0,
+    Avg = 1,
+    Min = 2,
+    Max = 3,
+    Count = 4,
+    UserCount = 5,
+}
+
+impl Kind {
+    pub(crate) fn of(func: &AggFunc) -> Kind {
+        match func {
+            AggFunc::Sum(_) => Kind::Sum,
+            AggFunc::Avg(_) => Kind::Avg,
+            AggFunc::Min(_) => Kind::Min,
+            AggFunc::Max(_) => Kind::Max,
+            AggFunc::Count => Kind::Count,
+            AggFunc::UserCount => Kind::UserCount,
+        }
+    }
+
+    pub(crate) fn from_tag(tag: u8) -> Option<Kind> {
+        [Kind::Sum, Kind::Avg, Kind::Min, Kind::Max, Kind::Count, Kind::UserCount]
+            .get(usize::from(tag))
+            .copied()
+    }
+
+    fn has_vals(self) -> bool {
+        !matches!(self, Kind::Count | Kind::UserCount)
+    }
+
+    fn has_counts(self) -> bool {
+        self != Kind::Sum
+    }
+
+    /// What a cell without a value holds in `vals`: the identity of the
+    /// fold, so folding and merging need no presence test.
+    fn identity(self) -> i64 {
+        match self {
+            Kind::Min => i64::MAX,
+            Kind::Max => i64::MIN,
+            _ => 0,
+        }
+    }
+}
+
+/// The measure values of one user's selected tuples as a fold reads them:
+/// raw offsets from `base`, and their wrapping prefix sums (`psum[i]` is the
+/// total of `raw[..i]`). Empty for aggregates that read no attribute.
+#[derive(Default)]
+pub(crate) struct RunValues<'a> {
+    pub(crate) raw: &'a [u64],
+    pub(crate) psum: &'a [u64],
+    pub(crate) base: i64,
+}
+
+impl RunValues<'_> {
+    /// `Σ (base + raw[i])` over `a..b`, wrapping like the tuple-by-tuple sum.
+    #[inline]
+    fn sum(&self, a: usize, b: usize) -> i64 {
+        let raw = self.psum[b].wrapping_sub(self.psum[a]);
+        (self.base as u64).wrapping_mul((b - a) as u64).wrapping_add(raw) as i64
+    }
+
+    /// The value of the smallest (`pick` = `min`) or largest raw offset of
+    /// `a..b`: `base + raw` is exact for a chunk's values, so raw offsets
+    /// order as the values do.
+    #[inline]
+    fn extreme(&self, a: usize, b: usize, pick: fn(u64, u64) -> u64) -> i64 {
+        self.base
+            .wrapping_add(self.raw[a + 1..b].iter().fold(self.raw[a], |m, &r| pick(m, r)) as i64)
+    }
+}
+
+/// Where [`StateCol::merge_from`] merges a column's cells to.
+#[derive(Clone, Copy)]
+pub(crate) enum Dest<'a> {
+    /// Cell `i` into cell `pos[i]`, for every cell.
+    Cells(&'a [usize]),
+    /// Cells `from..from + len` into cells `to..to + len`, for every
+    /// `(from, to, len)`.
+    Blocks(&'a [(usize, usize, usize)]),
+}
+
+/// One aggregate's states, one per cell — the layout the executor folds
+/// into and merges, a BATCH frame carries and a client merges.
+///
+/// `vals` holds `Sum`, the sum of `Avg` and the extreme of `Min`/`Max`;
+/// `counts` holds `Count`, `UserCount`, the count of `Avg` and the presence
+/// (0 or 1) of `Min`/`Max`, whose absent cells hold the identity in `vals`
+/// — so `Some(i64::MAX)` stays distinct from `None` and no step tests
+/// presence. A kind with no use for one of the two keeps it empty. Sums and
+/// counts wrap.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct StateCol {
+    kind: Kind,
+    vals: Vec<i64>,
+    counts: Vec<u64>,
+}
+
+impl StateCol {
+    pub(crate) fn new(kind: Kind) -> StateCol {
+        StateCol { kind, vals: Vec::new(), counts: Vec::new() }
+    }
+
+    pub(crate) fn kind(&self) -> Kind {
+        self.kind
+    }
+
+    /// Pad to `n` cells without a value.
+    pub(crate) fn resize(&mut self, n: usize) {
+        if self.kind.has_vals() {
+            self.vals.resize(n, self.kind.identity());
+        }
+        if self.kind.has_counts() {
+            self.counts.resize(n, 0);
+        }
+    }
+
+    /// Copy `cells` to the end, then pad to `n` cells: how a block of cells
+    /// moves when it outgrows its place.
+    pub(crate) fn relocate(&mut self, cells: Range<usize>, n: usize) {
+        if self.kind.has_vals() {
+            self.vals.extend_from_within(cells.clone());
+        }
+        if self.kind.has_counts() {
+            self.counts.extend_from_within(cells);
+        }
+        self.resize(n);
+    }
+
+    /// The cells at `idx`, in that order.
+    pub(crate) fn gather(&self, idx: &[usize]) -> StateCol {
+        fn pick<T: Copy>(used: bool, part: &[T], idx: &[usize]) -> Vec<T> {
+            if used {
+                idx.iter().map(|&i| part[i]).collect()
+            } else {
+                Vec::new()
+            }
+        }
+        StateCol {
+            kind: self.kind,
+            vals: pick(self.kind.has_vals(), &self.vals, idx),
+            counts: pick(self.kind.has_counts(), &self.counts, idx),
+        }
+    }
+
+    /// Merge `src`'s cells (of the same kind) into this column's, at `dest`.
+    pub(crate) fn merge_from(&mut self, src: &StateCol, dest: Dest<'_>) {
+        debug_assert_eq!(self.kind, src.kind);
+        fn merge<T: Copy>(dst: &mut [T], src: &[T], dest: Dest<'_>, f: impl Fn(T, T) -> T) {
+            match dest {
+                Dest::Cells(pos) => pos.iter().zip(src).for_each(|(&p, &v)| dst[p] = f(dst[p], v)),
+                Dest::Blocks(moves) if !src.is_empty() => {
+                    for &(from, to, len) in moves {
+                        let cells = dst[to..to + len].iter_mut().zip(&src[from..from + len]);
+                        cells.for_each(|(d, &v)| *d = f(*d, v));
+                    }
+                }
+                Dest::Blocks(_) => {}
+            }
+        }
+        match self.kind {
+            Kind::Min => merge(&mut self.vals, &src.vals, dest, i64::min),
+            Kind::Max => merge(&mut self.vals, &src.vals, dest, i64::max),
+            _ => merge(&mut self.vals, &src.vals, dest, i64::wrapping_add),
+        }
+        match self.kind {
+            Kind::Min | Kind::Max => merge(&mut self.counts, &src.counts, dest, |a, b| a | b),
+            _ => merge(&mut self.counts, &src.counts, dest, u64::wrapping_add),
+        }
+    }
+
+    /// Fold one user's `(user, age)` runs: run `r` is the selected tuples
+    /// `starts[r]..starts[r + 1]` and lands in cell `cells[r]`. The kind is
+    /// matched once, outside the loop over runs.
+    pub(crate) fn fold_runs(&mut self, cells: &[usize], starts: &[u32], values: &RunValues<'_>) {
+        let runs =
+            || cells.iter().zip(starts.windows(2)).map(|(&c, w)| (c, w[0] as usize, w[1] as usize));
+        let (vals, counts) = (&mut self.vals, &mut self.counts);
+        match self.kind {
+            Kind::Count => {
+                runs().for_each(|(c, a, b)| counts[c] = counts[c].wrapping_add((b - a) as u64))
+            }
+            Kind::UserCount => runs().for_each(|(c, ..)| counts[c] = counts[c].wrapping_add(1)),
+            Kind::Sum => {
+                runs().for_each(|(c, a, b)| vals[c] = vals[c].wrapping_add(values.sum(a, b)))
+            }
+            Kind::Avg => runs().for_each(|(c, a, b)| {
+                vals[c] = vals[c].wrapping_add(values.sum(a, b));
+                counts[c] = counts[c].wrapping_add((b - a) as u64);
+            }),
+            Kind::Min => runs().for_each(|(c, a, b)| {
+                vals[c] = vals[c].min(values.extreme(a, b, u64::min));
+                counts[c] = 1;
+            }),
+            Kind::Max => runs().for_each(|(c, a, b)| {
+                vals[c] = vals[c].max(values.extreme(a, b, u64::max));
+                counts[c] = 1;
+            }),
+        }
+    }
+
+    /// The raw columns: `vals` and `counts` as described above.
+    pub(crate) fn parts(&self) -> (&[i64], &[u64]) {
+        (&self.vals, &self.counts)
+    }
+
+    /// Cell `i` as a scalar state.
+    pub(crate) fn get(&self, i: usize) -> AggState {
+        let present = |c: u64| (c != 0).then(|| self.vals[i]);
+        match self.kind {
+            Kind::Sum => AggState::Sum(self.vals[i]),
+            Kind::Avg => AggState::Avg { sum: self.vals[i], count: self.counts[i] },
+            Kind::Min => AggState::Min(present(self.counts[i])),
+            Kind::Max => AggState::Max(present(self.counts[i])),
+            Kind::Count => AggState::Count(self.counts[i]),
+            Kind::UserCount => AggState::UserCount(self.counts[i]),
+        }
+    }
+
+    /// Append one cell; `state` must be of this column's kind.
+    pub(crate) fn push(&mut self, state: AggState) {
+        let (val, count) = match state {
+            AggState::Sum(v) => (Some(v), None),
+            AggState::Avg { sum, count } => (Some(sum), Some(count)),
+            AggState::Min(m) | AggState::Max(m) => {
+                (Some(m.unwrap_or(self.kind.identity())), Some(m.is_some() as u64))
+            }
+            AggState::Count(c) | AggState::UserCount(c) => (None, Some(c)),
+        };
+        debug_assert_eq!(
+            (val.is_some(), count.is_some()),
+            (self.kind.has_vals(), self.kind.has_counts())
+        );
+        self.vals.extend(val);
+        self.counts.extend(count);
     }
 }
 
@@ -288,6 +477,18 @@ impl fmt::Display for AggValue {
 mod tests {
     use super::*;
 
+    /// `a` and `b` merged as one-cell columns of `kind`.
+    fn merged(kind: Kind, a: AggState, b: AggState) -> AggState {
+        let col = |s| {
+            let mut col = StateCol::new(kind);
+            col.push(s);
+            col
+        };
+        let mut into = col(a);
+        into.merge_from(&col(b), Dest::Cells(&[0]));
+        into.get(0)
+    }
+
     #[test]
     fn sum_update_merge_finalize() {
         let f = AggFunc::sum("gold");
@@ -296,8 +497,7 @@ mod tests {
         a.update(5);
         let mut b = f.init();
         b.update(7);
-        a.merge(&b).unwrap();
-        assert_eq!(a.finalize(), AggValue::Int(22));
+        assert_eq!(merged(Kind::Sum, a, b).finalize(), AggValue::Int(22));
     }
 
     #[test]
@@ -313,20 +513,21 @@ mod tests {
     #[test]
     fn min_max_with_empty_partials() {
         let f = AggFunc::min("gold");
-        let mut a = f.init();
-        let b = f.init();
-        a.merge(&b).unwrap();
+        let mut a = merged(Kind::Min, f.init(), f.init());
         assert_eq!(a.finalize(), AggValue::Null);
         a.update(5);
         a.update(-2);
-        assert_eq!(a.finalize(), AggValue::Int(-2));
+        assert_eq!(merged(Kind::Min, f.init(), a).finalize(), AggValue::Int(-2));
 
         let mut m = AggFunc::max("gold").init();
         m.update(5);
         let mut m2 = AggFunc::max("gold").init();
         m2.update(9);
-        m.merge(&m2).unwrap();
-        assert_eq!(m.finalize(), AggValue::Int(9));
+        assert_eq!(merged(Kind::Max, m, m2).finalize(), AggValue::Int(9));
+        // Present at the identity is not absent.
+        assert_eq!(merged(Kind::Max, AggState::Max(Some(i64::MIN)), m2), AggState::Max(Some(9)));
+        let top = AggState::Min(Some(i64::MAX));
+        assert_eq!(merged(Kind::Min, top, f.init()), top);
     }
 
     #[test]
@@ -339,54 +540,102 @@ mod tests {
         assert!(!AggFunc::count().per_user());
     }
 
-    /// One `fold_run` ≡ `update` per tuple (`update_user` once), for every
-    /// kind of state, a negative base, raw offsets past `i64::MAX` and a
-    /// raw total that wraps `u64`.
-    #[test]
-    fn fold_run_matches_tuple_by_tuple_updates() {
-        let base = -3_000_000_000_000_000_000i64;
-        let raw = [0u64, 7_000_000_000_000_000_000, 0, 7_000_000_000_000_000_000, 0, u64::MAX / 2];
-        let values: Vec<i64> = raw.iter().map(|&r| base.wrapping_add(r as i64)).collect();
-        let sum = values.iter().fold(0i64, |s, v| s.wrapping_add(*v));
-        for f in [
+    fn all_funcs() -> [AggFunc; 6] {
+        [
             AggFunc::sum("g"),
             AggFunc::avg("g"),
             AggFunc::min("g"),
             AggFunc::max("g"),
             AggFunc::count(),
             AggFunc::user_count(),
-        ] {
-            // Start from a state that already holds a tuple.
-            let mut by_run = f.init();
-            let mut by_tuple = f.init();
-            for s in [&mut by_run, &mut by_tuple] {
+        ]
+    }
+
+    /// Folding runs into a column ≡ `update` per tuple (`update_user` once
+    /// per run), for every kind, a negative base, raw offsets past
+    /// `i64::MAX` and totals that wrap both `u64` and `i64`.
+    #[test]
+    fn fold_run_matches_tuple_by_tuple_updates() {
+        let base = -3_000_000_000_000_000_000i64;
+        let raw = [0u64, 7_000_000_000_000_000_000, 0, 7_000_000_000_000_000_000, 0, u64::MAX / 2];
+        let mut psum = vec![0u64];
+        for r in raw {
+            psum.push(psum.last().unwrap().wrapping_add(r));
+        }
+        let values = RunValues { raw: &raw, psum: &psum, base };
+        // Three runs: cell 1 gets tuples 0..2 and 4..6, cell 0 tuples 2..4.
+        let (cells, starts) = ([1, 0, 1], [0u32, 2, 4, 6]);
+        for f in all_funcs() {
+            let mut col = StateCol::new(Kind::of(&f));
+            col.resize(2);
+            let mut by_tuple = [f.init(), f.init()];
+            for (&cell, w) in cells.iter().zip(starts.windows(2)) {
+                col.fold_runs(&[cell], w, &values);
+                for &r in &raw[w[0] as usize..w[1] as usize] {
+                    if !f.per_user() {
+                        by_tuple[cell].update(base.wrapping_add(r as i64));
+                    }
+                }
                 if f.per_user() {
-                    s.update_user();
-                } else {
-                    s.update(5);
+                    by_tuple[cell].update_user();
                 }
             }
-            by_run.fold_run(raw.len() as u64, sum, &raw, base);
-            if f.per_user() {
-                by_tuple.update_user();
-            } else {
-                // `update` adds without wrapping; the running total here
-                // stays inside `i64` even though the raw offsets do not.
-                values.iter().for_each(|&v| by_tuple.update(v));
-            }
-            assert_eq!(by_run, by_tuple, "{f}");
+            assert_eq!([col.get(0), col.get(1)], by_tuple, "{f}, run by run");
+            // All three runs in one call fold the same.
+            let mut once = StateCol::new(Kind::of(&f));
+            once.resize(2);
+            once.fold_runs(&cells, &starts, &values);
+            assert_eq!(once, col, "{f}, one call");
         }
-        // Aggregates over no attribute get an empty run of the same length.
-        let mut count = AggFunc::count().init();
-        count.fold_run(4, 0, &[], 0);
-        assert_eq!(count.finalize(), AggValue::Int(4));
+        // Aggregates over no attribute fold runs of the same lengths.
+        let mut count = StateCol::new(Kind::Count);
+        count.resize(1);
+        count.fold_runs(&[0, 0], &[0, 3, 4], &RunValues::default());
+        assert_eq!(count.get(0).finalize(), AggValue::Int(4));
+    }
+
+    /// Merging columns ≡ folding every value into one state: cell `i` of a
+    /// column merged into cell `pos[i]` of another ends as if the tuples of
+    /// both had been updated in, including empty `Min`/`Max` cells and sums
+    /// that wrap.
+    #[test]
+    fn column_merge_matches_tuple_by_tuple_updates() {
+        let values: [&[i64]; 3] = [&[], &[i64::MAX, 1], &[-7]];
+        let pos = [2, 1, 1];
+        for f in all_funcs() {
+            let fill = |cells: &[&[i64]]| {
+                let mut s = f.init();
+                for &v in cells.iter().copied().flatten() {
+                    if f.per_user() {
+                        s.update_user()
+                    } else {
+                        s.update(v)
+                    }
+                }
+                s
+            };
+            let mut col = StateCol::new(Kind::of(&f));
+            values.iter().for_each(|v| col.push(fill(&[v])));
+            col.merge_from(&col.clone(), Dest::Cells(&pos));
+            let want =
+                [fill(&[values[0]]), fill(&[values[1], values[1], values[2]]), fill(&[values[2]])];
+            assert_eq!([col.get(0), col.get(1), col.get(2)], want, "{f}");
+        }
+        assert_eq!(
+            merged(Kind::Sum, AggState::Sum(i64::MAX), AggState::Sum(1)),
+            AggState::Sum(i64::MIN)
+        );
     }
 
     #[test]
     fn merge_type_mismatch_errors() {
-        let mut a = AggFunc::sum("gold").init();
-        let b = AggFunc::count().init();
-        assert!(a.merge(&b).is_err());
+        use crate::cells::tests::table;
+        use cohana_activity::Value;
+        let one =
+            |kind, state| table(1, &[kind], &[(vec![Value::Int(1)], 1, vec![(1, vec![state])])]);
+        let mut sum = one(Kind::Sum, AggState::Sum(1));
+        let err = sum.absorb(&one(Kind::Count, AggState::Count(1)));
+        assert!(matches!(err, Err(crate::error::EngineError::Corrupt(_))));
     }
 
     #[test]

@@ -20,10 +20,11 @@
 //!    `O(l·m)` tuples for `l` qualified users;
 //! 3. for qualified users: assign the cohort from the birth tuple — the key
 //!    is interned to a dense cohort id once per user (a direct-indexed LUT
-//!    for a single dictionary attribute, one hash probe otherwise) — and
-//!    bump the cohort size; then the user's block goes through three steps
-//!    that all rest on its tuples being time-ordered (§4.1), so ages never
-//!    decrease along it:
+//!    over the chunk codes when every key part is a dictionary attribute and
+//!    the chunk has at least as many rows as key combinations, one hash
+//!    probe otherwise) — and bump the cohort size; then the user's block
+//!    goes through three steps that all rest on its tuples being
+//!    time-ordered (§4.1), so ages never decrease along it:
 //!    * **range** — tuples at or before the birth row have age ≤ 0, and the
 //!      age selection's `AGE` bounds ([`CompiledExpr::split_age_range`]) are
 //!      row positions found by binary search on the *packed* time column
@@ -37,13 +38,20 @@
 //!      is the range and nothing is materialized;
 //!    * **runs** — equal ages are adjacent, so the selected tuples split
 //!      into `(user, age)` runs; run starts are found without a branch per
-//!      tuple, and each run updates its cell of the cohort's age-indexed
-//!      state array (**array-based aggregation**, §4.4) once
-//!      ([`AggState::fold_run`]): `COUNT += len`, `SUM`/`AVG` from a prefix
-//!      sum, `MIN`/`MAX` over the run's values;
+//!      tuple, and each run updates its cell once per aggregate
+//!      (**array-based aggregation**, §4.4): `COUNT += len`, `SUM`/`AVG`
+//!      from a prefix sum, `MIN`/`MAX` over the run's values;
 //! 4. **UserCount** (§4.5): "distinct users at age g" is one increment per
 //!    run — no last-age check per tuple — and per-chunk counts sum exactly
 //!    because no user spans chunks.
+//!
+//! §4.4's array is the `Accumulator`: one typed `StateCol` per
+//! aggregate, indexed by cell, and one contiguous block of cells per cohort
+//! indexed by age — so a fold is a typed add at `block + age - 1` whose
+//! kind was matched once per user and aggregate. A chunk's batch carries its
+//! accumulator as it is; merging batches adds block into block, a pass over
+//! what the incoming batch holds; the report reads the merged blocks; and a
+//! [`WireBatch`] is the one place the cells are compacted, in key order.
 //!
 //! The per-chunk pass is **vectorized** (see `docs/PERF.md`): columns are
 //! resolved once per chunk into [`ChunkCursors`],
@@ -53,7 +61,7 @@
 //! lookups, no hardware divisions, no allocations, and no branch that
 //! depends on a tuple's age or on whether it was selected.
 
-use crate::agg::{AggFunc, AggState};
+use crate::agg::{Dest, Kind, RunValues, StateCol};
 use crate::cells::{self, CohortTable};
 use crate::error::EngineError;
 use crate::plan::PhysicalPlan;
@@ -98,9 +106,6 @@ enum KeyPart {
     TimeBin(TimeBin),
 }
 
-/// Per-chunk (and merged) partial aggregation result, keys still encoded.
-pub(crate) type Partial = CohortTable<u64>;
-
 /// One per-chunk batch of partial results, as yielded by a
 /// [`QueryStream`](crate::QueryStream).
 ///
@@ -115,7 +120,7 @@ pub struct ResultBatch {
     pub(crate) chunk_index: usize,
     pub(crate) rows_scanned: usize,
     pub(crate) morsels: u64,
-    pub(crate) partial: Partial,
+    pub(crate) partial: Box<Accumulator>,
 }
 
 impl ResultBatch {
@@ -157,8 +162,8 @@ pub(crate) struct ExecContext {
     birth_pred: Option<CompiledExpr>,
     age_pred: Option<CompiledExpr>,
     key_parts: Vec<KeyPart>,
-    /// Fresh state of every aggregate: what a new `(cohort, age)` cell holds.
-    inits: Vec<AggState>,
+    /// An empty state column per aggregate, of its kind.
+    cols: Vec<StateCol>,
     agg_attrs: Vec<Option<usize>>,
     age_bin: TimeBin,
 }
@@ -205,7 +210,7 @@ impl ExecContext {
             birth_pred,
             age_pred,
             key_parts,
-            inits: query.aggregates.iter().map(AggFunc::init).collect(),
+            cols: query.aggregates.iter().map(|a| StateCol::new(Kind::of(a))).collect(),
             agg_attrs,
             age_bin: query.age_bin,
         })
@@ -262,7 +267,7 @@ impl QueryCore {
                 chunk_index: idx,
                 rows_scanned: 0,
                 morsels: 0,
-                partial: Partial::default(),
+                partial: Box::new(self.merger()),
             });
         }
         let morsels = chunk.morsel_run_ranges(morsel_rows);
@@ -273,7 +278,7 @@ impl QueryCore {
             chunk_index: idx,
             rows_scanned: chunk.num_rows(),
             morsels: morsels.len() as u64,
-            partial: proc.finish(),
+            partial: Box::new(proc.acc),
         })
     }
 
@@ -283,7 +288,7 @@ impl QueryCore {
     /// user-block morsels, and workers — including workers whose own chunks
     /// ran dry — pull morsels from any published chunk through a shared
     /// atomic claim counter. Each worker accumulates into a thread-local
-    /// [`Partial`]; per-chunk locals are merged under the chunk's slot lock
+    /// [`Accumulator`]; per-chunk locals are merged under the chunk's slot lock
     /// and the worker whose flush completes a chunk emits its single
     /// [`ResultBatch`], so consumers still see one batch per chunk.
     ///
@@ -344,14 +349,22 @@ impl QueryCore {
         (rx, handles, busy)
     }
 
+    /// An empty table to fold this statement's partials into.
+    pub(crate) fn merger(&self) -> Accumulator {
+        Accumulator::hashed(&self.ctx)
+    }
+
     /// Decode merged partials into the final report, sorted by cohort then
     /// age: each cohort key is decoded once, not once per row.
-    pub(crate) fn build_report(&self, merged: Partial) -> CohortReport {
+    pub(crate) fn build_report(&self, merged: Accumulator) -> CohortReport {
         let query = &self.plan.query;
+        let m = &merged;
         cells::build_report(
             query.cohort_by.iter().map(|c| c.to_string()).collect(),
             query.aggregates.iter().map(|a| a.header()).collect(),
-            merged.cohorts().map(|(key, size, run)| (self.decode_key(key), size, run)).collect(),
+            (0..m.sizes.len()).map(|id| (self.decode_key(m.key(id)), m.sizes[id], id)).collect(),
+            &m.cols,
+            |id| m.cells(id),
         )
     }
 
@@ -359,16 +372,8 @@ impl QueryCore {
     /// key is decoded to [`Value`]s using this statement's table metadata,
     /// so the receiver needs no dictionaries to merge batches.
     pub(crate) fn wire_batch(&self, batch: &ResultBatch) -> WireBatch {
-        WireBatch::from_cohorts(
-            [batch.chunk_index as u64, batch.rows_scanned as u64, batch.morsels],
-            self.ctx.key_parts.len(),
-            &self.ctx.inits,
-            batch
-                .partial
-                .cohorts()
-                .map(|(key, size, run)| (self.decode_key(key), size, run))
-                .collect(),
-        )
+        let counts = [batch.chunk_index as u64, batch.rows_scanned as u64, batch.morsels];
+        WireBatch::new(counts, batch.partial.sorted(|key| self.decode_key(key)))
     }
 
     /// Decode an encoded cohort key into its reported [`Value`]s. Injective
@@ -472,12 +477,13 @@ pub(crate) struct RunProcessor<'a> {
     // block, then allocation-free. `tbuf` holds the decoded time deltas of
     // a user's range, `sel` the offsets the residual keeps, `ages` and
     // `vbufs` the selected tuples' ages and raw measure values, `starts`
-    // where each age run begins and `psums` each value column's running
-    // total.
+    // where each age run begins, `cells` the cell each run lands in and
+    // `psums` each value column's running total.
     tbuf: Vec<u64>,
     sel: Vec<u32>,
     ages: Vec<u32>,
     starts: Vec<u32>,
+    cells: Vec<usize>,
     runs_buf: Vec<UserRun>,
     birth_rows: Vec<Option<usize>>,
     vbufs: Vec<Vec<u64>>,
@@ -562,7 +568,7 @@ impl<'a> RunProcessor<'a> {
             residual,
             age_dead,
             skip_chunk,
-            acc: Accumulator::new(ctx, plan.options.array_aggregation, &cursors),
+            acc: Accumulator::new(ctx, plan.options.array_aggregation, &cursors, chunk.num_rows()),
             cursors,
             vbufs: vec![Vec::new(); vattrs.len()],
             psums: vec![Vec::new(); vattrs.len()],
@@ -575,6 +581,7 @@ impl<'a> RunProcessor<'a> {
             sel: Vec::new(),
             ages: Vec::new(),
             starts: Vec::new(),
+            cells: Vec::new(),
             runs_buf: Vec::new(),
             birth_rows: Vec::new(),
             tuples_decoded: 0,
@@ -697,10 +704,11 @@ impl<'a> RunProcessor<'a> {
 
     /// **Runs**: fold one qualified user's `n` selected tuples. The ages
     /// are non-decreasing, so equal ages are adjacent; each `(user, age)`
-    /// run updates its `(cohort, age)` cell once ([`AggState::fold_run`])
-    /// with sums taken from a prefix sum, and "distinct users at age g"
-    /// (§4.5) is one increment per run. Run starts and prefix sums are found
-    /// in straight-line passes, so nothing branches per tuple.
+    /// run updates its `(cohort, age)` cell once per aggregate
+    /// ([`StateCol::fold_runs`]) with sums taken from a prefix sum, and
+    /// "distinct users at age g" (§4.5) is one increment per run. Run starts
+    /// and prefix sums are found in straight-line passes, so nothing branches
+    /// per tuple, and an aggregate's kind is matched once per user.
     fn fold(&mut self, cohort: usize, n: usize) {
         let ages = &self.ages[..n];
         // Every index is stored; the write position advances only past an
@@ -723,43 +731,28 @@ impl<'a> RunProcessor<'a> {
             }
         }
 
-        // The cohort's age-indexed state array, resolved and grown once per
-        // user (to the largest run age — the last one, but a block that
-        // breaks time order must not index past the array). Runs are walked
-        // per aggregate, which settles what the aggregate reads outside the
-        // loop over runs.
-        let cells = &mut self.acc.ages[cohort];
-        let k = self.ctx.inits.len();
-        let each_run = || starts[..=runs].windows(2).map(|w| (w[0] as usize, w[1] as usize));
-        let oldest = each_run().fold(0, |oldest, (a, _)| oldest.max(ages[a]));
-        cells.reserve(oldest as usize, &self.ctx.inits);
-        for (a, _) in each_run() {
-            cells.present[ages[a] as usize] = true;
+        // The cohort's block of cells, resolved and grown once per user (to
+        // the largest run age — the last one, but a block that breaks time
+        // order must not index past it); then each run's cell, and one typed
+        // pass over the runs per aggregate.
+        let starts = &starts[..=runs];
+        let oldest = starts[..runs].iter().fold(0, |oldest, &a| oldest.max(ages[a as usize]));
+        let block = self.acc.block(cohort, oldest as usize);
+        let cells = scratch(&mut self.cells, runs);
+        for (cell, &a) in cells.iter_mut().zip(starts) {
+            *cell = block + ages[a as usize] as usize - 1;
+            self.acc.present[*cell] = true;
         }
-        for (i, vslot) in self.agg_vslots.iter().enumerate() {
-            let Some(s) = *vslot else {
-                for (a, b) in each_run() {
-                    cells.states[ages[a] as usize * k + i].fold_run((b - a) as u64, 0, &[], 0);
-                }
-                continue;
-            };
-            let (psum, vbuf, vmin) = (&self.psums[s][..=n], &self.vbufs[s][..n], self.vmins[s]);
-            for (a, b) in each_run() {
-                // Σ (vmin + raw) = vmin·len + Σ raw, wrapping like the
-                // tuple-by-tuple sum it replaces.
-                let len = (b - a) as u64;
-                let raw_sum = psum[b].wrapping_sub(psum[a]);
-                let sum = (vmin as u64).wrapping_mul(len).wrapping_add(raw_sum) as i64;
-                cells.states[ages[a] as usize * k + i].fold_run(len, sum, &vbuf[a..b], vmin);
-            }
+        for (col, vslot) in self.acc.cols.iter_mut().zip(&self.agg_vslots) {
+            let values = vslot.map_or_else(RunValues::default, |s| RunValues {
+                raw: &self.vbufs[s][..n],
+                psum: &self.psums[s][..=n],
+                base: self.vmins[s],
+            });
+            col.fold_runs(cells, starts, &values);
         }
         self.tuples_folded += n as u64;
         self.runs_folded += runs as u64;
-    }
-
-    /// Yield what this processor accumulated.
-    pub(crate) fn finish(self) -> Partial {
-        self.acc.finish(self.ctx.inits.len())
     }
 }
 
@@ -786,7 +779,7 @@ struct ChunkSlot {
     /// `decoded` (release/acquire pair via the `OnceLock`).
     pending: AtomicUsize,
     /// Merged per-worker partials for this chunk.
-    partial: Mutex<Partial>,
+    partial: Mutex<Option<Accumulator>>,
 }
 
 /// Shared state of one parallel query execution: the morsel-driven
@@ -890,7 +883,7 @@ fn decode_slot(sched: &MorselScheduler, k: usize, tx: &BatchSender, busy: &Atomi
                     chunk_index: idx,
                     rows_scanned: if skip { 0 } else { chunk.num_rows() },
                     morsels: 0,
-                    partial: Partial::default(),
+                    partial: Box::new(core.merger()),
                 };
                 if tx.send(Ok(batch)).is_err() {
                     sched.cancel();
@@ -962,20 +955,14 @@ fn drain_slot(
     let Some(proc) = proc else { return Ok(()) };
 
     // Flush this worker's thread-local accumulation into the chunk slot.
-    let local = proc.finish();
-    {
-        let mut merged = slot.partial.lock().expect("chunk partial lock");
-        if let Err(e) = merged.merge(local) {
-            drop(merged);
-            sched.cancel();
-            let _ = tx.send(Err(e));
-            return Err(());
-        }
-    }
+    let mut merged = slot.partial.lock().expect("chunk partial lock");
+    merged.get_or_insert_with(|| core.merger()).absorb(&proc.acc);
+    drop(merged);
     // The worker whose flush retires the last claimed morsel emits the
     // chunk's batch — consumers still see exactly one batch per live chunk.
     if slot.pending.fetch_sub(claimed, Ordering::AcqRel) == claimed {
-        let partial = std::mem::take(&mut *slot.partial.lock().expect("chunk partial lock"));
+        let merged = slot.partial.lock().expect("chunk partial lock").take();
+        let partial = Box::new(merged.unwrap_or_else(|| core.merger()));
         let batch = ResultBatch {
             chunk_index: sched.live[k],
             rows_scanned: dc.chunk.num_rows(),
@@ -1037,60 +1024,84 @@ fn compact(buf: &mut [u64], sel: &[u32]) {
 /// Marks a chunk code the direct-indexed interner has not seen yet.
 const NO_ID: u32 = u32::MAX;
 
-/// Cohort key → dense cohort id, scoped to one processor over one chunk.
-enum Interner {
-    /// The key is a single dictionary attribute: the birth tuple's chunk
-    /// code indexes a LUT as long as the chunk's dictionary — no hashing.
-    Direct { attr: usize, ids: Vec<u32> },
-    /// Any other key (and every key when array aggregation is ablated);
-    /// `key` is the scratch the probed key is assembled in.
-    Hashed { ids: HashMap<Key, u32>, key: Key },
+/// The direct-indexed interner of one chunk: every key part is a
+/// dictionary attribute and the product of their chunk-dictionary sizes is
+/// at most the chunk's row count, so the mixed radix of the birth tuple's
+/// chunk codes indexes a LUT of that product — no hashing. `parts` holds
+/// each attribute and its dictionary size.
+#[derive(Debug)]
+struct Lut {
+    parts: Vec<(usize, usize)>,
+    ids: Vec<u32>,
 }
 
-/// One cohort's states indexed by age (`age × n_aggs`), grown on demand. A
-/// slot exists for every age up to the largest seen; `present` tells a cell
-/// that received a tuple from one that merely sits below a later age.
-#[derive(Default)]
-struct AgeArray {
-    present: Vec<bool>,
-    states: Vec<AggState>,
-}
-
-impl AgeArray {
-    /// Make room for the states of every age up to `age`.
-    fn reserve(&mut self, age: usize, inits: &[AggState]) {
-        if age >= self.present.len() {
-            let new = age + 1 - self.present.len();
-            self.present.resize(age + 1, false);
-            self.states.extend(inits.iter().cycle().take(new * inits.len()));
-        }
-    }
-}
-
-/// The §4.4 array aggregation table of one [`RunProcessor`], for any cohort
-/// key: cohorts are interned to ids in order of first appearance, and sizes,
-/// keys and age arrays are flat vectors by id. It holds
-/// `O(cohorts seen × ages seen)` states whatever the size of the
-/// dictionaries behind the key.
-struct Accumulator {
-    interner: Interner,
+/// The §4.4 array aggregation table, for any cohort key: cohorts are
+/// interned to ids in order of first appearance; keys and sizes are flat
+/// vectors by id, and each cohort owns a contiguous block of the cell
+/// columns — one [`StateCol`] per aggregate and a presence flag — indexed
+/// `block + age - 1`. A block is as long as the oldest age its users
+/// reached; when a user passes it, it moves to the end of the columns at
+/// twice the length (or the new age, if more), so the footprint is
+/// `O(cohorts seen × ages seen)` whatever the size of the dictionaries
+/// behind the key, and no cohort allocates on its own. A [`RunProcessor`]
+/// folds tuples into one, which becomes its chunk's batch; a query's
+/// batches fold into another ([`Accumulator::absorb`]).
+#[derive(Debug)]
+pub(crate) struct Accumulator {
+    arity: usize,
+    lut: Option<Lut>,
+    /// Keys the LUT does not intern (all of them, when there is no LUT),
+    /// and the scratch a probed key is assembled in.
+    ids: HashMap<Key, u32>,
+    key: Key,
     /// Encoded keys by id, `arity` parts each.
     keys: Vec<u64>,
     sizes: Vec<u64>,
-    ages: Vec<AgeArray>,
+    /// Each cohort's block: first cell and ages held.
+    blocks: Vec<(usize, usize)>,
+    /// Whether a cell received a tuple (the rest of a block is room).
+    present: Vec<bool>,
+    cols: Vec<StateCol>,
 }
 
 impl Accumulator {
-    /// `direct` is the §4.4 ablation switch (`array_aggregation`): whether a
-    /// single dictionary attribute may skip hashing.
-    fn new(ctx: &ExecContext, direct: bool, cursors: &ChunkCursors<'_>) -> Accumulator {
-        let interner = match ctx.key_parts[..] {
-            [KeyPart::Str(attr)] if direct => {
-                Interner::Direct { attr, ids: vec![NO_ID; cursors.lut(attr).len()] }
-            }
-            _ => Interner::Hashed { ids: HashMap::new(), key: Vec::new() },
-        };
-        Accumulator { interner, keys: Vec::new(), sizes: Vec::new(), ages: Vec::new() }
+    /// A table that interns by hashing only.
+    fn hashed(ctx: &ExecContext) -> Accumulator {
+        Accumulator {
+            arity: ctx.key_parts.len(),
+            lut: None,
+            ids: HashMap::new(),
+            key: Vec::new(),
+            keys: Vec::new(),
+            sizes: Vec::new(),
+            blocks: Vec::new(),
+            present: Vec::new(),
+            cols: ctx.cols.clone(),
+        }
+    }
+
+    /// The table of one processor over a chunk of `rows` rows. `direct` is
+    /// the §4.4 ablation switch (`array_aggregation`): whether an
+    /// all-dictionary key may skip hashing.
+    fn new(
+        ctx: &ExecContext,
+        direct: bool,
+        cursors: &ChunkCursors<'_>,
+        rows: usize,
+    ) -> Accumulator {
+        let parts: Option<Vec<(usize, usize)>> = ctx
+            .key_parts
+            .iter()
+            .map(|part| match *part {
+                KeyPart::Str(attr) => Some((attr, cursors.lut(attr).len())),
+                _ => None,
+            })
+            .collect();
+        let lut = parts.filter(|_| direct).and_then(|parts| {
+            let n = parts.iter().try_fold(1usize, |n, &(_, len)| n.checked_mul(len))?;
+            (n <= rows).then(|| Lut { parts, ids: vec![NO_ID; n] })
+        });
+        Accumulator { lut, ..Accumulator::hashed(ctx) }
     }
 
     /// The id of the cohort the user born at `birth_row` belongs to.
@@ -1102,67 +1113,142 @@ impl Accumulator {
         birth_row: usize,
         birth_time: i64,
     ) -> usize {
-        let next = self.sizes.len() as u32;
-        let id = match &mut self.interner {
-            Interner::Direct { attr, ids } => {
-                let code = cursors.code(*attr, birth_row) as usize;
-                if ids[code] != NO_ID {
-                    return ids[code] as usize;
-                }
-                ids[code] = next;
-                self.keys.push(cursors.lut(*attr)[code] as u64);
-                next
+        if let Some(Lut { parts, ids }) = &mut self.lut {
+            let slot = parts
+                .iter()
+                .fold(0, |slot, &(attr, len)| slot * len + cursors.code(attr, birth_row) as usize);
+            if ids[slot] == NO_ID {
+                ids[slot] = self.sizes.len() as u32;
+                self.keys
+                    .extend(parts.iter().map(|&(attr, _)| cursors.gid(attr, birth_row) as u64));
+                self.sizes.push(0);
+                self.blocks.push((0, 0));
             }
-            Interner::Hashed { ids, key } => {
-                key.clear();
-                key.extend(ctx.key_parts.iter().map(|part| match part {
-                    KeyPart::Str(idx) => cursors.gid(*idx, birth_row) as u64,
-                    KeyPart::Int(idx) => cursors.int(*idx, birth_row) as u64,
-                    KeyPart::TimeBin(bin) => bin.bin_start(Timestamp(birth_time)).secs() as u64,
-                }));
-                if let Some(&id) = ids.get(key.as_slice()) {
-                    return id as usize;
-                }
-                ids.insert(key.clone(), next);
-                self.keys.extend_from_slice(key);
-                next
-            }
-        };
-        self.sizes.push(0);
-        self.ages.push(AgeArray::default());
-        id as usize
-    }
-
-    /// Compact into the mergeable layout: per cohort, the present ages in
-    /// ascending order with their states.
-    fn finish(self, n_aggs: usize) -> Partial {
-        let mut partial = Partial::default();
-        let arity = self.keys.len() / self.sizes.len().max(1);
-        let (mut ages, mut states) = (Vec::new(), Vec::new());
-        for (id, cells) in self.ages.iter().enumerate() {
-            ages.clear();
-            states.clear();
-            for (age, _) in cells.present.iter().enumerate().filter(|(_, &p)| p) {
-                ages.push(age as i64);
-                states.extend_from_slice(&cells.states[age * n_aggs..(age + 1) * n_aggs]);
-            }
-            partial
-                .absorb(&self.keys[id * arity..(id + 1) * arity], self.sizes[id], &ages, &states)
-                .expect("a cohort is interned once, so nothing merges");
+            return ids[slot] as usize;
         }
-        partial
+        let mut key = std::mem::take(&mut self.key);
+        key.clear();
+        key.extend(ctx.key_parts.iter().map(|part| match part {
+            KeyPart::Str(idx) => cursors.gid(*idx, birth_row) as u64,
+            KeyPart::Int(idx) => cursors.int(*idx, birth_row) as u64,
+            KeyPart::TimeBin(bin) => bin.bin_start(Timestamp(birth_time)).secs() as u64,
+        }));
+        let id = self.intern_key(&key);
+        self.key = key;
+        id
     }
 
-    /// States currently allocated, over all cohorts.
+    fn key(&self, id: usize) -> &[u64] {
+        &self.keys[id * self.arity..(id + 1) * self.arity]
+    }
+
+    /// Cohort `id`'s present cells as `(age, cell)`, ages ascending.
+    fn cells(&self, id: usize) -> impl Iterator<Item = (i64, usize)> + '_ {
+        let (start, len) = self.blocks[id];
+        (start..start + len).filter(|&c| self.present[c]).map(move |c| ((c - start) as i64 + 1, c))
+    }
+
+    fn intern_key(&mut self, key: &[u64]) -> usize {
+        if let Some(&id) = self.ids.get(key) {
+            return id as usize;
+        }
+        self.ids.insert(key.to_vec(), self.sizes.len() as u32);
+        self.keys.extend_from_slice(key);
+        self.sizes.push(0);
+        self.blocks.push((0, 0));
+        self.sizes.len() - 1
+    }
+
+    /// Fold another table of the same query in (a chunk's, or a worker's
+    /// share of one): sizes add, and each of its cohorts' blocks merges into
+    /// this one's block of that cohort, cell by cell in one contiguous pass
+    /// per column — so a merge costs what `other` holds, not what has been
+    /// merged so far. Ages are bounded by the chunk span every processor
+    /// accepted (`MAX_AGE_UNITS`).
+    pub(crate) fn absorb(&mut self, other: &Accumulator) {
+        let moves: Vec<(usize, usize, usize)> = (0..other.sizes.len())
+            .map(|id| {
+                let to = self.intern_key(other.key(id));
+                self.sizes[to] += other.sizes[id];
+                let (start, len) = other.blocks[id];
+                (start, self.block(to, len), len)
+            })
+            .collect();
+        for &(from, to, len) in &moves {
+            let present = self.present[to..to + len].iter_mut().zip(&other.present[from..]);
+            present.for_each(|(p, &q)| *p |= q);
+        }
+        for (col, src) in self.cols.iter_mut().zip(&other.cols) {
+            col.merge_from(src, Dest::Blocks(&moves));
+        }
+    }
+
+    /// The first cell of `cohort`'s block, grown to hold ages up to `oldest`.
+    #[inline]
+    fn block(&mut self, cohort: usize, oldest: usize) -> usize {
+        let (start, len) = self.blocks[cohort];
+        if oldest <= len {
+            return start;
+        }
+        let (moved, grown) = (self.present.len(), oldest.max(2 * len));
+        self.present.extend_from_within(start..start + len);
+        self.present.resize(moved + grown, false);
+        for col in &mut self.cols {
+            col.relocate(start..start + len, moved + grown);
+        }
+        self.blocks[cohort] = (moved, grown);
+        moved
+    }
+
+    /// Cohorts with at least one qualified user.
+    pub(crate) fn num_cohorts(&self) -> usize {
+        self.sizes.len()
+    }
+
+    /// `(cohort, age)` cells that received a tuple.
+    pub(crate) fn num_cells(&self) -> usize {
+        (0..self.sizes.len()).map(|id| self.cells(id).count()).sum()
+    }
+
+    /// Qualified users summed over cohorts.
+    pub(crate) fn num_users(&self) -> u64 {
+        self.sizes.iter().sum()
+    }
+
+    /// The flat layout of this table: keys decoded by `decode`, cohorts in
+    /// ascending decoded-key order, each with its present cells, every
+    /// column gathered once.
+    pub(crate) fn sorted(&self, decode: impl Fn(&[u64]) -> Vec<Value>) -> CohortTable {
+        let mut keys: Vec<Vec<Value>> =
+            (0..self.sizes.len()).map(|id| decode(self.key(id))).collect();
+        let mut order: Vec<usize> = (0..keys.len()).collect();
+        order.sort_by(|&a, &b| keys[a].cmp(&keys[b]));
+        let (mut flat, mut sizes) = (Vec::with_capacity(keys.len() * self.arity), Vec::new());
+        let (mut ends, mut ages, mut cells) = (Vec::new(), Vec::new(), Vec::new());
+        for id in order {
+            flat.append(&mut keys[id]);
+            sizes.push(self.sizes[id]);
+            for (age, cell) in self.cells(id) {
+                ages.push(age);
+                cells.push(cell);
+            }
+            ends.push(ages.len());
+        }
+        let cols = self.cols.iter().map(|c| c.gather(&cells)).collect();
+        CohortTable::from_parts(self.arity, flat, sizes, ends, ages, cols)
+    }
+
+    /// Cells currently allocated over all cohorts, times the aggregates.
     #[cfg(test)]
     fn allocated_states(&self) -> usize {
-        self.ages.iter().map(|a| a.states.len()).sum()
+        self.present.len() * self.cols.len()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::agg::AggFunc;
     use crate::expr::Expr;
     use crate::plan::{plan_query, PlannerOptions};
     use crate::query::CohortQuery;
@@ -1283,15 +1369,20 @@ mod tests {
             let mut proc = RunProcessor::new(table.table_meta(), &broken, &plan, &ctx).unwrap();
             proc.process_runs(0, broken.num_users());
             assert!(proc.tuples_folded <= proc.tuples_decoded);
-            assert_eq!(proc.finish().num_users(), 3);
+            assert_eq!(proc.acc.num_users(), 3);
         }
     }
 
-    /// Three users in three countries, active for `days` days each, encoded
-    /// against a country dictionary of 100 003 entries.
+    /// Three users in three countries, three cities and three roles, active
+    /// for `days` days each, encoded against a country dictionary of
+    /// 100 003 entries.
     fn wide_dictionary_table(days: i64) -> CompressedTable {
         let mut b = TableBuilder::new(Schema::game_actions());
-        for (user, country) in [("u1", "Chile"), ("u2", "Ghana"), ("u3", "Nepal")] {
+        for (user, country, city, role) in [
+            ("u1", "Chile", "Arica", "dwarf"),
+            ("u2", "Ghana", "Accra", "mage"),
+            ("u3", "Nepal", "Patan", "thief"),
+        ] {
             for day in 0..=days {
                 let action = if day == 0 { "launch" } else { "shop" };
                 let row: [Value; 8] = [
@@ -1299,8 +1390,8 @@ mod tests {
                     (day * 86_400 + 60).into(),
                     action.into(),
                     country.into(),
-                    "city".into(),
-                    "dwarf".into(),
+                    city.into(),
+                    role.into(),
                     1.into(),
                     (10 * day).into(),
                 ];
@@ -1317,33 +1408,50 @@ mod tests {
         CompressedTable::build_with_metas(&table, metas, options).unwrap()
     }
 
-    #[test]
-    fn accumulator_footprint_follows_cohorts_seen_not_dictionary_size() {
+    /// Aggregate the three users of [`wide_dictionary_table`] by `key` and
+    /// check the accumulator holds 3 cohorts × `days` ages × 2 aggregates —
+    /// not 100 003 × `days` × 2. Returns whether the key was interned
+    /// through the direct-indexed LUT.
+    fn footprint_within_cohorts_seen(key: &[&str], array_aggregation: bool) -> bool {
         let days = 5;
         let table = wide_dictionary_table(days);
         let query = CohortQuery::builder("launch")
-            .cohort_by(["country"])
+            .cohort_by(key.iter().copied())
             .aggregate(AggFunc::sum("gold"))
             .aggregate(AggFunc::user_count())
             .build()
             .unwrap();
-        for array_aggregation in [true, false] {
-            let options = PlannerOptions { array_aggregation, ..PlannerOptions::default() };
-            let plan = plan_query(&query, table.schema(), options).unwrap();
-            let ctx = ExecContext::new(table.table_meta(), &plan).unwrap();
-            let chunk = &table.chunks()[0];
-            let mut proc = RunProcessor::new(table.table_meta(), chunk, &plan, &ctx).unwrap();
-            proc.process_runs(0, chunk.num_users());
-            // 3 cohorts × ages 0..=5 × 2 aggregates — not 100 003 × 7 × 2.
-            let bound = 3 * (days as usize + 1) * 2;
-            assert!(
-                proc.acc.allocated_states() <= bound,
-                "{} states allocated for 3 cohorts of {days} ages (bound {bound})",
-                proc.acc.allocated_states()
-            );
-            let partial = proc.finish();
-            assert_eq!((partial.num_cohorts(), partial.num_cells()), (3, 3 * days as usize));
-            assert_eq!(partial.num_users(), 3);
+        let options = PlannerOptions { array_aggregation, ..PlannerOptions::default() };
+        let plan = plan_query(&query, table.schema(), options).unwrap();
+        let ctx = ExecContext::new(table.table_meta(), &plan).unwrap();
+        let chunk = &table.chunks()[0];
+        let mut proc = RunProcessor::new(table.table_meta(), chunk, &plan, &ctx).unwrap();
+        proc.process_runs(0, chunk.num_users());
+        let direct = proc.acc.lut.is_some();
+        let bound = 3 * days as usize * 2;
+        assert!(
+            proc.acc.allocated_states() <= bound,
+            "{key:?}: {} states allocated for 3 cohorts of {days} ages (bound {bound})",
+            proc.acc.allocated_states()
+        );
+        assert_eq!((proc.acc.num_cohorts(), proc.acc.num_cells()), (3, 3 * days as usize));
+        assert_eq!(proc.acc.num_users(), 3);
+        direct
+    }
+
+    #[test]
+    fn accumulator_footprint_follows_cohorts_seen_not_dictionary_size() {
+        // Chunk dictionaries of 3 and 3 × 3 entries against 18 rows.
+        for key in [&["country"][..], &["country", "city"]] {
+            assert!(footprint_within_cohorts_seen(key, true), "{key:?} takes the LUT");
+            assert!(!footprint_within_cohorts_seen(key, false), "the ablation hashes {key:?}");
         }
+    }
+
+    /// The fallback twin: 3 × 3 × 3 = 27 key combinations could occur in a
+    /// chunk of 18 rows, so the key is hashed, within the same bound.
+    #[test]
+    fn composite_key_past_the_row_count_falls_back_to_hashing() {
+        assert!(!footprint_within_cohorts_seen(&["country", "city", "role"], true));
     }
 }

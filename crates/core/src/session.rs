@@ -40,7 +40,7 @@
 
 use crate::engine::Cohana;
 use crate::error::EngineError;
-use crate::exec::{Partial, QueryCore, ResultBatch};
+use crate::exec::{QueryCore, ResultBatch};
 use crate::plan::{plan_query, PhysicalPlan, PlannerOptions};
 use crate::query::CohortQuery;
 use crate::report::CohortReport;
@@ -288,9 +288,9 @@ impl Statement {
         &self,
         batches: impl IntoIterator<Item = ResultBatch>,
     ) -> Result<CohortReport, EngineError> {
-        let mut merged = Partial::default();
+        let mut merged = self.core.merger();
         for batch in batches {
-            merged.merge(batch.partial)?;
+            merged.absorb(&batch.partial);
         }
         Ok(self.core.build_report(merged))
     }
@@ -424,9 +424,9 @@ impl<'s> QueryStream<'s> {
     /// Drain the remaining batches and merge everything into the eager
     /// [`CohortReport`], with this execution's [`QueryStats`] attached.
     pub fn collect(mut self) -> Result<CohortReport, EngineError> {
-        let mut merged = Partial::default();
+        let mut merged = self.stmt.core.merger();
         for batch in &mut self {
-            merged.merge(batch?.partial)?;
+            merged.absorb(&batch?.partial);
         }
         let mut report = self.stmt.core.build_report(merged);
         report.stats = Some(self.stats());

@@ -30,13 +30,14 @@
 //! malformed payload can never panic a reader, and every count is checked
 //! against the bytes that remain before anything is allocated for it.
 
-use crate::agg::AggState;
-use crate::cells::{self, AgeRun, CohortTable};
+use crate::agg::{AggState, Kind, StateCol};
+use crate::cells::{self, CohortTable};
 use crate::error::EngineError;
 use crate::report::CohortReport;
 use crate::stats::QueryStats;
 use cohana_activity::Value;
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -53,20 +54,8 @@ pub struct WireBatch {
     chunk_index: u64,
     rows_scanned: u64,
     morsels: u64,
-    /// Values per cohort key.
-    arity: usize,
-    /// State tag of each aggregate; every cell holds one state per tag.
-    tags: Vec<u8>,
-    /// Cohort keys, `arity` values each.
-    keys: Vec<Value>,
-    /// Qualified users of each cohort in this chunk.
-    sizes: Vec<u64>,
-    /// Where each cohort's cells end in `ages` (they start where the
-    /// previous cohort's end).
-    cell_ends: Vec<usize>,
-    ages: Vec<i64>,
-    /// `tags.len()` states per cell, cell after cell.
-    states: Vec<AggState>,
+    /// The cohorts, in ascending key order, with their cells.
+    table: CohortTable,
 }
 
 /// One cohort of a [`WireBatch`].
@@ -78,51 +67,28 @@ pub struct WireCohort<'a> {
     pub size: u64,
     /// Ages the cohort has cells at, strictly ascending.
     pub ages: &'a [i64],
-    /// One partial state per aggregate for each age, cell after cell
-    /// (`ages.len() × n_aggs`).
-    pub states: &'a [AggState],
+    cols: &'a [StateCol],
+    first: usize,
+}
+
+impl WireCohort<'_> {
+    /// The partial state of aggregate `agg` at the cohort's `cell`-th age
+    /// (`cell < ages.len()`).
+    pub fn state(&self, cell: usize, agg: usize) -> AggState {
+        assert!(cell < self.ages.len(), "cell {cell} of {}", self.ages.len());
+        self.cols[agg].get(self.first + cell)
+    }
 }
 
 impl WireBatch {
-    /// Assemble a batch from `[chunk_index, rows_scanned, morsels]` and its
-    /// cohorts (any order; each key `arity` values, each cell one state per
-    /// entry of `inits`, of that entry's kind).
-    pub(crate) fn from_cohorts(
+    /// A batch of `[chunk_index, rows_scanned, morsels]` and a table whose
+    /// cohorts are in ascending key order.
+    pub(crate) fn new(
         [chunk_index, rows_scanned, morsels]: [u64; 3],
-        arity: usize,
-        inits: &[AggState],
-        mut cohorts: Vec<(Vec<Value>, u64, &AgeRun)>,
+        table: CohortTable,
     ) -> WireBatch {
-        cohorts.sort_by(|a, b| a.0.cmp(&b.0));
-        let tags: Vec<u8> = inits.iter().map(state_tag).collect();
-        let cells = cohorts.iter().map(|c| c.2.ages.len()).sum();
-        let mut batch = WireBatch {
-            chunk_index,
-            rows_scanned,
-            morsels,
-            arity,
-            keys: Vec::with_capacity(cohorts.len() * arity),
-            sizes: Vec::with_capacity(cohorts.len()),
-            cell_ends: Vec::with_capacity(cohorts.len()),
-            ages: Vec::with_capacity(cells),
-            states: Vec::with_capacity(cells * tags.len()),
-            tags,
-        };
-        for (key, size, run) in cohorts {
-            debug_assert_eq!(key.len(), arity);
-            debug_assert!(run.ages.first().is_none_or(|&a| a >= 1));
-            debug_assert!(run.ages.windows(2).all(|w| w[0] < w[1]));
-            debug_assert!(run
-                .states
-                .chunks(batch.tags.len())
-                .all(|cell| cell.iter().map(state_tag).eq(batch.tags.iter().copied())));
-            batch.keys.extend(key);
-            batch.sizes.push(size);
-            batch.ages.extend_from_slice(&run.ages);
-            batch.states.extend_from_slice(&run.states);
-            batch.cell_ends.push(batch.ages.len());
-        }
-        batch
+        debug_assert!((1..table.num_cohorts()).all(|i| table.cohort(i - 1).0 < table.cohort(i).0));
+        WireBatch { chunk_index, rows_scanned, morsels, table }
     }
 
     /// Index of the source chunk that produced this batch.
@@ -142,27 +108,26 @@ impl WireBatch {
 
     /// Cohorts with at least one qualified user in this chunk.
     pub fn num_cohorts(&self) -> usize {
-        self.sizes.len()
+        self.table.num_cohorts()
     }
 
     /// `(cohort, age)` cells this chunk contributed to.
     pub fn num_cells(&self) -> usize {
-        self.ages.len()
+        self.table.num_cells()
     }
 
     /// The batch's cohorts in ascending key order.
     pub fn cohorts(&self) -> impl Iterator<Item = WireCohort<'_>> {
-        let n_aggs = self.tags.len();
-        let mut start = 0;
-        self.cell_ends.iter().enumerate().map(move |(i, &end)| {
-            let cohort = WireCohort {
-                key: &self.keys[i * self.arity..(i + 1) * self.arity],
-                size: self.sizes[i],
-                ages: &self.ages[start..end],
-                states: &self.states[start * n_aggs..end * n_aggs],
-            };
-            start = end;
-            cohort
+        let t = &self.table;
+        (0..t.num_cohorts()).map(move |i| {
+            let (key, size, cells) = t.cohort(i);
+            WireCohort {
+                key,
+                size,
+                ages: &t.ages()[cells.clone()],
+                cols: t.cols(),
+                first: cells.start,
+            }
         })
     }
 
@@ -179,15 +144,17 @@ impl WireBatch {
         for v in [self.chunk_index, self.rows_scanned, self.morsels] {
             put_varint(out, v);
         }
-        put_varint(out, self.arity as u64);
-        put_varint(out, self.tags.len() as u64);
-        out.extend_from_slice(&self.tags);
+        let cols = self.table.cols();
+        put_varint(out, self.table.arity() as u64);
+        put_varint(out, cols.len() as u64);
+        out.extend(cols.iter().map(|c| c.kind() as u8));
 
         // String table: each distinct string once, in order of first use.
         let mut table: HashMap<&str, u64> = HashMap::new();
         let mut strings: Vec<&str> = Vec::new();
         let mut refs: Vec<u64> = Vec::new();
-        for s in self.keys.iter().filter_map(Value::as_str) {
+        let keys = self.cohorts().flat_map(|c| c.key);
+        for s in keys.filter_map(Value::as_str) {
             refs.push(*table.entry(s).or_insert_with(|| {
                 strings.push(s);
                 strings.len() as u64 - 1
@@ -200,7 +167,7 @@ impl WireBatch {
         }
 
         // Cohort table: key value refs + size.
-        put_varint(out, self.sizes.len() as u64);
+        put_varint(out, self.num_cohorts() as u64);
         let mut refs = refs.into_iter();
         for cohort in self.cohorts() {
             for v in cohort.key {
@@ -220,7 +187,6 @@ impl WireBatch {
         }
 
         // Cells, cohort by cohort: age deltas, then one column per aggregate.
-        let n_aggs = self.tags.len();
         for cohort in self.cohorts() {
             put_varint(out, cohort.ages.len() as u64);
             let mut prev = 0;
@@ -228,10 +194,8 @@ impl WireBatch {
                 put_varint(out, (age - prev) as u64);
                 prev = age;
             }
-            for a in 0..n_aggs {
-                for state in cohort.states.iter().skip(a).step_by(n_aggs) {
-                    put_state(out, state);
-                }
+            for col in cols {
+                put_cells(out, col, cohort.first..cohort.first + cohort.ages.len());
             }
         }
     }
@@ -244,12 +208,14 @@ impl WireBatch {
         let morsels = r.varint()?;
         let arity = r.count(1)?;
         let n_aggs = r.count(1)?;
-        let tags = r.take(n_aggs)?.to_vec();
-        if arity == 0 || tags.is_empty() {
+        let mut cols = r
+            .take(n_aggs)?
+            .iter()
+            .map(|&t| Kind::from_tag(t).map(StateCol::new))
+            .collect::<Option<Vec<_>>>()
+            .ok_or_else(|| corrupt("unknown aggregate-state tag"))?;
+        if arity == 0 || cols.is_empty() {
             return Err(corrupt("batch without cohort attributes or aggregates"));
-        }
-        if let Some(t) = tags.iter().find(|&&t| t > TAG_USER_COUNT) {
-            return Err(corrupt(format!("unknown aggregate-state tag {t}")));
         }
 
         let n_strings = r.count(1)?;
@@ -263,9 +229,9 @@ impl WireBatch {
 
         // A cohort is at least its value kinds, its size and its cell count.
         let n_cohorts = r.count(arity + 2)?;
-        let mut keys = Vec::with_capacity(n_cohorts * arity);
+        let mut keys: Vec<Value> = Vec::with_capacity(n_cohorts * arity);
         let mut sizes = Vec::with_capacity(n_cohorts);
-        for _ in 0..n_cohorts {
+        for i in 0..n_cohorts {
             for _ in 0..arity {
                 keys.push(match r.u8()? {
                     VALUE_NULL => Value::Null,
@@ -278,15 +244,17 @@ impl WireBatch {
                     t => return Err(corrupt(format!("unknown value kind {t}"))),
                 });
             }
+            if i > 0 && keys[(i - 1) * arity..i * arity] >= keys[i * arity..] {
+                return Err(corrupt("cohort keys must ascend, each stated once"));
+            }
             sizes.push(r.varint()?);
         }
 
         let mut cell_ends = Vec::with_capacity(n_cohorts);
         let mut ages: Vec<i64> = Vec::new();
-        let mut states: Vec<AggState> = Vec::new();
         for _ in 0..n_cohorts {
             // A cell is at least its age delta and one byte per state.
-            let n_cells = r.count(1 + n_aggs)?;
+            let n_cells = r.count(1 + cols.len())?;
             let mut age = 0i64;
             for _ in 0..n_cells {
                 let delta = r.varint()?;
@@ -297,28 +265,16 @@ impl WireBatch {
                     .ok_or_else(|| corrupt("ages of a cohort must ascend from 1"))?;
                 ages.push(age);
             }
-            let base = states.len();
-            states.resize(base + n_cells * n_aggs, AggState::Count(0));
-            for (a, &tag) in tags.iter().enumerate() {
-                for state in states[base..].iter_mut().skip(a).step_by(n_aggs) {
-                    *state = r.state(tag)?;
+            for col in &mut cols {
+                for _ in 0..n_cells {
+                    col.push(r.state(col.kind())?);
                 }
             }
             cell_ends.push(ages.len());
         }
         r.finish()?;
-        Ok(WireBatch {
-            chunk_index,
-            rows_scanned,
-            morsels,
-            arity,
-            tags,
-            keys,
-            sizes,
-            cell_ends,
-            ages,
-            states,
-        })
+        let table = CohortTable::from_parts(arity, keys, sizes, cell_ends, ages, cols);
+        Ok(WireBatch { chunk_index, rows_scanned, morsels, table })
     }
 }
 
@@ -336,7 +292,7 @@ impl WireBatch {
 pub struct ReportAssembler {
     cohort_attrs: Vec<String>,
     agg_names: Vec<String>,
-    merged: CohortTable<Value>,
+    merged: CohortTable,
 }
 
 impl ReportAssembler {
@@ -348,22 +304,26 @@ impl ReportAssembler {
 
     /// Fold one batch in: one probe per cohort of the batch, then sizes add
     /// and the cohort's cells merge age by age (commutative, so batch
-    /// arrival order does not matter).
+    /// arrival order does not matter). A batch whose key or aggregates do not
+    /// match the ones before it, or that would carry a cohort's size past
+    /// `u64::MAX`, is refused as [`EngineError::Corrupt`] and leaves the
+    /// assembler as it was.
     pub fn push(&mut self, batch: &WireBatch) -> Result<(), EngineError> {
-        for c in batch.cohorts() {
-            self.merged.absorb(c.key, c.size, c.ages, c.states)?;
-        }
-        Ok(())
+        self.merged.absorb(&batch.table)
     }
 
     /// Finalize into the report, sorted by (cohort, age). Carries no stats
     /// (the server reports those separately in its STATS frame).
     pub fn finish(self) -> CohortReport {
-        cells::build_report(
-            self.cohort_attrs,
-            self.agg_names,
-            self.merged.cohorts().map(|(key, size, run)| (key.to_vec(), size, run)).collect(),
-        )
+        let t = &self.merged;
+        let cohorts = (0..t.num_cohorts())
+            .map(|i| {
+                let (key, size, _) = t.cohort(i);
+                (key.to_vec(), size, i)
+            })
+            .collect();
+        let cells = |i| t.cohort(i).2.map(|c| (t.ages()[c], c));
+        cells::build_report(self.cohort_attrs, self.agg_names, cohorts, t.cols(), cells)
     }
 }
 
@@ -408,25 +368,6 @@ const VALUE_NULL: u8 = 0;
 const VALUE_INT: u8 = 1;
 const VALUE_STR: u8 = 2;
 
-// Aggregate-state tags of the batch header.
-const TAG_SUM: u8 = 0;
-const TAG_AVG: u8 = 1;
-const TAG_MIN: u8 = 2;
-const TAG_MAX: u8 = 3;
-const TAG_COUNT: u8 = 4;
-const TAG_USER_COUNT: u8 = 5;
-
-fn state_tag(s: &AggState) -> u8 {
-    match s {
-        AggState::Sum(_) => TAG_SUM,
-        AggState::Avg { .. } => TAG_AVG,
-        AggState::Min(_) => TAG_MIN,
-        AggState::Max(_) => TAG_MAX,
-        AggState::Count(_) => TAG_COUNT,
-        AggState::UserCount(_) => TAG_USER_COUNT,
-    }
-}
-
 fn corrupt(msg: impl Into<String>) -> EngineError {
     EngineError::Corrupt(msg.into())
 }
@@ -445,20 +386,23 @@ fn put_varint(out: &mut Vec<u8>, mut v: u64) {
     out.push(v as u8);
 }
 
-/// Append one state's payload; its tag is in the batch header.
-fn put_state(out: &mut Vec<u8>, s: &AggState) {
-    match s {
-        AggState::Sum(v) => put_varint(out, zigzag(*v)),
-        AggState::Avg { sum, count } => {
-            put_varint(out, zigzag(*sum));
-            put_varint(out, *count);
-        }
-        AggState::Min(None) | AggState::Max(None) => out.push(0),
-        AggState::Min(Some(v)) | AggState::Max(Some(v)) => {
-            out.push(1);
-            put_varint(out, zigzag(*v));
-        }
-        AggState::Count(c) | AggState::UserCount(c) => put_varint(out, *c),
+/// Append the payload of `col`'s `cells`; the column's kind is in the
+/// batch header.
+fn put_cells(out: &mut Vec<u8>, col: &StateCol, cells: Range<usize>) {
+    let (vals, counts) = col.parts();
+    match col.kind() {
+        Kind::Sum => cells.for_each(|c| put_varint(out, zigzag(vals[c]))),
+        Kind::Avg => cells.for_each(|c| {
+            put_varint(out, zigzag(vals[c]));
+            put_varint(out, counts[c]);
+        }),
+        Kind::Min | Kind::Max => cells.for_each(|c| {
+            out.push(counts[c] as u8);
+            if counts[c] != 0 {
+                put_varint(out, zigzag(vals[c]));
+            }
+        }),
+        Kind::Count | Kind::UserCount => cells.for_each(|c| put_varint(out, counts[c])),
     }
 }
 
@@ -602,21 +546,20 @@ impl<'a> WireReader<'a> {
             .ok_or_else(|| corrupt("count exceeds the wire payload"))
     }
 
-    /// Read the payload of one aggregate state of kind `tag` (a tag
-    /// [`WireBatch::decode`] has validated).
-    fn state(&mut self, tag: u8) -> Result<AggState, EngineError> {
+    /// Read the payload of one aggregate state of `kind`.
+    fn state(&mut self, kind: Kind) -> Result<AggState, EngineError> {
         let opt = |r: &mut Self| match r.u8()? {
             0 => Ok(None),
             1 => r.zigzag().map(Some),
             t => Err(corrupt(format!("unknown option tag {t}"))),
         };
-        Ok(match tag {
-            TAG_SUM => AggState::Sum(self.zigzag()?),
-            TAG_AVG => AggState::Avg { sum: self.zigzag()?, count: self.varint()? },
-            TAG_MIN => AggState::Min(opt(self)?),
-            TAG_MAX => AggState::Max(opt(self)?),
-            TAG_COUNT => AggState::Count(self.varint()?),
-            _ => AggState::UserCount(self.varint()?),
+        Ok(match kind {
+            Kind::Sum => AggState::Sum(self.zigzag()?),
+            Kind::Avg => AggState::Avg { sum: self.zigzag()?, count: self.varint()? },
+            Kind::Min => AggState::Min(opt(self)?),
+            Kind::Max => AggState::Max(opt(self)?),
+            Kind::Count => AggState::Count(self.varint()?),
+            Kind::UserCount => AggState::UserCount(self.varint()?),
         })
     }
 
@@ -643,14 +586,8 @@ mod tests {
     use super::*;
     use crate::agg::AggValue;
 
-    const INITS: [AggState; 6] = [
-        AggState::Sum(0),
-        AggState::Avg { sum: 0, count: 0 },
-        AggState::Min(None),
-        AggState::Max(None),
-        AggState::Count(0),
-        AggState::UserCount(0),
-    ];
+    const KINDS: [Kind; 6] =
+        [Kind::Sum, Kind::Avg, Kind::Min, Kind::Max, Kind::Count, Kind::UserCount];
 
     /// A cell with one state of every kind, derived from `v`.
     fn cell(v: i64) -> [AggState; 6] {
@@ -664,29 +601,31 @@ mod tests {
         ]
     }
 
-    fn run(cells: &[(i64, i64)]) -> AgeRun {
-        AgeRun {
-            ages: cells.iter().map(|c| c.0).collect(),
-            states: cells.iter().flat_map(|c| cell(c.1)).collect(),
-        }
+    use crate::cells::tests::{table, Cohort};
+
+    fn cohort(key: Vec<Value>, size: u64, cells: &[(i64, i64)]) -> Cohort {
+        (key, size, cells.iter().map(|&(age, v)| (age, cell(v).to_vec())).collect())
     }
 
-    fn sample_cohorts() -> Vec<(Vec<Value>, u64, AgeRun)> {
+    fn sample_cohorts() -> Vec<Cohort> {
         vec![
-            (vec![Value::str("China"), Value::Int(-4)], 5, run(&[(1, 52), (2, -7), (40, 0)])),
-            (vec![Value::str("Australia"), Value::Null], 3, run(&[(7, i64::MIN)])),
-            (vec![Value::str("Australia"), Value::Int(i64::MAX)], 1, AgeRun::default()),
+            cohort(vec![Value::str("China"), Value::Int(-4)], 5, &[(1, 52), (2, -7), (40, 0)]),
+            cohort(vec![Value::str("Australia"), Value::Null], 3, &[(7, i64::MIN)]),
+            cohort(vec![Value::str("Australia"), Value::Int(i64::MAX)], 1, &[]),
         ]
     }
 
-    fn batch_of(cohorts: &[(Vec<Value>, u64, AgeRun)]) -> WireBatch {
-        let cohorts = cohorts.iter().map(|(k, s, r)| (k.clone(), *s, r)).collect();
-        WireBatch::from_cohorts([3, 1000, 7], 2, &INITS, cohorts)
+    /// A batch of `cohorts` in any order, each cell one state per kind.
+    fn batch_of(chunk: u64, kinds: &[Kind], cohorts: &[Cohort]) -> WireBatch {
+        let mut cohorts = cohorts.to_vec();
+        cohorts.sort_by(|a, b| a.0.cmp(&b.0));
+        let arity = cohorts.first().map_or(1, |c| c.0.len());
+        WireBatch::new([chunk, 1000, 7], table(arity, kinds, &cohorts))
     }
 
     #[test]
     fn batch_codec_roundtrips_and_orders_cohorts() {
-        let batch = batch_of(&sample_cohorts());
+        let batch = batch_of(3, &KINDS, &sample_cohorts());
         let bytes = batch.encode();
         assert_eq!(WireBatch::decode(&bytes).unwrap(), batch);
         assert_eq!((batch.chunk_index(), batch.rows_scanned(), batch.morsels()), (3, 1000, 7));
@@ -695,16 +634,16 @@ mod tests {
         assert!(cohorts.windows(2).all(|w| w[0].key < w[1].key));
         assert_eq!(cohorts[2].key, [Value::str("China"), Value::Int(-4)]);
         assert_eq!((cohorts[2].size, cohorts[2].ages), (5, &[1i64, 2, 40][..]));
-        assert_eq!(cohorts[2].states[6..12], cell(-7));
-        assert!(cohorts[0].ages.is_empty() && cohorts[0].states.is_empty());
+        assert_eq!((0..6).map(|a| cohorts[2].state(1, a)).collect::<Vec<_>>(), cell(-7));
+        assert!(cohorts[0].ages.is_empty());
     }
 
     #[test]
     fn encoded_bytes_do_not_depend_on_cohort_arrival_order() {
         let mut cohorts = sample_cohorts();
-        let bytes = batch_of(&cohorts).encode();
+        let bytes = batch_of(3, &KINDS, &cohorts).encode();
         cohorts.reverse();
-        assert_eq!(batch_of(&cohorts).encode(), bytes);
+        assert_eq!(batch_of(3, &KINDS, &cohorts).encode(), bytes);
         // "Australia" is stated once, although two cohorts use it.
         let hits = bytes.windows(9).filter(|w| w == b"Australia").count();
         assert_eq!(hits, 1);
@@ -712,7 +651,7 @@ mod tests {
 
     #[test]
     fn decode_rejects_truncation_and_trailing_garbage() {
-        let bytes = batch_of(&sample_cohorts()).encode();
+        let bytes = batch_of(3, &KINDS, &sample_cohorts()).encode();
         for cut in 0..bytes.len() {
             assert!(
                 matches!(WireBatch::decode(&bytes[..cut]), Err(EngineError::Corrupt(_))),
@@ -724,28 +663,31 @@ mod tests {
         assert!(matches!(WireBatch::decode(&extended), Err(EngineError::Corrupt(_))));
     }
 
-    /// A one-cohort batch (`arity` 1, one `Sum`) written field by field, so
-    /// each test can bend exactly one of them.
+    /// A batch (`arity` 1, one `Sum`) written field by field, so each test
+    /// can bend exactly one of them. The string table is `["au", "cn"]`;
+    /// each cohort is `(string ref, size)`, and only the first has cells.
     struct Raw {
         arity: u64,
         tags: Vec<u8>,
         strings: u64,
         cohorts: u64,
-        string_ref: u64,
+        keys: Vec<(u64, u64)>,
         cells: u64,
         deltas: Vec<u64>,
+        sums: Vec<i64>,
     }
 
     impl Raw {
         fn valid() -> Raw {
             Raw {
                 arity: 1,
-                tags: vec![TAG_SUM],
-                strings: 1,
+                tags: vec![Kind::Sum as u8],
+                strings: 2,
                 cohorts: 1,
-                string_ref: 0,
+                keys: vec![(0, 9)],
                 cells: 2,
                 deltas: vec![1, 3],
+                sums: vec![1, 2],
             }
         }
 
@@ -755,26 +697,37 @@ mod tests {
             put_varint(&mut out, self.tags.len() as u64);
             out.extend_from_slice(&self.tags);
             put_varint(&mut out, self.strings);
-            out.extend_from_slice(b"\x02au");
+            out.extend_from_slice(b"\x02au\x02cn");
             put_varint(&mut out, self.cohorts);
-            out.push(VALUE_STR);
-            put_varint(&mut out, self.string_ref);
-            out.push(9); // size
+            for &(string_ref, size) in &self.keys {
+                out.push(VALUE_STR);
+                put_varint(&mut out, string_ref);
+                put_varint(&mut out, size);
+            }
             put_varint(&mut out, self.cells);
             for &d in &self.deltas {
                 put_varint(&mut out, d);
             }
-            out.extend_from_slice(&[2, 4]); // Sum(1), Sum(2)
+            for &s in &self.sums {
+                put_varint(&mut out, zigzag(s));
+            }
+            out.resize(out.len() + self.keys.len() - 1, 0); // no cells
             out
+        }
+
+        fn batch(self) -> WireBatch {
+            WireBatch::decode(&self.bytes()).unwrap()
         }
     }
 
     #[test]
     fn decode_rejects_out_of_range_fields() {
-        let ok = WireBatch::decode(&Raw::valid().bytes()).unwrap();
+        let ok = Raw::valid().batch();
         let only = ok.cohorts().next().unwrap();
         assert_eq!((only.key, only.size, only.ages), (&[Value::str("au")][..], 9, &[1i64, 4][..]));
-        assert_eq!(only.states, [AggState::Sum(1), AggState::Sum(2)]);
+        assert_eq!([only.state(0, 0), only.state(1, 0)], [AggState::Sum(1), AggState::Sum(2)]);
+        let two = Raw { cohorts: 2, keys: vec![(0, 9), (1, 1)], ..Raw::valid() }.batch();
+        assert_eq!(two.num_cohorts(), 2);
 
         let bent: Vec<(&str, Raw)> = vec![
             ("no cohort attributes", Raw { arity: 0, ..Raw::valid() }),
@@ -783,11 +736,13 @@ mod tests {
             ("no aggregates", Raw { tags: vec![], ..Raw::valid() }),
             ("string count beyond the payload", Raw { strings: u64::MAX, ..Raw::valid() }),
             ("cohort count beyond the payload", Raw { cohorts: 1 << 32, ..Raw::valid() }),
-            ("string ref out of range", Raw { string_ref: 1, ..Raw::valid() }),
+            ("string ref out of range", Raw { keys: vec![(2, 9)], ..Raw::valid() }),
             ("cell count beyond the payload", Raw { cells: 1 << 20, ..Raw::valid() }),
             ("zero age delta", Raw { deltas: vec![1, 0], ..Raw::valid() }),
             ("age overflow", Raw { deltas: vec![i64::MAX as u64, 1], ..Raw::valid() }),
             ("age delta above i64", Raw { deltas: vec![1, u64::MAX], ..Raw::valid() }),
+            ("a key stated twice", Raw { cohorts: 2, keys: vec![(0, 9), (0, 1)], ..Raw::valid() }),
+            ("descending keys", Raw { cohorts: 2, keys: vec![(1, 9), (0, 1)], ..Raw::valid() }),
         ];
         for (what, raw) in bent {
             assert!(
@@ -795,6 +750,33 @@ mod tests {
                 "{what} must be refused"
             );
         }
+    }
+
+    /// Frames that decode but would overflow when merged: a sum wraps (as
+    /// the engine's own fold and merge do, in every build), a cohort size
+    /// past `u64::MAX` is refused and leaves the assembler as it was.
+    #[test]
+    fn hostile_sums_wrap_and_hostile_sizes_are_refused() {
+        let assemble = |frames: Vec<Raw>| {
+            let mut asm = ReportAssembler::new(vec!["k".into()], vec!["Sum(v)".into()]);
+            let pushed: Vec<bool> =
+                frames.into_iter().map(|f| asm.push(&f.batch()).is_ok()).collect();
+            (pushed, asm.finish())
+        };
+        let (pushed, report) = assemble(vec![
+            Raw { sums: vec![i64::MAX, 0], ..Raw::valid() },
+            Raw { sums: vec![1, 0], ..Raw::valid() },
+        ]);
+        assert_eq!(pushed, [true, true]);
+        assert_eq!(report.rows[0].measures, [AggValue::Int(i64::MIN)]);
+
+        let (pushed, report) = assemble(vec![
+            Raw { keys: vec![(0, u64::MAX)], ..Raw::valid() },
+            Raw { keys: vec![(0, 1)], sums: vec![5, 5], ..Raw::valid() },
+        ]);
+        assert_eq!(pushed, [true, false]);
+        assert_eq!(report.cohort_sizes[&vec![Value::str("au")]], u64::MAX);
+        assert_eq!(report.rows[0].measures, [AggValue::Int(1)]);
     }
 
     #[test]
@@ -844,16 +826,14 @@ mod tests {
     type SumCohort<'a> = (&'a str, u64, &'a [(i64, i64)]);
 
     fn sum_batch(chunk: u64, cohorts: &[SumCohort<'_>]) -> WireBatch {
-        let runs: Vec<AgeRun> = cohorts
+        let cohorts: Vec<Cohort> = cohorts
             .iter()
-            .map(|c| AgeRun {
-                ages: c.2.iter().map(|cell| cell.0).collect(),
-                states: c.2.iter().map(|cell| AggState::Sum(cell.1)).collect(),
+            .map(|&(key, size, cells)| {
+                let cells = cells.iter().map(|&(age, s)| (age, vec![AggState::Sum(s)]));
+                (vec![Value::str(key)], size, cells.collect())
             })
             .collect();
-        let cohorts =
-            cohorts.iter().zip(&runs).map(|(c, r)| (vec![Value::str(c.0)], c.1, r)).collect();
-        WireBatch::from_cohorts([chunk, 10, 1], 1, &[AggState::Sum(0)], cohorts)
+        batch_of(chunk, &[Kind::Sum], &cohorts)
     }
 
     #[test]
@@ -880,13 +860,8 @@ mod tests {
     #[test]
     fn assembler_rejects_arity_mismatch() {
         let one = sum_batch(0, &[("au", 1, &[(1, 5)])]);
-        let run = AgeRun { ages: vec![2], states: vec![AggState::Sum(5), AggState::Count(1)] };
-        let two = WireBatch::from_cohorts(
-            [0, 1, 1],
-            1,
-            &[AggState::Sum(0), AggState::Count(0)],
-            vec![(vec![Value::str("au")], 1, &run)],
-        );
+        let cells = vec![(2, vec![AggState::Sum(5), AggState::Count(1)])];
+        let two = batch_of(0, &[Kind::Sum, Kind::Count], &[(vec![Value::str("au")], 1, cells)]);
         let mut asm = ReportAssembler::new(vec![], vec![]);
         asm.push(&one).unwrap();
         assert!(asm.push(&two).is_err());

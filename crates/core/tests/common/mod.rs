@@ -19,9 +19,12 @@ pub fn with_signed_sessions(table: &ActivityTable) -> ActivityTable {
     b.finish().expect("key order is untouched")
 }
 
-/// Wide-key queries: `Str × Int`, `Str × TimeBin × Int` and `TimeBin × Str`
-/// keys covering `Sum/Avg/Count`, `Min/Max/UserCount` and a birth + age
-/// selection between them.
+/// Wide-key queries: `Str × Int`, `Str × TimeBin × Int`, `TimeBin × Str` and
+/// `Str × Str × Str` keys covering `Sum/Avg/Count`, `Min/Max/UserCount` and
+/// a birth + age selection between them. The all-string key is the
+/// benchmark's QW, which the executor interns through a direct-indexed LUT
+/// over the chunk codes wherever the chunk has at least as many rows as key
+/// combinations.
 pub fn wide_key_queries() -> Vec<(String, CohortQuery)> {
     let w2 = CohortQuery::builder("launch")
         .cohort_by(["country", "session"])
@@ -42,7 +45,11 @@ pub fn wide_key_queries() -> Vec<(String, CohortQuery)> {
         .cohort_by(["country"])
         .aggregate(AggFunc::user_count())
         .aggregate(AggFunc::sum("session"));
-    [("w2", w2), ("w3", w3), ("wt", wt)]
+    let ws = CohortQuery::builder("launch")
+        .cohort_by(["country", "city", "role"])
+        .aggregate(AggFunc::user_count())
+        .aggregate(AggFunc::sum("gold"));
+    [("w2", w2), ("w3", w3), ("wt", wt), ("ws", ws)]
         .into_iter()
         .map(|(name, q)| (name.to_string(), q.build().expect("wide-key query is valid")))
         .collect()
