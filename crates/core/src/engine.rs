@@ -1,5 +1,10 @@
 //! The COHANA engine facade: catalog + storage manager + query executor
 //! (Figure 4; the parser module lives in the `cohana-sql` crate).
+//!
+//! The catalog holds three kinds of table: resident ([`CompressedTable`]),
+//! file-backed ([`ShardedTable`] — a shard directory, or a single file as a
+//! one-shard table, so both share one ingest / compact / delete path), and
+//! generic caller-provided [`ChunkSource`]s.
 
 use crate::error::EngineError;
 use crate::handle::{OpenOptions, TableHandle};
@@ -9,7 +14,7 @@ use crate::report::CohortReport;
 use crate::session::Session;
 use crate::sharded::ShardedTable;
 use cohana_activity::{ActivityTable, Schema};
-use cohana_storage::{ChunkSource, CompressedTable, CompressionOptions, FileSource, StorageError};
+use cohana_storage::{ChunkSource, CompressedTable, CompressionOptions, StorageError};
 use std::collections::HashMap;
 use std::path::Path;
 use std::sync::{Arc, RwLock};
@@ -45,16 +50,15 @@ impl Default for EngineOptions {
 /// The default table name used by [`Cohana::from_activity_table`].
 pub const DEFAULT_TABLE: &str = "GameActions";
 
-/// One catalog slot: a fully resident table, an engine-opened file, a
-/// sharded table directory, or an arbitrary (caller-provided) chunk source.
-/// Resident tables, files, and sharded tables keep their concrete types so
-/// the engine knows how to grow / compact / maintain them; all four kinds
-/// execute through [`ChunkSource`].
+/// One catalog slot: a fully resident table, a file-backed table (a shard
+/// directory, or one file as a one-shard table), or an arbitrary
+/// (caller-provided) chunk source. Resident and file-backed tables keep
+/// their concrete types so the engine knows how to grow / compact /
+/// maintain them; all three kinds execute through [`ChunkSource`].
 #[derive(Clone)]
 enum CatalogEntry {
     Memory(Arc<CompressedTable>),
-    File(Arc<FileSource>),
-    Sharded(Arc<ShardedTable>),
+    Files(Arc<ShardedTable>),
     Source(Arc<dyn ChunkSource>),
 }
 
@@ -62,8 +66,7 @@ impl CatalogEntry {
     fn as_source(&self) -> Arc<dyn ChunkSource> {
         match self {
             CatalogEntry::Memory(table) => table.clone(),
-            CatalogEntry::File(source) => source.clone(),
-            CatalogEntry::Sharded(table) => table.source(),
+            CatalogEntry::Files(table) => table.source(),
             CatalogEntry::Source(source) => source.clone(),
         }
     }
@@ -73,21 +76,21 @@ impl CatalogEntry {
 ///
 /// Holds a catalog of activity tables and executes [`CohortQuery`]s against
 /// them. Tables are attached with the builder-style [`Cohana::open`] —
-/// lazily file-backed by default, fully resident with `.resident(true)`,
-/// sharded when the path names a shard directory — or registered directly
-/// ([`Cohana::register`], [`Cohana::register_source`]). Per-table lifecycle
+/// lazily file-backed by default (one file or a shard directory, both a
+/// [`ShardedTable`]), fully resident with `.resident(true)` — or registered
+/// directly ([`Cohana::register`], [`Cohana::register_source`]). Per-table lifecycle
 /// (ingest, compaction, deletion, maintenance) lives on the
 /// [`TableHandle`] returned by [`Cohana::open`] / [`Cohana::table`].
 /// Cloning entries is cheap (tables are shared).
 pub struct Cohana {
     catalog: RwLock<HashMap<String, CatalogEntry>>,
     default_table: RwLock<Option<String>>,
-    /// Serializes [`Cohana::ingest`] / [`Cohana::compact`]: both are
-    /// read-modify-write sequences (read entry → grow file or rebuild table
-    /// → swap entry), and two of them interleaving on the same table would
-    /// corrupt a file-backed table (overlapping tail writes) or silently
-    /// drop one batch on a resident one. Queries are unaffected — they go
-    /// through `catalog`'s own lock.
+    /// Serializes [`TableHandle::ingest`] / [`TableHandle::compact`]: on a
+    /// resident table both are read-modify-write sequences (read entry →
+    /// rebuild table → swap entry), and two of them interleaving would
+    /// silently drop one batch. File-backed tables also serialize on their
+    /// own lock. Queries are unaffected — they go through `catalog`'s own
+    /// lock.
     write_lock: std::sync::Mutex<()>,
     options: EngineOptions,
 }
@@ -191,68 +194,25 @@ impl Cohana {
         arc
     }
 
-    /// Register any chunk source (e.g. a shared [`FileSource`]) under a
+    /// Register any chunk source (e.g. a shared
+    /// [`FileSource`](cohana_storage::FileSource)) under a
     /// name; the first registered table becomes the default.
     pub fn register_source(&self, name: impl Into<String>, source: Arc<dyn ChunkSource>) {
         self.insert(name.into(), CatalogEntry::Source(source));
     }
 
-    /// Register an already-opened lazy file source (used by
-    /// [`OpenOptions::open`] and the deprecated shims).
-    pub(crate) fn register_file(&self, name: &str, source: Arc<FileSource>) {
-        self.insert(name.to_string(), CatalogEntry::File(source));
-    }
-
-    /// Register an opened sharded table (used by [`OpenOptions::open`] /
+    /// Register an opened file-backed table (used by [`OpenOptions::open`] /
     /// [`OpenOptions::create_from`]).
-    pub(crate) fn register_sharded(&self, name: &str, table: Arc<ShardedTable>) {
-        self.insert(name.to_string(), CatalogEntry::Sharded(table));
+    pub(crate) fn register_files(&self, name: &str, table: Arc<ShardedTable>) {
+        self.insert(name.to_string(), CatalogEntry::Files(table));
     }
 
-    /// The sharded table registered under `name`, if that's what it is.
+    /// The file-backed table registered under `name`, if that's what it is.
     pub(crate) fn sharded(&self, name: &str) -> Option<Arc<ShardedTable>> {
         match self.catalog.read().unwrap().get(name)? {
-            CatalogEntry::Sharded(table) => Some(table.clone()),
+            CatalogEntry::Files(table) => Some(table.clone()),
             _ => None,
         }
-    }
-
-    /// Load a persisted table file **eagerly** (materializing every chunk)
-    /// and register it.
-    #[deprecated(since = "0.9.0", note = "use `engine.open(path).resident(true).open()`")]
-    pub fn load_file(
-        &self,
-        name: impl Into<String>,
-        path: &Path,
-    ) -> Result<Arc<CompressedTable>, EngineError> {
-        let table = cohana_storage::persist::read_file(path)?;
-        Ok(self.register(name, table))
-    }
-
-    /// Open a v2–v4 persisted table file **lazily** and register it.
-    #[deprecated(since = "0.9.0", note = "use `engine.open(path).open()`")]
-    pub fn open_file(
-        &self,
-        name: impl Into<String>,
-        path: &Path,
-    ) -> Result<Arc<FileSource>, EngineError> {
-        let source =
-            Arc::new(FileSource::open_with_budget(path, cohana_storage::DEFAULT_CACHE_BUDGET)?);
-        self.insert(name.into(), CatalogEntry::File(source.clone()));
-        Ok(source)
-    }
-
-    /// Like `open_file` with an explicit segment-cache byte budget.
-    #[deprecated(since = "0.9.0", note = "use `engine.open(path).cache_bytes(n).open()`")]
-    pub fn open_file_with_budget(
-        &self,
-        name: impl Into<String>,
-        path: &Path,
-        cache_bytes: usize,
-    ) -> Result<Arc<FileSource>, EngineError> {
-        let source = Arc::new(FileSource::open_with_budget(path, cache_bytes)?);
-        self.insert(name.into(), CatalogEntry::File(source.clone()));
-        Ok(source)
     }
 
     /// Fetch a registered **resident** table's concrete form (`None` for
@@ -265,71 +225,27 @@ impl Cohana {
         }
     }
 
-    /// Ingest a batch of activity tuples into a registered table, making it
-    /// queryable by everything prepared *after* this call.
-    ///
-    /// * A file-backed table (registered via [`Cohana::open_file`]) grows via
-    ///   [`persist::append`](cohana_storage::persist::append): new chunks are
-    ///   appended to the file, chunks holding returning users are rewritten
-    ///   at the tail, and the catalog entry is swapped for a freshly opened
-    ///   source (same cache budget) describing the grown file, its cache
-    ///   already holding the chunks the append wrote.
-    /// * A resident table grows the same way in memory
-    ///   ([`CompressedTable::ingest`]) and is swapped.
-    /// * An empty batch changes nothing: the catalog entry, and whatever its
-    ///   source has cached, stays.
-    /// * Generic sources registered with [`Cohana::register_source`] are not
-    ///   ingestable — the engine does not know what backs them.
-    ///
-    /// **Snapshot semantics:** prepared [`Statement`]s pin the chunk source
-    /// they were planned against, and both growth paths leave that source's
-    /// view of its bytes intact, so existing statements keep answering from
-    /// the pre-ingest snapshot; re-prepare to see the new data.
-    ///
-    /// [`Statement`]: crate::Statement
-    #[deprecated(since = "0.9.0", note = "use `engine.table(name)?.ingest(batch)`")]
-    pub fn ingest(
-        &self,
-        name: &str,
-        batch: &cohana_activity::ActivityTable,
-    ) -> Result<cohana_storage::AppendStats, EngineError> {
-        self.ingest_inner(name, batch)
+    /// The catalog entry registered under `name`.
+    fn entry(&self, name: &str) -> Result<CatalogEntry, EngineError> {
+        self.catalog
+            .read()
+            .unwrap()
+            .get(name)
+            .cloned()
+            .ok_or_else(|| EngineError::UnknownTable(name.into()))
     }
 
-    /// The implementation behind [`TableHandle::ingest`] (and the deprecated
-    /// [`Cohana::ingest`] shim).
+    /// The implementation behind [`TableHandle::ingest`].
     pub(crate) fn ingest_inner(
         &self,
         name: &str,
         batch: &cohana_activity::ActivityTable,
     ) -> Result<cohana_storage::AppendStats, EngineError> {
         let _write = self.write_lock.lock().expect("write lock poisoned");
-        let entry = self
-            .catalog
-            .read()
-            .unwrap()
-            .get(name)
-            .cloned()
-            .ok_or_else(|| EngineError::UnknownTable(name.into()))?;
-        match entry {
-            CatalogEntry::File(source) => {
-                let (stats, written) =
-                    cohana_storage::persist::append_with_chunks(source.path(), batch)?;
-                if !batch.is_empty() {
-                    let reopened = Arc::new(FileSource::open_seeded(
-                        source.path(),
-                        source.cache_budget_bytes(),
-                        written,
-                    )?);
-                    self.insert(name.to_string(), CatalogEntry::File(reopened));
-                }
-                Ok(stats)
-            }
-            CatalogEntry::Sharded(table) => {
-                // The sharded table manages its own snapshot swap; the
-                // catalog entry keeps pointing at the same ShardedTable.
-                Ok(table.ingest(batch)?.total())
-            }
+        match self.entry(name)? {
+            // The table manages its own snapshot swap; the catalog entry
+            // keeps pointing at the same ShardedTable.
+            CatalogEntry::Files(table) => Ok(table.ingest(batch)?.total()),
             CatalogEntry::Memory(table) => {
                 let (grown, stats) = table.ingest(batch).map_err(|e| match e {
                     StorageError::Invalid(msg) => EngineError::Unsupported(msg),
@@ -341,52 +257,20 @@ impl Cohana {
                 Ok(stats)
             }
             CatalogEntry::Source(_) => Err(EngineError::Unsupported(format!(
-                "table {name:?} is a generic registered source; only resident tables and \
-                 engine-opened files can be ingested into"
+                "table {name:?} is a generic registered source; only resident and file-backed \
+                 tables can be ingested into"
             ))),
         }
     }
 
-    /// Compact a registered table: merge the under-filled chunks appends
-    /// leave behind, restore the `(user, time)` primary ordering (and with
-    /// it the §4.2 pruning quality), and reclaim dead bytes.
-    ///
-    /// File-backed tables are compacted on disk via
-    /// [`persist::compact`](cohana_storage::persist::compact) (atomic
-    /// temp-file + rename) and the catalog entry swapped; resident tables
-    /// are rebuilt in memory. Prepared statements keep their pre-compact
-    /// snapshot, exactly as with ingest.
-    #[deprecated(since = "0.9.0", note = "use `engine.table(name)?.compact()`")]
-    pub fn compact(&self, name: &str) -> Result<cohana_storage::CompactStats, EngineError> {
-        self.compact_inner(name)
-    }
-
-    /// The implementation behind [`TableHandle::compact`] (and the
-    /// deprecated [`Cohana::compact`] shim).
+    /// The implementation behind [`TableHandle::compact`].
     pub(crate) fn compact_inner(
         &self,
         name: &str,
     ) -> Result<cohana_storage::CompactStats, EngineError> {
         let _write = self.write_lock.lock().expect("write lock poisoned");
-        let entry = self
-            .catalog
-            .read()
-            .unwrap()
-            .get(name)
-            .cloned()
-            .ok_or_else(|| EngineError::UnknownTable(name.into()))?;
-        match entry {
-            CatalogEntry::File(source) => {
-                let (stats, written) = cohana_storage::persist::compact_with_chunks(source.path())?;
-                let reopened = Arc::new(FileSource::open_seeded(
-                    source.path(),
-                    source.cache_budget_bytes(),
-                    written,
-                )?);
-                self.insert(name.to_string(), CatalogEntry::File(reopened));
-                Ok(stats)
-            }
-            CatalogEntry::Sharded(table) => Ok(table.compact()?),
+        match self.entry(name)? {
+            CatalogEntry::Files(table) => Ok(table.compact()?),
             CatalogEntry::Memory(table) => {
                 let rebuilt = table.compacted()?;
                 let stats = cohana_storage::CompactStats {
@@ -401,30 +285,6 @@ impl Cohana {
             CatalogEntry::Source(_) => Err(EngineError::Unsupported(format!(
                 "table {name:?} is a generic registered source and cannot be compacted"
             ))),
-        }
-    }
-
-    /// The implementation behind [`TableHandle::space_stats`]: per-shard
-    /// stats for sharded tables, one entry for plain files.
-    pub(crate) fn space_stats_inner(
-        &self,
-        name: &str,
-    ) -> Result<Vec<cohana_storage::FileSpaceStats>, EngineError> {
-        let entry = self
-            .catalog
-            .read()
-            .unwrap()
-            .get(name)
-            .cloned()
-            .ok_or_else(|| EngineError::UnknownTable(name.into()))?;
-        match entry {
-            CatalogEntry::Sharded(table) => table.shard_space(),
-            CatalogEntry::File(source) => {
-                Ok(vec![cohana_storage::persist::file_space_stats(source.path())?])
-            }
-            CatalogEntry::Memory(_) | CatalogEntry::Source(_) => Err(EngineError::Unsupported(
-                format!("table {name:?} has no backing file to measure"),
-            )),
         }
     }
 
@@ -538,7 +398,7 @@ mod tests {
         assert!(e.resident(DEFAULT_TABLE).is_some());
         let handle = e.table(DEFAULT_TABLE).unwrap();
         assert_eq!(handle.name(), DEFAULT_TABLE);
-        assert!(!handle.is_sharded());
+        assert!(handle.sharded_table().is_none());
         assert!(matches!(e.table("nope").unwrap_err(), EngineError::UnknownTable(_)));
     }
 

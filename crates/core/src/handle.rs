@@ -1,11 +1,6 @@
 //! The table-management surface: [`OpenOptions`] (one builder-style entry
 //! point for attaching any kind of table to the engine) and [`TableHandle`]
-//! (a typed handle carrying the table's lifecycle operations).
-//!
-//! Before this module, table management sprawled flat across the engine:
-//! `open_file` / `open_file_with_budget` / `load_file` to attach,
-//! stringly-named `ingest(name, ..)` / `compact(name)` to mutate. Those
-//! remain as thin deprecated shims; the one current surface is
+//! (a typed handle carrying the table's lifecycle operations):
 //!
 //! ```no_run
 //! # use cohana_core::{Cohana, EngineOptions};
@@ -20,13 +15,14 @@
 //! # Ok(()) }
 //! ```
 //!
-//! `OpenOptions::open` sniffs what the path names: a shard-manifest
-//! directory (or the manifest file itself) attaches a sharded table with
-//! optional background maintenance; anything else is a single v2–v4 file,
-//! attached lazily by default or fully resident with
-//! [`OpenOptions::resident`]. `OpenOptions::create_from` builds a **new**
-//! table (single-file, or range-sharded with [`OpenOptions::shards`]) from
-//! an [`ActivityTable`] and attaches it.
+//! `OpenOptions::open` attaches what the path names — a shard directory (or
+//! its manifest file), or a single v2–v4 file — as a [`ShardedTable`]: one
+//! file is a one-shard table, so ingest, compaction, user deletion and
+//! background maintenance work the same on both. With
+//! [`OpenOptions::resident`] a single file is loaded fully into memory
+//! instead. `OpenOptions::create_from` builds a **new** table (single-file,
+//! or range-sharded with [`OpenOptions::shards`]) from an [`ActivityTable`]
+//! and attaches it.
 
 use crate::engine::{Cohana, DEFAULT_TABLE};
 use crate::error::EngineError;
@@ -38,7 +34,7 @@ use cohana_activity::{ActivityTable, Schema};
 use cohana_storage::shard;
 use cohana_storage::{
     persist, AppendStats, ChunkSource, CompactStats, CompressedTable, CompressionOptions,
-    DeleteStats, FileSource, FileSpaceStats,
+    DeleteStats, FileSpaceStats,
 };
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -79,15 +75,15 @@ impl<'e> OpenOptions<'e> {
     }
 
     /// Segment-cache byte budget for lazily attached tables (default:
-    /// [`cohana_storage::DEFAULT_CACHE_BUDGET`]). A sharded table shares one
-    /// budget across all its shards.
+    /// [`cohana_storage::DEFAULT_CACHE_BUDGET`]), shared by all of a
+    /// table's shards.
     pub fn cache_bytes(mut self, bytes: usize) -> Self {
         self.cache_bytes = bytes;
         self
     }
 
     /// Load the table fully into memory instead of lazily (single-file
-    /// tables only; replaces the old `load_file`).
+    /// tables only).
     pub fn resident(mut self, resident: bool) -> Self {
         self.resident = resident;
         self
@@ -108,41 +104,45 @@ impl<'e> OpenOptions<'e> {
         self
     }
 
-    /// Maintenance policy for sharded tables: enable background
+    /// Maintenance policy for file-backed tables: enable background
     /// auto-compaction, set the dead-byte threshold and poll interval.
-    /// Ignored for single-file tables.
+    /// Ignored for resident tables.
     pub fn maintenance(mut self, config: MaintenanceConfig) -> Self {
         self.maintenance = config;
         self
     }
 
-    /// Attach the existing table the path names: a sharded table (the
-    /// directory or its manifest file — sniffed by magic), or a single
-    /// v2–v4 file (lazy by default, eager with [`OpenOptions::resident`]).
+    /// Attach the existing table the path names — a shard directory (or its
+    /// manifest file, sniffed by magic) or a single v2–v4 file as a
+    /// one-shard table — lazily as a [`ShardedTable`]; a single file loads
+    /// eagerly instead with [`OpenOptions::resident`].
     pub fn open(self) -> Result<TableHandle<'e>, EngineError> {
-        if shard::is_sharded(&self.path) {
-            if self.resident {
-                return Err(EngineError::Unsupported(
-                    "sharded tables are always lazily attached; drop .resident(true)".into(),
-                ));
-            }
-            let table = ShardedTable::open(&self.path, self.cache_bytes, self.maintenance)?;
-            self.engine.register_sharded(&self.name, table);
-        } else if self.path.is_dir() {
-            // Don't let FileSource report a bare "is a directory" io error:
-            // the only directories we open are sharded tables.
+        let sharded = shard::is_sharded(&self.path);
+        if self.path.is_dir() && !sharded {
+            // Don't report a bare "is a directory" io error: the only
+            // directories we open are sharded tables.
             return Err(EngineError::Storage(format!(
                 "{} is a directory but not a sharded table (no valid {} inside)",
                 self.path.display(),
                 cohana_storage::MANIFEST_FILE,
             )));
-        } else if self.resident {
-            let table = persist::read_file(&self.path)?;
-            self.engine.register(&self.name, table);
-        } else {
-            let source = Arc::new(FileSource::open_with_budget(&self.path, self.cache_bytes)?);
-            self.engine.register_file(&self.name, source);
         }
+        if !self.resident {
+            return self.attach();
+        }
+        if sharded {
+            return Err(EngineError::Unsupported(
+                "sharded tables are always lazily attached; drop .resident(true)".into(),
+            ));
+        }
+        self.engine.register(&self.name, persist::read_file(&self.path)?);
+        self.engine.table(&self.name)
+    }
+
+    /// Attach the file or shard directory at the path lazily.
+    fn attach(self) -> Result<TableHandle<'e>, EngineError> {
+        let table = ShardedTable::open(&self.path, self.cache_bytes, self.maintenance)?;
+        self.engine.register_files(&self.name, table);
         self.engine.table(&self.name)
     }
 
@@ -158,19 +158,15 @@ impl<'e> OpenOptions<'e> {
                 ));
             }
             shard::create_sharded(&self.path, table, n, options)?;
-            let sharded = ShardedTable::open(&self.path, self.cache_bytes, self.maintenance)?;
-            self.engine.register_sharded(&self.name, sharded);
         } else {
             let compressed = CompressedTable::build(table, options)?;
             persist::write_file(&compressed, &self.path)?;
             if self.resident {
                 self.engine.register(&self.name, compressed);
-            } else {
-                let source = Arc::new(FileSource::open_with_budget(&self.path, self.cache_bytes)?);
-                self.engine.register_file(&self.name, source);
+                return self.engine.table(&self.name);
             }
         }
-        self.engine.table(&self.name)
+        self.attach()
     }
 }
 
@@ -213,14 +209,10 @@ impl<'e> TableHandle<'e> {
         self.engine.source(&self.name).ok_or_else(|| EngineError::UnknownTable(self.name.clone()))
     }
 
-    /// Whether this table is sharded.
-    pub fn is_sharded(&self) -> bool {
-        self.engine.sharded(&self.name).is_some()
-    }
-
-    /// The underlying [`ShardedTable`] when this table is sharded (for
+    /// The underlying [`ShardedTable`] when this table is file-backed (for
     /// per-shard stats like [`cohana_storage::ShardedAppendStats`] that the
-    /// aggregated handle methods fold away).
+    /// aggregated handle methods fold away); `None` for resident tables and
+    /// generic sources.
     pub fn sharded_table(&self) -> Option<Arc<ShardedTable>> {
         self.engine.sharded(&self.name)
     }
@@ -242,67 +234,72 @@ impl<'e> TableHandle<'e> {
         self.session().execute(query)
     }
 
-    /// Ingest a batch of activity tuples. Sharded tables route the batch by
-    /// user range and append all touched shards in parallel; single-file
-    /// tables append in place; resident tables grow in memory the same way.
-    /// The snapshot this publishes starts with the chunks the write produced
-    /// already cached (within the cache budget); an empty batch publishes
-    /// nothing. Statements prepared before this call keep their snapshot.
+    /// Ingest a batch of activity tuples, making it queryable by everything
+    /// prepared *after* this call.
+    ///
+    /// * A file-backed table routes the batch by user range and appends all
+    ///   touched shards in parallel (a single file is the one shard) via
+    ///   [`persist::append`]: new chunks are appended to the file, and chunks
+    ///   holding returning users are rewritten at the tail.
+    /// * A resident table grows the same way in memory
+    ///   ([`CompressedTable::ingest`]) and is swapped.
+    /// * An empty batch changes nothing: the snapshot, and whatever its
+    ///   source has cached, stays.
+    /// * Generic sources registered with [`Cohana::register_source`] are not
+    ///   ingestable — the engine does not know what backs them.
+    ///
+    /// **Snapshot semantics:** the snapshot this publishes starts with the
+    /// chunks the write produced already cached (within the cache budget).
+    /// Prepared [`Statement`]s pin the chunk source they were planned
+    /// against, and growth leaves that source's view of its bytes intact, so
+    /// they keep answering from the pre-ingest snapshot; re-prepare to see
+    /// the new data.
     pub fn ingest(&self, batch: &ActivityTable) -> Result<AppendStats, EngineError> {
         self.engine.ingest_inner(&self.name, batch)
     }
 
-    /// Compact the table: merge under-filled chunks, restore primary
-    /// ordering, reclaim dead bytes. Sharded tables compact every shard
-    /// that has dead bytes. Like [`TableHandle::ingest`], the new snapshot
-    /// starts warm.
+    /// Compact the table: merge the under-filled chunks appends leave behind,
+    /// restore the `(user, time)` primary ordering (and with it the §4.2
+    /// pruning quality), and reclaim dead bytes. A file-backed table compacts
+    /// every shard that has dead bytes on disk via
+    /// [`persist::compact`] (atomic temp-file + rename); a resident table is
+    /// rebuilt in memory. Like [`TableHandle::ingest`], the new snapshot
+    /// starts warm and prepared statements keep their pre-compact snapshot.
     pub fn compact(&self) -> Result<CompactStats, EngineError> {
         self.engine.compact_inner(&self.name)
     }
 
-    /// Delete every tuple of the given users (sharded tables only —
-    /// tombstone-durable, crash-recoverable; see
-    /// [`ShardedTable::delete_users`]).
+    /// The file-backed table behind this handle, or `Unsupported` naming
+    /// what needed one.
+    fn files(&self, what: &str) -> Result<Arc<ShardedTable>, EngineError> {
+        self.engine.sharded(&self.name).ok_or_else(|| {
+            EngineError::Unsupported(format!("table {:?} has no backing file to {what}", self.name))
+        })
+    }
+
+    /// Delete every tuple of the given users (file-backed tables only —
+    /// crash-recoverable; see [`ShardedTable::delete_users`]).
     pub fn delete_users(&self, users: &[&str]) -> Result<DeleteStats, EngineError> {
-        match self.engine.sharded(&self.name) {
-            Some(table) => table.delete_users(users),
-            None => Err(EngineError::Unsupported(format!(
-                "table {:?} is not sharded; user deletion requires a sharded table (open with \
-                 .shards(n))",
-                self.name
-            ))),
-        }
+        self.files("delete users from")?.delete_users(users)
     }
 
-    /// Lifetime maintenance counters (sharded tables only).
+    /// Lifetime maintenance counters (file-backed tables only).
     pub fn maintenance_stats(&self) -> Result<MaintenanceStats, EngineError> {
-        match self.engine.sharded(&self.name) {
-            Some(table) => Ok(table.maintenance_stats()),
-            None => Err(EngineError::Unsupported(format!(
-                "table {:?} is not sharded and has no maintenance thread",
-                self.name
-            ))),
-        }
+        Ok(self.files("maintain")?.maintenance_stats())
     }
 
-    /// Run one synchronous maintenance pass now (sharded tables only):
+    /// Run one synchronous maintenance pass now (file-backed tables only):
     /// pending tombstones are applied, shards over the dead-ratio threshold
     /// compacted.
     pub fn maintenance_pass(&self) -> Result<MaintenanceStats, EngineError> {
-        match self.engine.sharded(&self.name) {
-            Some(table) => table.maintenance_pass(),
-            None => Err(EngineError::Unsupported(format!(
-                "table {:?} is not sharded and has no maintenance pass",
-                self.name
-            ))),
-        }
+        self.files("maintain")?.maintenance_pass()
     }
 
-    /// Per-shard (or single-file) space accounting: file bytes, dead bytes,
-    /// dead ratio. Resident tables have no backing file and report
-    /// `Unsupported`.
+    /// Per-shard space accounting (one entry for a single file): file
+    /// bytes, dead bytes, dead ratio. Resident tables have no backing file
+    /// and report `Unsupported`.
     pub fn space_stats(&self) -> Result<Vec<FileSpaceStats>, EngineError> {
-        self.engine.space_stats_inner(&self.name)
+        self.files("measure")?.shard_space()
     }
 
     /// Number of shards (1 for single-file and resident tables).

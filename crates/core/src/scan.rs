@@ -363,9 +363,9 @@ impl CompiledExpr {
     /// Bind every scalar that varies inside a user block — current-row
     /// column reads and `AGE` — to a slot of a block-decoded buffer set: the
     /// executor fills each registered [`SlotCol`] once per user block
-    /// (columns through `BitPacked::unpack_range`, the SIMD lane path when
-    /// compiled in) and [`CompiledExpr::refine`] reads flat buffers instead
-    /// of random-accessing packed bits per row.
+    /// (columns through `BitPacked::unpack_range`) and
+    /// [`CompiledExpr::refine`] reads flat buffers instead of
+    /// random-accessing packed bits per row.
     pub fn bind_slots(&self, cur: &ChunkCursors<'_>, cols: &mut Vec<SlotCol>) -> CompiledExpr {
         let bind = |e: &CompiledExpr, cols: &mut Vec<SlotCol>| Box::new(e.bind_slots(cur, cols));
         match self {

@@ -1,6 +1,7 @@
-//! Engine-managed sharded tables: a [`ShardedTable`] wraps the storage
-//! layer's shard directory (manifest + shard files, see
-//! [`cohana_storage::shard`]) with the pieces a live engine needs —
+//! Engine-managed file-backed tables: a [`ShardedTable`] wraps the storage
+//! layer's shard map (a directory's manifest + shard files, or a single
+//! table file as its own one-shard map, see [`cohana_storage::shard`]) with
+//! the pieces a live engine needs —
 //! a current [`ShardedSource`] snapshot for queries, a write lock
 //! serializing mutations, and an optional **background maintenance thread**
 //! that watches per-shard dead-byte ratios and auto-compacts shards whose
@@ -78,11 +79,13 @@ struct WakeState {
     stopped: bool,
 }
 
-/// One sharded table under engine management. See the module docs; obtain
-/// one via `Cohana::open(dir).open()` against a shard directory, or
-/// `Cohana::open(dir).shards(n).create_from(&table)`.
+/// One file-backed table under engine management: a shard directory, or a
+/// single file as a one-shard table. See the module docs; obtain one via
+/// `Cohana::open(path).open()`, or `Cohana::open(path).create_from(&table)`
+/// (with `.shards(n)` for a directory).
 pub struct ShardedTable {
-    /// The manifest file path (inside the table directory).
+    /// The shard map's path: the manifest inside a table directory, or the
+    /// table file itself.
     manifest: PathBuf,
     cache_bytes: usize,
     config: MaintenanceConfig,
@@ -134,7 +137,7 @@ impl ShardedTable {
         Ok(table)
     }
 
-    /// The manifest file path.
+    /// The shard map's path: the manifest file, or the one table file.
     pub fn manifest_path(&self) -> &Path {
         &self.manifest
     }
@@ -217,9 +220,9 @@ impl ShardedTable {
     }
 
     /// Delete every tuple of the given users (GDPR-style retention): the
-    /// tombstones are persisted in the manifest first, the owning shards
-    /// rewritten, and a fresh snapshot swapped in. Crash-safe — see
-    /// [`shard::delete_users`].
+    /// tombstones are persisted in the manifest first (a one-file table needs
+    /// none), the owning shards rewritten, and a fresh snapshot swapped in.
+    /// Crash-safe — see [`shard::delete_users`].
     pub fn delete_users(&self, users: &[&str]) -> Result<DeleteStats, EngineError> {
         let _w = self.write.lock().expect("write lock poisoned");
         let stats = shard::delete_users(&self.manifest, users)?;

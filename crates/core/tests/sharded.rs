@@ -3,20 +3,60 @@
 //! data in one file — Q1–Q8 and the wide-key queries of `common`, across
 //! parallelism levels, through K-batch
 //! parallel ingest, background compaction racing the ingest, user deletion,
-//! and prepared-statement snapshots.
+//! and prepared-statement snapshots. A single file is a one-shard table, so
+//! the lifecycle tests run over both [`Shape`]s.
 
 use cohana_activity::{generate, ActivityTable, GeneratorConfig, TableBuilder, TimeBin, Timestamp};
 use cohana_core::naive::naive_execute;
 use cohana_core::{
     paper, Cohana, CohortQuery, CohortReport, EngineError, EngineOptions, MaintenanceConfig,
+    OpenOptions,
 };
 use cohana_storage::{persist, CompressedTable, CompressionOptions};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 mod common;
 
 const CHUNK: usize = 256;
+
+/// The two shapes of a file-backed table.
+#[derive(Debug, Clone, Copy)]
+enum Shape {
+    /// One file: a one-shard table.
+    File,
+    /// A directory of four range shards.
+    Shards,
+}
+
+const SHAPES: [Shape; 2] = [Shape::File, Shape::Shards];
+
+impl Shape {
+    /// Where the table lives inside its test directory.
+    fn path(self, dir: &Path) -> PathBuf {
+        match self {
+            Shape::File => dir.join("table.cohana"),
+            Shape::Shards => dir.to_path_buf(),
+        }
+    }
+
+    /// A builder that creates a table of this shape in `dir`.
+    fn create<'e>(self, engine: &'e Cohana, dir: &Path) -> OpenOptions<'e> {
+        std::fs::create_dir_all(dir).unwrap();
+        let options = engine.open(self.path(dir)).chunk_size(CHUNK);
+        match self {
+            Shape::File => options,
+            Shape::Shards => options.shards(4),
+        }
+    }
+
+    fn num_shards(self) -> usize {
+        match self {
+            Shape::File => 1,
+            Shape::Shards => 4,
+        }
+    }
+}
 
 fn temp_dir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join("cohana-sharded-test").join(name);
@@ -100,7 +140,7 @@ fn sharded_answers_match_single_file_over_q1_q8() {
     let dir = temp_dir("differential");
     let engine = Cohana::new(EngineOptions::default());
     let handle = engine.open(&dir).shards(5).chunk_size(CHUNK).create_from(&table).unwrap();
-    assert!(handle.is_sharded());
+    assert!(handle.sharded_table().is_some());
     assert!(handle.num_shards() > 1, "small() has plenty of users; want a real split");
 
     for parallelism in [1, 4] {
@@ -136,64 +176,61 @@ fn k_batch_sharded_ingest_matches_build_once() {
     let batches = split_by_time(&table, 4);
     let (reference, ref_path) = single_file_reference(&table, "kbatch-ref.cohana");
 
-    // Without background maintenance: create from the first batch, ingest
-    // the rest (each append fans out across shards in parallel).
-    let dir = temp_dir("kbatch");
-    let engine = Cohana::new(EngineOptions::default());
-    let handle = engine.open(&dir).shards(4).chunk_size(CHUNK).create_from(&batches[0]).unwrap();
-    for batch in &batches[1..] {
-        let stats = handle.ingest(batch).unwrap();
-        assert_eq!(stats.rows_appended, batch.num_rows());
-    }
-    for parallelism in [1, 4] {
-        let expect = run_all(&reference, &queries, parallelism);
-        assert_eq!(
-            expect,
-            run_all(&engine, &queries, parallelism),
-            "K-batch sharded ingest diverges at parallelism {parallelism}"
-        );
-        // Per-shard compaction must not change an answer.
-        handle.compact().unwrap();
-        assert_eq!(
-            expect,
-            run_all(&engine, &queries, parallelism),
-            "compacted sharded table diverges at parallelism {parallelism}"
-        );
-    }
-    std::fs::remove_dir_all(&dir).ok();
+    for shape in SHAPES {
+        // Without background maintenance: create from the first batch,
+        // ingest the rest (each append fans out across shards in parallel).
+        let dir = temp_dir(&format!("kbatch-{shape:?}"));
+        let engine = Cohana::new(EngineOptions::default());
+        let handle = shape.create(&engine, &dir).create_from(&batches[0]).unwrap();
+        for batch in &batches[1..] {
+            let stats = handle.ingest(batch).unwrap();
+            assert_eq!(stats.rows_appended, batch.num_rows());
+        }
+        for parallelism in [1, 4] {
+            let expect = run_all(&reference, &queries, parallelism);
+            assert_eq!(
+                expect,
+                run_all(&engine, &queries, parallelism),
+                "K-batch {shape:?} ingest diverges at parallelism {parallelism}"
+            );
+            // Per-shard compaction must not change an answer.
+            handle.compact().unwrap();
+            assert_eq!(
+                expect,
+                run_all(&engine, &queries, parallelism),
+                "compacted {shape:?} table diverges at parallelism {parallelism}"
+            );
+        }
+        std::fs::remove_dir_all(&dir).ok();
 
-    // With background compaction racing the ingest: an aggressive threshold
-    // and a short interval make the maintenance thread rewrite shards while
-    // batches keep arriving; answers must still match.
-    let dir = temp_dir("kbatch-racing");
-    let engine = Cohana::new(EngineOptions::default());
-    let config = MaintenanceConfig {
-        auto_compact: true,
-        dead_ratio: 0.01,
-        interval: Duration::from_millis(5),
-    };
-    let handle = engine
-        .open(&dir)
-        .shards(4)
-        .chunk_size(CHUNK)
-        .maintenance(config)
-        .create_from(&batches[0])
-        .unwrap();
-    for batch in &batches[1..] {
-        handle.ingest(batch).unwrap();
-        // Give the racing thread a chance to actually interleave.
-        std::thread::sleep(Duration::from_millis(10));
+        // With background compaction racing the ingest: an aggressive
+        // threshold and a short interval make the maintenance thread rewrite
+        // shards while batches keep arriving; answers must still match.
+        let dir = temp_dir(&format!("kbatch-racing-{shape:?}"));
+        let engine = Cohana::new(EngineOptions::default());
+        let config = MaintenanceConfig {
+            auto_compact: true,
+            dead_ratio: 0.01,
+            interval: Duration::from_millis(5),
+        };
+        let handle =
+            shape.create(&engine, &dir).maintenance(config).create_from(&batches[0]).unwrap();
+        for batch in &batches[1..] {
+            handle.ingest(batch).unwrap();
+            // Give the racing thread a chance to actually interleave.
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        for parallelism in [1, 4] {
+            assert_eq!(
+                run_all(&reference, &queries, parallelism),
+                run_all(&engine, &queries, parallelism),
+                "{shape:?} ingest racing background compaction diverges at parallelism \
+                 {parallelism}"
+            );
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
-    for parallelism in [1, 4] {
-        assert_eq!(
-            run_all(&reference, &queries, parallelism),
-            run_all(&engine, &queries, parallelism),
-            "sharded ingest racing background compaction diverges at parallelism {parallelism}"
-        );
-    }
-
     std::fs::remove_file(&ref_path).ok();
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -268,19 +305,6 @@ fn delete_users_is_equivalent_to_never_having_ingested_them() {
     let doomed: Vec<&str> = users.iter().step_by(7).map(|s| s.as_str()).collect();
     assert!(!doomed.is_empty());
 
-    let dir = temp_dir("delete");
-    let engine = Cohana::new(EngineOptions::default());
-    let handle = engine.open(&dir).shards(4).chunk_size(CHUNK).create_from(&table).unwrap();
-
-    // Pin a statement to the pre-delete snapshot.
-    let stmt = engine.session().prepare(&queries[0]).unwrap();
-    let before = stmt.execute().unwrap();
-
-    let stats = handle.delete_users(&doomed).unwrap();
-    assert_eq!(stats.users_deleted, doomed.len());
-    assert!(stats.rows_deleted > 0);
-    assert!(stats.shards_rewritten > 0);
-
     // Reference: the same table built without the deleted users at all.
     let doomed_set: std::collections::HashSet<&str> = doomed.iter().copied().collect();
     let mut b = TableBuilder::new(table.schema().clone());
@@ -293,23 +317,64 @@ fn delete_users_is_equivalent_to_never_having_ingested_them() {
     let reference =
         Cohana::from_activity_table(&filtered, CompressionOptions::with_chunk_size(CHUNK)).unwrap();
 
-    for parallelism in [1, 4] {
-        assert_eq!(
-            run_all(&reference, &queries, parallelism),
-            run_all(&engine, &queries, parallelism),
-            "post-delete reports diverge at parallelism {parallelism}"
-        );
+    for shape in SHAPES {
+        let dir = temp_dir(&format!("delete-{shape:?}"));
+        let engine = Cohana::new(EngineOptions::default());
+        let handle = shape.create(&engine, &dir).create_from(&table).unwrap();
+
+        // Pin a statement to the pre-delete snapshot.
+        let stmt = engine.session().prepare(&queries[0]).unwrap();
+        let before = stmt.execute().unwrap();
+
+        let stats = handle.delete_users(&doomed).unwrap();
+        assert_eq!(stats.users_deleted, doomed.len());
+        assert!(stats.rows_deleted > 0);
+        assert!(stats.shards_rewritten > 0);
+
+        for parallelism in [1, 4] {
+            assert_eq!(
+                run_all(&reference, &queries, parallelism),
+                run_all(&engine, &queries, parallelism),
+                "post-delete {shape:?} reports diverge at parallelism {parallelism}"
+            );
+        }
+
+        // The pre-delete statement still sees the deleted users (snapshot),
+        // and its cohort totals exceed the post-delete totals.
+        assert_eq!(stmt.execute().unwrap(), before);
+        let after = engine.session().prepare(&queries[0]).unwrap().execute().unwrap();
+        let total_before: u64 = before.cohort_sizes.values().sum();
+        let total_after: u64 = after.cohort_sizes.values().sum();
+        assert_eq!(total_after as usize, table.num_users() - doomed.len());
+        assert!(total_before > total_after);
+
+        std::fs::remove_dir_all(&dir).ok();
     }
+}
 
-    // The pre-delete statement still sees the deleted users (snapshot), and
-    // its cohort totals exceed the post-delete totals.
-    assert_eq!(stmt.execute().unwrap(), before);
-    let after = engine.session().prepare(&queries[0]).unwrap().execute().unwrap();
-    let total_before: u64 = before.cohort_sizes.values().sum();
-    let total_after: u64 = after.cohort_sizes.values().sum();
-    assert_eq!(total_after as usize, table.num_users() - doomed.len());
-    assert!(total_before > total_after);
+#[test]
+fn deleting_from_a_flat_file_leaves_nothing_beside_it() {
+    // A one-file table records no tombstones: its one rewrite is atomic, so
+    // delete (and maintenance) leave the directory holding just the file.
+    let table = base_table();
+    let user_idx = table.schema().user_idx();
+    let doomed: Vec<&str> = table
+        .user_blocks()
+        .step_by(5)
+        .map(|b| table.rows()[b.start].get(user_idx).as_str().unwrap())
+        .collect();
+    let dir = temp_dir("delete-flat-leftovers");
+    let engine = Cohana::new(EngineOptions::default());
+    let handle = Shape::File.create(&engine, &dir).create_from(&table).unwrap();
+    assert_eq!(handle.delete_users(&doomed).unwrap().users_deleted, doomed.len());
+    assert_eq!(handle.maintenance_pass().unwrap().passes, 1);
+    assert_eq!(handle.maintenance_stats().unwrap().passes, 1);
 
+    let names: Vec<String> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .collect();
+    assert_eq!(names, ["table.cohana"], "a flat-file delete left files beside the table");
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -319,25 +384,26 @@ fn sharded_table_reopens_after_restart() {
     // identical answers (the manifest plus shard files are the whole state).
     let table = base_table();
     let queries = q1_to_q8(&table);
-    let dir = temp_dir("reopen");
+    for shape in SHAPES {
+        let dir = temp_dir(&format!("reopen-{shape:?}"));
+        let before = {
+            let engine = Cohana::new(EngineOptions::default());
+            shape.create(&engine, &dir).create_from(&table).unwrap();
+            run_all(&engine, &queries, 1)
+        };
 
-    let before = {
         let engine = Cohana::new(EngineOptions::default());
-        engine.open(&dir).shards(4).chunk_size(CHUNK).create_from(&table).unwrap();
-        run_all(&engine, &queries, 1)
-    };
+        let handle = engine.open(shape.path(&dir)).open().unwrap();
+        assert_eq!(handle.num_shards(), shape.num_shards());
+        assert_eq!(before, run_all(&engine, &queries, 1));
 
-    let engine = Cohana::new(EngineOptions::default());
-    let handle = engine.open(&dir).open().unwrap();
-    assert!(handle.is_sharded());
-    assert_eq!(before, run_all(&engine, &queries, 1));
+        // Space stats expose one entry per shard for operators.
+        let space = handle.space_stats().unwrap();
+        assert_eq!(space.len(), handle.num_shards());
+        assert!(space.iter().all(|s| s.file_bytes > 0));
 
-    // Space stats expose one entry per shard for operators.
-    let space = handle.space_stats().unwrap();
-    assert_eq!(space.len(), handle.num_shards());
-    assert!(space.iter().all(|s| s.file_bytes > 0));
-
-    std::fs::remove_dir_all(&dir).ok();
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }
 
 #[test]
@@ -350,48 +416,45 @@ fn sharded_snapshots_start_warm_and_an_empty_batch_swaps_nothing() {
         report.stats.expect("engine executions carry stats").columns_decoded
     };
 
-    let dir = temp_dir("warm-publish");
-    let engine = Cohana::new(EngineOptions::default());
-    let handle = engine.open(&dir).shards(4).chunk_size(CHUNK).create_from(&batches[0]).unwrap();
-    assert!(columns_decoded(&engine) > 0, "a plain open starts cold");
+    for shape in SHAPES {
+        let dir = temp_dir(&format!("warm-publish-{shape:?}"));
+        let engine = Cohana::new(EngineOptions::default());
+        let handle = shape.create(&engine, &dir).create_from(&batches[0]).unwrap();
+        assert!(columns_decoded(&engine) > 0, "a plain open starts cold");
 
-    // Every user returns in a later time slice: each shard's append rewrites
-    // all its chunks, and the published snapshot holds them, passed through
-    // the shard's overlay into the unified dictionaries.
-    let stats = handle.ingest(&batches[1]).unwrap();
-    assert_eq!(stats.chunks_rewritten, stats.chunks_before);
-    assert_eq!(columns_decoded(&engine), 0, "first query after ingest decoded columns");
+        // Every user returns in a later time slice: each shard's append
+        // rewrites all its chunks, and the published snapshot holds them,
+        // passed through the shard's overlay into the unified dictionaries.
+        let stats = handle.ingest(&batches[1]).unwrap();
+        assert_eq!(stats.chunks_rewritten, stats.chunks_before);
+        assert_eq!(columns_decoded(&engine), 0, "first query after ingest decoded columns");
 
-    // An empty batch reaches no shard: same snapshot, same warm cache, all
-    // stats zero.
-    let before = handle.sharded_table().unwrap().source();
-    let empty = TableBuilder::new(table.schema().clone()).finish().unwrap();
-    assert_eq!(handle.ingest(&empty).unwrap(), cohana_storage::AppendStats::default());
-    assert!(std::sync::Arc::ptr_eq(&before, &handle.sharded_table().unwrap().source()));
-    assert_eq!(columns_decoded(&engine), 0, "an empty ingest dropped the cache");
+        // An empty batch reaches no shard: same snapshot, same warm cache,
+        // all stats zero.
+        let before = handle.sharded_table().unwrap().source();
+        let empty = TableBuilder::new(table.schema().clone()).finish().unwrap();
+        assert_eq!(handle.ingest(&empty).unwrap(), cohana_storage::AppendStats::default());
+        assert!(std::sync::Arc::ptr_eq(&before, &handle.sharded_table().unwrap().source()));
+        assert_eq!(columns_decoded(&engine), 0, "an empty ingest dropped the cache");
 
-    handle.ingest(&batches[2]).unwrap();
-    handle.compact().unwrap();
-    assert_eq!(columns_decoded(&engine), 0, "first query after compact decoded columns");
-    let expect = Cohana::from_activity_table(&table, CompressionOptions::with_chunk_size(CHUNK))
-        .unwrap()
-        .execute(&q3)
-        .unwrap();
-    assert_eq!(engine.execute(&q3).unwrap(), expect, "a warm snapshot answers like build-once");
-    std::fs::remove_dir_all(&dir).ok();
+        handle.ingest(&batches[2]).unwrap();
+        handle.compact().unwrap();
+        assert_eq!(columns_decoded(&engine), 0, "first query after compact decoded columns");
+        let expect =
+            Cohana::from_activity_table(&table, CompressionOptions::with_chunk_size(CHUNK))
+                .unwrap()
+                .execute(&q3)
+                .unwrap();
+        assert_eq!(engine.execute(&q3).unwrap(), expect, "a warm snapshot answers like build-once");
+        std::fs::remove_dir_all(&dir).ok();
 
-    // With no budget nothing is retained.
-    let dir = temp_dir("warm-publish-no-budget");
-    let cold = Cohana::new(EngineOptions::default());
-    let handle = cold
-        .open(&dir)
-        .shards(4)
-        .chunk_size(CHUNK)
-        .cache_bytes(0)
-        .create_from(&batches[0])
-        .unwrap();
-    handle.ingest(&batches[1]).unwrap();
-    assert_eq!(handle.source().unwrap().io_stats().cache_resident_bytes, 0);
-    assert!(columns_decoded(&cold) > 0);
-    std::fs::remove_dir_all(&dir).ok();
+        // With no budget nothing is retained.
+        let dir = temp_dir(&format!("warm-publish-no-budget-{shape:?}"));
+        let cold = Cohana::new(EngineOptions::default());
+        let handle = shape.create(&cold, &dir).cache_bytes(0).create_from(&batches[0]).unwrap();
+        handle.ingest(&batches[1]).unwrap();
+        assert_eq!(handle.source().unwrap().io_stats().cache_resident_bytes, 0);
+        assert!(columns_decoded(&cold) > 0);
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }

@@ -31,25 +31,8 @@ pub struct BitPacked {
     /// `⌊2^RECIP_SHIFT / per_word⌋ + 1`: the fixed-point reciprocal that
     /// turns the index→word division of random access into a multiply.
     recip: u64,
-    /// Whether [`BitPacked::unpack_range`] takes the SIMD lane path.
-    /// Decided once at construction (table-open time for persisted chunks):
-    /// the `simd` feature must be compiled in and the width must pack at
-    /// least four lanes per word (1–16; width 0 and 64 have cheaper
-    /// dedicated paths, wider widths keep the scalar walk).
-    #[cfg_attr(not(feature = "simd"), allow(dead_code))]
-    use_simd: bool,
     len: usize,
     words: Vec<u64>,
-}
-
-/// Whether a width qualifies for the SIMD block-decode path: at least four
-/// lanes must share a packed word (width ≤ 16) so the four-lane vector body
-/// has work per word. Wider widths decode a handful of values per word and
-/// the scalar running-shift walk with its sequential stores is already the
-/// fastest layout.
-#[inline]
-fn simd_eligible(width: u8) -> bool {
-    cfg!(feature = "simd") && (1..=16).contains(&width)
 }
 
 impl PartialEq for BitPacked {
@@ -81,7 +64,6 @@ impl BitPacked {
                 width: 0,
                 per_word: 1,
                 recip: recip_for(1),
-                use_simd: false,
                 len: values.len(),
                 words: Vec::new(),
             };
@@ -106,7 +88,6 @@ impl BitPacked {
             width,
             per_word: per_word as u8,
             recip: recip_for(per_word),
-            use_simd: simd_eligible(width),
             len: values.len(),
             words,
         }
@@ -157,11 +138,8 @@ impl BitPacked {
 
     /// Block decode: write values `start..end` into `out` (whose length must
     /// be `end - start`). Unlike repeated [`BitPacked::get`], no per-element
-    /// div/mod is performed. With the `simd` feature the word-aligned body
-    /// runs the four-words-at-a-time lane path (`unpack_range_simd`);
-    /// otherwise (and for the unaligned head/tail) the scalar word-walking
-    /// loop runs. Which path a given array takes is fixed at construction —
-    /// table-open time for persisted chunks.
+    /// div/mod is performed: widths 0 and 64 fill or copy, every other width
+    /// walks the packed words with a running shift.
     pub fn unpack_range(&self, start: usize, end: usize, out: &mut [u64]) {
         assert!(start <= end && end <= self.len, "range {start}..{end} out of bounds");
         assert_eq!(out.len(), end - start, "output buffer length mismatch");
@@ -174,11 +152,6 @@ impl BitPacked {
         }
         if self.width == 64 {
             out.copy_from_slice(&self.words[start..end]);
-            return;
-        }
-        #[cfg(feature = "simd")]
-        if self.use_simd {
-            self.unpack_range_simd(start, out);
             return;
         }
         self.unpack_range_scalar(start, out);
@@ -207,64 +180,6 @@ impl BitPacked {
             } else {
                 word >>= width;
             }
-        }
-    }
-
-    /// SIMD block decode (`simd` feature, widths 1–16): after a scalar head
-    /// up to the next word boundary, each packed word is **broadcast** into
-    /// a [`U64x4`] and its lanes extracted four at a time with a vector of
-    /// per-lane shifts ([`LANE_SHIFTS`], lowered to `vpsrlvq`-style
-    /// variable shifts) and one shared mask — then stored **sequentially**,
-    /// so the store side stays a contiguous streaming write (a transposed
-    /// scatter layout benchmarked slower than the scalar walk). Lanes past
-    /// the last multiple of four and partial trailing words fall back to
-    /// the scalar walk.
-    #[cfg(feature = "simd")]
-    fn unpack_range_simd(&self, start: usize, out: &mut [u64]) {
-        let width = self.width as usize;
-        let per_word = self.per_word as usize;
-        let mask = MASKS[width];
-        let shifts = &LANE_SHIFTS[width][..per_word];
-
-        // Scalar head: decode up to the next packed-word boundary.
-        let head = (per_word - start % per_word) % per_word;
-        let head = head.min(out.len());
-        if head > 0 {
-            self.unpack_range_scalar(start, &mut out[..head]);
-        }
-        let mut word_idx = (start + head) / per_word;
-        let mut o = head;
-
-        // Body: one packed word -> per_word consecutive outputs, four lanes
-        // per vector op. `lanes4` is per_word rounded down to a multiple of
-        // four (eligibility guarantees per_word ≥ 4).
-        let lanes4 = per_word & !3;
-        while out.len() - o >= per_word {
-            let w = self.words[word_idx];
-            let v = U64x4::splat(w);
-            let mut k = 0;
-            while k < lanes4 {
-                v.shr_lanes([
-                    shifts[k] as u32,
-                    shifts[k + 1] as u32,
-                    shifts[k + 2] as u32,
-                    shifts[k + 3] as u32,
-                ])
-                .and(mask)
-                .store(&mut out[o + k..o + k + 4]);
-                k += 4;
-            }
-            while k < per_word {
-                out[o + k] = (w >> shifts[k]) & mask;
-                k += 1;
-            }
-            word_idx += 1;
-            o += per_word;
-        }
-
-        // Scalar tail: the final partial word.
-        if o < out.len() {
-            self.unpack_range_scalar(word_idx * per_word, &mut out[o..]);
         }
     }
 
@@ -401,104 +316,9 @@ impl BitPacked {
             )));
         }
         let per_word = if width == 0 { 1 } else { (64 / width as usize).max(1) as u8 };
-        Ok(BitPacked {
-            width,
-            per_word,
-            recip: recip_for(per_word as usize),
-            use_simd: simd_eligible(width),
-            len,
-            words,
-        })
+        Ok(BitPacked { width, per_word, recip: recip_for(per_word as usize), len, words })
     }
 }
-
-/// Four `u64` lanes, the manual-SIMD working registers of
-/// [`BitPacked::unpack_range`]'s block decode (and of the delta codec's
-/// offset-bit extraction in `codec.rs`). Each op touches all four lanes in
-/// straight-line code with no cross-lane dependency, which is the shape
-/// LLVM auto-vectorizes to `vpsrlq`/`vpandq` on AVX2 (and the NEON
-/// equivalents) — explicit lanes without a platform intrinsic dependency.
-#[cfg(feature = "simd")]
-#[derive(Clone, Copy)]
-pub(crate) struct U64x4([u64; 4]);
-
-#[cfg(feature = "simd")]
-impl U64x4 {
-    /// Broadcast one packed word into all four lanes.
-    #[inline(always)]
-    pub(crate) fn splat(w: u64) -> Self {
-        U64x4([w, w, w, w])
-    }
-
-    /// Per-lane logical right shift (the variable-shift form hardware
-    /// exposes as `vpsrlvq` / NEON `ushl` with negated shifts).
-    #[inline(always)]
-    pub(crate) fn shr_lanes(self, sh: [u32; 4]) -> Self {
-        let [a, b, c, d] = self.0;
-        U64x4([a >> sh[0], b >> sh[1], c >> sh[2], d >> sh[3]])
-    }
-
-    /// Lane-wise mask.
-    #[inline(always)]
-    pub(crate) fn and(self, mask: u64) -> Self {
-        let [a, b, c, d] = self.0;
-        U64x4([a & mask, b & mask, c & mask, d & mask])
-    }
-
-    /// Per-lane mask (each lane keeps a different low-bit window — the
-    /// delta codec's offset widths vary lane to lane).
-    #[inline(always)]
-    pub(crate) fn and_lanes(self, masks: [u64; 4]) -> Self {
-        let [a, b, c, d] = self.0;
-        U64x4([a & masks[0], b & masks[1], c & masks[2], d & masks[3]])
-    }
-
-    /// Store the four lanes contiguously.
-    #[inline(always)]
-    fn store(self, out: &mut [u64]) {
-        out[..4].copy_from_slice(&self.0);
-    }
-
-    /// The four lanes as a plain array.
-    #[inline(always)]
-    pub(crate) fn to_array(self) -> [u64; 4] {
-        self.0
-    }
-}
-
-/// `MASKS[w]` = the `w`-bit value mask, precomputed for widths 0–63 (width
-/// 64 never reaches the lane path).
-#[cfg(feature = "simd")]
-const MASKS: [u64; 64] = {
-    let mut m = [0u64; 64];
-    let mut w = 1;
-    while w < 64 {
-        m[w] = (1u64 << w) - 1;
-        w += 1;
-    }
-    m
-};
-
-/// `LANE_SHIFTS[w][l]` = the right shift extracting lane `l` of a word
-/// packed at width `w` (`l · w`), precomputed for every width so the lane
-/// loop reads a table instead of multiplying. Row length 64 covers the
-/// widest case (`per_word = 64` at width 1); only the first `⌊64/w⌋`
-/// entries of a row are meaningful.
-#[cfg(feature = "simd")]
-static LANE_SHIFTS: [[u8; 64]; 64] = {
-    let mut t = [[0u8; 64]; 64];
-    let mut w = 1;
-    while w < 64 {
-        let per_word = 64 / w;
-        let mut l = 0;
-        while l < per_word {
-            t[w][l] = (l * w) as u8;
-            l += 1;
-        }
-        w += 1;
-    }
-    t
-};
 
 impl fmt::Debug for BitPacked {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -668,9 +488,8 @@ mod tests {
         p.unpack_range(2, 4, &mut out);
     }
 
-    /// `unpack_range` (SIMD path when the feature is on) ≡ the scalar loop
-    /// for every width 0–64, exercising word-boundary starts, mid-word
-    /// starts, and short tails that never reach the 4-word body.
+    /// `unpack_range` ≡ the scalar loop for every width 0–64, exercising
+    /// word-boundary starts, mid-word starts, and short tails.
     #[test]
     fn unpack_range_matches_scalar_all_widths() {
         for width in 0u8..=64 {
@@ -796,9 +615,9 @@ mod tests {
             }
         }
 
-        /// The dispatched `unpack_range` (SIMD when compiled in) must agree
-        /// with the scalar loop for arbitrary widths and ranges — including
-        /// the word-boundary starts `word_sel` forces below.
+        /// The dispatched `unpack_range` must agree with the scalar loop for
+        /// arbitrary widths and ranges — including the word-boundary starts
+        /// `word_sel` forces below.
         #[test]
         fn prop_unpack_range_matches_scalar(
             vals in proptest::collection::vec(0u64..u64::MAX, 1..400),

@@ -756,8 +756,8 @@ fn auto_ways(n_symbols: usize) -> usize {
 /// *strictly* smaller than raw — which the v4 footer validation relies on.
 pub(crate) fn encode_array(packed: &BitPacked) -> (Codec, Vec<u8>) {
     let mut best = (Codec::Raw, raw_section(packed));
-    // Block-decode the candidate input in one sweep (the SIMD lane path
-    // for narrow widths) instead of a per-element packed-word probe.
+    // Block-decode the candidate input in one sweep instead of a
+    // per-element packed-word probe.
     let mut values = vec![0u64; packed.len()];
     packed.unpack_range(0, packed.len(), &mut values);
     if let Some(d) =
@@ -1140,9 +1140,7 @@ fn split_window(mut w: u64, syms: &[u16], ms: &[u32], out: &mut [u64]) {
 /// `DELTA_MS[syms[j]]` bits (none for classes 0 and 1). Three tiers:
 ///
 /// 1. the whole group's bits fit one 64-bit window — a single unaligned
-///    load feeds every lane (with the `simd` feature and a 4-way group the
-///    lanes are extracted in parallel through per-lane variable shifts,
-///    [`U64x4`](crate::bitpack));
+///    load feeds every lane;
 /// 2. each *half* of the group fits a window of its own — two loads, which
 ///    covers offsets up to 28 bits per lane and keeps wide-delta columns
 ///    (the time column) off the checked path;
@@ -1169,31 +1167,12 @@ fn take_offsets<const WAYS: usize>(
     if sh + total <= 63 && byte + 8 <= bits.buf.len() {
         let w = bit_window(bits.buf, bits.bitpos);
         bits.bitpos += total as usize;
-        #[cfg(feature = "simd")]
-        if WAYS == 4 {
-            use crate::bitpack::U64x4;
-            let s1 = ms[0];
-            let s2 = s1 + ms[1];
-            let s3 = s2 + ms[2];
-            let lanes = U64x4::splat(w)
-                .shr_lanes([0, s1, s2, s3])
-                .and_lanes([
-                    DELTA_MASK[(syms[0] & 0xff) as usize],
-                    DELTA_MASK[(syms[1] & 0xff) as usize],
-                    DELTA_MASK[(syms[2] & 0xff) as usize],
-                    DELTA_MASK[(syms[3] & 0xff) as usize],
-                ])
-                .to_array();
-            out.copy_from_slice(&lanes);
-            return Ok(out);
-        }
         split_window(w, syms, &ms, &mut out);
         return Ok(out);
     }
     // A half's bits start at most 7 bits into its window, so 56 bits per
     // half is the `<= 63` rule again; the second window starts at most 7
-    // bytes after the first, so 16 readable bytes cover both loads. Scalar
-    // under `simd` too: two lanes per window leave nothing to vectorize.
+    // bytes after the first, so 16 readable bytes cover both loads.
     if WAYS >= 2 && lo <= 56 && hi <= 56 && byte + 16 <= bits.buf.len() {
         let w = bit_window(bits.buf, bits.bitpos);
         split_window(w, &syms[..half], &ms[..half], &mut out[..half]);

@@ -15,7 +15,7 @@
 //! the per-tuple path never touches a compressed stream. The decoders pack
 //! as they decode (see `codec::decode_array`), so the cached form is also
 //! the only form a fetched value is ever written in; it is what
-//! `unpack_range` and the SIMD lanes read directly.
+//! `unpack_range` reads directly.
 
 use crate::bitpack::BitPacked;
 use crate::chunk::Chunk;
@@ -97,9 +97,9 @@ impl<'a> ChunkCursors<'a> {
     }
 
     /// Block-decode raw codes of rows `start..end` into `out` (length
-    /// `end - start`) through [`BitPacked::unpack_range`] — the SIMD lane
-    /// path when compiled in. Integer callers add [`ChunkCursors::int_min`]
-    /// themselves; this keeps one decode primitive for both segment kinds.
+    /// `end - start`) through [`BitPacked::unpack_range`]. Integer callers
+    /// add [`ChunkCursors::int_min`] themselves; this keeps one decode
+    /// primitive for both segment kinds.
     #[inline]
     pub fn unpack(&self, idx: usize, start: usize, end: usize, out: &mut [u64]) {
         self.pack(idx).unpack_range(start, end, out);

@@ -60,9 +60,8 @@
 //! rewritten to preserve the one-chunk-per-user invariant),
 //! [`persist::compact`] merges appended chunks back into full-sized,
 //! time-clustered, dead-byte-free form, [`TableWriter`] buffers and encodes
-//! incoming batches, and [`FileSource::refresh`] lets an open source adopt
-//! the grown file without serving stale cache entries. See
-//! `docs/FORMAT.md`.
+//! incoming batches, and a source opened after a write sees the grown file
+//! while one opened before keeps its snapshot. See `docs/FORMAT.md`.
 
 pub mod bitpack;
 pub mod chunk;
@@ -104,8 +103,8 @@ pub use shard::{
     DeleteStats, ShardLock, ShardManifest, ShardedAppendStats, ShardedSource, MANIFEST_FILE,
 };
 pub use source::{
-    ChunkIndexEntry, ChunkRef, ChunkSource, CodecDecode, ColumnStats, FileSource, RefreshStats,
-    SourceIoStats, DEFAULT_CACHE_BUDGET,
+    ChunkIndexEntry, ChunkRef, ChunkSource, CodecDecode, ColumnStats, FileSource, SourceIoStats,
+    DEFAULT_CACHE_BUDGET,
 };
 pub use stats::StorageStats;
 pub use table::{ColumnMeta, CompressedTable, CompressionOptions, TableMeta};

@@ -46,8 +46,8 @@
 //! form (the RLE blob always is); `Delta`/`Ans` blobs keep their header
 //! (tag byte, chunk dictionary gids, int min/max) raw and entropy-code
 //! only the packed array, decoding back into the exact
-//! [`BitPacked`] the raw path would produce — cursors, the SIMD
-//! `unpack_range`, and the morsel executor never see the difference.
+//! [`BitPacked`] the raw path would produce — cursors, `unpack_range`
+//! and the morsel executor never see the difference.
 //!
 //! # What a decoded column guarantees
 //!
@@ -113,7 +113,7 @@ use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::Path;
 use std::sync::Arc;
 
-const MAGIC: u32 = 0x434F_4841; // "COHA"
+pub(crate) const MAGIC: u32 = 0x434F_4841; // "COHA"
 /// Current on-disk format version (column-addressable, per-blob codecs).
 pub const VERSION: u32 = 4;
 /// Bytes before the first blob: magic + version.
@@ -642,14 +642,13 @@ fn compose_remaps(a: &EpochRemaps, step: &EpochRemaps) -> Result<EpochRemaps> {
 ///
 /// Readers holding the file open (e.g. a
 /// [`FileSource`](crate::source::FileSource)) are unaffected: their footer
-/// still describes exactly the bytes it did at open time. Call
-/// [`FileSource::refresh`](crate::source::FileSource::refresh) (or re-open)
-/// to observe the appended data.
+/// still describes exactly the bytes it did at open time. Re-open to
+/// observe the appended data.
 ///
 /// **Single writer.** Appends are not internally synchronized: two
 /// concurrent `append`s to one file would read the same footer and write
 /// overlapping tails, corrupting it. Serialize writers externally — the
-/// engine's `Cohana::ingest` does (one write lock per engine);
+/// shard writers do (a [`ShardLock`](crate::shard::ShardLock) per file);
 /// out-of-engine callers own the coordination.
 pub fn append(path: &Path, batch: &ActivityTable) -> Result<AppendStats> {
     Ok(append_with_chunks(path, batch)?.0)
@@ -657,7 +656,7 @@ pub fn append(path: &Path, batch: &ActivityTable) -> Result<AppendStats> {
 
 /// The chunks a write path encoded, each with its position and blob layout
 /// in the footer that write produced. A source opened over that footer can
-/// adopt them ([`FileSource::open_seeded`](crate::source::FileSource::open_seeded))
+/// adopt them ([`ShardedSource::open_seeded`](crate::shard::ShardedSource::open_seeded))
 /// instead of reading back and decoding what the writer held in memory.
 #[derive(Debug, Default)]
 pub struct WrittenChunks {

@@ -20,6 +20,13 @@
 //!   mutation, so concurrent ingests (or an ingest racing background
 //!   compaction) never interleave writes to one file.
 //!
+//! A single table **file** is a sharded table too: [`read_manifest`] of a
+//! path naming a [`persist`] file yields the *implicit* one-file map — no
+//! boundaries, the file as its only shard, no tombstones. It is never
+//! written; every function here (append, compaction, deletion, the source)
+//! treats it like any other map, except that [`delete_users`] needs no
+//! tombstones for it (one file's rewrite is already one atomic rename).
+//!
 //! What sharding buys, relative to one monolithic file:
 //!
 //! * **parallel ingest** — [`append_sharded`] routes a batch by user range
@@ -32,8 +39,8 @@
 //!   the tombstones persisted in the manifest first so a crash mid-rewrite
 //!   is recoverable ([`apply_pending_tombstones`]).
 //!
-//! [`ShardedSource`] opens the whole table for queries: it merges the shard
-//! dictionaries into one unified [`TableMeta`], re-bases every shard
+//! [`ShardedSource`] opens the whole table for queries: over several shards
+//! it merges their dictionaries into one unified [`TableMeta`], re-bases every shard
 //! [`FileSource`] into that space (gid overlays applied at decode time), and
 //! concatenates their chunks behind the ordinary
 //! [`ChunkSource`] trait. All shards share one
@@ -48,6 +55,7 @@ use crate::table::{ColumnMeta, CompressedTable, TableMeta};
 use crate::{Result, StorageError};
 use bytes::{Buf, BufMut, BytesMut};
 use cohana_activity::ActivityTable;
+use std::borrow::Cow;
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -79,11 +87,13 @@ pub struct ShardManifest {
     /// Users whose deletion was requested but whose shard rewrites have not
     /// all completed (see [`delete_users`]). Sorted, deduplicated.
     tombstones: Vec<String>,
+    /// Whether this is a table file's implicit one-file map (never written).
+    implicit: bool,
 }
 
 impl ShardManifest {
     fn new(boundaries: Vec<String>, files: Vec<String>) -> Result<Self> {
-        let manifest = ShardManifest { boundaries, files, tombstones: Vec::new() };
+        let manifest = ShardManifest { boundaries, files, tombstones: Vec::new(), implicit: false };
         manifest.validate()?;
         Ok(manifest)
     }
@@ -196,7 +206,9 @@ impl ShardManifest {
         };
         let magic = get_u32(&mut cur)?;
         if magic != MANIFEST_MAGIC {
-            return Err(StorageError::Corrupt(format!("bad manifest magic {magic:#x}")));
+            return Err(StorageError::Corrupt(format!(
+                "neither a shard manifest nor a table file (magic {magic:#x})"
+            )));
         }
         let version = get_u32(&mut cur)?;
         if version != MANIFEST_VERSION {
@@ -223,7 +235,7 @@ impl ShardManifest {
         if tail != MANIFEST_MAGIC {
             return Err(StorageError::Corrupt(format!("bad manifest tail magic {tail:#x}")));
         }
-        let manifest = ShardManifest { boundaries, files, tombstones };
+        let manifest = ShardManifest { boundaries, files, tombstones, implicit: false };
         manifest.validate()?;
         Ok(manifest)
     }
@@ -232,15 +244,16 @@ impl ShardManifest {
 /// Whether a path names a sharded table: a directory containing a
 /// [`MANIFEST_FILE`], or the manifest file itself (sniffed by magic).
 pub fn is_sharded(path: &Path) -> bool {
-    let manifest = if path.is_dir() { path.join(MANIFEST_FILE) } else { path.to_path_buf() };
+    file_magic(&manifest_path(path)) == Some(MANIFEST_MAGIC)
+}
+
+/// A file's first four bytes, little-endian (`None` if it has fewer or
+/// cannot be read).
+fn file_magic(path: &Path) -> Option<u32> {
+    use std::io::Read;
     let mut head = [0u8; 4];
-    match std::fs::File::open(&manifest) {
-        Ok(mut f) => {
-            use std::io::Read;
-            f.read_exact(&mut head).is_ok() && u32::from_le_bytes(head) == MANIFEST_MAGIC
-        }
-        Err(_) => false,
-    }
+    std::fs::File::open(path).ok()?.read_exact(&mut head).ok()?;
+    Some(u32::from_le_bytes(head))
 }
 
 /// Resolve a user-facing path (the table directory or the manifest file
@@ -254,15 +267,34 @@ pub fn manifest_path(path: &Path) -> PathBuf {
 }
 
 /// Read and validate a shard manifest (accepts the directory or the
-/// manifest file path).
+/// manifest file path). A path naming a table file (magic `COHA`, any
+/// version) yields its implicit one-file map instead.
 pub fn read_manifest(path: &Path) -> Result<ShardManifest> {
-    let data = std::fs::read(manifest_path(path))?;
-    ShardManifest::decode(&data)
+    let file = manifest_path(path);
+    if file_magic(&file) != Some(persist::MAGIC) {
+        return ShardManifest::decode(&std::fs::read(file)?);
+    }
+    let name = file.file_name().and_then(|n| n.to_str()).ok_or_else(|| {
+        StorageError::Invalid(format!("{} is not a UTF-8 file name", file.display()))
+    })?;
+    let mut manifest = ShardManifest::new(Vec::new(), vec![name.to_string()])?;
+    manifest.implicit = true;
+    Ok(manifest)
+}
+
+/// [`read_manifest`], with the directory its shard file names resolve in.
+fn open_map(path: &Path) -> Result<(PathBuf, ShardManifest)> {
+    let manifest_file = manifest_path(path);
+    let dir = manifest_file.parent().unwrap_or(Path::new(".")).to_path_buf();
+    Ok((dir, read_manifest(&manifest_file)?))
 }
 
 /// Atomically (re)write a manifest: serialize to a sibling temp file, then
 /// rename over the target, so a reader never observes a partial map.
 pub fn write_manifest(path: &Path, manifest: &ShardManifest) -> Result<()> {
+    if manifest.implicit {
+        return Err(StorageError::Invalid("a table file's one-file map is never written".into()));
+    }
     manifest.validate()?;
     persist::replace_file(&manifest_path(path), "tmp", &manifest.encode())
 }
@@ -327,9 +359,14 @@ impl Drop for ShardLock {
 
 /// Split an activity table's rows into per-shard tables along the manifest
 /// boundaries. Rows are user-sorted and routing is monotone in the user id,
-/// so each shard's slice is contiguous and stays primary-key sorted.
-fn split_by_shard(manifest: &ShardManifest, table: &ActivityTable) -> Vec<Option<ActivityTable>> {
-    let mut parts: Vec<Option<ActivityTable>> = (0..manifest.num_shards()).map(|_| None).collect();
+/// so each shard's slice is contiguous and stays primary-key sorted; a
+/// table that routes whole to one shard is lent, not copied.
+fn split_by_shard<'t>(
+    manifest: &ShardManifest,
+    table: &'t ActivityTable,
+) -> Vec<Option<Cow<'t, ActivityTable>>> {
+    let mut parts: Vec<Option<Cow<ActivityTable>>> =
+        (0..manifest.num_shards()).map(|_| None).collect();
     if table.is_empty() {
         return parts;
     }
@@ -348,10 +385,14 @@ fn split_by_shard(manifest: &ShardManifest, table: &ActivityTable) -> Vec<Option
             }
             end += 1;
         }
-        let part =
-            ActivityTable::from_sorted_rows(table.schema().clone(), rows[start..end].to_vec())
-                .expect("a contiguous slice of a sorted table is sorted");
-        parts[shard] = Some(part);
+        parts[shard] = Some(if end - start == rows.len() {
+            Cow::Borrowed(table)
+        } else {
+            Cow::Owned(
+                ActivityTable::from_sorted_rows(table.schema().clone(), rows[start..end].to_vec())
+                    .expect("a contiguous slice of a sorted table is sorted"),
+            )
+        });
         start = end;
     }
     parts
@@ -474,9 +515,7 @@ pub fn append_sharded_with_chunks(
     path: &Path,
     batch: &ActivityTable,
 ) -> Result<(ShardedAppendStats, Vec<(usize, WrittenChunks)>)> {
-    let manifest_file = manifest_path(path);
-    let dir = manifest_file.parent().unwrap_or(Path::new(".")).to_path_buf();
-    let manifest = read_manifest(&manifest_file)?;
+    let (dir, manifest) = open_map(path)?;
     let parts = split_by_shard(&manifest, batch);
 
     let results = std::thread::scope(|scope| {
@@ -517,9 +556,7 @@ pub fn compact_shard_with_chunks(
     path: &Path,
     shard: usize,
 ) -> Result<(CompactStats, WrittenChunks)> {
-    let manifest_file = manifest_path(path);
-    let dir = manifest_file.parent().unwrap_or(Path::new(".")).to_path_buf();
-    let manifest = read_manifest(&manifest_file)?;
+    let (dir, manifest) = open_map(path)?;
     if shard >= manifest.num_shards() {
         return Err(StorageError::OutOfBounds {
             what: "shard",
@@ -535,9 +572,7 @@ pub fn compact_shard_with_chunks(
 /// Space accounting of every shard, cheapest-possible (one footer parse per
 /// shard). Index `i` describes shard `i`.
 pub fn shard_space_stats(path: &Path) -> Result<Vec<persist::FileSpaceStats>> {
-    let manifest_file = manifest_path(path);
-    let dir = manifest_file.parent().unwrap_or(Path::new(".")).to_path_buf();
-    let manifest = read_manifest(&manifest_file)?;
+    let (dir, manifest) = open_map(path)?;
     (0..manifest.num_shards())
         .map(|i| persist::file_space_stats(&manifest.shard_path(&dir, i)))
         .collect()
@@ -569,17 +604,20 @@ pub struct DeleteStats {
 ///
 /// A crash between the steps (or mid-step-2) leaves the tombstones in the
 /// manifest; the next [`apply_pending_tombstones`] — run on every open and
-/// every maintenance pass — completes the deletion. Readers that opened
-/// before the rewrite keep their snapshot (old inodes); reopening sees the
-/// users gone.
+/// every maintenance pass — completes the deletion. A one-file table has no
+/// manifest and needs none: its single rewrite is step 2 alone, and atomic.
+/// Readers that opened before the rewrite keep their snapshot (old inodes);
+/// reopening sees the users gone.
 pub fn delete_users(path: &Path, users: &[&str]) -> Result<DeleteStats> {
-    let manifest_file = manifest_path(path);
-    let mut manifest = read_manifest(&manifest_file)?;
+    let (dir, mut manifest) = open_map(path)?;
+    if manifest.implicit {
+        return rewrite_without(&dir, &manifest, users);
+    }
     let mut set: BTreeSet<String> = manifest.tombstones.iter().cloned().collect();
     set.extend(users.iter().map(|u| u.to_string()));
     manifest.tombstones = set.into_iter().collect();
-    write_manifest(&manifest_file, &manifest)?;
-    apply_pending_tombstones(&manifest_file)
+    write_manifest(path, &manifest)?;
+    apply_pending_tombstones(path)
 }
 
 /// Apply any tombstones recorded in the manifest: rewrite each shard owning
@@ -588,25 +626,31 @@ pub fn delete_users(path: &Path, users: &[&str]) -> Result<DeleteStats> {
 /// open. Returns what was removed (all zeros when no tombstones were
 /// pending).
 pub fn apply_pending_tombstones(path: &Path) -> Result<DeleteStats> {
-    let manifest_file = manifest_path(path);
-    let dir = manifest_file.parent().unwrap_or(Path::new(".")).to_path_buf();
-    let mut manifest = read_manifest(&manifest_file)?;
+    let (dir, mut manifest) = open_map(path)?;
     if manifest.tombstones.is_empty() {
         return Ok(DeleteStats::default());
     }
+    let victims: Vec<&str> = manifest.tombstones.iter().map(String::as_str).collect();
+    let stats = rewrite_without(&dir, &manifest, &victims)?;
+    manifest.tombstones.clear();
+    write_manifest(path, &manifest)?;
+    Ok(stats)
+}
 
-    // Group tombstones by owning shard.
-    let mut by_shard: Vec<Vec<&str>> = (0..manifest.num_shards()).map(|_| Vec::new()).collect();
-    for t in &manifest.tombstones {
-        by_shard[manifest.route(t)].push(t.as_str());
+/// Rewrite each shard owning one of `users` without their tuples (under the
+/// shard lock, temp file + rename); shards holding none of them are left
+/// alone.
+fn rewrite_without(dir: &Path, manifest: &ShardManifest, users: &[&str]) -> Result<DeleteStats> {
+    let mut by_shard: Vec<Vec<&str>> = vec![Vec::new(); manifest.num_shards()];
+    for &user in users {
+        by_shard[manifest.route(user)].push(user);
     }
-
     let mut stats = DeleteStats::default();
     for (i, victims) in by_shard.iter().enumerate() {
         if victims.is_empty() {
             continue;
         }
-        let shard_path = manifest.shard_path(&dir, i);
+        let shard_path = manifest.shard_path(dir, i);
         let _lock = ShardLock::acquire(&shard_path, LOCK_TIMEOUT)?;
         let bytes_before = std::fs::metadata(&shard_path)?.len();
         let table = persist::read_file(&shard_path)?;
@@ -622,24 +666,22 @@ pub fn apply_pending_tombstones(path: &Path) -> Result<DeleteStats> {
         let bytes_after = std::fs::metadata(&shard_path)?.len();
         stats.reclaimed_bytes += bytes_before.saturating_sub(bytes_after);
     }
-
-    manifest.tombstones.clear();
-    write_manifest(&manifest_file, &manifest)?;
     Ok(stats)
 }
 
 // --------------------------------------------------------- sharded source
 
 /// All shards of a sharded table behind one [`ChunkSource`]: the chunks of
-/// shard 0, then shard 1, and so on. Opening merges every shard's global
-/// dictionaries into one unified [`TableMeta`] and re-bases each shard
-/// [`FileSource`] into that space (via an internal re-base step), so the
-/// executor plans, prunes, and decodes exactly as it would against a single
-/// file — shards are just more chunks. All shards share one byte-budgeted
-/// segment cache.
+/// shard 0, then shard 1, and so on. Opening several shards merges their
+/// global dictionaries into one unified [`TableMeta`] and re-bases each
+/// shard [`FileSource`] into that space (via an internal re-base step), so
+/// the executor plans, prunes, and decodes exactly as it would against a
+/// single file — shards are just more chunks. One shard is its own unified
+/// space and is served as it is, which is also how v2 files (which cannot
+/// be re-based) open. All shards share one byte-budgeted segment cache.
 pub struct ShardedSource {
     manifest: ShardManifest,
-    meta: TableMeta,
+    /// Never empty; after a re-base every shard carries the unified meta.
     shards: Vec<FileSource>,
     /// Global chunk index → `(shard, chunk-within-shard)`.
     chunk_map: Vec<(u32, u32)>,
@@ -661,15 +703,15 @@ impl ShardedSource {
     /// Like [`ShardedSource::open_with_budget`], starting with the chunks
     /// the write paths just encoded — `(shard, what it wrote)`, from
     /// [`append_sharded_with_chunks`] / [`compact_shard_with_chunks`] —
-    /// already in the shared cache (see [`FileSource::open_seeded`]).
+    /// already in the shared cache: they enter through the ordinary cache
+    /// insert, charged like any decoded segment, and only where the shard's
+    /// footer is the one its writer produced.
     pub fn open_seeded(
         path: &Path,
         cache_budget: usize,
         written: Vec<(usize, WrittenChunks)>,
     ) -> Result<ShardedSource> {
-        let manifest_file = manifest_path(path);
-        let dir = manifest_file.parent().unwrap_or(Path::new(".")).to_path_buf();
-        let manifest = read_manifest(&manifest_file)?;
+        let (dir, manifest) = open_map(path)?;
         let cache = shared_cache(cache_budget);
         let mut shards: Vec<FileSource> = (0..manifest.num_shards())
             .map(|i| {
@@ -677,10 +719,12 @@ impl ShardedSource {
             })
             .collect::<Result<_>>()?;
 
-        let meta = merged_meta(&shards)?;
-        for shard in &mut shards {
-            let overlay = overlay_for_shard(&meta, shard.table_meta())?;
-            shard.rebase(meta.clone(), overlay)?;
+        if shards.len() > 1 {
+            let meta = merged_meta(&shards)?;
+            for shard in &mut shards {
+                let overlay = overlay_for_shard(&meta, shard.table_meta())?;
+                shard.rebase(meta.clone(), overlay)?;
+            }
         }
         for (i, written) in written {
             if let Some(shard) = shards.get(i) {
@@ -694,7 +738,7 @@ impl ShardedSource {
                 chunk_map.push((i as u32, c as u32));
             }
         }
-        Ok(ShardedSource { manifest, meta, shards, chunk_map })
+        Ok(ShardedSource { manifest, shards, chunk_map })
     }
 
     /// The manifest this source opened against (its snapshot of the shard
@@ -725,7 +769,7 @@ impl std::fmt::Debug for ShardedSource {
         f.debug_struct("ShardedSource")
             .field("shards", &self.shards.len())
             .field("chunks", &self.chunk_map.len())
-            .field("rows", &self.meta.num_rows())
+            .field("rows", &self.table_meta().num_rows())
             .finish()
     }
 }
@@ -735,9 +779,7 @@ impl std::fmt::Debug for ShardedSource {
 /// integer attributes the union range over non-empty shards, and the row
 /// count the sum. The schemas and chunk sizes must agree.
 fn merged_meta(shards: &[FileSource]) -> Result<TableMeta> {
-    let first = shards
-        .first()
-        .ok_or_else(|| StorageError::Invalid("a sharded table needs at least one shard".into()))?;
+    let first = &shards[0];
     let schema = first.table_meta().schema().clone();
     let options = first.table_meta().options();
     for s in shards {
@@ -826,7 +868,7 @@ fn overlay_for_shard(unified: &TableMeta, shard: &TableMeta) -> Result<Vec<Optio
 
 impl ChunkSource for ShardedSource {
     fn table_meta(&self) -> &TableMeta {
-        &self.meta
+        self.shards[0].table_meta()
     }
 
     fn num_chunks(&self) -> usize {
@@ -866,12 +908,10 @@ impl ChunkSource for ShardedSource {
                 t.nanos += d.nanos;
             }
         }
-        if let Some(first) = self.shards.first() {
-            let shared = first.io_stats();
-            total.cache_evictions = shared.cache_evictions;
-            total.cache_resident_bytes = shared.cache_resident_bytes;
-            total.cache_budget_bytes = shared.cache_budget_bytes;
-        }
+        let shared = self.shards[0].io_stats();
+        total.cache_evictions = shared.cache_evictions;
+        total.cache_resident_bytes = shared.cache_resident_bytes;
+        total.cache_budget_bytes = shared.cache_budget_bytes;
         total
     }
 }
@@ -899,6 +939,7 @@ mod tests {
             boundaries: vec!["user-0300".into(), "user-0600".into()],
             files: vec!["a.cohana".into(), "b.cohana".into(), "c.cohana".into()],
             tombstones: vec!["user-0042".into()],
+            implicit: false,
         };
         let decoded = ShardManifest::decode(&m.encode()).unwrap();
         assert_eq!(decoded, m);
@@ -910,6 +951,7 @@ mod tests {
             boundaries: vec!["m".into()],
             files: vec!["a".into(), "b".into()],
             tombstones: vec![],
+            implicit: false,
         };
         let mut bytes = m.encode();
         // Bad magic.
@@ -923,11 +965,16 @@ mod tests {
             boundaries: vec!["z".into(), "a".into()],
             files: vec!["a".into(), "b".into(), "c".into()],
             tombstones: vec![],
+            implicit: false,
         };
         assert!(ShardManifest::decode(&bad.encode()).is_err());
         // Path traversal in a file name.
-        let evil =
-            ShardManifest { boundaries: vec![], files: vec!["../evil".into()], tombstones: vec![] };
+        let evil = ShardManifest {
+            boundaries: vec![],
+            files: vec!["../evil".into()],
+            tombstones: vec![],
+            implicit: false,
+        };
         assert!(ShardManifest::decode(&evil.encode()).is_err());
     }
 
@@ -937,6 +984,7 @@ mod tests {
             boundaries: vec!["g".into(), "p".into()],
             files: vec!["a".into(), "b".into(), "c".into()],
             tombstones: vec![],
+            implicit: false,
         };
         assert_eq!(m.route("a"), 0);
         assert_eq!(m.route("f"), 0);
@@ -1027,6 +1075,28 @@ mod tests {
             let name = entry.unwrap().file_name();
             assert!(!name.to_string_lossy().ends_with(".lock"), "stale lock {name:?}");
         }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_table_file_reads_as_an_unwritten_one_file_map() {
+        let dir = temp_dir("implicit");
+        let path = dir.join("flat.cohana");
+        let t = small();
+        let built = CompressedTable::build(&t, CompressionOptions::with_chunk_size(256)).unwrap();
+        persist::write_file(&built, &path).unwrap();
+
+        let map = read_manifest(&path).unwrap();
+        assert!(map.boundaries().is_empty() && map.tombstones().is_empty());
+        assert_eq!(map.files(), ["flat.cohana"]);
+        assert!(!is_sharded(&path));
+        assert!(matches!(write_manifest(&path, &map).unwrap_err(), StorageError::Invalid(_)));
+
+        // One shard serves the file's own meta and chunks, untouched.
+        let src = ShardedSource::open(&path).unwrap();
+        assert_eq!(src.num_shards(), 1);
+        assert_eq!(src.table_meta().metas(), built.table_meta().metas());
+        assert_eq!(&*src.chunk(1).unwrap(), &built.chunks()[1]);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -323,25 +323,6 @@ impl ChunkSource for CompressedTable {
 /// Default byte budget of a [`FileSource`]'s segment cache (256 MiB).
 pub const DEFAULT_CACHE_BUDGET: usize = 256 * 1024 * 1024;
 
-/// Whether two open handles name the same underlying file. Appends grow a
-/// file strictly in place (same inode); compaction and external rewrites
-/// replace it (new inode), after which old byte locations say nothing about
-/// the new content. On platforms without inode identity, always report
-/// "different" — the refresh path then conservatively drops its cache.
-#[cfg(unix)]
-fn same_inode(a: &File, b: &File) -> bool {
-    use std::os::unix::fs::MetadataExt;
-    match (a.metadata(), b.metadata()) {
-        (Ok(x), Ok(y)) => x.dev() == y.dev() && x.ino() == y.ino(),
-        _ => false,
-    }
-}
-
-#[cfg(not(unix))]
-fn same_inode(_a: &File, _b: &File) -> bool {
-    false
-}
-
 /// Cache key: `(source id, chunk index, segment id)` where segment 0 is the
 /// whole chunk (v2), 1 the RLE user column, and `2 + attr` a column segment.
 /// The source id disambiguates entries when several [`FileSource`]s — the
@@ -429,19 +410,6 @@ impl SegmentCache {
         self.map.insert(key, CacheEntry { slot, bytes, tick: self.tick });
         self.resident += bytes;
         evicted_now
-    }
-
-    /// Drop one entry, returning whether it was present. Not counted as an
-    /// eviction: the entry is removed because it went stale, not to make
-    /// room.
-    fn remove(&mut self, key: &SegKey) -> bool {
-        match self.map.remove(key) {
-            Some(e) => {
-                self.resident -= e.bytes;
-                true
-            }
-            None => false,
-        }
     }
 
     /// Distinct chunks of one source with at least one cached segment.
@@ -534,18 +502,6 @@ impl DecodeCell {
     }
 }
 
-/// What a [`FileSource::refresh`] changed.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct RefreshStats {
-    /// Chunks visible before the refresh.
-    pub chunks_before: usize,
-    /// Chunks visible after the refresh.
-    pub chunks_after: usize,
-    /// Cached segments dropped because their backing blob or dictionary
-    /// epoch changed; surviving entries keep serving without re-decode.
-    pub segments_invalidated: usize,
-}
-
 impl std::fmt::Debug for SegmentCache {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SegmentCache")
@@ -575,27 +531,16 @@ impl FileSource {
         Self::open_shared(path, shared_cache(cache_budget), 0)
     }
 
-    /// Like [`FileSource::open_with_budget`], starting with the chunks a
-    /// write path just encoded ([`persist::append_with_chunks`],
-    /// [`persist::compact_with_chunks`]) already in the cache, so the first
-    /// reader of the new snapshot does not decode what the writer held in
-    /// memory a moment earlier. They enter through the ordinary cache insert:
-    /// charged like any decoded segment, within the budget, evicted LRU.
-    pub fn open_seeded(
-        path: &Path,
-        cache_budget: usize,
-        written: persist::WrittenChunks,
-    ) -> Result<FileSource> {
-        let source = Self::open_with_budget(path, cache_budget)?;
-        source.seed(written)?;
-        Ok(source)
-    }
-
-    /// Adopt written chunks as cached segments, passed through the overlay
-    /// exactly as a decoded segment is (so call after any
-    /// [`FileSource::rebase`]). A chunk is adopted only where this source's
-    /// footer is the one its writer produced — same footer offset, same blob
-    /// locations — and is otherwise left to be decoded on demand.
+    /// Adopt the chunks a write path just encoded
+    /// ([`persist::append_with_chunks`], [`persist::compact_with_chunks`]) as
+    /// cached segments, so the first reader of the new snapshot does not
+    /// decode what the writer held in memory a moment earlier. They enter
+    /// through the ordinary cache insert — charged like any decoded segment,
+    /// within the budget, evicted LRU — and pass through the overlay exactly
+    /// as a decoded segment does (so call after any [`FileSource::rebase`]).
+    /// A chunk is adopted only where this source's footer is the one its
+    /// writer produced — same footer offset, same blob locations — and is
+    /// otherwise left to be decoded on demand.
     pub(crate) fn seed(&self, written: persist::WrittenChunks) -> Result<()> {
         let Some(layouts) = &self.layouts else { return Ok(()) };
         if written.footer_start != self.payload_end {
@@ -633,8 +578,7 @@ impl FileSource {
     /// Open a file against an existing (possibly shared) segment cache,
     /// tagging every cache entry with `cache_id`. This is how a sharded
     /// table gives all its shard files one byte budget; each shard gets a
-    /// distinct id so refresh-time invalidation and per-shard residency
-    /// accounting stay precise.
+    /// distinct id so per-shard residency accounting stays precise.
     pub(crate) fn open_shared(
         path: &Path,
         cache: Arc<Mutex<SegmentCache>>,
@@ -671,9 +615,7 @@ impl FileSource {
     /// terms); segment payloads are rewritten lazily at decode time, after
     /// any epoch remap, so the footer cross-checks keep holding.
     ///
-    /// Only column-addressable (v3/v4) files can be re-based, and a re-based
-    /// source can no longer [`refresh`](FileSource::refresh) — its shard
-    /// manifest owner reopens it instead.
+    /// Only column-addressable (v3/v4) files can be re-based.
     pub(crate) fn rebase(
         &mut self,
         meta: TableMeta,
@@ -712,95 +654,6 @@ impl FileSource {
     /// epoch remap (see [`FileSource::rebase`]).
     fn overlay_for(&self, attr: usize) -> Option<&Arc<Vec<u32>>> {
         self.overlay.get(attr).and_then(|r| r.as_ref())
-    }
-
-    /// Re-read the footer from the file's current state on disk, picking up
-    /// anything [`persist::append`] (or
-    /// [`persist::compact`]) wrote since this
-    /// source opened — without disturbing other holders of the old state:
-    /// until `refresh` is called, the source keeps serving its original
-    /// footer snapshot, which is why prepared statements pinning a source
-    /// keep snapshot semantics while the engine swaps refreshed sources into
-    /// its catalog.
-    ///
-    /// Cached segments survive a refresh only when their bytes provably did
-    /// not change: the file must still be the **same inode** (appends are
-    /// strictly append-only, so on the same inode an unchanged blob
-    /// location means unchanged bytes) *and* the segment's blob location
-    /// and dictionary epoch must be unchanged. A rewrite that replaced the
-    /// path ([`persist::compact`]'s temp-file + rename, or any external
-    /// rewrite) drops the whole cache — locations are meaningless across a
-    /// re-encoded image even when they numerically coincide. Everything
-    /// stale is dropped before the new footer is adopted, so no stale
-    /// segment can ever be served.
-    pub fn refresh(&mut self) -> Result<RefreshStats> {
-        if !self.overlay.is_empty() {
-            // A re-based source's metadata and cached segments are in the
-            // unified dictionary space of its sharded table; adopting the
-            // file's own footer here would mix the two spaces. The sharded
-            // table reopens and re-bases its shards instead.
-            return Err(StorageError::Unsupported(
-                "a re-based shard member cannot refresh in place; reopen the sharded table".into(),
-            ));
-        }
-        let mut file = File::open(&self.path)?;
-        let footer = persist::read_footer_from_file(&mut file)?;
-        let chunks_before = self.locations.len();
-
-        let grown_in_place = same_inode(&self.file, &file);
-        let same_remap = |chunk: usize, attr: usize| {
-            self.remap_for(chunk, attr).map(|r| r.as_slice())
-                == footer.remap_for(chunk, attr).map(|r| r.as_slice())
-        };
-        let arity = footer.meta.schema().arity();
-
-        let segments_invalidated = {
-            let mut cache = self.cache.lock().expect("cache lock poisoned");
-            let keys: Vec<SegKey> =
-                cache.map.keys().filter(|k| k.0 == self.cache_id).copied().collect();
-            let mut dropped = 0usize;
-            for key in keys {
-                let (chunk, seg) = (key.1 as usize, key.2);
-                let keep = grown_in_place
-                    && match (seg, &self.layouts, &footer.layouts) {
-                        (SEG_WHOLE, None, None) => {
-                            self.locations.get(chunk).is_some()
-                                && self.locations.get(chunk) == footer.locations.get(chunk)
-                        }
-                        (SEG_RLE, Some(old), Some(new)) => {
-                            matches!((old.get(chunk), new.get(chunk)),
-                            (Some(a), Some(b)) if a.rle == b.rle)
-                                && same_remap(chunk, footer.meta.schema().user_idx())
-                        }
-                        (col, Some(old), Some(new)) if col >= 2 => {
-                            let attr = (col - 2) as usize;
-                            attr < arity
-                                && matches!((old.get(chunk), new.get(chunk)),
-                                (Some(a), Some(b)) if a.cols.get(attr) == b.cols.get(attr))
-                                && same_remap(chunk, attr)
-                        }
-                        _ => false,
-                    };
-                if !keep && cache.remove(&key) {
-                    dropped += 1;
-                }
-            }
-            dropped
-        };
-
-        let chunks_after = footer.locations.len();
-        self.meta = footer.meta;
-        self.entries = footer.entries;
-        self.locations = footer.locations;
-        self.layouts = footer.layouts;
-        self.epochs = footer.epochs;
-        self.chunk_epochs = footer.chunk_epochs;
-        self.payload_end = footer.payload_end;
-        // Swap the file handle too: after a compact the path names a new
-        // inode, and the old handle would keep reading the pre-compact
-        // image.
-        self.file = file;
-        Ok(RefreshStats { chunks_before, chunks_after, segments_invalidated })
     }
 
     /// The gid remap a chunk needs for an attribute (`None`: the chunk is

@@ -358,9 +358,8 @@ fn chunk_rows(meta: &TableMeta, chunk: &Chunk) -> Vec<Vec<Value>> {
     let schema = meta.schema();
     let user_idx = schema.user_idx();
     let n = chunk.num_rows();
-    // Block-decode every column once (one `unpack_range` sweep — the SIMD
-    // lane path for narrow widths) instead of a per-row, per-attribute
-    // packed-word probe; the row loop below then just assembles values.
+    // Block-decode every column once (one `unpack_range` sweep) instead of
+    // a per-row, per-attribute packed-word probe; the row loop below then just assembles values.
     let mut cols: Vec<Option<(&ChunkColumn, Vec<u64>)>> = Vec::with_capacity(schema.arity());
     for attr in 0..schema.arity() {
         if attr == user_idx {

@@ -1,7 +1,7 @@
 //! Integration tests for incremental ingest at the storage layer: appending
 //! batches to v3/v4 files (preserving each file's format version),
-//! dictionary-epoch remapping, refresh-based cache invalidation, and
-//! compaction.
+//! dictionary-epoch remapping, warm snapshots over what a write produced,
+//! and compaction.
 
 use cohana_activity::{generate, ActivityTable, GeneratorConfig, Schema, TableBuilder, Value};
 use cohana_storage::{
@@ -346,31 +346,37 @@ fn a_seeded_source_equals_a_cold_open_of_a_flat_file() {
 
     // Every user returns in a later time slice, so the append rewrites every
     // chunk and the seeded source has nothing left to decode.
+    // The file is its own one-shard map: shard 0 is the file.
+    let seeded_open =
+        |budget, written| ShardedSource::open_seeded(&path, budget, vec![(0, written)]);
     let (stats, written) = persist::append_with_chunks(&path, &batches[1]).unwrap();
     assert_eq!(stats.chunks_rewritten, stats.chunks_before);
-    let seeded = FileSource::open_seeded(&path, DEFAULT_CACHE_BUDGET, written).unwrap();
+    let seeded = seeded_open(DEFAULT_CACHE_BUDGET, written).unwrap();
     assert_seeded_matches_cold(&seeded, &FileSource::open(&path).unwrap());
 
     // The budget holds: a zero-budget source retains nothing and decodes on
     // demand like any other.
     let (_, written) = persist::append_with_chunks(&path, &batches[2]).unwrap();
-    let unseeded = FileSource::open_seeded(&path, 0, written).unwrap();
-    assert_eq!((unseeded.cache_resident_bytes(), unseeded.chunks_resident()), (0, 0));
+    let unseeded = seeded_open(0, written).unwrap();
+    assert_eq!(
+        (unseeded.shard(0).cache_resident_bytes(), unseeded.shard(0).chunks_resident()),
+        (0, 0)
+    );
     unseeded.chunk(0).unwrap();
-    assert!(unseeded.columns_decoded() > 0);
+    assert!(unseeded.shard(0).columns_decoded() > 0);
 
     let (_, written) = persist::compact_with_chunks(&path).unwrap();
-    let seeded = FileSource::open_seeded(&path, DEFAULT_CACHE_BUDGET, written).unwrap();
+    let seeded = seeded_open(DEFAULT_CACHE_BUDGET, written).unwrap();
     assert_seeded_matches_cold(&seeded, &FileSource::open(&path).unwrap());
-    assert!(seeded.cache_resident_bytes() <= seeded.cache_budget_bytes());
+    assert!(seeded.shard(0).cache_resident_bytes() <= seeded.shard(0).cache_budget_bytes());
 
     // What one file's write produced seeds no other footer: written against
     // the pre-compact file, offered to the compacted one.
     let stale = temp_path("seeded-stale.cohana");
     std::fs::write(&stale, persist::to_bytes(&first)).unwrap();
     let (_, written) = persist::append_with_chunks(&stale, &batches[1]).unwrap();
-    let other = FileSource::open_seeded(&path, DEFAULT_CACHE_BUDGET, written).unwrap();
-    assert_eq!(other.cache_resident_bytes(), 0);
+    let other = seeded_open(DEFAULT_CACHE_BUDGET, written).unwrap();
+    assert_eq!(other.shard(0).cache_resident_bytes(), 0);
     std::fs::remove_file(&path).ok();
     std::fs::remove_file(&stale).ok();
 }
@@ -400,68 +406,6 @@ fn a_seeded_source_equals_a_cold_open_of_a_sharded_table() {
         0
     );
     std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn refresh_picks_up_appends_without_serving_stale_segments() {
-    let table = base_table();
-    let batches = split_by_time(&table, 2);
-    let path = temp_path("refresh.cohana");
-    let first =
-        CompressedTable::build(&batches[0], CompressionOptions::with_chunk_size(CHUNK)).unwrap();
-    persist::write_file(&first, &path).unwrap();
-
-    let mut src = FileSource::open(&path).unwrap();
-    // Warm the cache with every chunk, then grow the file behind the source.
-    for i in 0..src.num_chunks() {
-        src.chunk(i).unwrap();
-    }
-    let chunks_before = src.num_chunks();
-    persist::append(&path, &batches[1]).unwrap();
-
-    // Until refresh, the source still serves its open-time snapshot.
-    assert_eq!(src.num_chunks(), chunks_before);
-    assert_eq!(src.table_meta().num_rows(), batches[0].num_rows());
-
-    let stats = src.refresh().unwrap();
-    assert_eq!(stats.chunks_before, chunks_before);
-    assert_eq!(stats.chunks_after, src.num_chunks());
-    assert!(stats.segments_invalidated > 0, "rewritten/re-based segments must drop");
-    assert_eq!(src.table_meta().num_rows(), table.num_rows());
-
-    // Every chunk served after the refresh matches the eager read of the
-    // appended file — nothing stale survives.
-    let eager = persist::read_file(&path).unwrap();
-    assert_eq!(src.num_chunks(), eager.chunks().len());
-    for i in 0..src.num_chunks() {
-        assert_eq!(&*src.chunk(i).unwrap(), &eager.chunks()[i], "chunk {i} diverges");
-    }
-    std::fs::remove_file(&path).ok();
-}
-
-#[test]
-fn refresh_after_compact_switches_to_the_new_image() {
-    let table = base_table();
-    let batches = split_by_time(&table, 3);
-    let (path, _) = build_by_appends("refresh-compact.cohana", &batches);
-    let mut src = FileSource::open(&path).unwrap();
-    for i in 0..src.num_chunks() {
-        src.chunk(i).unwrap();
-    }
-    let warm_chunks = src.num_chunks();
-    let arity = persist::read_file(&path).unwrap().schema().arity();
-    persist::compact(&path).unwrap();
-    let stats = src.refresh().unwrap();
-    // Compaction replaces the inode; byte locations mean nothing across the
-    // rewrite, so *every* cached segment (RLE + each non-user column per
-    // chunk) must drop, even where offsets happen to coincide.
-    assert_eq!(stats.segments_invalidated, warm_chunks * arity);
-    let eager = persist::read_file(&path).unwrap();
-    assert_eq!(src.num_chunks(), eager.chunks().len());
-    for i in 0..src.num_chunks() {
-        assert_eq!(&*src.chunk(i).unwrap(), &eager.chunks()[i]);
-    }
-    std::fs::remove_file(&path).ok();
 }
 
 #[test]

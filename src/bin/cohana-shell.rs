@@ -88,7 +88,7 @@ fn main() {
     if let Some(path) = open {
         // Works for single files and sharded table directories alike; an
         // interactive shell is long-lived, so let background maintenance
-        // keep sharded tables compacted.
+        // keep the table compacted.
         let opened = engine
             .open(&path)
             .cache_bytes(cache_bytes)
@@ -316,7 +316,7 @@ fn meta_command(
                  .pivot <query>;    run and render as a cohort matrix\n\
                  .ingest <file.csv> append new activity records to the table\n\
                  .compact           merge appended chunks, restore sort order\n\
-                 .delete <user>...  erase users (sharded tables; crash-safe)\n\
+                 .delete <user>...  erase users (file-backed tables; crash-safe)\n\
                  .stats shards      per-shard space + maintenance counters\n\
                  .save <file>       persist the compressed table\n\
                  .connect H:P [t]   route queries to a cohana-serve (tenant t)\n\
