@@ -2,9 +2,8 @@
 //! lookups, table compression and decompression — the primitives behind
 //! Figure 7 and the TableScan — plus the footer-indexed formats' headline
 //! trade-offs: eager whole-file loading vs. O(footer) lazy opening with
-//! on-demand decode on a Q2-style selective query, §4.2 chunk pruning made
-//! visible by cohort-clustered arrival, and v3 projection pushdown vs. the
-//! v2 whole-chunk fetch.
+//! on-demand decode on a Q2-style selective query, and §4.2 chunk pruning
+//! made visible by cohort-clustered arrival.
 //!
 //! CI runs this bench in smoke mode (`COHANA_BENCH_SMOKE=1`, one iteration
 //! per bench) so format or harness bit-rot fails the workflow.
@@ -144,55 +143,6 @@ fn bench_lazy_vs_eager(c: &mut Criterion) {
     std::fs::remove_file(&path).ok();
 }
 
-/// v3 projection pushdown vs. the v2 whole-chunk fetch: the same Q1 (which
-/// projects 4 of the 8 game-schema attributes) against the same table
-/// persisted in both formats. The v3 run reads strictly fewer bytes; the
-/// per-source I/O counters are printed once after the timed runs.
-fn bench_projection_v3_vs_v2(c: &mut Criterion) {
-    let table = generate(&GeneratorConfig::new(300));
-    let compressed =
-        CompressedTable::build(&table, CompressionOptions::with_chunk_size(4 * 1024)).unwrap();
-    let dir = std::env::temp_dir().join("cohana-storage-bench");
-    std::fs::create_dir_all(&dir).unwrap();
-    let v2_path = dir.join("bench-proj-v2.cohana");
-    let v3_path = dir.join("bench-proj-v3.cohana");
-    std::fs::write(&v2_path, persist::to_bytes_v2(&compressed)).unwrap();
-    persist::write_file(&compressed, &v3_path).unwrap();
-    let plan = plan_query(&paper::q1(), compressed.schema(), PlannerOptions::default()).unwrap();
-
-    let mut g = c.benchmark_group("projection");
-    g.sample_size(20)
-        .measurement_time(Duration::from_secs(2))
-        .warm_up_time(Duration::from_millis(300));
-    g.bench_function("q1_v2_whole_chunks", |b| {
-        b.iter(|| {
-            let src = FileSource::open(&v2_path).unwrap();
-            Statement::with_plan(Arc::new(src), plan.clone(), 1).unwrap().execute().unwrap()
-        })
-    });
-    g.bench_function("q1_v3_projected_columns", |b| {
-        b.iter(|| {
-            let src = FileSource::open(&v3_path).unwrap();
-            Statement::with_plan(Arc::new(src), plan.clone(), 1).unwrap().execute().unwrap()
-        })
-    });
-    g.finish();
-
-    // One cold report of what each path actually did (not timed).
-    let v2 = Arc::new(FileSource::open(&v2_path).unwrap());
-    let v3 = Arc::new(FileSource::open(&v3_path).unwrap());
-    Statement::with_plan(v2.clone(), plan.clone(), 1).unwrap().execute().unwrap();
-    Statement::with_plan(v3.clone(), plan.clone(), 1).unwrap().execute().unwrap();
-    let (a, b) = (v2.io_stats(), v3.io_stats());
-    eprintln!(
-        "# projection/q1 io: v2 read {} bytes ({} chunks); v3 read {} bytes ({} chunks, {} \
-         columns)",
-        a.bytes_read, a.chunks_decoded, b.bytes_read, b.chunks_decoded, b.columns_decoded
-    );
-    std::fs::remove_file(&v2_path).ok();
-    std::fs::remove_file(&v3_path).ok();
-}
-
 /// §4.2 chunk pruning made visible (the ROADMAP item): cohort-clustered
 /// arrival gives chunks disjoint time bounds, so a birth date-range query
 /// (Q5 over the first five days) skips most chunks entirely — no I/O, no
@@ -247,7 +197,6 @@ criterion_group!(
     bench_dict,
     bench_compress,
     bench_lazy_vs_eager,
-    bench_projection_v3_vs_v2,
     bench_pruning_cohort_clustered
 );
 criterion_main!(benches);

@@ -24,9 +24,8 @@ USAGE:
 
 OPTIONS:
     --exp <id>        experiment to run: table2, table3, fig6, fig7, fig8,
-                      fig9, fig10, fig11, ablation, parallel, lazy-io,
-                      scan-throughput, morsel-scheduler,
-                      ingest, sharded-ingest, serving, all [default: all]
+                      fig9, fig10, fig11, ablation, parallel, all
+                      [default: all]
     --users <n>       users in the scale-1 dataset        [default: 1000]
     --scales <list>   comma-separated scale factors       [default: 1,2,4,8]
     --chunks <list>   comma-separated chunk sizes         [default: 16384,65536,262144,1048576]
@@ -113,12 +112,6 @@ fn run() -> Result<(), String> {
         "fig11" => vec![experiments::fig11(&mut cache)],
         "ablation" => vec![experiments::ablation(&mut cache)],
         "parallel" => vec![experiments::parallel(&mut cache)],
-        "lazy-io" => vec![experiments::lazy_io(&mut cache)],
-        "scan-throughput" => vec![experiments::scan_throughput(&mut cache)],
-        "morsel-scheduler" => vec![experiments::morsel_scheduler(&mut cache)],
-        "ingest" => vec![experiments::ingest(&mut cache)],
-        "sharded-ingest" => vec![experiments::sharded_ingest(&mut cache)],
-        "serving" => vec![experiments::serving(&mut cache)],
         "all" => experiments::all(&mut cache),
         other => return Err(format!("unknown experiment {other:?}")),
     };

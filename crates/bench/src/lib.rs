@@ -17,7 +17,9 @@
 //!
 //! The `cohana-bench` binary drives them (`cohana-bench --exp fig11`), and
 //! the `benches/` directory holds criterion microbenchmark versions of the
-//! same measurements at fixed small scales.
+//! same measurements at fixed small scales. What the engine adds beyond the
+//! paper (lazy file I/O, codecs, ingest, serving, the morsel scheduler) is
+//! measured by the repository benchmark in `benchmark/`, not here.
 //!
 //! Absolute times differ from the paper's testbed; the harness is about
 //! reproducing the *shape*: who wins, by how many orders of magnitude, and

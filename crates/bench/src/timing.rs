@@ -25,35 +25,6 @@ pub fn time_avg<T>(runs: usize, mut f: impl FnMut() -> T) -> Duration {
     total / runs as u32
 }
 
-/// Run `f` once to warm up, then `runs` times, returning every measured
-/// duration in execution order. The latency-distribution experiments
-/// (morsel scheduler) need the samples, not just [`time_avg`]'s mean.
-pub fn time_samples<T>(runs: usize, mut f: impl FnMut() -> T) -> Vec<Duration> {
-    assert!(runs > 0);
-    let _ = f(); // warm-up
-    (0..runs)
-        .map(|_| {
-            let start = Instant::now();
-            let out = f();
-            let d = start.elapsed();
-            std::hint::black_box(out);
-            d
-        })
-        .collect()
-}
-
-/// Nearest-rank percentile (`p` in 0..=100) of unsorted duration samples.
-/// A single sample is every percentile, so smoke-sized runs stay defined.
-pub fn percentile(samples: &[Duration], p: f64) -> Option<Duration> {
-    if samples.is_empty() {
-        return None;
-    }
-    let mut sorted = samples.to_vec();
-    sorted.sort_unstable();
-    let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
-    Some(sorted[rank.clamp(1, sorted.len()) - 1])
-}
-
 /// Render a duration in the paper's seconds-with-3-significant-digits style.
 pub fn fmt_secs(d: Duration) -> String {
     let s = d.as_secs_f64();
@@ -84,25 +55,6 @@ mod tests {
         let mut count = 0;
         let _ = time_avg(5, || count += 1);
         assert_eq!(count, 6); // 1 warm-up + 5 measured
-    }
-
-    #[test]
-    fn time_samples_returns_one_duration_per_run() {
-        let mut count = 0;
-        let samples = time_samples(4, || count += 1);
-        assert_eq!(samples.len(), 4);
-        assert_eq!(count, 5); // 1 warm-up + 4 measured
-    }
-
-    #[test]
-    fn percentile_nearest_rank() {
-        assert_eq!(percentile(&[], 50.0), None);
-        let one = vec![Duration::from_millis(7)];
-        assert_eq!(percentile(&one, 50.0), Some(Duration::from_millis(7)));
-        assert_eq!(percentile(&one, 99.0), Some(Duration::from_millis(7)));
-        let samples: Vec<Duration> = (1..=100).map(Duration::from_millis).collect();
-        assert_eq!(percentile(&samples, 50.0), Some(Duration::from_millis(50)));
-        assert_eq!(percentile(&samples, 99.0), Some(Duration::from_millis(99)));
     }
 
     #[test]

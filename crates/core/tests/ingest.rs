@@ -3,10 +3,16 @@
 //! identically to the same table built once, across parallelism levels, and
 //! prepared statements must keep snapshot semantics across ingest/compact.
 
-use cohana_activity::{generate, ActivityTable, GeneratorConfig, TableBuilder, TimeBin, Timestamp};
+use cohana_activity::{
+    generate, ActivityTable, GeneratorConfig, TableBuilder, TimeBin, Timestamp, Value,
+};
+use cohana_core::naive::naive_execute;
 use cohana_core::{paper, Cohana, CohortQuery, CohortReport, EngineError, EngineOptions};
 use cohana_storage::{persist, CompressedTable, CompressionOptions};
 use std::path::PathBuf;
+
+#[path = "../../storage/tests/fixtures/mod.rs"]
+mod fixtures;
 
 const CHUNK: usize = 256;
 
@@ -253,13 +259,11 @@ fn ingest_rejects_generic_sources_and_unknown_tables() {
 
 #[test]
 fn ingest_of_v1_file_is_cleanly_rejected() {
-    // An engine can only open v2/v3 lazily, but a v2 file-backed table must
+    // An engine opens v2 files lazily, but a v2 file-backed table must
     // reject ingest with the migration hint rather than corrupting the file.
     let table = base_table();
-    let compressed =
-        CompressedTable::build(&table, CompressionOptions::with_chunk_size(CHUNK)).unwrap();
     let path = temp_path("v2-ingest.cohana");
-    std::fs::write(&path, persist::to_bytes_v2(&compressed)).unwrap();
+    std::fs::write(&path, fixtures::V2).unwrap();
     let engine = Cohana::new(EngineOptions::default());
     let handle = engine.open(&path).open().unwrap();
     let batch = split_by_time(&table, 2).remove(1);
@@ -267,6 +271,45 @@ fn ingest_of_v1_file_is_cleanly_rejected() {
     match err {
         EngineError::Storage(msg) => assert!(msg.contains("re-save"), "no migration hint: {msg}"),
         other => panic!("expected Storage(Unsupported), got {other:?}"),
+    }
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn ingest_into_a_v3_file_migrates_it_and_answers_like_naive() {
+    // The golden v3 image opened as a one-file table, then a batch of the
+    // same users' activity one observation window later: the ingest turns
+    // the file into v4 and every answer matches the naive interpreter over
+    // the fixture's own rows plus the batch.
+    let rows = persist::from_bytes(fixtures::V3).unwrap().decompress().unwrap();
+    let tidx = rows.schema().time_idx();
+    let (lo, hi) = rows.int_range(tidx).unwrap();
+    let mut later = TableBuilder::new(rows.schema().clone());
+    let mut all = TableBuilder::new(rows.schema().clone());
+    for row in rows.rows() {
+        let mut values = row.values().to_vec();
+        all.push(values.clone()).unwrap();
+        values[tidx] = Value::int(values[tidx].as_int().unwrap() + (hi - lo + 1));
+        later.push(values.clone()).unwrap();
+        all.push(values).unwrap();
+    }
+    let (later, all) = (later.finish().unwrap(), all.finish().unwrap());
+
+    let path = temp_path("v3-ingest.cohana");
+    std::fs::write(&path, fixtures::V3).unwrap();
+    let engine = Cohana::new(EngineOptions::default());
+    let handle = engine.open(&path).open().unwrap();
+    let stats = handle.ingest(&later).unwrap();
+    assert_eq!(stats.rows_appended, later.num_rows());
+    assert_eq!(&std::fs::read(&path).unwrap()[4..8], &4u32.to_le_bytes(), "still v3");
+
+    let queries = q1_to_q8(&all);
+    for parallelism in [1, 4] {
+        for (query, got) in queries.iter().zip(run_all(&engine, &queries, parallelism)) {
+            let expect = naive_execute(&all, query).expect("naive reference evaluates");
+            assert_eq!(got.rows, expect.rows, "{query:?} p={parallelism}");
+            assert_eq!(got.cohort_sizes, expect.cohort_sizes, "{query:?} p={parallelism}");
+        }
     }
     std::fs::remove_file(&path).ok();
 }

@@ -2,9 +2,10 @@
 //! benchmark queries Q1–Q8 must produce identical reports whether the table
 //! is fully resident in memory, eagerly loaded from a persisted file, or
 //! served by the lazy file-backed `ChunkSource` — at parallelism 1 and 4.
-//! Plus the headline property of the footer-indexed formats: selective
+//! Plus the headline properties of the footer-indexed formats: selective
 //! queries on a lazy source decode strictly fewer chunks than the table
-//! contains. (The full v1/v2/v3 version matrix lives in
+//! contains, and projected queries on a cold v4 file fewer columns and bytes
+//! than it holds. (The full v1–v4 version matrix lives in
 //! `version_matrix.rs`.)
 
 use cohana_activity::{generate, GeneratorConfig, Schema, TableBuilder, Timestamp, Value};
@@ -99,6 +100,42 @@ fn engine_open_file_matches_in_memory_engine() {
             let b = lazy_engine.execute(&query).unwrap();
             assert_eq!(a.rows, b.rows, "{name} p={parallelism}");
         }
+    }
+    std::fs::remove_file(&path).ok();
+}
+
+/// Each of Q1–Q8 on its own cold `FileSource` over a v4 file with chunks
+/// large enough for the codecs to pay: projection pushdown decodes fewer
+/// column segments than `arity × chunks`, the query reads fewer bytes than
+/// the file holds, and the blobs it reads decode to at least as many bytes
+/// as they occupy. Counters only, no clock.
+#[test]
+fn projection_saves_columns_and_bytes_on_a_cold_v4_file() {
+    let table = generate(&GeneratorConfig::new(200));
+    let memory =
+        CompressedTable::build(&table, CompressionOptions::with_chunk_size(16 * 1024)).unwrap();
+    let arity = memory.schema().arity();
+    let path = temp_file("projection-savings.cohana");
+    persist::write_file(&memory, &path).unwrap();
+    let file_bytes = std::fs::metadata(&path).unwrap().len();
+
+    for (name, query) in paper_queries() {
+        let lazy = Arc::new(FileSource::open(&path).unwrap());
+        run(lazy.clone(), &query, PlannerOptions::default(), 1);
+        let io = lazy.io_stats();
+        assert!(
+            io.columns_decoded < arity * lazy.num_chunks(),
+            "{name}: decoded {} columns of {arity} × {} chunks — projection pushdown never fired",
+            io.columns_decoded,
+            lazy.num_chunks()
+        );
+        assert!(io.bytes_read < file_bytes, "{name}: read {} of {file_bytes} bytes", io.bytes_read);
+        assert!(
+            io.bytes_read <= io.bytes_decompressed,
+            "{name}: decoded {} bytes from {} read",
+            io.bytes_decompressed,
+            io.bytes_read
+        );
     }
     std::fs::remove_file(&path).ok();
 }

@@ -7,7 +7,10 @@
 //! layer) — at parallelism 1 and 4, through *both* execution
 //! shapes of the session API: the eager [`Statement::execute`] and the
 //! streaming [`Statement::stream`] with its per-chunk batches merged by
-//! hand. Plus the two headline properties of the v3 refactor:
+//! hand. The v1–v3 files are the golden images of `cohana-storage`'s
+//! `tests/fixtures/`, which nothing writes any more; the v4 file is written
+//! from what they decode to. Plus the two headline properties of the v3
+//! refactor:
 //!
 //! * **projection pushdown**: a query decodes strictly fewer columns than
 //!   `arity × chunks_touched`, because unprojected columns are never read;
@@ -23,6 +26,8 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 mod common;
+#[path = "../../storage/tests/fixtures/mod.rs"]
+mod fixtures;
 
 fn temp_file(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join("cohana-version-matrix-test");
@@ -75,18 +80,19 @@ fn execute_via_stream(stmt: &Statement) -> CohortReport {
 
 #[test]
 fn q1_to_q8_identical_across_v1_v2_v3_v4_eager_and_streamed() {
-    let table = common::with_signed_sessions(&generate(&GeneratorConfig::small()));
-    let memory =
-        Arc::new(CompressedTable::build(&table, CompressionOptions::with_chunk_size(256)).unwrap());
+    // The reference is the fixture's own rows (its table can never be
+    // written again, so nothing may assume a generator still produces it).
+    let memory = Arc::new(persist::from_bytes(fixtures::V1).unwrap());
+    let table = memory.decompress().unwrap();
     assert!(memory.chunks().len() > 1, "need multiple chunks to be meaningful");
 
     let v1_path = temp_file("matrix-v1.cohana");
     let v2_path = temp_file("matrix-v2.cohana");
     let v3_path = temp_file("matrix-v3.cohana");
     let v4_path = temp_file("matrix-v4.cohana");
-    std::fs::write(&v1_path, persist::to_bytes_v1(&memory)).unwrap();
-    std::fs::write(&v2_path, persist::to_bytes_v2(&memory)).unwrap();
-    std::fs::write(&v3_path, persist::to_bytes_v3(&memory)).unwrap();
+    std::fs::write(&v1_path, fixtures::V1).unwrap();
+    std::fs::write(&v2_path, fixtures::V2).unwrap();
+    std::fs::write(&v3_path, fixtures::V3).unwrap();
     persist::write_file(&memory, &v4_path).unwrap();
 
     // v1 has no footer: eager load only.

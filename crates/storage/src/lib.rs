@@ -42,11 +42,12 @@
 //! column blob's packed-array section through the smallest of the [`codec`]
 //! module's per-blob codecs (raw / delta-then-pack / rANS) and records the
 //! choice plus the uncompressed size in the footer. v3 (raw blobs), v2
-//! (whole-chunk blobs) and v1 (eager) files stay readable.
+//! (whole-chunk blobs) and v1 (eager) files stay readable; only v4 is
+//! written.
 //!
 //! The [`ChunkSource`] trait splits "metadata for pruning" from "chunk
 //! payload": [`CompressedTable`] implements it with everything resident,
-//! while [`FileSource`] opens a v2/v3 file in O(footer) and loads + decodes
+//! while [`FileSource`] opens a v2–v4 file in O(footer) and loads + decodes
 //! individual segments on demand into a **bounded, byte-budgeted LRU
 //! cache** keyed by `(chunk, column)`. With the projection-aware
 //! [`ChunkSource::chunk_columns`], a selective query pays I/O and decode
@@ -54,7 +55,7 @@
 //!
 //! ## Incremental ingest
 //!
-//! v3 files are not build-once: [`persist::append`] grows a file in place
+//! Files are not build-once: [`persist::append`] grows a v4 file in place
 //! (new blobs after the old footer, fresh footer at the tail, dictionary
 //! growth handled by per-epoch gid remaps, returning users' chunks
 //! rewritten to preserve the one-chunk-per-user invariant),
@@ -70,6 +71,9 @@ pub mod column;
 pub mod cursor;
 pub mod dict;
 pub mod error;
+#[cfg(test)]
+#[path = "../tests/fixtures/mod.rs"]
+mod fixtures;
 pub mod persist;
 pub mod record;
 mod rewrite;

@@ -69,14 +69,10 @@
 //!
 //! # Appending
 //!
-//! v3/v4 files grow in place: [`append`] writes a batch's chunks after the
-//! old end of file and re-serializes the footer at the new tail, leaving
-//! every previously written byte untouched (old footers and superseded
-//! chunk versions become dead bytes until [`compact`] reclaims them). The
-//! file's version is preserved: appending to a v4 file codec-compresses the
-//! new blobs, appending to a v3 file keeps writing raw v3 blobs (its footer
-//! has no codec fields), and [`compact`] — which rewrites the whole file in
-//! the current format — is the migration path from v3 to v4. Dictionary
+//! v4 files grow in place: [`append`] writes a batch's chunks after the old
+//! end of file and re-serializes the footer at the new tail, leaving every
+//! previously written byte untouched (old footers and superseded chunk
+//! versions become dead bytes until [`compact`] reclaims them). Dictionary
 //! growth is recorded as per-epoch gid remaps in the footer instead of
 //! rewriting blobs; chunks holding users that reappear in a batch are
 //! rewritten so no user ever spans two chunks — spliced and re-cut in their
@@ -84,18 +80,19 @@
 //! `docs/FORMAT.md` for the exact layout and `crate::writer::TableWriter`
 //! for the batching front end.
 //!
-//! # v3, v2 and v1 compatibility
+//! # v3, v2 and v1: read, never written
 //!
-//! v3 files (raw column-addressable blobs, the pre-codec format) read
-//! identically through every path — eager, lazy, append, compact — and
-//! [`to_bytes_v3`] keeps the writer byte-for-byte. v2 files (whole-chunk
-//! blobs, footer-indexed; the PR-1 format) are supported eagerly via
-//! [`from_bytes`]/[`read_file`] and lazily via `FileSource`, which degrades
-//! to whole-chunk fetches since a v2 chunk is one blob. [`to_bytes_v2`]
-//! keeps the writer around. v1 files (a single eager header-first blob, no
-//! footer) are read by [`from_bytes`]; [`to_bytes_v1`] keeps that writer
-//! for round-trip tests and downgrades. Lazy opening requires v2+ —
-//! re-save a v1 file to migrate.
+//! [`to_bytes`] writes v4 and nothing else; the older formats are read-only.
+//! v3 files (raw column-addressable blobs, the pre-codec format) read through
+//! every path — eager, lazy, compact — and migrate on their first append:
+//! [`compact`] rewrites one as the v4 image its table builds to, and the
+//! batch is appended to that. v2 files (whole-chunk blobs, footer-indexed)
+//! are read eagerly via [`from_bytes`]/[`read_file`] and lazily via
+//! `FileSource`, which degrades to whole-chunk fetches since a v2 chunk is
+//! one blob. v1 files (a single eager header-first blob, no footer) are read
+//! by [`from_bytes`] only. Neither v1 nor v2 can grow or be compacted:
+//! load one eagerly and re-save it with [`write_file`] to migrate. The tests
+//! read golden v1–v3 images from `tests/fixtures/`.
 
 use crate::bitpack::BitPacked;
 use crate::chunk::Chunk;
@@ -122,35 +119,21 @@ const HEADER_LEN: u64 = 8;
 const TAIL_LEN: u64 = 12;
 
 /// Serialize a compressed table into the current (v4, column-addressable
-/// with per-blob codecs) format.
+/// with per-blob codecs) format — the only format this module writes.
 pub fn to_bytes(table: &CompressedTable) -> Bytes {
-    to_bytes_versioned(table, VERSION)
+    image(table).0
 }
 
-/// Serialize in the v3 column-addressable format (raw blobs, 16-byte footer
-/// blob records) — byte-identical to what the pre-v4 writer produced. Kept
-/// for round-trip tests, downgrades, and producing files readable by
-/// v3-only consumers.
-pub fn to_bytes_v3(table: &CompressedTable) -> Bytes {
-    to_bytes_versioned(table, 3)
-}
-
-fn to_bytes_versioned(table: &CompressedTable, version: u32) -> Bytes {
-    image_versioned(table, version).0
-}
-
-/// A whole v3/v4 image, plus where it put every chunk's blobs and where its
+/// A whole v4 image, plus where it put every chunk's blobs and where its
 /// footer starts.
-fn image_versioned(table: &CompressedTable, version: u32) -> (Bytes, Vec<ChunkLayout>, u64) {
-    debug_assert!(version == 3 || version == 4);
+fn image(table: &CompressedTable) -> (Bytes, Vec<ChunkLayout>, u64) {
     let mut buf = BytesMut::new();
     buf.put_u32_le(MAGIC);
-    buf.put_u32_le(version);
-    let layouts = write_blobs(&mut buf, table.chunks(), table.schema(), 0, version);
+    buf.put_u32_le(VERSION);
+    let layouts = write_blobs(&mut buf, table.chunks(), table.schema(), 0);
     let footer_start = buf.len() as u64;
     write_footer(
         &mut buf,
-        version,
         table.options().chunk_size,
         table.schema(),
         table.metas(),
@@ -169,15 +152,14 @@ fn image_versioned(table: &CompressedTable, version: u32) -> (Bytes, Vec<ChunkLa
 /// Write every chunk's blobs back-to-back into `buf`, returning their
 /// layouts with offsets shifted by `base` (the file offset `buf[0]` will
 /// land at — 0 when writing a whole image, the old file size when writing an
-/// appended region). At `version >= 4` every column blob goes through codec
-/// selection; the RLE blob is always raw (its three packed arrays carry the
-/// scan-critical user runs, decoded for every touched chunk).
+/// appended region). Every column blob goes through codec selection; the RLE
+/// blob is always raw (its three packed arrays carry the scan-critical user
+/// runs, decoded for every touched chunk).
 fn write_blobs(
     buf: &mut BytesMut,
     chunks: &[Chunk],
     schema: &Schema,
     base: u64,
-    version: u32,
 ) -> Vec<ChunkLayout> {
     let arity = schema.arity();
     let user_idx = schema.user_idx();
@@ -192,30 +174,22 @@ fn write_blobs(
                 continue;
             }
             let offset = base + buf.len() as u64;
-            let col = chunk.column_required(idx);
-            *slot = if version >= 4 {
-                let (codec, uncompressed) = write_column_blob_v4(buf, col);
-                BlobLoc { offset, len: base + buf.len() as u64 - offset, codec, uncompressed }
-            } else {
-                write_column_blob(buf, col);
-                BlobLoc::raw(offset, base + buf.len() as u64 - offset)
-            };
+            let (codec, uncompressed) = write_column_blob_v4(buf, chunk.column_required(idx));
+            *slot = BlobLoc { offset, len: base + buf.len() as u64 - offset, codec, uncompressed };
         }
         layouts.push(ChunkLayout { rle, cols });
     }
     layouts
 }
 
-/// Write a v3/v4 footer (everything between the last blob and the tail):
+/// Write a v4 footer (everything between the last blob and the tail):
 /// options + schema + global column metadata, the per-chunk index, and — for
 /// appended files — the dictionary-epoch extension. `epochs` and
 /// `chunk_epochs` must be empty or sized together (`chunk_epochs.len() ==
-/// layouts.len()`). v4 blob records additionally carry the codec tag and
-/// uncompressed size.
+/// layouts.len()`).
 #[allow(clippy::too_many_arguments)]
 fn write_footer(
     buf: &mut BytesMut,
-    version: u32,
     chunk_size: usize,
     schema: &Schema,
     metas: &[ColumnMeta],
@@ -229,10 +203,8 @@ fn write_footer(
     let write_loc = |buf: &mut BytesMut, loc: &BlobLoc| {
         buf.put_u64_le(loc.offset);
         buf.put_u64_le(loc.len);
-        if version >= 4 {
-            buf.put_u8(loc.codec.tag());
-            buf.put_u64_le(loc.uncompressed);
-        }
+        buf.put_u8(loc.codec.tag());
+        buf.put_u64_le(loc.uncompressed);
     };
     buf.put_u64_le(chunk_size as u64);
     write_schema(buf, schema);
@@ -253,8 +225,7 @@ fn write_footer(
         }
     }
     // The epoch extension is omitted entirely when every chunk is current,
-    // keeping never-appended images byte-identical to the original v3
-    // layout.
+    // keeping never-appended images byte-identical to build-once images.
     if !epochs.is_empty() {
         debug_assert_eq!(chunk_epochs.len(), layouts.len());
         buf.put_u32_le(epochs.len() as u32);
@@ -277,62 +248,6 @@ fn write_footer(
             }
         }
     }
-}
-
-/// Serialize in the v2 footer-indexed whole-chunk format (kept for
-/// round-trip tests and for producing files readable by v2-only consumers).
-pub fn to_bytes_v2(table: &CompressedTable) -> Bytes {
-    let mut buf = BytesMut::new();
-    buf.put_u32_le(MAGIC);
-    buf.put_u32_le(2);
-
-    // Chunk blobs, back-to-back; remember (offset, len) for the footer.
-    let mut locations = Vec::with_capacity(table.chunks().len());
-    for chunk in table.chunks() {
-        let offset = buf.len() as u64;
-        write_chunk(&mut buf, chunk);
-        locations.push((offset, buf.len() as u64 - offset));
-    }
-
-    // Footer.
-    let footer_start = buf.len() as u64;
-    buf.put_u64_le(table.options().chunk_size as u64);
-    write_schema(&mut buf, table.schema());
-    for meta in table.metas() {
-        write_meta(&mut buf, meta);
-    }
-    buf.put_u64_le(table.num_rows() as u64);
-    buf.put_u32_le(table.chunks().len() as u32);
-    for ((offset, len), entry) in locations.iter().zip(table.index_entries()) {
-        buf.put_u64_le(*offset);
-        buf.put_u64_le(*len);
-        write_entry_base(&mut buf, entry);
-    }
-    let footer_len = buf.len() as u64 - footer_start;
-
-    // Tail.
-    buf.put_u64_le(footer_len);
-    buf.put_u32_le(MAGIC);
-    buf.freeze()
-}
-
-/// Serialize in the legacy v1 eager format (kept for round-trip tests and
-/// for producing files readable by v1-only consumers).
-pub fn to_bytes_v1(table: &CompressedTable) -> Bytes {
-    let mut buf = BytesMut::new();
-    buf.put_u32_le(MAGIC);
-    buf.put_u32_le(1);
-    buf.put_u64_le(table.options().chunk_size as u64);
-    write_schema(&mut buf, table.schema());
-    for meta in table.metas() {
-        write_meta(&mut buf, meta);
-    }
-    buf.put_u64_le(table.num_rows() as u64);
-    buf.put_u32_le(table.chunks().len() as u32);
-    for chunk in table.chunks() {
-        write_chunk(&mut buf, chunk);
-    }
-    buf.freeze()
 }
 
 /// Deserialize a compressed table from bytes (v1–v4), materializing every
@@ -360,6 +275,11 @@ fn from_bytes_v1(mut buf: &[u8]) -> Result<CompressedTable> {
     }
     let num_rows = get_u64(&mut buf)? as usize;
     let num_chunks = get_u32(&mut buf)? as usize;
+    // Guard the chunk count before allocating: every chunk needs at least its
+    // three packed-array headers and its column count.
+    if num_chunks > buf.remaining() / 29 {
+        return Err(StorageError::Corrupt(format!("chunk count {num_chunks} overruns input")));
+    }
     let mut chunks = Vec::with_capacity(num_chunks);
     for _ in 0..num_chunks {
         chunks.push(read_chunk(&mut buf, schema.arity())?);
@@ -610,9 +530,9 @@ fn compose_remaps(a: &EpochRemaps, step: &EpochRemaps) -> Result<EpochRemaps> {
         .collect()
 }
 
-/// Extend an existing v3/v4 file **in place** with a batch of activity
-/// tuples, preserving the file's format version (v4 appends codec-compress
-/// the new blobs, v3 appends stay raw).
+/// Extend an existing v4 file **in place** with a batch of activity tuples.
+/// A v3 file is first migrated: [`compact`] rewrites it as the v4 image
+/// building its table once would give, and the batch is appended to that.
 ///
 /// The batch is encoded into chunk-sized runs against the file's
 /// dictionaries *merged* with the batch's new values; the new chunks' blobs
@@ -636,9 +556,10 @@ fn compose_remaps(a: &EpochRemaps, step: &EpochRemaps) -> Result<EpochRemaps> {
 /// predicates remain valid.
 ///
 /// v1/v2 files are rejected with [`StorageError::Unsupported`] — re-save
-/// them as v3 first. The batch must have the file's schema, and its primary
-/// keys must not collide with existing tuples: a collision is
-/// [`StorageError::Invalid`] and leaves the file untouched.
+/// them first. The batch must have the file's schema, and its primary keys
+/// must not collide with existing tuples: a collision is
+/// [`StorageError::Invalid`] and leaves the file's rows untouched (a v3 file
+/// stays migrated).
 ///
 /// Readers holding the file open (e.g. a
 /// [`FileSource`](crate::source::FileSource)) are unaffected: their footer
@@ -697,6 +618,14 @@ pub fn append_with_chunks(
             ..AppendStats::default()
         };
         return Ok((stats, WrittenChunks::default()));
+    }
+    if version == 3 {
+        // A v3 file migrates on its first growth: compaction rewrites it as
+        // its v4 build-once image (through a rename, so this handle is
+        // stale), and the batch is appended to that.
+        drop(file);
+        compact(path)?;
+        return append_with_chunks(path, batch);
     }
     let layouts = footer.layouts.as_ref().expect("v3+ footers always carry layouts").clone();
 
@@ -778,7 +707,7 @@ pub fn append_with_chunks(
         chunk_epochs.push(old_epoch_of(ci));
     }
     let mut tail_buf = BytesMut::new();
-    let new_layouts = write_blobs(&mut tail_buf, &delta, &schema, total, version);
+    let new_layouts = write_blobs(&mut tail_buf, &delta, &schema, total);
     for (layout, chunk) in new_layouts.iter().zip(&delta) {
         all_layouts.push(layout.clone());
         all_entries.push(ChunkIndexEntry::of_chunk(chunk, &schema));
@@ -789,7 +718,6 @@ pub fn append_with_chunks(
     let footer_start = total + tail_buf.len() as u64;
     write_footer(
         &mut tail_buf,
-        version,
         footer.meta.options().chunk_size,
         &schema,
         &metas,
@@ -897,7 +825,7 @@ pub fn compact_with_chunks(path: &Path) -> Result<(CompactStats, WrittenChunks)>
     require_growable(&data[..HEADER_LEN as usize], "compact")?;
     let table = from_bytes(&data)?;
     let (rebuilt, _) = rewrite::rebuild(table.table_meta(), table.chunks(), &[])?;
-    let (bytes, layouts, footer_start) = image_versioned(&rebuilt, VERSION);
+    let (bytes, layouts, footer_start) = image(&rebuilt);
     replace_file(path, "compact-tmp", &bytes)?;
 
     let stats = CompactStats {
@@ -1009,8 +937,8 @@ impl FormatInfo {
 /// tag exactly as a lazy column fetch would (blob in, range-proved
 /// [`ChunkColumn`] out), and report per-column and per-codec size and
 /// decode-time aggregates. This is the measurement backbone of the
-/// `lazy-io` and `decode/column_fetch` bench lines and doubles as a
-/// whole-file decode validation pass.
+/// `decode/column_fetch` bench lines and doubles as a whole-file decode
+/// validation pass.
 pub fn inspect(path: &Path) -> Result<FormatInfo> {
     let data = std::fs::read(path)?;
     if data.len() < HEADER_LEN as usize {
@@ -1781,8 +1709,8 @@ fn read_meta(buf: &mut &[u8]) -> Result<ColumnMeta> {
     }
 }
 
-/// The base (stats-less) fields of an index entry, shared by the v2 and v3
-/// footers.
+/// The base (stats-less) fields of an index entry, as every footer version
+/// stores them.
 fn write_entry_base(buf: &mut BytesMut, entry: &ChunkIndexEntry) {
     buf.put_u64_le(entry.num_rows);
     buf.put_u64_le(entry.num_users);
@@ -1860,33 +1788,14 @@ fn write_rle_blob(buf: &mut BytesMut, rle: &UserRle) {
     write_packed(buf, counts);
 }
 
-/// One column segment, tagged (1 = string, 2 = integer).
-fn write_column_blob(buf: &mut BytesMut, col: &ChunkColumn) {
-    match col {
-        ChunkColumn::Str { dict, codes } => {
-            buf.put_u8(1);
-            buf.put_u32_le(dict.len() as u32);
-            for gid in dict.global_ids() {
-                buf.put_u32_le(*gid);
-            }
-            write_packed(buf, codes);
-        }
-        ChunkColumn::Int { min, max, deltas } => {
-            buf.put_u8(2);
-            buf.put_u64_le(*min as u64);
-            buf.put_u64_le(*max as u64);
-            write_packed(buf, deltas);
-        }
-    }
-}
-
-/// One column segment with v4 codec selection on its packed-array section:
-/// the tag + dictionary / min-max header stays raw (it is a few bytes and
-/// the footer parser needs nothing from it), then the bit-packed array is
-/// written with whichever codec [`codec::encode_array`] picked. Returns the
-/// chosen codec and the exact length the blob would have serialized to raw
-/// (the v3 length), which the footer records as `uncompressed`. A blob
-/// whose section stays [`Codec::Raw`] is byte-identical to its v3 form.
+/// One column segment with v4 codec selection on its packed-array section
+/// (the only column-blob writer): the tag + dictionary / min-max header
+/// stays raw (it is a few bytes and the footer parser needs nothing from
+/// it), then the bit-packed array is written with whichever codec
+/// [`codec::encode_array`] picked. Returns the chosen codec and the exact
+/// length the blob would have serialized to raw (the v3 length), which the
+/// footer records as `uncompressed`. A blob whose section stays
+/// [`Codec::Raw`] is byte-identical to its v3 form.
 fn write_column_blob_v4(buf: &mut BytesMut, col: &ChunkColumn) -> (Codec, u64) {
     let (packed, header_len) = match col {
         ChunkColumn::Str { dict, codes } => {
@@ -1920,17 +1829,6 @@ fn read_column(buf: &mut &[u8]) -> Result<Option<ChunkColumn>> {
 }
 
 /// One whole chunk as a self-contained blob (the v1/v2 chunk encoding).
-fn write_chunk(buf: &mut BytesMut, chunk: &Chunk) {
-    write_rle_blob(buf, chunk.user_rle());
-    buf.put_u16_le(chunk.columns().len() as u16);
-    for col in chunk.columns() {
-        match col {
-            None => buf.put_u8(0),
-            Some(col) => write_column_blob(buf, col),
-        }
-    }
-}
-
 fn read_chunk(buf: &mut &[u8], arity: usize) -> Result<Chunk> {
     let users = read_packed(buf)?;
     let firsts = read_packed(buf)?;
@@ -1956,6 +1854,7 @@ mod range_tests;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{fixtures, test_alloc};
     use cohana_activity::{generate, GeneratorConfig, TableBuilder};
 
     fn compressed() -> CompressedTable {
@@ -1969,6 +1868,35 @@ mod tests {
     fn compressed_large() -> CompressedTable {
         let t = generate(&GeneratorConfig::new(200));
         CompressedTable::build(&t, CompressionOptions::with_chunk_size(16 * 1024)).unwrap()
+    }
+
+    /// The table the golden fixtures hold.
+    fn fixture_table() -> CompressedTable {
+        from_bytes(fixtures::V3).unwrap()
+    }
+
+    /// The fixture table in every format: the golden v1–v3 images and the
+    /// v4 image of what they decode to.
+    fn images() -> [Vec<u8>; 4] {
+        [
+            fixtures::V1.to_vec(),
+            fixtures::V2.to_vec(),
+            fixtures::V3.to_vec(),
+            to_bytes(&fixture_table()).to_vec(),
+        ]
+    }
+
+    /// A golden image declares its version, decodes, and what it decodes to
+    /// survives a v4 round trip unchanged.
+    fn assert_fixture_roundtrips(bytes: &[u8], version: u32) {
+        assert_eq!(&bytes[4..8], version.to_le_bytes());
+        let back = from_bytes(bytes).unwrap();
+        assert!(back.chunks().len() > 1 && back.num_rows() > 0, "v{version}");
+        let again = from_bytes(&to_bytes(&back)).unwrap();
+        assert_eq!(again.chunks(), back.chunks(), "v{version}");
+        assert_eq!(again.metas(), back.metas(), "v{version}");
+        assert_eq!(again.index_entries(), back.index_entries(), "v{version}");
+        assert_eq!(again.decompress().unwrap().rows(), back.decompress().unwrap().rows());
     }
 
     #[test]
@@ -1986,14 +1914,7 @@ mod tests {
 
     #[test]
     fn roundtrip_bytes_v3() {
-        let c = compressed();
-        let bytes = to_bytes_v3(&c);
-        assert_eq!(&bytes[4..8], 3u32.to_le_bytes());
-        let back = from_bytes(&bytes).unwrap();
-        assert_eq!(back.num_rows(), c.num_rows());
-        assert_eq!(back.chunks(), c.chunks());
-        assert_eq!(back.index_entries(), c.index_entries());
-        assert_eq!(back.decompress().unwrap().rows(), c.decompress().unwrap().rows());
+        assert_fixture_roundtrips(fixtures::V3, 3);
     }
 
     #[test]
@@ -2002,12 +1923,12 @@ mod tests {
         // codecs; the round trip must still reproduce the table exactly.
         let c = compressed_large();
         let v4 = to_bytes(&c);
-        let v3 = to_bytes_v3(&c);
+        let footer = parse_footer_region(&v4, VERSION).unwrap();
+        let locs = footer.layouts.iter().flatten().flat_map(|l| &l.cols);
+        let (disk, raw) = locs.fold((0, 0), |(d, r), loc| (d + loc.len, r + loc.uncompressed));
         assert!(
-            v4.len() < v3.len(),
-            "v4 image ({}) should be smaller than v3 ({}) on realistic chunks",
-            v4.len(),
-            v3.len()
+            disk < raw,
+            "v4 blobs ({disk}) should be smaller than raw ({raw}) on realistic chunks"
         );
         let back = from_bytes(&v4).unwrap();
         assert_eq!(back.chunks(), c.chunks());
@@ -2016,24 +1937,33 @@ mod tests {
 
     #[test]
     fn roundtrip_bytes_v2() {
-        let c = compressed();
-        let bytes = to_bytes_v2(&c);
-        assert_eq!(&bytes[4..8], 2u32.to_le_bytes());
-        let back = from_bytes(&bytes).unwrap();
-        assert_eq!(back.num_rows(), c.num_rows());
-        assert_eq!(back.chunks(), c.chunks());
-        assert_eq!(back.decompress().unwrap().rows(), c.decompress().unwrap().rows());
+        assert_fixture_roundtrips(fixtures::V2, 2);
     }
 
     #[test]
     fn roundtrip_bytes_v1() {
-        let c = compressed();
-        let bytes = to_bytes_v1(&c);
-        assert_eq!(&bytes[4..8], 1u32.to_le_bytes());
-        let back = from_bytes(&bytes).unwrap();
-        assert_eq!(back.num_rows(), c.num_rows());
-        assert_eq!(back.chunks(), c.chunks());
-        assert_eq!(back.decompress().unwrap().rows(), c.decompress().unwrap().rows());
+        assert_fixture_roundtrips(fixtures::V1, 1);
+    }
+
+    #[test]
+    fn v1_chunk_count_past_the_input_is_corrupt_without_allocating_it() {
+        let empty = fixtures::V1_EMPTY;
+        assert_eq!(empty.len(), 196);
+        let table = from_bytes(empty).unwrap();
+        assert_eq!((table.num_rows(), table.chunks().len()), (0, 0));
+        // The last four bytes are the chunk count: claim u32::MAX chunks
+        // with no bytes left to hold them.
+        let mut crafted = empty.to_vec();
+        let at = crafted.len() - 4;
+        crafted[at..].copy_from_slice(&u32::MAX.to_le_bytes());
+        test_alloc::reset_largest();
+        let outcome = from_bytes(&crafted);
+        let largest = test_alloc::largest();
+        assert!(largest <= 64 * 1024, "a {largest}-byte allocation for a 196-byte image");
+        match outcome {
+            Err(StorageError::Corrupt(msg)) => assert!(msg.contains("chunk count"), "{msg}"),
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
     }
 
     #[test]
@@ -2060,8 +1990,7 @@ mod tests {
 
     #[test]
     fn rejects_bad_magic() {
-        for writer in [to_bytes, to_bytes_v3, to_bytes_v2, to_bytes_v1] {
-            let mut bytes = writer(&compressed()).to_vec();
+        for mut bytes in images() {
             bytes[0] ^= 0xFF;
             assert!(matches!(from_bytes(&bytes).unwrap_err(), StorageError::Corrupt(_)));
         }
@@ -2069,8 +1998,7 @@ mod tests {
 
     #[test]
     fn rejects_bad_tail_magic() {
-        for writer in [to_bytes, to_bytes_v3, to_bytes_v2] {
-            let mut bytes = writer(&compressed()).to_vec();
+        for mut bytes in images().into_iter().skip(1) {
             let last = bytes.len() - 1;
             bytes[last] ^= 0xFF;
             assert!(matches!(from_bytes(&bytes).unwrap_err(), StorageError::Corrupt(_)));
@@ -2086,8 +2014,7 @@ mod tests {
 
     #[test]
     fn rejects_truncation_everywhere() {
-        for writer in [to_bytes, to_bytes_v3, to_bytes_v2, to_bytes_v1] {
-            let bytes = writer(&compressed()).to_vec();
+        for bytes in images() {
             // Truncating at any prefix must error, never panic.
             for cut in (0..bytes.len().min(400)).chain([bytes.len() - 1]) {
                 assert!(from_bytes(&bytes[..cut]).is_err(), "cut at {cut} should fail");
@@ -2099,8 +2026,7 @@ mod tests {
     fn rejects_trailing_garbage() {
         // v1 detects trailing bytes directly; the footered formats' tail
         // magic lands on the wrong bytes once anything is appended.
-        for writer in [to_bytes, to_bytes_v3, to_bytes_v2, to_bytes_v1] {
-            let mut bytes = writer(&compressed()).to_vec();
+        for mut bytes in images() {
             bytes.push(0);
             assert!(from_bytes(&bytes).is_err());
         }
@@ -2117,9 +2043,9 @@ mod tests {
         // `offset + len` wraps past the bound check, with the second entry
         // repaired to keep the tiling chain consistent. Must be rejected by
         // the subtraction-based bound check, never reach the slicing code.
-        let c = compressed();
+        let c = fixture_table();
         assert!(c.chunks().len() >= 2);
-        let bytes = to_bytes_v2(&c).to_vec();
+        let bytes = fixtures::V2.to_vec();
         let tail = bytes.len() - 12;
         let footer_len = u64::from_le_bytes(bytes[tail..tail + 8].try_into().unwrap()) as usize;
         let footer_start = (tail - footer_len) as u64;
@@ -2152,10 +2078,10 @@ mod tests {
         // Same attack on the v3 footer: a near-u64::MAX RLE blob length in
         // the first chunk's layout must be rejected by the subtraction-based
         // tiling check — no wrap, no huge allocation, no panic.
-        let c = compressed();
+        let c = fixture_table();
         assert!(c.chunks().len() >= 2);
         let arity = c.schema().arity();
-        let bytes = to_bytes_v3(&c).to_vec();
+        let bytes = fixtures::V3.to_vec();
         let tail = bytes.len() - 12;
         let entries_size: usize = c.index_entries().iter().map(|e| v3_entry_size(arity, e)).sum();
         let e0 = tail - entries_size;
@@ -2250,11 +2176,12 @@ mod tests {
 
     #[test]
     fn append_preserves_file_version() {
+        // v4 is the version every append writes; v3 files migrate to it
+        // (`tests/append.rs`), v1/v2 files are refused.
         let dir = std::env::temp_dir().join("cohana-persist-version-preserve");
         std::fs::create_dir_all(&dir).unwrap();
         let rows = generate(&GeneratorConfig::small());
         let (first, rest) = rows.rows().split_at(rows.rows().len() / 2);
-        let opts = CompressionOptions::with_chunk_size(256);
         let build_table = |slice: &[cohana_activity::Tuple]| {
             let mut b = TableBuilder::new(rows.schema().clone());
             for row in slice {
@@ -2262,21 +2189,16 @@ mod tests {
             }
             b.finish().unwrap()
         };
-        let tail = build_table(rest);
-        for (name, writer, expect) in
-            [("v3", to_bytes_v3 as fn(&CompressedTable) -> Bytes, 3u32), ("v4", to_bytes, 4u32)]
-        {
-            let path = dir.join(format!("table-{name}.cohana"));
-            let c = CompressedTable::build(&build_table(first), opts).unwrap();
-            std::fs::write(&path, writer(&c)).unwrap();
-            append(&path, &tail).unwrap();
-            let bytes = std::fs::read(&path).unwrap();
-            assert_eq!(&bytes[4..8], expect.to_le_bytes(), "{name} file changed version");
-            // The grown file still decodes to the full row set.
-            let back = from_bytes(&bytes).unwrap();
-            assert_eq!(back.num_rows(), rows.rows().len());
-            std::fs::remove_file(&path).ok();
-        }
+        let path = dir.join("table-v4.cohana");
+        let opts = CompressionOptions::with_chunk_size(256);
+        write_file(&CompressedTable::build(&build_table(first), opts).unwrap(), &path).unwrap();
+        append(&path, &build_table(rest)).unwrap();
+        let bytes = std::fs::read(&path).unwrap();
+        assert_eq!(&bytes[4..8], VERSION.to_le_bytes(), "v4 file changed version");
+        // The grown file still decodes to the full row set.
+        let back = from_bytes(&bytes).unwrap();
+        assert_eq!(back.num_rows(), rows.rows().len());
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]
@@ -2284,12 +2206,11 @@ mod tests {
         let dir = std::env::temp_dir().join("cohana-persist-compact-upgrade");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("table.cohana");
-        let c = compressed();
-        std::fs::write(&path, to_bytes_v3(&c)).unwrap();
+        std::fs::write(&path, fixtures::V3).unwrap();
         compact(&path).unwrap();
         let bytes = std::fs::read(&path).unwrap();
         assert_eq!(&bytes[4..8], 4u32.to_le_bytes());
-        assert_eq!(bytes, to_bytes(&c).to_vec());
+        assert_eq!(bytes, to_bytes(&fixture_table()).to_vec());
         std::fs::remove_file(&path).ok();
     }
 
@@ -2297,40 +2218,43 @@ mod tests {
     fn inspect_reports_codec_selection() {
         let dir = std::env::temp_dir().join("cohana-persist-inspect");
         std::fs::create_dir_all(&dir).unwrap();
-        let c = compressed_large();
-        let v3_path = dir.join("table-v3.cohana");
-        let v4_path = dir.join("table-v4.cohana");
-        std::fs::write(&v3_path, to_bytes_v3(&c)).unwrap();
-        std::fs::write(&v4_path, to_bytes(&c)).unwrap();
-
-        let v3 = inspect(&v3_path).unwrap();
+        let inspect_image = |name: &str, bytes: &[u8]| {
+            let path = dir.join(name);
+            std::fs::write(&path, bytes).unwrap();
+            let info = inspect(&path).unwrap();
+            std::fs::remove_file(&path).ok();
+            info
+        };
+        let c = fixture_table();
+        let v3 = inspect_image("table-v3.cohana", fixtures::V3);
         assert_eq!(v3.version, 3);
         assert_eq!(v3.num_rows, c.num_rows());
         assert_eq!(v3.compressed_bytes(), v3.uncompressed_bytes());
         assert_eq!(v3.codecs[1].blobs + v3.codecs[2].blobs, 0);
 
-        let v4 = inspect(&v4_path).unwrap();
+        // The same table as v4: its blobs decode to exactly the v3 payload
+        // and are never larger on disk.
+        let v4 = inspect_image("table-v4.cohana", &to_bytes(&c));
         assert_eq!(v4.version, 4);
         assert_eq!(v4.num_chunks, c.chunks().len());
-        // Decoded payload matches v3's raw payload exactly; the disk
-        // payload is smaller, and at least one blob chose a real codec.
         assert_eq!(v4.uncompressed_bytes(), v3.compressed_bytes());
-        assert!(v4.compressed_bytes() < v3.compressed_bytes());
-        assert!(v4.codecs[1].blobs + v4.codecs[2].blobs > 0);
-        assert!(v4.ratio() > 1.0);
+        assert!(v4.compressed_bytes() <= v3.compressed_bytes());
         for (a, b) in v4.columns.iter().zip(v3.columns.iter()) {
             assert_eq!(a.name, b.name);
             assert_eq!(a.uncompressed_bytes, b.uncompressed_bytes);
             assert!(a.compressed_bytes <= a.uncompressed_bytes);
         }
-        std::fs::remove_file(&v3_path).ok();
-        std::fs::remove_file(&v4_path).ok();
+
+        // On realistic chunks at least one blob chooses a real codec.
+        let large = inspect_image("table-large.cohana", &to_bytes(&compressed_large()));
+        assert!(large.compressed_bytes() < large.uncompressed_bytes());
+        assert!(large.codecs[1].blobs + large.codecs[2].blobs > 0);
+        assert!(large.ratio() > 1.0);
     }
 
     #[test]
     fn rejects_zero_chunk_size_footer() {
-        for writer in [to_bytes, to_bytes_v3, to_bytes_v2] {
-            let bytes = writer(&compressed()).to_vec();
+        for bytes in images().into_iter().skip(1) {
             let tail = bytes.len() - 12;
             let footer_len = u64::from_le_bytes(bytes[tail..tail + 8].try_into().unwrap()) as usize;
             let footer_start = tail - footer_len;
@@ -2342,9 +2266,7 @@ mod tests {
 
     #[test]
     fn rejects_tampered_footer_index() {
-        for writer in [to_bytes, to_bytes_v3, to_bytes_v2] {
-            let c = compressed();
-            let bytes = writer(&c).to_vec();
+        for bytes in images().into_iter().skip(1) {
             // Locate the footer and flip one byte inside it; either the
             // footer parse or the recomputed-index comparison must reject
             // the image.
@@ -2365,13 +2287,13 @@ mod tests {
 
     #[test]
     fn all_versions_decode_identically() {
-        let c = compressed();
-        let v2 = from_bytes(&to_bytes_v2(&c)).unwrap();
-        let v3 = from_bytes(&to_bytes_v3(&c)).unwrap();
-        let v4 = from_bytes(&to_bytes(&c)).unwrap();
+        let [v1, v2, v3, v4] = images().map(|bytes| from_bytes(&bytes).unwrap());
+        assert_eq!(v1.chunks(), v2.chunks());
         assert_eq!(v2.chunks(), v3.chunks());
         assert_eq!(v3.chunks(), v4.chunks());
-        assert_eq!(v2.schema(), v4.schema());
-        assert_eq!(v2.num_rows(), v4.num_rows());
+        assert_eq!(v1.metas(), v4.metas());
+        assert_eq!(v1.schema(), v4.schema());
+        assert_eq!(v1.num_rows(), v4.num_rows());
+        assert_eq!(v1.options(), v4.options());
     }
 }

@@ -21,6 +21,15 @@ fn attr_named(table: &CompressedTable, name: &str) -> usize {
     table.schema().attributes().iter().position(|a| a.name == name).expect("attribute exists")
 }
 
+/// Bytes of a column blob's raw head: the tag, then the chunk dictionary or
+/// the integer range.
+fn header_len(col: &ChunkColumn) -> usize {
+    match col {
+        ChunkColumn::Str { dict, .. } => 5 + 4 * dict.len(),
+        ChunkColumn::Int { .. } => 17,
+    }
+}
+
 /// How a crafted section is stored.
 #[derive(Debug, Clone, Copy)]
 enum Section {
@@ -39,14 +48,11 @@ fn crafted_blob(
     section: Section,
 ) -> (Vec<u8>, Codec, u64) {
     let col = table.chunks()[0].column_required(attr);
-    // The column's real header is the head of its raw blob.
-    let header_len = match col {
-        ChunkColumn::Str { dict, .. } => 5 + 4 * dict.len(),
-        ChunkColumn::Int { .. } => 17,
-    };
-    let mut raw = BytesMut::new();
-    write_column_blob(&mut raw, col);
-    let mut blob = raw[..header_len].to_vec();
+    // The column's real header is the head of its blob.
+    let header_len = header_len(col);
+    let mut written = BytesMut::new();
+    write_column_blob_v4(&mut written, col);
+    let mut blob = written[..header_len].to_vec();
     let listed = match section {
         Section::AnsListingUnused(sym) => sym as u64,
         Section::Coded(_) => 0,
@@ -70,20 +76,19 @@ fn crafted_blob(
     (blob, codec, uncompressed)
 }
 
-/// `table` serialized at `version` with chunk 0's `attr` blob swapped for
-/// a crafted one; every other byte, and the whole footer apart from that
-/// blob's record, is what the writer produces.
+/// `table` serialized with chunk 0's `attr` blob swapped for a crafted one;
+/// every other byte, and the whole footer apart from that blob's record, is
+/// what the writer produces.
 fn image_with_blob(
     table: &CompressedTable,
-    version: u32,
     attr: usize,
     (blob, codec, uncompressed): (Vec<u8>, Codec, u64),
 ) -> Vec<u8> {
     let schema = table.schema();
     let mut head = BytesMut::new();
     head.put_u32_le(MAGIC);
-    head.put_u32_le(version);
-    let mut layouts = write_blobs(&mut head, &table.chunks()[..1], schema, 0, version);
+    head.put_u32_le(VERSION);
+    let mut layouts = write_blobs(&mut head, &table.chunks()[..1], schema, 0);
     let old = layouts[0].cols[attr];
     let mut bytes = head[..old.offset as usize].to_vec();
     bytes.extend_from_slice(&blob);
@@ -96,18 +101,11 @@ fn image_with_blob(
         }
     }
     let mut rest = BytesMut::new();
-    layouts.extend(write_blobs(
-        &mut rest,
-        &table.chunks()[1..],
-        schema,
-        bytes.len() as u64,
-        version,
-    ));
+    layouts.extend(write_blobs(&mut rest, &table.chunks()[1..], schema, bytes.len() as u64));
     bytes.extend_from_slice(&rest);
     let mut footer = BytesMut::new();
     write_footer(
         &mut footer,
-        version,
         table.options().chunk_size,
         schema,
         table.metas(),
@@ -164,27 +162,18 @@ fn codes_with(table: &CompressedTable, attr: usize, bad: u64) -> Vec<u64> {
 fn str_code_equal_to_dict_len_is_refused_on_every_path() {
     let t = table();
     // `action` is what real files store under ANS, `country` under delta.
-    for (version, name, codec) in [
-        (3, "action", Codec::Raw),
-        (4, "action", Codec::Raw),
-        (4, "country", Codec::Delta),
-        (4, "action", Codec::Ans),
-    ] {
+    for (name, codec) in [("action", Codec::Raw), ("country", Codec::Delta), ("action", Codec::Ans)]
+    {
         let attr = attr_named(&t, name);
         let dict_len = t.chunks()[0].column_required(attr).dict().unwrap().len() as u64;
-        let tag = format!("str-v{version}-{}", codec.name());
+        let tag = format!("str-{}", codec.name());
         // One past the last valid code is refused ...
         let blob = crafted_blob(&t, attr, &codes_with(&t, attr, dict_len), Section::Coded(codec));
-        assert_all_refuse(
-            &image_with_blob(&t, version, attr, blob),
-            attr,
-            "code out of range",
-            &tag,
-        );
+        assert_all_refuse(&image_with_blob(&t, attr, blob), attr, "code out of range", &tag);
         // ... the last valid code, through the same crafting, is not.
         let blob =
             crafted_blob(&t, attr, &codes_with(&t, attr, dict_len - 1), Section::Coded(codec));
-        for outcome in read_paths(&image_with_blob(&t, version, attr, blob), attr, &tag) {
+        for outcome in read_paths(&image_with_blob(&t, attr, blob), attr, &tag) {
             outcome.unwrap_or_else(|e| panic!("{tag}: in-range code refused: {e}"));
         }
     }
@@ -194,25 +183,15 @@ fn str_code_equal_to_dict_len_is_refused_on_every_path() {
 fn int_delta_past_the_chunk_range_is_refused_on_every_path() {
     let t = table();
     // `time` is what real files store under delta, `gold` under ANS.
-    for (version, name, codec) in [
-        (3, "gold", Codec::Raw),
-        (4, "gold", Codec::Raw),
-        (4, "time", Codec::Delta),
-        (4, "gold", Codec::Ans),
-    ] {
+    for (name, codec) in [("gold", Codec::Raw), ("time", Codec::Delta), ("gold", Codec::Ans)] {
         let attr = attr_named(&t, name);
         let (min, max) = t.chunks()[0].column_required(attr).int_range().unwrap();
         let span = (max - min) as u64;
-        let tag = format!("int-v{version}-{}", codec.name());
+        let tag = format!("int-{}", codec.name());
         let blob = crafted_blob(&t, attr, &codes_with(&t, attr, span + 1), Section::Coded(codec));
-        assert_all_refuse(
-            &image_with_blob(&t, version, attr, blob),
-            attr,
-            "delta out of range",
-            &tag,
-        );
+        assert_all_refuse(&image_with_blob(&t, attr, blob), attr, "delta out of range", &tag);
         let blob = crafted_blob(&t, attr, &codes_with(&t, attr, span), Section::Coded(codec));
-        for outcome in read_paths(&image_with_blob(&t, version, attr, blob), attr, &tag) {
+        for outcome in read_paths(&image_with_blob(&t, attr, blob), attr, &tag) {
             outcome.unwrap_or_else(|e| panic!("{tag}: in-range delta refused: {e}"));
         }
     }
@@ -232,7 +211,7 @@ fn ans_symbol_listed_but_never_produced_is_accepted_on_every_path() {
         };
         let values = col.packed().to_vec();
         let section = Section::AnsListingUnused(limit as u16 + 3);
-        let bytes = image_with_blob(&t, 4, attr, crafted_blob(&t, attr, &values, section));
+        let bytes = image_with_blob(&t, attr, crafted_blob(&t, attr, &values, section));
         for outcome in read_paths(&bytes, attr, tag) {
             outcome.unwrap_or_else(|e| panic!("{tag}: unused table symbol refused: {e}"));
         }
@@ -280,9 +259,14 @@ fn real_blobs() -> Vec<(Vec<u8>, BlobLoc)> {
     }
     if found.iter().all(|(_, loc)| loc.codec != Codec::Raw) {
         // Every column of a chunk this size compresses; the raw form of
-        // one of them is still what a v3 file (or a tie) stores.
+        // one of them (its header, then its packed array as is) is still
+        // what a v3 file (or a tie) stores.
+        let col = chunk.columns().iter().flatten().next().unwrap();
+        let mut written = BytesMut::new();
+        write_column_blob_v4(&mut written, col);
         let mut buf = BytesMut::new();
-        write_column_blob(&mut buf, chunk.columns().iter().flatten().next().unwrap());
+        buf.put_slice(&written[..header_len(col)]);
+        write_packed(&mut buf, col.packed());
         let loc = BlobLoc::raw(0, buf.len() as u64);
         found.push((buf.to_vec(), loc));
     }

@@ -985,12 +985,18 @@ impl ChunkSource for FileSource {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fixtures;
     use crate::table::CompressionOptions;
     use cohana_activity::{generate, GeneratorConfig};
 
     fn compressed() -> CompressedTable {
         let t = generate(&GeneratorConfig::small());
         CompressedTable::build(&t, CompressionOptions::with_chunk_size(256)).unwrap()
+    }
+
+    /// The table the golden v1–v3 images hold.
+    fn fixture_table() -> CompressedTable {
+        persist::from_bytes(fixtures::V3).unwrap()
     }
 
     fn temp_path(name: &str) -> PathBuf {
@@ -1151,9 +1157,9 @@ mod tests {
 
     #[test]
     fn v2_file_source_degrades_to_whole_chunk_fetch() {
-        let c = compressed();
+        let c = fixture_table();
         let path = temp_path("lazy-v2.cohana");
-        std::fs::write(&path, persist::to_bytes_v2(&c)).unwrap();
+        std::fs::write(&path, fixtures::V2).unwrap();
 
         let src = FileSource::open(&path).unwrap();
         assert!(!src.is_column_addressable());
@@ -1177,13 +1183,12 @@ mod tests {
 
     #[test]
     fn cache_respects_byte_budget_for_both_versions() {
-        let c = compressed();
-        for (name, bytes) in [
-            ("budget-v3.cohana", persist::to_bytes(&c)),
-            ("budget-v2.cohana", persist::to_bytes_v2(&c)),
-        ] {
+        let c = fixture_table();
+        for (name, bytes) in
+            [("budget-v4.cohana", &persist::to_bytes(&c)[..]), ("budget-v2.cohana", fixtures::V2)]
+        {
             let path = temp_path(name);
-            std::fs::write(&path, &bytes).unwrap();
+            std::fs::write(&path, bytes).unwrap();
             // A budget far smaller than the table forces constant eviction.
             let budget = 2 * 1024;
             let src = FileSource::open_with_budget(&path, budget).unwrap();
@@ -1220,9 +1225,9 @@ mod tests {
 
     #[test]
     fn file_source_rejects_v1_files() {
-        let c = compressed();
+        let c = fixture_table();
         let path = temp_path("v1.cohana");
-        std::fs::write(&path, persist::to_bytes_v1(&c)).unwrap();
+        std::fs::write(&path, fixtures::V1).unwrap();
         assert!(matches!(FileSource::open(&path).unwrap_err(), StorageError::Unsupported(_)));
         // Eager loading still understands v1.
         assert_eq!(persist::read_file(&path).unwrap().num_rows(), c.num_rows());

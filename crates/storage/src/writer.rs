@@ -6,8 +6,8 @@
 //! [`ActivityTable`] batches (which arrive in arbitrary interleavings as
 //! live traffic), re-sorts them into the paper's §3 `(user, time, action)`
 //! primary order, and encodes them into chunk-sized runs — either as a fresh
-//! standalone table ([`TableWriter::build`]) or appended onto an existing v3
-//! file ([`TableWriter::append_to`], which drives
+//! standalone table ([`TableWriter::build`]) or appended onto an existing v4
+//! file, a v3 one migrating first ([`TableWriter::append_to`], which drives
 //! [`persist::append`]). Buffering several batches
 //! before flushing amortizes the per-append footer rewrite and produces
 //! fuller chunks.
@@ -83,9 +83,9 @@ impl TableWriter {
         CompressedTable::build(&table, options)
     }
 
-    /// Drain the buffer and append it onto an existing v3 file (see
-    /// [`persist::append`] for the on-disk mechanics, dictionary epochs, and
-    /// the returning-user rewrite).
+    /// Drain the buffer and append it onto an existing v4 file, migrating a
+    /// v3 one first (see [`persist::append`] for the on-disk mechanics,
+    /// dictionary epochs, and the returning-user rewrite).
     pub fn append_to(&mut self, path: &Path) -> Result<AppendStats> {
         let batch = self.take_batch()?;
         persist::append(path, &batch)

@@ -1,5 +1,5 @@
 //! Integration tests for incremental ingest at the storage layer: appending
-//! batches to v3/v4 files (preserving each file's format version),
+//! batches to v4 files (a v3 file migrates to v4 on its first append),
 //! dictionary-epoch remapping, warm snapshots over what a write produced,
 //! and compaction.
 
@@ -11,6 +11,9 @@ use cohana_storage::{
 use proptest::prelude::*;
 use std::path::PathBuf;
 
+mod fixtures;
+
+/// The chunk size of every table here, the golden images' included.
 const CHUNK: usize = 256;
 
 fn temp_path(name: &str) -> PathBuf {
@@ -55,7 +58,7 @@ fn split_by_time(table: &ActivityTable, k: usize) -> Vec<ActivityTable> {
         .collect()
 }
 
-/// Write the first batch as a fresh v3 file, append the rest, and return the
+/// Write the first batch as a fresh file, append the rest, and return the
 /// path plus the per-append stats.
 fn build_by_appends(name: &str, batches: &[ActivityTable]) -> (PathBuf, Vec<persist::AppendStats>) {
     let path = temp_path(name);
@@ -170,13 +173,9 @@ fn empty_batch_append_is_a_noop() {
 #[test]
 fn append_rejects_v1_and_v2_files() {
     let table = base_table();
-    let c = CompressedTable::build(&table, CompressionOptions::with_chunk_size(CHUNK)).unwrap();
-    for (name, bytes) in [
-        ("reject-v1.cohana", persist::to_bytes_v1(&c)),
-        ("reject-v2.cohana", persist::to_bytes_v2(&c)),
-    ] {
+    for (name, bytes) in [("reject-v1.cohana", fixtures::V1), ("reject-v2.cohana", fixtures::V2)] {
         let path = temp_path(name);
-        std::fs::write(&path, &bytes).unwrap();
+        std::fs::write(&path, bytes).unwrap();
         let before = std::fs::read(&path).unwrap();
         let err = persist::append(&path, &table).unwrap_err();
         match &err {
@@ -432,55 +431,81 @@ fn compact_reclaims_dead_bytes_and_restores_build_once_image() {
     std::fs::remove_file(&path).ok();
 }
 
-#[test]
-fn v3_files_grow_in_v3_and_compact_migrates_them_to_v4() {
-    let table = base_table();
-    let batches = split_by_time(&table, 3);
-    let path = temp_path("v3-migrate.cohana");
-    let first =
-        CompressedTable::build(&batches[0], CompressionOptions::with_chunk_size(CHUNK)).unwrap();
-    std::fs::write(&path, persist::to_bytes_v3(&first)).unwrap();
-
-    // Appends keep the file in its own version: new blobs are written raw
-    // and the grown file still opens as v3.
-    for b in &batches[1..] {
-        persist::append(&path, b).unwrap();
-        assert_eq!(&std::fs::read(&path).unwrap()[4..8], 3u32.to_le_bytes());
+/// The golden images' rows, and `k` time slices of new activity by the same
+/// users one observation window later: every user returns, so every append
+/// rewrites chunks.
+fn fixture_and_later_slices(k: usize) -> (ActivityTable, Vec<ActivityTable>) {
+    let rows = persist::from_bytes(fixtures::V3).unwrap().decompress().unwrap();
+    let tidx = rows.schema().time_idx();
+    let (lo, hi) = rows.int_range(tidx).unwrap();
+    let mut later = TableBuilder::new(rows.schema().clone());
+    for row in rows.rows() {
+        let mut values = row.values().to_vec();
+        values[tidx] = Value::int(values[tidx].as_int().unwrap() + (hi - lo + 1));
+        later.push(values).unwrap();
     }
-    let eager = persist::read_file(&path).unwrap();
-    assert_eq!(eager.decompress().unwrap().rows(), table.rows());
+    (rows, split_by_time(&later.finish().unwrap(), k))
+}
 
-    // Compact rewrites in the current version — the v3 → v4 migration path
-    // — and lands on the exact v4 build-once image.
-    persist::compact(&path).unwrap();
+/// One table holding the rows of all of `tables`.
+fn union(tables: &[&ActivityTable]) -> ActivityTable {
+    let mut b = TableBuilder::new(tables[0].schema().clone());
+    for row in tables.iter().flat_map(|t| t.rows()) {
+        b.push(row.values().to_vec()).unwrap();
+    }
+    b.finish().unwrap()
+}
+
+#[test]
+fn v3_files_migrate_to_v4_on_their_first_append() {
+    let (rows, batches) = fixture_and_later_slices(2);
+    let path = temp_path("v3-migrate.cohana");
+    std::fs::write(&path, fixtures::V3).unwrap();
+
+    // An empty batch writes nothing, so the file stays v3.
+    let empty = TableBuilder::new(rows.schema().clone()).finish().unwrap();
+    persist::append(&path, &empty).unwrap();
+    assert_eq!(std::fs::read(&path).unwrap(), fixtures::V3);
+
+    // A real one compacts the file into its v4 build-once image and grows
+    // that: the file is v4 and holds the fixture rows plus the batch.
+    let stats = persist::append(&path, &batches[0]).unwrap();
+    assert_eq!(stats.rows_appended, batches[0].num_rows());
+    assert!(stats.chunks_rewritten > 0, "every fixture user returns");
     let bytes = std::fs::read(&path).unwrap();
     assert_eq!(&bytes[4..8], 4u32.to_le_bytes());
-    let once = CompressedTable::build(&table, CompressionOptions::with_chunk_size(CHUNK)).unwrap();
-    assert_eq!(bytes, persist::to_bytes(&once).to_vec());
+    let grown = union(&[&rows, &batches[0]]);
+    assert_eq!(persist::from_bytes(&bytes).unwrap().decompress().unwrap().rows(), grown.rows());
+
+    // Compacting it lands on the exact build-once image of those rows.
+    persist::compact(&path).unwrap();
+    let once = CompressedTable::build(&grown, CompressionOptions::with_chunk_size(CHUNK)).unwrap();
+    assert_eq!(std::fs::read(&path).unwrap(), persist::to_bytes(&once).to_vec());
     std::fs::remove_file(&path).ok();
 }
 
 #[test]
 fn v4_appends_match_v3_appends_decoded() {
-    // The same batch sequence ingested into a v3 and a v4 file must decode
-    // to identical chunks — the codec layer changes bytes on disk, never
-    // the decoded table.
-    let table = base_table();
-    let batches = split_by_time(&table, 3);
-    let first =
-        CompressedTable::build(&batches[0], CompressionOptions::with_chunk_size(CHUNK)).unwrap();
+    // The same batches appended to the v3 fixture and to the v4 image of its
+    // table give the same file, byte for byte: the v3 file's migration is
+    // that v4 image.
+    let (rows, batches) = fixture_and_later_slices(3);
     let v3_path = temp_path("parity-v3.cohana");
     let v4_path = temp_path("parity-v4.cohana");
-    std::fs::write(&v3_path, persist::to_bytes_v3(&first)).unwrap();
-    std::fs::write(&v4_path, persist::to_bytes(&first)).unwrap();
-    for b in &batches[1..] {
+    std::fs::write(&v3_path, fixtures::V3).unwrap();
+    let v4_image = persist::to_bytes(&persist::from_bytes(fixtures::V3).unwrap());
+    std::fs::write(&v4_path, &v4_image).unwrap();
+    for b in &batches {
         persist::append(&v3_path, b).unwrap();
         persist::append(&v4_path, b).unwrap();
     }
+    assert_eq!(std::fs::read(&v3_path).unwrap(), std::fs::read(&v4_path).unwrap());
     let v3 = persist::read_file(&v3_path).unwrap();
     let v4 = persist::read_file(&v4_path).unwrap();
     assert_eq!(v3.chunks(), v4.chunks());
     assert_eq!(v3.metas(), v4.metas());
+    let all: Vec<&ActivityTable> = std::iter::once(&rows).chain(&batches).collect();
+    assert_eq!(v4.decompress().unwrap().rows(), union(&all).rows());
     std::fs::remove_file(&v3_path).ok();
     std::fs::remove_file(&v4_path).ok();
 }
@@ -594,8 +619,8 @@ proptest! {
     /// Any way of cutting a table into a first build and K appends — new
     /// users, returning users whose tuples arrive later, earlier or
     /// interleaved, equal times that differ only in action — decodes to the
-    /// rows of building the union once, chunk bound intact, in v3 and v4; and
-    /// compacting it gives the build-once image byte for byte.
+    /// rows of building the union once, chunk bound intact; and compacting it
+    /// gives the build-once image byte for byte.
     #[test]
     fn any_batch_sequence_appends_to_the_build_once_table(
         events in events(5),
@@ -614,34 +639,31 @@ proptest! {
             .collect();
 
         let first = CompressedTable::build(&batches[0], options).unwrap();
-        for (version, image) in [(3u32, persist::to_bytes_v3(&first)), (4, persist::to_bytes(&first))] {
-            let path = temp_path(&format!("prop-v{version}.cohana"));
-            std::fs::write(&path, &image).unwrap();
-            let mut rows = batches[0].num_rows();
-            for batch in &batches[1..] {
-                let stats = persist::append(&path, batch).unwrap();
-                rows += batch.num_rows();
-                prop_assert_eq!(stats.rows_appended, batch.num_rows());
-                let grown = persist::read_file(&path).unwrap();
-                prop_assert_eq!(grown.num_rows(), rows);
-                prop_assert_eq!(grown.chunks().len(), stats.chunks_after);
-                assert_chunk_bound(&grown, chunk_size);
-                grown.validate_consistency().unwrap();
-            }
-            prop_assert_eq!(&std::fs::read(&path).unwrap()[4..8], &version.to_le_bytes());
-            let appended = persist::read_file(&path).unwrap();
-            prop_assert_eq!(appended.decompress().unwrap().rows(), union.rows());
-
-            // A tuple already in the file is refused, whichever batch
-            // brought it, and the refusal writes nothing.
-            let image = std::fs::read(&path).unwrap();
-            let again = batches.iter().rev().find(|b| !b.is_empty()).unwrap();
-            prop_assert!(matches!(persist::append(&path, again), Err(StorageError::Invalid(_))));
-            prop_assert_eq!(&std::fs::read(&path).unwrap(), &image);
-
-            persist::compact(&path).unwrap();
-            prop_assert_eq!(&std::fs::read(&path).unwrap(), &once.to_vec());
-            std::fs::remove_file(&path).ok();
+        let path = temp_path("prop.cohana");
+        persist::write_file(&first, &path).unwrap();
+        let mut rows = batches[0].num_rows();
+        for batch in &batches[1..] {
+            let stats = persist::append(&path, batch).unwrap();
+            rows += batch.num_rows();
+            prop_assert_eq!(stats.rows_appended, batch.num_rows());
+            let grown = persist::read_file(&path).unwrap();
+            prop_assert_eq!(grown.num_rows(), rows);
+            prop_assert_eq!(grown.chunks().len(), stats.chunks_after);
+            assert_chunk_bound(&grown, chunk_size);
+            grown.validate_consistency().unwrap();
         }
+        let appended = persist::read_file(&path).unwrap();
+        prop_assert_eq!(appended.decompress().unwrap().rows(), union.rows());
+
+        // A tuple already in the file is refused, whichever batch brought
+        // it, and the refusal writes nothing.
+        let image = std::fs::read(&path).unwrap();
+        let again = batches.iter().rev().find(|b| !b.is_empty()).unwrap();
+        prop_assert!(matches!(persist::append(&path, again), Err(StorageError::Invalid(_))));
+        prop_assert_eq!(&std::fs::read(&path).unwrap(), &image);
+
+        persist::compact(&path).unwrap();
+        prop_assert_eq!(&std::fs::read(&path).unwrap(), &once.to_vec());
+        std::fs::remove_file(&path).ok();
     }
 }

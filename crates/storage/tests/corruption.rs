@@ -3,30 +3,32 @@
 //! the legacy v1 eager blobs, the v2 whole-chunk footer-indexed format, and
 //! the v3/v4 column-addressable formats (v4 adds per-blob codec tags and
 //! uncompressed lengths), on both the eager (`from_bytes`) and lazy
-//! (`FileSource`, whole-chunk and projected per-column) read paths.
+//! (`FileSource`, whole-chunk and projected per-column) read paths. The
+//! v1–v3 images are the golden ones in `fixtures/`.
 
 use cohana_activity::{generate, GeneratorConfig};
 use cohana_storage::codec::encode_section;
-use cohana_storage::persist::{from_bytes, to_bytes, to_bytes_v1, to_bytes_v2, to_bytes_v3};
+use cohana_storage::persist::{from_bytes, to_bytes};
 use cohana_storage::{
     ChunkColumn, ChunkSource, Codec, CompressedTable, CompressionOptions, FileSource, StorageError,
 };
 use proptest::prelude::*;
 
+mod fixtures;
+
+/// The table the golden images hold.
 fn compressed() -> CompressedTable {
-    let t = generate(&GeneratorConfig::small());
-    CompressedTable::build(&t, CompressionOptions::with_chunk_size(256)).unwrap()
+    from_bytes(fixtures::V3).unwrap()
 }
 
-/// A serialized image in the requested format version.
+/// The table's image in the requested format version.
 fn image(version: u32) -> Vec<u8> {
-    let c = compressed();
     match version {
-        1 => to_bytes_v1(&c).to_vec(),
-        2 => to_bytes_v2(&c).to_vec(),
-        3 => to_bytes_v3(&c).to_vec(),
-        4 => to_bytes(&c).to_vec(),
-        v => panic!("no writer for version {v}"),
+        1 => fixtures::V1.to_vec(),
+        2 => fixtures::V2.to_vec(),
+        3 => fixtures::V3.to_vec(),
+        4 => to_bytes(&compressed()).to_vec(),
+        v => panic!("no image for version {v}"),
     }
 }
 

@@ -7,7 +7,7 @@
 
 use cohana::engine::paper;
 use cohana::prelude::*;
-use cohana::relational::{ColEngine, RowEngine};
+use cohana_relational::{ColEngine, RowEngine};
 use std::time::Instant;
 
 fn main() {

@@ -16,9 +16,6 @@
 //! * [`engine`] — the cohort algebra, planner, and physical operators,
 //! * [`sql`] — the extended SQL front end (`BIRTH FROM`, `AGE ACTIVITIES
 //!   IN`, `COHORT BY`),
-//! * [`relational`] — the row/columnar relational baselines (the paper's
-//!   Postgres / MonetDB stand-ins) with SQL- and materialized-view-based
-//!   cohort evaluation,
 //! * [`server`] — the concurrent TCP serving layer (`cohana-serve`) and its
 //!   blocking client, with admission control and streaming results.
 //!
@@ -48,7 +45,6 @@
 
 pub use cohana_activity as activity;
 pub use cohana_core as engine;
-pub use cohana_relational as relational;
 pub use cohana_server as server;
 pub use cohana_sql as sql;
 pub use cohana_storage as storage;

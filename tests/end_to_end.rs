@@ -5,9 +5,9 @@
 use cohana::engine::naive::naive_execute;
 use cohana::engine::{paper, EngineOptions};
 use cohana::prelude::*;
-use cohana::relational::{ColEngine, RowEngine};
 use cohana::sql::SqlExt;
 use cohana::storage::persist;
+use cohana_relational::{ColEngine, RowEngine};
 
 #[test]
 fn full_pipeline_csv_persist_sql() {

@@ -10,8 +10,8 @@ use cohana::engine::{
     ReportAssembler, Statement, WireBatch,
 };
 use cohana::prelude::*;
-use cohana::relational::{ColEngine, RowEngine};
 use cohana_activity::{Schema, TableBuilder};
+use cohana_relational::{ColEngine, RowEngine};
 use proptest::prelude::*;
 use std::sync::Arc;
 
