@@ -178,8 +178,8 @@ impl GeneratorConfig {
     /// Heavily skewed dataset: `num_users` ordinary users plus one "whale"
     /// user holding ~50% of all rows. Since chunking never splits a user,
     /// one chunk ends up with about half the table — the worst case for
-    /// static per-chunk work division, which the version-matrix suite runs
-    /// the morsel scheduler against.
+    /// per-chunk work division, which the version-matrix suite runs the
+    /// chunk-parallel workers against.
     pub fn skewed(num_users: usize) -> Self {
         GeneratorConfig { whale_row_share: 0.5, ..GeneratorConfig::new(num_users) }
     }

@@ -18,7 +18,7 @@
 //! The `cohana-bench` binary drives them (`cohana-bench --exp fig11`), and
 //! the `benches/` directory holds criterion microbenchmark versions of the
 //! same measurements at fixed small scales. What the engine adds beyond the
-//! paper (lazy file I/O, codecs, ingest, serving, the morsel scheduler) is
+//! paper (lazy file I/O, codecs, ingest, serving, parallel workers) is
 //! measured by the repository benchmark in `benchmark/`, not here.
 //!
 //! Absolute times differ from the paper's testbed; the harness is about

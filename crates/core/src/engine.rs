@@ -19,11 +19,6 @@ use std::collections::HashMap;
 use std::path::Path;
 use std::sync::{Arc, RwLock};
 
-/// Default target rows per work-stealing morsel: large enough that decode
-/// and scheduling amortize, small enough that a skewed chunk splits across
-/// workers.
-pub const DEFAULT_MORSEL_ROWS: usize = 16 * 1024;
-
 /// Engine-level options.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EngineOptions {
@@ -32,18 +27,11 @@ pub struct EngineOptions {
     /// Worker threads for chunk-parallel execution (1 = serial, matching the
     /// paper's single-stream measurements).
     pub parallelism: usize,
-    /// Target rows per morsel — the unit of work the morsel-driven scheduler
-    /// hands to (and steals between) workers.
-    pub morsel_rows: usize,
 }
 
 impl Default for EngineOptions {
     fn default() -> Self {
-        EngineOptions {
-            planner: PlannerOptions::default(),
-            parallelism: 1,
-            morsel_rows: DEFAULT_MORSEL_ROWS,
-        }
+        EngineOptions { planner: PlannerOptions::default(), parallelism: 1 }
     }
 }
 

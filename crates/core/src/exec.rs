@@ -7,10 +7,12 @@
 //! the plan, the compiled `ExecContext`) and turns one chunk into one
 //! [`ResultBatch`] on demand; the public [`QueryStream`](crate::QueryStream)
 //! drives it either serially (one chunk per pull — a consumer that stops
-//! pulling stops chunk decode) or with worker threads feeding a bounded
-//! channel. Per chunk the executor fuses Algorithm 1 (birth selection), the
-//! age selection, and Algorithm 2 (cohort aggregation) into a single pass
-//! over user blocks:
+//! pulling stops chunk decode) or with worker threads that each claim whole
+//! chunks and feed their batches into a bounded channel. The chunk is the
+//! unit of parallel work, and both paths run the same `QueryCore::run_chunk`.
+//! Per chunk the executor fuses Algorithm 1 (birth selection), the age
+//! selection, and Algorithm 2 (cohort aggregation) into a single pass over
+//! user blocks:
 //!
 //! 1. **chunk pruning** — skip the chunk if the birth action is absent from
 //!    its action chunk-dictionary, or if the birth predicate's time bounds
@@ -76,7 +78,7 @@ use cohana_storage::{
 };
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex, OnceLock};
+use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
@@ -86,14 +88,14 @@ use std::time::Instant;
 /// wider is refused rather than allocated for.
 const MAX_AGE_UNITS: i64 = 1 << 20;
 
+/// Target rows per user-block morsel, the tile [`QueryCore::run_chunk`]
+/// walks a chunk in: it bounds the processor's batch buffers, and
+/// `morsels_executed` counts the tiles.
+const MORSEL_ROWS: usize = 16 * 1024;
+
 /// Encoded cohort key: one `u64` per cohort attribute (global id for
 /// strings, bit-cast `i64` for integers and binned birth times).
 type Key = Vec<u64>;
-
-/// Return bundle of [`ExecCore::spawn_workers`]: the result receiver, the
-/// worker join handles, and one busy-nanoseconds counter per worker.
-pub(crate) type SpawnedWorkers =
-    (mpsc::Receiver<Result<ResultBatch, EngineError>>, Vec<JoinHandle<()>>, Arc<Vec<AtomicU64>>);
 
 /// How one cohort attribute is extracted from a birth tuple.
 #[derive(Debug, Clone, Copy)]
@@ -250,15 +252,24 @@ impl QueryCore {
 
     /// Run the fused per-chunk pass over one chunk, fetching it through the
     /// projection-aware [`ChunkSource::chunk_columns`] so a
-    /// column-addressable (v3) source reads and decodes only the columns the
-    /// query names. The chunk is processed morsel by morsel (same ranges the
-    /// parallel scheduler would hand out), which both bounds the scratch
-    /// buffers and makes `morsels_executed` meaningful on the serial path.
+    /// column-addressable source reads and decodes only the columns the
+    /// query names. The chunk is processed morsel by morsel, which bounds
+    /// the scratch buffers. The chunk's I/O is credited to `recorder` — so
+    /// it lands on exactly this query, however many queries share the
+    /// source — and its run time is added to `busy`.
     pub(crate) fn run_chunk(
         &self,
         idx: usize,
-        morsel_rows: usize,
+        recorder: &Arc<IoRecorder>,
+        busy: &AtomicU64,
     ) -> Result<ResultBatch, EngineError> {
+        let started = Instant::now();
+        let batch = with_recorder(recorder, || self.scan_chunk(idx));
+        busy.fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        batch
+    }
+
+    fn scan_chunk(&self, idx: usize) -> Result<ResultBatch, EngineError> {
         let chunk = self.source.chunk_columns(idx, &self.plan.projected_idxs)?;
         let mut proc = RunProcessor::new(self.source.table_meta(), &chunk, &self.plan, &self.ctx)?;
         if proc.skip_chunk {
@@ -270,7 +281,7 @@ impl QueryCore {
                 partial: Box::new(self.merger()),
             });
         }
-        let morsels = chunk.morsel_run_ranges(morsel_rows);
+        let morsels = chunk.morsel_run_ranges(MORSEL_ROWS);
         for &(lo, hi) in &morsels {
             proc.process_runs(lo, hi);
         }
@@ -282,71 +293,46 @@ impl QueryCore {
         })
     }
 
-    /// Spawn `workers` threads running the **morsel-driven work-stealing
-    /// scheduler**: chunks are claimed dynamically (not strided), each
-    /// claimer decodes its chunk and publishes a list of ~`morsel_rows`-row
-    /// user-block morsels, and workers — including workers whose own chunks
-    /// ran dry — pull morsels from any published chunk through a shared
-    /// atomic claim counter. Each worker accumulates into a thread-local
-    /// [`Accumulator`]; per-chunk locals are merged under the chunk's slot lock
-    /// and the worker whose flush completes a chunk emits its single
-    /// [`ResultBatch`], so consumers still see one batch per chunk.
+    /// Spawn `workers` threads that claim the `live` chunks one at a time
+    /// from a shared counter and send each one's [`run_chunk`] batch into a
+    /// channel bounded at `workers` batches. A chunk is the unit of work,
+    /// and no two workers touch one: its partial is complete on its own
+    /// because chunking never splits a user.
     ///
-    /// The bounded channel keeps the backpressure of the old static-stride
-    /// path, and cancellation stays pull-based: a dropped receiver fails the
-    /// next send, which raises the shared `cancelled` flag every worker
-    /// checks at each morsel claim — early termination now stops at the next
-    /// **morsel** boundary, not the next whole chunk.
+    /// Cancellation is pull-based: a dropped receiver fails the next send,
+    /// and the failing worker raises a flag every worker checks before it
+    /// claims, so early termination stops at the next chunk boundary. A
+    /// worker that panics stops claiming; its peers finish the rest, and
+    /// the stream re-raises the panic when it joins them.
     ///
-    /// Returns the receiver, the worker handles, and one busy-time counter
-    /// (nanoseconds of decode + morsel execution, excluding send blocking
-    /// and steal polling) per worker.
-    ///
-    /// Every worker installs `recorder` as its thread's active
-    /// [`IoRecorder`] for its whole lifetime, so all storage I/O of this
-    /// execution — including decodes that finish after the consumer dropped
-    /// the stream — is credited to exactly this query, no matter how many
-    /// queries share the source.
+    /// [`run_chunk`]: QueryCore::run_chunk
     pub(crate) fn spawn_workers(
         &self,
         live: Vec<usize>,
         workers: usize,
-        morsel_rows: usize,
         recorder: Arc<IoRecorder>,
-    ) -> SpawnedWorkers {
-        let (tx, rx) = mpsc::sync_channel::<Result<ResultBatch, EngineError>>(workers);
-        let sched = Arc::new(MorselScheduler {
-            core: self.clone(),
-            slots: live.iter().map(|_| ChunkSlot::default()).collect(),
-            live,
-            morsel_rows: morsel_rows.max(1),
-            next_chunk: AtomicUsize::new(0),
-            cancelled: AtomicBool::new(false),
-        });
-        let busy: Arc<Vec<AtomicU64>> = Arc::new((0..workers).map(|_| AtomicU64::new(0)).collect());
-        let mut handles = Vec::with_capacity(workers);
-        for w in 0..workers {
-            let sched = sched.clone();
-            let tx = tx.clone();
-            let busy = busy.clone();
-            let recorder = recorder.clone();
-            handles.push(std::thread::spawn(move || {
-                // A worker that panics can no longer flush or claim; cancel
-                // the whole query so its peers don't wait on the chunk it
-                // held forever.
-                struct PanicCancel<'a>(&'a MorselScheduler);
-                impl Drop for PanicCancel<'_> {
-                    fn drop(&mut self) {
-                        if std::thread::panicking() {
-                            self.0.cancel();
+        busy: Arc<AtomicU64>,
+    ) -> (mpsc::Receiver<Result<ResultBatch, EngineError>>, Vec<JoinHandle<()>>) {
+        let (tx, rx) = mpsc::sync_channel(workers);
+        let claims = Arc::new((live, AtomicUsize::new(0), AtomicBool::new(false)));
+        let handles = (0..workers)
+            .map(|_| {
+                let (core, claims, tx) = (self.clone(), claims.clone(), tx.clone());
+                let (recorder, busy) = (recorder.clone(), busy.clone());
+                std::thread::spawn(move || {
+                    let (live, next, cancelled) = &*claims;
+                    while !cancelled.load(Ordering::Relaxed) {
+                        let Some(&idx) = live.get(next.fetch_add(1, Ordering::Relaxed)) else {
+                            return;
+                        };
+                        if tx.send(core.run_chunk(idx, &recorder, &busy)).is_err() {
+                            cancelled.store(true, Ordering::Relaxed);
                         }
                     }
-                }
-                let _guard = PanicCancel(&sched);
-                with_recorder(&recorder, || worker_loop(&sched, &tx, &busy[w]));
-            }));
-        }
-        (rx, handles, busy)
+                })
+            })
+            .collect();
+        (rx, handles)
     }
 
     /// An empty table to fold this statement's partials into.
@@ -420,13 +406,10 @@ fn prune_chunk(entry: &ChunkIndexEntry, plan: &PhysicalPlan, ctx: &ExecContext) 
     ctx.birth_pred.as_ref().is_some_and(|p| p.is_const_false())
 }
 
-/// The fused per-chunk operator pipeline, restructured around **morsels**:
-/// instead of one monolithic pass over the whole chunk, the executor
-/// processes half-open run ranges (user-block morsels, see
-/// [`Chunk::morsel_run_ranges`]) so the same machinery serves both the
-/// serial path (one processor walks every morsel) and the work-stealing
-/// scheduler (many workers each hold their own processor over the shared
-/// decoded chunk and claim morsels from an atomic counter).
+/// The fused per-chunk operator pipeline. One processor walks a chunk in
+/// half-open run ranges (user-block morsels, see
+/// [`Chunk::morsel_run_ranges`]); any tiling folds to the same partial,
+/// because every per-user operator is local to the user's block.
 ///
 /// This is the vectorized path: columns are resolved **once** into
 /// [`ChunkCursors`], predicates are specialized against this chunk's
@@ -756,227 +739,6 @@ impl<'a> RunProcessor<'a> {
     }
 }
 
-/// One decoded chunk published to the work-stealing pool: the materialized
-/// columns plus the morsel tiling every worker claims from.
-struct DecodedChunk {
-    chunk: Chunk,
-    morsels: Vec<(usize, usize)>,
-}
-
-/// Per-live-chunk scheduler state.
-#[derive(Default)]
-struct ChunkSlot {
-    /// `None` until the chunk's claimer has decoded it. `Some(None)` means
-    /// there is nothing to drain — the chunk was skipped, empty, or errored,
-    /// and its batch (or error) has already been sent. `Some(Some(_))` holds
-    /// the decoded chunk stealers execute against.
-    decoded: OnceLock<Option<Arc<DecodedChunk>>>,
-    /// Next morsel index to claim; claims past `morsels.len()` are no-ops.
-    next_morsel: AtomicUsize,
-    /// Morsels claimed-and-flushed accounting: starts at `morsels.len()`,
-    /// decremented by each worker's flush; the worker whose flush brings it
-    /// to zero emits the chunk's single [`ResultBatch`]. Published *before*
-    /// `decoded` (release/acquire pair via the `OnceLock`).
-    pending: AtomicUsize,
-    /// Merged per-worker partials for this chunk.
-    partial: Mutex<Option<Accumulator>>,
-}
-
-/// Shared state of one parallel query execution: the morsel-driven
-/// work-stealing scheduler of `spawn_workers`.
-struct MorselScheduler {
-    core: QueryCore,
-    live: Vec<usize>,
-    morsel_rows: usize,
-    next_chunk: AtomicUsize,
-    slots: Vec<ChunkSlot>,
-    cancelled: AtomicBool,
-}
-
-impl MorselScheduler {
-    /// Stop every worker at its next morsel boundary. Raised when the
-    /// consumer drops the receiver (pull-based early termination), on the
-    /// first execution error, and by a panicking worker's drop guard.
-    fn cancel(&self) {
-        self.cancelled.store(true, Ordering::Release);
-    }
-
-    fn is_cancelled(&self) -> bool {
-        self.cancelled.load(Ordering::Acquire)
-    }
-}
-
-type BatchSender = mpsc::SyncSender<Result<ResultBatch, EngineError>>;
-
-/// One worker thread's life: claim-and-decode chunks while any remain, then
-/// steal morsels from chunks other workers are still draining, until every
-/// slot is finished or the query is cancelled.
-fn worker_loop(sched: &MorselScheduler, tx: &BatchSender, busy: &AtomicU64) {
-    // Phase 1: claim undecoded chunks round-robin; decode, publish, then
-    // drain own morsels (stealers may already be helping).
-    loop {
-        if sched.is_cancelled() {
-            return;
-        }
-        let k = sched.next_chunk.fetch_add(1, Ordering::Relaxed);
-        if k >= sched.live.len() {
-            break;
-        }
-        decode_slot(sched, k, tx, busy);
-        if drain_slot(sched, k, tx, busy).is_err() {
-            return;
-        }
-    }
-    // Phase 2: no chunks left to claim — steal from published chunks with
-    // unclaimed or in-flight morsels until the whole query has drained.
-    loop {
-        if sched.is_cancelled() {
-            return;
-        }
-        let mut unfinished = false;
-        for k in 0..sched.slots.len() {
-            match sched.slots[k].decoded.get() {
-                None => unfinished = true, // claimer still decoding
-                Some(None) => {}           // skipped/empty/errored: done
-                Some(Some(_)) => {
-                    if sched.slots[k].pending.load(Ordering::Acquire) > 0 {
-                        unfinished = true;
-                        if drain_slot(sched, k, tx, busy).is_err() {
-                            return;
-                        }
-                    }
-                }
-            }
-        }
-        if !unfinished {
-            return;
-        }
-        std::thread::yield_now();
-    }
-}
-
-/// Decode slot `k`'s chunk and publish its morsels, or — for chunks with
-/// nothing to execute (specialized-predicate skip, empty chunk, fetch
-/// error) — emit the batch/error directly and publish "nothing to drain".
-fn decode_slot(sched: &MorselScheduler, k: usize, tx: &BatchSender, busy: &AtomicU64) {
-    let slot = &sched.slots[k];
-    let idx = sched.live[k];
-    let core = &sched.core;
-    let t = Instant::now();
-    match core.source.chunk_columns(idx, &core.plan.projected_idxs) {
-        Ok(chunk) => {
-            // Same skip decision as `RunProcessor::skip_chunk`, taken before
-            // publishing so stealers never see a skippable chunk.
-            let skip = core.plan.options.skip_unqualified_users
-                && core
-                    .ctx
-                    .birth_pred
-                    .as_ref()
-                    .map(|p| p.specialize(&chunk))
-                    .is_some_and(|p| p.is_const_false());
-            let morsels =
-                if skip { Vec::new() } else { chunk.morsel_run_ranges(sched.morsel_rows) };
-            busy.fetch_add(t.elapsed().as_nanos() as u64, Ordering::Relaxed);
-            if morsels.is_empty() {
-                slot.pending.store(0, Ordering::Release);
-                let batch = ResultBatch {
-                    chunk_index: idx,
-                    rows_scanned: if skip { 0 } else { chunk.num_rows() },
-                    morsels: 0,
-                    partial: Box::new(core.merger()),
-                };
-                if tx.send(Ok(batch)).is_err() {
-                    sched.cancel();
-                }
-                let _ = slot.decoded.set(None);
-            } else {
-                slot.pending.store(morsels.len(), Ordering::Release);
-                // Detach the chunk from the source borrow: segments are
-                // Arc-shared, so this clone is reference-count bumps.
-                let chunk = Chunk::clone(&chunk);
-                let _ = slot.decoded.set(Some(Arc::new(DecodedChunk { chunk, morsels })));
-            }
-        }
-        Err(e) => {
-            busy.fetch_add(t.elapsed().as_nanos() as u64, Ordering::Relaxed);
-            slot.pending.store(0, Ordering::Release);
-            sched.cancel();
-            let _ = tx.send(Err(e.into()));
-            let _ = slot.decoded.set(None);
-        }
-    }
-}
-
-/// Claim and execute morsels from slot `k` into a worker-local
-/// [`RunProcessor`] (constructed lazily on the first claim), flush the local
-/// partial into the slot, and emit the chunk's single batch if this flush
-/// completed it. `Err(())` means the query is cancelled and the worker
-/// should exit.
-fn drain_slot(
-    sched: &MorselScheduler,
-    k: usize,
-    tx: &BatchSender,
-    busy: &AtomicU64,
-) -> Result<(), ()> {
-    let slot = &sched.slots[k];
-    let Some(Some(dc)) = slot.decoded.get() else { return Ok(()) };
-    if slot.next_morsel.load(Ordering::Relaxed) >= dc.morsels.len() {
-        return Ok(()); // every morsel already claimed (possibly in flight)
-    }
-    let core = &sched.core;
-    let mut proc: Option<RunProcessor<'_>> = None;
-    let mut claimed = 0usize;
-    let t = Instant::now();
-    loop {
-        if sched.is_cancelled() {
-            busy.fetch_add(t.elapsed().as_nanos() as u64, Ordering::Relaxed);
-            return Err(());
-        }
-        let m = slot.next_morsel.fetch_add(1, Ordering::Relaxed);
-        if m >= dc.morsels.len() {
-            break;
-        }
-        if proc.is_none() {
-            match RunProcessor::new(core.source.table_meta(), &dc.chunk, &core.plan, &core.ctx) {
-                Ok(p) => proc = Some(p),
-                Err(e) => {
-                    busy.fetch_add(t.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                    sched.cancel();
-                    let _ = tx.send(Err(e));
-                    return Err(());
-                }
-            }
-        }
-        let (lo, hi) = dc.morsels[m];
-        proc.as_mut().expect("processor constructed on first claim").process_runs(lo, hi);
-        claimed += 1;
-    }
-    busy.fetch_add(t.elapsed().as_nanos() as u64, Ordering::Relaxed);
-    let Some(proc) = proc else { return Ok(()) };
-
-    // Flush this worker's thread-local accumulation into the chunk slot.
-    let mut merged = slot.partial.lock().expect("chunk partial lock");
-    merged.get_or_insert_with(|| core.merger()).absorb(&proc.acc);
-    drop(merged);
-    // The worker whose flush retires the last claimed morsel emits the
-    // chunk's batch — consumers still see exactly one batch per live chunk.
-    if slot.pending.fetch_sub(claimed, Ordering::AcqRel) == claimed {
-        let merged = slot.partial.lock().expect("chunk partial lock").take();
-        let partial = Box::new(merged.unwrap_or_else(|| core.merger()));
-        let batch = ResultBatch {
-            chunk_index: sched.live[k],
-            rows_scanned: dc.chunk.num_rows(),
-            morsels: dc.morsels.len() as u64,
-            partial,
-        };
-        if tx.send(Ok(batch)).is_err() {
-            sched.cancel();
-            return Err(());
-        }
-    }
-    Ok(())
-}
-
 /// Normalize the ages of one user's tuples into `out`, dispatching once per
 /// block so the per-row division inside is by a **compile-time constant**
 /// (the optimizer strength-reduces it to a multiply — no hardware division
@@ -1159,12 +921,11 @@ impl Accumulator {
         self.sizes.len() - 1
     }
 
-    /// Fold another table of the same query in (a chunk's, or a worker's
-    /// share of one): sizes add, and each of its cohorts' blocks merges into
-    /// this one's block of that cohort, cell by cell in one contiguous pass
-    /// per column — so a merge costs what `other` holds, not what has been
-    /// merged so far. Ages are bounded by the chunk span every processor
-    /// accepted (`MAX_AGE_UNITS`).
+    /// Fold another table of the same query in (a chunk's): sizes add, and
+    /// each of its cohorts' blocks merges into this one's block of that
+    /// cohort, cell by cell in one contiguous pass per column — so a merge
+    /// costs what `other` holds, not what has been merged so far. Ages are
+    /// bounded by the chunk span every processor accepted (`MAX_AGE_UNITS`).
     pub(crate) fn absorb(&mut self, other: &Accumulator) {
         let moves: Vec<(usize, usize, usize)> = (0..other.sizes.len())
             .map(|id| {
@@ -1336,6 +1097,54 @@ mod tests {
         let (q4_decoded, ..) = kernel_work(&table, &paper::q4());
         assert!(0 < q2_decoded && q2_decoded < q1_decoded, "Q2 {q2_decoded} vs Q1 {q1_decoded}");
         assert!(q4_decoded < q3_decoded, "Q4 {q4_decoded} vs Q3 {q3_decoded}");
+    }
+
+    /// Any morsel tiling of a chunk folds to the same partial: one processor
+    /// driven over `morsel_run_ranges(n)` — tiles of 16 rows (most of a
+    /// skewed table's chunks split, so later tiles start past run 0), 256
+    /// rows, and one tile — reports exactly what one `(0, users)` pass
+    /// does, on every chunk of the skewed table and for Q1–Q8.
+    #[test]
+    fn every_morsel_tiling_folds_like_one_pass() {
+        use crate::paper;
+        let cfg = cohana_activity::GeneratorConfig::skewed(60);
+        let activity = cohana_activity::generate(&cfg);
+        let table = Arc::new(
+            CompressedTable::build(&activity, CompressionOptions::with_chunk_size(256)).unwrap(),
+        );
+        let (d1, d2) = (cfg.start.secs(), cfg.start.secs() + 7 * 86_400);
+        let queries = [
+            paper::q1(),
+            paper::q2(),
+            paper::q3(),
+            paper::q4(),
+            paper::q5(d1, d2),
+            paper::q6(d1, d2),
+            paper::q7(7),
+            paper::q8(7),
+        ];
+        let mut split = 0;
+        for query in &queries {
+            let plan = plan_query(query, table.schema(), PlannerOptions::default()).unwrap();
+            let core = QueryCore::new(table.clone(), Arc::new(plan)).unwrap();
+            for chunk in table.chunks() {
+                let fold = |ranges: &[(usize, usize)]| {
+                    let meta = table.table_meta();
+                    let mut proc = RunProcessor::new(meta, chunk, &core.plan, &core.ctx).unwrap();
+                    if !proc.skip_chunk {
+                        ranges.iter().for_each(|&(lo, hi)| proc.process_runs(lo, hi));
+                    }
+                    core.build_report(proc.acc)
+                };
+                let whole = fold(&[(0, chunk.num_users())]);
+                for rows in [16, 256, usize::MAX] {
+                    let tiles = chunk.morsel_run_ranges(rows);
+                    split += (tiles.len() > 1) as usize;
+                    assert_eq!(fold(&tiles), whole, "{} in {rows}-row tiles", query.to_sql());
+                }
+            }
+        }
+        assert!(split > 0, "some chunk must split into several tiles");
     }
 
     /// A user block whose time column is not sorted (a file damaged where

@@ -70,7 +70,7 @@ pub mod stats;
 pub mod wire;
 
 pub use agg::{AggFunc, AggState, AggValue};
-pub use engine::{Cohana, EngineOptions, DEFAULT_MORSEL_ROWS};
+pub use engine::{Cohana, EngineOptions};
 pub use error::EngineError;
 pub use exec::ResultBatch;
 pub use expr::{CmpOp, Expr};

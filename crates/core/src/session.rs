@@ -46,7 +46,8 @@ use crate::query::CohortQuery;
 use crate::report::CohortReport;
 use crate::stats::QueryStats;
 use cohana_activity::Schema;
-use cohana_storage::{with_recorder, ChunkSource, IoRecorder};
+use cohana_storage::{ChunkSource, IoRecorder};
+use std::any::Any;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::Receiver;
 use std::sync::{Arc, Mutex};
@@ -93,13 +94,6 @@ impl<'e> Session<'e> {
         self
     }
 
-    /// Override the morsel size (rows per work-stealing unit) for statements
-    /// prepared here. See [`crate::DEFAULT_MORSEL_ROWS`].
-    pub fn with_morsel_rows(mut self, rows: usize) -> Self {
-        self.options.morsel_rows = rows.max(1);
-        self
-    }
-
     /// Override this session's default table (the engine default otherwise).
     pub fn on_table(mut self, name: impl Into<String>) -> Self {
         self.table = Some(name.into());
@@ -133,14 +127,12 @@ impl<'e> Session<'e> {
     /// [`Statement`] is self-contained (it pins the table's chunk source)
     /// and re-executable.
     pub fn prepare(&self, query: &CohortQuery) -> Result<Statement, EngineError> {
-        Ok(Statement::over(self.source()?, query, self.options.planner, self.options.parallelism)?
-            .with_morsel_rows(self.options.morsel_rows))
+        Statement::over(self.source()?, query, self.options.planner, self.options.parallelism)
     }
 
     /// Prepare a query against an explicit [`TableHandle`] instead of the
     /// session's default table, keeping this session's option overrides
-    /// (parallelism, planner flags, morsel size). The handle must belong to
-    /// the same engine.
+    /// (parallelism, planner flags). The handle must belong to the same engine.
     ///
     /// [`TableHandle`]: crate::TableHandle
     pub fn prepare_on(
@@ -153,8 +145,7 @@ impl<'e> Session<'e> {
                 "the table handle belongs to a different engine than this session".into(),
             ));
         }
-        Ok(Statement::over(table.source()?, query, self.options.planner, self.options.parallelism)?
-            .with_morsel_rows(self.options.morsel_rows))
+        Statement::over(table.source()?, query, self.options.planner, self.options.parallelism)
     }
 
     /// Prepare and execute in one call (the eager convenience path).
@@ -177,9 +168,6 @@ impl<'e> Session<'e> {
 pub struct Statement {
     core: QueryCore,
     parallelism: usize,
-    /// Target rows per morsel (work-stealing unit); see
-    /// [`crate::DEFAULT_MORSEL_ROWS`].
-    morsel_rows: usize,
     /// `(cumulative stats, execution count)` under one lock, so the two
     /// never present a torn snapshot.
     lifetime: Mutex<(QueryStats, u64)>,
@@ -210,23 +198,8 @@ impl Statement {
         Ok(Statement {
             core: QueryCore::new(source, Arc::new(plan))?,
             parallelism: parallelism.max(1),
-            morsel_rows: crate::engine::DEFAULT_MORSEL_ROWS,
             lifetime: Mutex::new((QueryStats::default(), 0)),
         })
-    }
-
-    /// Override the target rows per morsel — the unit of work the parallel
-    /// scheduler's workers claim and steal, and the granularity at which a
-    /// dropped stream cancels in-flight chunks. Smaller morsels balance
-    /// skewed chunks better at slightly higher scheduling cost.
-    pub fn with_morsel_rows(mut self, rows: usize) -> Self {
-        self.morsel_rows = rows.max(1);
-        self
-    }
-
-    /// Target rows per work-stealing morsel.
-    pub fn morsel_rows(&self) -> usize {
-        self.morsel_rows
     }
 
     /// The physical plan.
@@ -352,14 +325,16 @@ enum StreamState {
 /// report. Dropping the stream early terminates the query: serial streams
 /// simply never touch the remaining chunks; parallel workers stop at their
 /// next send into the disconnected channel. Either way the statement's
-/// cumulative stats record whatever work was actually done.
+/// cumulative stats record whatever work was actually done. A panic while
+/// running a chunk reaches the consumer at any parallelism: a parallel
+/// stream re-raises a worker's panic once its other workers are done.
 pub struct QueryStream<'s> {
     stmt: &'s Statement,
     state: StreamState,
     stats: QueryStats,
-    /// Per-worker busy-time counters of a parallel execution (kept outside
-    /// [`StreamState`] so they survive shutdown for [`QueryStream::worker_busy`]).
-    busy: Option<Arc<Vec<AtomicU64>>>,
+    /// Nanoseconds spent running chunks, summed over the threads that ran
+    /// them.
+    busy: Arc<AtomicU64>,
     /// This execution's I/O, credited at the storage layer's increment
     /// sites: exact even when other queries decode on the same source
     /// concurrently (see [`IoRecorder`]).
@@ -377,15 +352,15 @@ impl<'s> QueryStream<'s> {
             chunks_pruned: total - live.len(),
             ..QueryStats::default()
         };
-        let recorder = Arc::new(IoRecorder::new());
+        let (recorder, busy) = (Arc::new(IoRecorder::new()), Arc::new(AtomicU64::new(0)));
         let started = Instant::now();
         let workers = stmt.parallelism.min(live.len());
-        let (state, busy) = if workers <= 1 {
-            (StreamState::Serial { live: live.into_iter() }, None)
+        let state = if workers <= 1 {
+            StreamState::Serial { live: live.into_iter() }
         } else {
-            let (rx, handles, busy) =
-                stmt.core.spawn_workers(live, workers, stmt.morsel_rows, recorder.clone());
-            (StreamState::Parallel { rx, handles }, Some(busy))
+            let (rx, handles) =
+                stmt.core.spawn_workers(live, workers, recorder.clone(), busy.clone());
+            StreamState::Parallel { rx, handles }
         };
         QueryStream { stmt, state, stats, busy, recorder, started, recorded: false }
     }
@@ -401,24 +376,7 @@ impl<'s> QueryStream<'s> {
         if self.recorded {
             return self.stats;
         }
-        let mut snap = self.stats;
-        snap.add_io(&self.recorder.snapshot());
-        snap.wall_time = self.started.elapsed();
-        if let Some(busy) = &self.busy {
-            snap.worker_busy_ns += busy.iter().map(|b| b.load(Ordering::Relaxed)).sum::<u64>();
-        }
-        snap
-    }
-
-    /// Per-worker busy time (nanoseconds of chunk decode plus morsel
-    /// execution) of a parallel execution; empty on the serial path, whose
-    /// busy time goes straight into [`QueryStats::worker_busy_ns`]. Useful
-    /// for observing scheduler balance under skew.
-    pub fn worker_busy(&self) -> Vec<u64> {
-        self.busy
-            .as_ref()
-            .map(|b| b.iter().map(|w| w.load(Ordering::Relaxed)).collect())
-            .unwrap_or_default()
+        self.measured()
     }
 
     /// Drain the remaining batches and merge everything into the eager
@@ -433,30 +391,39 @@ impl<'s> QueryStream<'s> {
         Ok(report)
     }
 
+    /// The counted stats plus what the recorder, the clock and the busy
+    /// counter measured so far.
+    fn measured(&self) -> QueryStats {
+        let mut stats = self.stats;
+        stats.add_io(&self.recorder.snapshot());
+        stats.wall_time = self.started.elapsed();
+        stats.worker_busy_ns += self.busy.load(Ordering::Relaxed);
+        stats
+    }
+
     /// Tear down the pipeline: disconnect the channel (stopping parallel
     /// workers at their next send), join them, and fold this execution's
-    /// stats into the statement's cumulative counters exactly once.
-    fn shutdown(&mut self) {
+    /// stats into the statement's cumulative counters exactly once. Returns
+    /// the first panic payload of a worker that panicked.
+    fn shutdown(&mut self) -> Option<Box<dyn Any + Send>> {
+        let mut panic = None;
         if let StreamState::Parallel { rx, handles } =
             std::mem::replace(&mut self.state, StreamState::Done)
         {
             drop(rx);
             for h in handles {
-                let _ = h.join();
+                if let Err(payload) = h.join() {
+                    panic.get_or_insert(payload);
+                }
             }
         }
         if !self.recorded {
             // Parallel workers are joined above, so every credit is in.
-            self.stats.add_io(&self.recorder.snapshot());
-            self.stats.wall_time = self.started.elapsed();
-            if let Some(busy) = &self.busy {
-                // Workers are joined: fold their final busy counters in once.
-                self.stats.worker_busy_ns +=
-                    busy.iter().map(|b| b.load(Ordering::Relaxed)).sum::<u64>();
-            }
+            self.stats = self.measured();
             self.recorded = true;
             self.stmt.record(&self.stats);
         }
+        panic
     }
 }
 
@@ -464,29 +431,14 @@ impl Iterator for QueryStream<'_> {
     type Item = Result<ResultBatch, EngineError>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        enum Step {
-            Run(usize),
-            Got(Result<ResultBatch, EngineError>),
-            End,
-        }
-        let step = match &mut self.state {
-            StreamState::Serial { live } => live.next().map(Step::Run).unwrap_or(Step::End),
+        let item = match &mut self.state {
+            StreamState::Serial { live } => {
+                live.next().map(|idx| self.stmt.core.run_chunk(idx, &self.recorder, &self.busy))
+            }
             // A recv error means every worker is done and the channel is
             // drained (workers hold the only senders).
-            StreamState::Parallel { rx, .. } => rx.recv().map(Step::Got).unwrap_or(Step::End),
-            StreamState::Done => Step::End,
-        };
-        let item = match step {
-            Step::Run(idx) => {
-                let t = Instant::now();
-                let out = with_recorder(&self.recorder, || {
-                    self.stmt.core.run_chunk(idx, self.stmt.morsel_rows)
-                });
-                self.stats.worker_busy_ns += t.elapsed().as_nanos() as u64;
-                Some(out)
-            }
-            Step::Got(result) => Some(result),
-            Step::End => None,
+            StreamState::Parallel { rx, .. } => rx.recv().ok(),
+            StreamState::Done => None,
         };
         match item {
             Some(Ok(batch)) => {
@@ -501,7 +453,11 @@ impl Iterator for QueryStream<'_> {
                 Some(Err(e))
             }
             None => {
-                self.shutdown();
+                // A worker that panicked sent nothing for its chunk: re-raise
+                // rather than end the stream short, as the serial path would.
+                if let Some(payload) = self.shutdown() {
+                    std::panic::resume_unwind(payload);
+                }
                 None
             }
         }
@@ -509,6 +465,8 @@ impl Iterator for QueryStream<'_> {
 }
 
 impl Drop for QueryStream<'_> {
+    /// A consumer that stopped pulling has given up on the answer, so a
+    /// worker's panic payload is dropped here, not re-raised.
     fn drop(&mut self) {
         self.shutdown();
     }

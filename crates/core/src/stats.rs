@@ -54,14 +54,13 @@ pub struct QueryStats {
     pub cache_evictions: u64,
     /// Result batches the stream yielded (one per scanned chunk).
     pub batches: usize,
-    /// User-block morsels the scheduler executed — the work units of the
-    /// morsel-driven scan (also counted on the serial path, which walks the
-    /// same morsel tiling). Skipped chunks contribute 0.
+    /// User-block morsels the scanned chunks were walked in: each chunk is
+    /// tiled the same way at every parallelism. Skipped chunks contribute 0.
     pub morsels_executed: u64,
-    /// Total nanoseconds workers spent decoding chunks and executing
-    /// morsels, summed across workers (serial executions accumulate their
-    /// per-chunk run time here). `worker_busy_ns / (workers × wall_time)`
-    /// is the scheduler's utilization; the gap to 1.0 is idle/steal time.
+    /// Total nanoseconds spent running chunks (fetch, decode and scan),
+    /// summed over the threads that ran them. `worker_busy_ns / (workers ×
+    /// wall_time)` is the workers' utilization; the gap to 1.0 is time they
+    /// spent blocked on the channel or idle.
     pub worker_busy_ns: u64,
     /// Wall-clock time from stream creation to exhaustion (or drop).
     pub wall_time: Duration,

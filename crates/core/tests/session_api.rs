@@ -6,7 +6,11 @@
 
 use cohana_activity::{generate, GeneratorConfig};
 use cohana_core::{paper, Cohana, EngineOptions, PlannerOptions, QueryStats, Statement};
-use cohana_storage::{persist, ChunkSource, CompressedTable, CompressionOptions, FileSource};
+use cohana_storage::{
+    persist, ChunkIndexEntry, ChunkRef, ChunkSource, CompressedTable, CompressionOptions,
+    FileSource, TableMeta,
+};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -128,6 +132,58 @@ fn parallel_stream_matches_serial_and_survives_early_drop() {
     let again = parallel.execute().unwrap();
     assert_eq!(expect, again);
     std::fs::remove_file(&path).ok();
+}
+
+/// A resident table whose chunk 2 panics when fetched.
+struct PanicsOnChunk2(CompressedTable);
+
+impl ChunkSource for PanicsOnChunk2 {
+    fn table_meta(&self) -> &TableMeta {
+        self.0.table_meta()
+    }
+
+    fn num_chunks(&self) -> usize {
+        self.0.chunks().len()
+    }
+
+    fn index_entry(&self, idx: usize) -> &ChunkIndexEntry {
+        &self.0.index_entries()[idx]
+    }
+
+    fn chunk(&self, idx: usize) -> cohana_storage::Result<ChunkRef<'_>> {
+        assert_ne!(idx, 2, "chunk 2 is poisoned");
+        ChunkSource::chunk(&self.0, idx)
+    }
+
+    fn chunks_decoded(&self) -> usize {
+        0
+    }
+}
+
+/// A panic while running one chunk reaches the caller at every
+/// parallelism: a worker thread's panic must not end the stream early and
+/// hand back a report that silently lacks that chunk.
+#[test]
+fn a_panicking_chunk_reaches_the_caller_at_every_parallelism() {
+    let table = generate(&GeneratorConfig::small());
+    let memory = CompressedTable::build(&table, CompressionOptions::with_chunk_size(256)).unwrap();
+    assert!(memory.chunks().len() > 3);
+    let source = Arc::new(PanicsOnChunk2(memory));
+    for parallelism in [1, 4] {
+        let stmt =
+            Statement::over(source.clone(), &paper::q1(), PlannerOptions::default(), parallelism)
+                .unwrap();
+        let outcome = catch_unwind(AssertUnwindSafe(|| stmt.execute()));
+        let payload = match outcome {
+            Ok(report) => {
+                panic!("p={parallelism}: returned {:?} past a panic", report.map(|r| r.stats))
+            }
+            Err(payload) => payload,
+        };
+        let message = payload.downcast_ref::<String>().map(String::as_str).unwrap_or_default();
+        assert!(message.contains("chunk 2 is poisoned"), "p={parallelism}: {message:?}");
+        assert_eq!(stmt.executions(), 1, "p={parallelism}: the execution is still recorded");
+    }
 }
 
 /// Sessions on one shared engine: per-session parallelism and table

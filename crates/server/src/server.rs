@@ -3,7 +3,7 @@
 //! shared chunk-column cache).
 //!
 //! Concurrency model — thread-per-connection on purpose: the engine's own
-//! parallelism lives *inside* a query (morsel-driven workers), so the
+//! parallelism lives *inside* a query (chunk-parallel workers), so the
 //! serving layer only needs enough threads to keep admitted queries moving,
 //! and [`Admission`] caps how many of those decode at once. Backpressure is
 //! the TCP send buffer: a slow client blocks its own connection thread's
@@ -11,7 +11,7 @@
 //! workers on the bounded channel (parallel) — other tenants' queries never
 //! wait on it. A client that disconnects mid-stream fails the next BATCH
 //! write, which drops the `QueryStream` and cancels chunk decode at the
-//! next morsel boundary.
+//! next chunk boundary.
 
 use crate::admission::{Admission, AdmissionStats, AdmitError, Permit};
 use crate::protocol::{self as proto, PreparedInfo};
