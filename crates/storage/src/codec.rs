@@ -19,11 +19,18 @@
 //!   table (`max value < 4096`); it collapses skewed low-cardinality
 //!   columns (action codes, demographics) toward their empirical entropy.
 //!
-//! Selection happens at write time in `encode_array`: every applicable
-//! candidate is actually encoded and the smallest wins, with the
-//! deterministic tie-break `Raw < Delta < Ans` so identical inputs always
-//! produce identical files (the append/compact byte-parity invariant
-//! depends on this).
+//! Selection happens at write time in `SectionEncoder`: the strictly
+//! smallest applicable codec wins, with the deterministic tie-break
+//! `Raw < Delta < Ans`, so identical inputs always produce identical files
+//! (the append/compact byte-parity invariant depends on this). That is the
+//! outcome of encoding every candidate, but the encoder gets there from one
+//! pass over the values: the pass yields the delta class histogram with its
+//! exact offset-bit total and the value histogram, which fix every length
+//! except the rANS streams', and those are bounded to within a few bytes by
+//! their information content (see `rans_len_bounds`). Only the predicted
+//! winner is encoded; a rival is encoded too only when its proven lower
+//! bound does not already lose to the winner's *actual* length — so an
+//! estimate can cost time, never bytes.
 //!
 //! The rANS core is the standard 32-bit/byte-renormalizing construction:
 //! state in `[L, L << 8)` with `L = 1 << 23`, frequencies normalized to
@@ -137,8 +144,9 @@ const INTERLEAVE_MIN_SYMBOLS: usize = 64;
 /// any allocation, but both come from the same (untrusted) file — so the
 /// decoders reserve at most this many values up front and let the vector
 /// grow geometrically past it, tying large allocations to symbols
-/// actually decoded from bytes actually present. Default chunks hold 16 K
-/// rows; real sections never exceed this.
+/// actually decoded from bytes actually present. Real sections can exceed
+/// it — the default chunk holds 256 Ki rows, and a chunk may overshoot its
+/// size by one user's block — and then pay a few geometric regrowths.
 const MAX_EAGER_RESERVE: usize = 1 << 16;
 
 /// A normalized symbol table: sorted distinct symbols with frequencies
@@ -286,8 +294,58 @@ fn normalize_freqs(counts: &[u64]) -> Vec<u16> {
 /// mispredict; the word-renorm one clears 2x.
 const RANS64_L: u64 = 1 << 31;
 
-/// rANS-encode `indices` (positions into `table`) with `ways` interleaved
-/// states, symbol `i` on state `i % ways`.
+/// One symbol's encoder constants for one stream layout.
+///
+/// The state update `x' = ⌊x/f⌋·SCALE + x mod f + cum` is computed as
+/// `x + q·(SCALE − f) + cum` with `q = ⌊x/f⌋` taken from a reciprocal:
+/// `m = ⌈2^s/f⌉` with `s = 63 + k`, `k = ⌈log2 f⌉`, so `m < 2^64`.
+/// **Exactness**: write `m = 2^s/f + e` with `0 ≤ e < 1` and `x = q·f + r`.
+/// Then `x·m/2^s = q + r/f + x·e/2^s`, where `r/f ≤ 1 − 1/f` and, for
+/// `x < 2^63`, `x·e/2^s < 2^-k ≤ 1/f`; so the floor is exactly `q`. Both
+/// layouts keep the state that reaches the division below `x_max ≤ f·2^51`
+/// (wide) or `f·2^19` (legacy), far inside that bound. Because `x < 2^63`,
+/// `2x` fits a word and `q` is the high half of `2x·m` shifted by `k`: one
+/// multiply where the old encoder paid a 64-bit divide and a remainder.
+#[derive(Clone, Copy, Default)]
+struct EncSym {
+    /// A state at or above this sheds one renorm unit before the update.
+    x_max: u64,
+    rcp: u64,
+    /// `k = ⌈log2 f⌉`.
+    shift: u32,
+    /// `SCALE − f`.
+    cmpl: u32,
+    cum: u32,
+}
+
+impl EncSym {
+    fn new(freq: u16, cum: u32, wide: bool) -> EncSym {
+        let f = freq as u64;
+        debug_assert!(f >= 1 && f <= SCALE as u64);
+        let k = f.next_power_of_two().trailing_zeros();
+        let rcp = (1u128 << (63 + k)).div_ceil(f as u128) as u64;
+        // The state interval is [L, L·b): a state at or above
+        // (L >> SCALE_BITS)·b·f would leave it after the update.
+        let x_max = if wide { f << (31 - SCALE_BITS + 32) } else { f << (23 - SCALE_BITS + 8) };
+        EncSym { x_max, rcp, shift: k, cmpl: SCALE - freq as u32, cum }
+    }
+
+    /// `⌊x / f⌋` for `x < 2^63`.
+    #[inline(always)]
+    fn quot(&self, x: u64) -> u64 {
+        ((((x << 1) as u128 * self.rcp as u128) >> 64) as u64) >> self.shift
+    }
+
+    /// The state after encoding this symbol from (renormalized) `x`.
+    #[inline(always)]
+    fn update(&self, x: u64) -> u64 {
+        x + self.quot(x) * self.cmpl as u64 + self.cum as u64
+    }
+}
+
+/// rANS-encode `n` symbols — symbol `i` is `enc[sym(i)]` — onto `out` with
+/// `ways` interleaved states, symbol `i` on state `i % ways`. `units` is
+/// scratch for the renorm units.
 ///
 /// `ways == 1` is the legacy single-state construction, byte for byte:
 /// 32-bit state, byte renorm, final state leading the stream as 4 bytes
@@ -298,48 +356,111 @@ const RANS64_L: u64 = 1 << 31;
 /// exactly push order reversed — the same argument as single-state,
 /// because states share one stream but each word still belongs to exactly
 /// one symbol position.
-fn rans_encode(indices: &[usize], table: &FreqTable, ways: usize) -> Vec<u8> {
-    debug_assert!(ways == 1 || (2..=MAX_WAYS).contains(&ways));
-    if ways == 1 {
-        let mut renorm: Vec<u8> = Vec::new();
-        let mut x = RANS_L;
-        for &s in indices.iter().rev() {
-            let f = table.freqs[s] as u32;
-            // Renormalize so the state transition below stays in range.
-            let x_max = f << (23 - SCALE_BITS + 8);
-            while x >= x_max {
-                renorm.push(x as u8);
-                x >>= 8;
+fn rans_encode(
+    n: usize,
+    sym: impl Fn(usize) -> usize,
+    enc: &[EncSym],
+    ways: usize,
+    out: &mut Vec<u8>,
+    units: &mut Vec<u32>,
+) {
+    units.clear();
+    match ways {
+        1 => {
+            let mut x = RANS_L as u64;
+            for i in (0..n).rev() {
+                let e = &enc[sym(i)];
+                // A state below 2^31 can need two bytes when `f < 16`.
+                while x >= e.x_max {
+                    units.push(x as u8 as u32);
+                    x >>= 8;
+                }
+                x = e.update(x);
             }
-            x = ((x / f) << SCALE_BITS) + (x % f) + table.cum[s];
+            out.extend_from_slice(&(x as u32).to_le_bytes());
+            out.extend(units.iter().rev().map(|&b| b as u8));
+            return;
         }
-        let mut stream = Vec::with_capacity(4 + renorm.len());
-        stream.extend_from_slice(&x.to_le_bytes());
-        stream.extend(renorm.iter().rev());
-        return stream;
+        2 => put_states(out, &encode_lanes::<2>(n, sym, enc, units)),
+        3 => put_states(out, &encode_lanes::<3>(n, sym, enc, units)),
+        4 => put_states(out, &encode_lanes::<4>(n, sym, enc, units)),
+        _ => unreachable!("the format admits 1..=MAX_WAYS states"),
     }
-    let mut renorm: Vec<u32> = Vec::new();
-    let mut states = [RANS64_L; MAX_WAYS];
-    for i in (0..indices.len()).rev() {
-        let s = indices[i];
-        let f = table.freqs[s] as u64;
-        // 64-bit interval [L, L << 32): renormalize in 32-bit words.
-        let x_max = f << (31 - SCALE_BITS as u64 + 32);
-        let mut x = states[i % ways];
-        while x >= x_max {
-            renorm.push(x as u32);
-            x >>= 32;
+    out.reserve(4 * units.len());
+    for &w in units.iter().rev() {
+        out.extend_from_slice(&w.to_le_bytes());
+    }
+}
+
+fn put_states(out: &mut Vec<u8>, states: &[u64]) {
+    for x in states {
+        out.extend_from_slice(&x.to_le_bytes());
+    }
+}
+
+/// The wide lanes of [`rans_encode`], a whole group per iteration so the
+/// states live in registers. A wide state sheds at most one word per
+/// symbol: it is below `2^63` and sheds only at `x_max ≥ 2^51`, leaving
+/// `x >> 32 < 2^31 ≤ x_max`.
+fn encode_lanes<const WAYS: usize>(
+    n: usize,
+    sym: impl Fn(usize) -> usize,
+    enc: &[EncSym],
+    units: &mut Vec<u32>,
+) -> [u64; WAYS] {
+    let mut states = [RANS64_L; WAYS];
+    let mut step = |x: u64, e: &EncSym| {
+        let x = if x >= e.x_max {
+            units.push(x as u32);
+            x >> 32
+        } else {
+            x
+        };
+        e.update(x)
+    };
+    let full = n / WAYS * WAYS;
+    for i in (full..n).rev() {
+        states[i - full] = step(states[i - full], &enc[sym(i)]);
+    }
+    for group in (0..full).step_by(WAYS).rev() {
+        for j in (0..WAYS).rev() {
+            states[j] = step(states[j], &enc[sym(group + j)]);
         }
-        states[i % ways] = ((x / f) << SCALE_BITS) + (x % f) + table.cum[s] as u64;
     }
-    let mut stream = Vec::with_capacity(8 * ways + 4 * renorm.len());
-    for &x in &states[..ways] {
-        stream.extend_from_slice(&x.to_le_bytes());
-    }
-    for &w in renorm.iter().rev() {
-        stream.extend_from_slice(&w.to_le_bytes());
-    }
-    stream
+    states
+}
+
+/// Lower and upper bounds on the length of the stream [`rans_encode`]
+/// writes for `n` symbols with these per-symbol `counts` (indexed by
+/// symbol) under `table` — without encoding.
+///
+/// **Proof.** Follow one lane with `Φ = log2 x + (bits shed so far)`. It
+/// starts at `log2 L`. A state update multiplies `x` by `SCALE/f` up to a
+/// factor in `(q/(q+1), (q+1)/q)`, since both `x'` and `x·SCALE/f` lie in
+/// `[q·SCALE, (q+1)·SCALE)`; the state reaching it has `q = ⌊x/f⌋ ≥ 2^19`
+/// wide, `≥ 2^11` legacy. Shedding a unit of `b` bits from `x ≥ 2^51`
+/// (wide; `2^19` legacy) lowers `Φ` by less than `−log2(1 − 2^-19)`
+/// (`2^-11`). So each symbol moves `Φ` by `log2(SCALE/f)` up to `ε` = 6e-6
+/// bits wide, 1.5e-3 legacy. At the end `log2 x` lies in `[log2 L,
+/// log2 L + b)`, so the units a lane sheds satisfy `b·W ∈ (I + δ − b,
+/// I + δ]`, `I` its information content and `|δ| ≤ n·ε`. Summed over the
+/// lanes, the units are within `((I − slack)/b − ways, (I + slack)/b]`.
+/// `slack` adds `n·1e-9 + 1` bits for the `f64` sum of `I` over at most
+/// 4096 terms, whose error is below `2^-40·I ≤ 12n·2^-40`.
+fn rans_len_bounds(table: &FreqTable, counts: &[u64], n: usize, ways: usize) -> (u64, u64) {
+    let info: f64 = table
+        .syms
+        .iter()
+        .zip(&table.freqs)
+        .map(|(&s, &f)| counts[s as usize] as f64 * (SCALE_BITS as f64 - (f as f64).log2()))
+        .sum();
+    let (state_bytes, unit_bits, eps) = if ways == 1 { (4, 8, 1.5e-3) } else { (8, 32, 6e-6) };
+    let slack = n as f64 * (eps + 1e-9) + 1.0;
+    let units_lo = ((info - slack) / unit_bits as f64 - ways as f64).ceil().max(0.0) as u64;
+    let units_hi = ((info + slack) / unit_bits as f64).floor().max(0.0) as u64;
+    let fixed = (state_bytes * ways) as u64;
+    let unit_bytes = unit_bits / 8;
+    (fixed + unit_bytes * units_lo, fixed + unit_bytes * units_hi)
 }
 
 /// `WAYS` lockstep rANS decoder states over one shared renorm stream.
@@ -510,39 +631,37 @@ impl<'a, const WAYS: usize, const WIDE: bool> RansLanes<'a, WAYS, WIDE> {
 
 // ------------------------------------------------------- bit stream
 
-/// LSB-first bit writer for the delta offset stream.
-#[derive(Default)]
-struct BitWriter {
-    out: Vec<u8>,
+/// LSB-first bit writer for the delta offset stream: bits gather in a
+/// 64-bit accumulator that is stored whole when it fills.
+struct BitWriter<'a> {
+    out: &'a mut Vec<u8>,
     acc: u64,
     nbits: u32,
 }
 
-impl BitWriter {
+impl<'a> BitWriter<'a> {
+    fn new(out: &'a mut Vec<u8>) -> BitWriter<'a> {
+        BitWriter { out, acc: 0, nbits: 0 }
+    }
+
+    /// Append the low `n <= 63` bits of `bits` (the rest must be zero).
+    #[inline(always)]
     fn put(&mut self, bits: u64, n: u32) {
-        debug_assert!(n <= 64 && (n == 64 || bits < (1u64 << n)));
-        let lo = n.min(32);
-        self.put_small(bits & low_mask(lo), lo);
-        if n > 32 {
-            self.put_small(bits >> 32, n - 32);
-        }
-    }
-
-    fn put_small(&mut self, bits: u64, n: u32) {
+        debug_assert!(n <= 63 && bits >> n == 0);
         self.acc |= bits << self.nbits;
-        self.nbits += n;
-        while self.nbits >= 8 {
-            self.out.push(self.acc as u8);
-            self.acc >>= 8;
-            self.nbits -= 8;
+        let total = self.nbits + n;
+        if total >= 64 {
+            self.out.extend_from_slice(&self.acc.to_le_bytes());
+            // `nbits > 0` here (as `n < 64`), so the shift is in range.
+            self.acc = bits >> (64 - self.nbits);
+            self.nbits = total - 64;
+        } else {
+            self.nbits = total;
         }
     }
 
-    fn finish(mut self) -> Vec<u8> {
-        if self.nbits > 0 {
-            self.out.push(self.acc as u8);
-        }
-        self.out
+    fn finish(self) {
+        self.out.extend_from_slice(&self.acc.to_le_bytes()[..self.nbits.div_ceil(8) as usize]);
     }
 }
 
@@ -731,17 +850,17 @@ pub fn raw_section_len(width: u8, len: u64) -> u64 {
     words.saturating_mul(8).saturating_add(9)
 }
 
-fn raw_section(packed: &BitPacked) -> Vec<u8> {
-    let mut out = Vec::with_capacity(9 + packed.packed_bytes());
+fn write_raw(packed: &BitPacked, out: &mut Vec<u8>) {
+    out.clear();
+    out.reserve(9 + packed.packed_bytes());
     out.push(packed.width());
     out.extend_from_slice(&(packed.len() as u64).to_le_bytes());
     for w in packed.words() {
         out.extend_from_slice(&w.to_le_bytes());
     }
-    out
 }
 
-/// The stream layout `encode_array` picks for a section of `n_symbols`
+/// The stream layout the writer picks for a section of `n_symbols`
 /// entropy-coded symbols.
 fn auto_ways(n_symbols: usize) -> usize {
     if n_symbols >= INTERLEAVE_MIN_SYMBOLS {
@@ -751,28 +870,236 @@ fn auto_ways(n_symbols: usize) -> usize {
     }
 }
 
-/// Encode a packed array with the smallest applicable codec. Ties prefer
-/// `Raw < Delta < Ans`, so a codec is only ever chosen when it is
-/// *strictly* smaller than raw — which the v4 footer validation relies on.
-pub(crate) fn encode_array(packed: &BitPacked) -> (Codec, Vec<u8>) {
-    let mut best = (Codec::Raw, raw_section(packed));
-    // Block-decode the candidate input in one sweep instead of a
-    // per-element packed-word probe.
-    let mut values = vec![0u64; packed.len()];
-    packed.unpack_range(0, packed.len(), &mut values);
-    if let Some(d) =
-        encode_delta(&values, packed.width(), auto_ways(values.len().saturating_sub(1)))
-    {
-        if d.len() < best.1.len() {
-            best = (Codec::Delta, d);
+/// What one pass over a section's values learns: everything that fixes
+/// the delta and ANS section lengths, up to their rANS streams.
+struct Stats {
+    /// Delta class counts, indexed by class symbol.
+    classes: [u64; DELTA_SYMS],
+    /// Explicit offset bits the delta section carries.
+    offset_bits: u64,
+    /// Value counts, valid over `..alphabet` (cleared there per section).
+    counts: Box<[u64; SCALE as usize]>,
+    alphabet: usize,
+    /// The section is non-empty and every value is below [`SCALE`].
+    ans: bool,
+}
+
+impl Default for Stats {
+    fn default() -> Self {
+        Stats {
+            classes: [0; DELTA_SYMS],
+            offset_bits: 0,
+            counts: Box::new([0; SCALE as usize]),
+            alphabet: 0,
+            ans: false,
         }
     }
-    if let Some(a) = encode_ans(&values, packed.width(), auto_ways(values.len())) {
-        if a.len() < best.1.len() {
-            best = (Codec::Ans, a);
+}
+
+impl Stats {
+    /// One pass over `values` (at most `width` bits each): the delta class
+    /// histogram and, when the width already bounds the values below
+    /// [`SCALE`], the value histogram; a wider section whose maximum turns
+    /// out below [`SCALE`] gets its value histogram from a second pass.
+    fn collect(&mut self, values: &[u64], width: u8) {
+        self.classes = [0; DELTA_SYMS];
+        self.offset_bits = 0;
+        let direct = width as u32 <= SCALE_BITS;
+        self.alphabet = if direct { 1 << width } else { 0 };
+        self.counts[..self.alphabet].fill(0);
+        let max = if direct { self.pass::<true>(values) } else { self.pass::<false>(values) };
+        self.ans = !values.is_empty() && max < SCALE as u64;
+        if self.ans && max as usize >= self.alphabet {
+            self.alphabet = max as usize + 1;
+            self.counts[..self.alphabet].fill(0);
+            for &v in values {
+                self.counts[v as usize] += 1;
+            }
         }
     }
-    best
+
+    /// The fused loop; returns the maximum value.
+    fn pass<const COUNT: bool>(&mut self, values: &[u64]) -> u64 {
+        let Some((&first, rest)) = values.split_first() else { return 0 };
+        let mask = SCALE as u64 - 1;
+        if COUNT {
+            self.counts[(first & mask) as usize] += 1;
+        }
+        let (mut prev, mut max, mut offset_bits) = (first, first, 0u64);
+        for &v in rest {
+            let (sym, _) = delta_sym(v.wrapping_sub(prev) as i64);
+            self.classes[sym as usize] += 1;
+            offset_bits += DELTA_MS[sym as usize] as u64;
+            if COUNT {
+                // Masked only to stay in bounds: a value past the width
+                // shows in `max`, which then recounts exactly.
+                self.counts[(v & mask) as usize] += 1;
+            }
+            max = max.max(v);
+            prev = v;
+        }
+        self.offset_bits = offset_bits;
+        max
+    }
+
+    /// The class table of a delta section; `None` below two values, where
+    /// the section has no class stream.
+    fn delta_table(&self) -> Option<FreqTable> {
+        let syms: Vec<u16> =
+            (0..=DELTA_MAX_SYM).filter(|&c| self.classes[c as usize] > 0).collect();
+        if syms.is_empty() {
+            return None;
+        }
+        let counts: Vec<u64> = syms.iter().map(|&c| self.classes[c as usize]).collect();
+        Some(FreqTable::build(syms, &counts))
+    }
+
+    /// The value table of an ANS section; `None` where ANS does not apply.
+    fn ans_table(&self) -> Option<FreqTable> {
+        self.ans.then(|| table_of_counts(&self.counts[..self.alphabet]))
+    }
+}
+
+/// The table listing every symbol with a non-zero count.
+fn table_of_counts(counts: &[u64]) -> FreqTable {
+    let syms: Vec<u16> = (0..counts.len() as u16).filter(|&v| counts[v as usize] > 0).collect();
+    let sym_counts: Vec<u64> = syms.iter().map(|&v| counts[v as usize]).collect();
+    FreqTable::build(syms, &sym_counts)
+}
+
+/// Exact length of a delta section of `n` values, less its class stream.
+fn delta_len(n: usize, ways: usize, table: Option<&FreqTable>, offset_bits: u64) -> u64 {
+    let head = (ways > 1) as u64 + 9;
+    match (n, table) {
+        (0, _) => head,
+        (_, None) => head + 8,
+        (_, Some(t)) => head + 8 + 2 + 4 * t.syms.len() as u64 + 4 + offset_bits.div_ceil(8),
+    }
+}
+
+/// Exact length of an ANS section, less its stream.
+fn ans_len(ways: usize, table: &FreqTable) -> u64 {
+    (ways > 1) as u64 + 9 + 2 + 4 * table.syms.len() as u64
+}
+
+/// Buffers the section encoders reuse from section to section.
+#[derive(Default)]
+struct Scratch {
+    /// Encoder constants of the table being encoded, indexed by symbol.
+    enc: Vec<EncSym>,
+    /// Renorm units of the stream being encoded, in push order.
+    units: Vec<u32>,
+}
+
+impl Scratch {
+    fn load(&mut self, table: &FreqTable, wide: bool) {
+        let top = *table.syms.last().expect("tables list at least one symbol") as usize;
+        self.enc.clear();
+        self.enc.resize(top + 1, EncSym::default());
+        for ((&s, &f), &c) in table.syms.iter().zip(&table.freqs).zip(&table.cum) {
+            self.enc[s as usize] = EncSym::new(f, c, wide);
+        }
+    }
+}
+
+/// A section length: exact for raw, bounded for the entropy codecs.
+#[derive(Clone, Copy)]
+struct Candidate {
+    codec: Codec,
+    lo: u64,
+    hi: u64,
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Sections on this thread whose predicted winner did not settle the
+    /// choice by itself, so a rival was encoded too.
+    static FALLBACKS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+/// The v4 section writer. It owns the unpacked values, the histograms and
+/// one output buffer per codec, and reuses them across sections.
+///
+/// Its choice is the strictly smallest applicable codec, ties preferring
+/// `Raw < Delta < Ans` — so a codec is only ever chosen when it is
+/// *strictly* smaller than raw, which the v4 footer validation relies on.
+/// It reaches that choice by encoding the candidate with the smallest
+/// estimated length, then any rival whose proven lower bound could still
+/// beat the winner's actual length (ranked by `(length, codec)`). A rival
+/// left unencoded is therefore no smaller than the winner.
+#[derive(Default)]
+pub(crate) struct SectionEncoder {
+    values: Vec<u64>,
+    stats: Stats,
+    scratch: Scratch,
+    /// Indexed by codec tag.
+    out: [Vec<u8>; 3],
+}
+
+impl SectionEncoder {
+    /// Encode `packed` with the chosen codec; the section is valid until the
+    /// next call.
+    pub(crate) fn encode(&mut self, packed: &BitPacked) -> (Codec, &[u8]) {
+        let (width, n) = (packed.width(), packed.len());
+        self.values.clear();
+        self.values.resize(n, 0);
+        packed.unpack_range(0, n, &mut self.values);
+        self.stats.collect(&self.values, width);
+        let delta_table = self.stats.delta_table();
+        let ans_table = self.stats.ans_table();
+        let (delta_ways, ans_ways) = (auto_ways(n.saturating_sub(1)), auto_ways(n));
+
+        let raw = raw_section_len(width, n as u64);
+        let delta_fixed = delta_len(n, delta_ways, delta_table.as_ref(), self.stats.offset_bits);
+        let (delta_lo, delta_hi) = delta_table
+            .as_ref()
+            .map_or((0, 0), |t| rans_len_bounds(t, &self.stats.classes, n - 1, delta_ways));
+        let candidates = [
+            Some(Candidate { codec: Codec::Raw, lo: raw, hi: raw }),
+            Some(Candidate {
+                codec: Codec::Delta,
+                lo: delta_fixed + delta_lo,
+                hi: delta_fixed + delta_hi,
+            }),
+            ans_table.as_ref().map(|t| {
+                let fixed = ans_len(ans_ways, t);
+                let (lo, hi) = rans_len_bounds(t, &self.stats.counts[..], n, ans_ways);
+                Candidate { codec: Codec::Ans, lo: fixed + lo, hi: fixed + hi }
+            }),
+        ];
+
+        let Self { values, scratch, out, .. } = self;
+        let mut encode = |c: &Candidate| -> u64 {
+            let buf = &mut out[c.codec.tag() as usize];
+            match c.codec {
+                Codec::Raw => write_raw(packed, buf),
+                Codec::Delta => {
+                    write_delta(values, width, delta_ways, delta_table.as_ref(), scratch, buf)
+                }
+                Codec::Ans => {
+                    let table = ans_table.as_ref().expect("ANS is a candidate only with a table");
+                    write_ans(values, width, ans_ways, table, scratch, buf)
+                }
+            }
+            let len = buf.len() as u64;
+            debug_assert!((c.lo..=c.hi).contains(&len), "{:?}: {len} outside its bounds", c.codec);
+            len
+        };
+        let rank = |c: &Candidate, len: u64| (len, c.codec.tag());
+        let candidates = candidates.iter().flatten();
+        let predicted =
+            candidates.clone().min_by_key(|c| rank(c, c.lo + c.hi)).expect("raw always applies");
+        let mut best = rank(predicted, encode(predicted));
+        for c in candidates.filter(|c| c.codec != predicted.codec) {
+            if rank(c, c.lo) < best {
+                #[cfg(test)]
+                FALLBACKS.with(|f| f.set(f.get() + 1));
+                best = best.min(rank(c, encode(c)));
+            }
+        }
+        let codec = Codec::from_tag(best.1).expect("the tag of a candidate");
+        (codec, &self.out[best.1 as usize])
+    }
 }
 
 /// Decode a codec-transformed array section (the whole of `buf`) into a
@@ -829,11 +1156,15 @@ pub fn decode_section_into(
 /// Encode `values` as a `codec` section at `width`, forcing the stream
 /// layout: `ways == 1` writes the legacy single-state layout, `2..=4` an
 /// interleaved one (`Raw` ignores `ways`). `None` when the codec does not
-/// apply. Bench / differential-test entry point; `encode_array` picks the
+/// apply. Bench / differential-test entry point; the file writer picks the
 /// codec and layout itself.
 pub fn encode_section(values: &[u64], width: u8, codec: Codec, ways: usize) -> Option<Vec<u8>> {
     match codec {
-        Codec::Raw => Some(raw_section(&BitPacked::from_slice_with_width(values, width))),
+        Codec::Raw => {
+            let mut out = Vec::new();
+            write_raw(&BitPacked::from_slice_with_width(values, width), &mut out);
+            Some(out)
+        }
         Codec::Delta => encode_delta(values, width, ways),
         Codec::Ans => encode_ans(values, width, ways),
     }
@@ -918,6 +1249,7 @@ fn delta_sym(d: i64) -> (u16, u64) {
 }
 
 const DELTA_MAX_SYM: u16 = 64 << 1 | 1;
+const DELTA_SYMS: usize = DELTA_MAX_SYM as usize + 1;
 
 /// Per-class decode tables, indexed by class symbol: explicit offset-bit
 /// count (`k - 1` for magnitude bit-length `k >= 1`), the low-bit mask of
@@ -958,46 +1290,57 @@ const fn build_delta_tables() -> ([u8; 256], [u64; 256], [u64; 256]) {
 /// The class alphabet is `(magnitude bit-length, sign)` pairs; a
 /// magnitude's sub-top bits go to the offset stream verbatim.
 pub(crate) fn encode_delta(values: &[u64], width: u8, ways: usize) -> Option<Vec<u8>> {
-    debug_assert!(ways == 1 || (2..=MAX_WAYS).contains(&ways));
+    let mut stats = Stats::default();
+    stats.collect(values, width);
     let mut out = Vec::new();
+    write_delta(
+        values,
+        width,
+        ways,
+        stats.delta_table().as_ref(),
+        &mut Scratch::default(),
+        &mut out,
+    );
+    Some(out)
+}
+
+/// Write a delta section over `values` into `out` (cleared first), given
+/// its class table (`None` exactly when there are fewer than two values).
+/// The classes are rANS-coded in reverse and the offset bits written
+/// forward, each pass recomputing the deltas from `values`.
+fn write_delta(
+    values: &[u64],
+    width: u8,
+    ways: usize,
+    table: Option<&FreqTable>,
+    scratch: &mut Scratch,
+    out: &mut Vec<u8>,
+) {
+    debug_assert!(ways == 1 || (2..=MAX_WAYS).contains(&ways));
+    debug_assert_eq!(table.is_some(), values.len() >= 2);
+    out.clear();
     if ways > 1 {
         out.push(INTERLEAVE_TAG | ways as u8);
     }
     out.push(width);
     out.extend_from_slice(&(values.len() as u64).to_le_bytes());
-    let Some((&first, rest)) = values.split_first() else { return Some(out) };
+    let Some(&first) = values.first() else { return };
     out.extend_from_slice(&first.to_le_bytes());
-    if rest.is_empty() {
-        return Some(out);
+    let Some(table) = table else { return };
+    table.write(out);
+    let len_at = out.len();
+    out.extend_from_slice(&[0; 4]);
+    scratch.load(table, ways > 1);
+    let class = |i: usize| delta_sym(values[i + 1].wrapping_sub(values[i]) as i64).0 as usize;
+    rans_encode(values.len() - 1, class, &scratch.enc, ways, out, &mut scratch.units);
+    let class_stream_len = (out.len() - len_at - 4) as u32;
+    out[len_at..len_at + 4].copy_from_slice(&class_stream_len.to_le_bytes());
+    let mut bits = BitWriter::new(out);
+    for pair in values.windows(2) {
+        let (sym, mag) = delta_sym(pair[1].wrapping_sub(pair[0]) as i64);
+        bits.put(mag & DELTA_MASK[sym as usize], DELTA_MS[sym as usize] as u32);
     }
-    let mut mags = Vec::with_capacity(rest.len());
-    let mut class_counts = [0u64; DELTA_MAX_SYM as usize + 1];
-    let mut prev = first;
-    for &v in rest {
-        let (sym, mag) = delta_sym(v.wrapping_sub(prev) as i64);
-        class_counts[sym as usize] += 1;
-        mags.push((sym, mag));
-        prev = v;
-    }
-    let syms: Vec<u16> = (0..=DELTA_MAX_SYM).filter(|&c| class_counts[c as usize] > 0).collect();
-    let counts: Vec<u64> = syms.iter().map(|&c| class_counts[c as usize]).collect();
-    let table = FreqTable::build(syms, &counts);
-    let index_of = |sym: u16| table.syms.binary_search(&sym).unwrap();
-    let indices: Vec<usize> = mags.iter().map(|&(sym, _)| index_of(sym)).collect();
-    let class_stream = rans_encode(&indices, &table, ways);
-
-    table.write(&mut out);
-    out.extend_from_slice(&(class_stream.len() as u32).to_le_bytes());
-    out.extend_from_slice(&class_stream);
-    let mut bits = BitWriter::default();
-    for &(sym, mag) in &mags {
-        let k = (sym >> 1) as u32;
-        if k >= 2 {
-            bits.put(mag & low_mask(k - 1), k - 1);
-        }
-    }
-    out.extend_from_slice(&bits.finish());
-    Some(out)
+    bits.finish();
 }
 
 /// Decode a delta section into `out`, returning the declared width and
@@ -1213,26 +1556,31 @@ fn encode_ans_with_counts(
     ways: usize,
     counts: &[u64; SCALE as usize],
 ) -> Vec<u8> {
-    debug_assert!(ways == 1 || (2..=MAX_WAYS).contains(&ways));
-    let syms: Vec<u16> = (0..SCALE as u16).filter(|&v| counts[v as usize] > 0).collect();
-    let sym_counts: Vec<u64> = syms.iter().map(|&v| counts[v as usize]).collect();
-    let mut index_of = [0u16; SCALE as usize];
-    for (i, &v) in syms.iter().enumerate() {
-        index_of[v as usize] = i as u16;
-    }
-    let table = FreqTable::build(syms, &sym_counts);
-    let indices: Vec<usize> = values.iter().map(|&v| index_of[v as usize] as usize).collect();
-    let stream = rans_encode(&indices, &table, ways);
+    let mut out = Vec::new();
+    write_ans(values, width, ways, &table_of_counts(counts), &mut Scratch::default(), &mut out);
+    out
+}
 
-    let mut out = Vec::with_capacity(10 + 2 + 4 * table.syms.len() + stream.len());
+/// Write an ANS section over `values` into `out` (cleared first) under
+/// `table`, which lists every value that occurs.
+fn write_ans(
+    values: &[u64],
+    width: u8,
+    ways: usize,
+    table: &FreqTable,
+    scratch: &mut Scratch,
+    out: &mut Vec<u8>,
+) {
+    debug_assert!(ways == 1 || (2..=MAX_WAYS).contains(&ways));
+    out.clear();
     if ways > 1 {
         out.push(INTERLEAVE_TAG | ways as u8);
     }
     out.push(width);
     out.extend_from_slice(&(values.len() as u64).to_le_bytes());
-    table.write(&mut out);
-    out.extend_from_slice(&stream);
-    out
+    table.write(out);
+    scratch.load(table, ways > 1);
+    rans_encode(values.len(), |i| values[i] as usize, &scratch.enc, ways, out, &mut scratch.units);
 }
 
 /// Test support: an ANS section over `values` whose table additionally
@@ -1363,6 +1711,312 @@ mod tests {
 
     fn packed(values: &[u64]) -> BitPacked {
         BitPacked::from_slice(values)
+    }
+
+    /// The writer's choice for one section.
+    fn encode_array(packed: &BitPacked) -> (Codec, Vec<u8>) {
+        let mut encoder = SectionEncoder::default();
+        let (codec, bytes) = encoder.encode(packed);
+        (codec, bytes.to_vec())
+    }
+
+    fn raw_section(packed: &BitPacked) -> Vec<u8> {
+        let mut out = Vec::new();
+        write_raw(packed, &mut out);
+        out
+    }
+
+    /// The writer before it chose from one stats pass: every applicable
+    /// codec fully encoded by the division-based encoder, and the strictly
+    /// smallest kept. The oracle for the choice and for the bytes.
+    mod trial {
+        use super::super::*;
+
+        pub(super) fn encode_by_trial(packed: &BitPacked) -> (Codec, Vec<u8>) {
+            let mut best = (Codec::Raw, super::raw_section(packed));
+            let mut values = vec![0u64; packed.len()];
+            packed.unpack_range(0, packed.len(), &mut values);
+            let d =
+                encode_delta(&values, packed.width(), auto_ways(values.len().saturating_sub(1)));
+            if d.len() < best.1.len() {
+                best = (Codec::Delta, d);
+            }
+            if let Some(a) = encode_ans(&values, packed.width(), auto_ways(values.len())) {
+                if a.len() < best.1.len() {
+                    best = (Codec::Ans, a);
+                }
+            }
+            best
+        }
+
+        fn rans_encode(indices: &[usize], table: &FreqTable, ways: usize) -> Vec<u8> {
+            if ways == 1 {
+                let mut renorm: Vec<u8> = Vec::new();
+                let mut x = RANS_L;
+                for &s in indices.iter().rev() {
+                    let f = table.freqs[s] as u32;
+                    while x >= f << (23 - SCALE_BITS + 8) {
+                        renorm.push(x as u8);
+                        x >>= 8;
+                    }
+                    x = ((x / f) << SCALE_BITS) + (x % f) + table.cum[s];
+                }
+                let mut stream = x.to_le_bytes().to_vec();
+                stream.extend(renorm.iter().rev());
+                return stream;
+            }
+            let mut renorm: Vec<u32> = Vec::new();
+            let mut states = [RANS64_L; MAX_WAYS];
+            for i in (0..indices.len()).rev() {
+                let s = indices[i];
+                let f = table.freqs[s] as u64;
+                let mut x = states[i % ways];
+                while x >= f << (31 - SCALE_BITS as u64 + 32) {
+                    renorm.push(x as u32);
+                    x >>= 32;
+                }
+                states[i % ways] = ((x / f) << SCALE_BITS) + (x % f) + table.cum[s] as u64;
+            }
+            let mut stream: Vec<u8> = states[..ways].iter().flat_map(|x| x.to_le_bytes()).collect();
+            stream.extend(renorm.iter().rev().flat_map(|w| w.to_le_bytes()));
+            stream
+        }
+
+        fn header(values: &[u64], width: u8, ways: usize) -> Vec<u8> {
+            let mut out = Vec::new();
+            if ways > 1 {
+                out.push(INTERLEAVE_TAG | ways as u8);
+            }
+            out.push(width);
+            out.extend_from_slice(&(values.len() as u64).to_le_bytes());
+            out
+        }
+
+        pub(super) fn encode_delta(values: &[u64], width: u8, ways: usize) -> Vec<u8> {
+            let mut out = header(values, width, ways);
+            let Some((&first, rest)) = values.split_first() else { return out };
+            out.extend_from_slice(&first.to_le_bytes());
+            if rest.is_empty() {
+                return out;
+            }
+            let mut prev = first;
+            let mags: Vec<(u16, u64)> = rest
+                .iter()
+                .map(|&v| {
+                    let d = v.wrapping_sub(prev) as i64;
+                    prev = v;
+                    delta_sym(d)
+                })
+                .collect();
+            let mut class_counts = [0u64; DELTA_SYMS];
+            for &(sym, _) in &mags {
+                class_counts[sym as usize] += 1;
+            }
+            let syms: Vec<u16> =
+                (0..=DELTA_MAX_SYM).filter(|&c| class_counts[c as usize] > 0).collect();
+            let counts: Vec<u64> = syms.iter().map(|&c| class_counts[c as usize]).collect();
+            let table = FreqTable::build(syms, &counts);
+            let indices: Vec<usize> =
+                mags.iter().map(|&(sym, _)| table.syms.binary_search(&sym).unwrap()).collect();
+            let class_stream = rans_encode(&indices, &table, ways);
+            table.write(&mut out);
+            out.extend_from_slice(&(class_stream.len() as u32).to_le_bytes());
+            out.extend_from_slice(&class_stream);
+            // Byte-at-a-time LSB-first bit writer.
+            let (mut acc, mut nbits) = (0u64, 0u32);
+            for &(sym, mag) in &mags {
+                let m = DELTA_MS[sym as usize] as u32;
+                let bits = mag & low_mask(m);
+                for (part, n) in
+                    [(bits & low_mask(m.min(32)), m.min(32)), (bits >> 32, m.max(32) - 32)]
+                {
+                    acc |= part << nbits;
+                    nbits += n;
+                    while nbits >= 8 {
+                        out.push(acc as u8);
+                        acc >>= 8;
+                        nbits -= 8;
+                    }
+                }
+            }
+            if nbits > 0 {
+                out.push(acc as u8);
+            }
+            out
+        }
+
+        pub(super) fn encode_ans(values: &[u64], width: u8, ways: usize) -> Option<Vec<u8>> {
+            if values.is_empty() || values.iter().any(|&v| v >= SCALE as u64) {
+                return None;
+            }
+            let mut counts = [0u64; SCALE as usize];
+            for &v in values {
+                counts[v as usize] += 1;
+            }
+            let syms: Vec<u16> = (0..SCALE as u16).filter(|&v| counts[v as usize] > 0).collect();
+            let sym_counts: Vec<u64> = syms.iter().map(|&v| counts[v as usize]).collect();
+            let table = FreqTable::build(syms, &sym_counts);
+            let indices: Vec<usize> =
+                values.iter().map(|&v| table.syms.binary_search(&(v as u16)).unwrap()).collect();
+            let mut out = header(values, width, ways);
+            table.write(&mut out);
+            out.extend_from_slice(&rans_encode(&indices, &table, ways));
+            Some(out)
+        }
+    }
+
+    /// A little xorshift stream for shaping test arrays from one seed.
+    fn xorshift(seed: u64) -> impl FnMut() -> u64 {
+        let mut s = seed | 1;
+        move || {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            s
+        }
+    }
+
+    /// Arrays in the shapes real columns take: uniform, smooth (small
+    /// deltas), skewed over a small alphabet, and per-user ascending runs.
+    fn shaped(seed: u64, len: usize, width: u8, shape: u8) -> Vec<u64> {
+        let mask = low_mask(width as u32);
+        let mut next = xorshift(seed);
+        let mut acc = next() & mask;
+        let mut run = 0u64;
+        (0..len)
+            .map(|_| match shape {
+                0 => next() & mask,
+                1 => {
+                    acc = acc.wrapping_add(next() % 7) & mask;
+                    acc
+                }
+                2 => (if next().is_multiple_of(8) { next() % 16 } else { next() % 2 }) & mask,
+                _ => {
+                    if run == 0 {
+                        run = 1 + next() % 50;
+                        acc = next() & mask;
+                    }
+                    run -= 1;
+                    acc = acc.wrapping_add(next() % 1000) & mask;
+                    acc
+                }
+            })
+            .collect()
+    }
+
+    /// The three section lengths the race compares.
+    fn race_lengths(values: &[u64], width: u8) -> [Option<usize>; 3] {
+        let n = values.len();
+        [
+            Some(raw_section_len(width, n as u64) as usize),
+            Some(trial::encode_delta(values, width, auto_ways(n.saturating_sub(1))).len()),
+            trial::encode_ans(values, width, auto_ways(n)).map(|a| a.len()),
+        ]
+    }
+
+    /// An array from a one-knob family (`knob` in `0..=1024`) in which two
+    /// candidates trade places: `kind` 0 puts ANS against raw (noise into
+    /// zeros), 1 delta against ANS (sorting a prefix of a skewed array,
+    /// which leaves its histogram alone), 2 delta against raw (sorting a
+    /// prefix of wide uniform values).
+    fn knob_family(seed: u64, len: usize, kind: u8) -> (u8, impl Fn(u32) -> Vec<u64>) {
+        let mut next = xorshift(seed);
+        let width = match kind {
+            0 => 1 + (next() % 8) as u8,
+            1 => 2 + (next() % 11) as u8,
+            _ => 13 + (next() % 40) as u8,
+        };
+        let mask = low_mask(width as u32);
+        let base: Vec<(u64, u64)> = (0..len).map(|_| (next(), next())).collect();
+        let family = move |knob: u32| -> Vec<u64> {
+            let mut values: Vec<u64> = base
+                .iter()
+                .map(|&(r, s)| match kind {
+                    0 => (if (r % 1024) < knob as u64 { s } else { 0 }) & mask,
+                    1 => (r & mask).min(s & mask),
+                    _ => r & mask,
+                })
+                .collect();
+            if kind != 0 {
+                values[..len * knob as usize / 1024].sort_unstable();
+            }
+            values
+        };
+        (width, family)
+    }
+
+    /// Bisect the family for the knob where the pair `kind` names crosses,
+    /// and check the chooser against the race on the arrays around it.
+    fn check_near_tie(seed: u64, len: usize, kind: u8) {
+        let (width, family) = knob_family(seed, len, kind);
+        let (a, b) = match kind {
+            0 => (2, 0),
+            1 => (1, 2),
+            _ => (1, 0),
+        };
+        let gap = |knob: u32| {
+            let lens = race_lengths(&family(knob), width);
+            lens[a].zip(lens[b]).map_or(0, |(x, y)| x as i64 - y as i64)
+        };
+        // Find a knob whose gap has the sign of the far end while its
+        // neighbour's does not.
+        let (mut lo, mut hi) = (0u32, 1024u32);
+        let rising = gap(hi) >= gap(lo);
+        while hi - lo > 1 {
+            let mid = (lo + hi) / 2;
+            if (gap(mid) >= 0) == rising {
+                hi = mid;
+            } else {
+                lo = mid;
+            }
+        }
+        for knob in lo.saturating_sub(2)..=(hi + 2).min(1024) {
+            let p = BitPacked::from_slice_with_width(&family(knob), width);
+            assert_eq!(
+                encode_array(&p),
+                trial::encode_by_trial(&p),
+                "seed {seed} len {len} kind {kind} knob {knob}: lengths {:?}",
+                race_lengths(&p.to_vec(), width)
+            );
+        }
+    }
+
+    #[test]
+    fn reciprocal_quotients_are_exact() {
+        let mut next = xorshift(0x5eed);
+        for f in 1..=SCALE as u64 {
+            let e = EncSym::new(f as u16, 0, true);
+            // The legacy and wide state intervals from `L` up to `x_max`,
+            // and the wider ones a renormalized state reaches below `L`.
+            for (lo, hi) in [
+                (1u64 << 23, f << 19),
+                (1u64 << 31, f << 51),
+                (f << 11, f << 19),
+                (f << 19, f << 51),
+            ] {
+                if lo >= hi {
+                    continue;
+                }
+                let random = (0..1000).map(|_| lo + next() % (hi - lo));
+                for x in [lo, hi - 1].into_iter().chain(random) {
+                    let q = e.quot(x);
+                    assert_eq!((q, x.wrapping_sub(q * f)), (x / f, x % f), "f {f}, x {x}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_suite_takes_the_fallback() {
+        // Near-ties are where an estimate cannot settle the choice: the
+        // chooser must encode a rival and still agree with the race.
+        FALLBACKS.with(|f| f.set(0));
+        for seed in 1..=6u64 {
+            for kind in 0..3 {
+                check_near_tie(seed, 300 + 700 * seed as usize, kind);
+            }
+        }
+        assert!(FALLBACKS.with(|f| f.get()) > 0, "no section took the fallback");
     }
 
     fn delta_array(buf: &[u8], expected_raw: u64) -> Result<BitPacked> {
@@ -1794,6 +2448,50 @@ mod tests {
             let _ = decode_section_into(Codec::Raw, &buf, raw, None, &mut scratch);
             let _ = decode_section_into(Codec::Delta, &buf, raw, Some(42), &mut scratch);
             let _ = decode_section_into(Codec::Ans, &buf, raw, Some(42), &mut scratch);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig {
+            cases: if cfg!(debug_assertions) { 32 } else { 512 },
+            ..ProptestConfig::default()
+        })]
+
+        #[test]
+        fn prop_chooser_equals_the_race(
+            seed in any::<u64>(),
+            len in prop_oneof![
+                0usize..5000,
+                prop::sample::select(vec![0usize, 1, 2, 63, 64, 65, 66]),
+            ],
+            width in 0u8..=64,
+            shape in 0u8..4,
+        ) {
+            let p = BitPacked::from_slice_with_width(&shaped(seed, len, width, shape), width);
+            prop_assert_eq!(encode_array(&p), trial::encode_by_trial(&p));
+        }
+
+        #[test]
+        fn prop_chooser_equals_the_race_on_near_ties(
+            seed in any::<u64>(),
+            len in 2usize..3000,
+            kind in 0u8..3,
+        ) {
+            check_near_tie(seed, len, kind);
+        }
+
+        #[test]
+        fn prop_encoders_equal_the_division_encoders(
+            raw in prop::collection::vec(any::<u64>(), 0..300),
+            modulus in prop::sample::select(vec![2u64, 37, 4096, u64::MAX]),
+            ways in 1usize..=4,
+        ) {
+            let values: Vec<u64> = raw.iter().map(|v| v % modulus).collect();
+            let width = bits_for(values.iter().copied().max().unwrap_or(0));
+            let delta = encode_section(&values, width, Codec::Delta, ways);
+            prop_assert_eq!(delta, Some(trial::encode_delta(&values, width, ways)));
+            let ans = encode_section(&values, width, Codec::Ans, ways);
+            prop_assert_eq!(ans, trial::encode_ans(&values, width, ways));
         }
     }
 }

@@ -96,7 +96,7 @@
 
 use crate::bitpack::BitPacked;
 use crate::chunk::Chunk;
-use crate::codec::{self, Codec};
+use crate::codec::{self, Codec, SectionEncoder};
 use crate::column::ChunkColumn;
 use crate::dict::{ChunkDict, GlobalDict};
 use crate::rewrite::{self, Splice};
@@ -164,6 +164,7 @@ fn write_blobs(
     let arity = schema.arity();
     let user_idx = schema.user_idx();
     let mut layouts = Vec::with_capacity(chunks.len());
+    let mut encoder = SectionEncoder::default();
     for chunk in chunks {
         let rle_offset = base + buf.len() as u64;
         write_rle_blob(buf, chunk.user_rle());
@@ -174,7 +175,8 @@ fn write_blobs(
                 continue;
             }
             let offset = base + buf.len() as u64;
-            let (codec, uncompressed) = write_column_blob_v4(buf, chunk.column_required(idx));
+            let (codec, uncompressed) =
+                write_column_blob_v4(buf, chunk.column_required(idx), &mut encoder);
             *slot = BlobLoc { offset, len: base + buf.len() as u64 - offset, codec, uncompressed };
         }
         layouts.push(ChunkLayout { rle, cols });
@@ -1792,11 +1794,15 @@ fn write_rle_blob(buf: &mut BytesMut, rle: &UserRle) {
 /// (the only column-blob writer): the tag + dictionary / min-max header
 /// stays raw (it is a few bytes and the footer parser needs nothing from
 /// it), then the bit-packed array is written with whichever codec
-/// [`codec::encode_array`] picked. Returns the chosen codec and the exact
-/// length the blob would have serialized to raw (the v3 length), which the
-/// footer records as `uncompressed`. A blob whose section stays
-/// [`Codec::Raw`] is byte-identical to its v3 form.
-fn write_column_blob_v4(buf: &mut BytesMut, col: &ChunkColumn) -> (Codec, u64) {
+/// `encoder` picked. Returns the chosen codec and the exact length the blob
+/// would have serialized to raw (the v3 length), which the footer records
+/// as `uncompressed`. A blob whose section stays [`Codec::Raw`] is
+/// byte-identical to its v3 form.
+fn write_column_blob_v4(
+    buf: &mut BytesMut,
+    col: &ChunkColumn,
+    encoder: &mut SectionEncoder,
+) -> (Codec, u64) {
     let (packed, header_len) = match col {
         ChunkColumn::Str { dict, codes } => {
             buf.put_u8(1);
@@ -1813,8 +1819,8 @@ fn write_column_blob_v4(buf: &mut BytesMut, col: &ChunkColumn) -> (Codec, u64) {
             (deltas, 17u64)
         }
     };
-    let (chosen, section) = codec::encode_array(packed);
-    buf.put_slice(&section);
+    let (chosen, section) = encoder.encode(packed);
+    buf.put_slice(section);
     (chosen, header_len + codec::raw_section_len(packed.width(), packed.len() as u64))
 }
 

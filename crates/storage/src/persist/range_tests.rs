@@ -51,7 +51,7 @@ fn crafted_blob(
     // The column's real header is the head of its blob.
     let header_len = header_len(col);
     let mut written = BytesMut::new();
-    write_column_blob_v4(&mut written, col);
+    write_column_blob_v4(&mut written, col, &mut SectionEncoder::default());
     let mut blob = written[..header_len].to_vec();
     let listed = match section {
         Section::AnsListingUnused(sym) => sym as u64,
@@ -242,6 +242,79 @@ fn v4_image_bytes_are_pinned() {
 const PINNED_LARGE: (usize, u64) = (101_255, 9_977_741_581_841_170_640);
 const PINNED_SMALL: (usize, u64) = (57_868, 14_100_017_372_010_422_421);
 
+/// Length and FNV-1a hash of an image.
+fn pin(bytes: &[u8]) -> (usize, u64) {
+    let hash = bytes
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ b as u64).wrapping_mul(0x100_0000_01b3));
+    (bytes.len(), hash)
+}
+
+/// The repo benchmark's table: 6 000 users at seed 7, 64 Ki-row chunks.
+fn benchmark_shape() -> (ActivityTable, CompressionOptions) {
+    let rows = generate(&GeneratorConfig { seed: 7, ..GeneratorConfig::new(6000) });
+    (rows, CompressionOptions::with_chunk_size(64 * 1024))
+}
+
+/// The benchmark's ingest split: the rows of the first `head_share` of time,
+/// then `batches` equal later time slices, each in primary-key order.
+fn split_by_time(
+    table: &ActivityTable,
+    head_share: f64,
+    batches: usize,
+) -> (ActivityTable, Vec<ActivityTable>) {
+    let tidx = table.schema().time_idx();
+    let mut order: Vec<usize> = (0..table.num_rows()).collect();
+    order.sort_by_key(|&r| table.rows()[r].get(tidx).as_int().expect("time is an int"));
+    let (head, tail) = order.split_at((table.num_rows() as f64 * head_share) as usize);
+    let part = |rows: &[usize]| {
+        let mut rows = rows.to_vec();
+        rows.sort_unstable();
+        let tuples = rows.iter().map(|&r| table.rows()[r].clone()).collect();
+        ActivityTable::from_sorted_rows(table.schema().clone(), tuples).unwrap()
+    };
+    let per = tail.len().div_ceil(batches).max(1);
+    (part(head), tail.chunks(per).map(part).collect())
+}
+
+// The pins below are the images the writer produced at commit 6178c26,
+// before it chose codecs from one stats pass instead of encoding every
+// candidate. Unoptimized builds take minutes over these tables; `cargo test
+// --release -p cohana-storage --lib -- persist::` runs them.
+
+#[test]
+#[cfg_attr(debug_assertions, ignore)]
+fn benchmark_table_bytes_are_pinned() {
+    let (rows, options) = benchmark_shape();
+    let image = to_bytes(&CompressedTable::build(&rows, options).unwrap());
+    assert_eq!(pin(&image), PINNED_BENCHMARK);
+}
+
+#[test]
+#[cfg_attr(debug_assertions, ignore)]
+fn ingested_and_compacted_file_bytes_are_pinned() {
+    let (rows, options) = benchmark_shape();
+    let (head, batches) = split_by_time(&rows, 0.5, 10);
+    let dir = std::env::temp_dir().join("cohana-range-tests");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join(format!("ingest-pin-{}.cohana", std::process::id()));
+    write_file(&CompressedTable::build(&head, options).unwrap(), &path).unwrap();
+    for batch in &batches {
+        append(&path, batch).unwrap();
+    }
+    let ingested = pin(&std::fs::read(&path).unwrap());
+    compact(&path).unwrap();
+    let compacted = pin(&std::fs::read(&path).unwrap());
+    std::fs::remove_file(&path).ok();
+    assert_eq!([ingested, compacted], PINNED_INGESTED_COMPACTED);
+}
+
+const PINNED_BENCHMARK: (usize, u64) = (2_723_858, 9_949_755_615_502_182_034);
+/// The file after ten appends (dead bytes, epoch footer) and after one
+/// compaction, which is byte-identical to the build-once image above.
+const PINNED_INGESTED_COMPACTED: [(usize, u64); 2] =
+    [(22_500_730, 12_507_712_857_348_463_524), PINNED_BENCHMARK];
+
 /// One real blob per codec from a 64 Ki-row chunk.
 fn real_blobs() -> Vec<(Vec<u8>, BlobLoc)> {
     let t = generate(&GeneratorConfig::new(700));
@@ -249,9 +322,10 @@ fn real_blobs() -> Vec<(Vec<u8>, BlobLoc)> {
     let chunk = &t.chunks()[0];
     assert!(chunk.num_rows() >= 64 * 1024);
     let mut found: Vec<(Vec<u8>, BlobLoc)> = Vec::new();
+    let mut encoder = SectionEncoder::default();
     for col in chunk.columns().iter().flatten() {
         let mut buf = BytesMut::new();
-        let (codec, uncompressed) = write_column_blob_v4(&mut buf, col);
+        let (codec, uncompressed) = write_column_blob_v4(&mut buf, col, &mut encoder);
         if found.iter().all(|(_, loc)| loc.codec != codec) {
             let loc = BlobLoc { offset: 0, len: buf.len() as u64, codec, uncompressed };
             found.push((buf.to_vec(), loc));
@@ -263,7 +337,7 @@ fn real_blobs() -> Vec<(Vec<u8>, BlobLoc)> {
         // what a v3 file (or a tie) stores.
         let col = chunk.columns().iter().flatten().next().unwrap();
         let mut written = BytesMut::new();
-        write_column_blob_v4(&mut written, col);
+        write_column_blob_v4(&mut written, col, &mut SectionEncoder::default());
         let mut buf = BytesMut::new();
         buf.put_slice(&written[..header_len(col)]);
         write_packed(&mut buf, col.packed());
