@@ -24,7 +24,7 @@ USAGE:
 
 OPTIONS:
     --exp <id>        experiment to run: table2, table3, fig6, fig7, fig8,
-                      fig9, fig10, fig11, ablation, parallel, all
+                      fig9, fig10, fig11, ablation, all
                       [default: all]
     --users <n>       users in the scale-1 dataset        [default: 1000]
     --scales <list>   comma-separated scale factors       [default: 1,2,4,8]
@@ -111,7 +111,6 @@ fn run() -> Result<(), String> {
         "fig10" => vec![experiments::fig10(&mut cache)],
         "fig11" => vec![experiments::fig11(&mut cache)],
         "ablation" => vec![experiments::ablation(&mut cache)],
-        "parallel" => vec![experiments::parallel(&mut cache)],
         "all" => experiments::all(&mut cache),
         other => return Err(format!("unknown experiment {other:?}")),
     };

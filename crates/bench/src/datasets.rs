@@ -9,13 +9,15 @@ use cohana_storage::{CompressedTable, CompressionOptions};
 use std::collections::HashMap;
 use std::sync::Arc;
 
+/// Users in the default scale-1 dataset.
+const DEFAULT_USERS: usize = 1_000;
+
 /// Harness configuration.
 #[derive(Debug, Clone)]
 pub struct BenchConfig {
     /// Users in the scale-1 dataset. The paper's dataset has 57,077 users
     /// and 30 M tuples; the default here (1,000 users, ≈100 K tuples) keeps
-    /// every figure laptop-runnable. Override with `--users` or
-    /// `COHANA_BENCH_USERS`.
+    /// every figure laptop-runnable. Override with `--users`.
     pub base_users: usize,
     /// Scale factors to sweep (paper: 1–64; default here 1–8).
     pub scales: Vec<usize>,
@@ -28,7 +30,7 @@ pub struct BenchConfig {
 impl Default for BenchConfig {
     fn default() -> Self {
         BenchConfig {
-            base_users: env_or("COHANA_BENCH_USERS", 1_000),
+            base_users: DEFAULT_USERS,
             scales: vec![1, 2, 4, 8],
             chunk_sizes: vec![16 * 1024, 64 * 1024, 256 * 1024, 1024 * 1024],
             runs: 5,
@@ -37,11 +39,6 @@ impl Default for BenchConfig {
 }
 
 impl BenchConfig {
-    /// The paper's full sweep (scales to 64). Expect long runtimes.
-    pub fn full() -> Self {
-        BenchConfig { scales: vec![1, 2, 4, 8, 16, 32, 64], ..Default::default() }
-    }
-
     /// A quick configuration for CI / smoke tests.
     pub fn quick() -> Self {
         BenchConfig {
@@ -51,10 +48,6 @@ impl BenchConfig {
             runs: 2,
         }
     }
-}
-
-fn env_or(name: &str, default: usize) -> usize {
-    std::env::var(name).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
 }
 
 /// Caches base/scaled/compressed datasets across experiments.
@@ -102,12 +95,6 @@ impl DatasetCache {
         );
         self.compressed.insert((scale, chunk_size), compressed.clone());
         compressed
-    }
-
-    /// Drop cached scaled tables (frees memory between experiments).
-    pub fn evict_scaled(&mut self) {
-        self.scaled.clear();
-        self.compressed.clear();
     }
 }
 

@@ -14,9 +14,6 @@ pub struct ExperimentResult {
     pub headers: Vec<String>,
     /// Data rows.
     pub rows: Vec<Vec<String>>,
-    /// Free-text footnotes rendered below the table (e.g. I/O counter
-    /// summaries that don't fit the row grid).
-    pub notes: Vec<String>,
 }
 
 impl ExperimentResult {
@@ -31,7 +28,6 @@ impl ExperimentResult {
             description: description.into(),
             headers,
             rows: Vec::new(),
-            notes: Vec::new(),
         }
     }
 
@@ -39,11 +35,6 @@ impl ExperimentResult {
     pub fn push_row(&mut self, row: Vec<String>) {
         debug_assert_eq!(row.len(), self.headers.len());
         self.rows.push(row);
-    }
-
-    /// Append a footnote rendered below the table.
-    pub fn push_note(&mut self, note: impl Into<String>) {
-        self.notes.push(note.into());
     }
 
     /// Aligned text rendering.
@@ -64,9 +55,6 @@ impl ExperimentResult {
                 out.push_str(&format!("{:>w$}  ", c, w = widths[i]));
             }
             out.push('\n');
-        }
-        for note in &self.notes {
-            out.push_str(&format!("note: {note}\n"));
         }
         out
     }
@@ -107,12 +95,11 @@ impl ExperimentResult {
         }
         let rows: Vec<String> = self.rows.iter().map(|r| string_array(r, "    ")).collect();
         format!(
-            "{{\n  \"name\": {},\n  \"description\": {},\n  \"headers\": {},\n  \"rows\": [\n{}\n  ],\n  \"notes\": {}\n}}\n",
+            "{{\n  \"name\": {},\n  \"description\": {},\n  \"headers\": {},\n  \"rows\": [\n{}\n  ]\n}}\n",
             quote(&self.name),
             quote(&self.description),
-            string_array(&self.headers, "").trim_start(),
-            rows.join(",\n"),
-            string_array(&self.notes, "").trim_start()
+            string_array(&self.headers, ""),
+            rows.join(",\n")
         )
     }
 
@@ -141,16 +128,6 @@ mod tests {
         let r = sample();
         assert!(r.pretty().contains("## fig0"));
         assert_eq!(r.to_csv(), "scale,time\n1,0.5\n2,1.1\n");
-    }
-
-    #[test]
-    fn notes_render_in_pretty_and_json() {
-        let mut r = sample();
-        r.push_note("cache budget 4096 bytes");
-        assert!(r.pretty().contains("note: cache budget 4096 bytes"));
-        assert!(r.to_json().contains("\"cache budget 4096 bytes\""));
-        // CSV stays a plain data grid.
-        assert!(!r.to_csv().contains("cache budget"));
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! Simple wall-clock measurement used by the experiment harness (the
-//! criterion benches use criterion's own statistics instead).
+//! Wall-clock measurement for the experiments: one run, or the mean of
+//! several after a warm-up, as the paper reports.
 
 use std::time::{Duration, Instant};
 

@@ -1038,9 +1038,19 @@ mod tests {
     /// Run `query` serially over every chunk of `table` and sum the kernel's
     /// work counters: `(tuples decoded, tuples folded, runs folded)`.
     fn kernel_work(table: &CompressedTable, query: &CohortQuery) -> (u64, u64, u64) {
-        let plan = plan_query(query, table.schema(), PlannerOptions::default()).unwrap();
+        kernel_run(table, query, PlannerOptions::default()).0
+    }
+
+    /// [`kernel_work`] under `options`, with the users the cohorts count:
+    /// every qualified user, whether or not a tuple of theirs was folded.
+    fn kernel_run(
+        table: &CompressedTable,
+        query: &CohortQuery,
+        options: PlannerOptions,
+    ) -> ((u64, u64, u64), u64) {
+        let plan = plan_query(query, table.schema(), options).unwrap();
         let ctx = ExecContext::new(table.table_meta(), &plan).unwrap();
-        let mut work = (0, 0, 0);
+        let (mut work, mut users) = ((0, 0, 0), 0);
         for chunk in table.chunks() {
             let mut proc = RunProcessor::new(table.table_meta(), chunk, &plan, &ctx).unwrap();
             if !proc.skip_chunk {
@@ -1049,8 +1059,120 @@ mod tests {
             work.0 += proc.tuples_decoded;
             work.1 += proc.tuples_folded;
             work.2 += proc.runs_folded;
+            users += proc.acc.num_users();
         }
-        work
+        (work, users)
+    }
+
+    /// The 300-user paper-shaped table the counter tests run on.
+    fn paper_activity() -> cohana_activity::ActivityTable {
+        cohana_activity::generate(&cohana_activity::GeneratorConfig::new(300))
+    }
+
+    fn paper_table(
+        activity: &cohana_activity::ActivityTable,
+        chunk_size: usize,
+    ) -> CompressedTable {
+        CompressedTable::build(activity, CompressionOptions::with_chunk_size(chunk_size)).unwrap()
+    }
+
+    /// Figure 6 by counts, not by clock: chunking never splits a user, so
+    /// Q1–Q4 decode, fold and run over exactly the same tuples whether the
+    /// table is dozens of chunks or one. What chunk size may change is the
+    /// per-chunk overhead, never the work per tuple.
+    #[test]
+    fn kernel_work_is_flat_in_chunk_size_figure6() {
+        use crate::paper;
+        let activity = paper_activity();
+        let tables: Vec<CompressedTable> =
+            [1 << 10, 1 << 12, 1 << 14, 1 << 20].map(|size| paper_table(&activity, size)).into();
+        let chunks: Vec<usize> = tables.iter().map(|t| t.chunks().len()).collect();
+        assert!(chunks[0] > 10 && chunks[3] == 1, "chunk counts {chunks:?}");
+        for query in [paper::q1(), paper::q2(), paper::q3(), paper::q4()] {
+            let work: Vec<_> = tables.iter().map(|t| kernel_work(t, &query)).collect();
+            assert!(work[0].2 > 0, "{} folds nothing", query.to_sql());
+            assert!(
+                work.iter().all(|w| *w == work[0]),
+                "{} over {chunks:?} chunks: {work:?}",
+                query.to_sql()
+            );
+        }
+    }
+
+    /// Figure 8 by counts, not by clock: with `d1` at the first day and `d2`
+    /// swept a day at a time, Q5 and Q6 decode only the tuples of users born
+    /// in `[d1, d2]`. That is nothing before the first birth, never less as
+    /// `d2` grows, and exactly Q1's and Q3's work once `d2` covers every
+    /// birth. The users Q5 counts are the launch-birth CDF, read off the
+    /// rows.
+    #[test]
+    fn birth_bounds_decode_along_the_birth_cdf_figure8() {
+        use crate::paper;
+        use cohana_activity::{Timestamp, SECONDS_PER_DAY};
+        let activity = paper_activity();
+        let table = paper_table(&activity, 1 << 12);
+        let (tidx, aidx) = (activity.schema().time_idx(), activity.schema().action_idx());
+        // Each user's first `action` tuple, straight from the rows.
+        let births = |action: &str| -> Vec<i64> {
+            let rows = activity.rows();
+            activity
+                .user_blocks()
+                .filter_map(|b| {
+                    let mut block = rows[b.start..b.start + b.len].iter();
+                    let birth = block.find(|row| row.get(aidx).as_str() == Some(action))?;
+                    birth.get(tidx).as_int()
+                })
+                .collect()
+        };
+        let (launch, shop) = (births("launch"), births("shop"));
+        let first = *launch.iter().chain(&shop).min().unwrap();
+        let last = *launch.iter().chain(&shop).max().unwrap();
+        let d1 = TimeBin::Day.bin_start(Timestamp(first)).secs();
+        let (q1, q3) = (kernel_work(&table, &paper::q1()), kernel_work(&table, &paper::q3()));
+        let born_by = |births: &[i64], d2: i64| births.iter().filter(|&&t| t <= d2).count() as u64;
+
+        let mut sweep: Vec<(u64, u64)> = Vec::new();
+        for day in 0.. {
+            let d2 = d1 + day * SECONDS_PER_DAY;
+            let options = PlannerOptions::default();
+            let (q5, users) = kernel_run(&table, &paper::q5(d1, d2), options);
+            let (q6, _) = kernel_run(&table, &paper::q6(d1, d2), options);
+            let (launched, shopped) = (born_by(&launch, d2), born_by(&shop, d2));
+            assert_eq!(users, launched, "day {day}: Q5's users against the launch births");
+            assert!(launched > 0 || q5.0 == 0, "day {day}: Q5 decodes {} before a birth", q5.0);
+            assert!(shopped > 0 || q6.0 == 0, "day {day}: Q6 decodes {} before a birth", q6.0);
+            if let Some(&(q5_last, q6_last)) = sweep.last() {
+                assert!(q5.0 >= q5_last && q6.0 >= q6_last, "day {day}: {q5:?}, {q6:?}");
+            }
+            sweep.push((q5.0, q6.0));
+            if d2 >= last {
+                assert_eq!((q5, q6), (q1, q3), "day {day} covers every birth");
+                break;
+            }
+        }
+        // Shown under `--nocapture`: the Figure 8 curve in tuples.
+        println!("Q5/Q6 decode by day of d2: {sweep:?}, Q1/Q3 {} / {}", q1.0, q3.0);
+        assert_eq!(sweep[0], (0, 0), "d2 = d1 is before the first birth");
+        assert!(sweep.len() > 10, "births spread over {} days", sweep.len());
+    }
+
+    /// Ablation D2 (`SkipCurUser`, §4.3): with the skip off, Q4 decodes the
+    /// tuples of every user its birth selection rejects and throws them
+    /// away, so it decodes strictly more for the same answer.
+    #[test]
+    fn skipping_unqualified_users_decodes_less_for_the_same_answer() {
+        use crate::paper;
+        use crate::session::Statement;
+        let table = Arc::new(paper_table(&paper_activity(), 1 << 12));
+        let q4 = paper::q4();
+        let skip = PlannerOptions::default();
+        let no_skip = PlannerOptions { skip_unqualified_users: false, ..skip };
+        let ((skipped, ..), users) = kernel_run(&table, &q4, skip);
+        let ((scanned, ..), no_skip_users) = kernel_run(&table, &q4, no_skip);
+        assert!(users > 0 && users == no_skip_users, "{users} vs {no_skip_users} users");
+        assert!(skipped < scanned, "Q4 decodes {skipped} with the skip, {scanned} without");
+        let answer = |options| Statement::over(table.clone(), &q4, options, 1)?.execute();
+        assert_eq!(answer(skip).unwrap().rows, answer(no_skip).unwrap().rows);
     }
 
     /// Figure 9 by counts, not by clock: the tuples an `AGE < g` query
@@ -1059,9 +1181,7 @@ mod tests {
     #[test]
     fn age_bounds_decode_in_proportion_to_the_ages_selected() {
         use crate::paper;
-        let activity = cohana_activity::generate(&cohana_activity::GeneratorConfig::new(300));
-        let options = CompressionOptions::with_chunk_size(1 << 12);
-        let table = CompressedTable::build(&activity, options).unwrap();
+        let table = paper_table(&paper_activity(), 1 << 12);
         type Sweep = fn(i64) -> CohortQuery;
         for (name, bounded, unbounded) in
             [("Q7/Q1", paper::q7 as Sweep, paper::q1()), ("Q8/Q3", paper::q8 as Sweep, paper::q3())]
