@@ -114,9 +114,10 @@ enum KeyPart {
 /// A batch is a *partial* cohort aggregation: the same `(cohort, age)` cell
 /// may appear in many batches and their contributions add (chunking never
 /// splits a user, so cohort sizes and aggregate states are additive across
-/// chunks). Merge batches back into a full report with
-/// [`Statement::report_from_batches`](crate::Statement::report_from_batches)
-/// or let [`QueryStream::collect`](crate::QueryStream::collect) do it.
+/// chunks). Fold batches with a
+/// [`Statement::merger`](crate::Statement::merger) — the one merge behind
+/// [`Statement::report_from_batches`](crate::Statement::report_from_batches),
+/// [`QueryStream::collect`](crate::QueryStream::collect) and the server.
 #[derive(Debug)]
 pub struct ResultBatch {
     pub(crate) chunk_index: usize,
@@ -354,12 +355,12 @@ impl QueryCore {
         )
     }
 
-    /// Convert a batch into its network-portable form: every encoded cohort
-    /// key is decoded to [`Value`]s using this statement's table metadata,
-    /// so the receiver needs no dictionaries to merge batches.
-    pub(crate) fn wire_batch(&self, batch: &ResultBatch) -> WireBatch {
-        let counts = [batch.chunk_index as u64, batch.rows_scanned as u64, batch.morsels];
-        WireBatch::new(counts, batch.partial.sorted(|key| self.decode_key(key)))
+    /// Convert a partial, with its `[chunk_index, rows_scanned, morsels]`,
+    /// into its network-portable form: every encoded cohort key is decoded
+    /// to [`Value`]s using this statement's table metadata, so the receiver
+    /// needs no dictionaries to merge batches.
+    pub(crate) fn wire_batch(&self, counts: [u64; 3], partial: &Accumulator) -> WireBatch {
+        WireBatch::new(counts, partial.sorted(|key| self.decode_key(key)))
     }
 
     /// Decode an encoded cohort key into its reported [`Value`]s. Injective

@@ -78,7 +78,7 @@ pub use handle::{OpenOptions, TableHandle};
 pub use plan::{plan_query, PhysicalPlan, PlanNode, PlannerOptions};
 pub use query::{CohortAttr, CohortQuery, CohortQueryBuilder};
 pub use report::{CohortReport, ReportRow};
-pub use session::{QueryStream, Session, Statement};
+pub use session::{BatchMerger, QueryStream, Session, Statement};
 pub use sharded::{MaintenanceConfig, MaintenanceStats, ShardedTable};
 pub use stats::QueryStats;
 pub use wire::{ReportAssembler, WireBatch, WireCohort};

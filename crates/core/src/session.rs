@@ -15,7 +15,10 @@
 //! * [`QueryStream`] — a pull-based iterator of per-chunk [`ResultBatch`]es
 //!   with [`QueryStream::collect`] preserving the eager semantics. A
 //!   consumer that stops pulling stops chunk decode: on a lazy file-backed
-//!   source, unpulled chunks are never read from disk.
+//!   source, unpulled chunks are never read from disk;
+//! * [`BatchMerger`] — the one fold of a query's batches into its result,
+//!   finished as the report or as one network-portable
+//!   [`WireBatch`] (what `cohana-server` sends).
 //!
 //! ```
 //! use cohana_activity::{generate, GeneratorConfig};
@@ -40,11 +43,12 @@
 
 use crate::engine::Cohana;
 use crate::error::EngineError;
-use crate::exec::{QueryCore, ResultBatch};
+use crate::exec::{Accumulator, QueryCore, ResultBatch};
 use crate::plan::{plan_query, PhysicalPlan, PlannerOptions};
 use crate::query::CohortQuery;
 use crate::report::CohortReport;
 use crate::stats::QueryStats;
+use crate::wire::WireBatch;
 use cohana_activity::Schema;
 use cohana_storage::{ChunkSource, IoRecorder};
 use std::any::Any;
@@ -261,19 +265,31 @@ impl Statement {
         &self,
         batches: impl IntoIterator<Item = ResultBatch>,
     ) -> Result<CohortReport, EngineError> {
-        let mut merged = self.core.merger();
+        let mut merged = self.merger();
         for batch in batches {
-            merged.absorb(&batch.partial);
+            merged.absorb(&batch);
         }
-        Ok(self.core.build_report(merged))
+        Ok(merged.report())
     }
 
-    /// Convert a pulled batch into its network-portable [`WireBatch`](crate::wire::WireBatch) form,
+    /// An empty fold for this statement's batches.
+    pub fn merger(&self) -> BatchMerger<'_> {
+        BatchMerger {
+            core: &self.core,
+            merged: self.core.merger(),
+            first_chunk: None,
+            rows_scanned: 0,
+            morsels: 0,
+        }
+    }
+
+    /// Convert a pulled batch into its network-portable [`WireBatch`] form,
     /// with cohort keys decoded to values so a remote consumer can merge
     /// batches (via [`ReportAssembler`](crate::wire::ReportAssembler))
     /// without this statement's table metadata.
-    pub fn wire_batch(&self, batch: &ResultBatch) -> crate::wire::WireBatch {
-        self.core.wire_batch(batch)
+    pub fn wire_batch(&self, batch: &ResultBatch) -> WireBatch {
+        let counts = [batch.chunk_index as u64, batch.rows_scanned as u64, batch.morsels];
+        self.core.wire_batch(counts, &batch.partial)
     }
 
     /// Stats accumulated over every execution (including partially consumed
@@ -302,6 +318,47 @@ impl std::fmt::Debug for Statement {
             .field("parallelism", &self.parallelism)
             .field("executions", &self.executions())
             .finish_non_exhaustive()
+    }
+}
+
+/// One execution's [`ResultBatch`]es folded into a single partial — the
+/// merge behind [`QueryStream::collect`], [`Statement::report_from_batches`]
+/// and the one result a `cohana-server` execution sends. Batches fold in
+/// any order (partials are additive across chunks); finish with
+/// [`report`](Self::report), or ship the fold with
+/// [`wire_batch`](Self::wire_batch). Obtain one from [`Statement::merger`].
+pub struct BatchMerger<'s> {
+    core: &'s QueryCore,
+    merged: Accumulator,
+    /// The lowest chunk index folded, and the rows and morsels summed.
+    first_chunk: Option<usize>,
+    rows_scanned: usize,
+    morsels: u64,
+}
+
+impl BatchMerger<'_> {
+    /// Fold one batch of this statement in.
+    pub fn absorb(&mut self, batch: &ResultBatch) {
+        let first = self.first_chunk.map_or(batch.chunk_index, |c| c.min(batch.chunk_index));
+        self.first_chunk = Some(first);
+        self.rows_scanned += batch.rows_scanned;
+        self.morsels += batch.morsels;
+        self.merged.absorb(&batch.partial);
+    }
+
+    /// The fold as one [`WireBatch`]: every cohort once, with its summed
+    /// size and merged cells. Its `chunk_index` is the lowest chunk index
+    /// folded (0 before any batch); `rows_scanned` and `morsels` are sums.
+    pub fn wire_batch(&self) -> WireBatch {
+        let first = self.first_chunk.unwrap_or(0);
+        let counts = [first as u64, self.rows_scanned as u64, self.morsels];
+        self.core.wire_batch(counts, &self.merged)
+    }
+
+    /// The report of everything folded, sorted by cohort then age. Carries
+    /// no stats.
+    pub fn report(self) -> CohortReport {
+        self.core.build_report(self.merged)
     }
 }
 
@@ -382,11 +439,11 @@ impl<'s> QueryStream<'s> {
     /// Drain the remaining batches and merge everything into the eager
     /// [`CohortReport`], with this execution's [`QueryStats`] attached.
     pub fn collect(mut self) -> Result<CohortReport, EngineError> {
-        let mut merged = self.stmt.core.merger();
+        let mut merged = self.stmt.merger();
         for batch in &mut self {
-            merged.absorb(&batch?.partial);
+            merged.absorb(&batch?);
         }
-        let mut report = self.stmt.core.build_report(merged);
+        let mut report = merged.report();
         report.stats = Some(self.stats());
         Ok(report)
     }
@@ -531,8 +588,19 @@ mod tests {
         idxs.dedup();
         assert_eq!(idxs.len(), batches.len(), "each chunk yields exactly one batch");
         drop(stream);
+        // The fold as one wire batch: each cell once, the counts summed.
+        let mut merged = stmt.merger();
+        batches.iter().rev().for_each(|b| merged.absorb(b));
+        let wire = merged.wire_batch();
+        assert_eq!(wire.chunk_index(), idxs[0] as u64);
+        assert_eq!(
+            (wire.rows_scanned(), wire.morsels()),
+            (stats.rows_scanned, stats.morsels_executed)
+        );
         let report = stmt.report_from_batches(batches).unwrap();
         assert_eq!(report, e.execute(&q1()).unwrap());
+        assert_eq!(wire.num_cells(), report.num_rows());
+        assert_eq!(wire.num_cohorts(), report.cohort_sizes.len());
     }
 
     #[test]

@@ -6,9 +6,11 @@
 //! decode them — none of which survives a process boundary. A [`WireBatch`]
 //! is the same partial aggregation with every cohort key decoded to
 //! [`Value`]s, so a remote client can merge batches without the table's
-//! dictionaries. Convert with
-//! [`Statement::wire_batch`](crate::Statement::wire_batch); merge client-side
-//! with [`ReportAssembler`], whose [`finish`](ReportAssembler::finish)
+//! dictionaries. Convert one chunk's batch with
+//! [`Statement::wire_batch`](crate::Statement::wire_batch), or a whole
+//! execution's merged batches — what the server sends — with
+//! [`BatchMerger::wire_batch`](crate::BatchMerger::wire_batch); merge
+//! client-side with [`ReportAssembler`], whose [`finish`](ReportAssembler::finish)
 //! reproduces the engine's report bit-for-bit (same row order, same
 //! cohort-size semantics), because aggregate partials are additive across
 //! chunks and key decoding is injective.
@@ -20,7 +22,10 @@
 //!
 //! * **self-contained** — a batch names its own strings and cohorts, so any
 //!   subset of a query's batches, in any order, still merges (cancellation,
-//!   early drop and concurrent readers depend on it);
+//!   early drop and concurrent readers depend on it), and so does any run of
+//!   one batch's cohorts encoded on its own
+//!   ([`WireBatch::encode_cohorts_into`], how a result too large for one
+//!   frame is split);
 //! * **deterministic** — cohorts are in ascending key order and ages ascend,
 //!   so the encoded bytes are a function of the batch.
 //!
@@ -41,8 +46,9 @@ use std::ops::Range;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// One per-chunk partial result with decoded cohort keys — the unit the
-/// server streams to clients (one BATCH frame each).
+/// A partial result with decoded cohort keys, of one chunk or of several
+/// merged — the server sends an execution's merged batches as one BATCH
+/// frame (or as several, each a run of its cohorts, past the frame limit).
 ///
 /// Like [`ResultBatch`](crate::ResultBatch), a `WireBatch` is *partial*: the
 /// same `(cohort, age)` cell may appear in many batches and their
@@ -91,12 +97,13 @@ impl WireBatch {
         WireBatch { chunk_index, rows_scanned, morsels, table }
     }
 
-    /// Index of the source chunk that produced this batch.
+    /// Index of the source chunk that produced this batch; for a batch of
+    /// several chunks merged, the lowest of their indexes.
     pub fn chunk_index(&self) -> u64 {
         self.chunk_index
     }
 
-    /// Rows of the source chunk the scan covered.
+    /// Rows of the source chunks the scan covered.
     pub fn rows_scanned(&self) -> u64 {
         self.rows_scanned
     }
@@ -106,29 +113,25 @@ impl WireBatch {
         self.morsels
     }
 
-    /// Cohorts with at least one qualified user in this chunk.
+    /// Cohorts with at least one qualified user in the batch's chunks.
     pub fn num_cohorts(&self) -> usize {
         self.table.num_cohorts()
     }
 
-    /// `(cohort, age)` cells this chunk contributed to.
+    /// `(cohort, age)` cells the batch's chunks contributed to.
     pub fn num_cells(&self) -> usize {
         self.table.num_cells()
     }
 
     /// The batch's cohorts in ascending key order.
     pub fn cohorts(&self) -> impl Iterator<Item = WireCohort<'_>> {
+        (0..self.num_cohorts()).map(|i| self.cohort(i))
+    }
+
+    fn cohort(&self, i: usize) -> WireCohort<'_> {
         let t = &self.table;
-        (0..t.num_cohorts()).map(move |i| {
-            let (key, size, cells) = t.cohort(i);
-            WireCohort {
-                key,
-                size,
-                ages: &t.ages()[cells.clone()],
-                cols: t.cols(),
-                first: cells.start,
-            }
-        })
+        let (key, size, cells) = t.cohort(i);
+        WireCohort { key, size, ages: &t.ages()[cells.clone()], cols: t.cols(), first: cells.start }
     }
 
     /// Serialize into the binary wire form.
@@ -141,19 +144,33 @@ impl WireBatch {
     /// Append the binary wire form to `out` (a server reuses one buffer per
     /// connection, with the frame header in front).
     pub fn encode_into(&self, out: &mut Vec<u8>) {
-        for v in [self.chunk_index, self.rows_scanned, self.morsels] {
+        self.encode_cohorts_into(0..self.num_cohorts(), out);
+    }
+
+    /// Append the wire form of the batch made of the `cohorts` run of this
+    /// one (cohort indexes in key order, `cohorts.end <= num_cohorts()`):
+    /// its own string table, those cohorts and their cells. A run starting
+    /// at the first cohort states this batch's `rows_scanned` and `morsels`,
+    /// any other run states 0 for both, so over the runs of a split the
+    /// counts still add up to the batch's. The whole range encodes exactly
+    /// as [`encode_into`](Self::encode_into).
+    pub fn encode_cohorts_into(&self, cohorts: Range<usize>, out: &mut Vec<u8>) {
+        assert!(cohorts.end <= self.num_cohorts(), "cohorts {cohorts:?} of {}", self.num_cohorts());
+        let counts = if cohorts.start == 0 { [self.rows_scanned, self.morsels] } else { [0, 0] };
+        for v in [self.chunk_index, counts[0], counts[1]] {
             put_varint(out, v);
         }
         let cols = self.table.cols();
         put_varint(out, self.table.arity() as u64);
         put_varint(out, cols.len() as u64);
         out.extend(cols.iter().map(|c| c.kind() as u8));
+        let run = || cohorts.clone().map(|i| self.cohort(i));
 
         // String table: each distinct string once, in order of first use.
         let mut table: HashMap<&str, u64> = HashMap::new();
         let mut strings: Vec<&str> = Vec::new();
         let mut refs: Vec<u64> = Vec::new();
-        let keys = self.cohorts().flat_map(|c| c.key);
+        let keys = run().flat_map(|c| c.key);
         for s in keys.filter_map(Value::as_str) {
             refs.push(*table.entry(s).or_insert_with(|| {
                 strings.push(s);
@@ -167,9 +184,9 @@ impl WireBatch {
         }
 
         // Cohort table: key value refs + size.
-        put_varint(out, self.num_cohorts() as u64);
+        put_varint(out, cohorts.len() as u64);
         let mut refs = refs.into_iter();
-        for cohort in self.cohorts() {
+        for cohort in run() {
             for v in cohort.key {
                 match v {
                     Value::Null => out.push(VALUE_NULL),
@@ -187,7 +204,7 @@ impl WireBatch {
         }
 
         // Cells, cohort by cohort: age deltas, then one column per aggregate.
-        for cohort in self.cohorts() {
+        for cohort in run() {
             put_varint(out, cohort.ages.len() as u64);
             let mut prev = 0;
             for &age in cohort.ages {
@@ -636,6 +653,47 @@ mod tests {
         assert_eq!((cohorts[2].size, cohorts[2].ages), (5, &[1i64, 2, 40][..]));
         assert_eq!((0..6).map(|a| cohorts[2].state(1, a)).collect::<Vec<_>>(), cell(-7));
         assert!(cohorts[0].ages.is_empty());
+    }
+
+    #[test]
+    fn a_run_of_cohorts_encodes_as_a_batch_of_its_own() {
+        let batch = batch_of(3, &KINDS, &sample_cohorts());
+        let mut whole = Vec::new();
+        batch.encode_cohorts_into(0..3, &mut whole);
+        assert_eq!(whole, batch.encode());
+        let flat = |c: WireCohort<'_>| {
+            let states: Vec<AggState> =
+                (0..c.ages.len()).flat_map(|cell| (0..6).map(move |a| c.state(cell, a))).collect();
+            (c.key.to_vec(), c.size, c.ages.to_vec(), states)
+        };
+        let all: Vec<_> = batch.cohorts().map(flat).collect();
+        let headers = || (vec!["a".into(), "b".into()], (0..6).map(|a| a.to_string()).collect());
+        let assemble = |parts: &[&WireBatch]| {
+            let (attrs, aggs) = headers();
+            let mut asm = ReportAssembler::new(attrs, aggs);
+            parts.iter().for_each(|p| asm.push(p).unwrap());
+            asm.finish()
+        };
+        for at in 0..=3 {
+            let [head, tail] = [0..at, at..3].map(|run| {
+                let mut out = Vec::new();
+                batch.encode_cohorts_into(run, &mut out);
+                WireBatch::decode(&out).unwrap()
+            });
+            assert_eq!((head.rows_scanned(), head.morsels(), head.chunk_index()), (1000, 7, 3));
+            let tail_counts = if at == 0 { (1000, 7) } else { (0, 0) };
+            assert_eq!(
+                (tail.rows_scanned(), tail.morsels(), tail.chunk_index()),
+                (tail_counts.0, tail_counts.1, 3)
+            );
+            let parts: Vec<_> = head.cohorts().chain(tail.cohorts()).map(flat).collect();
+            assert_eq!(parts, all, "split at {at}");
+            assert_eq!(assemble(&[&head, &tail]), assemble(&[&batch]));
+        }
+        // A run names only its own strings.
+        let mut china = Vec::new();
+        batch.encode_cohorts_into(2..3, &mut china);
+        assert_eq!(china.windows(9).filter(|w| w == b"Australia").count(), 0);
     }
 
     #[test]

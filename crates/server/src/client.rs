@@ -2,11 +2,13 @@
 //!
 //! [`Client::connect`] performs the HELLO handshake; [`Client::prepare`] /
 //! [`Client::execute`] mirror the in-process `Session` / `Statement` split.
-//! An execution is a [`RemoteStream`]: pull [`WireBatch`]es one at a time
-//! (the pull rate is the backpressure — the server blocks on this
-//! connection's TCP buffer, not on other clients), or
-//! [`RemoteStream::collect`] them into a [`CohortReport`] that is
-//! bit-identical to what `Statement::execute` produces in-process.
+//! An execution is a [`RemoteStream`]: pull its [`WireBatch`]es — one
+//! merged batch, sent once the server's scan completes, or several runs of
+//! its cohorts past the frame limit — or [`RemoteStream::collect`] them
+//! into a [`CohortReport`] that is bit-identical to what
+//! `Statement::execute` produces in-process. A slow reader holds back only
+//! the server's write of this connection's result, never the scan or other
+//! clients.
 //!
 //! Dropping a [`RemoteStream`] before its terminating STATS frame leaves
 //! server frames in flight, so the connection is desynchronized; further

@@ -9,12 +9,13 @@
 //! - **Admission control** ([`admission`]): at most `cap` queries decode at
 //!   once; up to `queue_bound` more wait in FIFO order; the rest are
 //!   refused fast. Queue time is reported separately from engine time.
-//! - **Streaming results with backpressure**: each per-chunk result batch
-//!   is shipped as it is produced ([`WireBatch`](cohana_core::WireBatch)
-//!   in a BATCH frame); a slow client blocks only its own query's pull
-//!   loop, never another tenant's.
+//! - **One merged result per query**: the server folds each chunk's batch
+//!   into the statement's merger as the scan yields it and sends the result
+//!   as one [`WireBatch`](cohana_core::WireBatch) BATCH frame (split into
+//!   runs of cohorts only past the frame limit); a slow client blocks only
+//!   its own connection's final write, never another tenant's query.
 //! - **Cancellation**: a CANCEL frame — or simply disconnecting — stops the
-//!   query's chunk decode at the next batch boundary.
+//!   query's chunk decode at the next chunk boundary.
 //! - **Per-tenant accounting** ([`registry`]): every execution's exact
 //!   [`QueryStats`](cohana_core::QueryStats) (recorder-attributed I/O, no
 //!   double counting across concurrent sessions) folds into the tenant

@@ -8,8 +8,9 @@
 //! See `docs/PROTOCOL.md` for the full exchange rules.
 
 use cohana_core::wire::{decode_query_stats, encode_query_stats, WireReader, WireWriter};
-use cohana_core::{EngineError, QueryStats};
+use cohana_core::{EngineError, QueryStats, WireBatch};
 use std::io::{self, Read, Write};
+use std::ops::Range;
 use std::time::Duration;
 
 /// Protocol version sent (and required to match) in the HELLO handshake.
@@ -23,10 +24,12 @@ pub const FRAME_HELLO: u8 = 1;
 /// Client → server: parse + plan a SQL cohort query. Response carries the
 /// statement id and the result headers.
 pub const FRAME_PREPARE: u8 = 2;
-/// Client → server: execute a prepared statement. The server streams BATCH
-/// frames and terminates with one STATS frame.
+/// Client → server: execute a prepared statement. Once the scan completes
+/// the server sends the result's BATCH frame(s), then one STATS frame.
 pub const FRAME_EXECUTE: u8 = 3;
-/// Server → client: one per-chunk [`WireBatch`](cohana_core::WireBatch).
+/// Server → client: an execution's merged result, one [`WireBatch`] — or
+/// a run of its cohorts, when the whole would exceed [`MAX_FRAME`] (see
+/// [`write_batch_frames`]).
 pub const FRAME_BATCH: u8 = 4;
 /// Stats. As the EXECUTE terminator (server → client) the payload is
 /// [`encode_exec_stats`]; as a standalone request/response pair the request
@@ -60,7 +63,9 @@ pub const ERR_UNSUPPORTED: u16 = 8;
 // Protocol/server error codes.
 /// Malformed frame or out-of-order exchange; the connection is closed.
 pub const ERR_PROTOCOL: u16 = 100;
-/// Frame payload exceeds [`MAX_FRAME`]; the connection is closed.
+/// A client's frame payload exceeds [`MAX_FRAME`] (the connection is
+/// closed), or one cohort of a result does (the query fails, the connection
+/// stays usable).
 pub const ERR_TOO_LARGE: u16 = 101;
 /// EXECUTE named a statement id this connection never prepared.
 pub const ERR_UNKNOWN_STATEMENT: u16 = 102;
@@ -99,22 +104,86 @@ pub fn write_frame(w: &mut impl Write, frame_type: u8, payload: &[u8]) -> io::Re
 /// Write one frame whose payload `fill` appends to `buf`, and flush. `buf`
 /// is scratch the caller keeps across frames; header and payload leave it in
 /// **one** write, so a `TCP_NODELAY` socket sends no 5-byte header segment
-/// ahead of the payload.
+/// ahead of the payload. A payload over [`MAX_FRAME`], which the peer would
+/// refuse, is not sent: the call fails with [`io::ErrorKind::InvalidInput`].
 pub fn write_frame_with(
     w: &mut impl Write,
     frame_type: u8,
     buf: &mut Vec<u8>,
     fill: impl FnOnce(&mut Vec<u8>),
 ) -> io::Result<()> {
+    if try_write_frame(w, frame_type, buf, MAX_FRAME, fill)? {
+        Ok(())
+    } else {
+        Err(too_large())
+    }
+}
+
+fn too_large() -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidInput, "frame payload over the frame limit")
+}
+
+/// [`write_frame_with`] against a limit of `max_frame` payload bytes:
+/// `false`, with nothing written, when the payload is over it.
+fn try_write_frame(
+    w: &mut impl Write,
+    frame_type: u8,
+    buf: &mut Vec<u8>,
+    max_frame: u32,
+    fill: impl FnOnce(&mut Vec<u8>),
+) -> io::Result<bool> {
     buf.clear();
     buf.resize(HEADER_LEN, 0);
     fill(buf);
-    let len = u32::try_from(buf.len() - HEADER_LEN)
-        .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "frame payload over 4 GiB"))?;
+    let len = match u32::try_from(buf.len() - HEADER_LEN) {
+        Ok(len) if len <= max_frame => len,
+        _ => return Ok(false),
+    };
     buf[..4].copy_from_slice(&len.to_le_bytes());
     buf[4] = frame_type;
     w.write_all(buf)?;
-    w.flush()
+    w.flush()?;
+    Ok(true)
+}
+
+/// Write `batch` as BATCH frames of at most `max_frame` payload bytes each
+/// (the server passes [`MAX_FRAME`]) and return how many were sent: one
+/// frame when the whole batch fits, else its cohorts halved until every
+/// consecutive run fits. Each frame is a self-contained batch of a disjoint
+/// run of cohorts, in ascending key order, so a client merges them like any
+/// batches; the first states the batch's counts and the rest state 0 rows
+/// and morsels. A batch with no cohorts sends nothing. A single cohort
+/// whose cells alone are over the limit fails the call with
+/// [`io::ErrorKind::InvalidInput`] after the runs before it were sent.
+pub fn write_batch_frames(
+    w: &mut impl Write,
+    buf: &mut Vec<u8>,
+    batch: &WireBatch,
+    max_frame: u32,
+) -> io::Result<usize> {
+    fn run(
+        w: &mut impl Write,
+        buf: &mut Vec<u8>,
+        batch: &WireBatch,
+        cohorts: Range<usize>,
+        max_frame: u32,
+    ) -> io::Result<usize> {
+        if try_write_frame(w, FRAME_BATCH, buf, max_frame, |out| {
+            batch.encode_cohorts_into(cohorts.clone(), out)
+        })? {
+            return Ok(1);
+        }
+        if cohorts.len() < 2 {
+            return Err(too_large());
+        }
+        let mid = cohorts.start + cohorts.len() / 2;
+        Ok(run(w, buf, batch, cohorts.start..mid, max_frame)?
+            + run(w, buf, batch, mid..cohorts.end, max_frame)?)
+    }
+    match batch.num_cohorts() {
+        0 => Ok(0),
+        n => run(w, buf, batch, 0..n, max_frame),
+    }
 }
 
 /// Outcome of a blocking frame read.
@@ -360,6 +429,7 @@ pub fn decode_server_stats(payload: &[u8]) -> Result<ServerStats, EngineError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
     #[test]
     fn frame_roundtrip_over_a_buffer() {
@@ -414,6 +484,73 @@ mod tests {
                 other => panic!("unexpected {other:?}"),
             }
         }
+    }
+
+    /// A QW-shaped statement over a table of several chunks, its report,
+    /// and its batches merged as the server merges them.
+    fn merged_qw() -> (cohana_core::CohortReport, WireBatch) {
+        use cohana_activity::{generate, GeneratorConfig};
+        use cohana_core::{AggFunc, CohortQuery, PlannerOptions, Statement};
+        use cohana_storage::{CompressedTable, CompressionOptions};
+        let table = generate(&GeneratorConfig::small());
+        let source =
+            CompressedTable::build(&table, CompressionOptions::with_chunk_size(4096)).unwrap();
+        let query = CohortQuery::builder("launch")
+            .cohort_by(["country", "city", "role"])
+            .aggregate(AggFunc::user_count())
+            .aggregate(AggFunc::sum("gold"))
+            .build()
+            .unwrap();
+        let stmt = Statement::over(Arc::new(source), &query, PlannerOptions::default(), 1).unwrap();
+        let mut merged = stmt.merger();
+        for batch in stmt.stream() {
+            merged.absorb(&batch.unwrap());
+        }
+        (stmt.execute().unwrap(), merged.wire_batch())
+    }
+
+    #[test]
+    fn a_result_over_the_frame_limit_is_split_into_runs_of_cohorts() {
+        let (want, wire) = merged_qw();
+        let whole = wire.encode().len() as u32;
+        assert!(wire.num_cohorts() > 50, "{} cohorts", wire.num_cohorts());
+        for limit in [whole, whole - 1, whole / 7, 600] {
+            let (mut out, mut buf) = (Vec::new(), Vec::new());
+            let sent = write_batch_frames(&mut out, &mut buf, &wire, limit).unwrap();
+            let mut asm = cohana_core::ReportAssembler::new(
+                want.cohort_attrs.clone(),
+                want.agg_names.clone(),
+            );
+            let (mut frames, mut keys, mut rows) = (0, Vec::new(), 0);
+            let mut r = io::Cursor::new(out);
+            loop {
+                match read_frame(&mut r, limit).unwrap() {
+                    ReadFrame::Frame(FRAME_BATCH, payload) => {
+                        let batch = WireBatch::decode(&payload).unwrap();
+                        frames += 1;
+                        rows += batch.rows_scanned();
+                        keys.extend(batch.cohorts().map(|c| c.key.to_vec()));
+                        asm.push(&batch).unwrap();
+                    }
+                    ReadFrame::Eof => break,
+                    other => panic!("limit {limit}: unexpected {other:?}"),
+                }
+            }
+            assert_eq!(frames, sent);
+            assert_eq!(sent == 1, limit == whole, "limit {limit}: {sent} frames");
+            // Consecutive, disjoint runs in ascending key order, summing to
+            // the whole batch.
+            assert!(keys.windows(2).all(|w| w[0] < w[1]), "limit {limit}");
+            assert_eq!(keys.len(), wire.num_cohorts());
+            assert_eq!(rows, wire.rows_scanned());
+            assert_eq!(asm.finish(), want, "limit {limit}: reassembled report diverged");
+        }
+        // A cohort too large for any frame fails the call; nothing
+        // misleading is sent for it.
+        let (mut out, mut buf) = (Vec::new(), Vec::new());
+        let err = write_batch_frames(&mut out, &mut buf, &wire, 8).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert!(out.is_empty());
     }
 
     #[test]

@@ -5,13 +5,20 @@
 //! Concurrency model — thread-per-connection on purpose: the engine's own
 //! parallelism lives *inside* a query (chunk-parallel workers), so the
 //! serving layer only needs enough threads to keep admitted queries moving,
-//! and [`Admission`] caps how many of those decode at once. Backpressure is
-//! the TCP send buffer: a slow client blocks its own connection thread's
-//! BATCH write, which stops that query's pull loop (serial) or parks its
-//! workers on the bounded channel (parallel) — other tenants' queries never
-//! wait on it. A client that disconnects mid-stream fails the next BATCH
-//! write, which drops the `QueryStream` and cancels chunk decode at the
-//! next chunk boundary.
+//! and [`Admission`] caps how many of those decode at once.
+//!
+//! An execution folds each chunk's batch into the statement's
+//! [`BatchMerger`](cohana_core::BatchMerger) as the stream yields it — the
+//! fold `QueryStream::collect` does in process — and sends the merged
+//! result once the stream completes: one BATCH frame (more only past
+//! [`MAX_FRAME`](proto::MAX_FRAME)), then STATS, so each `(cohort, age)`
+//! cell crosses the wire once. Before each fold the connection is polled:
+//! a CANCEL or a disconnect drops the `QueryStream`, which stops chunk
+//! decode at the next chunk boundary. Backpressure is the TCP send buffer,
+//! and it applies only to the final frames: the scan never waits on the
+//! client, and the admission permit is released before the result is
+//! written, so a slow client blocks only its own connection thread — other
+//! tenants' queries never wait on it.
 
 use crate::admission::{Admission, AdmissionStats, AdmitError, Permit};
 use crate::protocol::{self as proto, PreparedInfo};
@@ -519,8 +526,11 @@ fn serve_conn(shared: Arc<Shared>, stream: &mut TcpStream) {
     }
 }
 
-/// Stream one admitted execution. Returns `false` when the connection must
-/// close (disconnect or protocol violation).
+/// Run one admitted execution: fold each batch into the statement's merger
+/// as the stream yields it, polling for CANCEL or a disconnect before each
+/// fold, then send the merged result as BATCH frames and the STATS
+/// terminator. Returns `false` when the connection must close (disconnect
+/// or protocol violation).
 fn run_query(
     shared: &Shared,
     stream: &mut TcpStream,
@@ -538,6 +548,7 @@ fn run_query(
     }
     let before = stmt.cumulative_stats();
     let mut outcome = Outcome::Completed;
+    let mut merged = stmt.merger();
     {
         let mut qstream = stmt.stream();
         for batch in &mut qstream {
@@ -557,17 +568,7 @@ fn run_query(
                 }
             }
             match batch {
-                Ok(b) => {
-                    let wire = stmt.wire_batch(&b);
-                    let sent =
-                        proto::write_frame_with(stream, proto::FRAME_BATCH, frame_buf, |out| {
-                            wire.encode_into(out)
-                        });
-                    if sent.is_err() {
-                        outcome = Outcome::Disconnected;
-                        break;
-                    }
-                }
+                Ok(b) => merged.absorb(&b),
                 Err(e) => {
                     if send_engine_error(stream, &e).is_err() {
                         outcome = Outcome::Disconnected;
@@ -588,12 +589,27 @@ fn run_query(
     let queue_wait = permit.queue_wait();
     drop(permit);
     match outcome {
-        Outcome::Completed => proto::write_frame(
-            stream,
-            proto::FRAME_STATS,
-            &proto::encode_exec_stats(&proto::ExecStats { stats: exec_stats, queue_wait }),
-        )
-        .is_ok(),
+        Outcome::Completed => {
+            match proto::write_batch_frames(
+                stream,
+                frame_buf,
+                &merged.wire_batch(),
+                proto::MAX_FRAME,
+            ) {
+                Ok(_) => {}
+                Err(e) if e.kind() == io::ErrorKind::InvalidInput => {
+                    let message = "a result cohort exceeds the frame limit";
+                    return send_error(stream, proto::ERR_TOO_LARGE, message).is_ok();
+                }
+                Err(_) => return false,
+            }
+            proto::write_frame(
+                stream,
+                proto::FRAME_STATS,
+                &proto::encode_exec_stats(&proto::ExecStats { stats: exec_stats, queue_wait }),
+            )
+            .is_ok()
+        }
         Outcome::Cancelled => send_error(stream, proto::ERR_CANCELLED, "query cancelled").is_ok(),
         Outcome::Failed => true,
         Outcome::Disconnected => false,

@@ -1,20 +1,21 @@
 //! End-to-end serving tests: concurrent remote clients must be
-//! bit-identical to in-process execution, the admission cap must provably
-//! never be exceeded, a client disconnect must stop chunk decode mid-query
-//! (observed through the source's decode counters), graceful shutdown must
-//! drain in-flight streams while refusing new work, and malformed frames
-//! must close only the offending connection.
+//! bit-identical to in-process execution, an execution must send each
+//! `(cohort, age)` cell once, the admission cap must provably never be
+//! exceeded, a client disconnect must stop chunk decode mid-query (observed
+//! through the source's decode counters), graceful shutdown must drain
+//! in-flight queries while refusing new work, and malformed frames must
+//! close only the offending connection.
 
-use cohana_activity::{generate, GeneratorConfig, Timestamp};
-use cohana_core::{paper, Cohana, CohortQuery, CohortReport, EngineOptions};
+use cohana_activity::{generate, GeneratorConfig, Timestamp, Value};
+use cohana_core::{paper, AggFunc, Cohana, CohortQuery, CohortReport, EngineOptions};
 use cohana_server::protocol as proto;
 use cohana_server::{Client, Server, ServerConfig};
-use cohana_storage::{persist, CompressedTable, CompressionOptions};
+use cohana_storage::{persist, ChunkSource, CompressedTable, CompressionOptions};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 #[path = "../../core/tests/common/mod.rs"]
 mod common;
@@ -41,10 +42,15 @@ fn paper_queries() -> Vec<(String, CohortQuery)> {
 /// An engine over a freshly generated in-memory table (its `session`
 /// attribute spanning negative values).
 fn resident_engine(users: usize, chunk_rows: usize) -> Arc<Cohana> {
+    resident_engine_at(users, chunk_rows, 1)
+}
+
+/// [`resident_engine`] running queries at `parallelism`.
+fn resident_engine_at(users: usize, chunk_rows: usize, parallelism: usize) -> Arc<Cohana> {
     let table = common::with_signed_sessions(&generate(&GeneratorConfig::new(users)));
     let compressed =
         CompressedTable::build(&table, CompressionOptions::with_chunk_size(chunk_rows)).unwrap();
-    let engine = Cohana::new(EngineOptions::default());
+    let engine = Cohana::new(EngineOptions { parallelism, ..EngineOptions::default() });
     engine.register("GameActions", compressed);
     Arc::new(engine)
 }
@@ -53,6 +59,33 @@ fn temp_file(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join("cohana-serving-test");
     std::fs::create_dir_all(&dir).unwrap();
     dir.join(name)
+}
+
+/// An engine over 400 users in 64-row chunks, written to the file `name`
+/// and opened lazily with a zero cache budget: every chunk a query touches
+/// is a real decode, so the source's counters are a live view of decode
+/// progress, and the scan is long enough (hundreds of chunks) to act on
+/// mid-query. Returns the engine, its source and the file to remove.
+fn file_engine(name: &str) -> (Arc<Cohana>, Arc<dyn ChunkSource>, PathBuf) {
+    let table = generate(&GeneratorConfig::new(400));
+    let compressed =
+        CompressedTable::build(&table, CompressionOptions::with_chunk_size(64)).unwrap();
+    let path = temp_file(name);
+    persist::write_file(&compressed, &path).unwrap();
+    let engine = Cohana::new(EngineOptions::default());
+    engine.open(&path).cache_bytes(0).open().unwrap();
+    let source = engine.source("GameActions").unwrap();
+    (Arc::new(engine), source, path)
+}
+
+/// Wait until `source` has decoded more than `decoded` chunks: the query
+/// just executed is scanning (or has finished).
+fn await_decode(source: &dyn ChunkSource, decoded: usize) {
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while source.io_stats().chunks_decoded == decoded {
+        assert!(Instant::now() < deadline, "the query never started decoding");
+        std::thread::yield_now();
+    }
 }
 
 fn start(engine: Arc<Cohana>, cap: usize, queue: usize) -> Server {
@@ -152,20 +185,7 @@ fn admission_cap_is_never_exceeded_under_4x_load() {
 
 #[test]
 fn disconnect_mid_stream_stops_chunk_decode() {
-    // File-backed source with a zero cache budget: every chunk a query
-    // touches is a real decode, so the source's counters are a live view of
-    // decode progress. Small chunks make the stream long enough that the
-    // disconnect provably lands mid-query.
-    let table = generate(&GeneratorConfig::new(400));
-    let compressed =
-        CompressedTable::build(&table, CompressionOptions::with_chunk_size(64)).unwrap();
-    let path = temp_file("disconnect.cohana");
-    persist::write_file(&compressed, &path).unwrap();
-    let engine = Cohana::new(EngineOptions::default());
-    engine.open(&path).cache_bytes(0).open().unwrap();
-    let source = engine.source("GameActions").unwrap();
-    let engine = Arc::new(engine);
-
+    let (engine, source, path) = file_engine("disconnect.cohana");
     let mut server = start(engine, 4, 64);
     let addr = server.local_addr();
     let sql = paper::q1().to_sql();
@@ -178,14 +198,13 @@ fn disconnect_mid_stream_stops_chunk_decode() {
     let full_decodes = source.io_stats().chunks_decoded - before.chunks_decoded;
     assert!(full_decodes >= 20, "need a long stream, got {full_decodes} chunk decodes");
 
-    // Now read one batch and vanish.
+    // Now vanish as soon as the scan is under way.
     let before = source.io_stats();
     {
         let mut client = Client::connect(addr, "quitter").unwrap();
         let prepared = client.prepare(&sql).unwrap();
-        let mut stream = client.execute(&prepared).unwrap();
-        let first = stream.next_batch().unwrap();
-        assert!(first.is_some(), "stream produced nothing");
+        let _stream = client.execute(&prepared).unwrap();
+        await_decode(source.as_ref(), before.chunks_decoded);
         // Dropping stream + client closes the socket mid-stream: that IS
         // the cancellation signal.
     }
@@ -214,25 +233,27 @@ fn disconnect_mid_stream_stops_chunk_decode() {
 
 #[test]
 fn cancel_frame_stops_query_and_keeps_connection_usable() {
-    let engine = resident_engine(400, 64);
+    let (engine, source, path) = file_engine("cancel.cohana");
     let mut server = start(engine, 4, 64);
     let mut client = Client::connect(server.local_addr(), "canceller").unwrap();
     let sql = paper::q1().to_sql();
 
     let prepared = client.prepare(&sql).unwrap();
-    let mut stream = client.execute(&prepared).unwrap();
-    assert!(stream.next_batch().unwrap().is_some());
+    let before = source.io_stats();
+    let stream = client.execute(&prepared).unwrap();
+    await_decode(source.as_ref(), before.chunks_decoded);
     // Whether the server confirms the cancel or the query won the race,
     // the connection must come back in sync.
     let _cancelled = stream.cancel().expect("cancel exchange completes");
     let report = client.query(&sql).expect("connection survives a cancel");
     assert!(report.num_rows() > 0);
     server.shutdown();
+    std::fs::remove_file(&path).ok();
 }
 
 #[test]
 fn graceful_shutdown_drains_in_flight_and_refuses_new() {
-    let engine = resident_engine(400, 64);
+    let (engine, source, path) = file_engine("shutdown.cohana");
     let mut server = start(engine, 4, 64);
     let addr = server.local_addr();
     let sql = paper::q1().to_sql();
@@ -241,10 +262,11 @@ fn graceful_shutdown_drains_in_flight_and_refuses_new() {
     let expected = client.query(&sql).unwrap();
 
     let prepared = client.prepare(&sql).unwrap();
+    let before = source.io_stats();
     let mut stream = client.execute(&prepared).unwrap();
-    let mut batches = vec![stream.next_batch().unwrap().expect("first batch")];
+    await_decode(source.as_ref(), before.chunks_decoded);
 
-    // Shut down while the stream is mid-flight.
+    // Shut down while the query is mid-scan.
     let shutdown = std::thread::spawn(move || {
         server.shutdown();
         server
@@ -258,7 +280,9 @@ fn graceful_shutdown_drains_in_flight_and_refuses_new() {
         "server accepted a connection during shutdown"
     );
 
-    // The in-flight stream drains to completion, slowly, and still matches.
+    // The in-flight query drains to completion, read slowly, and still
+    // matches.
+    let mut batches = Vec::new();
     loop {
         std::thread::sleep(Duration::from_millis(20));
         match stream.next_batch().unwrap() {
@@ -279,6 +303,80 @@ fn graceful_shutdown_drains_in_flight_and_refuses_new() {
 
     let server = shutdown.join().expect("shutdown completes");
     drop(server);
+    std::fs::remove_file(&path).ok();
+}
+
+/// What one remote execution sent: `(frames, cells summed over them, every
+/// frame's cohort keys in arrival order, rows_scanned summed, the
+/// assembled report with its stats)`.
+fn execute_counting(
+    client: &mut Client,
+    sql: &str,
+) -> (usize, usize, Vec<Vec<Value>>, u64, CohortReport) {
+    let prepared = client.prepare(sql).unwrap();
+    let mut asm = cohana_core::ReportAssembler::new(
+        prepared.cohort_attrs().to_vec(),
+        prepared.agg_names().to_vec(),
+    );
+    let mut stream = client.execute(&prepared).unwrap();
+    let (mut frames, mut cells, mut keys, mut rows) = (0, 0, Vec::new(), 0);
+    while let Some(batch) = stream.next_batch().unwrap() {
+        frames += 1;
+        cells += batch.num_cells();
+        rows += batch.rows_scanned();
+        keys.extend(batch.cohorts().map(|c| c.key.to_vec()));
+        asm.push(&batch).unwrap();
+    }
+    let stats = stream.stats().expect("a completed execution ends with STATS").stats;
+    let mut report = asm.finish();
+    report.stats = Some(stats);
+    (frames, cells, keys, rows, report)
+}
+
+#[test]
+fn an_execution_sends_each_cell_once() {
+    // QW of the repo benchmark: a three-attribute key, hundreds of cells
+    // spread over every chunk.
+    let qw = CohortQuery::builder("launch")
+        .cohort_by(["country", "city", "role"])
+        .aggregate(AggFunc::user_count())
+        .aggregate(AggFunc::sum("gold"))
+        .build()
+        .unwrap();
+    let pruned = CohortQuery::builder("no-such-action")
+        .cohort_by(["country"])
+        .aggregate(AggFunc::count())
+        .build()
+        .unwrap();
+    for parallelism in [1, 2] {
+        let engine = resident_engine_at(400, 2048, parallelism);
+        let (want, want_pruned) = {
+            let session = engine.session();
+            let run = |q: &CohortQuery| session.prepare(q).unwrap().execute().unwrap();
+            (run(&qw), run(&pruned))
+        };
+        let mut server = start(engine, 2, 8);
+        let mut client = Client::connect(server.local_addr(), "counter").unwrap();
+
+        let (frames, cells, keys, rows, got) = execute_counting(&mut client, &qw.to_sql());
+        let stats = got.stats.unwrap();
+        assert!(stats.chunks_scanned >= 10, "p{parallelism}: {} chunks", stats.chunks_scanned);
+        assert_eq!(got, want, "p{parallelism}: the served report diverged");
+        assert!(want.num_rows() > 500, "p{parallelism}: {} rows", want.num_rows());
+        assert_eq!(frames, 1, "p{parallelism}: the merged result fits one frame");
+        assert_eq!(cells, got.num_rows(), "p{parallelism}: a cell crossed the wire twice");
+        assert!(keys.windows(2).all(|w| w[0] < w[1]), "p{parallelism}: frames share a cohort");
+        assert_eq!(keys.len(), got.cohort_sizes.len());
+        assert_eq!(rows, stats.rows_scanned, "p{parallelism}: rows_scanned of the frames");
+
+        let (frames, cells, _, _, got) = execute_counting(&mut client, &pruned.to_sql());
+        let stats = got.stats.unwrap();
+        assert_eq!((stats.chunks_pruned, stats.chunks_scanned), (stats.chunks_total, 0));
+        assert_eq!((frames, cells), (0, 0), "p{parallelism}: a pruned query sent cells");
+        assert!(got.is_empty() && got.cohort_sizes.is_empty());
+        assert_eq!(got, want_pruned);
+        server.shutdown();
+    }
 }
 
 #[test]
