@@ -51,6 +51,14 @@ impl From<cohana_storage::StorageError> for EngineError {
     }
 }
 
+/// Bytes a [`Reader`](cohana_storage::Reader) refused — a wire payload —
+/// are corrupt input, not a storage failure.
+impl From<cohana_storage::ReadError> for EngineError {
+    fn from(e: cohana_storage::ReadError) -> Self {
+        EngineError::Corrupt(e.to_string())
+    }
+}
+
 impl From<cohana_activity::ActivityError> for EngineError {
     fn from(e: cohana_activity::ActivityError) -> Self {
         match e {

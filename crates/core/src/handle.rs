@@ -16,7 +16,7 @@
 //! ```
 //!
 //! `OpenOptions::open` attaches what the path names — a shard directory (or
-//! its manifest file), or a single v2–v4 file — as a [`ShardedTable`]: one
+//! its manifest file), or a single v3/v4 file — as a [`ShardedTable`]: one
 //! file is a one-shard table, so ingest, compaction, user deletion and
 //! background maintenance work the same on both. With
 //! [`OpenOptions::resident`] a single file is loaded fully into memory
@@ -113,7 +113,7 @@ impl<'e> OpenOptions<'e> {
     }
 
     /// Attach the existing table the path names — a shard directory (or its
-    /// manifest file, sniffed by magic) or a single v2–v4 file as a
+    /// manifest file, sniffed by magic) or a single v3/v4 file as a
     /// one-shard table — lazily as a [`ShardedTable`]; a single file loads
     /// eagerly instead with [`OpenOptions::resident`].
     pub fn open(self) -> Result<TableHandle<'e>, EngineError> {

@@ -42,12 +42,12 @@ pub struct QueryStats {
     /// Chunk skeletons decoded from backing storage (0 for resident tables,
     /// and less than `chunks_scanned` when the segment cache hits).
     pub chunks_decoded: usize,
-    /// Individual column segments decoded (v3 column-addressable sources).
+    /// Individual column segments decoded (file-backed sources).
     pub columns_decoded: usize,
     /// Payload bytes read from backing storage (on-disk bytes; compressed
     /// for v4 blobs).
     pub bytes_read: u64,
-    /// Bytes those blobs decoded to. Equals `bytes_read` on raw (v1–v3)
+    /// Bytes those blobs decoded to. Equals `bytes_read` on raw (v3)
     /// sources; the gap is what the v4 codecs saved on the disk path.
     pub bytes_decompressed: u64,
     /// Segment-cache entries evicted while this query ran.

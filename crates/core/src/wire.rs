@@ -41,6 +41,7 @@ use crate::error::EngineError;
 use crate::report::CohortReport;
 use crate::stats::QueryStats;
 use cohana_activity::Value;
+use cohana_storage::Reader;
 use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::Arc;
@@ -223,8 +224,8 @@ impl WireBatch {
         let chunk_index = r.varint()?;
         let rows_scanned = r.varint()?;
         let morsels = r.varint()?;
-        let arity = r.count(1)?;
-        let n_aggs = r.count(1)?;
+        let arity = r.varint_count(1)?;
+        let n_aggs = r.varint_count(1)?;
         let mut cols = r
             .take(n_aggs)?
             .iter()
@@ -235,17 +236,17 @@ impl WireBatch {
             return Err(corrupt("batch without cohort attributes or aggregates"));
         }
 
-        let n_strings = r.count(1)?;
+        let n_strings = r.varint_count(1)?;
         let mut strings: Vec<Arc<str>> = Vec::with_capacity(n_strings);
         for _ in 0..n_strings {
-            let len = r.count(1)?;
+            let len = r.varint_count(1)?;
             let s = std::str::from_utf8(r.take(len)?)
                 .map_err(|_| corrupt("invalid UTF-8 in wire string"))?;
             strings.push(Arc::from(s));
         }
 
         // A cohort is at least its value kinds, its size and its cell count.
-        let n_cohorts = r.count(arity + 2)?;
+        let n_cohorts = r.varint_count(arity + 2)?;
         let mut keys: Vec<Value> = Vec::with_capacity(n_cohorts * arity);
         let mut sizes = Vec::with_capacity(n_cohorts);
         for i in 0..n_cohorts {
@@ -271,7 +272,7 @@ impl WireBatch {
         let mut ages: Vec<i64> = Vec::new();
         for _ in 0..n_cohorts {
             // A cell is at least its age delta and one byte per state.
-            let n_cells = r.count(1 + cols.len())?;
+            let n_cells = r.varint_count(1 + cols.len())?;
             let mut age = 0i64;
             for _ in 0..n_cells {
                 let delta = r.varint()?;
@@ -473,74 +474,32 @@ impl WireWriter {
     }
 }
 
-/// Bounds-checked reader over a wire payload. Every method fails with
-/// [`EngineError::Corrupt`] instead of panicking on truncated or malformed
-/// input.
-#[derive(Debug)]
-pub struct WireReader<'a> {
-    buf: &'a [u8],
-    pos: usize,
+/// Bounds-checked reader over a wire payload: the storage layer's
+/// [`Reader`], whose errors become [`EngineError::Corrupt`] through `?`. A
+/// BATCH's varints, counts and aggregate states are read by this module on
+/// top of it.
+pub type WireReader<'a> = Reader<'a>;
+
+/// The wire-specific reads: LEB128 varints, zig-zag integers, varint
+/// element counts and aggregate states.
+trait WireRead {
+    fn varint(&mut self) -> Result<u64, EngineError>;
+    fn zigzag(&mut self) -> Result<i64, EngineError>;
+    fn varint_count(&mut self, min_elem_bytes: usize) -> Result<usize, EngineError>;
+    fn state(&mut self, kind: Kind) -> Result<AggState, EngineError>;
 }
 
-impl<'a> WireReader<'a> {
-    /// Read from the start of `buf`.
-    pub fn new(buf: &'a [u8]) -> WireReader<'a> {
-        WireReader { buf, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], EngineError> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.buf.len())
-            .ok_or_else(|| EngineError::Corrupt("truncated wire payload".into()))?;
-        let out = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(out)
-    }
-
-    /// Read one byte.
-    pub fn u8(&mut self) -> Result<u8, EngineError> {
-        Ok(self.take(1)?[0])
-    }
-
-    /// Read a little-endian `u16`.
-    pub fn u16(&mut self) -> Result<u16, EngineError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
-    }
-
-    /// Read a little-endian `u32`.
-    pub fn u32(&mut self) -> Result<u32, EngineError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    /// Read a little-endian `u64`.
-    pub fn u64(&mut self) -> Result<u64, EngineError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    /// Read a little-endian `i64`.
-    pub fn i64(&mut self) -> Result<i64, EngineError> {
-        Ok(i64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    /// Read a length-prefixed UTF-8 string.
-    pub fn str(&mut self) -> Result<&'a str, EngineError> {
-        let len = self.u32()? as usize;
-        std::str::from_utf8(self.take(len)?)
-            .map_err(|_| EngineError::Corrupt("invalid UTF-8 in wire string".into()))
-    }
-
+impl WireRead for WireReader<'_> {
     /// Read an unsigned LEB128 varint: at most 10 bytes, no bits beyond 64.
     fn varint(&mut self) -> Result<u64, EngineError> {
         let mut v = 0u64;
-        for (i, &b) in self.buf[self.pos..].iter().take(10).enumerate() {
+        for (i, &b) in self.rest().iter().take(10).enumerate() {
             if i == 9 && b > 1 {
                 return Err(corrupt("varint wider than 64 bits"));
             }
             v |= u64::from(b & 0x7f) << (7 * i);
             if b < 0x80 {
-                self.pos += i + 1;
+                self.take(i + 1)?;
                 return Ok(v);
             }
         }
@@ -553,14 +512,11 @@ impl<'a> WireReader<'a> {
         Ok((v >> 1) as i64 ^ -((v & 1) as i64))
     }
 
-    /// Read an element count whose elements take at least `min_bytes` each,
-    /// refusing one the remaining bytes cannot hold — so a caller may
-    /// allocate for it.
-    fn count(&mut self, min_bytes: usize) -> Result<usize, EngineError> {
-        usize::try_from(self.varint()?)
-            .ok()
-            .filter(|n| n.checked_mul(min_bytes).is_some_and(|b| b <= self.remaining()))
-            .ok_or_else(|| corrupt("count exceeds the wire payload"))
+    /// Read a varint element count, refusing one the remaining bytes cannot
+    /// hold at `min_elem_bytes` each — so a caller may allocate for it.
+    fn varint_count(&mut self, min_elem_bytes: usize) -> Result<usize, EngineError> {
+        let n = self.varint()?;
+        Ok(self.count(n, min_elem_bytes)?)
     }
 
     /// Read the payload of one aggregate state of `kind`.
@@ -578,23 +534,6 @@ impl<'a> WireReader<'a> {
             Kind::Count => AggState::Count(self.varint()?),
             Kind::UserCount => AggState::UserCount(self.varint()?),
         })
-    }
-
-    /// Bytes not yet consumed.
-    pub fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    /// Assert the payload was consumed exactly.
-    pub fn finish(self) -> Result<(), EngineError> {
-        if self.pos == self.buf.len() {
-            Ok(())
-        } else {
-            Err(EngineError::Corrupt(format!(
-                "{} trailing bytes after wire payload",
-                self.buf.len() - self.pos
-            )))
-        }
     }
 }
 

@@ -7,8 +7,8 @@ use cohana_activity::{ActivityTable, TableBuilder, TimeBin, Value};
 use cohana_core::{AggFunc, CohortQuery, Expr};
 
 /// `table` with its `session` column folded into `-3..=3`: an integer cohort
-/// attribute of few distinct values, half of them negative. (The golden
-/// v1–v3 images hold such a table, so `version_matrix.rs` reads it instead.)
+/// attribute of few distinct values, half of them negative. (The golden v3
+/// image holds such a table, so `version_matrix.rs` reads it instead.)
 #[allow(dead_code)]
 pub fn with_signed_sessions(table: &ActivityTable) -> ActivityTable {
     let sidx = table.schema().index_of("session").expect("game schema");

@@ -8,7 +8,7 @@ use cohana_activity::{
 };
 use cohana_core::naive::naive_execute;
 use cohana_core::{paper, Cohana, CohortQuery, CohortReport, EngineError, EngineOptions};
-use cohana_storage::{persist, CompressedTable, CompressionOptions};
+use cohana_storage::{persist, CompressedTable, CompressionOptions, FileSource, StorageError};
 use std::path::PathBuf;
 
 #[path = "../../storage/tests/fixtures/mod.rs"]
@@ -259,20 +259,59 @@ fn ingest_rejects_generic_sources_and_unknown_tables() {
 
 #[test]
 fn ingest_of_v1_file_is_cleanly_rejected() {
-    // An engine opens v2 files lazily, but a v2 file-backed table must
-    // reject ingest with the migration hint rather than corrupting the file.
-    let table = base_table();
-    let path = temp_path("v2-ingest.cohana");
-    std::fs::write(&path, fixtures::V2).unwrap();
-    let engine = Cohana::new(EngineOptions::default());
-    let handle = engine.open(&path).open().unwrap();
-    let batch = split_by_time(&table, 2).remove(1);
-    let err = handle.ingest(&batch).unwrap_err();
-    match err {
-        EngineError::Storage(msg) => assert!(msg.contains("re-save"), "no migration hint: {msg}"),
-        other => panic!("expected Storage(Unsupported), got {other:?}"),
+    // A v1 or v2 file never becomes a table to ingest into: the engine
+    // refuses to open it, with the migration hint, and leaves it as it was.
+    for (name, bytes) in [("v1", fixtures::V1), ("v2", fixtures::V2)] {
+        let path = temp_path(&format!("{name}-ingest.cohana"));
+        std::fs::write(&path, bytes).unwrap();
+        let engine = Cohana::new(EngineOptions::default());
+        match engine.open(&path).open().map(drop) {
+            Err(EngineError::Storage(msg)) => {
+                assert!(msg.contains("re-save"), "{name}: no migration hint: {msg}")
+            }
+            other => panic!("{name}: expected Storage(Unsupported), got {other:?}"),
+        }
+        assert_eq!(std::fs::read(&path).unwrap(), bytes, "{name}: file changed");
+        std::fs::remove_file(&path).ok();
     }
-    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn v1_and_v2_files_are_refused_by_every_entry_point() {
+    // Every way into a file judges its header first: a v1 or v2 image is
+    // refused as unsupported, naming the last build that reads it and the
+    // way to migrate, and the file is left as it was.
+    let batch = split_by_time(&base_table(), 2).remove(1);
+    let refused = |what: String, msg: &str| {
+        assert!(msg.contains("5b41903") && msg.contains("re-save"), "{what}: {msg}");
+    };
+    let images = [("v1", fixtures::V1), ("v2", fixtures::V2), ("v1-empty", fixtures::V1_EMPTY)];
+    for (name, bytes) in images {
+        let path = temp_path(&format!("refused-{name}.cohana"));
+        std::fs::write(&path, bytes).unwrap();
+        let outcomes: [(&str, Result<(), StorageError>); 6] = [
+            ("from_bytes", persist::from_bytes(bytes).map(drop)),
+            ("read_file", persist::read_file(&path).map(drop)),
+            ("FileSource::open", FileSource::open(&path).map(drop)),
+            ("append", persist::append(&path, &batch).map(drop)),
+            ("compact", persist::compact(&path).map(drop)),
+            ("inspect", persist::inspect(&path).map(drop)),
+        ];
+        for (what, outcome) in outcomes {
+            match outcome {
+                Err(StorageError::Unsupported(msg)) => refused(format!("{name} {what}"), &msg),
+                other => panic!("{name} {what}: expected Unsupported, got {other:?}"),
+            }
+        }
+        match Cohana::new(EngineOptions::default()).open(&path).open().map(drop) {
+            Err(EngineError::Storage(msg)) if msg.starts_with("unsupported operation") => {
+                refused(format!("{name} Cohana::open"), &msg)
+            }
+            other => panic!("{name} Cohana::open: expected Storage(Unsupported), got {other:?}"),
+        }
+        assert_eq!(std::fs::read(&path).unwrap(), bytes, "{name}: file changed");
+        std::fs::remove_file(&path).ok();
+    }
 }
 
 #[test]

@@ -5,8 +5,7 @@
 //! Plus the headline properties of the footer-indexed formats: selective
 //! queries on a lazy source decode strictly fewer chunks than the table
 //! contains, and projected queries on a cold v4 file fewer columns and bytes
-//! than it holds. (The full v1–v4 version matrix lives in
-//! `version_matrix.rs`.)
+//! than it holds. (The v3/v4 version matrix lives in `version_matrix.rs`.)
 
 use cohana_activity::{generate, GeneratorConfig, Schema, TableBuilder, Timestamp, Value};
 use cohana_core::{paper, PlannerOptions, Statement};

@@ -2,15 +2,15 @@
 //! wide-key queries of `common` (2- and 3-attribute cohort keys mixing
 //! string, integer and binned-time parts, over every aggregate) must
 //! produce identical reports over every supported format and access path —
-//! v1 (eager only), v2 (lazy, whole-chunk fetch), v3 (lazy, per-column
-//! fetch), and v4 (lazy, per-column fetch through the per-blob codec
-//! layer) — at parallelism 1 and 4, through *both* execution
-//! shapes of the session API: the eager [`Statement::execute`] and the
-//! streaming [`Statement::stream`] with its per-chunk batches merged by
-//! hand. The v1–v3 files are the golden images of `cohana-storage`'s
-//! `tests/fixtures/`, which nothing writes any more; the v4 file is written
-//! from what they decode to. Plus the two headline properties of the v3
-//! refactor:
+//! v3 (lazy, per-column fetch) and v4 (eager, and lazy per-column fetch
+//! through the per-blob codec layer) — at parallelism 1 and 4, through
+//! *both* execution shapes of the session API: the eager
+//! [`Statement::execute`] and the streaming [`Statement::stream`] with its
+//! per-chunk batches merged by hand. The v3 file is the golden image of
+//! `cohana-storage`'s `tests/fixtures/`, which nothing writes any more; the
+//! v4 file is written from what it decodes to. (v1 and v2 files are refused
+//! on open; `ingest.rs` checks every entry point.) Plus the two headline
+//! properties of the column-addressable layout:
 //!
 //! * **projection pushdown**: a query decodes strictly fewer columns than
 //!   `arity × chunks_touched`, because unprojected columns are never read;
@@ -74,33 +74,24 @@ fn execute_via_stream(stmt: &Statement) -> CohortReport {
 }
 
 #[test]
-fn q1_to_q8_identical_across_v1_v2_v3_v4_eager_and_streamed() {
+fn q1_to_q8_identical_across_v3_v4_eager_and_streamed() {
     // The reference is the fixture's own rows (its table can never be
     // written again, so nothing may assume a generator still produces it).
-    let memory = Arc::new(persist::from_bytes(fixtures::V1).unwrap());
+    let memory = Arc::new(persist::from_bytes(fixtures::V3).unwrap());
     let table = memory.decompress().unwrap();
     assert!(memory.chunks().len() > 1, "need multiple chunks to be meaningful");
 
-    let v1_path = temp_file("matrix-v1.cohana");
-    let v2_path = temp_file("matrix-v2.cohana");
     let v3_path = temp_file("matrix-v3.cohana");
     let v4_path = temp_file("matrix-v4.cohana");
-    std::fs::write(&v1_path, fixtures::V1).unwrap();
-    std::fs::write(&v2_path, fixtures::V2).unwrap();
     std::fs::write(&v3_path, fixtures::V3).unwrap();
     persist::write_file(&memory, &v4_path).unwrap();
 
-    // v1 has no footer: eager load only.
-    let v1_eager = Arc::new(persist::read_file(&v1_path).unwrap());
-    // v2: lazy open degrades to whole-chunk fetches.
-    let v2_lazy = Arc::new(FileSource::open(&v2_path).unwrap());
-    assert!(!v2_lazy.is_column_addressable());
+    // v4 loaded eagerly: every blob decoded through its codec up front.
+    let v4_eager = Arc::new(persist::read_file(&v4_path).unwrap());
     // v3: lazy open with per-column fetches.
     let v3_lazy = Arc::new(FileSource::open(&v3_path).unwrap());
-    assert!(v3_lazy.is_column_addressable());
     // v4: lazy open with per-column fetches through the codec layer.
     let v4_lazy = Arc::new(FileSource::open(&v4_path).unwrap());
-    assert!(v4_lazy.is_column_addressable());
 
     for (name, query) in paper_queries() {
         // The executable spec: the naive interpreter over the uncompressed
@@ -132,8 +123,7 @@ fn q1_to_q8_identical_across_v1_v2_v3_v4_eager_and_streamed() {
                 .unwrap();
             assert_eq!(ablated, expect, "{name} hashed interner p={parallelism}");
             for (vname, source) in [
-                ("v1", Arc::clone(&v1_eager) as Arc<dyn ChunkSource>),
-                ("v2", Arc::clone(&v2_lazy) as Arc<dyn ChunkSource>),
+                ("v4 eager", Arc::clone(&v4_eager) as Arc<dyn ChunkSource>),
                 ("v3", Arc::clone(&v3_lazy) as Arc<dyn ChunkSource>),
                 ("v4", Arc::clone(&v4_lazy) as Arc<dyn ChunkSource>),
             ] {
@@ -181,15 +171,14 @@ fn q1_to_q8_identical_across_v1_v2_v3_v4_eager_and_streamed() {
             }
         }
     }
-    // The v2 source never decodes individual columns; the v3/v4 sources
-    // did. Raw-blob sources report decompressed bytes equal to bytes read;
-    // a v4 source's decoded bytes are never less than its disk bytes.
-    assert_eq!(v2_lazy.columns_decoded(), 0);
+    // Both lazy sources decoded individual columns. Raw-blob sources report
+    // decompressed bytes equal to bytes read; a v4 source's decoded bytes
+    // are never less than its disk bytes.
     assert!(v3_lazy.columns_decoded() > 0);
     assert!(v4_lazy.columns_decoded() > 0);
     assert_eq!(v3_lazy.bytes_decompressed(), v3_lazy.bytes_read());
     assert!(v4_lazy.bytes_decompressed() >= v4_lazy.bytes_read());
-    for p in [v1_path, v2_path, v3_path, v4_path] {
+    for p in [v3_path, v4_path] {
         std::fs::remove_file(&p).ok();
     }
 }

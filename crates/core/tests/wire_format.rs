@@ -8,50 +8,15 @@ use cohana_core::{
     AggFunc, CohortQuery, EngineError, PlannerOptions, ReportAssembler, Statement, WireBatch,
 };
 use cohana_storage::{ChunkSource, CompressedTable, CompressionOptions};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::sync::Arc;
 
-thread_local! {
-    /// Largest single allocation this thread has requested since it last
-    /// reset the cell (tests run on their own threads).
-    static LARGEST: Cell<usize> = const { Cell::new(0) };
-}
-
-/// The system allocator, noting the largest request per thread.
-struct Tracking;
-
-fn note(size: usize) {
-    // `try_with`: the allocator also runs while a thread's locals are torn
-    // down, when the cell is gone.
-    let _ = LARGEST.try_with(|l| l.set(l.get().max(size)));
-}
-
-// SAFETY: every call is forwarded unchanged to `System`, which upholds the
-// `GlobalAlloc` contract; `note` touches only a const-initialized
-// thread-local `Cell` and never allocates.
-unsafe impl GlobalAlloc for Tracking {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note(layout.size());
-        // SAFETY: the caller's obligations are passed through as they came.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System` through `alloc`/`realloc` above.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note(new_size);
-        // SAFETY: `ptr` came from `System`; the caller's obligations are
-        // passed through as they came.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
+/// The storage unit tests' allocator: the system's, noting the largest
+/// request per thread (tests run on their own threads).
+#[path = "../../storage/src/test_alloc.rs"]
+mod test_alloc;
 
 #[global_allocator]
-static ALLOCATOR: Tracking = Tracking;
+static ALLOCATOR: test_alloc::LargestRequest = test_alloc::LargestRequest;
 
 /// Every batch of `query` over `table` held in one chunk per `chunk_rows`.
 fn batches(
@@ -151,9 +116,9 @@ fn hostile_batch_payloads_fail_cleanly_and_allocate_little() {
     // and a growing vector may hold twice what it needs.
     let limit = 64 * frame.len();
     let decode = |bytes: &[u8], what: &dyn Fn() -> String| {
-        LARGEST.with(|l| l.set(0));
+        test_alloc::reset_largest();
         let result = WireBatch::decode(bytes);
-        let largest = LARGEST.with(Cell::get);
+        let largest = test_alloc::largest();
         assert!(largest <= limit, "{}: one allocation of {largest} bytes", what());
         assert!(matches!(result, Ok(_) | Err(EngineError::Corrupt(_))), "{}: {result:?}", what());
         result.is_ok()

@@ -305,13 +305,14 @@ pub fn encode_prepared(info: &PreparedInfo) -> Vec<u8> {
 pub fn decode_prepared(payload: &[u8]) -> Result<PreparedInfo, EngineError> {
     let mut r = WireReader::new(payload);
     let stmt_id = r.u64()?;
-    let n = r.u16()? as usize;
-    let mut cohort_attrs = Vec::with_capacity(n);
+    // Each name is at least its 4-byte length prefix.
+    let n = r.u16()?;
+    let mut cohort_attrs = Vec::with_capacity(r.count(n.into(), 4)?);
     for _ in 0..n {
         cohort_attrs.push(r.str()?.to_string());
     }
-    let n = r.u16()? as usize;
-    let mut agg_names = Vec::with_capacity(n);
+    let n = r.u16()?;
+    let mut agg_names = Vec::with_capacity(r.count(n.into(), 4)?);
     for _ in 0..n {
         agg_names.push(r.str()?.to_string());
     }

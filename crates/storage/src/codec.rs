@@ -76,6 +76,7 @@
 
 use crate::bitpack::{bits_for, words_for, BitPacked};
 use crate::error::StorageError;
+use crate::reader::Reader;
 use crate::Result;
 
 /// How the packed-array section of one v4 blob is encoded on disk.
@@ -177,8 +178,8 @@ impl FreqTable {
     }
 
     /// Parse and validate a table whose symbols must be `<= max_sym`.
-    fn read(buf: &mut &[u8], max_sym: u16) -> Result<FreqTable> {
-        let n = take_u16(buf)? as usize;
+    fn read(r: &mut Reader, max_sym: u16) -> Result<FreqTable> {
+        let n = r.u16()? as usize;
         if n == 0 || n > SCALE as usize {
             return Err(StorageError::Corrupt(format!("bad codec table size {n}")));
         }
@@ -186,8 +187,8 @@ impl FreqTable {
         let mut freqs = Vec::with_capacity(n);
         let mut total: u32 = 0;
         for i in 0..n {
-            let s = take_u16(buf)?;
-            let f = take_u16(buf)?;
+            let s = r.u16()?;
+            let f = r.u16()?;
             if s > max_sym {
                 return Err(StorageError::Corrupt(format!(
                     "codec table symbol {s} exceeds maximum {max_sym}"
@@ -1189,12 +1190,12 @@ fn decode_raw_into(
     expected_len: Option<u64>,
     out: &mut Vec<u64>,
 ) -> Result<u8> {
-    let mut buf = buf;
-    let width = take_u8(&mut buf)?;
+    let mut r = Reader::new(buf);
+    let width = r.u8()?;
     if width > 64 {
         return Err(StorageError::Corrupt(format!("bad bit width {width}")));
     }
-    let len = take_u64(&mut buf)?;
+    let len = r.u64()?;
     if raw_section_len(width, len) != expected_raw {
         return Err(StorageError::Corrupt(format!(
             "raw section declares {len} x {width}-bit values, which contradicts the footer's \
@@ -1203,14 +1204,8 @@ fn decode_raw_into(
     }
     check_expected_len(len, expected_len)?;
     let len = len as usize;
-    let words = words_for(width, len);
-    if buf.len() != words * 8 {
-        return Err(StorageError::Corrupt("raw section word count disagrees with input".into()));
-    }
-    let mut ws = Vec::with_capacity(words);
-    for chunk in buf.chunks_exact(8) {
-        ws.push(u64::from_le_bytes(chunk.try_into().expect("8-byte chunk")));
-    }
+    let ws = r.u64s(words_for(width, len))?;
+    r.finish()?;
     let packed = BitPacked::from_raw(width, len, ws)?;
     out.resize(len, 0);
     packed.unpack_range(0, len, out);
@@ -1220,8 +1215,8 @@ fn decode_raw_into(
 /// Read the section's stream layout from its first byte(s): a legacy
 /// single-state section leads with its width byte (`<= 64`), an
 /// interleaved one with `0x80 | ways` followed by the width byte.
-fn take_layout(buf: &mut &[u8]) -> Result<(usize, u8)> {
-    let b = take_u8(buf)?;
+fn take_layout(r: &mut Reader) -> Result<(usize, u8)> {
+    let b = r.u8()?;
     if b < INTERLEAVE_TAG {
         if b > 64 {
             return Err(StorageError::Corrupt(format!("bad bit width {b}")));
@@ -1232,7 +1227,7 @@ fn take_layout(buf: &mut &[u8]) -> Result<(usize, u8)> {
     if !(2..=MAX_WAYS).contains(&ways) {
         return Err(StorageError::Corrupt(format!("bad interleave sub-tag {b:#04x}")));
     }
-    let width = take_u8(buf)?;
+    let width = r.u8()?;
     if width > 64 {
         return Err(StorageError::Corrupt(format!("bad bit width {width}")));
     }
@@ -1351,9 +1346,9 @@ fn decode_delta<S: Sink>(
     expected_len: Option<u64>,
     out: &mut S,
 ) -> Result<(u8, u64)> {
-    let mut buf = buf;
-    let (ways, width) = take_layout(&mut buf)?;
-    let len = take_u64(&mut buf)?;
+    let mut r = Reader::new(buf);
+    let (ways, width) = take_layout(&mut r)?;
+    let len = r.u64()?;
     if raw_section_len(width, len) != expected_raw {
         return Err(StorageError::Corrupt(format!(
             "delta section declares {len} x {width}-bit values, which contradicts the footer's \
@@ -1362,26 +1357,24 @@ fn decode_delta<S: Sink>(
     }
     check_expected_len(len, expected_len)?;
     if len == 0 {
-        expect_consumed(buf)?;
+        r.finish()?;
         out.begin(width, 0);
         return Ok((width, 0));
     }
-    let first = take_u64(&mut buf)?;
+    let first = r.u64()?;
     if first > low_mask(width as u32) {
         return Err(StorageError::Corrupt("delta first value exceeds declared width".into()));
     }
     if len == 1 {
-        expect_consumed(buf)?;
+        r.finish()?;
         out.begin(width, 1);
         out.push(first);
         return Ok((width, first));
     }
-    let table = FreqTable::read(&mut buf, DELTA_MAX_SYM)?;
-    let class_stream_len = take_u32(&mut buf)? as usize;
-    if class_stream_len > buf.len() {
-        return Err(StorageError::Corrupt("delta class stream overruns blob".into()));
-    }
-    let (class_stream, offset_bytes) = buf.split_at(class_stream_len);
+    let table = FreqTable::read(&mut r, DELTA_MAX_SYM)?;
+    let class_stream_len = r.u32()?;
+    let class_stream = r.take(class_stream_len as usize)?;
+    let offset_bytes = r.rest();
     let n = len as usize - 1;
     let max = match ways {
         1 => delta_body::<1, false, S>(class_stream, offset_bytes, n, first, width, &table, out),
@@ -1613,9 +1606,9 @@ fn decode_ans<S: Sink>(
     expected_len: Option<u64>,
     out: &mut S,
 ) -> Result<(u8, u64)> {
-    let mut buf = buf;
-    let (ways, width) = take_layout(&mut buf)?;
-    let len = take_u64(&mut buf)?;
+    let mut r = Reader::new(buf);
+    let (ways, width) = take_layout(&mut r)?;
+    let len = r.u64()?;
     if len == 0 || raw_section_len(width, len) != expected_raw {
         return Err(StorageError::Corrupt(format!(
             "ANS section declares {len} x {width}-bit values, which contradicts the footer's \
@@ -1623,7 +1616,7 @@ fn decode_ans<S: Sink>(
         )));
     }
     check_expected_len(len, expected_len)?;
-    let table = FreqTable::read(&mut buf, SCALE as u16 - 1)?;
+    let table = FreqTable::read(&mut r, SCALE as u16 - 1)?;
     let top = *table.syms.last().expect("FreqTable::read rejects empty tables") as u64;
     // No decoded value can exceed `top`, so this also keeps every lane the
     // packing sink writes inside its `width` bits.
@@ -1631,11 +1624,12 @@ fn decode_ans<S: Sink>(
         return Err(StorageError::Corrupt("ANS symbol exceeds declared width".into()));
     }
     let n = len as usize;
+    let stream = r.rest();
     match ways {
-        1 => ans_body::<1, false, S>(buf, n, width, &table, out),
-        2 => ans_body::<2, true, S>(buf, n, width, &table, out),
-        3 => ans_body::<3, true, S>(buf, n, width, &table, out),
-        4 => ans_body::<4, true, S>(buf, n, width, &table, out),
+        1 => ans_body::<1, false, S>(stream, n, width, &table, out),
+        2 => ans_body::<2, true, S>(stream, n, width, &table, out),
+        3 => ans_body::<3, true, S>(stream, n, width, &table, out),
+        4 => ans_body::<4, true, S>(stream, n, width, &table, out),
         _ => unreachable!("take_layout bounds ways"),
     }?;
     Ok((width, top))
@@ -1664,44 +1658,6 @@ fn ans_body<const WAYS: usize, const WIDE: bool, S: Sink>(
         out.push(lanes.step_one(j, &lut)? as u64);
     }
     lanes.finish()
-}
-
-// ------------------------------------------------------- byte readers
-
-fn take_u8(buf: &mut &[u8]) -> Result<u8> {
-    let (&b, rest) =
-        buf.split_first().ok_or_else(|| StorageError::Corrupt("codec section truncated".into()))?;
-    *buf = rest;
-    Ok(b)
-}
-
-fn take_bytes<const N: usize>(buf: &mut &[u8]) -> Result<[u8; N]> {
-    if buf.len() < N {
-        return Err(StorageError::Corrupt("codec section truncated".into()));
-    }
-    let (head, rest) = buf.split_at(N);
-    *buf = rest;
-    Ok(head.try_into().expect("split_at guarantees N bytes"))
-}
-
-fn take_u16(buf: &mut &[u8]) -> Result<u16> {
-    Ok(u16::from_le_bytes(take_bytes::<2>(buf)?))
-}
-
-fn take_u32(buf: &mut &[u8]) -> Result<u32> {
-    Ok(u32::from_le_bytes(take_bytes::<4>(buf)?))
-}
-
-fn take_u64(buf: &mut &[u8]) -> Result<u64> {
-    Ok(u64::from_le_bytes(take_bytes::<8>(buf)?))
-}
-
-fn expect_consumed(buf: &[u8]) -> Result<()> {
-    if buf.is_empty() {
-        Ok(())
-    } else {
-        Err(StorageError::Corrupt(format!("codec section has {} trailing bytes", buf.len())))
-    }
 }
 
 #[cfg(test)]

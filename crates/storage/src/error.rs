@@ -9,9 +9,9 @@ pub enum StorageError {
     Corrupt(String),
     /// Unsupported format version in the file header.
     BadVersion(u32),
-    /// The file is well-formed but the requested access mode does not
-    /// support it (e.g. lazily opening a v1 blob that has no chunk index
-    /// footer). The message includes a migration hint.
+    /// The file is well-formed but this build does not support it (e.g. a
+    /// v1 or v2 file, retired formats). The message includes a migration
+    /// hint.
     Unsupported(String),
     /// Underlying I/O failure.
     Io(String),

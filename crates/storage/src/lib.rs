@@ -41,13 +41,13 @@
 //! adapted to COHANA's user-clustered chunks. v4 additionally runs each
 //! column blob's packed-array section through the smallest of the [`codec`]
 //! module's per-blob codecs (raw / delta-then-pack / rANS) and records the
-//! choice plus the uncompressed size in the footer. v3 (raw blobs), v2
-//! (whole-chunk blobs) and v1 (eager) files stay readable; only v4 is
-//! written.
+//! choice plus the uncompressed size in the footer. v3 (raw blobs) files
+//! stay readable and v1/v2 files are refused; only v4 is written. Every
+//! untrusted byte is parsed through one bounds-checked [`Reader`].
 //!
 //! The [`ChunkSource`] trait splits "metadata for pruning" from "chunk
 //! payload": [`CompressedTable`] implements it with everything resident,
-//! while [`FileSource`] opens a v2–v4 file in O(footer) and loads + decodes
+//! while [`FileSource`] opens a v3/v4 file in O(footer) and loads + decodes
 //! individual segments on demand into a **bounded, byte-budgeted LRU
 //! cache** keyed by `(chunk, column)`. With the projection-aware
 //! [`ChunkSource::chunk_columns`], a selective query pays I/O and decode
@@ -75,6 +75,7 @@ pub mod error;
 #[path = "../tests/fixtures/mod.rs"]
 mod fixtures;
 pub mod persist;
+pub mod reader;
 pub mod record;
 mod rewrite;
 pub mod rle;
@@ -101,6 +102,7 @@ pub use persist::{
     AppendStats, CodecStats, ColumnCompression, CompactStats, FileSpaceStats, FormatInfo,
     WrittenChunks,
 };
+pub use reader::{ReadError, Reader};
 pub use record::{with_recorder, IoRecorder};
 pub use rle::UserRle;
 pub use shard::{

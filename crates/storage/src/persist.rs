@@ -51,9 +51,8 @@
 //!
 //! # What a decoded column guarantees
 //!
-//! Every [`ChunkColumn`] this module returns — from a v1/v2 chunk blob, a
-//! raw v3 blob or a codec-compressed v4 blob, on the eager, lazy and append
-//! paths alike — has **in-range codes**: each chunk id of a string segment
+//! Every [`ChunkColumn`] this module returns — from a raw v3 blob or a
+//! codec-compressed v4 blob, on the eager, lazy and append paths alike — has **in-range codes**: each chunk id of a string segment
 //! indexes its chunk dictionary, each delta of an integer segment lies
 //! within the segment's own `max − min` (and `min ≤ max`). It is a
 //! construction invariant, established in one place (`ColumnHeader::with_codes`)
@@ -80,33 +79,37 @@
 //! `docs/FORMAT.md` for the exact layout and `crate::writer::TableWriter`
 //! for the batching front end.
 //!
-//! # v3, v2 and v1: read, never written
+//! # v3: read, never written; v1 and v2: refused
 //!
-//! [`to_bytes`] writes v4 and nothing else; the older formats are read-only.
-//! v3 files (raw column-addressable blobs, the pre-codec format) read through
-//! every path — eager, lazy, compact — and migrate on their first append:
-//! [`compact`] rewrites one as the v4 image its table builds to, and the
-//! batch is appended to that. v2 files (whole-chunk blobs, footer-indexed)
-//! are read eagerly via [`from_bytes`]/[`read_file`] and lazily via
-//! `FileSource`, which degrades to whole-chunk fetches since a v2 chunk is
-//! one blob. v1 files (a single eager header-first blob, no footer) are read
-//! by [`from_bytes`] only. Neither v1 nor v2 can grow or be compacted:
-//! load one eagerly and re-save it with [`write_file`] to migrate. The tests
-//! read golden v1–v3 images from `tests/fixtures/`.
+//! [`to_bytes`] writes v4 and nothing else. v3 files (raw column-addressable
+//! blobs, the pre-codec format) read through every path — eager, lazy,
+//! compact — and migrate on their first append: [`compact`] rewrites one as
+//! the v4 image its table builds to, and the batch is appended to that. v1
+//! (one eager blob) and v2 (whole-chunk blobs) files are refused with
+//! [`StorageError::Unsupported`] by every entry point: commit `5b41903` is
+//! the last build that reads them, so load one with that build and re-save
+//! it with [`write_file`]. One function judges a file's header, and every
+//! untrusted byte after it is parsed through [`Reader`]. The tests read a
+//! golden v3 image, and the v1/v2 ones as refusal inputs, from
+//! `tests/fixtures/`.
+
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use crate::bitpack::BitPacked;
 use crate::chunk::Chunk;
 use crate::codec::{self, Codec, SectionEncoder};
 use crate::column::ChunkColumn;
 use crate::dict::{ChunkDict, GlobalDict};
+use crate::reader::Reader;
 use crate::rewrite::{self, Splice};
 use crate::rle::UserRle;
 use crate::source::{ChunkIndexEntry, ColumnStats};
 use crate::table::{ColumnMeta, CompressedTable, CompressionOptions, TableMeta};
 use crate::{Result, StorageError};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes, BytesMut};
 use cohana_activity::{ActivityTable, Attribute, AttributeRole, Schema, ValueType};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::borrow::Cow;
+use std::io::{Seek, SeekFrom, Write};
 use std::path::Path;
 use std::sync::Arc;
 
@@ -252,95 +255,14 @@ fn write_footer(
     }
 }
 
-/// Deserialize a compressed table from bytes (v1–v4), materializing every
-/// chunk.
+/// Deserialize a compressed table from a v3 or v4 image, materializing
+/// every chunk. A v1 or v2 image is refused (see the [module docs](self)).
 pub fn from_bytes(data: &[u8]) -> Result<CompressedTable> {
-    let mut buf = data;
-    let magic = get_u32(&mut buf)?;
-    if magic != MAGIC {
-        return Err(StorageError::Corrupt(format!("bad magic {magic:#x}")));
-    }
-    match get_u32(&mut buf)? {
-        1 => from_bytes_v1(buf),
-        v @ 2..=4 => from_bytes_footered(data, v),
-        v => Err(StorageError::BadVersion(v)),
-    }
-}
-
-/// v1: header-first eager blob; `buf` starts right after magic + version.
-fn from_bytes_v1(mut buf: &[u8]) -> Result<CompressedTable> {
-    let chunk_size = get_u64(&mut buf)? as usize;
-    let schema = read_schema(&mut buf)?;
-    let mut metas = Vec::with_capacity(schema.arity());
-    for _ in 0..schema.arity() {
-        metas.push(read_meta(&mut buf)?);
-    }
-    let num_rows = get_u64(&mut buf)? as usize;
-    let num_chunks = get_u32(&mut buf)? as usize;
-    // Guard the chunk count before allocating: every chunk needs at least its
-    // three packed-array headers and its column count.
-    if num_chunks > buf.remaining() / 29 {
-        return Err(StorageError::Corrupt(format!("chunk count {num_chunks} overruns input")));
-    }
-    let mut chunks = Vec::with_capacity(num_chunks);
-    for _ in 0..num_chunks {
-        chunks.push(read_chunk(&mut buf, schema.arity())?);
-    }
-    if buf.has_remaining() {
-        return Err(StorageError::Corrupt(format!("{} trailing bytes", buf.remaining())));
-    }
-    CompressedTable::from_parts(
-        schema,
-        metas,
-        chunks,
-        num_rows,
-        CompressionOptions::with_chunk_size(chunk_size.max(1)),
-    )
-}
-
-/// v2/v3/v4: parse the footer from the tail, then decode every blob.
-fn from_bytes_footered(data: &[u8], version: u32) -> Result<CompressedTable> {
-    let footer = parse_footer_region(data, version)?;
-    let arity = footer.meta.schema().arity();
-    let mut chunks = Vec::with_capacity(footer.locations.len());
-    match &footer.layouts {
-        // v3/v4: assemble each chunk from its independently addressed blobs.
-        Some(layouts) => {
-            let user_idx = footer.meta.schema().user_idx();
-            for (ci, layout) in layouts.iter().enumerate() {
-                let corrupt = |e: StorageError| StorageError::Corrupt(format!("chunk {ci}: {e}"));
-                let (start, end) =
-                    (layout.rle.offset as usize, (layout.rle.offset + layout.rle.len) as usize);
-                let mut rle = decode_rle_blob(&data[start..end]).map_err(corrupt)?;
-                if let Some(remap) = footer.remap_for(ci, user_idx) {
-                    rle = rle.remap_users(remap).map_err(corrupt)?;
-                }
-                let mut columns: Vec<Option<Arc<ChunkColumn>>> = vec![None; arity];
-                for (idx, loc) in layout.cols.iter().enumerate() {
-                    if idx == user_idx {
-                        continue;
-                    }
-                    let (start, end) = (loc.offset as usize, (loc.offset + loc.len) as usize);
-                    let col_err = |e: StorageError| e.in_column(ci, idx);
-                    let mut col =
-                        decode_column_blob_loc(&data[start..end], loc).map_err(col_err)?;
-                    if let Some(remap) = footer.remap_for(ci, idx) {
-                        col = col.remap_gids(remap).map_err(col_err)?;
-                    }
-                    columns[idx] = Some(Arc::new(col));
-                }
-                chunks.push(Chunk::from_shared(Arc::new(rle), columns)?);
-            }
-        }
-        // v2: one self-contained blob per chunk.
-        None => {
-            for (ci, (offset, len)) in footer.locations.iter().enumerate() {
-                let (start, end) = (*offset as usize, (*offset + *len) as usize);
-                let chunk = decode_chunk_blob(&data[start..end], arity)
-                    .map_err(|e| StorageError::Corrupt(format!("chunk {ci}: {e}")))?;
-                chunks.push(chunk);
-            }
-        }
+    let footer = parse_image(data)?;
+    let mut chunks = Vec::with_capacity(footer.layouts.len());
+    for (ci, layout) in footer.layouts.iter().enumerate() {
+        let rle = footer.rle(ci, layout.rle.bytes(data))?;
+        chunks.push(footer.assemble(ci, rle, |loc| Ok(Cow::Borrowed(loc.bytes(data))))?);
     }
     let table = CompressedTable::from_parts(
         footer.meta.schema().clone(),
@@ -351,14 +273,8 @@ fn from_bytes_footered(data: &[u8], version: u32) -> Result<CompressedTable> {
     )?;
     // The footer's index entries are untrusted input: they must agree with
     // the entries recomputed from the decoded chunks, or pruning decisions
-    // would silently disagree with the data. (v2 entries carry no column
-    // stats and compare on their base fields.)
-    let consistent = table
-        .index_entries()
-        .iter()
-        .zip(footer.entries.iter())
-        .all(|(computed, stored)| stored.matches(computed));
-    if !consistent || table.index_entries().len() != footer.entries.len() {
+    // would silently disagree with the data.
+    if table.index_entries() != footer.entries {
         return Err(StorageError::Corrupt("footer index disagrees with chunk payloads".into()));
     }
     Ok(table)
@@ -370,9 +286,8 @@ pub fn write_file(table: &CompressedTable, path: &Path) -> Result<()> {
     Ok(())
 }
 
-/// Read a compressed table from a file (any version), materializing every
-/// chunk. For lazy access to v2/v3 files use
-/// [`FileSource`](crate::source::FileSource) instead.
+/// Read a compressed table from a v3 or v4 file, materializing every chunk.
+/// For lazy access use [`FileSource`](crate::source::FileSource) instead.
 pub fn read_file(path: &Path) -> Result<CompressedTable> {
     let data = std::fs::read(path)?;
     from_bytes(&data)
@@ -420,26 +335,6 @@ pub struct CompactStats {
     pub rows: usize,
 }
 
-/// Check that a file starts with a growable (v3/v4) header and return its
-/// version, with an operation-specific hint for v1/v2 files (which are
-/// immutable snapshots in those formats).
-fn require_growable(header: &[u8], what: &str) -> Result<u32> {
-    let mut cur = header;
-    let magic = get_u32(&mut cur)?;
-    if magic != MAGIC {
-        return Err(StorageError::Corrupt(format!("bad magic {magic:#x}")));
-    }
-    match get_u32(&mut cur)? {
-        v @ (3 | 4) => Ok(v),
-        v @ (1 | 2) => Err(StorageError::Unsupported(format!(
-            "cannot {what} a version {v} file: only v3+ column-addressable files support in-place \
-             growth; load it eagerly with persist::read_file and re-save with persist::write_file \
-             to migrate"
-        ))),
-        v => Err(StorageError::BadVersion(v)),
-    }
-}
-
 /// Fill `buf` from `offset` without touching the handle's cursor: one
 /// `pread` per blob, safe to issue from several threads at once.
 #[cfg(unix)]
@@ -473,35 +368,6 @@ fn read_exact_at(file: &std::fs::File, offset: u64, len: u64) -> Result<Vec<u8>>
     let mut buf = vec![0u8; len as usize];
     fill_at(file, &mut buf, offset)?;
     Ok(buf)
-}
-
-/// Decode the columns of one chunk of an open v3/v4 file into
-/// current-dictionary terms, around its already decoded (and remapped) user
-/// column.
-fn read_chunk_at(
-    file: &std::fs::File,
-    footer: &Footer,
-    layout: &ChunkLayout,
-    ci: usize,
-    rle: UserRle,
-) -> Result<Chunk> {
-    let schema = footer.meta.schema();
-    let mut columns: Vec<Option<Arc<ChunkColumn>>> = vec![None; schema.arity()];
-    for (idx, loc) in layout.cols.iter().enumerate() {
-        if idx == schema.user_idx() {
-            continue;
-        }
-        let col_err = |e: StorageError| e.in_column(ci, idx);
-        let mut col = decode_column_blob_loc(&read_exact_at(file, loc.offset, loc.len)?, loc)
-            .map_err(col_err)?;
-        if let Some(remap) = footer.remap_for(ci, idx) {
-            col = col.remap_gids(remap).map_err(col_err)?;
-        }
-        columns[idx] = Some(Arc::new(col));
-    }
-    let chunk = Chunk::from_shared(Arc::new(rle), columns)?;
-    crate::table::validate_chunk(&footer.meta, ci, &chunk)?;
-    Ok(chunk)
 }
 
 /// Compose two remap steps: `a` maps an epoch's gids into the previous
@@ -557,8 +423,8 @@ fn compose_remaps(a: &EpochRemaps, step: &EpochRemaps) -> Result<EpochRemaps> {
 /// through it. The merged dictionaries stay sorted, so `rank`-based ordering
 /// predicates remain valid.
 ///
-/// v1/v2 files are rejected with [`StorageError::Unsupported`] — re-save
-/// them first. The batch must have the file's schema, and its primary keys
+/// v1/v2 files are refused with [`StorageError::Unsupported`] (see the
+/// [module docs](self)). The batch must have the file's schema, and its primary keys
 /// must not collide with existing tuples: a collision is
 /// [`StorageError::Invalid`] and leaves the file's rows untouched (a v3 file
 /// stays migrated).
@@ -597,20 +463,15 @@ pub fn append_with_chunks(
     batch: &ActivityTable,
 ) -> Result<(AppendStats, WrittenChunks)> {
     let mut file = std::fs::OpenOptions::new().read(true).write(true).open(path)?;
+    let footer = read_footer_from_file(&file)?;
     let total = file.seek(SeekFrom::End(0))?;
-    if total < HEADER_LEN + TAIL_LEN {
-        return Err(StorageError::Corrupt("file too short for header + tail".into()));
-    }
-    let header = read_exact_at(&file, 0, HEADER_LEN)?;
-    let version = require_growable(&header, "append to")?;
-    let footer = read_footer_from_file(&mut file)?;
     let schema = footer.meta.schema().clone();
     if &schema != batch.schema() {
         return Err(StorageError::Invalid(
             "append batch schema differs from the file's schema".into(),
         ));
     }
-    let chunks_before = footer.locations.len();
+    let chunks_before = footer.layouts.len();
     if batch.is_empty() {
         let stats = AppendStats {
             chunks_before,
@@ -621,7 +482,7 @@ pub fn append_with_chunks(
         };
         return Ok((stats, WrittenChunks::default()));
     }
-    if version == 3 {
+    if footer.version == 3 {
         // A v3 file migrates on its first growth: compaction rewrites it as
         // its v4 build-once image (through a rename, so this handle is
         // stale), and the batch is appended to that.
@@ -629,7 +490,6 @@ pub fn append_with_chunks(
         compact(path)?;
         return append_with_chunks(path, batch);
     }
-    let layouts = footer.layouts.as_ref().expect("v3+ footers always carry layouts").clone();
 
     // Merge the batch's new values into every dictionary (remembering the
     // strictly increasing step remap of each old dictionary into its merged
@@ -641,18 +501,17 @@ pub fn append_with_chunks(
     // payloads). Remapping the whole RLE up front surfaces any gid outside
     // its dictionary epoch as corruption instead of silently misclassifying
     // the chunk, and hands the decoded user column to the rewrite below.
-    let user_idx = schema.user_idx();
     let mut touched: Vec<(usize, Chunk)> = Vec::new();
     if splice.has_returning_users() {
-        for (ci, layout) in layouts.iter().enumerate() {
+        for (ci, layout) in footer.layouts.iter().enumerate() {
             let in_chunk = |e: StorageError| StorageError::Corrupt(format!("chunk {ci}: {e}"));
-            let blob = read_exact_at(&file, layout.rle.offset, layout.rle.len)?;
-            let mut rle = decode_rle_blob(&blob).map_err(in_chunk)?;
-            if let Some(remap) = footer.remap_for(ci, user_idx) {
-                rle = rle.remap_users(remap).map_err(in_chunk)?;
-            }
+            let rle = footer.rle(ci, &read_exact_at(&file, layout.rle.offset, layout.rle.len)?)?;
             if splice.touches(&rle).map_err(in_chunk)? {
-                touched.push((ci, read_chunk_at(&file, &footer, layout, ci, rle)?));
+                let chunk = footer.assemble(ci, rle, |loc| {
+                    read_exact_at(&file, loc.offset, loc.len).map(Cow::Owned)
+                })?;
+                crate::table::validate_chunk(&footer.meta, ci, &chunk)?;
+                touched.push((ci, chunk));
             }
         }
     }
@@ -704,7 +563,7 @@ pub fn append_with_chunks(
                 })?;
             }
         }
-        all_layouts.push(layouts[ci].clone());
+        all_layouts.push(footer.layouts[ci].clone());
         all_entries.push(entry);
         chunk_epochs.push(old_epoch_of(ci));
     }
@@ -740,8 +599,7 @@ pub fn append_with_chunks(
     file.write_all(&tail_buf)?;
 
     let file_bytes = total + tail_buf.len() as u64;
-    let live_payload: u64 =
-        all_layouts.iter().map(|l| l.rle.len + l.cols.iter().map(|loc| loc.len).sum::<u64>()).sum();
+    let live_payload: u64 = all_layouts.iter().map(ChunkLayout::span).sum();
     let stats = AppendStats {
         rows_appended: batch.num_rows(),
         chunks_before,
@@ -757,7 +615,7 @@ pub fn append_with_chunks(
 
 /// Dead (unreferenced) payload bytes in a parsed file image.
 fn dead_bytes(total: u64, footer: &Footer) -> u64 {
-    let live: u64 = footer.locations.iter().map(|(_, len)| *len).sum();
+    let live: u64 = footer.layouts.iter().map(ChunkLayout::span).sum();
     let footer_len = total - TAIL_LEN - footer.payload_end;
     total - HEADER_LEN - live - footer_len - TAIL_LEN
 }
@@ -788,17 +646,17 @@ impl FileSpaceStats {
     }
 }
 
-/// Read the space accounting of a v2/v3/v4 file: total size plus the dead
+/// Read the space accounting of a v3/v4 file: total size plus the dead
 /// bytes its current footer no longer references. Costs one footer parse.
 pub fn file_space_stats(path: &Path) -> Result<FileSpaceStats> {
-    let mut file = std::fs::File::open(path)?;
-    let footer = read_footer_from_file(&mut file)?;
+    let file = std::fs::File::open(path)?;
+    let footer = read_footer_from_file(&file)?;
     let total = file.metadata()?.len();
     Ok(FileSpaceStats {
         file_bytes: total,
         dead_bytes: dead_bytes(total, &footer),
         rows: footer.entries.iter().map(|e| e.num_rows).sum(),
-        chunks: footer.locations.len(),
+        chunks: footer.layouts.len(),
     })
 }
 
@@ -821,10 +679,6 @@ pub fn compact(path: &Path) -> Result<CompactStats> {
 pub fn compact_with_chunks(path: &Path) -> Result<(CompactStats, WrittenChunks)> {
     let data = std::fs::read(path)?;
     let bytes_before = data.len() as u64;
-    if data.len() < HEADER_LEN as usize {
-        return Err(StorageError::Corrupt("file too short for header".into()));
-    }
-    require_growable(&data[..HEADER_LEN as usize], "compact")?;
     let table = from_bytes(&data)?;
     let (rebuilt, _) = rewrite::rebuild(table.table_meta(), table.chunks(), &[])?;
     let (bytes, layouts, footer_start) = image(&rebuilt);
@@ -943,22 +797,7 @@ impl FormatInfo {
 /// validation pass.
 pub fn inspect(path: &Path) -> Result<FormatInfo> {
     let data = std::fs::read(path)?;
-    if data.len() < HEADER_LEN as usize {
-        return Err(StorageError::Corrupt("file too short for header".into()));
-    }
-    let mut cur = &data[..HEADER_LEN as usize];
-    let magic = get_u32(&mut cur)?;
-    if magic != MAGIC {
-        return Err(StorageError::Corrupt(format!("bad magic {magic:#x}")));
-    }
-    let version = get_u32(&mut cur)?;
-    if !matches!(version, 3 | 4) {
-        return Err(StorageError::Unsupported(format!(
-            "inspect needs the per-blob layouts of a v3/v4 file, got version {version}"
-        )));
-    }
-    let footer = parse_footer_region(&data, version)?;
-    let layouts = footer.layouts.as_ref().expect("v3+ footers always carry layouts");
+    let footer = parse_image(&data)?;
     let schema = footer.meta.schema();
     let user_idx = schema.user_idx();
     let mut columns: Vec<ColumnCompression> = (0..schema.arity())
@@ -978,21 +817,20 @@ pub fn inspect(path: &Path) -> Result<FormatInfo> {
         c.uncompressed_bytes += loc.uncompressed;
         c.decode_nanos += ns;
     };
-    for (ci, (layout, entry)) in layouts.iter().zip(&footer.entries).enumerate() {
+    for (ci, (layout, entry)) in footer.layouts.iter().zip(&footer.entries).enumerate() {
         let loc = &layout.rle;
-        let blob = &data[loc.offset as usize..(loc.offset + loc.len) as usize];
         let start = std::time::Instant::now();
-        decode_rle_blob(blob)?;
+        decode_rle_blob(loc.bytes(&data))?;
         record(&mut columns, user_idx, loc, start.elapsed().as_nanos() as u64);
         for (idx, loc) in layout.cols.iter().enumerate() {
             if idx == user_idx {
                 continue;
             }
-            let blob = &data[loc.offset as usize..(loc.offset + loc.len) as usize];
             // The step a lazy column fetch pays: blob -> range-proved
             // `ChunkColumn`.
             let start = std::time::Instant::now();
-            let col = decode_column_blob_loc(blob, loc).map_err(|e| e.in_column(ci, idx))?;
+            let col =
+                decode_column_blob_loc(loc.bytes(&data), loc).map_err(|e| e.in_column(ci, idx))?;
             record(&mut columns, idx, loc, start.elapsed().as_nanos() as u64);
             if col.len() as u64 != entry.num_rows {
                 return Err(StorageError::Corrupt(format!(
@@ -1004,9 +842,9 @@ pub fn inspect(path: &Path) -> Result<FormatInfo> {
         }
     }
     Ok(FormatInfo {
-        version,
+        version: footer.version,
         num_rows: footer.meta.num_rows(),
-        num_chunks: layouts.len(),
+        num_chunks: footer.layouts.len(),
         columns,
         codecs,
     })
@@ -1017,7 +855,7 @@ pub fn inspect(path: &Path) -> Result<FormatInfo> {
 /// The byte location of one blob plus how it is encoded: where it lives,
 /// how many bytes it occupies on disk, the codec its packed-array section
 /// was written with, and the exact length the blob serializes to once
-/// decoded back to raw v3 form. For v1–v3 files `codec` is always
+/// decoded back to raw v3 form. For v3 files `codec` is always
 /// [`Codec::Raw`] and `uncompressed == len`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct BlobLoc {
@@ -1038,17 +876,32 @@ impl BlobLoc {
     pub(crate) fn absent() -> Self {
         BlobLoc { offset: 0, len: 0, codec: Codec::Raw, uncompressed: 0 }
     }
+
+    /// This blob's bytes within a whole image whose footer located it (the
+    /// footer parse proved the range lies inside the payload region).
+    fn bytes<'a>(&self, image: &'a [u8]) -> &'a [u8] {
+        &image[self.offset as usize..(self.offset + self.len) as usize]
+    }
 }
 
-/// Byte locations of one v3/v4 chunk's blobs: the RLE user column plus one
-/// entry per attribute ([`BlobLoc::absent`] at the user attribute's
-/// position).
+/// Byte locations of one chunk's blobs: the RLE user column plus one entry
+/// per attribute ([`BlobLoc::absent`] at the user attribute's position).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct ChunkLayout {
     /// Location of the RLE blob (always raw).
     pub(crate) rle: BlobLoc,
     /// Location of each attribute's column blob.
     pub(crate) cols: Vec<BlobLoc>,
+}
+
+impl ChunkLayout {
+    /// Bytes the chunk's payload spans: its RLE blob through its last column
+    /// blob, which tile exactly. Appended files may have dead-byte gaps
+    /// *between* chunks' spans (superseded chunk versions and earlier
+    /// footers), never inside one.
+    pub(crate) fn span(&self) -> u64 {
+        self.rle.len + self.cols.iter().map(|loc| loc.len).sum::<u64>()
+    }
 }
 
 /// One dictionary epoch's gid remaps: for every attribute, either `None`
@@ -1061,18 +914,16 @@ pub(crate) struct ChunkLayout {
 /// predicates stay valid).
 pub(crate) type EpochRemaps = Vec<Option<Arc<Vec<u32>>>>;
 
-/// Parsed footer: table metadata, per-chunk index entries, per-chunk payload
-/// spans, and (v3) per-blob layouts.
+/// Parsed footer: the file's version, table metadata, and per chunk its
+/// index entry, blob layout and dictionary epoch.
+#[derive(Debug)]
 pub(crate) struct Footer {
+    /// The file's format version (3 or 4).
+    pub(crate) version: u32,
     pub(crate) meta: TableMeta,
     pub(crate) entries: Vec<ChunkIndexEntry>,
-    /// `(offset, len)` of each chunk's whole payload span (v2: the chunk
-    /// blob; v3: RLE through last column, which tile contiguously). Appended
-    /// files may have dead-byte gaps *between* spans (superseded chunk
-    /// versions and earlier footers), never inside one.
-    pub(crate) locations: Vec<(u64, u64)>,
-    /// v3/v4 only: the per-blob layout of every chunk.
-    pub(crate) layouts: Option<Vec<ChunkLayout>>,
+    /// The per-blob layout of every chunk.
+    pub(crate) layouts: Vec<ChunkLayout>,
     /// Non-current dictionary epochs, oldest first (empty for files never
     /// appended to, or fully rewritten by [`compact`]).
     pub(crate) epochs: Vec<EpochRemaps>,
@@ -1092,17 +943,78 @@ impl Footer {
         let epoch = self.chunk_epochs.get(chunk).copied().unwrap_or(self.epochs.len() as u32);
         self.epochs.get(epoch as usize).and_then(|per_attr| per_attr[attr].as_ref())
     }
+
+    /// Decode chunk `ci`'s RLE blob into current-dictionary terms.
+    fn rle(&self, ci: usize, blob: &[u8]) -> Result<UserRle> {
+        let in_chunk = |e: StorageError| StorageError::Corrupt(format!("chunk {ci}: {e}"));
+        let rle = decode_rle_blob(blob).map_err(in_chunk)?;
+        match self.remap_for(ci, self.meta.schema().user_idx()) {
+            Some(remap) => rle.remap_users(remap).map_err(in_chunk),
+            None => Ok(rle),
+        }
+    }
+
+    /// Decode chunk `ci`'s columns into current-dictionary terms around its
+    /// decoded user column; `fetch` yields a blob's bytes.
+    fn assemble<'a>(
+        &self,
+        ci: usize,
+        rle: UserRle,
+        mut fetch: impl FnMut(&BlobLoc) -> Result<Cow<'a, [u8]>>,
+    ) -> Result<Chunk> {
+        let user_idx = self.meta.schema().user_idx();
+        let cols = &self.layouts[ci].cols;
+        let mut columns: Vec<Option<Arc<ChunkColumn>>> = vec![None; cols.len()];
+        for (idx, loc) in cols.iter().enumerate() {
+            if idx == user_idx {
+                continue;
+            }
+            let col_err = |e: StorageError| e.in_column(ci, idx);
+            let mut col = decode_column_blob_loc(&fetch(loc)?, loc).map_err(col_err)?;
+            if let Some(remap) = self.remap_for(ci, idx) {
+                col = col.remap_gids(remap).map_err(col_err)?;
+            }
+            columns[idx] = Some(Arc::new(col));
+        }
+        Chunk::from_shared(Arc::new(rle), columns)
+    }
 }
 
-/// Validate tail + header of a full footered image and parse its footer.
-fn parse_footer_region(data: &[u8], version: u32) -> Result<Footer> {
-    let total = data.len() as u64;
+/// Judge a file's header — the one place it is parsed. v3 and v4 are read;
+/// v1 and v2 are refused with [`StorageError::Unsupported`], naming the last
+/// build that reads them; any other version is [`StorageError::BadVersion`].
+fn read_header(header: &[u8]) -> Result<u32> {
+    let mut r = Reader::new(header);
+    let magic = r.u32()?;
+    if magic != MAGIC {
+        return Err(StorageError::Corrupt(format!("bad magic {magic:#x}")));
+    }
+    match r.u32()? {
+        v @ (3 | 4) => Ok(v),
+        v @ (1 | 2) => Err(StorageError::Unsupported(format!(
+            "version {v} files are no longer read; commit 5b41903 is the last build that reads \
+             them: load the file with its persist::read_file and re-save it with \
+             persist::write_file"
+        ))),
+        v => Err(StorageError::BadVersion(v)),
+    }
+}
+
+/// Parse an image's header, tail and footer, given its length and `fetch`,
+/// which yields `len` bytes at `offset` — of a file on disk or of an image
+/// in memory.
+fn read_footer_with<'a>(
+    total: u64,
+    mut fetch: impl FnMut(u64, u64) -> Result<Cow<'a, [u8]>>,
+) -> Result<Footer> {
+    let version = read_header(&fetch(0, HEADER_LEN.min(total))?)?;
     if total < HEADER_LEN + TAIL_LEN {
         return Err(StorageError::Corrupt("file too short for header + tail".into()));
     }
-    let mut tail = &data[(total - TAIL_LEN) as usize..];
-    let footer_len = get_u64(&mut tail)?;
-    let tail_magic = get_u32(&mut tail)?;
+    let tail = fetch(total - TAIL_LEN, TAIL_LEN)?;
+    let mut r = Reader::new(&tail);
+    let footer_len = r.u64()?;
+    let tail_magic = r.u32()?;
     if tail_magic != MAGIC {
         return Err(StorageError::Corrupt(format!("bad tail magic {tail_magic:#x}")));
     }
@@ -1110,8 +1022,22 @@ fn parse_footer_region(data: &[u8], version: u32) -> Result<Footer> {
         return Err(footer_overrun(footer_len, total));
     }
     let footer_start = total - TAIL_LEN - footer_len;
-    let footer_bytes = &data[footer_start as usize..(total - TAIL_LEN) as usize];
-    read_footer(footer_bytes, footer_start, version)
+    read_footer(&fetch(footer_start, footer_len)?, footer_start, version)
+}
+
+/// The footer of a whole image in memory.
+fn parse_image(data: &[u8]) -> Result<Footer> {
+    read_footer_with(data.len() as u64, |offset, len| {
+        Ok(Cow::Borrowed(&data[offset as usize..(offset + len) as usize]))
+    })
+}
+
+/// Open a file for lazy access: judge its header, then read and parse only
+/// its footer.
+pub(crate) fn read_footer_from_file(file: &std::fs::File) -> Result<Footer> {
+    read_footer_with(file.metadata()?.len(), |offset, len| {
+        read_exact_at(file, offset, len).map(Cow::Owned)
+    })
 }
 
 /// The error for a tail whose footer length points outside the file — the
@@ -1127,40 +1053,33 @@ fn footer_overrun(footer_len: u64, total: u64) -> StorageError {
     ))
 }
 
-/// Parse the footer bytes of a v2 or v3 image; `footer_start` is the file
+/// Parse the footer bytes of a v3 or v4 image; `footer_start` is the file
 /// offset where the footer begins (== the end of the payload region), used
 /// to validate blob locations.
-fn read_footer(mut buf: &[u8], footer_start: u64, version: u32) -> Result<Footer> {
-    let chunk_size = get_u64(&mut buf)? as usize;
+fn read_footer(footer: &[u8], footer_start: u64, version: u32) -> Result<Footer> {
+    let mut r = Reader::new(footer);
+    let chunk_size = r.u64()? as usize;
     // The writer never produces 0 (CompressedTable::build rejects it), so a
     // zero here is corruption, not a value to repair.
     if chunk_size == 0 {
         return Err(StorageError::Corrupt("footer chunk_size is zero".into()));
     }
-    let schema = read_schema(&mut buf)?;
-    let mut metas = Vec::with_capacity(schema.arity());
-    for _ in 0..schema.arity() {
-        metas.push(read_meta(&mut buf)?);
-    }
-    let num_rows = get_u64(&mut buf)? as usize;
-    let num_chunks = get_u32(&mut buf)? as usize;
+    let schema = read_schema(&mut r)?;
     let arity = schema.arity();
-    // Guard the chunk count before allocating: every entry needs at least
-    // its fixed-size fields.
-    let min_entry = match version {
-        2 => 52,
-        // rle record + per-attr records + counts/bounds + n_actions +
-        // 1-byte stats tags. v4 blob records additionally carry a codec
-        // tag and an uncompressed length (9 bytes per blob).
-        4 => 25 + 25 * arity + 32 + 4 + arity,
-        _ => 16 + 16 * arity + 32 + 4 + arity,
-    };
-    if num_chunks > buf.remaining() / min_entry {
-        return Err(StorageError::Corrupt(format!("chunk count {num_chunks} overruns footer")));
+    let mut metas = Vec::with_capacity(arity);
+    for _ in 0..arity {
+        metas.push(read_meta(&mut r)?);
     }
+    let num_rows = r.u64()? as usize;
+    // Every entry needs at least its fixed-size fields: a blob record for
+    // the RLE and per attribute (v4 adds a codec tag and an uncompressed
+    // length to each), counts and bounds, n_actions, and a 1-byte stats tag
+    // per attribute.
+    let record = if version == 4 { 25 } else { 16 };
+    let num_chunks = r.u32()?;
+    let num_chunks = r.count(num_chunks.into(), record * (arity + 1) + 36 + arity)?;
     let mut entries = Vec::with_capacity(num_chunks);
-    let mut locations = Vec::with_capacity(num_chunks);
-    let mut layouts = (version >= 3).then(|| Vec::with_capacity(num_chunks));
+    let mut layouts = Vec::with_capacity(num_chunks);
     let mut expected_offset = HEADER_LEN;
     for ci in 0..num_chunks {
         // Blob locations must be monotone, non-overlapping, and inside
@@ -1170,10 +1089,9 @@ fn read_footer(mut buf: &[u8], footer_start: u64, version: u32) -> Result<Footer
         // the blobs tile exactly. Lengths are compared by subtraction
         // (`offset < footer_start` is checked first), so a crafted length
         // near u64::MAX cannot wrap the bound check.
-        let span_start;
-        let mut take_blob = |buf: &mut &[u8], what: &str, gap_ok: bool| -> Result<BlobLoc> {
-            let offset = get_u64(buf)?;
-            let len = get_u64(buf)?;
+        let mut take_blob = |r: &mut Reader, what: &str, gap_ok: bool| -> Result<BlobLoc> {
+            let offset = r.u64()?;
+            let len = r.u64()?;
             let misplaced =
                 if gap_ok { offset < expected_offset } else { offset != expected_offset };
             if misplaced || len == 0 || offset >= footer_start || len > footer_start - offset {
@@ -1186,8 +1104,8 @@ fn read_footer(mut buf: &[u8], footer_start: u64, version: u32) -> Result<Footer
             if version < 4 {
                 return Ok(BlobLoc::raw(offset, len));
             }
-            let tag = get_u8(buf)?;
-            let uncompressed = get_u64(buf)?;
+            let tag = r.u8()?;
+            let uncompressed = r.u64()?;
             let codec = Codec::from_tag(tag).ok_or_else(|| {
                 StorageError::Corrupt(format!("chunk {ci}: {what} has unknown codec tag {tag}"))
             })?;
@@ -1210,78 +1128,54 @@ fn read_footer(mut buf: &[u8], footer_start: u64, version: u32) -> Result<Footer
             }
             Ok(BlobLoc { offset, len, codec, uncompressed })
         };
-        let layout = if version >= 3 {
-            let rle = take_blob(&mut buf, "rle", true)?;
-            if rle.codec != Codec::Raw {
-                return Err(StorageError::Corrupt(format!(
-                    "chunk {ci}: rle blob must be raw, found codec {}",
-                    rle.codec.name(),
-                )));
-            }
-            span_start = rle.offset;
-            let mut cols = vec![BlobLoc::absent(); arity];
-            for (idx, slot) in cols.iter_mut().enumerate() {
-                if idx == schema.user_idx() {
-                    let offset = get_u64(&mut buf)?;
-                    let len = get_u64(&mut buf)?;
-                    let mut zero = (offset, len) == (0, 0);
-                    if version >= 4 {
-                        zero &= get_u8(&mut buf)? == 0 && get_u64(&mut buf)? == 0;
-                    }
-                    if !zero {
-                        return Err(StorageError::Corrupt(format!(
-                            "chunk {ci}: user column has a blob location"
-                        )));
-                    }
-                } else {
-                    *slot = take_blob(&mut buf, "column", false)?;
-                }
-            }
-            Some(ChunkLayout { rle, cols })
-        } else {
-            let chunk = take_blob(&mut buf, "chunk", true)?;
-            span_start = chunk.offset;
-            None
-        };
-        let num_rows = get_u64(&mut buf)?;
-        let num_users = get_u64(&mut buf)?;
-        let time_min = get_i64(&mut buf)?;
-        let time_max = get_i64(&mut buf)?;
-        let n_actions = get_u32(&mut buf)? as usize;
-        if n_actions > buf.remaining() / 4 {
+        let rle = take_blob(&mut r, "rle", true)?;
+        if rle.codec != Codec::Raw {
             return Err(StorageError::Corrupt(format!(
-                "chunk {ci}: action dictionary count {n_actions} overruns footer"
+                "chunk {ci}: rle blob must be raw, found codec {}",
+                rle.codec.name(),
             )));
         }
-        let mut action_gids = Vec::with_capacity(n_actions);
-        for _ in 0..n_actions {
-            action_gids.push(get_u32(&mut buf)?);
+        let mut cols = vec![BlobLoc::absent(); arity];
+        for (idx, slot) in cols.iter_mut().enumerate() {
+            if idx == schema.user_idx() {
+                let mut zero = (r.u64()?, r.u64()?) == (0, 0);
+                if version >= 4 {
+                    zero &= r.u8()? == 0 && r.u64()? == 0;
+                }
+                if !zero {
+                    return Err(StorageError::Corrupt(format!(
+                        "chunk {ci}: user column has a blob location"
+                    )));
+                }
+            } else {
+                *slot = take_blob(&mut r, "column", false)?;
+            }
         }
+        let num_rows = r.u64()?;
+        let num_users = r.u64()?;
+        let time_min = r.i64()?;
+        let time_max = r.i64()?;
+        let action_gids = read_u32s(&mut r)?;
         if !action_gids.windows(2).all(|w| w[0] < w[1]) {
             return Err(StorageError::Corrupt(format!("chunk {ci}: action gids not sorted")));
         }
-        let column_stats = if version >= 3 {
-            let mut stats = Vec::with_capacity(arity);
-            for (idx, meta) in metas.iter().enumerate() {
-                let s = read_column_stats(&mut buf)?;
-                // Stats kinds must agree with the attribute metadata.
-                let agrees = matches!(
-                    (&s, meta),
-                    (ColumnStats::User, ColumnMeta::User { .. })
-                        | (ColumnStats::Str { .. }, ColumnMeta::Str { .. })
-                        | (ColumnStats::Int { .. }, ColumnMeta::Int { .. })
-                );
-                if !agrees {
-                    return Err(StorageError::Corrupt(format!(
-                        "chunk {ci}: column {idx} stats kind disagrees with metadata"
-                    )));
-                }
-                stats.push(s);
+        let mut column_stats = Vec::with_capacity(arity);
+        for (idx, meta) in metas.iter().enumerate() {
+            let s = read_column_stats(&mut r)?;
+            // Stats kinds must agree with the attribute metadata.
+            let agrees = matches!(
+                (&s, meta),
+                (ColumnStats::User, ColumnMeta::User { .. })
+                    | (ColumnStats::Str { .. }, ColumnMeta::Str { .. })
+                    | (ColumnStats::Int { .. }, ColumnMeta::Int { .. })
+            );
+            if !agrees {
+                return Err(StorageError::Corrupt(format!(
+                    "chunk {ci}: column {idx} stats kind disagrees with metadata"
+                )));
             }
-            stats
-        } else {
-            Vec::new()
-        };
+            column_stats.push(s);
+        }
         entries.push(ChunkIndexEntry {
             num_rows,
             num_users,
@@ -1290,30 +1184,24 @@ fn read_footer(mut buf: &[u8], footer_start: u64, version: u32) -> Result<Footer
             action_gids,
             column_stats,
         });
-        locations.push((span_start, expected_offset - span_start));
-        if let (Some(layouts), Some(layout)) = (layouts.as_mut(), layout) {
-            layouts.push(layout);
-        }
+        layouts.push(ChunkLayout { rle, cols });
     }
     // Optional dictionary-epoch extension, present only in files that have
     // been appended to: per-chunk epoch tags, then one gid remap per
     // dictionary attribute for every non-current epoch.
     let mut epochs: Vec<EpochRemaps> = Vec::new();
     let mut chunk_epochs: Vec<u32> = Vec::new();
-    if version >= 3 && buf.has_remaining() {
-        let epoch_count = get_u32(&mut buf)? as usize;
+    if r.remaining() > 0 {
         // Every epoch needs at least one tag byte per attribute, every chunk
-        // a 4-byte tag; guard before allocating.
-        if epoch_count == 0 || epoch_count > buf.remaining() / arity.max(1) {
-            return Err(StorageError::Corrupt(format!(
-                "epoch count {epoch_count} is invalid for this footer"
-            )));
+        // a 4-byte tag.
+        let epoch_count = r.u32()?;
+        let epoch_count = r.count(epoch_count.into(), arity.max(1))?;
+        if epoch_count == 0 {
+            return Err(StorageError::Corrupt("epoch extension with no epochs".into()));
         }
-        if num_chunks > buf.remaining() / 4 {
-            return Err(StorageError::Corrupt("chunk epoch tags overrun footer".into()));
-        }
+        chunk_epochs = Vec::with_capacity(r.count(num_chunks as u64, 4)?);
         for ci in 0..num_chunks {
-            let epoch = get_u32(&mut buf)?;
+            let epoch = r.u32()?;
             if epoch as usize > epoch_count {
                 return Err(StorageError::Corrupt(format!(
                     "chunk {ci}: epoch {epoch} exceeds epoch count {epoch_count}"
@@ -1324,7 +1212,7 @@ fn read_footer(mut buf: &[u8], footer_start: u64, version: u32) -> Result<Footer
         for e in 0..epoch_count {
             let mut per_attr: EpochRemaps = Vec::with_capacity(arity);
             for (idx, meta) in metas.iter().enumerate() {
-                match get_u8(&mut buf)? {
+                match r.u8()? {
                     0 => per_attr.push(None),
                     1 => {
                         let dict_len = match meta {
@@ -1335,16 +1223,7 @@ fn read_footer(mut buf: &[u8], footer_start: u64, version: u32) -> Result<Footer
                                 )))
                             }
                         };
-                        let n = get_u32(&mut buf)? as usize;
-                        if n > buf.remaining() / 4 {
-                            return Err(StorageError::Corrupt(format!(
-                                "epoch {e}: remap length {n} overruns footer"
-                            )));
-                        }
-                        let mut remap = Vec::with_capacity(n);
-                        for _ in 0..n {
-                            remap.push(get_u32(&mut buf)?);
-                        }
+                        let remap = read_u32s(&mut r)?;
                         let sorted = remap.windows(2).all(|w| w[0] < w[1]);
                         let in_range = remap.last().is_none_or(|&g| (g as usize) < dict_len);
                         if !sorted || !in_range {
@@ -1363,9 +1242,7 @@ fn read_footer(mut buf: &[u8], footer_start: u64, version: u32) -> Result<Footer
             epochs.push(per_attr);
         }
     }
-    if buf.has_remaining() {
-        return Err(StorageError::Corrupt(format!("{} trailing footer bytes", buf.remaining())));
-    }
+    r.finish()?;
     let total_rows: u64 = entries.iter().map(|e| e.num_rows).sum();
     if total_rows != num_rows as u64 {
         return Err(StorageError::Corrupt(format!(
@@ -1374,106 +1251,17 @@ fn read_footer(mut buf: &[u8], footer_start: u64, version: u32) -> Result<Footer
     }
     let meta =
         TableMeta::new(schema, metas, num_rows, CompressionOptions::with_chunk_size(chunk_size))?;
-    Ok(Footer {
-        meta,
-        entries,
-        locations,
-        layouts,
-        epochs,
-        chunk_epochs,
-        payload_end: footer_start,
-    })
+    Ok(Footer { version, meta, entries, layouts, epochs, chunk_epochs, payload_end: footer_start })
 }
 
-/// Open a v2/v3 file for lazy access: verify the header, then read and
-/// parse only the footer. Rejects v1 files (no footer) with a migration
-/// hint.
-pub(crate) fn read_footer_from_file(file: &mut std::fs::File) -> Result<Footer> {
-    let total = file.seek(SeekFrom::End(0))?;
-    if total < HEADER_LEN + TAIL_LEN {
-        return Err(StorageError::Corrupt("file too short for header + tail".into()));
-    }
-
-    let mut header = [0u8; HEADER_LEN as usize];
-    file.seek(SeekFrom::Start(0))?;
-    file.read_exact(&mut header)?;
-    let mut cur: &[u8] = &header;
-    let magic = get_u32(&mut cur)?;
-    if magic != MAGIC {
-        return Err(StorageError::Corrupt(format!("bad magic {magic:#x}")));
-    }
-    let version = match get_u32(&mut cur)? {
-        v @ 2..=4 => v,
-        1 => {
-            return Err(StorageError::Unsupported(
-                "version 1 files have no chunk index footer and cannot be opened lazily; \
-                 load eagerly with persist::read_file and re-save to migrate"
-                    .into(),
-            ))
-        }
-        v => return Err(StorageError::BadVersion(v)),
-    };
-
-    let mut tail = [0u8; TAIL_LEN as usize];
-    file.seek(SeekFrom::Start(total - TAIL_LEN))?;
-    file.read_exact(&mut tail)?;
-    let mut cur: &[u8] = &tail;
-    let footer_len = get_u64(&mut cur)?;
-    let tail_magic = get_u32(&mut cur)?;
-    if tail_magic != MAGIC {
-        return Err(StorageError::Corrupt(format!("bad tail magic {tail_magic:#x}")));
-    }
-    if footer_len > total - HEADER_LEN - TAIL_LEN {
-        return Err(footer_overrun(footer_len, total));
-    }
-    let footer_start = total - TAIL_LEN - footer_len;
-    let mut footer_bytes = vec![0u8; footer_len as usize];
-    file.seek(SeekFrom::Start(footer_start))?;
-    file.read_exact(&mut footer_bytes)?;
-    read_footer(&footer_bytes, footer_start, version)
-}
-
-/// Decode one self-contained whole-chunk blob (as located by a v2 footer).
-pub(crate) fn decode_chunk_blob(blob: &[u8], arity: usize) -> Result<Chunk> {
-    let mut buf = blob;
-    let chunk = read_chunk(&mut buf, arity)?;
-    if buf.has_remaining() {
-        return Err(StorageError::Corrupt(format!(
-            "{} trailing bytes after chunk payload",
-            buf.remaining()
-        )));
-    }
-    Ok(chunk)
-}
-
-/// Decode one self-contained RLE blob (as located by a v3 footer).
+/// Decode one self-contained RLE blob.
 pub(crate) fn decode_rle_blob(blob: &[u8]) -> Result<UserRle> {
-    let mut buf = blob;
-    let users = read_packed(&mut buf)?;
-    let firsts = read_packed(&mut buf)?;
-    let counts = read_packed(&mut buf)?;
-    let rle = UserRle::from_parts(users, firsts, counts)?;
-    if buf.has_remaining() {
-        return Err(StorageError::Corrupt(format!(
-            "{} trailing bytes after rle payload",
-            buf.remaining()
-        )));
-    }
-    Ok(rle)
-}
-
-/// Decode one self-contained column blob (as located by a v3 footer).
-pub(crate) fn decode_column_blob(blob: &[u8]) -> Result<ChunkColumn> {
-    let mut buf = blob;
-    let col = read_column(&mut buf)?
-        .ok_or_else(|| StorageError::Corrupt("column blob holds no segment".into()))?;
-    if buf.has_remaining() {
-        return Err(StorageError::Corrupt(format!(
-            "{} trailing bytes after column payload",
-            buf.remaining()
-        )));
-    }
-    Ok(col)
+    let mut r = Reader::new(blob);
+    let users = read_packed(&mut r)?;
+    let firsts = read_packed(&mut r)?;
+    let counts = read_packed(&mut r)?;
+    r.finish()?;
+    UserRle::from_parts(users, firsts, counts)
 }
 
 /// The raw head of a column blob — tag byte, then the chunk dictionary's
@@ -1484,35 +1272,13 @@ enum ColumnHeader {
 }
 
 impl ColumnHeader {
-    /// Parse a tagged header (0 = absent segment, 1 = string, 2 = integer).
-    fn read(buf: &mut &[u8]) -> Result<Option<ColumnHeader>> {
-        match get_u8(buf)? {
-            0 => Ok(None),
-            1 => {
-                let n = get_u32(buf)? as usize;
-                if n > buf.remaining() / 4 {
-                    return Err(StorageError::Corrupt(format!(
-                        "chunk dictionary count {n} overruns input"
-                    )));
-                }
-                let mut gids = Vec::with_capacity(n);
-                for _ in 0..n {
-                    gids.push(get_u32(buf)?);
-                }
-                Ok(Some(ColumnHeader::Str(ChunkDict::from_sorted(gids)?)))
-            }
-            2 => {
-                let min = get_i64(buf)?;
-                let max = get_i64(buf)?;
-                Ok(Some(ColumnHeader::Int { min, max }))
-            }
+    /// Parse a tagged header (1 = string, 2 = integer).
+    fn read(r: &mut Reader) -> Result<ColumnHeader> {
+        match r.u8()? {
+            1 => Ok(ColumnHeader::Str(ChunkDict::from_sorted(read_u32s(r)?)?)),
+            2 => Ok(ColumnHeader::Int { min: r.i64()?, max: r.i64()? }),
             t => Err(StorageError::Corrupt(format!("bad column tag {t}"))),
         }
-    }
-
-    /// Like [`ColumnHeader::read`] where an absent segment is an error.
-    fn read_present(buf: &mut &[u8]) -> Result<ColumnHeader> {
-        Self::read(buf)?.ok_or_else(|| StorageError::Corrupt("column blob holds no segment".into()))
     }
 
     /// Bytes this header serializes to.
@@ -1542,21 +1308,25 @@ impl ColumnHeader {
     }
 }
 
-/// Decode one column blob through its footer record: raw blobs take the v3
-/// path unchanged; codec-compressed blobs parse the raw header, then hand
-/// the remaining bytes to [`codec::decode_array`] with the exact raw
+/// Decode one column blob through its footer record: the raw header, then
+/// the packed-array section. A raw section is kept as read and one
+/// block-decode pass over its words proves the codes in range. A
+/// codec-compressed one goes to [`codec::decode_array`] with the exact raw
 /// section length implied by `loc.uncompressed` — which the codecs verify
 /// against their own embedded width/length *before* allocating, and which
 /// pins the decoded blob's v3 serialization to exactly `uncompressed`
-/// bytes. The bound the decoder returns proves the codes in range.
+/// bytes; the bound the decoder returns proves the codes in range.
 pub(crate) fn decode_column_blob_loc(blob: &[u8], loc: &BlobLoc) -> Result<ChunkColumn> {
+    let mut r = Reader::new(blob);
+    let header = ColumnHeader::read(&mut r)?;
     if loc.codec == Codec::Raw {
-        return decode_column_blob(blob);
+        let packed = read_packed(&mut r)?;
+        r.finish()?;
+        let max_code = packed.max_value();
+        return header.with_codes(packed, max_code);
     }
-    let mut buf = blob;
-    let header = ColumnHeader::read_present(&mut buf)?;
     let expected = section_len(loc, header.serialized_len())?;
-    let (packed, code_bound) = codec::decode_array(loc.codec, buf, expected)?;
+    let (packed, code_bound) = codec::decode_array(loc.codec, r.rest(), expected)?;
     header.with_codes(packed, code_bound)
 }
 
@@ -1573,46 +1343,9 @@ fn section_len(loc: &BlobLoc, header_len: u64) -> Result<u64> {
 
 // ---------------------------------------------------------------- helpers
 
-fn get_u8(buf: &mut &[u8]) -> Result<u8> {
-    if buf.remaining() < 1 {
-        return Err(StorageError::Corrupt("unexpected end of input".into()));
-    }
-    Ok(buf.get_u8())
-}
-
-fn get_u32(buf: &mut &[u8]) -> Result<u32> {
-    if buf.remaining() < 4 {
-        return Err(StorageError::Corrupt("unexpected end of input".into()));
-    }
-    Ok(buf.get_u32_le())
-}
-
-fn get_u64(buf: &mut &[u8]) -> Result<u64> {
-    if buf.remaining() < 8 {
-        return Err(StorageError::Corrupt("unexpected end of input".into()));
-    }
-    Ok(buf.get_u64_le())
-}
-
-fn get_i64(buf: &mut &[u8]) -> Result<i64> {
-    Ok(get_u64(buf)? as i64)
-}
-
 fn write_str(buf: &mut BytesMut, s: &str) {
     buf.put_u32_le(s.len() as u32);
     buf.put_slice(s.as_bytes());
-}
-
-fn read_str(buf: &mut &[u8]) -> Result<String> {
-    let len = get_u32(buf)? as usize;
-    if buf.remaining() < len {
-        return Err(StorageError::Corrupt("string overruns input".into()));
-    }
-    let s = std::str::from_utf8(&buf[..len])
-        .map_err(|_| StorageError::Corrupt("invalid utf-8".into()))?
-        .to_string();
-    buf.advance(len);
-    Ok(s)
 }
 
 fn write_schema(buf: &mut BytesMut, schema: &Schema) {
@@ -1633,20 +1366,18 @@ fn write_schema(buf: &mut BytesMut, schema: &Schema) {
     }
 }
 
-fn read_schema(buf: &mut &[u8]) -> Result<Schema> {
-    if buf.remaining() < 2 {
-        return Err(StorageError::Corrupt("unexpected end of input".into()));
-    }
-    let arity = buf.get_u16_le() as usize;
-    let mut attrs = Vec::with_capacity(arity);
+fn read_schema(r: &mut Reader) -> Result<Schema> {
+    // An attribute is at least its name's length prefix and two tag bytes.
+    let arity = r.u16()?;
+    let mut attrs = Vec::with_capacity(r.count(arity.into(), 6)?);
     for _ in 0..arity {
-        let name = read_str(buf)?;
-        let vtype = match get_u8(buf)? {
+        let name = r.str()?.to_string();
+        let vtype = match r.u8()? {
             0 => ValueType::Str,
             1 => ValueType::Int,
             t => return Err(StorageError::Corrupt(format!("bad value type {t}"))),
         };
-        let role = match get_u8(buf)? {
+        let role = match r.u8()? {
             0 => AttributeRole::User,
             1 => AttributeRole::Time,
             2 => AttributeRole::Action,
@@ -1666,16 +1397,12 @@ fn write_dict(buf: &mut BytesMut, dict: &GlobalDict) {
     }
 }
 
-fn read_dict(buf: &mut &[u8]) -> Result<GlobalDict> {
-    let n = get_u32(buf)? as usize;
-    // Each value consumes at least its 4-byte length prefix; a larger count
-    // is corruption, and guarding here prevents huge pre-allocations.
-    if n > buf.remaining() / 4 {
-        return Err(StorageError::Corrupt(format!("dictionary count {n} overruns input")));
-    }
-    let mut values: Vec<Arc<str>> = Vec::with_capacity(n);
+fn read_dict(r: &mut Reader) -> Result<GlobalDict> {
+    // Each value is at least its 4-byte length prefix.
+    let n = r.u32()?;
+    let mut values: Vec<Arc<str>> = Vec::with_capacity(r.count(n.into(), 4)?);
     for _ in 0..n {
-        values.push(Arc::from(read_str(buf)?));
+        values.push(Arc::from(r.str()?));
     }
     GlobalDict::from_sorted(values)
 }
@@ -1698,21 +1425,16 @@ fn write_meta(buf: &mut BytesMut, meta: &ColumnMeta) {
     }
 }
 
-fn read_meta(buf: &mut &[u8]) -> Result<ColumnMeta> {
-    match get_u8(buf)? {
-        0 => Ok(ColumnMeta::User { dict: read_dict(buf)? }),
-        1 => Ok(ColumnMeta::Str { dict: read_dict(buf)? }),
-        2 => {
-            let min = get_i64(buf)?;
-            let max = get_i64(buf)?;
-            Ok(ColumnMeta::Int { min, max })
-        }
+fn read_meta(r: &mut Reader) -> Result<ColumnMeta> {
+    match r.u8()? {
+        0 => Ok(ColumnMeta::User { dict: read_dict(r)? }),
+        1 => Ok(ColumnMeta::Str { dict: read_dict(r)? }),
+        2 => Ok(ColumnMeta::Int { min: r.i64()?, max: r.i64()? }),
         t => Err(StorageError::Corrupt(format!("bad meta tag {t}"))),
     }
 }
 
-/// The base (stats-less) fields of an index entry, as every footer version
-/// stores them.
+/// The base (stats-less) fields of an index entry.
 fn write_entry_base(buf: &mut BytesMut, entry: &ChunkIndexEntry) {
     buf.put_u64_le(entry.num_rows);
     buf.put_u64_le(entry.num_users);
@@ -1739,13 +1461,12 @@ fn write_column_stats(buf: &mut BytesMut, stats: &ColumnStats) {
     }
 }
 
-fn read_column_stats(buf: &mut &[u8]) -> Result<ColumnStats> {
-    match get_u8(buf)? {
+fn read_column_stats(r: &mut Reader) -> Result<ColumnStats> {
+    match r.u8()? {
         0 => Ok(ColumnStats::User),
-        1 => Ok(ColumnStats::Str { distinct: get_u32(buf)? }),
+        1 => Ok(ColumnStats::Str { distinct: r.u32()? }),
         2 => {
-            let min = get_i64(buf)?;
-            let max = get_i64(buf)?;
+            let (min, max) = (r.i64()?, r.i64()?);
             if min > max {
                 return Err(StorageError::Corrupt(format!("column stats min {min} > max {max}")));
             }
@@ -1753,6 +1474,16 @@ fn read_column_stats(buf: &mut &[u8]) -> Result<ColumnStats> {
         }
         t => Err(StorageError::Corrupt(format!("bad column stats tag {t}"))),
     }
+}
+
+/// A `u32` count, then that many `u32`s.
+fn read_u32s(r: &mut Reader) -> Result<Vec<u32>> {
+    let n = r.u32()?;
+    let mut out = Vec::with_capacity(r.count(n.into(), 4)?);
+    for _ in 0..n {
+        out.push(r.u32()?);
+    }
+    Ok(out)
 }
 
 fn write_packed(buf: &mut BytesMut, packed: &BitPacked) {
@@ -1763,23 +1494,14 @@ fn write_packed(buf: &mut BytesMut, packed: &BitPacked) {
     }
 }
 
-fn read_packed(buf: &mut &[u8]) -> Result<BitPacked> {
-    let width = get_u8(buf)?;
+fn read_packed(r: &mut Reader) -> Result<BitPacked> {
+    let width = r.u8()?;
     if width > 64 {
         return Err(StorageError::Corrupt(format!("bad bit width {width}")));
     }
-    let len = get_u64(buf)? as usize;
-    // Guard against corrupt lengths before allocating: at `width > 0`, the
-    // packed words must actually be present in the input.
-    let num_words = if width == 0 { 0 } else { len.div_ceil((64 / width as usize).max(1)) };
-    if num_words > buf.remaining() / 8 {
-        return Err(StorageError::Corrupt("bitpack words overrun input".into()));
-    }
-    let mut words = Vec::with_capacity(num_words);
-    for _ in 0..num_words {
-        words.push(buf.get_u64_le());
-    }
-    BitPacked::from_raw(width, len, words)
+    let len = r.u64()? as usize;
+    let num_words = if width == 0 { 0 } else { len.div_ceil(64 / width as usize) };
+    BitPacked::from_raw(width, len, r.u64s(num_words)?)
 }
 
 /// The RLE user column as a self-contained blob.
@@ -1824,43 +1546,15 @@ fn write_column_blob_v4(
     (chosen, header_len + codec::raw_section_len(packed.width(), packed.len() as u64))
 }
 
-/// One tagged column segment (0 = absent, 1 = string, 2 = integer) in the
-/// raw v3 layout. The words are kept as read; one block pass over them
-/// finds the maximum that proves the codes in range.
-fn read_column(buf: &mut &[u8]) -> Result<Option<ChunkColumn>> {
-    let Some(header) = ColumnHeader::read(buf)? else { return Ok(None) };
-    let packed = read_packed(buf)?;
-    let max_code = packed.max_value();
-    header.with_codes(packed, max_code).map(Some)
-}
-
-/// One whole chunk as a self-contained blob (the v1/v2 chunk encoding).
-fn read_chunk(buf: &mut &[u8], arity: usize) -> Result<Chunk> {
-    let users = read_packed(buf)?;
-    let firsts = read_packed(buf)?;
-    let counts = read_packed(buf)?;
-    let rle = UserRle::from_parts(users, firsts, counts)?;
-    if buf.remaining() < 2 {
-        return Err(StorageError::Corrupt("unexpected end of input".into()));
-    }
-    let ncols = buf.get_u16_le() as usize;
-    if ncols != arity {
-        return Err(StorageError::Corrupt(format!("chunk has {ncols} columns, schema {arity}")));
-    }
-    let mut columns = Vec::with_capacity(ncols);
-    for _ in 0..ncols {
-        columns.push(read_column(buf)?);
-    }
-    Chunk::new(rle, columns)
-}
-
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod range_tests;
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
-    use crate::{fixtures, test_alloc};
+    use crate::fixtures;
     use cohana_activity::{generate, GeneratorConfig, TableBuilder};
 
     fn compressed() -> CompressedTable {
@@ -1881,15 +1575,10 @@ mod tests {
         from_bytes(fixtures::V3).unwrap()
     }
 
-    /// The fixture table in every format: the golden v1–v3 images and the
-    /// v4 image of what they decode to.
-    fn images() -> [Vec<u8>; 4] {
-        [
-            fixtures::V1.to_vec(),
-            fixtures::V2.to_vec(),
-            fixtures::V3.to_vec(),
-            to_bytes(&fixture_table()).to_vec(),
-        ]
+    /// The fixture table in every format this module reads: the golden v3
+    /// image and the v4 image of what it decodes to.
+    fn images() -> [Vec<u8>; 2] {
+        [fixtures::V3.to_vec(), to_bytes(&fixture_table()).to_vec()]
     }
 
     /// A golden image declares its version, decodes, and what it decodes to
@@ -1929,8 +1618,8 @@ mod tests {
         // codecs; the round trip must still reproduce the table exactly.
         let c = compressed_large();
         let v4 = to_bytes(&c);
-        let footer = parse_footer_region(&v4, VERSION).unwrap();
-        let locs = footer.layouts.iter().flatten().flat_map(|l| &l.cols);
+        let footer = parse_image(&v4).unwrap();
+        let locs = footer.layouts.iter().flat_map(|l| &l.cols);
         let (disk, raw) = locs.fold((0, 0), |(d, r), loc| (d + loc.len, r + loc.uncompressed));
         assert!(
             disk < raw,
@@ -1939,37 +1628,6 @@ mod tests {
         let back = from_bytes(&v4).unwrap();
         assert_eq!(back.chunks(), c.chunks());
         assert_eq!(back.decompress().unwrap().rows(), c.decompress().unwrap().rows());
-    }
-
-    #[test]
-    fn roundtrip_bytes_v2() {
-        assert_fixture_roundtrips(fixtures::V2, 2);
-    }
-
-    #[test]
-    fn roundtrip_bytes_v1() {
-        assert_fixture_roundtrips(fixtures::V1, 1);
-    }
-
-    #[test]
-    fn v1_chunk_count_past_the_input_is_corrupt_without_allocating_it() {
-        let empty = fixtures::V1_EMPTY;
-        assert_eq!(empty.len(), 196);
-        let table = from_bytes(empty).unwrap();
-        assert_eq!((table.num_rows(), table.chunks().len()), (0, 0));
-        // The last four bytes are the chunk count: claim u32::MAX chunks
-        // with no bytes left to hold them.
-        let mut crafted = empty.to_vec();
-        let at = crafted.len() - 4;
-        crafted[at..].copy_from_slice(&u32::MAX.to_le_bytes());
-        test_alloc::reset_largest();
-        let outcome = from_bytes(&crafted);
-        let largest = test_alloc::largest();
-        assert!(largest <= 64 * 1024, "a {largest}-byte allocation for a 196-byte image");
-        match outcome {
-            Err(StorageError::Corrupt(msg)) => assert!(msg.contains("chunk count"), "{msg}"),
-            other => panic!("expected Corrupt, got {other:?}"),
-        }
     }
 
     #[test]
@@ -2004,7 +1662,7 @@ mod tests {
 
     #[test]
     fn rejects_bad_tail_magic() {
-        for mut bytes in images().into_iter().skip(1) {
+        for mut bytes in images() {
             let last = bytes.len() - 1;
             bytes[last] ^= 0xFF;
             assert!(matches!(from_bytes(&bytes).unwrap_err(), StorageError::Corrupt(_)));
@@ -2030,39 +1688,11 @@ mod tests {
 
     #[test]
     fn rejects_trailing_garbage() {
-        // v1 detects trailing bytes directly; the footered formats' tail
-        // magic lands on the wrong bytes once anything is appended.
+        // The tail magic lands on the wrong bytes once anything is appended.
         for mut bytes in images() {
             bytes.push(0);
             assert!(from_bytes(&bytes).is_err());
         }
-    }
-
-    /// Byte size of one v2 footer entry.
-    fn v2_entry_size(e: &ChunkIndexEntry) -> usize {
-        52 + 4 * e.action_gids.len()
-    }
-
-    #[test]
-    fn rejects_crafted_overflow_locations_v2() {
-        // A footer whose first chunk length is near u64::MAX so that
-        // `offset + len` wraps past the bound check, with the second entry
-        // repaired to keep the tiling chain consistent. Must be rejected by
-        // the subtraction-based bound check, never reach the slicing code.
-        let c = fixture_table();
-        assert!(c.chunks().len() >= 2);
-        let bytes = fixtures::V2.to_vec();
-        let tail = bytes.len() - 12;
-        let footer_len = u64::from_le_bytes(bytes[tail..tail + 8].try_into().unwrap()) as usize;
-        let footer_start = (tail - footer_len) as u64;
-        let entries_size: usize = c.index_entries().iter().map(v2_entry_size).sum();
-        let e0 = tail - entries_size;
-        let e1 = e0 + v2_entry_size(&c.index_entries()[0]);
-        let mut crafted = bytes.clone();
-        crafted[e0 + 8..e0 + 16].copy_from_slice(&(u64::MAX - 7).to_le_bytes());
-        crafted[e1..e1 + 8].copy_from_slice(&0u64.to_le_bytes());
-        crafted[e1 + 8..e1 + 16].copy_from_slice(&footer_start.to_le_bytes());
-        assert!(matches!(from_bytes(&crafted), Err(StorageError::Corrupt(_))));
     }
 
     /// Byte size of one v3 footer entry.
@@ -2158,8 +1788,8 @@ mod tests {
         // width/length no longer matches — the decoder must reject it.
         let c = compressed_large();
         let bytes = to_bytes(&c).to_vec();
-        let footer = parse_footer_region(&bytes, 4).unwrap();
-        let layouts = footer.layouts.as_ref().unwrap();
+        let footer = parse_image(&bytes).unwrap();
+        let layouts = &footer.layouts;
         let arity = c.schema().arity();
         let mut entry_start = v4_first_entry_offset(&c, &bytes);
         let mut target = None;
@@ -2260,7 +1890,7 @@ mod tests {
 
     #[test]
     fn rejects_zero_chunk_size_footer() {
-        for bytes in images().into_iter().skip(1) {
+        for bytes in images() {
             let tail = bytes.len() - 12;
             let footer_len = u64::from_le_bytes(bytes[tail..tail + 8].try_into().unwrap()) as usize;
             let footer_start = tail - footer_len;
@@ -2272,7 +1902,7 @@ mod tests {
 
     #[test]
     fn rejects_tampered_footer_index() {
-        for bytes in images().into_iter().skip(1) {
+        for bytes in images() {
             // Locate the footer and flip one byte inside it; either the
             // footer parse or the recomputed-index comparison must reject
             // the image.
@@ -2293,13 +1923,12 @@ mod tests {
 
     #[test]
     fn all_versions_decode_identically() {
-        let [v1, v2, v3, v4] = images().map(|bytes| from_bytes(&bytes).unwrap());
-        assert_eq!(v1.chunks(), v2.chunks());
-        assert_eq!(v2.chunks(), v3.chunks());
+        let [v3, v4] = images().map(|bytes| from_bytes(&bytes).unwrap());
         assert_eq!(v3.chunks(), v4.chunks());
-        assert_eq!(v1.metas(), v4.metas());
-        assert_eq!(v1.schema(), v4.schema());
-        assert_eq!(v1.num_rows(), v4.num_rows());
-        assert_eq!(v1.options(), v4.options());
+        assert_eq!(v3.metas(), v4.metas());
+        assert_eq!(v3.schema(), v4.schema());
+        assert_eq!(v3.num_rows(), v4.num_rows());
+        assert_eq!(v3.options(), v4.options());
+        assert_eq!(v3.index_entries(), v4.index_entries());
     }
 }

@@ -49,11 +49,12 @@
 
 use crate::dict::GlobalDict;
 use crate::persist::{self, AppendStats, CompactStats, WrittenChunks};
+use crate::reader::Reader;
 use crate::source::{shared_cache, ChunkIndexEntry, ChunkRef, ChunkSource, SourceIoStats};
 use crate::source::{FileSource, DEFAULT_CACHE_BUDGET};
 use crate::table::{ColumnMeta, CompressedTable, TableMeta};
 use crate::{Result, StorageError};
-use bytes::{Buf, BufMut, BytesMut};
+use bytes::{BufMut, BytesMut};
 use cohana_activity::ActivityTable;
 use std::borrow::Cow;
 use std::collections::BTreeSet;
@@ -183,58 +184,37 @@ impl ShardManifest {
     }
 
     fn decode(data: &[u8]) -> Result<Self> {
-        let mut cur = data;
-        let need = |cur: &&[u8], n: usize| -> Result<()> {
-            if cur.len() < n {
-                Err(StorageError::Corrupt("manifest truncated".into()))
-            } else {
-                Ok(())
-            }
-        };
-        let get_u32 = |cur: &mut &[u8]| -> Result<u32> {
-            need(cur, 4)?;
-            Ok(cur.get_u32_le())
-        };
-        let get_str = |cur: &mut &[u8]| -> Result<String> {
-            let len = get_u32(cur)? as usize;
-            need(cur, len)?;
-            let s = std::str::from_utf8(&cur[..len])
-                .map_err(|_| StorageError::Corrupt("manifest string is not UTF-8".into()))?
-                .to_string();
-            cur.advance(len);
-            Ok(s)
-        };
-        let magic = get_u32(&mut cur)?;
+        let mut r = Reader::new(data);
+        let magic = r.u32()?;
         if magic != MANIFEST_MAGIC {
             return Err(StorageError::Corrupt(format!(
                 "neither a shard manifest nor a table file (magic {magic:#x})"
             )));
         }
-        let version = get_u32(&mut cur)?;
+        let version = r.u32()?;
         if version != MANIFEST_VERSION {
             return Err(StorageError::BadVersion(version));
         }
-        let shards = get_u32(&mut cur)? as usize;
-        if shards == 0 || shards > 1 << 20 {
-            return Err(StorageError::Corrupt(format!("implausible shard count {shards}")));
+        // Every boundary, file name and tombstone is at least its 4-byte
+        // length prefix: a shard is a file name and (all but one) boundary.
+        let shards = r.u32()?;
+        if shards == 0 {
+            return Err(StorageError::Corrupt("manifest names no shards".into()));
         }
-        let mut boundaries = Vec::with_capacity(shards.saturating_sub(1));
-        for _ in 0..shards - 1 {
-            boundaries.push(get_str(&mut cur)?);
-        }
-        let mut files = Vec::with_capacity(shards);
-        for _ in 0..shards {
-            files.push(get_str(&mut cur)?);
-        }
-        let ntomb = get_u32(&mut cur)? as usize;
-        let mut tombstones = Vec::with_capacity(ntomb.min(1 << 16));
-        for _ in 0..ntomb {
-            tombstones.push(get_str(&mut cur)?);
-        }
-        let tail = get_u32(&mut cur)?;
+        let shards = r.count(shards.into(), 8)?;
+        let read_strs = |r: &mut Reader, n: usize| -> Result<Vec<String>> {
+            (0..n).map(|_| Ok(r.str()?.to_string())).collect()
+        };
+        let boundaries = read_strs(&mut r, shards - 1)?;
+        let files = read_strs(&mut r, shards)?;
+        let tombstones = r.u32()?;
+        let tombstones = r.count(tombstones.into(), 4)?;
+        let tombstones = read_strs(&mut r, tombstones)?;
+        let tail = r.u32()?;
         if tail != MANIFEST_MAGIC {
             return Err(StorageError::Corrupt(format!("bad manifest tail magic {tail:#x}")));
         }
+        r.finish()?;
         let manifest = ShardManifest { boundaries, files, tombstones, implicit: false };
         manifest.validate()?;
         Ok(manifest)
@@ -677,8 +657,8 @@ fn rewrite_without(dir: &Path, manifest: &ShardManifest, users: &[&str]) -> Resu
 /// shard [`FileSource`] into that space (via an internal re-base step), so
 /// the executor plans, prunes, and decodes exactly as it would against a
 /// single file — shards are just more chunks. One shard is its own unified
-/// space and is served as it is, which is also how v2 files (which cannot
-/// be re-based) open. All shards share one byte-budgeted segment cache.
+/// space and is served as it is. All shards share one byte-budgeted segment
+/// cache.
 pub struct ShardedSource {
     manifest: ShardManifest,
     /// Never empty; after a re-base every shard carries the unified meta.
@@ -976,6 +956,20 @@ mod tests {
             implicit: false,
         };
         assert!(ShardManifest::decode(&evil.encode()).is_err());
+    }
+
+    #[test]
+    fn a_huge_shard_count_is_refused_before_allocating() {
+        // Magic, version, and a shard count of 2^20 with nothing behind it.
+        let mut bytes = MANIFEST_MAGIC.to_le_bytes().to_vec();
+        bytes.extend_from_slice(&MANIFEST_VERSION.to_le_bytes());
+        bytes.extend_from_slice(&(1u32 << 20).to_le_bytes());
+        assert_eq!(bytes.len(), 12);
+        crate::test_alloc::reset_largest();
+        let outcome = ShardManifest::decode(&bytes);
+        let largest = crate::test_alloc::largest();
+        assert!(matches!(outcome, Err(StorageError::Corrupt(_))), "{outcome:?}");
+        assert!(largest < 1024, "a {largest}-byte allocation for a 12-byte manifest");
     }
 
     #[test]

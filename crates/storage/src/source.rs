@@ -10,11 +10,11 @@
 //!   *every* chunk without touching chunk payloads;
 //! * [`ChunkSource::chunk`] materializes one chunk's payload on demand;
 //! * [`ChunkSource::chunk_columns`] materializes only the columns named by
-//!   the plan's projection list — on a v3 column-addressable file, columns
-//!   the query never names are never read from disk.
+//!   the plan's projection list — columns the query never names are never
+//!   read from disk.
 //!
 //! Two implementations exist: [`CompressedTable`] (everything resident in
-//! memory — `chunk` is a borrow) and [`FileSource`] (a footer-indexed v2/v3
+//! memory — `chunk` is a borrow) and [`FileSource`] (a footer-indexed v3/v4
 //! file — segments are seeked, read, and decoded on demand and retained in a
 //! **bounded, byte-budgeted LRU cache** over `(chunk, column)` entries, so a
 //! table much larger than RAM can be queried within a fixed memory budget).
@@ -25,12 +25,10 @@
 
 use crate::chunk::Chunk;
 use crate::column::ChunkColumn;
-use crate::persist::{self, ChunkLayout};
+use crate::persist::{self, ChunkLayout, Footer};
 use crate::record;
 use crate::rle::UserRle;
-use crate::table::{
-    validate_chunk, validate_column_header, validate_rle, CompressedTable, TableMeta,
-};
+use crate::table::{validate_column_header, validate_rle, CompressedTable, TableMeta};
 use crate::{Result, StorageError};
 use cohana_activity::Schema;
 use std::collections::HashMap;
@@ -40,7 +38,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// Per-column statistics recorded in a v3 footer's [`ChunkIndexEntry`]: the
+/// Per-column statistics recorded in a footer's [`ChunkIndexEntry`]: the
 /// analogue of Parquet's `ColumnChunkMetaData` statistics, computable from
 /// the chunk payload and therefore verifiable after a lazy decode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -66,9 +64,8 @@ pub enum ColumnStats {
 /// Per-chunk metadata: everything the executor needs to decide whether a
 /// chunk can contribute to a query, without loading the chunk itself. The
 /// persistence footer stores one entry per chunk (the analogue of Parquet's
-/// `RowGroupMetaData` + the column-chunk statistics it wraps). v3 footers
-/// additionally record one [`ColumnStats`] per attribute; v2 footers predate
-/// column stats and leave the vector empty.
+/// `RowGroupMetaData` + the column-chunk statistics it wraps), with one
+/// [`ColumnStats`] per attribute.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ChunkIndexEntry {
     /// Tuples in the chunk.
@@ -82,8 +79,7 @@ pub struct ChunkIndexEntry {
     /// The chunk's action dictionary: sorted global ids of every action that
     /// occurs in the chunk. Membership here decides birth-action pruning.
     pub action_gids: Vec<u32>,
-    /// Per-attribute statistics (one per schema position; empty for entries
-    /// parsed from v2 footers, which do not record them).
+    /// Per-attribute statistics, one per schema position.
     pub column_stats: Vec<ColumnStats>,
 }
 
@@ -125,18 +121,6 @@ impl ChunkIndexEntry {
         }
     }
 
-    /// Whether this (possibly untrusted, footer-parsed) entry agrees with an
-    /// entry recomputed from the decoded payload. Entries from v2 footers
-    /// carry no column stats; those compare on the base fields only.
-    pub fn matches(&self, computed: &ChunkIndexEntry) -> bool {
-        self.num_rows == computed.num_rows
-            && self.num_users == computed.num_users
-            && self.time_min == computed.time_min
-            && self.time_max == computed.time_max
-            && self.action_gids == computed.action_gids
-            && (self.column_stats.is_empty() || self.column_stats == computed.column_stats)
-    }
-
     /// Whether any tuple in the chunk performs the action with this global
     /// id.
     pub fn has_action(&self, gid: u32) -> bool {
@@ -149,22 +133,19 @@ impl ChunkIndexEntry {
     }
 }
 
-/// A loaded chunk: borrowed from a resident table, owned by the caller, or
-/// shared with a bounded cache.
+/// A loaded chunk: borrowed from a resident table, or owned by the caller.
 ///
-/// `Owned` and `Shared` are what make cache eviction possible: a source that
-/// hands out only `&self`-lifetime borrows is forced to retain every decode
-/// for its whole life. [`FileSource`] returns `Shared`/`Owned` values whose
-/// segments are reference-counted with the cache, so eviction never
-/// invalidates an in-flight chunk.
+/// `Owned` is what makes cache eviction possible: a source that hands out
+/// only `&self`-lifetime borrows is forced to retain every decode for its
+/// whole life. [`FileSource`] returns `Owned` chunks whose segments are
+/// reference-counted with the cache, so eviction never invalidates an
+/// in-flight chunk.
 pub enum ChunkRef<'a> {
     /// Chunk resident in the source (memory table).
     Borrowed(&'a Chunk),
     /// Chunk assembled for this call (segments may still be shared with the
     /// source's cache via `Arc`).
     Owned(Box<Chunk>),
-    /// Whole chunk shared with the source's cache.
-    Shared(Arc<Chunk>),
 }
 
 impl Deref for ChunkRef<'_> {
@@ -173,7 +154,6 @@ impl Deref for ChunkRef<'_> {
         match self {
             ChunkRef::Borrowed(c) => c,
             ChunkRef::Owned(c) => c,
-            ChunkRef::Shared(c) => c,
         }
     }
 }
@@ -207,22 +187,21 @@ impl CodecDecode {
 /// assert that pruning and projection pushdown actually avoided work.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct SourceIoStats {
-    /// Chunks whose skeleton (RLE user column, or the whole blob on v2) was
-    /// decoded from backing storage.
+    /// Chunks whose skeleton (the RLE user column) was decoded from backing
+    /// storage.
     pub chunks_decoded: usize,
-    /// Individual column segments decoded (v3 sources; 0 on v2, which only
-    /// decodes whole chunks).
+    /// Individual column segments decoded.
     pub columns_decoded: usize,
     /// Payload bytes read from backing storage (excludes the footer). With
     /// v4 codec-compressed blobs these are *on-disk* (compressed) bytes.
     pub bytes_read: u64,
     /// Bytes the read blobs decode to — their raw (v3-serialized) size.
-    /// Equals `bytes_read` on v1–v3 sources, whose blobs are stored raw;
+    /// Equals `bytes_read` on v3 sources, whose blobs are stored raw;
     /// the gap between the two is what the v4 codecs saved on the disk
     /// path.
     pub bytes_decompressed: u64,
     /// Per-codec decode throughput counters, indexed by codec tag (raw,
-    /// delta, ans). RLE and whole-chunk (v2) blobs count under raw.
+    /// delta, ans). RLE blobs count under raw.
     pub decode: [CodecDecode; 3],
     /// Cache entries evicted to stay within the byte budget.
     pub cache_evictions: u64,
@@ -280,8 +259,8 @@ pub trait ChunkSource: Send + Sync {
     /// Materialize one chunk **partially**: the returned chunk is guaranteed
     /// to carry the user RLE plus the column segments of every attribute in
     /// `cols` (the user attribute's data is always in the RLE; other
-    /// attributes may or may not be materialized). Sources without
-    /// column-addressable storage fall back to the whole chunk.
+    /// attributes may or may not be materialized). Fully resident sources
+    /// serve the whole chunk.
     fn chunk_columns(&self, idx: usize, cols: &[usize]) -> Result<ChunkRef<'_>> {
         let _ = cols;
         self.chunk(idx)
@@ -323,13 +302,12 @@ impl ChunkSource for CompressedTable {
 /// Default byte budget of a [`FileSource`]'s segment cache (256 MiB).
 pub const DEFAULT_CACHE_BUDGET: usize = 256 * 1024 * 1024;
 
-/// Cache key: `(source id, chunk index, segment id)` where segment 0 is the
-/// whole chunk (v2), 1 the RLE user column, and `2 + attr` a column segment.
+/// Cache key: `(source id, chunk index, segment id)` where segment 1 is the
+/// RLE user column and `2 + attr` a column segment.
 /// The source id disambiguates entries when several [`FileSource`]s — the
 /// shards of one sharded table — share a single byte-budgeted cache.
 type SegKey = (u32, u32, u32);
 
-const SEG_WHOLE: u32 = 0;
 const SEG_RLE: u32 = 1;
 
 fn seg_col(attr: usize) -> u32 {
@@ -341,7 +319,6 @@ fn seg_col(attr: usize) -> u32 {
 enum CacheSlot {
     Rle(Arc<UserRle>),
     Col(Arc<ChunkColumn>),
-    Whole(Arc<Chunk>),
 }
 
 struct CacheEntry {
@@ -429,15 +406,14 @@ pub(crate) fn shared_cache(budget: usize) -> Arc<Mutex<SegmentCache>> {
     Arc::new(Mutex::new(SegmentCache::new(budget)))
 }
 
-/// A lazily-loaded, file-backed table in the footer-indexed v2 or v3
+/// A lazily-loaded, file-backed table in the footer-indexed v3 or v4
 /// format.
 ///
 /// [`FileSource::open`] reads only the 8-byte header and the footer — O(1)
-/// in the number of tuples. On a v3 file every chunk's columns are
-/// independently addressable: [`FileSource::chunk_columns`] seeks and
-/// decodes only the RLE user column plus the projected column segments. On
-/// a v2 file (whole-chunk blobs) any access degrades to fetching the full
-/// chunk. Decoded segments live in a bounded byte-budgeted LRU cache
+/// in the number of tuples. Every chunk's columns are independently
+/// addressable: [`FileSource::chunk_columns`] seeks and decodes only the RLE
+/// user column plus the projected column segments. Decoded segments live in
+/// a bounded byte-budgeted LRU cache
 /// ([`FileSource::open_with_budget`]) so resident memory never exceeds the
 /// configured budget regardless of table size.
 #[derive(Debug)]
@@ -446,21 +422,12 @@ pub struct FileSource {
     /// Read with positional reads only, so concurrent fetches share the
     /// handle without a lock (and without a shared cursor to race on).
     file: File,
-    meta: TableMeta,
-    entries: Vec<ChunkIndexEntry>,
-    /// Byte `(offset, length)` of each chunk's full payload span.
-    locations: Vec<(u64, u64)>,
-    /// Per-chunk blob layout (`Some` for v3 column-addressable files).
-    layouts: Option<Vec<ChunkLayout>>,
-    /// Non-current dictionary epochs of an appended file (see
-    /// [`persist::append`]): chunks encoded under an older dictionary are
-    /// re-based through their epoch's gid remaps at decode time.
-    epochs: Vec<persist::EpochRemaps>,
-    /// Per-chunk epoch tags (empty: every chunk is current).
-    chunk_epochs: Vec<u32>,
-    /// File offset where the footer begins — no payload blob may reach past
-    /// it.
-    payload_end: u64,
+    /// The parsed footer: table metadata, index entries, blob layouts, and
+    /// the dictionary epochs of an appended file (see [`persist::append`]),
+    /// through whose gid remaps chunks encoded under an older dictionary are
+    /// re-based at decode time. A [`FileSource::rebase`] replaces its
+    /// metadata and action gids with unified ones.
+    footer: Footer,
     /// Decoded-segment cache. `Arc`'d so a sharded table can hand every
     /// shard the same cache (one shared byte budget); a standalone source
     /// owns its cache exclusively.
@@ -514,12 +481,11 @@ impl std::fmt::Debug for SegmentCache {
 }
 
 impl FileSource {
-    /// Open a v2/v3 file by reading its footer, with the default cache
+    /// Open a v3/v4 file by reading its footer, with the default cache
     /// budget ([`DEFAULT_CACHE_BUDGET`]); no chunk data is touched.
     ///
-    /// Returns [`StorageError::Unsupported`] for v1 files, which have no
-    /// footer: load those eagerly with [`persist::read_file`] and re-save to
-    /// migrate them.
+    /// Returns [`StorageError::Unsupported`] for v1 and v2 files, which are
+    /// no longer read (see [`persist`]).
     pub fn open(path: &Path) -> Result<FileSource> {
         Self::open_with_budget(path, DEFAULT_CACHE_BUDGET)
     }
@@ -542,13 +508,12 @@ impl FileSource {
     /// writer produced — same footer offset, same blob locations — and is
     /// otherwise left to be decoded on demand.
     pub(crate) fn seed(&self, written: persist::WrittenChunks) -> Result<()> {
-        let Some(layouts) = &self.layouts else { return Ok(()) };
-        if written.footer_start != self.payload_end {
+        if written.footer_start != self.footer.payload_end {
             return Ok(());
         }
-        let user_idx = self.meta.schema().user_idx();
+        let user_idx = self.footer.meta.schema().user_idx();
         for (idx, layout, chunk) in written.chunks {
-            if layouts.get(idx) != Some(&layout) {
+            if self.footer.layouts.get(idx) != Some(&layout) {
                 continue;
             }
             let rle = match self.overlay_for(user_idx) {
@@ -584,18 +549,12 @@ impl FileSource {
         cache: Arc<Mutex<SegmentCache>>,
         cache_id: u32,
     ) -> Result<FileSource> {
-        let mut file = File::open(path)?;
-        let footer = persist::read_footer_from_file(&mut file)?;
+        let file = File::open(path)?;
+        let footer = persist::read_footer_from_file(&file)?;
         Ok(FileSource {
             path: path.to_path_buf(),
             file,
-            meta: footer.meta,
-            entries: footer.entries,
-            locations: footer.locations,
-            layouts: footer.layouts,
-            epochs: footer.epochs,
-            chunk_epochs: footer.chunk_epochs,
-            payload_end: footer.payload_end,
+            footer,
             cache,
             cache_id,
             overlay: Vec::new(),
@@ -614,18 +573,11 @@ impl FileSource {
     /// are rewritten eagerly (they steer pruning, which runs in unified
     /// terms); segment payloads are rewritten lazily at decode time, after
     /// any epoch remap, so the footer cross-checks keep holding.
-    ///
-    /// Only column-addressable (v3/v4) files can be re-based.
     pub(crate) fn rebase(
         &mut self,
         meta: TableMeta,
         overlay: Vec<Option<Arc<Vec<u32>>>>,
     ) -> Result<()> {
-        if self.layouts.is_none() {
-            return Err(StorageError::Unsupported(
-                "only column-addressable (v3/v4) files can join a sharded table".into(),
-            ));
-        }
         if overlay.len() != meta.schema().arity() {
             return Err(StorageError::Invalid(format!(
                 "rebase overlay has {} attributes, schema has {}",
@@ -634,7 +586,7 @@ impl FileSource {
             )));
         }
         if let Some(remap) = overlay[meta.schema().action_idx()].as_ref() {
-            for entry in &mut self.entries {
+            for entry in &mut self.footer.entries {
                 for gid in &mut entry.action_gids {
                     *gid = *remap.get(*gid as usize).ok_or_else(|| {
                         StorageError::Corrupt(format!(
@@ -645,7 +597,7 @@ impl FileSource {
                 }
             }
         }
-        self.meta = meta;
+        self.footer.meta = meta;
         self.overlay = overlay;
         Ok(())
     }
@@ -656,21 +608,9 @@ impl FileSource {
         self.overlay.get(attr).and_then(|r| r.as_ref())
     }
 
-    /// The gid remap a chunk needs for an attribute (`None`: the chunk is
-    /// already in current-dictionary terms).
-    fn remap_for(&self, chunk: usize, attr: usize) -> Option<&Arc<Vec<u32>>> {
-        let epoch = self.chunk_epochs.get(chunk).copied().unwrap_or(self.epochs.len() as u32);
-        self.epochs.get(epoch as usize).and_then(|per_attr| per_attr[attr].as_ref())
-    }
-
     /// The file backing this source.
     pub fn path(&self) -> &Path {
         &self.path
-    }
-
-    /// Whether the backing file addresses each column independently (v3).
-    pub fn is_column_addressable(&self) -> bool {
-        self.layouts.is_some()
     }
 
     /// How many of this source's chunks currently have at least one cached
@@ -701,12 +641,12 @@ impl FileSource {
     }
 
     /// Raw bytes the blobs read so far decoded to (equals
-    /// [`FileSource::bytes_read`] on v1–v3 files, whose blobs are raw).
+    /// [`FileSource::bytes_read`] on v3 files, whose blobs are raw).
     pub fn bytes_decompressed(&self) -> u64 {
         self.bytes_decompressed.load(Ordering::Relaxed)
     }
 
-    /// Column segments decoded so far (v3; 0 on v2 files).
+    /// Column segments decoded so far.
     pub fn columns_decoded(&self) -> usize {
         self.columns_decoded.load(Ordering::Relaxed)
     }
@@ -716,11 +656,11 @@ impl FileSource {
     /// promised these bytes, so their absence means the file was truncated
     /// (e.g. a torn append) behind our back.
     fn read_range(&self, offset: u64, len: u64) -> Result<Vec<u8>> {
-        if len > self.payload_end.saturating_sub(offset) {
+        if len > self.footer.payload_end.saturating_sub(offset) {
             return Err(StorageError::Corrupt(format!(
                 "blob at offset {offset} (length {len}) reaches past the payload region end \
                  {}",
-                self.payload_end
+                self.footer.payload_end
             )));
         }
         let mut buf = vec![0u8; len as usize];
@@ -739,27 +679,28 @@ impl FileSource {
         Ok(buf)
     }
 
-    /// Fetch (cache or decode) the RLE user column of a v3 chunk.
+    /// Fetch (cache or decode) the RLE user column of a chunk.
     fn fetch_rle(&self, idx: usize, layout: &ChunkLayout) -> Result<Arc<UserRle>> {
         let key = (self.cache_id, idx as u32, SEG_RLE);
         if let Some(CacheSlot::Rle(rle)) = self.cache.lock().expect("cache lock poisoned").get(key)
         {
             return Ok(rle);
         }
-        let entry = &self.entries[idx];
+        let meta = &self.footer.meta;
+        let entry = &self.footer.entries[idx];
         let blob = self.read_range(layout.rle.offset, layout.rle.len)?;
         self.bytes_decompressed.fetch_add(layout.rle.uncompressed, Ordering::Relaxed);
         record::credit(|r| r.add_bytes_decompressed(layout.rle.uncompressed));
         let start = std::time::Instant::now();
         let mut rle = persist::decode_rle_blob(&blob)?;
         self.decode_cells[0].add(layout.rle.uncompressed, start.elapsed().as_nanos() as u64);
-        if let Some(remap) = self.remap_for(idx, self.meta.schema().user_idx()) {
+        if let Some(remap) = self.footer.remap_for(idx, meta.schema().user_idx()) {
             rle = rle.remap_users(remap)?;
         }
-        if let Some(remap) = self.overlay_for(self.meta.schema().user_idx()) {
+        if let Some(remap) = self.overlay_for(meta.schema().user_idx()) {
             rle = rle.remap_users(remap)?;
         }
-        validate_rle(&self.meta, idx, &rle, rle.num_rows())?;
+        validate_rle(meta, idx, &rle, rle.num_rows())?;
         if rle.num_rows() as u64 != entry.num_rows || rle.num_users() as u64 != entry.num_users {
             return Err(StorageError::Corrupt(format!(
                 "chunk {idx}: footer row/user counts disagree with the RLE user column"
@@ -778,7 +719,7 @@ impl FileSource {
         Ok(rle)
     }
 
-    /// Fetch (cache or decode) one column segment of a v3 chunk, verifying
+    /// Fetch (cache or decode) one column segment of a chunk, verifying
     /// it against the footer's per-column statistics.
     fn fetch_column(
         &self,
@@ -791,7 +732,8 @@ impl FileSource {
         {
             return Ok(col);
         }
-        let entry = &self.entries[idx];
+        let meta = &self.footer.meta;
+        let entry = &self.footer.entries[idx];
         let loc = &layout.cols[attr];
         let blob = self.read_range(loc.offset, loc.len)?;
         let start = std::time::Instant::now();
@@ -804,13 +746,13 @@ impl FileSource {
             .add(loc.uncompressed, start.elapsed().as_nanos() as u64);
         self.bytes_decompressed.fetch_add(loc.uncompressed, Ordering::Relaxed);
         record::credit(|r| r.add_bytes_decompressed(loc.uncompressed));
-        if let Some(remap) = self.remap_for(idx, attr) {
+        if let Some(remap) = self.footer.remap_for(idx, attr) {
             col = col.remap_gids(remap)?;
         }
         if let Some(remap) = self.overlay_for(attr) {
             col = col.remap_gids(remap)?;
         }
-        validate_column_header(&self.meta, idx, attr, &col)?;
+        validate_column_header(meta, idx, attr, &col)?;
         if col.len() as u64 != entry.num_rows {
             return Err(StorageError::Corrupt(format!(
                 "chunk {idx}: column {attr} has {} rows, footer claims {}",
@@ -835,7 +777,7 @@ impl FileSource {
                 "chunk {idx}: column {attr} stats disagree with payload"
             )));
         }
-        let schema = self.meta.schema();
+        let schema = meta.schema();
         if attr == schema.time_idx() && col.int_range() != Some((entry.time_min, entry.time_max)) {
             return Err(StorageError::Corrupt(format!(
                 "chunk {idx}: footer time bounds disagree with the time column"
@@ -861,17 +803,11 @@ impl FileSource {
         Ok(col)
     }
 
-    /// Assemble a (possibly partial) chunk from a v3 file: RLE + the
-    /// requested columns.
-    fn assemble_v3(
-        &self,
-        idx: usize,
-        layouts: &[ChunkLayout],
-        cols: &[usize],
-    ) -> Result<ChunkRef<'_>> {
-        let layout = &layouts[idx];
-        let arity = self.meta.schema().arity();
-        let user_idx = self.meta.schema().user_idx();
+    /// Assemble a (possibly partial) chunk: RLE + the requested columns.
+    fn assemble(&self, idx: usize, cols: &[usize]) -> Result<ChunkRef<'_>> {
+        let layout = &self.footer.layouts[idx];
+        let arity = self.footer.meta.schema().arity();
+        let user_idx = self.footer.meta.schema().user_idx();
         let rle = self.fetch_rle(idx, layout)?;
         let mut columns: Vec<Option<Arc<ChunkColumn>>> = vec![None; arity];
         for &attr in cols {
@@ -888,43 +824,6 @@ impl FileSource {
         Ok(ChunkRef::Owned(Box::new(Chunk::from_shared(rle, columns)?)))
     }
 
-    /// Fetch and decode one whole v2 chunk blob.
-    fn whole_chunk_v2(&self, idx: usize) -> Result<ChunkRef<'_>> {
-        let key = (self.cache_id, idx as u32, SEG_WHOLE);
-        if let Some(CacheSlot::Whole(chunk)) =
-            self.cache.lock().expect("cache lock poisoned").get(key)
-        {
-            return Ok(ChunkRef::Shared(chunk));
-        }
-        let (offset, len) = self.locations[idx];
-        let blob = self.read_range(offset, len)?;
-        self.bytes_decompressed.fetch_add(len, Ordering::Relaxed);
-        record::credit(|r| r.add_bytes_decompressed(len));
-        let start = std::time::Instant::now();
-        let chunk = persist::decode_chunk_blob(&blob, self.meta.schema().arity())?;
-        self.decode_cells[0].add(len, start.elapsed().as_nanos() as u64);
-        validate_chunk(&self.meta, idx, &chunk)?;
-        // The footer's index entry is untrusted input that already steered
-        // pruning; now that the payload is decoded, the whole entry must
-        // agree with it (row/user counts, time bounds, action dictionary).
-        if !self.entries[idx].matches(&ChunkIndexEntry::of_chunk(&chunk, self.meta.schema())) {
-            return Err(StorageError::Corrupt(format!(
-                "chunk {idx}: footer index entry disagrees with chunk payload"
-            )));
-        }
-        self.decoded.fetch_add(1, Ordering::Relaxed);
-        record::credit(|r| r.add_chunks_decoded(1));
-        let chunk = Arc::new(chunk);
-        let bytes = chunk.packed_bytes();
-        let evicted = self.cache.lock().expect("cache lock poisoned").insert(
-            key,
-            CacheSlot::Whole(chunk.clone()),
-            bytes,
-        );
-        record::credit(|r| r.add_cache_evictions(evicted));
-        Ok(ChunkRef::Shared(chunk))
-    }
-
     /// Snapshot of the per-codec decode counters (indexed by codec tag).
     pub(crate) fn decode_stats(&self) -> [CodecDecode; 3] {
         std::array::from_fn(|i| self.decode_cells[i].snapshot())
@@ -933,34 +832,24 @@ impl FileSource {
 
 impl ChunkSource for FileSource {
     fn table_meta(&self) -> &TableMeta {
-        &self.meta
+        &self.footer.meta
     }
 
     fn num_chunks(&self) -> usize {
-        self.locations.len()
+        self.footer.layouts.len()
     }
 
     fn index_entry(&self, idx: usize) -> &ChunkIndexEntry {
-        &self.entries[idx]
+        &self.footer.entries[idx]
     }
 
     fn chunk(&self, idx: usize) -> Result<ChunkRef<'_>> {
-        match &self.layouts {
-            Some(layouts) => {
-                let all: Vec<usize> = (0..self.meta.schema().arity()).collect();
-                self.assemble_v3(idx, layouts, &all)
-            }
-            None => self.whole_chunk_v2(idx),
-        }
+        let all: Vec<usize> = (0..self.footer.meta.schema().arity()).collect();
+        self.assemble(idx, &all)
     }
 
     fn chunk_columns(&self, idx: usize, cols: &[usize]) -> Result<ChunkRef<'_>> {
-        match &self.layouts {
-            Some(layouts) => self.assemble_v3(idx, layouts, cols),
-            // v2 blobs are not column-addressable: degrade to a whole-chunk
-            // fetch, which materializes a superset of `cols`.
-            None => self.whole_chunk_v2(idx),
-        }
+        self.assemble(idx, cols)
     }
 
     fn chunks_decoded(&self) -> usize {
@@ -994,7 +883,7 @@ mod tests {
         CompressedTable::build(&t, CompressionOptions::with_chunk_size(256)).unwrap()
     }
 
-    /// The table the golden v1–v3 images hold.
+    /// The table the golden v3 image holds.
     fn fixture_table() -> CompressedTable {
         persist::from_bytes(fixtures::V3).unwrap()
     }
@@ -1053,22 +942,6 @@ mod tests {
     }
 
     #[test]
-    fn stat_less_entry_matches_computed() {
-        let c = compressed();
-        let computed = &c.index_entries()[0];
-        let mut statless = computed.clone();
-        statless.column_stats.clear();
-        assert!(statless.matches(computed));
-        assert!(computed.matches(computed));
-        let mut wrong = computed.clone();
-        wrong.num_users += 1;
-        assert!(!wrong.matches(computed));
-        let mut wrong_stats = computed.clone();
-        wrong_stats.column_stats[1] = ColumnStats::Int { min: -1, max: -1 };
-        assert!(!wrong_stats.matches(computed));
-    }
-
-    #[test]
     fn memory_source_borrows_everything() {
         let c = compressed();
         let src: &dyn ChunkSource = &c;
@@ -1092,7 +965,6 @@ mod tests {
         persist::write_file(&c, &path).unwrap();
 
         let src = FileSource::open(&path).unwrap();
-        assert!(src.is_column_addressable());
         assert_eq!(src.num_chunks(), c.chunks().len());
         assert_eq!(src.table_meta().num_rows(), c.num_rows());
         assert_eq!(src.chunks_decoded(), 0);
@@ -1156,36 +1028,10 @@ mod tests {
     }
 
     #[test]
-    fn v2_file_source_degrades_to_whole_chunk_fetch() {
-        let c = fixture_table();
-        let path = temp_path("lazy-v2.cohana");
-        std::fs::write(&path, fixtures::V2).unwrap();
-
-        let src = FileSource::open(&path).unwrap();
-        assert!(!src.is_column_addressable());
-        let chunk = src.chunk_columns(1, &[c.schema().time_idx()]).unwrap();
-        // The whole chunk is materialized despite the narrow projection.
-        assert_eq!(&*chunk, &c.chunks()[1]);
-        drop(chunk);
-        assert_eq!(src.chunks_decoded(), 1);
-        assert_eq!(src.columns_decoded(), 0);
-
-        // v2 entries carry no column stats.
-        assert!(src.index_entry(0).column_stats.is_empty());
-
-        // Cached: a second fetch decodes nothing.
-        let again = src.chunk(1).unwrap();
-        assert!(matches!(again, ChunkRef::Shared(_)));
-        drop(again);
-        assert_eq!(src.chunks_decoded(), 1);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
     fn cache_respects_byte_budget_for_both_versions() {
         let c = fixture_table();
         for (name, bytes) in
-            [("budget-v4.cohana", &persist::to_bytes(&c)[..]), ("budget-v2.cohana", fixtures::V2)]
+            [("budget-v4.cohana", &persist::to_bytes(&c)[..]), ("budget-v3.cohana", fixtures::V3)]
         {
             let path = temp_path(name);
             std::fs::write(&path, bytes).unwrap();
@@ -1225,12 +1071,14 @@ mod tests {
 
     #[test]
     fn file_source_rejects_v1_files() {
-        let c = fixture_table();
         let path = temp_path("v1.cohana");
         std::fs::write(&path, fixtures::V1).unwrap();
-        assert!(matches!(FileSource::open(&path).unwrap_err(), StorageError::Unsupported(_)));
-        // Eager loading still understands v1.
-        assert_eq!(persist::read_file(&path).unwrap().num_rows(), c.num_rows());
+        match FileSource::open(&path).unwrap_err() {
+            StorageError::Unsupported(msg) => {
+                assert!(msg.contains("5b41903") && msg.contains("re-save"), "{msg}")
+            }
+            other => panic!("expected Unsupported, got {other:?}"),
+        }
         std::fs::remove_file(&path).ok();
     }
 }

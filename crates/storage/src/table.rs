@@ -293,7 +293,7 @@ impl CompressedTable {
     }
 
     /// Per-chunk index entries (the metadata the executor prunes against and
-    /// the v2 persistence footer serializes).
+    /// the persistence footer serializes).
     pub fn index_entries(&self) -> &[ChunkIndexEntry] {
         &self.index
     }

@@ -1,6 +1,8 @@
-//! Unit-test allocator: the system allocator plus a per-thread record of
-//! the largest single request, so a test can assert that decoding hostile
-//! bytes never asks for memory out of proportion to what they declare.
+//! Test allocator: the system allocator plus a per-thread record of the
+//! largest single request, so a test can assert that decoding hostile bytes
+//! never asks for memory out of proportion to what they declare. The
+//! storage unit tests install it; `cohana-core`'s hostile-input integration
+//! tests include this file through `#[path]` and install it too.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;

@@ -1,10 +1,12 @@
 //! Robustness: deserializing corrupted or truncated table images must fail
 //! gracefully (an `Err`, never a panic, never an out-of-bounds read) — for
-//! the legacy v1 eager blobs, the v2 whole-chunk footer-indexed format, and
 //! the v3/v4 column-addressable formats (v4 adds per-blob codec tags and
 //! uncompressed lengths), on both the eager (`from_bytes`) and lazy
 //! (`FileSource`, whole-chunk and projected per-column) read paths. The
-//! v1–v3 images are the golden ones in `fixtures/`.
+//! random sweeps also run over the retired v1 and v2 images, which every
+//! entry point refuses from their header — a flipped or cut byte must not
+//! get a panic out of them either. The v1–v3 images are the golden ones in
+//! `fixtures/`.
 
 use cohana_activity::{generate, GeneratorConfig};
 use cohana_storage::codec::encode_section;
@@ -97,7 +99,7 @@ proptest! {
 
 #[test]
 fn valid_images_roundtrip_every_version() {
-    for version in [1, 2, 3, 4] {
+    for version in [3, 4] {
         let bytes = image(version);
         let table = from_bytes(&bytes).unwrap();
         assert!(table.num_rows() > 0, "v{version}");
@@ -120,7 +122,7 @@ fn footer_past_eof_names_the_offset_every_footered_version() {
     // truncated or torn-append image) must produce a corruption error that
     // names the impossible offset — not a bare UnexpectedEof, and never a
     // slice panic. Both the eager and the lazy open paths report it.
-    for version in [2, 3, 4] {
+    for version in [3, 4] {
         let mut bytes = image(version);
         let tail = bytes.len() - 12;
         let bogus_len = bytes.len() as u64 * 2;
@@ -150,8 +152,8 @@ fn lazy_decode_of_tampered_chunk_errors_not_panics() {
     // Flip bytes inside the payload region only: the footer parses fine, so
     // FileSource::open succeeds, and the corruption must surface as a
     // per-segment decode error (or a changed-but-consistent payload), never
-    // a panic — on both the whole-chunk (v2) and per-column (v3) paths.
-    for version in [2, 3, 4] {
+    // a panic — on both the whole-chunk and the projected fetch.
+    for version in [3, 4] {
         let bytes = image(version);
         let dir = std::env::temp_dir().join("cohana-corruption-test");
         std::fs::create_dir_all(&dir).unwrap();

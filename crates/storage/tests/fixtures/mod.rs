@@ -1,4 +1,6 @@
-//! Golden images of the formats this repository reads but no longer writes.
+//! Golden images of the formats this repository no longer writes: v3, which
+//! it still reads, and the retired v1 and v2, which every entry point
+//! refuses (commit `5b41903` is the last build that reads them).
 //!
 //! All four were written once by the last writers of those formats (the
 //! `persist::to_bytes_v*` functions at commit `1b53e56`) and can never be
@@ -9,10 +11,11 @@
 //!   `with_signed_sessions(&generate(&GeneratorConfig::small()))` (the game
 //!   schema's `session` folded into `-3..=3`), compressed with
 //!   `CompressionOptions::with_chunk_size(256)`: 9 173 rows in 24 chunks.
-//!   Decoded, the three are the same table chunk for chunk, and `to_bytes`
-//!   of it is what `persist::compact` makes of [`V3`].
+//!   [`V3`] is the reference table the tests decode, and `to_bytes` of it is
+//!   what `persist::compact` makes of [`V3`]; [`V1`] and [`V2`] are the
+//!   inputs of the refusal tests.
 //! * [`V1_EMPTY`]: the 196-byte v1 image of an empty table with the same
-//!   schema and chunk size; its last four bytes are its chunk count.
+//!   schema and chunk size, refused like the others.
 //!
 //! The storage integration tests include this file as `mod fixtures;`; the
 //! storage unit tests and `cohana-core`'s integration tests through

@@ -71,7 +71,7 @@ fn main() {
                      [--open FILE.cohana] [--cache-bytes N[k|m|g]] [--csv FILE.csv]\n\
                      --load reads the whole file into memory; --open reads only the\n\
                      footer and fetches chunk columns on demand as queries touch them\n\
-                     (v2/v3 files), keeping at most --cache-bytes of decoded segments\n\
+                     (v3/v4 files), keeping at most --cache-bytes of decoded segments\n\
                      resident."
                 );
                 return;
