@@ -1015,7 +1015,7 @@ mod tests {
     use crate::plan::{plan_query, PlannerOptions};
     use crate::query::CohortQuery;
     use cohana_activity::{Schema, TableBuilder};
-    use cohana_storage::{ColumnMeta, CompressedTable, CompressionOptions, GlobalDict};
+    use cohana_storage::{CompressedTable, CompressionOptions};
 
     #[test]
     fn fill_ages_matches_timebin_age_units() {
@@ -1304,8 +1304,9 @@ mod tests {
     }
 
     /// Three users in three countries, three cities and three roles, active
-    /// for `days` days each, encoded against a country dictionary of
-    /// 100 003 entries.
+    /// for `days` days each, in chunk 0 of a table whose country dictionary
+    /// has 100 003 entries: a fourth user, ingested after them into chunks
+    /// of their own, visits 100 000 more countries.
     fn wide_dictionary_table(days: i64) -> CompressedTable {
         let mut b = TableBuilder::new(Schema::game_actions());
         for (user, country, city, role) in [
@@ -1329,13 +1330,27 @@ mod tests {
             }
         }
         let table = b.finish().unwrap();
+        let mut filler = TableBuilder::new(Schema::game_actions());
+        for i in 0..100_000i64 {
+            let row: [Value; 8] = [
+                "u4".into(),
+                (i + 60).into(),
+                "shop".into(),
+                format!("country-{i:06}").into(),
+                "Arica".into(),
+                "dwarf".into(),
+                1.into(),
+                0.into(),
+            ];
+            filler.push(row.to_vec()).unwrap();
+        }
         let options = CompressionOptions::with_chunk_size(1 << 16);
-        let mut metas = CompressedTable::build(&table, options).unwrap().metas().to_vec();
-        let filler: Vec<String> = (0..100_000).map(|i| format!("country-{i:06}")).collect();
-        let countries = filler.iter().map(String::as_str).chain(["Chile", "Ghana", "Nepal"]);
+        let three = CompressedTable::build(&table, options).unwrap();
+        let (wide, _) = three.ingest(&filler.finish().unwrap()).unwrap();
         let country_idx = table.schema().index_of("country").unwrap();
-        metas[country_idx] = ColumnMeta::Str { dict: GlobalDict::build(countries) };
-        CompressedTable::build_with_metas(&table, metas, options).unwrap()
+        assert_eq!(wide.global_dict(country_idx).unwrap().len(), 100_003);
+        assert_eq!(wide.chunks()[0].num_users(), 3);
+        wide
     }
 
     /// Aggregate the three users of [`wide_dictionary_table`] by `key` and

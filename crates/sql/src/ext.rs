@@ -1,22 +1,20 @@
-//! SQL entry points for the [`Cohana`] engine and its [`Session`]s.
+//! SQL entry points for the [`Cohana`](cohana_core::Cohana) engine and its
+//! [`Session`]s.
 //!
 //! `cohana-core` cannot depend on the parser (the parser produces core
-//! types), so the string-query API lives here as extension traits:
+//! types), so the string-query API lives here as an extension trait:
 //!
-//! * [`SessionSqlExt`] — the primary surface. Prepare a re-executable
-//!   [`Statement`] from SQL text ([`SessionSqlExt::prepare_sql`]), run any
-//!   statement kind through one dispatching entry point
-//!   ([`SessionSqlExt::run_sql`], which also understands `EXPLAIN <query>`
-//!   and `WITH … AS (…) SELECT …` mixed queries), or use the one-shot
-//!   conveniences.
-//! * [`SqlExt`] — the legacy one-shot methods on [`Cohana`] itself, kept as
-//!   thin wrappers over a fresh default session.
+//! [`SessionSqlExt`] prepares a re-executable [`Statement`] from SQL text
+//! ([`SessionSqlExt::prepare_sql`]), runs any statement kind through one
+//! dispatching entry point ([`SessionSqlExt::run_sql`], which also
+//! understands `EXPLAIN <query>` and `WITH … AS (…) SELECT …` mixed queries),
+//! or answers one-shot. An engine reaches it through `engine.session()`.
 
 use crate::error::SqlError;
 use crate::mixed::{parse_mixed_query, MixedResult};
 use crate::parse_cohort_query;
 use cohana_core::session::Session;
-use cohana_core::{Cohana, CohortReport, Statement};
+use cohana_core::{CohortReport, Statement};
 
 /// The result of one dispatched SQL statement ([`SessionSqlExt::run_sql`]).
 #[derive(Debug)]
@@ -110,47 +108,11 @@ impl SessionSqlExt for Session<'_> {
     }
 }
 
-/// Legacy one-shot string-query methods for [`Cohana`]. Each call opens a
-/// fresh default [`Session`]; prefer [`SessionSqlExt`] when you need option
-/// overrides, prepared statements, or streaming.
-///
-/// These now resolve the engine's *default table* (the first table
-/// registered) like every other session-based path, where they previously
-/// picked the alphabetically first catalog name — on a multi-table engine
-/// whose first-registered table is not alphabetically first, use
-/// `engine.session().on_table(name)` to address a specific table.
-pub trait SqlExt {
-    /// Parse and execute an extended-SQL cohort query against the default
-    /// table.
-    fn query(&self, sql: &str) -> Result<CohortReport, SqlError>;
-
-    /// Parse and execute a §3.5 *mixed query* (see
-    /// [`SessionSqlExt::query_mixed`]).
-    fn query_mixed(&self, sql: &str) -> Result<MixedResult, SqlError>;
-
-    /// Parse a query and return the optimized plan rendering (EXPLAIN).
-    fn explain_sql(&self, sql: &str) -> Result<String, SqlError>;
-}
-
-impl SqlExt for Cohana {
-    fn query(&self, sql: &str) -> Result<CohortReport, SqlError> {
-        SessionSqlExt::query(&self.session(), sql)
-    }
-
-    fn query_mixed(&self, sql: &str) -> Result<MixedResult, SqlError> {
-        SessionSqlExt::query_mixed(&self.session(), sql)
-    }
-
-    fn explain_sql(&self, sql: &str) -> Result<String, SqlError> {
-        SessionSqlExt::explain_sql(&self.session(), sql)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use cohana_activity::{generate, GeneratorConfig};
-    use cohana_core::paper;
+    use cohana_core::{paper, Cohana};
     use cohana_storage::CompressionOptions;
 
     fn engine() -> Cohana {
@@ -162,6 +124,7 @@ mod tests {
     fn sql_q1_equals_programmatic_q1() {
         let e = engine();
         let via_sql = e
+            .session()
             .query(
                 "SELECT country, CohortSize, Age, UserCount() \
                  FROM GameActions BIRTH FROM action = \"launch\" COHORT BY country",
@@ -191,6 +154,7 @@ mod tests {
     #[test]
     fn explain_sql_works() {
         let text = engine()
+            .session()
             .explain_sql(
                 "SELECT country, COHORTSIZE, AGE, Avg(gold) FROM GameActions \
                  BIRTH FROM action = \"shop\" AND role = \"dwarf\" \
@@ -231,10 +195,11 @@ mod tests {
     #[test]
     fn query_errors_propagate() {
         let e = engine();
-        assert!(e.query("SELECT nope FROM x").is_err());
+        assert!(e.session().query("SELECT nope FROM x").is_err());
         let empty = Cohana::new(Default::default());
         assert!(matches!(
             empty
+                .session()
                 .query("SELECT country, COHORTSIZE, AGE, Count() FROM D BIRTH FROM action = \"x\" COHORT BY country")
                 .unwrap_err(),
             SqlError::Engine(_)

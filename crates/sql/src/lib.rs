@@ -24,14 +24,13 @@
 //! Parsing is schema-aware only at the last step: date literals compared
 //! against the time attribute are converted to epoch seconds.
 //!
-//! The [`SessionSqlExt`] extension trait is the primary entry point: it adds
+//! The [`SessionSqlExt`] extension trait is the entry point: it adds
 //! `session.prepare_sql("SELECT …")` (a re-executable, streamable
 //! [`cohana_core::Statement`]), one-shot `session.query(…)`, and the
 //! dispatching `session.run_sql(…)` — which also understands
-//! `EXPLAIN <query>` — to [`cohana_core::session::Session`]. The legacy
-//! [`SqlExt`] trait keeps the one-shot `engine.query("SELECT …")` methods on
-//! [`cohana_core::Cohana`], and [`mixed`] implements the §3.5 mixed-query
-//! extension (a SQL outer query over a cohort sub-query).
+//! `EXPLAIN <query>` — to [`cohana_core::session::Session`]. [`mixed`]
+//! implements the §3.5 mixed-query extension (a SQL outer query over a
+//! cohort sub-query).
 
 pub mod ast;
 pub mod error;
@@ -43,7 +42,7 @@ pub mod translate;
 
 pub use ast::{CohortKeyAst, SelectItem, SqlCohortQuery};
 pub use error::SqlError;
-pub use ext::{SessionSqlExt, SqlAnswer, SqlExt};
+pub use ext::{SessionSqlExt, SqlAnswer};
 pub use mixed::{parse_mixed_query, MixedQuery, MixedResult};
 pub use parser::parse_statement;
 pub use translate::translate;

@@ -60,9 +60,11 @@
 //! growth handled by per-epoch gid remaps, returning users' chunks
 //! rewritten to preserve the one-chunk-per-user invariant),
 //! [`persist::compact`] merges appended chunks back into full-sized,
-//! time-clustered, dead-byte-free form, [`TableWriter`] buffers and encodes
-//! incoming batches, and a source opened after a write sees the grown file
-//! while one opened before keeps its snapshot. See `docs/FORMAT.md`.
+//! time-clustered, dead-byte-free form, and a source opened after a write
+//! sees the grown file while one opened before keeps its snapshot. Building,
+//! appending, compacting and deleting users all cut and encode chunks through
+//! one columnar rewrite: [`CompressedTable::build`] is an ingest into the
+//! empty table. See `docs/FORMAT.md`.
 
 pub mod bitpack;
 pub mod chunk;
@@ -85,7 +87,6 @@ pub mod stats;
 pub mod table;
 #[cfg(test)]
 mod test_alloc;
-pub mod writer;
 
 #[cfg(test)]
 #[global_allocator]
@@ -114,7 +115,6 @@ pub use source::{
 };
 pub use stats::StorageStats;
 pub use table::{ColumnMeta, CompressedTable, CompressionOptions, TableMeta};
-pub use writer::TableWriter;
 
 /// Result alias for this crate.
 pub type Result<T> = std::result::Result<T, StorageError>;

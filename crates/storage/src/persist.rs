@@ -76,8 +76,7 @@
 //! rewriting blobs; chunks holding users that reappear in a batch are
 //! rewritten so no user ever spans two chunks — spliced and re-cut in their
 //! columnar form by `crate::rewrite`, never through rows. See
-//! `docs/FORMAT.md` for the exact layout and `crate::writer::TableWriter`
-//! for the batching front end.
+//! `docs/FORMAT.md` for the exact layout.
 //!
 //! # v3: read, never written; v1 and v2: refused
 //!

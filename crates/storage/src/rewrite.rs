@@ -1,5 +1,7 @@
-//! The columnar rewrite behind every mutation of an encoded table: append,
-//! compaction, user deletion and the resident ingest.
+//! The one encoder from tuples to chunks: the columnar rewrite behind every
+//! mutation of an encoded table (append, compaction, user deletion, the
+//! resident ingest) and behind [`CompressedTable::build`], which is an ingest
+//! into the empty table.
 //!
 //! §4.1's one hard invariant is that a user never spans chunks, so growing or
 //! shrinking a table means re-cutting chunks at user boundaries. The data is
@@ -15,12 +17,14 @@
 //!   dictionaries.
 //! * [`assemble`] walks every user in ascending target gid — a sort of run
 //!   descriptors, not rows — splicing a returning user's batch tuples onto
-//!   their run, and feeds a [`ChunkAssembler`], which closes a chunk by
-//!   [`CompressedTable::build`]'s rule and derives the RLE triples, chunk
-//!   dictionaries, ranges and packed codes `build` would for the same tuples.
+//!   their run, and feeds a [`ChunkAssembler`], which closes a chunk at the
+//!   first user boundary at or past the chunk size and derives its RLE
+//!   triples, chunk dictionaries, ranges and packed codes.
 //!
-//! Two drivers set up the target and call it: [`Splice`] (merged
-//! dictionaries; `persist::append` and [`CompressedTable::ingest`]) and
+//! This is the only place a string becomes a gid, a gid a chunk code, and a
+//! run of users a chunk. Two entry points set up the target and call it:
+//! [`Splice`] (merged dictionaries; `persist::append`,
+//! [`CompressedTable::ingest`] and so [`CompressedTable::build`]) and
 //! [`rebuild`] (minimal dictionaries; `persist::compact`,
 //! `shard::apply_pending_tombstones` and [`CompressedTable::compacted`]).
 
@@ -57,7 +61,7 @@ fn remapped(remap: Option<&Arc<Vec<u32>>>, gid: u32) -> Result<u32> {
 /// Collects users into chunks. Cells arrive in target terms, one `u64` each:
 /// the target gid of a string cell, the value of an integer cell (as its
 /// `i64` bit pattern). A chunk closes at the first user boundary at or past
-/// `chunk_size` rows — [`CompressedTable::build`]'s rule.
+/// `chunk_size` rows (see [`CompressionOptions`](crate::CompressionOptions)).
 struct ChunkAssembler<'a> {
     metas: &'a [ColumnMeta],
     chunk_size: usize,

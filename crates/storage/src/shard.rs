@@ -408,6 +408,7 @@ pub fn create_sharded(
         .user_blocks()
         .map(|b| table.rows()[b.start].get(user_idx).as_str().expect("user is a string"))
         .collect();
+    let shards = shards.min(users.len());
     let mut boundaries: Vec<String> =
         (1..shards).map(|i| users[i * users.len() / shards].to_string()).collect();
     boundaries.dedup();
@@ -986,6 +987,18 @@ mod tests {
         assert_eq!(m.route("o"), 1);
         assert_eq!(m.route("p"), 2);
         assert_eq!(m.route("zzz"), 2);
+    }
+
+    #[test]
+    fn a_shard_count_past_the_user_count_is_clamped() {
+        let dir = temp_dir("clamped");
+        let t = generate(&GeneratorConfig::new(40));
+        crate::test_alloc::reset_largest();
+        let outcome = create_sharded(&dir, &t, 1 << 40, CompressionOptions::with_chunk_size(256));
+        let largest = crate::test_alloc::largest();
+        let manifest = outcome.unwrap();
+        assert!(manifest.num_shards() <= 40, "{} shards", manifest.num_shards());
+        assert!(largest < 1 << 20, "a {largest}-byte allocation for 40 users");
     }
 
     #[test]

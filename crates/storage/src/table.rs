@@ -1,4 +1,8 @@
 //! The compressed activity table: global metadata + chunks.
+//!
+//! This module holds the table and checks its structure; it encodes nothing.
+//! [`CompressedTable::build`] is an ingest into the empty table, so every
+//! string → gid lookup, chunk code and chunk cut happens in `crate::rewrite`.
 
 use crate::chunk::Chunk;
 use crate::column::ChunkColumn;
@@ -103,6 +107,21 @@ impl TableMeta {
         }
     }
 
+    /// The metadata of a table with no tuples: empty dictionaries, integer
+    /// ranges `{0, 0}`.
+    pub(crate) fn empty(schema: Schema, options: CompressionOptions) -> Self {
+        let metas = schema
+            .attributes()
+            .iter()
+            .map(|attr| match (attr.role, attr.vtype) {
+                (AttributeRole::User, _) => ColumnMeta::User { dict: GlobalDict::default() },
+                (_, ValueType::Str) => ColumnMeta::Str { dict: GlobalDict::default() },
+                (_, ValueType::Int) => ColumnMeta::Int { min: 0, max: 0 },
+            })
+            .collect();
+        TableMeta { schema, metas, num_rows: 0, options }
+    }
+
     /// The schema.
     pub fn schema(&self) -> &Schema {
         &self.schema
@@ -161,61 +180,18 @@ pub struct CompressedTable {
 }
 
 impl CompressedTable {
-    /// Compress an activity table (§4.1). The input is already in
-    /// primary-key order, which provides the clustering and time-ordering
-    /// properties the format needs.
+    /// Compress an activity table (§4.1): the ingest of `table` into the
+    /// empty table of its schema, so a build cuts and encodes chunks exactly
+    /// as an append, a compaction or a deletion does (`crate::rewrite`). The
+    /// input is already in primary-key order, which provides the clustering
+    /// and time-ordering properties the format needs.
     pub fn build(table: &ActivityTable, options: CompressionOptions) -> Result<Self> {
-        Self::build_with_metas(table, build_metas(table), options)
-    }
-
-    /// Like [`CompressedTable::build`] but encoding against **given**
-    /// column metadata instead of metadata derived from the table. The
-    /// dictionaries must cover every value in the table (a superset is
-    /// fine); integer ranges may be wider than the table's. This is the
-    /// incremental-ingest path: a batch is encoded against the dictionaries
-    /// *merged* with an existing file's, so its chunks can be appended to
-    /// that file without re-encoding anything already on disk.
-    pub fn build_with_metas(
-        table: &ActivityTable,
-        metas: Vec<ColumnMeta>,
-        options: CompressionOptions,
-    ) -> Result<Self> {
         if options.chunk_size == 0 {
             return Err(StorageError::Invalid("chunk_size must be positive".into()));
         }
-        let schema = table.schema().clone();
-
-        // Hash-based value→gid encoders: O(1) per value instead of a
-        // binary search in the global dictionary.
-        let encoders: Vec<Option<std::collections::HashMap<&str, u32>>> = metas
-            .iter()
-            .map(|m| match m {
-                ColumnMeta::User { dict } | ColumnMeta::Str { dict } => Some(
-                    dict.values().iter().enumerate().map(|(i, v)| (v.as_ref(), i as u32)).collect(),
-                ),
-                ColumnMeta::Int { .. } => None,
-            })
-            .collect();
-
-        let mut chunks = Vec::new();
-        let blocks: Vec<_> = table.user_blocks().collect();
-        let mut chunk_start_block = 0usize;
-        while chunk_start_block < blocks.len() {
-            let first_row = blocks[chunk_start_block].start;
-            let mut end_block = chunk_start_block;
-            let mut rows = 0usize;
-            while end_block < blocks.len() && rows < options.chunk_size {
-                rows += blocks[end_block].len;
-                end_block += 1;
-            }
-            let row_range = first_row..first_row + rows;
-            chunks.push(build_chunk(table, &schema, &metas, &encoders, row_range)?);
-            chunk_start_block = end_block;
-        }
-
-        let meta = TableMeta::new(schema, metas, table.num_rows(), options)?;
-        let index = chunks.iter().map(|c| ChunkIndexEntry::of_chunk(c, meta.schema())).collect();
-        Ok(CompressedTable { meta, chunks, index })
+        let meta = TableMeta::empty(table.schema().clone(), options);
+        let empty = CompressedTable { meta, chunks: Vec::new(), index: Vec::new() };
+        Ok(empty.ingest(table)?.0)
     }
 
     /// Assemble from chunks `persist` decoded (the resident open).
@@ -425,7 +401,7 @@ pub(crate) fn validate_chunk(meta: &TableMeta, ci: usize, chunk: &Chunk) -> Resu
 pub(crate) fn validate_rle(
     meta: &TableMeta,
     ci: usize,
-    rle: &crate::rle::UserRle,
+    rle: &UserRle,
     num_rows: usize,
 ) -> Result<()> {
     let user_idx = meta.schema().user_idx();
@@ -485,81 +461,6 @@ pub(crate) fn validate_column_header(
 /// no file read path does.
 fn validate_codes(ci: usize, idx: usize, col: &ChunkColumn) -> Result<()> {
     col.check_code_range(col.packed().max_value()).map_err(|e| e.in_column(ci, idx))
-}
-
-fn build_metas(table: &ActivityTable) -> Vec<ColumnMeta> {
-    table
-        .schema()
-        .attributes()
-        .iter()
-        .enumerate()
-        .map(|(idx, attr)| match (attr.role, attr.vtype) {
-            (AttributeRole::User, _) => {
-                ColumnMeta::User { dict: GlobalDict::build(table.distinct_strings(idx)) }
-            }
-            (_, ValueType::Str) => {
-                ColumnMeta::Str { dict: GlobalDict::build(table.distinct_strings(idx)) }
-            }
-            (_, ValueType::Int) => {
-                let (min, max) = table.int_range(idx).unwrap_or((0, 0));
-                ColumnMeta::Int { min, max }
-            }
-        })
-        .collect()
-}
-
-fn build_chunk(
-    table: &ActivityTable,
-    schema: &Schema,
-    metas: &[ColumnMeta],
-    encoders: &[Option<std::collections::HashMap<&str, u32>>],
-    rows: std::ops::Range<usize>,
-) -> Result<Chunk> {
-    let user_idx = schema.user_idx();
-    let missing = |idx: usize, value: &str| {
-        StorageError::Invalid(format!(
-            "value {value:?} of attribute {idx} is not covered by the provided dictionary"
-        ))
-    };
-    let user_enc = encoders[user_idx].as_ref().expect("user encoder");
-    let user_gids: Vec<u32> = rows
-        .clone()
-        .map(|r| {
-            let u = table.rows()[r].get(user_idx).as_str().expect("user is a string");
-            user_enc.get(u).copied().ok_or_else(|| missing(user_idx, u))
-        })
-        .collect::<Result<_>>()?;
-    let user_rle = UserRle::from_rows(&user_gids);
-
-    let mut columns: Vec<Option<ChunkColumn>> = Vec::with_capacity(schema.arity());
-    for (idx, meta) in metas.iter().enumerate() {
-        if idx == user_idx {
-            columns.push(None);
-            continue;
-        }
-        match meta {
-            ColumnMeta::Str { .. } => {
-                let enc = encoders[idx].as_ref().expect("string encoder");
-                let gids: Vec<u32> = rows
-                    .clone()
-                    .map(|r| {
-                        let s = table.rows()[r].get(idx).as_str().expect("string attribute");
-                        enc.get(s).copied().ok_or_else(|| missing(idx, s))
-                    })
-                    .collect::<Result<_>>()?;
-                columns.push(Some(ChunkColumn::from_gids(&gids)));
-            }
-            ColumnMeta::Int { .. } => {
-                let vals: Vec<i64> = rows
-                    .clone()
-                    .map(|r| table.rows()[r].get(idx).as_int().expect("int attribute"))
-                    .collect();
-                columns.push(Some(ChunkColumn::from_ints(&vals)));
-            }
-            ColumnMeta::User { .. } => unreachable!("only one user column"),
-        }
-    }
-    Chunk::new(user_rle, columns)
 }
 
 #[cfg(test)]

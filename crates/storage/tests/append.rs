@@ -3,10 +3,13 @@
 //! dictionary-epoch remapping, warm snapshots over what a write produced,
 //! and compaction.
 
-use cohana_activity::{generate, ActivityTable, GeneratorConfig, Schema, TableBuilder, Value};
+use cohana_activity::{
+    generate, ActivityTable, AttributeRole, GeneratorConfig, Schema, TableBuilder, Value, ValueType,
+};
 use cohana_storage::{
-    persist, shard, ChunkSource, CompressedTable, CompressionOptions, FileSource, ShardedSource,
-    StorageError, TableWriter, DEFAULT_CACHE_BUDGET,
+    persist, shard, Chunk, ChunkColumn, ChunkSource, ColumnMeta, CompressedTable,
+    CompressionOptions, FileSource, GlobalDict, ShardedSource, StorageError, UserRle,
+    DEFAULT_CACHE_BUDGET,
 };
 use proptest::prelude::*;
 use std::path::PathBuf;
@@ -114,27 +117,6 @@ fn time_sliced_appends_rewrite_returning_users_and_roundtrip() {
         assert_eq!(&*src.chunk(i).unwrap(), &eager.chunks()[i]);
         assert_eq!(src.index_entry(i), &eager.index_entries()[i]);
     }
-    std::fs::remove_file(&path).ok();
-}
-
-#[test]
-fn table_writer_appends_buffered_batches() {
-    let table = base_table();
-    let batches = split_by_time(&table, 3);
-    let path = temp_path("writer.cohana");
-    let mut w = TableWriter::new(table.schema().clone());
-    w.push_batch(&batches[0]).unwrap();
-    persist::write_file(&w.build(CompressionOptions::with_chunk_size(CHUNK)).unwrap(), &path)
-        .unwrap();
-    // Buffer the remaining batches and flush them in one append.
-    for b in &batches[1..] {
-        w.push_batch(b).unwrap();
-    }
-    let stats = w.append_to(&path).unwrap();
-    assert_eq!(stats.rows_appended, batches[1..].iter().map(|b| b.num_rows()).sum::<usize>());
-    assert!(w.is_empty());
-    let eager = persist::read_file(&path).unwrap();
-    assert_eq!(eager.decompress().unwrap().rows(), table.rows());
     std::fs::remove_file(&path).ok();
 }
 
@@ -610,6 +592,69 @@ fn event_table(events: &[&Event]) -> ActivityTable {
     b.finish().unwrap()
 }
 
+/// §4.1's layout of `table` encoded row by row from public constructors
+/// alone, sharing nothing with the columnar assembler every build and
+/// rewrite runs: a chunk closes at the first user boundary at or past
+/// `chunk_size` rows, a string cell's gid comes from a dictionary built over
+/// the column's distinct values, and each chunk is made by `UserRle::from_rows`,
+/// `ChunkColumn::from_gids` / `from_ints` and `Chunk::new`.
+fn row_oracle(table: &ActivityTable, chunk_size: usize) -> (Vec<Chunk>, Vec<ColumnMeta>) {
+    let schema = table.schema();
+    let user_idx = schema.user_idx();
+    let metas: Vec<ColumnMeta> = schema
+        .attributes()
+        .iter()
+        .enumerate()
+        .map(|(idx, attr)| match (attr.role, attr.vtype) {
+            (AttributeRole::User, _) => {
+                ColumnMeta::User { dict: GlobalDict::build(table.distinct_strings(idx)) }
+            }
+            (_, ValueType::Str) => {
+                ColumnMeta::Str { dict: GlobalDict::build(table.distinct_strings(idx)) }
+            }
+            (_, ValueType::Int) => {
+                let (min, max) = table.int_range(idx).unwrap_or((0, 0));
+                ColumnMeta::Int { min, max }
+            }
+        })
+        .collect();
+    let chunk = |rows: std::ops::Range<usize>| {
+        let gids = |idx: usize| -> Vec<u32> {
+            let dict = metas[idx].dict().unwrap();
+            rows.clone()
+                .map(|r| dict.lookup(table.rows()[r].get(idx).as_str().unwrap()).unwrap())
+                .collect()
+        };
+        let columns = metas
+            .iter()
+            .enumerate()
+            .map(|(idx, meta)| match meta {
+                ColumnMeta::User { .. } => None,
+                ColumnMeta::Str { .. } => Some(ChunkColumn::from_gids(&gids(idx))),
+                ColumnMeta::Int { .. } => Some(ChunkColumn::from_ints(
+                    &rows
+                        .clone()
+                        .map(|r| table.rows()[r].get(idx).as_int().unwrap())
+                        .collect::<Vec<_>>(),
+                )),
+            })
+            .collect();
+        Chunk::new(UserRle::from_rows(&gids(user_idx)), columns).unwrap()
+    };
+    let (mut chunks, mut start, mut end) = (Vec::new(), 0, 0);
+    for block in table.user_blocks() {
+        if end - start >= chunk_size {
+            chunks.push(chunk(start..end));
+            start = end;
+        }
+        end += block.len;
+    }
+    if end > start {
+        chunks.push(chunk(start..end));
+    }
+    (chunks, metas)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig {
         cases: if cfg!(debug_assertions) { 16 } else { 512 },
@@ -665,5 +710,25 @@ proptest! {
         persist::compact(&path).unwrap();
         prop_assert_eq!(&std::fs::read(&path).unwrap(), &once.to_vec());
         std::fs::remove_file(&path).ok();
+    }
+
+    /// The one encoder against the row oracle: `build` cuts, encodes and
+    /// decodes any table exactly as `row_oracle` does.
+    #[test]
+    fn build_equals_the_row_oracle(
+        events in events(1),
+        chunk_size in prop::sample::select(vec![1usize, 2, 7, 64, 1024]),
+    ) {
+        let mut unique = std::collections::BTreeMap::new();
+        for e in &events {
+            unique.entry((e.user, e.time, e.action)).or_insert(e);
+        }
+        let table = event_table(&unique.into_values().collect::<Vec<_>>());
+        let built = CompressedTable::build(&table, CompressionOptions::with_chunk_size(chunk_size))
+            .unwrap();
+        let (chunks, metas) = row_oracle(&table, chunk_size);
+        prop_assert_eq!(built.chunks(), &chunks[..]);
+        prop_assert_eq!(built.metas(), &metas[..]);
+        prop_assert_eq!(built.decompress().unwrap().rows(), table.rows());
     }
 }

@@ -59,7 +59,7 @@ pub mod prelude {
         AggFunc, Cohana, CohortQuery, CohortReport, EngineOptions, MaintenanceConfig, OpenOptions,
         PlannerOptions, QueryStats, QueryStream, ResultBatch, Session, Statement, TableHandle,
     };
-    pub use cohana_sql::{parse_cohort_query, SessionSqlExt, SqlAnswer, SqlExt};
+    pub use cohana_sql::{parse_cohort_query, SessionSqlExt, SqlAnswer};
     pub use cohana_storage::{
         ChunkSource, CompressedTable, CompressionOptions, FileSource, SourceIoStats,
     };

@@ -5,7 +5,7 @@
 use cohana::engine::naive::naive_execute;
 use cohana::engine::{paper, EngineOptions};
 use cohana::prelude::*;
-use cohana::sql::SqlExt;
+use cohana::sql::SessionSqlExt;
 use cohana::storage::persist;
 use cohana_relational::{ColEngine, RowEngine};
 
@@ -33,6 +33,7 @@ fn full_pipeline_csv_persist_sql() {
 
     // Query through the SQL front end; verify against the reference.
     let report = engine
+        .session()
         .query(
             "SELECT country, CohortSize, Age, UserCount() \
              FROM GameActions BIRTH FROM action = \"launch\" COHORT BY country",
@@ -106,6 +107,7 @@ fn mixed_query_consumes_cohort_result() {
     let table = generate(&GeneratorConfig::new(120));
     let engine = Cohana::from_activity_table(&table, CompressionOptions::default()).unwrap();
     let res = engine
+        .session()
         .query_mixed(
             "WITH cohorts AS ( \
                SELECT country, COHORTSIZE, AGE, Sum(gold) AS spent \
