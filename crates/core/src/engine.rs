@@ -286,13 +286,6 @@ impl Cohana {
         Some(self.source(name)?.table_meta().schema().clone())
     }
 
-    /// Names of registered tables (sorted).
-    pub fn table_names(&self) -> Vec<String> {
-        let mut names: Vec<String> = self.catalog.read().unwrap().keys().cloned().collect();
-        names.sort();
-        names
-    }
-
     /// The engine's default table (the first table registered), if any.
     pub fn default_table_name(&self) -> Option<String> {
         self.default_table.read().unwrap().clone()
@@ -328,12 +321,6 @@ impl Cohana {
     pub fn execute(&self, query: &CohortQuery) -> Result<CohortReport, EngineError> {
         self.session().execute(query)
     }
-
-    /// Execute a cohort query against a named table. Convenience for
-    /// `self.session().on_table(name).execute(query)`.
-    pub fn execute_on(&self, name: &str, query: &CohortQuery) -> Result<CohortReport, EngineError> {
-        self.session().on_table(name).execute(query)
-    }
 }
 
 #[cfg(test)]
@@ -367,7 +354,8 @@ mod tests {
     #[test]
     fn unknown_table_errors() {
         let e = engine();
-        assert!(matches!(e.execute_on("nope", &q1()).unwrap_err(), EngineError::UnknownTable(_)));
+        let unknown = e.session().on_table("nope").execute(&q1()).unwrap_err();
+        assert!(matches!(unknown, EngineError::UnknownTable(_)));
         let empty = Cohana::new(EngineOptions::default());
         assert!(empty.execute(&q1()).is_err());
     }
@@ -382,7 +370,6 @@ mod tests {
     #[test]
     fn register_and_list() {
         let e = engine();
-        assert_eq!(e.table_names(), vec![DEFAULT_TABLE.to_string()]);
         assert!(e.resident(DEFAULT_TABLE).is_some());
         let handle = e.table(DEFAULT_TABLE).unwrap();
         assert_eq!(handle.name(), DEFAULT_TABLE);

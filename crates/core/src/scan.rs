@@ -116,13 +116,6 @@ impl<'a> ChunkScan<'a> {
         })
     }
 
-    /// Whether any tuple in the chunk performs the birth action. When false
-    /// the executor can skip the chunk entirely (two-level dictionary
-    /// pruning, §4.1).
-    pub fn chunk_has_birth_action(&self) -> bool {
-        self.birth_action_code.is_some()
-    }
-
     /// `GetNextUser()`: the next user's block of activity tuples. Not
     /// reading the previous user's remaining tuples *is* `SkipCurUser()` —
     /// random access makes skipping free.
@@ -133,11 +126,6 @@ impl<'a> ChunkScan<'a> {
         let run = self.chunk.user_rle().run(self.next_run);
         self.next_run += 1;
         Some(run)
-    }
-
-    /// Reset to the first user (used by multi-pass ablations).
-    pub fn rewind(&mut self) {
-        self.next_run = 0;
     }
 
     /// `GetBirthTuple`: find the row of the user's birth activity tuple —
@@ -171,12 +159,6 @@ impl<'a> ChunkScan<'a> {
         for run in runs {
             out.push(self.find_birth_row(run));
         }
-    }
-
-    /// Timestamp (seconds) of a row.
-    #[inline]
-    pub fn time_at(&self, row: usize) -> i64 {
-        self.time_min + self.time_deltas.get(row) as i64
     }
 
     /// Chunk minimum of the time column (`time == time_min + delta`).
@@ -1062,7 +1044,6 @@ mod tests {
         assert_eq!(gid, None);
         for chunk in c.chunks() {
             let mut scan = ChunkScan::open(c.table_meta(), chunk, gid).unwrap();
-            assert!(!scan.chunk_has_birth_action());
             while let Some(run) = scan.next_user() {
                 assert_eq!(scan.find_birth_row(&run), None);
             }
@@ -1190,22 +1171,6 @@ mod tests {
                 assert_eq!(spec.eval(&cur, &ctx), expect, "specialized row {row}");
             }
         }
-    }
-
-    #[test]
-    fn rewind_restarts_user_iteration() {
-        let (t, c) = setup();
-        let gid = c.lookup_gid(t.schema().action_idx(), "launch");
-        let chunk = &c.chunks()[0];
-        let mut scan = ChunkScan::open(c.table_meta(), chunk, gid).unwrap();
-        let first_pass: Vec<u32> =
-            std::iter::from_fn(|| scan.next_user().map(|r| r.user_gid)).collect();
-        assert!(!first_pass.is_empty());
-        assert!(scan.next_user().is_none());
-        scan.rewind();
-        let second_pass: Vec<u32> =
-            std::iter::from_fn(|| scan.next_user().map(|r| r.user_gid)).collect();
-        assert_eq!(first_pass, second_pass);
     }
 
     // ---------------------------------------------------------------------

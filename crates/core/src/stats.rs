@@ -1,14 +1,15 @@
 //! Per-query execution statistics.
 //!
-//! [`QueryStats`] is the query-scoped counterpart of the *source-lifetime*
-//! [`SourceIoStats`]: every
-//! [`QueryStream`](crate::QueryStream) carries an
-//! [`IoRecorder`](cohana_storage::IoRecorder) installed on the threads that
-//! decode for it (the serial pull, or each parallel worker for its whole
-//! lifetime), so every storage counter bump is credited to exactly one
-//! query at the increment site. That makes the I/O fields *exact* even when
-//! many queries decode on the same source concurrently — the property the
-//! serving layer's per-tenant accounting depends on. The executor adds the
+//! [`QueryStats`] is the query-scoped counterpart of the *table-lifetime*
+//! [`SourceIoStats`]. The storage layer counts each I/O event once, on the
+//! table's lifetime [`IoRecorder`](cohana_storage::IoRecorder) and on the
+//! recorder active on the counting thread; every
+//! [`QueryStream`](crate::QueryStream) installs its own recorder on the
+//! threads that decode for it (the serial pull, or each parallel worker for
+//! its whole lifetime), so each event lands in exactly one query. That
+//! makes the I/O fields *exact* even when many queries decode on the same
+//! source concurrently — the property the serving layer's per-tenant
+//! accounting depends on. The executor adds the
 //! purely query-level dimensions the storage layer cannot know: how many
 //! chunks the planner's §4.2 metadata pruning skipped, how many the stream
 //! actually scanned, and the wall time.
@@ -21,10 +22,11 @@ use std::time::Duration;
 ///
 /// All counters are exact, including under source-level concurrency: the
 /// I/O fields (`chunks_decoded`, `columns_decoded`, `bytes_read`,
-/// `cache_evictions`) are credited per increment to the query whose thread
-/// performed them, not inferred from lifetime-counter deltas. Chunks
-/// decoded by parallel workers whose batches were never pulled — early
-/// termination — are still attributed to the query that caused them.
+/// `bytes_decompressed`, `cache_evictions`) are credited per event to the
+/// query whose thread performed it, not inferred from lifetime-counter
+/// deltas. Chunks decoded by parallel workers whose batches were never
+/// pulled — early termination — are still attributed to the query that
+/// caused them.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct QueryStats {
     /// Chunks the source holds.

@@ -193,7 +193,7 @@ fn time_selective_query_decodes_strictly_fewer_chunks() {
     let path = temp_file("selective-time.cohana");
     persist::write_file(&memory, &path).unwrap();
     let lazy = Arc::new(FileSource::open(&path).unwrap());
-    assert_eq!(lazy.chunks_decoded(), 0, "open must not touch chunk data");
+    assert_eq!(lazy.io_stats().chunks_decoded, 0, "open must not touch chunk data");
 
     // Q2-style: Q1 plus a birth date range covering only the early
     // population (paper::q5 is exactly that sweep query).
@@ -204,13 +204,13 @@ fn time_selective_query_decodes_strictly_fewer_chunks() {
     assert_eq!(expect.rows, got.rows);
     assert_eq!(expect.cohort_sizes, got.cohort_sizes);
     assert!(!got.rows.is_empty(), "the early population must qualify");
+    let decoded = lazy.io_stats().chunks_decoded;
     assert!(
-        lazy.chunks_decoded() < lazy.num_chunks(),
-        "decoded {} of {} chunks — time pruning never fired",
-        lazy.chunks_decoded(),
+        decoded < lazy.num_chunks(),
+        "decoded {decoded} of {} chunks — time pruning never fired",
         lazy.num_chunks()
     );
-    assert!(lazy.chunks_decoded() > 0, "some chunk must have been decoded");
+    assert!(decoded > 0, "some chunk must have been decoded");
     std::fs::remove_file(&path).ok();
 }
 
@@ -229,10 +229,10 @@ fn birth_action_pruning_skips_chunks_without_the_action() {
     let got = run(lazy.clone(), &query, PlannerOptions::default(), 1);
 
     assert_eq!(expect.rows, got.rows);
+    let decoded = lazy.io_stats().chunks_decoded;
     assert!(
-        lazy.chunks_decoded() < lazy.num_chunks(),
-        "decoded {} of {} chunks — action-dictionary pruning never fired",
-        lazy.chunks_decoded(),
+        decoded < lazy.num_chunks(),
+        "decoded {decoded} of {} chunks — action-dictionary pruning never fired",
         lazy.num_chunks()
     );
     std::fs::remove_file(&path).ok();
@@ -252,6 +252,6 @@ fn disabled_pruning_still_correct_on_lazy_source() {
     let got = run(lazy.clone(), &query, options, 1);
     assert_eq!(expect.rows, got.rows);
     // Without pruning every chunk is materialized.
-    assert_eq!(lazy.chunks_decoded(), lazy.num_chunks());
+    assert_eq!(lazy.io_stats().chunks_decoded, lazy.num_chunks());
     std::fs::remove_file(&path).ok();
 }

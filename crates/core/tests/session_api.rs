@@ -44,8 +44,8 @@ fn dropping_stream_after_first_batch_decodes_fewer_columns() {
         Statement::over(full_src.clone(), &query, PlannerOptions::default(), 1).unwrap();
     let report = full_stmt.stream().collect().unwrap();
     assert!(report.num_rows() > 0);
-    let full_columns = full_src.columns_decoded();
-    let full_chunks = full_src.chunks_decoded();
+    let full_columns = full_src.io_stats().columns_decoded;
+    let full_chunks = full_src.io_stats().chunks_decoded;
     assert!(full_chunks >= 3, "Q1 touches every chunk");
 
     // Early termination on an equally cold source: one batch, then drop.
@@ -57,13 +57,13 @@ fn dropping_stream_after_first_batch_decodes_fewer_columns() {
         let first = stream.next().expect("at least one batch").unwrap();
         assert!(first.num_users() > 0);
     } // stream dropped here
-    let early_columns = early_src.columns_decoded();
+    let early_columns = early_src.io_stats().columns_decoded;
     assert!(
         early_columns < full_columns,
         "early termination decoded {early_columns} columns, full run {full_columns} — \
          dropping the stream did not stop chunk decode"
     );
-    assert_eq!(early_src.chunks_decoded(), 1, "exactly the pulled chunk was decoded");
+    assert_eq!(early_src.io_stats().chunks_decoded, 1, "exactly the pulled chunk was decoded");
 
     // The aborted execution still accounted its (smaller) work.
     let stats = early_stmt.cumulative_stats();
@@ -153,10 +153,6 @@ impl ChunkSource for PanicsOnChunk2 {
     fn chunk(&self, idx: usize) -> cohana_storage::Result<ChunkRef<'_>> {
         assert_ne!(idx, 2, "chunk 2 is poisoned");
         ChunkSource::chunk(&self.0, idx)
-    }
-
-    fn chunks_decoded(&self) -> usize {
-        0
     }
 }
 

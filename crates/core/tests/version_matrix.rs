@@ -174,10 +174,11 @@ fn q1_to_q8_identical_across_v3_v4_eager_and_streamed() {
     // Both lazy sources decoded individual columns. Raw-blob sources report
     // decompressed bytes equal to bytes read; a v4 source's decoded bytes
     // are never less than its disk bytes.
-    assert!(v3_lazy.columns_decoded() > 0);
-    assert!(v4_lazy.columns_decoded() > 0);
-    assert_eq!(v3_lazy.bytes_decompressed(), v3_lazy.bytes_read());
-    assert!(v4_lazy.bytes_decompressed() >= v4_lazy.bytes_read());
+    let (v3_io, v4_io) = (v3_lazy.io_stats(), v4_lazy.io_stats());
+    assert!(v3_io.columns_decoded > 0);
+    assert!(v4_io.columns_decoded > 0);
+    assert_eq!(v3_io.bytes_decompressed, v3_io.bytes_read);
+    assert!(v4_io.bytes_decompressed >= v4_io.bytes_read);
     for p in [v3_path, v4_path] {
         std::fs::remove_file(&p).ok();
     }
@@ -207,25 +208,26 @@ fn projected_query_decodes_fewer_columns_than_arity_times_chunks() {
     let got = stmt.execute().unwrap();
     assert_eq!(expect.rows, got.rows);
 
-    let chunks_touched = lazy.chunks_decoded();
+    let io = lazy.io_stats();
+    let chunks_touched = io.chunks_decoded;
     assert!(chunks_touched > 0, "Q1 touches every chunk");
-    assert!(lazy.columns_decoded() > 0);
+    assert!(io.columns_decoded > 0);
     assert!(
-        lazy.columns_decoded() < arity * chunks_touched,
+        io.columns_decoded < arity * chunks_touched,
         "decoded {} columns over {chunks_touched} chunks of arity {arity} — projection pushdown \
          never fired",
-        lazy.columns_decoded(),
+        io.columns_decoded,
     );
     // Exactly the projected non-user columns decode: nothing else.
     let non_user_projected = stmt.plan().projected_idxs.len() - 1;
-    assert_eq!(lazy.columns_decoded(), non_user_projected * chunks_touched);
+    assert_eq!(io.columns_decoded, non_user_projected * chunks_touched);
 
     // The per-query stats attributed to this execution match the lifetime
     // counters (the query was alone on a cold source).
     let stats = got.stats.expect("executor attaches stats");
-    assert_eq!(stats.chunks_decoded, lazy.chunks_decoded());
-    assert_eq!(stats.columns_decoded, lazy.columns_decoded());
-    assert_eq!(stats.bytes_read, lazy.bytes_read());
+    assert_eq!(stats.chunks_decoded, io.chunks_decoded);
+    assert_eq!(stats.columns_decoded, io.columns_decoded);
+    assert_eq!(stats.bytes_read, io.bytes_read);
     std::fs::remove_file(&path).ok();
 }
 
@@ -242,7 +244,7 @@ fn bounded_cache_stays_within_budget_with_identical_results() {
     // A budget far below the table's compressed size forces eviction.
     let budget = 4 * 1024;
     let lazy = Arc::new(FileSource::open_with_budget(&path, budget).unwrap());
-    assert_eq!(lazy.cache_budget_bytes(), budget);
+    assert_eq!(lazy.io_stats().cache_budget_bytes, budget);
 
     for (name, query) in paper_queries() {
         for parallelism in [1, 4] {
@@ -250,14 +252,11 @@ fn bounded_cache_stays_within_budget_with_identical_results() {
             let got = prepare(lazy.clone(), &query, parallelism).execute().unwrap();
             assert_eq!(expect.rows, got.rows, "{name} p={parallelism}");
             assert_eq!(expect.cohort_sizes, got.cohort_sizes, "{name} p={parallelism}");
-            assert!(
-                lazy.cache_resident_bytes() <= budget,
-                "{name}: resident {} exceeds budget {budget}",
-                lazy.cache_resident_bytes()
-            );
+            let resident = lazy.io_stats().cache_resident_bytes;
+            assert!(resident <= budget, "{name}: resident {resident} exceeds budget {budget}");
         }
     }
-    assert!(lazy.cache_evictions() > 0, "a tiny budget must evict");
+    assert!(lazy.io_stats().cache_evictions > 0, "a tiny budget must evict");
     std::fs::remove_file(&path).ok();
 }
 
@@ -347,10 +346,10 @@ fn cohort_clustered_data_prunes_chunks_and_bytes() {
     let got = prepare(lazy.clone(), &query, 1).execute().unwrap();
     assert_eq!(expect.rows, got.rows);
     assert!(!got.rows.is_empty(), "the early cohorts must qualify");
+    let decoded = lazy.io_stats().chunks_decoded;
     assert!(
-        lazy.chunks_decoded() < lazy.num_chunks(),
-        "decoded {} of {} chunks — time pruning never fired",
-        lazy.chunks_decoded(),
+        decoded < lazy.num_chunks(),
+        "decoded {decoded} of {} chunks — time pruning never fired",
         lazy.num_chunks()
     );
 
@@ -367,6 +366,7 @@ fn cohort_clustered_data_prunes_chunks_and_bytes() {
 
     // Bytes read stay below the full payload: pruned chunks cost zero I/O.
     let file_len = std::fs::metadata(&path).unwrap().len();
-    assert!(lazy.bytes_read() < file_len, "read {} of {file_len} file bytes", lazy.bytes_read());
+    let read = lazy.io_stats().bytes_read;
+    assert!(read < file_len, "read {read} of {file_len} file bytes");
     std::fs::remove_file(&path).ok();
 }

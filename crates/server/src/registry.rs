@@ -2,10 +2,11 @@
 //!
 //! Every connection names a tenant in its HELLO frame; every completed (or
 //! cancelled — partial work still costs) query folds its [`QueryStats`]
-//! into that tenant's running total. Because the executor's I/O counters
-//! are credited per increment ([`cohana_storage::IoRecorder`]), tenant
-//! totals partition the shared source's real I/O exactly — two tenants
-//! decoding concurrently never double-count bytes.
+//! into that tenant's running total. Because the storage layer counts each
+//! I/O event once, on the table's lifetime
+//! [`IoRecorder`](cohana_storage::IoRecorder) and on the query recorder of
+//! the thread that caused it, tenant totals partition the table's real I/O
+//! exactly — two tenants decoding concurrently never double-count bytes.
 
 use cohana_core::QueryStats;
 use std::collections::HashMap;

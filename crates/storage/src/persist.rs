@@ -719,21 +719,6 @@ pub struct CodecStats {
     pub compressed_bytes: u64,
     /// Total bytes those blobs decode (serialize raw) to.
     pub uncompressed_bytes: u64,
-    /// Wall time [`inspect`] spent decoding those blobs, in nanoseconds.
-    pub decode_nanos: u64,
-}
-
-impl CodecStats {
-    /// Decode throughput in MB/s of *decoded* output (0.0 before any
-    /// blob has been timed). "MB" here is 10^6 bytes, matching the bench
-    /// reports.
-    pub fn decode_mbps(&self) -> f64 {
-        if self.decode_nanos == 0 {
-            0.0
-        } else {
-            self.uncompressed_bytes as f64 * 1000.0 / self.decode_nanos as f64
-        }
-    }
 }
 
 /// Per-attribute compression summary. The user attribute's row covers the
@@ -788,15 +773,12 @@ impl FormatInfo {
     }
 }
 
-/// Walk every live blob of a v3/v4 file, decode each through its codec
-/// tag exactly as a lazy column fetch would (blob in, range-proved
-/// [`ChunkColumn`] out), and report per-column and per-codec size and
-/// decode-time aggregates. This is the measurement backbone of the
-/// `decode/column_fetch` bench lines and doubles as a whole-file decode
-/// validation pass.
+/// Summarize a v3/v4 file from its footer alone: per-column and per-codec
+/// on-disk and decoded bytes and blob counts. No blob is read or decoded;
+/// a budget-0 [`FileSource`](crate::FileSource) reading every chunk is the
+/// decode pass, and its `io_stats()` times each codec.
 pub fn inspect(path: &Path) -> Result<FormatInfo> {
-    let data = std::fs::read(path)?;
-    let footer = parse_image(&data)?;
+    let footer = read_footer_from_file(&std::fs::File::open(path)?)?;
     let schema = footer.meta.schema();
     let user_idx = schema.user_idx();
     let mut columns: Vec<ColumnCompression> = (0..schema.arity())
@@ -807,37 +789,15 @@ pub fn inspect(path: &Path) -> Result<FormatInfo> {
         })
         .collect();
     let mut codecs = [CodecStats::default(); 3];
-    let mut record = |columns: &mut Vec<ColumnCompression>, idx: usize, loc: &BlobLoc, ns: u64| {
-        columns[idx].compressed_bytes += loc.len;
-        columns[idx].uncompressed_bytes += loc.uncompressed;
-        let c = &mut codecs[loc.codec.tag() as usize];
-        c.blobs += 1;
-        c.compressed_bytes += loc.len;
-        c.uncompressed_bytes += loc.uncompressed;
-        c.decode_nanos += ns;
-    };
-    for (ci, (layout, entry)) in footer.layouts.iter().zip(&footer.entries).enumerate() {
-        let loc = &layout.rle;
-        let start = std::time::Instant::now();
-        decode_rle_blob(loc.bytes(&data))?;
-        record(&mut columns, user_idx, loc, start.elapsed().as_nanos() as u64);
-        for (idx, loc) in layout.cols.iter().enumerate() {
-            if idx == user_idx {
-                continue;
-            }
-            // The step a lazy column fetch pays: blob -> range-proved
-            // `ChunkColumn`.
-            let start = std::time::Instant::now();
-            let col =
-                decode_column_blob_loc(loc.bytes(&data), loc).map_err(|e| e.in_column(ci, idx))?;
-            record(&mut columns, idx, loc, start.elapsed().as_nanos() as u64);
-            if col.len() as u64 != entry.num_rows {
-                return Err(StorageError::Corrupt(format!(
-                    "chunk {ci}: column {idx} has {} rows, footer claims {}",
-                    col.len(),
-                    entry.num_rows
-                )));
-            }
+    for layout in &footer.layouts {
+        let blobs = layout.cols.iter().enumerate().filter(|&(idx, _)| idx != user_idx);
+        for (idx, loc) in std::iter::once((user_idx, &layout.rle)).chain(blobs) {
+            columns[idx].compressed_bytes += loc.len;
+            columns[idx].uncompressed_bytes += loc.uncompressed;
+            let c = &mut codecs[loc.codec.tag() as usize];
+            c.blobs += 1;
+            c.compressed_bytes += loc.len;
+            c.uncompressed_bytes += loc.uncompressed;
         }
     }
     Ok(FormatInfo {
@@ -1554,6 +1514,7 @@ mod range_tests;
 mod tests {
     use super::*;
     use crate::fixtures;
+    use crate::source::{ChunkSource, FileSource};
     use cohana_activity::{generate, GeneratorConfig, TableBuilder};
 
     fn compressed() -> CompressedTable {
@@ -1853,25 +1814,34 @@ mod tests {
     fn inspect_reports_codec_selection() {
         let dir = std::env::temp_dir().join("cohana-persist-inspect");
         std::fs::create_dir_all(&dir).unwrap();
+        // The footer summary, plus what a budget-0 source reading every
+        // chunk (the decode pass) counted.
         let inspect_image = |name: &str, bytes: &[u8]| {
             let path = dir.join(name);
             std::fs::write(&path, bytes).unwrap();
             let info = inspect(&path).unwrap();
+            let src = FileSource::open_with_budget(&path, 0).unwrap();
+            for i in 0..src.num_chunks() {
+                src.chunk(i).unwrap();
+            }
             std::fs::remove_file(&path).ok();
-            info
+            (info, src.io_stats())
         };
         let c = fixture_table();
-        let v3 = inspect_image("table-v3.cohana", fixtures::V3);
+        let (v3, v3_io) = inspect_image("table-v3.cohana", fixtures::V3);
         assert_eq!(v3.version, 3);
         assert_eq!(v3.num_rows, c.num_rows());
         assert_eq!(v3.compressed_bytes(), v3.uncompressed_bytes());
         assert_eq!(v3.codecs[1].blobs + v3.codecs[2].blobs, 0);
+        assert_eq!(v3_io.bytes_read, v3.compressed_bytes());
 
         // The same table as v4: its blobs decode to exactly the v3 payload
         // and are never larger on disk.
-        let v4 = inspect_image("table-v4.cohana", &to_bytes(&c));
+        let (v4, v4_io) = inspect_image("table-v4.cohana", &to_bytes(&c));
         assert_eq!(v4.version, 4);
         assert_eq!(v4.num_chunks, c.chunks().len());
+        assert_eq!(v4_io.bytes_decompressed, v3_io.bytes_read);
+        assert!(v4_io.bytes_read <= v3_io.bytes_read);
         assert_eq!(v4.uncompressed_bytes(), v3.compressed_bytes());
         assert!(v4.compressed_bytes() <= v3.compressed_bytes());
         for (a, b) in v4.columns.iter().zip(v3.columns.iter()) {
@@ -1881,7 +1851,7 @@ mod tests {
         }
 
         // On realistic chunks at least one blob chooses a real codec.
-        let large = inspect_image("table-large.cohana", &to_bytes(&compressed_large()));
+        let (large, _) = inspect_image("table-large.cohana", &to_bytes(&compressed_large()));
         assert!(large.compressed_bytes() < large.uncompressed_bytes());
         assert!(large.codecs[1].blobs + large.codecs[2].blobs > 0);
         assert!(large.ratio() > 1.0);

@@ -1,36 +1,41 @@
-//! Exact per-query I/O attribution.
+//! One counter set for a table's file I/O.
 //!
-//! [`SourceIoStats::delta_since`] attributes I/O to a query by subtracting
-//! lifetime-counter snapshots, which over-counts when two queries decode on
-//! the same source concurrently: each query's window swallows the other's
-//! I/O. An [`IoRecorder`] fixes the attribution at the increment site
-//! instead: every thread carries at most one *active recorder* (a
-//! thread-local installed with [`with_recorder`]), and every counter bump a
-//! [`FileSource`](crate::FileSource) performs is credited to the recorder
-//! active on the bumping thread — so each increment lands in exactly one
-//! query's recorder, no matter how executions interleave.
+//! An [`IoRecorder`] holds every I/O counter the storage layer keeps: chunks
+//! and column segments decoded, bytes read and the bytes they decoded to,
+//! per-codec decode time, and segment-cache evictions. A file-backed table
+//! keeps one *lifetime* recorder next to its segment cache, shared by all
+//! its shards as the cache is, and a [`FileSource`](crate::FileSource)
+//! counts each event by one call, [`IoRecorder::count`], on it. That call
+//! also credits the same increment to the thread's *active recorder* (a
+//! thread-local installed with [`with_recorder`]), so every increment lands
+//! in the table's lifetime total and in exactly one query's recorder, no
+//! matter how executions interleave. Nothing is attributed by subtracting
+//! lifetime snapshots, which over-counts when two queries decode on one
+//! source concurrently.
 //!
 //! The executor installs one recorder per query stream: around each serial
 //! chunk run, and for the whole lifetime of each parallel worker thread.
 //! Threads with no active recorder (e.g. a cache-warming scan done outside
-//! any query) simply credit nobody; the source's own lifetime counters are
-//! bumped unconditionally either way.
+//! any query) credit only the lifetime recorder.
 
-use crate::source::SourceIoStats;
+use crate::source::{CodecDecode, SourceIoStats};
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-/// Monotone per-query I/O counters, credited by the storage layer while the
-/// recorder is installed on the decoding thread (see [`with_recorder`]).
-/// Shared across threads via `Arc`; all counters are atomic, so
-/// [`IoRecorder::snapshot`] can race with live decodes.
+/// Monotone I/O counters: a table's lifetime total, or one query's share of
+/// it while the recorder is installed on the decoding threads (see
+/// [`with_recorder`]). Shared across threads via `Arc`; all counters are
+/// atomic, so [`IoRecorder::snapshot`] can race with live decodes.
 #[derive(Debug, Default)]
 pub struct IoRecorder {
     chunks_decoded: AtomicUsize,
     columns_decoded: AtomicUsize,
     bytes_read: AtomicU64,
-    bytes_decompressed: AtomicU64,
+    /// Per-codec decoded bytes and decode nanoseconds, indexed by codec tag.
+    /// `bytes_decompressed` is their byte sum.
+    decode_bytes: [AtomicU64; 3],
+    decode_nanos: [AtomicU64; 3],
     cache_evictions: AtomicU64,
 }
 
@@ -40,19 +45,35 @@ impl IoRecorder {
         IoRecorder::default()
     }
 
-    /// The I/O credited so far. The gauge fields (`cache_resident_bytes`,
-    /// `cache_budget_bytes`) are not per-query quantities and stay zero.
+    /// The I/O counted so far. The gauge fields (`cache_resident_bytes`,
+    /// `cache_budget_bytes`) describe a cache, not a count, and stay zero.
     pub fn snapshot(&self) -> SourceIoStats {
+        let decode: [CodecDecode; 3] = std::array::from_fn(|i| CodecDecode {
+            bytes_out: self.decode_bytes[i].load(Ordering::Relaxed),
+            nanos: self.decode_nanos[i].load(Ordering::Relaxed),
+        });
         SourceIoStats {
             chunks_decoded: self.chunks_decoded.load(Ordering::Relaxed),
             columns_decoded: self.columns_decoded.load(Ordering::Relaxed),
             bytes_read: self.bytes_read.load(Ordering::Relaxed),
-            bytes_decompressed: self.bytes_decompressed.load(Ordering::Relaxed),
-            decode: Default::default(),
+            bytes_decompressed: decode.iter().map(|d| d.bytes_out).sum(),
+            decode,
             cache_evictions: self.cache_evictions.load(Ordering::Relaxed),
             cache_resident_bytes: 0,
             cache_budget_bytes: 0,
         }
+    }
+
+    /// Count one event: apply `bump` to this recorder (a table's lifetime
+    /// counters) and to the thread's active query recorder, if one is
+    /// installed.
+    pub(crate) fn count(&self, bump: impl Fn(&IoRecorder)) {
+        bump(self);
+        ACTIVE.with(|slot| {
+            if let Some(active) = slot.borrow().as_deref() {
+                bump(active);
+            }
+        });
     }
 
     pub(crate) fn add_chunks_decoded(&self, n: usize) {
@@ -67,8 +88,11 @@ impl IoRecorder {
         self.bytes_read.fetch_add(n, Ordering::Relaxed);
     }
 
-    pub(crate) fn add_bytes_decompressed(&self, n: u64) {
-        self.bytes_decompressed.fetch_add(n, Ordering::Relaxed);
+    /// One blob of codec `tag` decoded to `bytes_out` raw bytes (its v3
+    /// size, counted in `bytes_decompressed`) in `nanos`.
+    pub(crate) fn add_decode(&self, tag: usize, bytes_out: u64, nanos: u64) {
+        self.decode_bytes[tag].fetch_add(bytes_out, Ordering::Relaxed);
+        self.decode_nanos[tag].fetch_add(nanos, Ordering::Relaxed);
     }
 
     pub(crate) fn add_cache_evictions(&self, n: u64) {
@@ -82,8 +106,8 @@ thread_local! {
 
 /// Run `f` with `recorder` installed as this thread's active recorder,
 /// restoring whatever was active before (recorder scopes nest). Every
-/// storage counter bump performed on this thread inside `f` — including by
-/// code that has never heard of recorders — is credited to `recorder`.
+/// storage event counted on this thread inside `f` — including by code that
+/// has never heard of recorders — is credited to `recorder`.
 pub fn with_recorder<T>(recorder: &Arc<IoRecorder>, f: impl FnOnce() -> T) -> T {
     struct Restore(Option<Arc<IoRecorder>>);
     impl Drop for Restore {
@@ -96,56 +120,60 @@ pub fn with_recorder<T>(recorder: &Arc<IoRecorder>, f: impl FnOnce() -> T) -> T 
     f()
 }
 
-/// Credit the thread's active recorder, if one is installed. Called by the
-/// storage layer next to each lifetime-counter bump.
-pub(crate) fn credit(f: impl FnOnce(&IoRecorder)) {
-    ACTIVE.with(|slot| {
-        if let Some(recorder) = slot.borrow().as_deref() {
-            f(recorder);
-        }
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn credits_only_inside_scope() {
+        let lifetime = IoRecorder::new();
         let rec = Arc::new(IoRecorder::new());
-        credit(|r| r.add_bytes_read(7)); // no recorder installed: dropped
+        lifetime.count(|r| r.add_bytes_read(7)); // no recorder installed
         with_recorder(&rec, || {
-            credit(|r| r.add_bytes_read(5));
-            credit(|r| r.add_chunks_decoded(1));
+            lifetime.count(|r| r.add_bytes_read(5));
+            lifetime.count(|r| r.add_chunks_decoded(1));
+            lifetime.count(|r| r.add_decode(2, 40, 9));
         });
-        credit(|r| r.add_bytes_read(100)); // scope ended: dropped
+        lifetime.count(|r| r.add_bytes_read(100)); // scope ended
         let snap = rec.snapshot();
         assert_eq!(snap.bytes_read, 5);
         assert_eq!(snap.chunks_decoded, 1);
+        assert_eq!(snap.decode[2], CodecDecode { bytes_out: 40, nanos: 9 });
+        assert_eq!(snap.bytes_decompressed, 40);
         assert_eq!(snap.cache_evictions, 0);
+        // The lifetime recorder counts every event, inside a scope or not.
+        let total = lifetime.snapshot();
+        assert_eq!(total.bytes_read, 112);
+        assert_eq!(total.chunks_decoded, 1);
+        assert_eq!(total.decode, snap.decode);
     }
 
     #[test]
     fn scopes_nest_and_restore() {
+        let lifetime = IoRecorder::new();
         let outer = Arc::new(IoRecorder::new());
         let inner = Arc::new(IoRecorder::new());
         with_recorder(&outer, || {
-            credit(|r| r.add_columns_decoded(1));
-            with_recorder(&inner, || credit(|r| r.add_columns_decoded(10)));
-            credit(|r| r.add_columns_decoded(2));
+            lifetime.count(|r| r.add_columns_decoded(1));
+            with_recorder(&inner, || lifetime.count(|r| r.add_columns_decoded(10)));
+            lifetime.count(|r| r.add_columns_decoded(2));
         });
         assert_eq!(outer.snapshot().columns_decoded, 3);
         assert_eq!(inner.snapshot().columns_decoded, 10);
+        assert_eq!(lifetime.snapshot().columns_decoded, 13);
     }
 
     #[test]
     fn recorders_are_per_thread() {
+        let lifetime = Arc::new(IoRecorder::new());
         let rec = Arc::new(IoRecorder::new());
         with_recorder(&rec, || {
             // A thread spawned inside the scope does NOT inherit it.
-            std::thread::spawn(|| credit(|r| r.add_bytes_read(999))).join().unwrap();
-            credit(|r| r.add_bytes_read(1));
+            let spawned = lifetime.clone();
+            std::thread::spawn(move || spawned.count(|r| r.add_bytes_read(999))).join().unwrap();
+            lifetime.count(|r| r.add_bytes_read(1));
         });
         assert_eq!(rec.snapshot().bytes_read, 1);
+        assert_eq!(lifetime.snapshot().bytes_read, 1000);
     }
 }

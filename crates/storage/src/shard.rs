@@ -45,7 +45,8 @@
 //! concatenates their chunks behind the ordinary
 //! [`ChunkSource`] trait. All shards share one
 //! byte-budgeted segment cache, so the memory bound is per table, not per
-//! shard.
+//! shard, and one lifetime [`IoRecorder`](crate::IoRecorder) that counts
+//! the table's I/O.
 
 use crate::dict::GlobalDict;
 use crate::persist::{self, AppendStats, CompactStats, WrittenChunks};
@@ -59,6 +60,7 @@ use cohana_activity::ActivityTable;
 use std::borrow::Cow;
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -419,32 +421,52 @@ pub fn create_sharded(
     let manifest = ShardManifest::new(boundaries, files)?;
 
     let parts = split_by_shard(&manifest, table);
-    std::thread::scope(|scope| -> Result<()> {
-        let mut handles = Vec::new();
-        for (i, part) in parts.iter().enumerate() {
-            let path = manifest.shard_path(dir, i);
-            handles.push(scope.spawn(move || -> Result<()> {
-                let empty;
-                let part: &ActivityTable = match part {
-                    Some(p) => p,
-                    None => {
-                        empty = ActivityTable::from_sorted_rows(table.schema().clone(), Vec::new())
-                            .expect("empty table is trivially sorted");
-                        &empty
-                    }
-                };
-                let compressed = CompressedTable::build(part, options)?;
-                persist::write_file(&compressed, &path)
-            }));
-        }
-        for h in handles {
-            h.join().expect("shard build thread panicked")?;
-        }
-        Ok(())
-    })?;
+    run_parts(&parts, |i, part| -> Result<()> {
+        let empty;
+        let part: &ActivityTable = match part {
+            Some(p) => p,
+            None => {
+                empty = ActivityTable::from_sorted_rows(table.schema().clone(), Vec::new())
+                    .expect("empty table is trivially sorted");
+                &empty
+            }
+        };
+        let compressed = CompressedTable::build(part, options)?;
+        persist::write_file(&compressed, &manifest.shard_path(dir, i))
+    })
+    .into_iter()
+    .collect::<Result<()>>()?;
 
     write_manifest(dir, &manifest)?;
     Ok(manifest)
+}
+
+/// Run `f` over every part on at most `min(parts, available_parallelism)`
+/// scoped threads, each claiming the next part index from one counter, and
+/// return the results in part order. A panic in `f` re-raises here once the
+/// other threads are done.
+fn run_parts<T: Sync, R: Send>(parts: &[T], f: impl Fn(usize, &T) -> R + Sync) -> Vec<R> {
+    let threads = std::thread::available_parallelism().map_or(1, |n| n.get()).min(parts.len());
+    let next = AtomicUsize::new(0);
+    let mut results: Vec<Option<R>> = std::iter::repeat_with(|| None).take(parts.len()).collect();
+    std::thread::scope(|scope| {
+        let claim = || {
+            let mut done = Vec::new();
+            loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                let Some(part) = parts.get(i) else { return done };
+                done.push((i, f(i, part)));
+            }
+        };
+        let handles: Vec<_> = (0..threads).map(|_| scope.spawn(claim)).collect();
+        for handle in handles {
+            let done = handle.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+            for (i, r) in done {
+                results[i] = Some(r);
+            }
+        }
+    });
+    results.into_iter().map(|r| r.expect("every part was claimed once")).collect()
 }
 
 // -------------------------------------------------------------- appends
@@ -498,25 +520,15 @@ pub fn append_sharded_with_chunks(
 ) -> Result<(ShardedAppendStats, Vec<(usize, WrittenChunks)>)> {
     let (dir, manifest) = open_map(path)?;
     let parts = split_by_shard(&manifest, batch);
-
-    let results = std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for (i, part) in parts.iter().enumerate() {
-            let Some(part) = part else { continue };
-            let shard_path = manifest.shard_path(&dir, i);
-            handles.push((
-                i,
-                scope.spawn(move || -> Result<(AppendStats, WrittenChunks)> {
-                    let _lock = ShardLock::acquire(&shard_path, LOCK_TIMEOUT)?;
-                    persist::append_with_chunks(&shard_path, part)
-                }),
-            ));
-        }
-        handles
-            .into_iter()
-            .map(|(i, h)| h.join().expect("shard append thread panicked").map(|r| (i, r)))
-            .collect::<Result<Vec<_>>>()
-    })?;
+    let touched: Vec<(usize, &ActivityTable)> =
+        parts.iter().enumerate().filter_map(|(i, p)| Some((i, p.as_deref()?))).collect();
+    let results = run_parts(&touched, |_, &(i, part)| {
+        let shard_path = manifest.shard_path(&dir, i);
+        let _lock = ShardLock::acquire(&shard_path, LOCK_TIMEOUT)?;
+        persist::append_with_chunks(&shard_path, part).map(|r| (i, r))
+    })
+    .into_iter()
+    .collect::<Result<Vec<_>>>()?;
 
     let (per_shard, written) =
         results.into_iter().map(|(i, (stats, written))| ((i, stats), (i, written))).unzip();
@@ -734,14 +746,11 @@ impl ShardedSource {
     }
 
     /// One shard's file source (re-based into the unified dictionary
-    /// space), for per-shard diagnostics.
+    /// space), for per-shard diagnostics such as
+    /// [`FileSource::chunks_resident`]. Its `io_stats()` reports the whole
+    /// table: the shards share one cache and one lifetime recorder.
     pub fn shard(&self, i: usize) -> &FileSource {
         &self.shards[i]
-    }
-
-    /// Which shard serves a global chunk index.
-    pub fn shard_of_chunk(&self, idx: usize) -> usize {
-        self.chunk_map[idx].0 as usize
     }
 }
 
@@ -871,29 +880,10 @@ impl ChunkSource for ShardedSource {
         self.shards[shard as usize].chunk_columns(local as usize, cols)
     }
 
-    fn chunks_decoded(&self) -> usize {
-        self.shards.iter().map(|s| s.chunks_decoded()).sum()
-    }
-
+    /// The shards share one lifetime recorder and one cache, so the first
+    /// shard's view is the table's.
     fn io_stats(&self) -> SourceIoStats {
-        // Monotone counters sum across shards; the cache gauges are shared
-        // (one budget for the whole table), so they are taken once.
-        let mut total = SourceIoStats::default();
-        for s in &self.shards {
-            total.chunks_decoded += s.chunks_decoded();
-            total.columns_decoded += s.columns_decoded();
-            total.bytes_read += s.bytes_read();
-            total.bytes_decompressed += s.bytes_decompressed();
-            for (t, d) in total.decode.iter_mut().zip(s.decode_stats()) {
-                t.bytes_out += d.bytes_out;
-                t.nanos += d.nanos;
-            }
-        }
-        let shared = self.shards[0].io_stats();
-        total.cache_evictions = shared.cache_evictions;
-        total.cache_resident_bytes = shared.cache_resident_bytes;
-        total.cache_budget_bytes = shared.cache_budget_bytes;
-        total
+        self.shards[0].io_stats()
     }
 }
 
@@ -1028,6 +1018,42 @@ mod tests {
             );
         }
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn parts_run_once_each_on_at_most_the_available_cores() {
+        // Counted inside the closure, so the check starts no thread beyond
+        // what the helper itself starts. The sleep only widens each part's
+        // overlap so an uncapped helper shows; the bound holds at any
+        // interleaving.
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let runs: Vec<AtomicUsize> = (0..64).map(|_| AtomicUsize::new(0)).collect();
+        let (live, peak) = (AtomicUsize::new(0), AtomicUsize::new(0));
+        let parts: Vec<usize> = (0..64).collect();
+        let results = run_parts(&parts, |i, &part| {
+            assert_eq!(i, part);
+            let now = live.fetch_add(1, Ordering::SeqCst) + 1;
+            peak.fetch_max(now, Ordering::SeqCst);
+            std::thread::sleep(Duration::from_millis(1));
+            runs[i].fetch_add(1, Ordering::SeqCst);
+            live.fetch_sub(1, Ordering::SeqCst);
+            part * 10
+        });
+        assert_eq!(results, (0..64).map(|p| p * 10).collect::<Vec<_>>(), "results in part order");
+        assert!(runs.iter().all(|r| r.load(Ordering::SeqCst) == 1), "each part runs exactly once");
+        let peak = peak.load(Ordering::SeqCst);
+        assert!((1..=cores).contains(&peak), "peak concurrency {peak} over {cores} cores");
+    }
+
+    #[test]
+    fn a_panicking_part_reaches_the_caller() {
+        let parts: Vec<usize> = (0..8).collect();
+        let caught = std::panic::catch_unwind(|| {
+            run_parts(&parts, |i, _| assert_ne!(i, 5, "part 5 fails"));
+        });
+        let message = caught.unwrap_err();
+        let message = message.downcast_ref::<String>().map(String::as_str).unwrap_or("");
+        assert!(message.contains("part 5 fails"), "{message}");
     }
 
     #[test]

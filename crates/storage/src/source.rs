@@ -26,7 +26,7 @@
 use crate::chunk::Chunk;
 use crate::column::ChunkColumn;
 use crate::persist::{self, ChunkLayout, Footer};
-use crate::record;
+use crate::record::IoRecorder;
 use crate::rle::UserRle;
 use crate::table::{validate_column_header, validate_rle, CompressedTable, TableMeta};
 use crate::{Result, StorageError};
@@ -35,8 +35,7 @@ use std::collections::HashMap;
 use std::fs::File;
 use std::ops::Deref;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Per-column statistics recorded in a footer's [`ChunkIndexEntry`]: the
 /// analogue of Parquet's `ColumnChunkMetaData` statistics, computable from
@@ -183,8 +182,10 @@ impl CodecDecode {
 }
 
 /// I/O and cache counters of a source (all zero for fully resident
-/// sources). Diagnostics: lets tests, benches, and the shell's `.stats`
-/// assert that pruning and projection pushdown actually avoided work.
+/// sources), read from its table's lifetime [`IoRecorder`] plus the cache
+/// gauges; a query's own share comes from the recorder its stream installs.
+/// Diagnostics: lets tests, benches, and the shell's `.stats` assert that
+/// pruning and projection pushdown actually avoided work.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct SourceIoStats {
     /// Chunks whose skeleton (the RLE user column) was decoded from backing
@@ -209,35 +210,6 @@ pub struct SourceIoStats {
     pub cache_resident_bytes: usize,
     /// The configured cache byte budget.
     pub cache_budget_bytes: usize,
-}
-
-impl SourceIoStats {
-    /// The I/O performed since `baseline` was snapshotted from the same
-    /// source: monotone counters are subtracted, gauge fields
-    /// (`cache_resident_bytes`, `cache_budget_bytes`) keep their current
-    /// values. This is the per-query attribution primitive: snapshot before
-    /// a query, subtract after, and the difference is what happened on the
-    /// source during the query. That is exactly the query's own cost while
-    /// it has the source to itself; concurrent queries on the same source
-    /// fall into each other's windows, making the delta an upper bound. For
-    /// exact attribution under source-level concurrency, install an
-    /// [`IoRecorder`](crate::IoRecorder) on the decoding threads instead —
-    /// that is what the executor's query streams do.
-    pub fn delta_since(&self, baseline: &SourceIoStats) -> SourceIoStats {
-        SourceIoStats {
-            chunks_decoded: self.chunks_decoded.saturating_sub(baseline.chunks_decoded),
-            columns_decoded: self.columns_decoded.saturating_sub(baseline.columns_decoded),
-            bytes_read: self.bytes_read.saturating_sub(baseline.bytes_read),
-            bytes_decompressed: self.bytes_decompressed.saturating_sub(baseline.bytes_decompressed),
-            decode: std::array::from_fn(|i| CodecDecode {
-                bytes_out: self.decode[i].bytes_out.saturating_sub(baseline.decode[i].bytes_out),
-                nanos: self.decode[i].nanos.saturating_sub(baseline.decode[i].nanos),
-            }),
-            cache_evictions: self.cache_evictions.saturating_sub(baseline.cache_evictions),
-            cache_resident_bytes: self.cache_resident_bytes,
-            cache_budget_bytes: self.cache_budget_bytes,
-        }
-    }
 }
 
 /// Uniform access to a table's chunks, with pruning metadata available
@@ -266,11 +238,6 @@ pub trait ChunkSource: Send + Sync {
         self.chunk(idx)
     }
 
-    /// How many chunks this source has decoded from backing storage since it
-    /// was opened (0 for fully resident sources). Diagnostics: lets tests
-    /// and benchmarks assert that pruning avoided I/O.
-    fn chunks_decoded(&self) -> usize;
-
     /// I/O and cache counters (all zero for fully resident sources).
     fn io_stats(&self) -> SourceIoStats {
         SourceIoStats::default()
@@ -292,10 +259,6 @@ impl ChunkSource for CompressedTable {
 
     fn chunk(&self, idx: usize) -> Result<ChunkRef<'_>> {
         Ok(ChunkRef::Borrowed(&self.chunks()[idx]))
-    }
-
-    fn chunks_decoded(&self) -> usize {
-        0
     }
 }
 
@@ -340,13 +303,12 @@ pub(crate) struct SegmentCache {
     budget: usize,
     resident: usize,
     tick: u64,
-    evictions: u64,
     map: HashMap<SegKey, CacheEntry>,
 }
 
 impl SegmentCache {
     fn new(budget: usize) -> Self {
-        SegmentCache { budget, resident: 0, tick: 0, evictions: 0, map: HashMap::new() }
+        SegmentCache { budget, resident: 0, tick: 0, map: HashMap::new() }
     }
 
     fn get(&mut self, key: SegKey) -> Option<CacheSlot> {
@@ -359,8 +321,7 @@ impl SegmentCache {
     }
 
     /// Insert an entry, evicting LRU entries as needed; returns how many
-    /// evictions this insertion caused (credited to the inserting query's
-    /// recorder by the caller).
+    /// evictions this insertion caused (counted by the caller).
     fn insert(&mut self, key: SegKey, slot: CacheSlot, bytes: usize) -> u64 {
         if let Some(old) = self.map.remove(&key) {
             self.resident -= old.bytes;
@@ -380,7 +341,6 @@ impl SegmentCache {
                 .expect("resident > 0 implies a cached entry");
             let evicted = self.map.remove(&lru).expect("lru key present");
             self.resident -= evicted.bytes;
-            self.evictions += 1;
             evicted_now += 1;
         }
         self.tick += 1;
@@ -399,11 +359,21 @@ impl SegmentCache {
     }
 }
 
-/// A cache handle shareable across several [`FileSource`]s: the shards of a
-/// sharded table open with one of these so all their decoded segments count
-/// against a single byte budget.
-pub(crate) fn shared_cache(budget: usize) -> Arc<Mutex<SegmentCache>> {
-    Arc::new(Mutex::new(SegmentCache::new(budget)))
+/// What the [`FileSource`]s of one table share: the segment cache, so all
+/// their decoded segments count against a single byte budget, and the
+/// table's lifetime [`IoRecorder`], so one counter set counts their I/O.
+/// The shards of a sharded table open with clones of one of these.
+#[derive(Debug, Clone)]
+pub(crate) struct SharedCache {
+    segments: Arc<Mutex<SegmentCache>>,
+    io: Arc<IoRecorder>,
+}
+
+pub(crate) fn shared_cache(budget: usize) -> SharedCache {
+    SharedCache {
+        segments: Arc::new(Mutex::new(SegmentCache::new(budget))),
+        io: Arc::new(IoRecorder::new()),
+    }
 }
 
 /// A lazily-loaded, file-backed table in the footer-indexed v3 or v4
@@ -428,10 +398,10 @@ pub struct FileSource {
     /// re-based at decode time. A [`FileSource::rebase`] replaces its
     /// metadata and action gids with unified ones.
     footer: Footer,
-    /// Decoded-segment cache. `Arc`'d so a sharded table can hand every
-    /// shard the same cache (one shared byte budget); a standalone source
-    /// owns its cache exclusively.
-    cache: Arc<Mutex<SegmentCache>>,
+    /// Decoded-segment cache and lifetime I/O counters, shared by every
+    /// shard of a sharded table (one byte budget, one counter set); a
+    /// standalone source owns its pair exclusively.
+    shared: SharedCache,
     /// This source's id within its (possibly shared) cache — the first
     /// component of every [`SegKey`] it reads or writes.
     cache_id: u32,
@@ -440,33 +410,6 @@ pub struct FileSource {
     /// standalone sources). Applied at decode time *after* any epoch remap,
     /// so every segment this source serves is in unified-dictionary terms.
     overlay: Vec<Option<Arc<Vec<u32>>>>,
-    decoded: AtomicUsize,
-    columns_decoded: AtomicUsize,
-    bytes_read: AtomicU64,
-    bytes_decompressed: AtomicU64,
-    /// Per-codec decode time/bytes, indexed by codec tag.
-    decode_cells: [DecodeCell; 3],
-}
-
-/// Lock-free accumulator behind one [`CodecDecode`] slot.
-#[derive(Debug, Default)]
-struct DecodeCell {
-    bytes_out: AtomicU64,
-    nanos: AtomicU64,
-}
-
-impl DecodeCell {
-    fn add(&self, bytes_out: u64, nanos: u64) {
-        self.bytes_out.fetch_add(bytes_out, Ordering::Relaxed);
-        self.nanos.fetch_add(nanos, Ordering::Relaxed);
-    }
-
-    fn snapshot(&self) -> CodecDecode {
-        CodecDecode {
-            bytes_out: self.bytes_out.load(Ordering::Relaxed),
-            nanos: self.nanos.load(Ordering::Relaxed),
-        }
-    }
 }
 
 impl std::fmt::Debug for SegmentCache {
@@ -475,7 +418,6 @@ impl std::fmt::Debug for SegmentCache {
             .field("budget", &self.budget)
             .field("resident", &self.resident)
             .field("entries", &self.map.len())
-            .field("evictions", &self.evictions)
             .finish()
     }
 }
@@ -520,9 +462,10 @@ impl FileSource {
                 Some(remap) => Arc::new(chunk.user_rle().remap_users(remap)?),
                 None => chunk.shared_rle().clone(),
             };
-            let mut cache = self.cache.lock().expect("cache lock poisoned");
+            let mut cache = self.cache();
             let bytes = rle.packed_bytes();
-            cache.insert((self.cache_id, idx as u32, SEG_RLE), CacheSlot::Rle(rle), bytes);
+            let mut evicted =
+                cache.insert((self.cache_id, idx as u32, SEG_RLE), CacheSlot::Rle(rle), bytes);
             for (attr, col) in chunk.columns().iter().enumerate() {
                 let Some(col) = col else { continue };
                 let col = match self.overlay_for(attr) {
@@ -530,23 +473,26 @@ impl FileSource {
                     None => col.clone(),
                 };
                 let bytes = col.packed_bytes();
-                cache.insert(
+                evicted += cache.insert(
                     (self.cache_id, idx as u32, seg_col(attr)),
                     CacheSlot::Col(col),
                     bytes,
                 );
             }
+            drop(cache);
+            self.count(|r| r.add_cache_evictions(evicted));
         }
         Ok(())
     }
 
-    /// Open a file against an existing (possibly shared) segment cache,
-    /// tagging every cache entry with `cache_id`. This is how a sharded
-    /// table gives all its shard files one byte budget; each shard gets a
-    /// distinct id so per-shard residency accounting stays precise.
+    /// Open a file against an existing (possibly shared) segment cache and
+    /// lifetime recorder, tagging every cache entry with `cache_id`. This is
+    /// how a sharded table gives all its shard files one byte budget and one
+    /// counter set; each shard gets a distinct id so per-shard residency
+    /// accounting stays precise.
     pub(crate) fn open_shared(
         path: &Path,
-        cache: Arc<Mutex<SegmentCache>>,
+        shared: SharedCache,
         cache_id: u32,
     ) -> Result<FileSource> {
         let file = File::open(path)?;
@@ -555,14 +501,9 @@ impl FileSource {
             path: path.to_path_buf(),
             file,
             footer,
-            cache,
+            shared,
             cache_id,
             overlay: Vec::new(),
-            decoded: AtomicUsize::new(0),
-            columns_decoded: AtomicUsize::new(0),
-            bytes_read: AtomicU64::new(0),
-            bytes_decompressed: AtomicU64::new(0),
-            decode_cells: Default::default(),
         })
     }
 
@@ -616,39 +557,17 @@ impl FileSource {
     /// How many of this source's chunks currently have at least one cached
     /// segment.
     pub fn chunks_resident(&self) -> usize {
-        self.cache.lock().expect("cache lock poisoned").chunks_resident(self.cache_id)
+        self.cache().chunks_resident(self.cache_id)
     }
 
-    /// Bytes currently retained by the segment cache.
-    pub fn cache_resident_bytes(&self) -> usize {
-        self.cache.lock().expect("cache lock poisoned").resident
+    fn cache(&self) -> MutexGuard<'_, SegmentCache> {
+        self.shared.segments.lock().expect("cache lock poisoned")
     }
 
-    /// The configured cache byte budget.
-    pub fn cache_budget_bytes(&self) -> usize {
-        self.cache.lock().expect("cache lock poisoned").budget
-    }
-
-    /// Cache entries evicted so far to stay within the budget.
-    pub fn cache_evictions(&self) -> u64 {
-        self.cache.lock().expect("cache lock poisoned").evictions
-    }
-
-    /// Payload bytes read from the file so far (excludes the footer). With
-    /// v4 codec-compressed blobs these are on-disk (compressed) bytes.
-    pub fn bytes_read(&self) -> u64 {
-        self.bytes_read.load(Ordering::Relaxed)
-    }
-
-    /// Raw bytes the blobs read so far decoded to (equals
-    /// [`FileSource::bytes_read`] on v3 files, whose blobs are raw).
-    pub fn bytes_decompressed(&self) -> u64 {
-        self.bytes_decompressed.load(Ordering::Relaxed)
-    }
-
-    /// Column segments decoded so far.
-    pub fn columns_decoded(&self) -> usize {
-        self.columns_decoded.load(Ordering::Relaxed)
+    /// Count one I/O event on the table's lifetime recorder and the
+    /// thread's active query recorder ([`IoRecorder::count`]).
+    fn count(&self, bump: impl Fn(&IoRecorder)) {
+        self.shared.io.count(bump)
     }
 
     /// Read `len` bytes at `offset` from the backing file. A short read is
@@ -674,26 +593,23 @@ impl FileSource {
                 StorageError::Io(e.to_string())
             }
         })?;
-        self.bytes_read.fetch_add(len, Ordering::Relaxed);
-        record::credit(|r| r.add_bytes_read(len));
+        self.count(|r| r.add_bytes_read(len));
         Ok(buf)
     }
 
     /// Fetch (cache or decode) the RLE user column of a chunk.
     fn fetch_rle(&self, idx: usize, layout: &ChunkLayout) -> Result<Arc<UserRle>> {
         let key = (self.cache_id, idx as u32, SEG_RLE);
-        if let Some(CacheSlot::Rle(rle)) = self.cache.lock().expect("cache lock poisoned").get(key)
-        {
+        if let Some(CacheSlot::Rle(rle)) = self.cache().get(key) {
             return Ok(rle);
         }
         let meta = &self.footer.meta;
         let entry = &self.footer.entries[idx];
         let blob = self.read_range(layout.rle.offset, layout.rle.len)?;
-        self.bytes_decompressed.fetch_add(layout.rle.uncompressed, Ordering::Relaxed);
-        record::credit(|r| r.add_bytes_decompressed(layout.rle.uncompressed));
         let start = std::time::Instant::now();
         let mut rle = persist::decode_rle_blob(&blob)?;
-        self.decode_cells[0].add(layout.rle.uncompressed, start.elapsed().as_nanos() as u64);
+        let nanos = start.elapsed().as_nanos() as u64;
+        self.count(|r| r.add_decode(0, layout.rle.uncompressed, nanos));
         if let Some(remap) = self.footer.remap_for(idx, meta.schema().user_idx()) {
             rle = rle.remap_users(remap)?;
         }
@@ -706,16 +622,11 @@ impl FileSource {
                 "chunk {idx}: footer row/user counts disagree with the RLE user column"
             )));
         }
-        self.decoded.fetch_add(1, Ordering::Relaxed);
-        record::credit(|r| r.add_chunks_decoded(1));
+        self.count(|r| r.add_chunks_decoded(1));
         let rle = Arc::new(rle);
         let bytes = rle.packed_bytes();
-        let evicted = self.cache.lock().expect("cache lock poisoned").insert(
-            key,
-            CacheSlot::Rle(rle.clone()),
-            bytes,
-        );
-        record::credit(|r| r.add_cache_evictions(evicted));
+        let evicted = self.cache().insert(key, CacheSlot::Rle(rle.clone()), bytes);
+        self.count(|r| r.add_cache_evictions(evicted));
         Ok(rle)
     }
 
@@ -728,8 +639,7 @@ impl FileSource {
         layout: &ChunkLayout,
     ) -> Result<Arc<ChunkColumn>> {
         let key = (self.cache_id, idx as u32, seg_col(attr));
-        if let Some(CacheSlot::Col(col)) = self.cache.lock().expect("cache lock poisoned").get(key)
-        {
+        if let Some(CacheSlot::Col(col)) = self.cache().get(key) {
             return Ok(col);
         }
         let meta = &self.footer.meta;
@@ -742,10 +652,8 @@ impl FileSource {
         // metadata below.
         let mut col =
             persist::decode_column_blob_loc(&blob, loc).map_err(|e| e.in_column(idx, attr))?;
-        self.decode_cells[loc.codec.tag() as usize]
-            .add(loc.uncompressed, start.elapsed().as_nanos() as u64);
-        self.bytes_decompressed.fetch_add(loc.uncompressed, Ordering::Relaxed);
-        record::credit(|r| r.add_bytes_decompressed(loc.uncompressed));
+        let nanos = start.elapsed().as_nanos() as u64;
+        self.count(|r| r.add_decode(loc.codec.tag() as usize, loc.uncompressed, nanos));
         if let Some(remap) = self.footer.remap_for(idx, attr) {
             col = col.remap_gids(remap)?;
         }
@@ -790,16 +698,11 @@ impl FileSource {
                 "chunk {idx}: footer action dictionary disagrees with the action column"
             )));
         }
-        self.columns_decoded.fetch_add(1, Ordering::Relaxed);
-        record::credit(|r| r.add_columns_decoded(1));
+        self.count(|r| r.add_columns_decoded(1));
         let col = Arc::new(col);
         let bytes = col.packed_bytes();
-        let evicted = self.cache.lock().expect("cache lock poisoned").insert(
-            key,
-            CacheSlot::Col(col.clone()),
-            bytes,
-        );
-        record::credit(|r| r.add_cache_evictions(evicted));
+        let evicted = self.cache().insert(key, CacheSlot::Col(col.clone()), bytes);
+        self.count(|r| r.add_cache_evictions(evicted));
         Ok(col)
     }
 
@@ -822,11 +725,6 @@ impl FileSource {
             columns[attr] = Some(self.fetch_column(idx, attr, layout)?);
         }
         Ok(ChunkRef::Owned(Box::new(Chunk::from_shared(rle, columns)?)))
-    }
-
-    /// Snapshot of the per-codec decode counters (indexed by codec tag).
-    pub(crate) fn decode_stats(&self) -> [CodecDecode; 3] {
-        std::array::from_fn(|i| self.decode_cells[i].snapshot())
     }
 }
 
@@ -852,21 +750,14 @@ impl ChunkSource for FileSource {
         self.assemble(idx, cols)
     }
 
-    fn chunks_decoded(&self) -> usize {
-        self.decoded.load(Ordering::Relaxed)
-    }
-
+    /// The whole table's counters: every shard of a sharded table shares
+    /// one lifetime recorder and one cache, so any shard reports them all.
     fn io_stats(&self) -> SourceIoStats {
-        let cache = self.cache.lock().expect("cache lock poisoned");
+        let cache = self.cache();
         SourceIoStats {
-            chunks_decoded: self.decoded.load(Ordering::Relaxed),
-            columns_decoded: self.columns_decoded.load(Ordering::Relaxed),
-            bytes_read: self.bytes_read.load(Ordering::Relaxed),
-            bytes_decompressed: self.bytes_decompressed.load(Ordering::Relaxed),
-            decode: self.decode_stats(),
-            cache_evictions: cache.evictions,
             cache_resident_bytes: cache.resident,
             cache_budget_bytes: cache.budget,
+            ..self.shared.io.snapshot()
         }
     }
 }
@@ -875,6 +766,7 @@ impl ChunkSource for FileSource {
 mod tests {
     use super::*;
     use crate::fixtures;
+    use crate::record;
     use crate::table::CompressionOptions;
     use cohana_activity::{generate, GeneratorConfig};
 
@@ -953,7 +845,6 @@ mod tests {
             let partial = src.chunk_columns(i, &[c.schema().time_idx()]).unwrap();
             assert!(matches!(partial, ChunkRef::Borrowed(_)));
         }
-        assert_eq!(src.chunks_decoded(), 0);
         assert_eq!(src.io_stats(), SourceIoStats::default());
     }
 
@@ -967,27 +858,23 @@ mod tests {
         let src = FileSource::open(&path).unwrap();
         assert_eq!(src.num_chunks(), c.chunks().len());
         assert_eq!(src.table_meta().num_rows(), c.num_rows());
-        assert_eq!(src.chunks_decoded(), 0);
-        assert_eq!(src.columns_decoded(), 0);
-        assert_eq!(src.bytes_read(), 0);
+        let io = src.io_stats();
+        assert_eq!((io.chunks_decoded, io.columns_decoded, io.bytes_read), (0, 0, 0));
         assert_eq!(src.chunks_resident(), 0);
 
         // Full fetch decodes the RLE + every non-user column.
         let chunk = src.chunk(1).unwrap();
         assert_eq!(&*chunk, &c.chunks()[1]);
         drop(chunk);
-        assert_eq!(src.chunks_decoded(), 1);
-        assert_eq!(src.columns_decoded(), arity - 1);
-        assert!(src.bytes_read() > 0);
+        let io = src.io_stats();
+        assert_eq!((io.chunks_decoded, io.columns_decoded), (1, arity - 1));
+        assert!(io.bytes_read > 0);
         assert_eq!(src.chunks_resident(), 1);
 
         // Second access is served from cache: no new decodes, no new reads.
-        let bytes_before = src.bytes_read();
         let again = src.chunk(1).unwrap();
         drop(again);
-        assert_eq!(src.chunks_decoded(), 1);
-        assert_eq!(src.columns_decoded(), arity - 1);
-        assert_eq!(src.bytes_read(), bytes_before);
+        assert_eq!(src.io_stats(), io);
 
         // Entries agree with the in-memory index.
         for i in 0..src.num_chunks() {
@@ -1006,8 +893,8 @@ mod tests {
 
         let src = FileSource::open(&path).unwrap();
         let chunk = src.chunk_columns(0, &[user_idx, time_idx]).unwrap();
-        assert_eq!(src.columns_decoded(), 1, "only the time column decodes");
-        assert_eq!(src.chunks_decoded(), 1);
+        assert_eq!(src.io_stats().columns_decoded, 1, "only the time column decodes");
+        assert_eq!(src.io_stats().chunks_decoded, 1);
         // The requested column is materialized and correct.
         assert_eq!(
             chunk.column_required(time_idx).int_value(0),
@@ -1022,7 +909,7 @@ mod tests {
 
         // Widening the projection only decodes the delta.
         let wide = src.chunk_columns(0, &[user_idx, time_idx, other]).unwrap();
-        assert_eq!(src.columns_decoded(), 2);
+        assert_eq!(src.io_stats().columns_decoded, 2);
         assert!(wide.column(other).is_some());
         std::fs::remove_file(&path).ok();
     }
@@ -1042,16 +929,17 @@ mod tests {
                 for i in 0..src.num_chunks() {
                     let chunk = src.chunk(i).unwrap();
                     assert_eq!(chunk.num_rows(), c.chunks()[i].num_rows(), "round {round}");
+                    let resident = src.io_stats().cache_resident_bytes;
                     assert!(
-                        src.cache_resident_bytes() <= budget,
-                        "{name}: resident {} exceeds budget {budget}",
-                        src.cache_resident_bytes()
+                        resident <= budget,
+                        "{name}: resident {resident} exceeds budget {budget}"
                     );
                 }
             }
-            assert!(src.cache_evictions() > 0, "{name}: no evictions under a tiny budget");
+            let io = src.io_stats();
+            assert!(io.cache_evictions > 0, "{name}: no evictions under a tiny budget");
             // With eviction in play, later rounds re-decode.
-            assert!(src.chunks_decoded() > src.num_chunks(), "{name}: eviction forced re-decodes");
+            assert!(io.chunks_decoded > src.num_chunks(), "{name}: eviction forced re-decodes");
             std::fs::remove_file(&path).ok();
         }
     }
@@ -1064,9 +952,38 @@ mod tests {
         let src = FileSource::open_with_budget(&path, 0).unwrap();
         src.chunk(0).unwrap();
         src.chunk(0).unwrap();
-        assert_eq!(src.cache_resident_bytes(), 0);
-        assert_eq!(src.chunks_decoded(), 2, "every access re-decodes");
+        assert_eq!(src.io_stats().cache_resident_bytes, 0);
+        assert_eq!(src.io_stats().chunks_decoded, 2, "every access re-decodes");
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_query_recorder_counts_what_io_stats_reports() {
+        // Both versions, so the raw-only v3 and the entropy-coded v4 codec
+        // cells are both exercised.
+        let c = fixture_table();
+        for (name, bytes) in [
+            ("recorder-v4.cohana", &persist::to_bytes(&c)[..]),
+            ("recorder-v3.cohana", fixtures::V3),
+        ] {
+            let path = temp_path(name);
+            std::fs::write(&path, bytes).unwrap();
+            let src = FileSource::open_with_budget(&path, 0).unwrap();
+            let recorder = Arc::new(IoRecorder::new());
+            record::with_recorder(&recorder, || {
+                for i in 0..src.num_chunks() {
+                    src.chunk(i).unwrap();
+                }
+            });
+            let lifetime = src.io_stats();
+            assert!(lifetime.decode.iter().any(|d| d.nanos > 0), "{name}: no decode timed");
+            assert_eq!(
+                recorder.snapshot(),
+                SourceIoStats { cache_resident_bytes: 0, cache_budget_bytes: 0, ..lifetime },
+                "{name}"
+            );
+            std::fs::remove_file(&path).ok();
+        }
     }
 
     #[test]

@@ -340,16 +340,17 @@ fn a_seeded_source_equals_a_cold_open_of_a_flat_file() {
     let (_, written) = persist::append_with_chunks(&path, &batches[2]).unwrap();
     let unseeded = seeded_open(0, written).unwrap();
     assert_eq!(
-        (unseeded.shard(0).cache_resident_bytes(), unseeded.shard(0).chunks_resident()),
+        (unseeded.io_stats().cache_resident_bytes, unseeded.shard(0).chunks_resident()),
         (0, 0)
     );
     unseeded.chunk(0).unwrap();
-    assert!(unseeded.shard(0).columns_decoded() > 0);
+    assert!(unseeded.io_stats().columns_decoded > 0);
 
     let (_, written) = persist::compact_with_chunks(&path).unwrap();
     let seeded = seeded_open(DEFAULT_CACHE_BUDGET, written).unwrap();
     assert_seeded_matches_cold(&seeded, &FileSource::open(&path).unwrap());
-    assert!(seeded.shard(0).cache_resident_bytes() <= seeded.shard(0).cache_budget_bytes());
+    let io = seeded.io_stats();
+    assert!(io.cache_resident_bytes <= io.cache_budget_bytes);
 
     // What one file's write produced seeds no other footer: written against
     // the pre-compact file, offered to the compacted one.
@@ -357,7 +358,7 @@ fn a_seeded_source_equals_a_cold_open_of_a_flat_file() {
     std::fs::write(&stale, persist::to_bytes(&first)).unwrap();
     let (_, written) = persist::append_with_chunks(&stale, &batches[1]).unwrap();
     let other = seeded_open(DEFAULT_CACHE_BUDGET, written).unwrap();
-    assert_eq!(other.shard(0).cache_resident_bytes(), 0);
+    assert_eq!(other.io_stats().cache_resident_bytes, 0);
     std::fs::remove_file(&path).ok();
     std::fs::remove_file(&stale).ok();
 }

@@ -182,10 +182,10 @@ fn v4_interleaved_blob_truncation_and_tamper_never_panic() {
     // Sections with >= 64 entropy-coded symbols are written in the
     // interleaved rANS layout (sub-tag `0x80 | ways`, 64-bit lane states,
     // shared 32-bit renorm words), so a v4 image of this dataset carries
-    // interleaved streams in its delta/ANS blobs — pin that premise via
-    // inspect, then sweep truncations and payload byte-flips over the
-    // whole image: every outcome must be an error or a consistent decode,
-    // never a panic or an oversized allocation.
+    // interleaved streams in its delta/ANS blobs — pin that premise by the
+    // footer summary's blob counts, then sweep truncations and payload
+    // byte-flips over the whole image: every outcome must be an error or a
+    // consistent decode, never a panic or an oversized allocation.
     let c = compressed();
     let bytes = cohana_storage::persist::to_bytes(&c).to_vec();
     let dir = std::env::temp_dir().join("cohana-corruption-test");
