@@ -591,6 +591,79 @@ mod tests {
         assert_eq!(decode_exec_stats(&encode_exec_stats(&exec)).unwrap(), exec);
     }
 
+    /// The HELLO, PREPARE and STATS payloads, written by hand from
+    /// `docs/PROTOCOL.md`: little-endian fixed-width fields, strings as
+    /// `u32 length | UTF-8`.
+    #[test]
+    fn payload_bytes_are_pinned() {
+        fn str(out: &mut Vec<u8>, s: &str) {
+            out.extend_from_slice(&(s.len() as u32).to_le_bytes());
+            out.extend_from_slice(s.as_bytes());
+        }
+        let mut hello = 2u32.to_le_bytes().to_vec();
+        str(&mut hello, "analytics");
+        assert_eq!(encode_hello("analytics"), hello);
+        let mut hello_ok = 2u32.to_le_bytes().to_vec();
+        str(&mut hello_ok, "cohana 0.2");
+        str(&mut hello_ok, "main");
+        assert_eq!(encode_hello_ok("cohana 0.2", "main"), hello_ok);
+
+        let mut prepare = Vec::new();
+        str(&mut prepare, "SELECT 1");
+        assert_eq!(encode_prepare("SELECT 1"), prepare);
+        let mut prepared = 42u64.to_le_bytes().to_vec();
+        prepared.extend_from_slice(&1u16.to_le_bytes());
+        str(&mut prepared, "country");
+        prepared.extend_from_slice(&2u16.to_le_bytes());
+        str(&mut prepared, "Sum(gold)");
+        str(&mut prepared, "UserCount()");
+        str(&mut prepared, "plan\n");
+        let info = PreparedInfo {
+            stmt_id: 42,
+            cohort_attrs: vec!["country".into()],
+            agg_names: vec!["Sum(gold)".into(), "UserCount()".into()],
+            explain: "plan\n".into(),
+        };
+        assert_eq!(encode_prepared(&info), prepared);
+
+        // `QueryStats` is 13 × u64, in the documented field order.
+        let stats = QueryStats {
+            chunks_total: 1,
+            chunks_pruned: 2,
+            chunks_scanned: 3,
+            rows_scanned: 4,
+            chunks_decoded: 5,
+            columns_decoded: 6,
+            bytes_read: 7,
+            bytes_decompressed: 8,
+            cache_evictions: 9,
+            batches: 10,
+            morsels_executed: 11,
+            worker_busy_ns: 12,
+            wall_time: Duration::from_nanos(13),
+        };
+        let words = |ws: &[u64]| -> Vec<u8> { ws.iter().flat_map(|w| w.to_le_bytes()).collect() };
+        let query_stats = words(&(1..=13).collect::<Vec<u64>>());
+        let exec = ExecStats { stats, queue_wait: Duration::from_nanos(14) };
+        assert_eq!(encode_exec_stats(&exec), [query_stats.clone(), words(&[14])].concat());
+        let server = ServerStats {
+            queries: 99,
+            stats,
+            admission: crate::admission::AdmissionStats {
+                cap: 20,
+                active: 21,
+                peak_active: 22,
+                queued: 23,
+                max_queue_depth: 24,
+                admitted_total: 25,
+                rejected_total: 26,
+                total_queue_wait: Duration::from_nanos(27),
+            },
+        };
+        let admission = words(&(20..=27).collect::<Vec<u64>>());
+        assert_eq!(encode_server_stats(&server), [words(&[99]), query_stats, admission].concat());
+    }
+
     #[test]
     fn engine_errors_have_stable_codes() {
         assert_eq!(engine_error_code(&EngineError::UnknownAttribute("x".into())), 1);

@@ -917,6 +917,32 @@ mod tests {
     }
 
     #[test]
+    fn manifest_bytes_are_pinned() {
+        // Written by hand from docs/FORMAT.md: magic "CSHM", version 1,
+        // shard count, boundaries, file names, tombstone count,
+        // tombstones, magic again; strings are `u32 length | UTF-8`.
+        let magic = 0x4353_484Du32.to_le_bytes();
+        let mut want = [magic, 1u32.to_le_bytes(), 2u32.to_le_bytes()].concat();
+        let put_str = |bytes: &mut Vec<u8>, s: &str| {
+            bytes.extend_from_slice(&(s.len() as u32).to_le_bytes());
+            bytes.extend_from_slice(s.as_bytes());
+        };
+        for s in ["m", "a.cohana", "b.cohana"] {
+            put_str(&mut want, s);
+        }
+        want.extend_from_slice(&1u32.to_le_bytes());
+        put_str(&mut want, "u1");
+        want.extend_from_slice(&magic);
+        let m = ShardManifest {
+            boundaries: vec!["m".into()],
+            files: vec!["a.cohana".into(), "b.cohana".into()],
+            tombstones: vec!["u1".into()],
+            implicit: false,
+        };
+        assert_eq!(m.encode(), want);
+    }
+
+    #[test]
     fn manifest_rejects_corruption() {
         let m = ShardManifest {
             boundaries: vec!["m".into()],
