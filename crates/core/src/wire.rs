@@ -29,10 +29,10 @@
 //! * **deterministic** — cohorts are in ascending key order and ages ascend,
 //!   so the encoded bytes are a function of the batch.
 //!
-//! The module also carries the compact little-endian binary codec the
-//! `cohana-server` protocol uses for its other payloads ([`WireWriter`] /
-//! [`WireReader`]); decode failures surface as [`EngineError::Corrupt`] so a
-//! malformed payload can never panic a reader, and every count is checked
+//! Every payload is parsed through the storage layer's [`Reader`], and the
+//! `cohana-server` protocol's fixed-width payloads are written through its
+//! twin, [`Writer`]. Decode failures surface as [`EngineError::Corrupt`] so
+//! a malformed payload can never panic a reader, and every count is checked
 //! against the bytes that remain before anything is allocated for it.
 
 use crate::agg::{AggState, Kind, StateCol};
@@ -41,7 +41,7 @@ use crate::error::EngineError;
 use crate::report::CohortReport;
 use crate::stats::QueryStats;
 use cohana_activity::Value;
-use cohana_storage::Reader;
+use cohana_storage::{Reader, Writer};
 use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::Arc;
@@ -220,7 +220,7 @@ impl WireBatch {
 
     /// Deserialize from the binary wire form.
     pub fn decode(bytes: &[u8]) -> Result<WireBatch, EngineError> {
-        let mut r = WireReader::new(bytes);
+        let mut r = Reader::new(bytes);
         let chunk_index = r.varint()?;
         let rows_scanned = r.varint()?;
         let morsels = r.varint()?;
@@ -346,7 +346,7 @@ impl ReportAssembler {
 }
 
 /// Serialize a [`QueryStats`] (for STATS frame payloads).
-pub fn encode_query_stats(w: &mut WireWriter, s: &QueryStats) {
+pub fn encode_query_stats(w: &mut Vec<u8>, s: &QueryStats) {
     w.u64(s.chunks_total as u64);
     w.u64(s.chunks_pruned as u64);
     w.u64(s.chunks_scanned as u64);
@@ -363,7 +363,7 @@ pub fn encode_query_stats(w: &mut WireWriter, s: &QueryStats) {
 }
 
 /// Deserialize a [`QueryStats`] written by [`encode_query_stats`].
-pub fn decode_query_stats(r: &mut WireReader<'_>) -> Result<QueryStats, EngineError> {
+pub fn decode_query_stats(r: &mut Reader<'_>) -> Result<QueryStats, EngineError> {
     Ok(QueryStats {
         chunks_total: r.u64()? as usize,
         chunks_pruned: r.u64()? as usize,
@@ -424,64 +424,9 @@ fn put_cells(out: &mut Vec<u8>, col: &StateCol, cells: Range<usize>) {
     }
 }
 
-/// Little-endian payload writer for the wire codec. Strings are
-/// `u32 length + UTF-8 bytes`.
-#[derive(Debug, Default)]
-pub struct WireWriter {
-    buf: Vec<u8>,
-}
-
-impl WireWriter {
-    /// A fresh, empty writer.
-    pub fn new() -> WireWriter {
-        WireWriter::default()
-    }
-
-    /// Append one byte.
-    pub fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-
-    /// Append a little-endian `u16`.
-    pub fn u16(&mut self, v: u16) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Append a little-endian `u32`.
-    pub fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Append a little-endian `u64`.
-    pub fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Append a little-endian `i64`.
-    pub fn i64(&mut self, v: i64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Append a length-prefixed UTF-8 string.
-    pub fn str(&mut self, s: &str) {
-        self.u32(s.len() as u32);
-        self.buf.extend_from_slice(s.as_bytes());
-    }
-
-    /// The accumulated payload.
-    pub fn into_bytes(self) -> Vec<u8> {
-        self.buf
-    }
-}
-
-/// Bounds-checked reader over a wire payload: the storage layer's
-/// [`Reader`], whose errors become [`EngineError::Corrupt`] through `?`. A
-/// BATCH's varints, counts and aggregate states are read by this module on
-/// top of it.
-pub type WireReader<'a> = Reader<'a>;
-
-/// The wire-specific reads: LEB128 varints, zig-zag integers, varint
-/// element counts and aggregate states.
+/// The wire-specific reads, on top of the storage layer's [`Reader`] (whose
+/// errors become [`EngineError::Corrupt`] through `?`): LEB128 varints,
+/// zig-zag integers, varint element counts and aggregate states.
 trait WireRead {
     fn varint(&mut self) -> Result<u64, EngineError>;
     fn zigzag(&mut self) -> Result<i64, EngineError>;
@@ -489,7 +434,7 @@ trait WireRead {
     fn state(&mut self, kind: Kind) -> Result<AggState, EngineError>;
 }
 
-impl WireRead for WireReader<'_> {
+impl WireRead for Reader<'_> {
     /// Read an unsigned LEB128 varint: at most 10 bytes, no bits beyond 64.
     fn varint(&mut self) -> Result<u64, EngineError> {
         let mut v = 0u64;
@@ -778,7 +723,7 @@ mod tests {
 
     #[test]
     fn varints_are_bounded() {
-        let read = |bytes: &[u8]| WireReader::new(bytes).varint();
+        let read = |bytes: &[u8]| Reader::new(bytes).varint();
         assert_eq!(read(&[0x7f]).unwrap(), 127);
         let mut max = vec![0xff; 9];
         max.push(0x01);
@@ -790,7 +735,7 @@ mod tests {
         for v in [0, 1, -1, i64::MAX, i64::MIN] {
             let mut out = Vec::new();
             put_varint(&mut out, zigzag(v));
-            assert_eq!(WireReader::new(&out).zigzag().unwrap(), v);
+            assert_eq!(Reader::new(&out).zigzag().unwrap(), v);
         }
     }
 
@@ -811,10 +756,9 @@ mod tests {
             worker_busy_ns: 4_000_000,
             wall_time: Duration::from_millis(5),
         };
-        let mut w = WireWriter::new();
-        encode_query_stats(&mut w, &stats);
-        let bytes = w.into_bytes();
-        let mut r = WireReader::new(&bytes);
+        let mut bytes = Vec::new();
+        encode_query_stats(&mut bytes, &stats);
+        let mut r = Reader::new(&bytes);
         assert_eq!(decode_query_stats(&mut r).unwrap(), stats);
         r.finish().unwrap();
     }

@@ -7,8 +7,9 @@
 //! protocol violation ([`ERR_PROTOCOL`]) that closes only that connection.
 //! See `docs/PROTOCOL.md` for the full exchange rules.
 
-use cohana_core::wire::{decode_query_stats, encode_query_stats, WireReader, WireWriter};
+use cohana_core::wire::{decode_query_stats, encode_query_stats};
 use cohana_core::{EngineError, QueryStats, WireBatch};
+use cohana_storage::{Reader, Writer};
 use std::io::{self, Read, Write};
 use std::ops::Range;
 use std::time::Duration;
@@ -139,8 +140,13 @@ fn try_write_frame(
         Ok(len) if len <= max_frame => len,
         _ => return Ok(false),
     };
-    buf[..4].copy_from_slice(&len.to_le_bytes());
-    buf[4] = frame_type;
+    // Once the length is known the header is written after the payload,
+    // then moved into the slot kept for it in front.
+    let end = buf.len();
+    buf.u32(len);
+    buf.u8(frame_type);
+    buf.copy_within(end.., 0);
+    buf.truncate(end);
     w.write_all(buf)?;
     w.flush()?;
     Ok(true)
@@ -222,15 +228,15 @@ pub fn read_frame(r: &mut impl Read, max_frame: u32) -> io::Result<ReadFrame> {
 
 /// HELLO request payload.
 pub fn encode_hello(tenant: &str) -> Vec<u8> {
-    let mut w = WireWriter::new();
+    let mut w = Vec::new();
     w.u32(PROTOCOL_VERSION);
     w.str(tenant);
-    w.into_bytes()
+    w
 }
 
 /// Parse a HELLO request: `(version, tenant)`.
 pub fn decode_hello(payload: &[u8]) -> Result<(u32, String), EngineError> {
-    let mut r = WireReader::new(payload);
+    let mut r = Reader::new(payload);
     let version = r.u32()?;
     let tenant = r.str()?.to_string();
     r.finish()?;
@@ -239,16 +245,16 @@ pub fn decode_hello(payload: &[u8]) -> Result<(u32, String), EngineError> {
 
 /// HELLO response payload.
 pub fn encode_hello_ok(banner: &str, default_table: &str) -> Vec<u8> {
-    let mut w = WireWriter::new();
+    let mut w = Vec::new();
     w.u32(PROTOCOL_VERSION);
     w.str(banner);
     w.str(default_table);
-    w.into_bytes()
+    w
 }
 
 /// Parse a HELLO response: `(version, banner, default_table)`.
 pub fn decode_hello_ok(payload: &[u8]) -> Result<(u32, String, String), EngineError> {
-    let mut r = WireReader::new(payload);
+    let mut r = Reader::new(payload);
     let version = r.u32()?;
     let banner = r.str()?.to_string();
     let table = r.str()?.to_string();
@@ -258,14 +264,14 @@ pub fn decode_hello_ok(payload: &[u8]) -> Result<(u32, String, String), EngineEr
 
 /// PREPARE request payload.
 pub fn encode_prepare(sql: &str) -> Vec<u8> {
-    let mut w = WireWriter::new();
+    let mut w = Vec::new();
     w.str(sql);
-    w.into_bytes()
+    w
 }
 
 /// Parse a PREPARE request: the SQL text.
 pub fn decode_prepare(payload: &[u8]) -> Result<String, EngineError> {
-    let mut r = WireReader::new(payload);
+    let mut r = Reader::new(payload);
     let sql = r.str()?.to_string();
     r.finish()?;
     Ok(sql)
@@ -287,7 +293,7 @@ pub struct PreparedInfo {
 
 /// PREPARE response payload.
 pub fn encode_prepared(info: &PreparedInfo) -> Vec<u8> {
-    let mut w = WireWriter::new();
+    let mut w = Vec::new();
     w.u64(info.stmt_id);
     w.u16(info.cohort_attrs.len() as u16);
     for a in &info.cohort_attrs {
@@ -298,12 +304,12 @@ pub fn encode_prepared(info: &PreparedInfo) -> Vec<u8> {
         w.str(a);
     }
     w.str(&info.explain);
-    w.into_bytes()
+    w
 }
 
 /// Parse a PREPARE response.
 pub fn decode_prepared(payload: &[u8]) -> Result<PreparedInfo, EngineError> {
-    let mut r = WireReader::new(payload);
+    let mut r = Reader::new(payload);
     let stmt_id = r.u64()?;
     // Each name is at least its 4-byte length prefix.
     let n = r.u16()?;
@@ -323,14 +329,14 @@ pub fn decode_prepared(payload: &[u8]) -> Result<PreparedInfo, EngineError> {
 
 /// EXECUTE request payload.
 pub fn encode_execute(stmt_id: u64) -> Vec<u8> {
-    let mut w = WireWriter::new();
+    let mut w = Vec::new();
     w.u64(stmt_id);
-    w.into_bytes()
+    w
 }
 
 /// Parse an EXECUTE request: the statement id.
 pub fn decode_execute(payload: &[u8]) -> Result<u64, EngineError> {
-    let mut r = WireReader::new(payload);
+    let mut r = Reader::new(payload);
     let id = r.u64()?;
     r.finish()?;
     Ok(id)
@@ -338,15 +344,15 @@ pub fn decode_execute(payload: &[u8]) -> Result<u64, EngineError> {
 
 /// ERROR payload.
 pub fn encode_error(code: u16, message: &str) -> Vec<u8> {
-    let mut w = WireWriter::new();
+    let mut w = Vec::new();
     w.u16(code);
     w.str(message);
-    w.into_bytes()
+    w
 }
 
 /// Parse an ERROR payload: `(code, message)`.
 pub fn decode_error(payload: &[u8]) -> Result<(u16, String), EngineError> {
-    let mut r = WireReader::new(payload);
+    let mut r = Reader::new(payload);
     let code = r.u16()?;
     let message = r.str()?.to_string();
     r.finish()?;
@@ -364,15 +370,15 @@ pub struct ExecStats {
 
 /// EXECUTE-terminator STATS payload.
 pub fn encode_exec_stats(s: &ExecStats) -> Vec<u8> {
-    let mut w = WireWriter::new();
+    let mut w = Vec::new();
     encode_query_stats(&mut w, &s.stats);
     w.u64(s.queue_wait.as_nanos() as u64);
-    w.into_bytes()
+    w
 }
 
 /// Parse an EXECUTE-terminator STATS payload.
 pub fn decode_exec_stats(payload: &[u8]) -> Result<ExecStats, EngineError> {
-    let mut r = WireReader::new(payload);
+    let mut r = Reader::new(payload);
     let stats = decode_query_stats(&mut r)?;
     let queue_wait = Duration::from_nanos(r.u64()?);
     r.finish()?;
@@ -393,7 +399,7 @@ pub struct ServerStats {
 
 /// Standalone STATS response payload.
 pub fn encode_server_stats(s: &ServerStats) -> Vec<u8> {
-    let mut w = WireWriter::new();
+    let mut w = Vec::new();
     w.u64(s.queries);
     encode_query_stats(&mut w, &s.stats);
     let a = &s.admission;
@@ -405,12 +411,12 @@ pub fn encode_server_stats(s: &ServerStats) -> Vec<u8> {
     w.u64(a.admitted_total);
     w.u64(a.rejected_total);
     w.u64(a.total_queue_wait.as_nanos() as u64);
-    w.into_bytes()
+    w
 }
 
 /// Parse a standalone STATS response payload.
 pub fn decode_server_stats(payload: &[u8]) -> Result<ServerStats, EngineError> {
-    let mut r = WireReader::new(payload);
+    let mut r = Reader::new(payload);
     let queries = r.u64()?;
     let stats = decode_query_stats(&mut r)?;
     let admission = crate::admission::AdmissionStats {

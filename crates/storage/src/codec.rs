@@ -76,7 +76,7 @@
 
 use crate::bitpack::{bits_for, words_for, BitPacked};
 use crate::error::StorageError;
-use crate::reader::Reader;
+use crate::reader::{Reader, Writer};
 use crate::Result;
 
 /// How the packed-array section of one v4 blob is encoded on disk.
@@ -170,10 +170,10 @@ impl FreqTable {
 
     /// Serialized size: `n_syms u16 | (sym u16, freq u16) * n`.
     fn write(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&(self.syms.len() as u16).to_le_bytes());
+        out.u16(self.syms.len() as u16);
         for (&s, &f) in self.syms.iter().zip(&self.freqs) {
-            out.extend_from_slice(&s.to_le_bytes());
-            out.extend_from_slice(&f.to_le_bytes());
+            out.u16(s);
+            out.u16(f);
         }
     }
 
@@ -854,10 +854,10 @@ pub fn raw_section_len(width: u8, len: u64) -> u64 {
 fn write_raw(packed: &BitPacked, out: &mut Vec<u8>) {
     out.clear();
     out.reserve(9 + packed.packed_bytes());
-    out.push(packed.width());
-    out.extend_from_slice(&(packed.len() as u64).to_le_bytes());
-    for w in packed.words() {
-        out.extend_from_slice(&w.to_le_bytes());
+    out.u8(packed.width());
+    out.u64(packed.len() as u64);
+    for &w in packed.words() {
+        out.u64(w);
     }
 }
 
@@ -1315,12 +1315,12 @@ fn write_delta(
     debug_assert_eq!(table.is_some(), values.len() >= 2);
     out.clear();
     if ways > 1 {
-        out.push(INTERLEAVE_TAG | ways as u8);
+        out.u8(INTERLEAVE_TAG | ways as u8);
     }
-    out.push(width);
-    out.extend_from_slice(&(values.len() as u64).to_le_bytes());
+    out.u8(width);
+    out.u64(values.len() as u64);
     let Some(&first) = values.first() else { return };
-    out.extend_from_slice(&first.to_le_bytes());
+    out.u64(first);
     let Some(table) = table else { return };
     table.write(out);
     let len_at = out.len();
@@ -1567,10 +1567,10 @@ fn write_ans(
     debug_assert!(ways == 1 || (2..=MAX_WAYS).contains(&ways));
     out.clear();
     if ways > 1 {
-        out.push(INTERLEAVE_TAG | ways as u8);
+        out.u8(INTERLEAVE_TAG | ways as u8);
     }
-    out.push(width);
-    out.extend_from_slice(&(values.len() as u64).to_le_bytes());
+    out.u8(width);
+    out.u64(values.len() as u64);
     table.write(out);
     scratch.load(table, ways > 1);
     rans_encode(values.len(), |i| values[i] as usize, &scratch.enc, ways, out, &mut scratch.units);

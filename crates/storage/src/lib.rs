@@ -103,7 +103,7 @@ pub use persist::{
     AppendStats, CodecStats, ColumnCompression, CompactStats, FileSpaceStats, FormatInfo,
     WrittenChunks,
 };
-pub use reader::{ReadError, Reader};
+pub use reader::{ReadError, Reader, Writer};
 pub use record::{with_recorder, IoRecorder};
 pub use rle::UserRle;
 pub use shard::{

@@ -88,9 +88,9 @@
 //! [`StorageError::Unsupported`] by every entry point: commit `5b41903` is
 //! the last build that reads them, so load one with that build and re-save
 //! it with [`write_file`]. One function judges a file's header, and every
-//! untrusted byte after it is parsed through [`Reader`]. The tests read a
-//! golden v3 image, and the v1/v2 ones as refusal inputs, from
-//! `tests/fixtures/`.
+//! untrusted byte after it is parsed through [`Reader`]; every field this
+//! module writes goes through its twin, [`Writer`]. The tests read a golden
+//! v3 image, and the v1/v2 ones as refusal inputs, from `tests/fixtures/`.
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
@@ -99,13 +99,12 @@ use crate::chunk::Chunk;
 use crate::codec::{self, Codec, SectionEncoder};
 use crate::column::ChunkColumn;
 use crate::dict::{ChunkDict, GlobalDict};
-use crate::reader::Reader;
+use crate::reader::{Reader, Writer};
 use crate::rewrite::{self, Splice};
 use crate::rle::UserRle;
 use crate::source::{ChunkIndexEntry, ColumnStats};
 use crate::table::{ColumnMeta, CompressedTable, CompressionOptions, TableMeta};
 use crate::{Result, StorageError};
-use bytes::{BufMut, Bytes, BytesMut};
 use cohana_activity::{ActivityTable, Attribute, AttributeRole, Schema, ValueType};
 use std::borrow::Cow;
 use std::io::{Seek, SeekFrom, Write};
@@ -122,33 +121,31 @@ const TAIL_LEN: u64 = 12;
 
 /// Serialize a compressed table into the current (v4, column-addressable
 /// with per-blob codecs) format — the only format this module writes.
-pub fn to_bytes(table: &CompressedTable) -> Bytes {
+pub fn to_bytes(table: &CompressedTable) -> Vec<u8> {
     image(table).0
 }
 
 /// A whole v4 image, plus where it put every chunk's blobs and where its
 /// footer starts.
-fn image(table: &CompressedTable) -> (Bytes, Vec<ChunkLayout>, u64) {
-    let mut buf = BytesMut::new();
-    buf.put_u32_le(MAGIC);
-    buf.put_u32_le(VERSION);
+fn image(table: &CompressedTable) -> (Vec<u8>, Vec<ChunkLayout>, u64) {
+    let mut buf = Vec::new();
+    buf.u32(MAGIC);
+    buf.u32(VERSION);
     let layouts = write_blobs(&mut buf, table.chunks(), table.schema(), 0);
-    let footer_start = buf.len() as u64;
-    write_footer(
-        &mut buf,
-        table.options().chunk_size,
-        table.schema(),
-        table.metas(),
-        table.num_rows() as u64,
-        &layouts,
-        table.index_entries(),
-        &[],
-        &[],
-    );
-    let footer_len = buf.len() as u64 - footer_start;
-    buf.put_u64_le(footer_len);
-    buf.put_u32_le(MAGIC);
-    (buf.freeze(), layouts, footer_start)
+    let footer_at = buf.len();
+    write_footer(&mut buf, table.table_meta(), &layouts, table.index_entries(), &[], &[]);
+    write_tail(&mut buf, footer_at);
+    (buf, layouts, footer_at as u64)
+}
+
+/// Close an image, or an appended region, whose footer starts at
+/// `buf[footer_at]`: the footer's length, then the magic. Returns the
+/// footer's length.
+fn write_tail(buf: &mut Vec<u8>, footer_at: usize) -> u64 {
+    let footer_len = (buf.len() - footer_at) as u64;
+    buf.u64(footer_len);
+    buf.u32(MAGIC);
+    footer_len
 }
 
 /// Write every chunk's blobs back-to-back into `buf`, returning their
@@ -158,7 +155,7 @@ fn image(table: &CompressedTable) -> (Bytes, Vec<ChunkLayout>, u64) {
 /// blob is always raw (its three packed arrays carry the scan-critical user
 /// runs, decoded for every touched chunk).
 fn write_blobs(
-    buf: &mut BytesMut,
+    buf: &mut Vec<u8>,
     chunks: &[Chunk],
     schema: &Schema,
     base: u64,
@@ -191,32 +188,28 @@ fn write_blobs(
 /// appended files — the dictionary-epoch extension. `epochs` and
 /// `chunk_epochs` must be empty or sized together (`chunk_epochs.len() ==
 /// layouts.len()`).
-#[allow(clippy::too_many_arguments)]
 fn write_footer(
-    buf: &mut BytesMut,
-    chunk_size: usize,
-    schema: &Schema,
-    metas: &[ColumnMeta],
-    num_rows: u64,
+    buf: &mut Vec<u8>,
+    meta: &TableMeta,
     layouts: &[ChunkLayout],
     entries: &[ChunkIndexEntry],
     epochs: &[EpochRemaps],
     chunk_epochs: &[u32],
 ) {
-    let arity = schema.arity();
-    let write_loc = |buf: &mut BytesMut, loc: &BlobLoc| {
-        buf.put_u64_le(loc.offset);
-        buf.put_u64_le(loc.len);
-        buf.put_u8(loc.codec.tag());
-        buf.put_u64_le(loc.uncompressed);
+    let arity = meta.schema().arity();
+    let write_loc = |buf: &mut Vec<u8>, loc: &BlobLoc| {
+        buf.u64(loc.offset);
+        buf.u64(loc.len);
+        buf.u8(loc.codec.tag());
+        buf.u64(loc.uncompressed);
     };
-    buf.put_u64_le(chunk_size as u64);
-    write_schema(buf, schema);
-    for meta in metas {
+    buf.u64(meta.options().chunk_size as u64);
+    write_schema(buf, meta.schema());
+    for meta in meta.metas() {
         write_meta(buf, meta);
     }
-    buf.put_u64_le(num_rows);
-    buf.put_u32_le(layouts.len() as u32);
+    buf.u64(meta.num_rows() as u64);
+    buf.u32(layouts.len() as u32);
     for (layout, entry) in layouts.iter().zip(entries) {
         write_loc(buf, &layout.rle);
         for loc in &layout.cols {
@@ -232,21 +225,18 @@ fn write_footer(
     // keeping never-appended images byte-identical to build-once images.
     if !epochs.is_empty() {
         debug_assert_eq!(chunk_epochs.len(), layouts.len());
-        buf.put_u32_le(epochs.len() as u32);
-        for epoch in chunk_epochs {
-            buf.put_u32_le(*epoch);
+        buf.u32(epochs.len() as u32);
+        for &epoch in chunk_epochs {
+            buf.u32(epoch);
         }
         for per_attr in epochs {
             debug_assert_eq!(per_attr.len(), arity);
             for remap in per_attr {
                 match remap {
-                    None => buf.put_u8(0),
+                    None => buf.u8(0),
                     Some(remap) => {
-                        buf.put_u8(1);
-                        buf.put_u32_le(remap.len() as u32);
-                        for gid in remap.iter() {
-                            buf.put_u32_le(*gid);
-                        }
+                        buf.u8(1);
+                        buf.u32s(remap);
                     }
                 }
             }
@@ -566,7 +556,7 @@ pub fn append_with_chunks(
         all_entries.push(entry);
         chunk_epochs.push(old_epoch_of(ci));
     }
-    let mut tail_buf = BytesMut::new();
+    let mut tail_buf = Vec::new();
     let new_layouts = write_blobs(&mut tail_buf, &delta, &schema, total);
     for (layout, chunk) in new_layouts.iter().zip(&delta) {
         all_layouts.push(layout.clone());
@@ -574,22 +564,13 @@ pub fn append_with_chunks(
         chunk_epochs.push(current_epoch);
     }
     let num_rows: u64 = all_entries.iter().map(|e| e.num_rows).sum();
+    let meta = TableMeta::new(schema, metas, num_rows as usize, footer.meta.options())?;
 
-    let footer_start = total + tail_buf.len() as u64;
-    write_footer(
-        &mut tail_buf,
-        footer.meta.options().chunk_size,
-        &schema,
-        &metas,
-        num_rows,
-        &all_layouts,
-        &all_entries,
-        &epochs,
-        if epochs.is_empty() { &[] } else { &chunk_epochs },
-    );
-    let footer_len = total + tail_buf.len() as u64 - footer_start;
-    tail_buf.put_u64_le(footer_len);
-    tail_buf.put_u32_le(MAGIC);
+    let footer_at = tail_buf.len();
+    let footer_start = total + footer_at as u64;
+    let chunk_epochs = if epochs.is_empty() { &[][..] } else { &chunk_epochs };
+    write_footer(&mut tail_buf, &meta, &all_layouts, &all_entries, &epochs, chunk_epochs);
+    let footer_len = write_tail(&mut tail_buf, footer_at);
 
     // One contiguous write at the old EOF: the old footer (still describing
     // exactly the old bytes) is left in place as dead bytes, so a reader
@@ -1114,7 +1095,7 @@ fn read_footer(footer: &[u8], footer_start: u64, version: u32) -> Result<Footer>
         let num_users = r.u64()?;
         let time_min = r.i64()?;
         let time_max = r.i64()?;
-        let action_gids = read_u32s(&mut r)?;
+        let action_gids = r.u32s()?;
         if !action_gids.windows(2).all(|w| w[0] < w[1]) {
             return Err(StorageError::Corrupt(format!("chunk {ci}: action gids not sorted")));
         }
@@ -1182,7 +1163,7 @@ fn read_footer(footer: &[u8], footer_start: u64, version: u32) -> Result<Footer>
                                 )))
                             }
                         };
-                        let remap = read_u32s(&mut r)?;
+                        let remap = r.u32s()?;
                         let sorted = remap.windows(2).all(|w| w[0] < w[1]);
                         let in_range = remap.last().is_none_or(|&g| (g as usize) < dict_len);
                         if !sorted || !in_range {
@@ -1234,7 +1215,7 @@ impl ColumnHeader {
     /// Parse a tagged header (1 = string, 2 = integer).
     fn read(r: &mut Reader) -> Result<ColumnHeader> {
         match r.u8()? {
-            1 => Ok(ColumnHeader::Str(ChunkDict::from_sorted(read_u32s(r)?)?)),
+            1 => Ok(ColumnHeader::Str(ChunkDict::from_sorted(r.u32s()?)?)),
             2 => Ok(ColumnHeader::Int { min: r.i64()?, max: r.i64()? }),
             t => Err(StorageError::Corrupt(format!("bad column tag {t}"))),
         }
@@ -1302,20 +1283,15 @@ fn section_len(loc: &BlobLoc, header_len: u64) -> Result<u64> {
 
 // ---------------------------------------------------------------- helpers
 
-fn write_str(buf: &mut BytesMut, s: &str) {
-    buf.put_u32_le(s.len() as u32);
-    buf.put_slice(s.as_bytes());
-}
-
-fn write_schema(buf: &mut BytesMut, schema: &Schema) {
-    buf.put_u16_le(schema.arity() as u16);
+fn write_schema(buf: &mut Vec<u8>, schema: &Schema) {
+    buf.u16(schema.arity() as u16);
     for attr in schema.attributes() {
-        write_str(buf, &attr.name);
-        buf.put_u8(match attr.vtype {
+        buf.str(&attr.name);
+        buf.u8(match attr.vtype {
             ValueType::Str => 0,
             ValueType::Int => 1,
         });
-        buf.put_u8(match attr.role {
+        buf.u8(match attr.role {
             AttributeRole::User => 0,
             AttributeRole::Time => 1,
             AttributeRole::Action => 2,
@@ -1349,10 +1325,10 @@ fn read_schema(r: &mut Reader) -> Result<Schema> {
     Schema::new(attrs).map_err(|e| StorageError::Corrupt(e.to_string()))
 }
 
-fn write_dict(buf: &mut BytesMut, dict: &GlobalDict) {
-    buf.put_u32_le(dict.len() as u32);
+fn write_dict(buf: &mut Vec<u8>, dict: &GlobalDict) {
+    buf.u32(dict.len() as u32);
     for v in dict.values() {
-        write_str(buf, v);
+        buf.str(v);
     }
 }
 
@@ -1366,20 +1342,20 @@ fn read_dict(r: &mut Reader) -> Result<GlobalDict> {
     GlobalDict::from_sorted(values)
 }
 
-fn write_meta(buf: &mut BytesMut, meta: &ColumnMeta) {
+fn write_meta(buf: &mut Vec<u8>, meta: &ColumnMeta) {
     match meta {
         ColumnMeta::User { dict } => {
-            buf.put_u8(0);
+            buf.u8(0);
             write_dict(buf, dict);
         }
         ColumnMeta::Str { dict } => {
-            buf.put_u8(1);
+            buf.u8(1);
             write_dict(buf, dict);
         }
         ColumnMeta::Int { min, max } => {
-            buf.put_u8(2);
-            buf.put_u64_le(*min as u64);
-            buf.put_u64_le(*max as u64);
+            buf.u8(2);
+            buf.i64(*min);
+            buf.i64(*max);
         }
     }
 }
@@ -1394,28 +1370,25 @@ fn read_meta(r: &mut Reader) -> Result<ColumnMeta> {
 }
 
 /// The base (stats-less) fields of an index entry.
-fn write_entry_base(buf: &mut BytesMut, entry: &ChunkIndexEntry) {
-    buf.put_u64_le(entry.num_rows);
-    buf.put_u64_le(entry.num_users);
-    buf.put_u64_le(entry.time_min as u64);
-    buf.put_u64_le(entry.time_max as u64);
-    buf.put_u32_le(entry.action_gids.len() as u32);
-    for gid in &entry.action_gids {
-        buf.put_u32_le(*gid);
-    }
+fn write_entry_base(buf: &mut Vec<u8>, entry: &ChunkIndexEntry) {
+    buf.u64(entry.num_rows);
+    buf.u64(entry.num_users);
+    buf.i64(entry.time_min);
+    buf.i64(entry.time_max);
+    buf.u32s(&entry.action_gids);
 }
 
-fn write_column_stats(buf: &mut BytesMut, stats: &ColumnStats) {
+fn write_column_stats(buf: &mut Vec<u8>, stats: &ColumnStats) {
     match stats {
-        ColumnStats::User => buf.put_u8(0),
+        ColumnStats::User => buf.u8(0),
         ColumnStats::Str { distinct } => {
-            buf.put_u8(1);
-            buf.put_u32_le(*distinct);
+            buf.u8(1);
+            buf.u32(*distinct);
         }
         ColumnStats::Int { min, max } => {
-            buf.put_u8(2);
-            buf.put_u64_le(*min as u64);
-            buf.put_u64_le(*max as u64);
+            buf.u8(2);
+            buf.i64(*min);
+            buf.i64(*max);
         }
     }
 }
@@ -1435,21 +1408,11 @@ fn read_column_stats(r: &mut Reader) -> Result<ColumnStats> {
     }
 }
 
-/// A `u32` count, then that many `u32`s.
-fn read_u32s(r: &mut Reader) -> Result<Vec<u32>> {
-    let n = r.u32()?;
-    let mut out = Vec::with_capacity(r.count(n.into(), 4)?);
-    for _ in 0..n {
-        out.push(r.u32()?);
-    }
-    Ok(out)
-}
-
-fn write_packed(buf: &mut BytesMut, packed: &BitPacked) {
-    buf.put_u8(packed.width());
-    buf.put_u64_le(packed.len() as u64);
-    for w in packed.words() {
-        buf.put_u64_le(*w);
+fn write_packed(buf: &mut Vec<u8>, packed: &BitPacked) {
+    buf.u8(packed.width());
+    buf.u64(packed.len() as u64);
+    for &w in packed.words() {
+        buf.u64(w);
     }
 }
 
@@ -1464,7 +1427,7 @@ fn read_packed(r: &mut Reader) -> Result<BitPacked> {
 }
 
 /// The RLE user column as a self-contained blob.
-fn write_rle_blob(buf: &mut BytesMut, rle: &UserRle) {
+fn write_rle_blob(buf: &mut Vec<u8>, rle: &UserRle) {
     let (users, firsts, counts) = rle.parts();
     write_packed(buf, users);
     write_packed(buf, firsts);
@@ -1480,28 +1443,27 @@ fn write_rle_blob(buf: &mut BytesMut, rle: &UserRle) {
 /// as `uncompressed`. A blob whose section stays [`Codec::Raw`] is
 /// byte-identical to its v3 form.
 fn write_column_blob_v4(
-    buf: &mut BytesMut,
+    buf: &mut Vec<u8>,
     col: &ChunkColumn,
     encoder: &mut SectionEncoder,
 ) -> (Codec, u64) {
-    let (packed, header_len) = match col {
+    let head_at = buf.len();
+    let packed = match col {
         ChunkColumn::Str { dict, codes } => {
-            buf.put_u8(1);
-            buf.put_u32_le(dict.len() as u32);
-            for gid in dict.global_ids() {
-                buf.put_u32_le(*gid);
-            }
-            (codes, 5 + 4 * dict.len() as u64)
+            buf.u8(1);
+            buf.u32s(dict.global_ids());
+            codes
         }
         ChunkColumn::Int { min, max, deltas } => {
-            buf.put_u8(2);
-            buf.put_u64_le(*min as u64);
-            buf.put_u64_le(*max as u64);
-            (deltas, 17u64)
+            buf.u8(2);
+            buf.i64(*min);
+            buf.i64(*max);
+            deltas
         }
     };
+    let header_len = (buf.len() - head_at) as u64;
     let (chosen, section) = encoder.encode(packed);
-    buf.put_slice(section);
+    buf.bytes(section);
     (chosen, header_len + codec::raw_section_len(packed.width(), packed.len() as u64))
 }
 

@@ -50,7 +50,7 @@ fn crafted_blob(
     let col = table.chunks()[0].column_required(attr);
     // The column's real header is the head of its blob.
     let header_len = header_len(col);
-    let mut written = BytesMut::new();
+    let mut written = Vec::new();
     write_column_blob_v4(&mut written, col, &mut SectionEncoder::default());
     let mut blob = written[..header_len].to_vec();
     let listed = match section {
@@ -85,9 +85,9 @@ fn image_with_blob(
     (blob, codec, uncompressed): (Vec<u8>, Codec, u64),
 ) -> Vec<u8> {
     let schema = table.schema();
-    let mut head = BytesMut::new();
-    head.put_u32_le(MAGIC);
-    head.put_u32_le(VERSION);
+    let mut head = Vec::new();
+    head.u32(MAGIC);
+    head.u32(VERSION);
     let mut layouts = write_blobs(&mut head, &table.chunks()[..1], schema, 0);
     let old = layouts[0].cols[attr];
     let mut bytes = head[..old.offset as usize].to_vec();
@@ -100,24 +100,12 @@ fn image_with_blob(
             loc.offset = loc.offset - old.len + blob.len() as u64;
         }
     }
-    let mut rest = BytesMut::new();
+    let mut rest = Vec::new();
     layouts.extend(write_blobs(&mut rest, &table.chunks()[1..], schema, bytes.len() as u64));
     bytes.extend_from_slice(&rest);
-    let mut footer = BytesMut::new();
-    write_footer(
-        &mut footer,
-        table.options().chunk_size,
-        schema,
-        table.metas(),
-        table.num_rows() as u64,
-        &layouts,
-        table.index_entries(),
-        &[],
-        &[],
-    );
-    bytes.extend_from_slice(&footer);
-    bytes.extend_from_slice(&(footer.len() as u64).to_le_bytes());
-    bytes.extend_from_slice(&MAGIC.to_le_bytes());
+    let footer_at = bytes.len();
+    write_footer(&mut bytes, table.table_meta(), &layouts, table.index_entries(), &[], &[]);
+    write_tail(&mut bytes, footer_at);
     bytes
 }
 
@@ -324,11 +312,11 @@ fn real_blobs() -> Vec<(Vec<u8>, BlobLoc)> {
     let mut found: Vec<(Vec<u8>, BlobLoc)> = Vec::new();
     let mut encoder = SectionEncoder::default();
     for col in chunk.columns().iter().flatten() {
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         let (codec, uncompressed) = write_column_blob_v4(&mut buf, col, &mut encoder);
         if found.iter().all(|(_, loc)| loc.codec != codec) {
             let loc = BlobLoc { offset: 0, len: buf.len() as u64, codec, uncompressed };
-            found.push((buf.to_vec(), loc));
+            found.push((buf, loc));
         }
     }
     if found.iter().all(|(_, loc)| loc.codec != Codec::Raw) {
@@ -336,13 +324,13 @@ fn real_blobs() -> Vec<(Vec<u8>, BlobLoc)> {
         // one of them (its header, then its packed array as is) is still
         // what a v3 file (or a tie) stores.
         let col = chunk.columns().iter().flatten().next().unwrap();
-        let mut written = BytesMut::new();
+        let mut written = Vec::new();
         write_column_blob_v4(&mut written, col, &mut SectionEncoder::default());
-        let mut buf = BytesMut::new();
-        buf.put_slice(&written[..header_len(col)]);
+        let mut buf = Vec::new();
+        buf.bytes(&written[..header_len(col)]);
         write_packed(&mut buf, col.packed());
         let loc = BlobLoc::raw(0, buf.len() as u64);
-        found.push((buf.to_vec(), loc));
+        found.push((buf, loc));
     }
     assert_eq!(found.len(), 3, "one blob per codec");
     found

@@ -1,15 +1,19 @@
-//! One bounds-checked reader for every untrusted byte.
+//! One bounds-checked reader for every untrusted byte, and its write twin.
 //!
 //! A table file's header, tail and footer, the raw heads of its column blobs
-//! and codec sections, a shard `MANIFEST`, and (as `cohana-core`'s
-//! `WireReader`) every wire payload are parsed through [`Reader`]. A read
-//! never panics and never looks past the input: it fails with a
-//! [`ReadError`], which this crate reports as [`StorageError::Corrupt`] and
-//! the engine as its own `Corrupt`.
+//! and codec sections, a shard `MANIFEST`, and every wire payload are parsed
+//! through [`Reader`]. A read never panics and never looks past the input:
+//! it fails with a [`ReadError`], which this crate reports as
+//! [`StorageError::Corrupt`] and the engine as its own `Corrupt`.
 //!
 //! The rule that keeps a crafted count from becoming a huge allocation lives
 //! here once: [`Reader::count`] refuses any element count the remaining
 //! bytes cannot hold, so a caller may size a `Vec` by what it returns.
+//!
+//! The same layouts are written through [`Writer`], implemented for
+//! `Vec<u8>`: one method per field kind `Reader` reads, so a layout's
+//! writer and parser are the same list of fields. Entropy-coded streams and
+//! the wire BATCH's varints are not fields and are written by their codecs.
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]
 
@@ -123,6 +127,15 @@ impl<'a> Reader<'a> {
             })
     }
 
+    /// Read a `u32` count, then that many little-endian `u32`s (what
+    /// [`Writer::u32s`] writes).
+    pub fn u32s(&mut self) -> Result<Vec<u32>, ReadError> {
+        let n = self.u32()?;
+        let n = self.count(n.into(), 4)?;
+        let (words, _) = self.take(n * 4)?.as_chunks::<4>();
+        Ok(words.iter().map(|w| u32::from_le_bytes(*w)).collect())
+    }
+
     /// Read `n` little-endian `u64` words: one length check, then one copy.
     pub fn u64s(&mut self, n: usize) -> Result<Vec<u64>, ReadError> {
         let n = self.count(n as u64, 8)?;
@@ -136,6 +149,62 @@ impl<'a> Reader<'a> {
             0 => Ok(()),
             n => Err(ReadError(format!("{n} trailing bytes"))),
         }
+    }
+}
+
+/// Appends little-endian fields: the write twin of [`Reader`], field for
+/// field.
+pub trait Writer {
+    /// Append one byte.
+    fn u8(&mut self, v: u8);
+    /// Append a little-endian `u16`.
+    fn u16(&mut self, v: u16);
+    /// Append a little-endian `u32`.
+    fn u32(&mut self, v: u32);
+    /// Append a little-endian `u64`.
+    fn u64(&mut self, v: u64);
+    /// Append a little-endian `i64`.
+    fn i64(&mut self, v: i64);
+    /// Append bytes as they are (read back with [`Reader::take`]).
+    fn bytes(&mut self, b: &[u8]);
+    /// Append a `u32` length, then the string's UTF-8 bytes.
+    fn str(&mut self, s: &str) {
+        self.u32(s.len() as u32);
+        self.bytes(s.as_bytes());
+    }
+    /// Append a `u32` count, then each value as a little-endian `u32`.
+    fn u32s(&mut self, vs: &[u32]) {
+        self.u32(vs.len() as u32);
+        for &v in vs {
+            self.u32(v);
+        }
+    }
+}
+
+impl Writer for Vec<u8> {
+    #[inline]
+    fn u8(&mut self, v: u8) {
+        self.push(v);
+    }
+    #[inline]
+    fn u16(&mut self, v: u16) {
+        self.extend_from_slice(&v.to_le_bytes());
+    }
+    #[inline]
+    fn u32(&mut self, v: u32) {
+        self.extend_from_slice(&v.to_le_bytes());
+    }
+    #[inline]
+    fn u64(&mut self, v: u64) {
+        self.extend_from_slice(&v.to_le_bytes());
+    }
+    #[inline]
+    fn i64(&mut self, v: i64) {
+        self.extend_from_slice(&v.to_le_bytes());
+    }
+    #[inline]
+    fn bytes(&mut self, b: &[u8]) {
+        self.extend_from_slice(b);
     }
 }
 
@@ -196,5 +265,100 @@ mod tests {
         assert!(Reader::new(&bytes).u64s(usize::MAX / 8 + 1).is_err());
         assert!(Reader::new(&bytes).u64s(2).is_err());
         assert!(test_alloc::largest() <= 1024, "{} bytes", test_alloc::largest());
+    }
+
+    /// One field of each kind the [`Writer`] writes.
+    #[derive(Debug, Clone, PartialEq)]
+    enum Field {
+        U8(u8),
+        U16(u16),
+        U32(u32),
+        U64(u64),
+        I64(i64),
+        Str(String),
+        Bytes(Vec<u8>),
+        U32s(Vec<u32>),
+    }
+
+    impl Field {
+        fn write(&self, w: &mut Vec<u8>) {
+            match self {
+                Field::U8(v) => w.u8(*v),
+                Field::U16(v) => w.u16(*v),
+                Field::U32(v) => w.u32(*v),
+                Field::U64(v) => w.u64(*v),
+                Field::I64(v) => w.i64(*v),
+                Field::Str(s) => w.str(s),
+                Field::Bytes(b) => w.bytes(b),
+                Field::U32s(vs) => w.u32s(vs),
+            }
+        }
+
+        /// Read a field of this one's kind (a `Bytes` knows its length).
+        fn read_like(&self, r: &mut Reader) -> Result<Field, ReadError> {
+            Ok(match self {
+                Field::U8(_) => Field::U8(r.u8()?),
+                Field::U16(_) => Field::U16(r.u16()?),
+                Field::U32(_) => Field::U32(r.u32()?),
+                Field::U64(_) => Field::U64(r.u64()?),
+                Field::I64(_) => Field::I64(r.i64()?),
+                Field::Str(_) => Field::Str(r.str()?.to_string()),
+                Field::Bytes(b) => Field::Bytes(r.take(b.len())?.to_vec()),
+                Field::U32s(_) => Field::U32s(r.u32s()?),
+            })
+        }
+    }
+
+    mod prop {
+        use super::*;
+        use proptest::prelude::*;
+
+        fn field() -> impl Strategy<Value = Field> {
+            prop_oneof![
+                any::<u8>().prop_map(Field::U8),
+                (0..=u16::MAX).prop_map(Field::U16),
+                (0..=u32::MAX).prop_map(Field::U32),
+                any::<u64>().prop_map(Field::U64),
+                (i64::MIN..=i64::MAX).prop_map(Field::I64),
+                "[a-z0-9 éß€]{0,12}".prop_map(Field::Str),
+                proptest::collection::vec(any::<u8>(), 0..24).prop_map(Field::Bytes),
+                proptest::collection::vec(0..=u32::MAX, 0..24).prop_map(Field::U32s),
+            ]
+        }
+
+        proptest! {
+            #[test]
+            fn prop_written_fields_read_back_in_order(
+                fields in proptest::collection::vec(field(), 0..16),
+            ) {
+                let mut bytes = Vec::new();
+                for f in &fields {
+                    f.write(&mut bytes);
+                }
+                let mut r = Reader::new(&bytes);
+                for f in &fields {
+                    prop_assert_eq!(f.read_like(&mut r), Ok(f.clone()));
+                }
+                prop_assert_eq!(r.finish(), Ok(()));
+            }
+
+            #[test]
+            fn prop_a_raised_u32s_count_is_refused_before_allocating(
+                vs in proptest::collection::vec(0..=u32::MAX, 256..1024),
+            ) {
+                let mut bytes = Vec::new();
+                bytes.u32(vs.len() as u32 + 1);
+                for &v in &vs {
+                    bytes.u32(v);
+                }
+                test_alloc::reset_largest();
+                let outcome = Reader::new(&bytes).u32s();
+                // Honouring the count would take over 1 KiB.
+                let largest = test_alloc::largest();
+                prop_assert!(largest <= 1024, "{} bytes", largest);
+                let refused = matches!(&outcome, Err(e) if e.to_string().contains("overruns"));
+                prop_assert!(refused, "{:?}", outcome);
+            }
+        }
     }
 }

@@ -5,7 +5,7 @@
 //! per-codec decode time, and segment-cache evictions. A file-backed table
 //! keeps one *lifetime* recorder next to its segment cache, shared by all
 //! its shards as the cache is, and a [`FileSource`](crate::FileSource)
-//! counts each event by one call, [`IoRecorder::count`], on it. That call
+//! counts each event by one call, `IoRecorder::count`, on it. That call
 //! also credits the same increment to the thread's *active recorder* (a
 //! thread-local installed with [`with_recorder`]), so every increment lands
 //! in the table's lifetime total and in exactly one query's recorder, no

@@ -50,12 +50,11 @@
 
 use crate::dict::GlobalDict;
 use crate::persist::{self, AppendStats, CompactStats, WrittenChunks};
-use crate::reader::Reader;
+use crate::reader::{Reader, Writer};
 use crate::source::{shared_cache, ChunkIndexEntry, ChunkRef, ChunkSource, SourceIoStats};
 use crate::source::{FileSource, DEFAULT_CACHE_BUDGET};
 use crate::table::{ColumnMeta, CompressedTable, TableMeta};
 use crate::{Result, StorageError};
-use bytes::{BufMut, BytesMut};
 use cohana_activity::ActivityTable;
 use std::borrow::Cow;
 use std::collections::BTreeSet;
@@ -163,26 +162,19 @@ impl ShardManifest {
     }
 
     fn encode(&self) -> Vec<u8> {
-        let mut buf = BytesMut::new();
-        buf.put_u32_le(MANIFEST_MAGIC);
-        buf.put_u32_le(MANIFEST_VERSION);
-        let put_str = |buf: &mut BytesMut, s: &str| {
-            buf.put_u32_le(s.len() as u32);
-            buf.put_slice(s.as_bytes());
-        };
-        buf.put_u32_le(self.files.len() as u32);
-        for b in &self.boundaries {
-            put_str(&mut buf, b);
+        let mut buf = Vec::new();
+        buf.u32(MANIFEST_MAGIC);
+        buf.u32(MANIFEST_VERSION);
+        buf.u32(self.files.len() as u32);
+        for s in self.boundaries.iter().chain(&self.files) {
+            buf.str(s);
         }
-        for f in &self.files {
-            put_str(&mut buf, f);
-        }
-        buf.put_u32_le(self.tombstones.len() as u32);
+        buf.u32(self.tombstones.len() as u32);
         for t in &self.tombstones {
-            put_str(&mut buf, t);
+            buf.str(t);
         }
-        buf.put_u32_le(MANIFEST_MAGIC);
-        buf.to_vec()
+        buf.u32(MANIFEST_MAGIC);
+        buf
     }
 
     fn decode(data: &[u8]) -> Result<Self> {
