@@ -114,13 +114,6 @@ impl Cohana {
         Ok(engine)
     }
 
-    /// Wrap an already-compressed table as the default.
-    pub fn from_compressed(table: CompressedTable, options: EngineOptions) -> Self {
-        let engine = Cohana::new(options);
-        engine.register(DEFAULT_TABLE, table);
-        engine
-    }
-
     /// Engine options.
     pub fn options(&self) -> EngineOptions {
         self.options

@@ -6,6 +6,7 @@
 use cohana_activity::{
     generate, ActivityTable, GeneratorConfig, TableBuilder, TimeBin, Timestamp, Value,
 };
+use cohana_core::engine::DEFAULT_TABLE;
 use cohana_core::naive::naive_execute;
 use cohana_core::{paper, Cohana, CohortQuery, CohortReport, EngineError, EngineOptions};
 use cohana_storage::{persist, CompressedTable, CompressionOptions, FileSource, StorageError};
@@ -402,7 +403,8 @@ fn an_empty_batch_publishes_nothing_and_keeps_the_cache_warm() {
     let path = temp_path("empty-batch.cohana");
     let built = CompressedTable::build(&table, CompressionOptions::with_chunk_size(CHUNK)).unwrap();
     persist::write_file(&built, &path).unwrap();
-    let resident = Cohana::from_compressed(built, EngineOptions::default());
+    let resident = Cohana::new(EngineOptions::default());
+    resident.register(DEFAULT_TABLE, built);
 
     let engine = Cohana::new(EngineOptions::default());
     let handle = engine.open(&path).open().unwrap();

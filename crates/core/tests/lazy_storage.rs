@@ -8,6 +8,7 @@
 //! than it holds. (The v3/v4 version matrix lives in `version_matrix.rs`.)
 
 use cohana_activity::{generate, GeneratorConfig, Schema, TableBuilder, Timestamp, Value};
+use cohana_core::engine::DEFAULT_TABLE;
 use cohana_core::{paper, PlannerOptions, Statement};
 use cohana_core::{Cohana, CohortQuery, EngineOptions};
 use cohana_storage::{persist, ChunkSource, CompressedTable, CompressionOptions, FileSource};
@@ -89,7 +90,8 @@ fn engine_open_file_matches_in_memory_engine() {
 
     for parallelism in [1, 4] {
         let options = EngineOptions { parallelism, ..Default::default() };
-        let resident = Cohana::from_compressed(memory.clone(), options);
+        let resident = Cohana::new(options);
+        resident.register(DEFAULT_TABLE, memory.clone());
         let lazy_engine = Cohana::new(options);
         lazy_engine.open(&path).open().unwrap();
         assert_eq!(lazy_engine.schema_of("GameActions"), Some(memory.schema().clone()));
