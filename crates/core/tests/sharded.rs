@@ -12,7 +12,9 @@ use cohana_core::{
     paper, Cohana, CohortQuery, CohortReport, EngineError, EngineOptions, MaintenanceConfig,
     OpenOptions,
 };
-use cohana_storage::{persist, CompressedTable, CompressionOptions};
+use cohana_storage::{
+    persist, shard, ChunkSource, CompressedTable, CompressionOptions, FileSource,
+};
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
@@ -166,6 +168,82 @@ fn sharded_answers_match_single_file_over_q1_q8() {
     assert!(matches!(err, EngineError::Unsupported(_)));
 
     std::fs::remove_file(&ref_path).ok();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The users of `table` whose id ends in an even (`odd == 0`) or odd
+/// (`odd == 1`) digit.
+fn users_by_parity(table: &ActivityTable, odd: u8) -> ActivityTable {
+    let uidx = table.schema().user_idx();
+    let mut b = TableBuilder::new(table.schema().clone());
+    for t in table.rows() {
+        if t.get(uidx).as_str().unwrap().bytes().last().unwrap() % 2 == odd {
+            b.push(t.values().to_vec()).unwrap();
+        }
+    }
+    b.finish().unwrap()
+}
+
+#[test]
+fn epoch_remaps_under_shard_overlays_match_build_once() {
+    // `hostile_counts`' image recipe over four shards: the users with an
+    // even last digit, then the odd ones appended. No chunk is rewritten,
+    // and the new ids sort in between the old ones, so every shard's old
+    // chunks keep an epoch whose user remap is not the identity — and the
+    // shard's own dictionary is a strict subset of the table's union, so
+    // its overlay is not the identity either. A segment of such a chunk
+    // needs both remaps, in that order.
+    let table = base_table();
+    let uidx = table.schema().user_idx();
+    let queries = q1_to_q8(&table);
+    let reference =
+        Cohana::from_activity_table(&table, CompressionOptions::with_chunk_size(CHUNK)).unwrap();
+
+    let dir = temp_dir("epoch-overlay");
+    let engine = Cohana::new(EngineOptions::default());
+    let handle =
+        Shape::Shards.create(&engine, &dir).create_from(&users_by_parity(&table, 0)).unwrap();
+    assert_eq!(handle.num_shards(), 4);
+    let manifest = shard::read_manifest(&dir).unwrap();
+    let users = |i: usize| -> Vec<String> {
+        let src = FileSource::open(&manifest.shard_path(&dir, i)).unwrap();
+        src.table_meta().global_dict(uidx).unwrap().values().iter().map(|v| v.to_string()).collect()
+    };
+    let before: Vec<Vec<String>> = (0..4).map(users).collect();
+    let stats = handle.ingest(&users_by_parity(&table, 1)).unwrap();
+    assert_eq!(stats.chunks_rewritten, 0, "every old chunk survives in its epoch");
+    for (i, old) in before.iter().enumerate() {
+        let new = users(i);
+        assert!(
+            old.iter().zip(&new).any(|(a, b)| a != b),
+            "shard {i}: the append left the old user gids in place (identity epoch remap)"
+        );
+        assert!(new.len() < table.num_users(), "shard {i}: overlay is the identity");
+    }
+
+    // The ingesting engine serves a snapshot seeded with the appended
+    // chunks; the reopened ones decode everything, one at cache 0.
+    let reopened = |cache: Option<usize>| {
+        let engine = Cohana::new(EngineOptions::default());
+        let options = engine.open(&dir);
+        match cache {
+            Some(bytes) => options.cache_bytes(bytes).open(),
+            None => options.open(),
+        }
+        .unwrap();
+        engine
+    };
+    for (name, engine) in
+        [("seeded", engine), ("cache 0", reopened(Some(0))), ("default cache", reopened(None))]
+    {
+        for parallelism in [1, 4] {
+            assert_eq!(
+                run_all(&reference, &queries, parallelism),
+                run_all(&engine, &queries, parallelism),
+                "{name} epoch ∘ overlay table diverges at parallelism {parallelism}"
+            );
+        }
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 
