@@ -99,18 +99,8 @@ impl Cohana {
         table: &ActivityTable,
         compression: CompressionOptions,
     ) -> Result<Self, EngineError> {
-        Self::from_activity_table_with(table, compression, EngineOptions::default())
-    }
-
-    /// Like [`Cohana::from_activity_table`] with explicit engine options.
-    pub fn from_activity_table_with(
-        table: &ActivityTable,
-        compression: CompressionOptions,
-        options: EngineOptions,
-    ) -> Result<Self, EngineError> {
-        let engine = Cohana::new(options);
-        let compressed = CompressedTable::build(table, compression)?;
-        engine.register(DEFAULT_TABLE, compressed);
+        let engine = Cohana::new(EngineOptions::default());
+        engine.register(DEFAULT_TABLE, CompressedTable::build(table, compression)?);
         Ok(engine)
     }
 
@@ -373,18 +363,11 @@ mod tests {
     #[test]
     fn parallel_matches_serial() {
         let t = generate(&GeneratorConfig::small());
-        let serial = Cohana::from_activity_table_with(
-            &t,
-            CompressionOptions::with_chunk_size(128),
-            EngineOptions { parallelism: 1, ..Default::default() },
-        )
-        .unwrap();
-        let parallel = Cohana::from_activity_table_with(
-            &t,
-            CompressionOptions::with_chunk_size(128),
-            EngineOptions { parallelism: 4, ..Default::default() },
-        )
-        .unwrap();
+        let build = || CompressedTable::build(&t, CompressionOptions::with_chunk_size(128));
+        let serial = Cohana::new(EngineOptions { parallelism: 1, ..Default::default() });
+        serial.register(DEFAULT_TABLE, build().unwrap());
+        let parallel = Cohana::new(EngineOptions { parallelism: 4, ..Default::default() });
+        parallel.register(DEFAULT_TABLE, build().unwrap());
         let q = q1();
         let a = serial.execute(&q).unwrap();
         let b = parallel.execute(&q).unwrap();

@@ -92,12 +92,6 @@ impl<'e> Session<'e> {
         self
     }
 
-    /// Override the planner flags for statements prepared here.
-    pub fn with_planner(mut self, planner: PlannerOptions) -> Self {
-        self.options.planner = planner;
-        self
-    }
-
     /// Override this session's default table (the engine default otherwise).
     pub fn on_table(mut self, name: impl Into<String>) -> Self {
         self.table = Some(name.into());

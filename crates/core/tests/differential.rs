@@ -4,6 +4,7 @@
 //! optimizer flags, chunk sizes, and parallelism.
 
 use cohana_activity::{generate, GeneratorConfig, Timestamp};
+use cohana_core::engine::DEFAULT_TABLE;
 use cohana_core::naive::naive_execute;
 use cohana_core::paper;
 use cohana_core::{
@@ -333,12 +334,11 @@ fn empty_in_list_yields_empty_age_rows() {
 fn engine_facade_equals_direct_execution() {
     let table = dataset();
     let q = paper::q3();
-    let engine = Cohana::from_activity_table_with(
-        &table,
-        CompressionOptions::with_chunk_size(512),
-        EngineOptions::default(),
-    )
-    .unwrap();
+    let engine = Cohana::new(EngineOptions::default());
+    engine.register(
+        DEFAULT_TABLE,
+        CompressedTable::build(&table, CompressionOptions::with_chunk_size(512)).unwrap(),
+    );
     let via_engine = engine.execute(&q).unwrap();
     let reference = naive_execute(&table, &q).unwrap();
     assert_reports_equal(&via_engine, &reference, "facade");
