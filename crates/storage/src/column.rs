@@ -141,8 +141,8 @@ impl ChunkColumn {
     /// decode path for chunks written under an older dictionary epoch). The
     /// per-row codes are untouched — a strictly increasing remap preserves
     /// both the sortedness of the chunk dictionary and every value's
-    /// position in it.
-    pub(crate) fn remap_gids(&self, remap: &[u32]) -> crate::Result<ChunkColumn> {
+    /// position in it, and they move into the result uncopied.
+    pub(crate) fn remap_gids(self, remap: &[u32]) -> crate::Result<ChunkColumn> {
         match self {
             ChunkColumn::Str { dict, codes } => {
                 let mapped: crate::Result<Vec<u32>> = dict
@@ -157,10 +157,7 @@ impl ChunkColumn {
                         })
                     })
                     .collect();
-                Ok(ChunkColumn::Str {
-                    dict: ChunkDict::from_sorted(mapped?)?,
-                    codes: codes.clone(),
-                })
+                Ok(ChunkColumn::Str { dict: ChunkDict::from_sorted(mapped?)?, codes })
             }
             ChunkColumn::Int { .. } => Err(crate::StorageError::Corrupt(
                 "dictionary remap addressed to an integer segment".into(),

@@ -33,6 +33,15 @@ pub enum StorageError {
 }
 
 impl StorageError {
+    /// Name the chunk a corruption was found in (other kinds pass through
+    /// unchanged).
+    pub(crate) fn in_chunk(self, chunk: usize) -> StorageError {
+        match self {
+            StorageError::Corrupt(m) => StorageError::Corrupt(format!("chunk {chunk}: {m}")),
+            other => other,
+        }
+    }
+
     /// Name the chunk and column a segment-level corruption was found in
     /// (other kinds pass through unchanged).
     pub(crate) fn in_column(self, chunk: usize, column: usize) -> StorageError {

@@ -62,9 +62,16 @@
 //! stream never produces), or, for raw sections, one block-decode pass over
 //! the words. Callers therefore check only what relates a column to the
 //! *table* — its kind, its dictionary's gids against the global dictionary,
-//! the footer's statistics (`table::validate_column_header`,
-//! `FileSource::fetch_column`) — and never walk the values again before the
+//! the footer's statistics — and never walk the values again before the
 //! scan reads them.
+//!
+//! A blob becomes a segment in one place per kind, `Footer::rle` and
+//! `Footer::column`, for the eager load, [`append`]'s read of the chunks it
+//! rewrites and [`FileSource`](crate::source::FileSource) alike: decode,
+//! re-base through the chunk's one gid remap (its epoch's, with a sharded
+//! table's overlay composed in at open), then check against the table and
+//! the chunk's index entry. The eager load also compares the whole footer
+//! index with the one it recomputes from the decoded chunks.
 //!
 //! # Appending
 //!
@@ -103,6 +110,7 @@ use crate::reader::{Reader, Writer};
 use crate::rewrite::{self, Splice};
 use crate::rle::UserRle;
 use crate::source::{ChunkIndexEntry, ColumnStats};
+use crate::table::{validate_column_header, validate_rle};
 use crate::table::{ColumnMeta, CompressedTable, CompressionOptions, TableMeta};
 use crate::{Result, StorageError};
 use cohana_activity::{ActivityTable, Attribute, AttributeRole, Schema, ValueType};
@@ -250,7 +258,7 @@ pub fn from_bytes(data: &[u8]) -> Result<CompressedTable> {
     let footer = parse_image(data)?;
     let mut chunks = Vec::with_capacity(footer.layouts.len());
     for (ci, layout) in footer.layouts.iter().enumerate() {
-        let rle = footer.rle(ci, layout.rle.bytes(data))?;
+        let rle = footer.rle(ci, layout.rle.bytes(data), |_| ())?;
         chunks.push(footer.assemble(ci, rle, |loc| Ok(Cow::Borrowed(loc.bytes(data))))?);
     }
     let table = CompressedTable::from_parts(
@@ -493,13 +501,12 @@ pub fn append_with_chunks(
     let mut touched: Vec<(usize, Chunk)> = Vec::new();
     if splice.has_returning_users() {
         for (ci, layout) in footer.layouts.iter().enumerate() {
-            let in_chunk = |e: StorageError| StorageError::Corrupt(format!("chunk {ci}: {e}"));
-            let rle = footer.rle(ci, &read_exact_at(&file, layout.rle.offset, layout.rle.len)?)?;
-            if splice.touches(&rle).map_err(in_chunk)? {
+            let rle = read_exact_at(&file, layout.rle.offset, layout.rle.len)?;
+            let rle = footer.rle(ci, &rle, |_| ())?;
+            if splice.touches(&rle).map_err(|e| e.in_chunk(ci))? {
                 let chunk = footer.assemble(ci, rle, |loc| {
                     read_exact_at(&file, loc.offset, loc.len).map(Cow::Owned)
                 })?;
-                crate::table::validate_chunk(&footer.meta, ci, &chunk)?;
                 touched.push((ci, chunk));
             }
         }
@@ -865,7 +872,9 @@ pub(crate) struct Footer {
     /// The per-blob layout of every chunk.
     pub(crate) layouts: Vec<ChunkLayout>,
     /// Non-current dictionary epochs, oldest first (empty for files never
-    /// appended to, or fully rewritten by [`compact`]).
+    /// appended to, or fully rewritten by [`compact`]), remapping into
+    /// `meta`'s dictionaries: after [`Footer::rebase`], a sharded table's
+    /// unified ones, with the shard's overlay as the last epoch.
     pub(crate) epochs: Vec<EpochRemaps>,
     /// Per chunk, the dictionary epoch its blobs were encoded under
     /// (`epochs.len()` = the current dictionary, needing no remap). An empty
@@ -884,18 +893,126 @@ impl Footer {
         self.epochs.get(epoch as usize).and_then(|per_attr| per_attr[attr].as_ref())
     }
 
-    /// Decode chunk `ci`'s RLE blob into current-dictionary terms.
-    fn rle(&self, ci: usize, blob: &[u8]) -> Result<UserRle> {
-        let in_chunk = |e: StorageError| StorageError::Corrupt(format!("chunk {ci}: {e}"));
-        let rle = decode_rle_blob(blob).map_err(in_chunk)?;
-        match self.remap_for(ci, self.meta.schema().user_idx()) {
-            Some(remap) => rle.remap_users(remap).map_err(in_chunk),
-            None => Ok(rle),
+    /// Re-base into a sharded table's unified dictionaries: `meta` replaces
+    /// the table metadata, the index entries' action gids are rewritten, and
+    /// `overlay` (per attribute, this file's gids into `meta`'s) is composed
+    /// into the epoch remaps — each older epoch's becomes epoch ∘ overlay,
+    /// and the current epoch's chunks take the overlay itself.
+    pub(crate) fn rebase(&mut self, meta: TableMeta, overlay: EpochRemaps) -> Result<()> {
+        if overlay.len() != meta.schema().arity() {
+            return Err(StorageError::Invalid(format!(
+                "rebase overlay has {} attributes, schema has {}",
+                overlay.len(),
+                meta.schema().arity()
+            )));
         }
+        if let Some(remap) = overlay[meta.schema().action_idx()].as_ref() {
+            for entry in &mut self.entries {
+                for gid in &mut entry.action_gids {
+                    *gid = *remap.get(*gid as usize).ok_or_else(|| {
+                        StorageError::Corrupt(format!(
+                            "shard action gid {gid} outside its dictionary (size {})",
+                            remap.len()
+                        ))
+                    })?;
+                }
+            }
+        }
+        if overlay.iter().any(Option::is_some) {
+            if self.chunk_epochs.is_empty() {
+                self.chunk_epochs = vec![self.epochs.len() as u32; self.layouts.len()];
+            }
+            for epoch in &mut self.epochs {
+                *epoch = compose_remaps(epoch, &overlay)?;
+            }
+            self.epochs.push(overlay);
+        }
+        self.meta = meta;
+        Ok(())
     }
 
-    /// Decode chunk `ci`'s columns into current-dictionary terms around its
-    /// decoded user column; `fetch` yields a blob's bytes.
+    /// Decode chunk `ci`'s RLE blob into current-dictionary terms, checked
+    /// against the table and the chunk's index entry. `timed` gets the
+    /// blob decode's nanoseconds (remap and checks excluded).
+    pub(crate) fn rle(&self, ci: usize, blob: &[u8], timed: impl FnOnce(u64)) -> Result<UserRle> {
+        let start = std::time::Instant::now();
+        let rle = decode_rle_blob(blob).map_err(|e| e.in_chunk(ci))?;
+        timed(start.elapsed().as_nanos() as u64);
+        let rle = match self.remap_for(ci, self.meta.schema().user_idx()) {
+            Some(remap) => rle.remap_users(remap).map_err(|e| e.in_chunk(ci))?,
+            None => rle,
+        };
+        validate_rle(&self.meta, ci, &rle, rle.num_rows())?;
+        let entry = &self.entries[ci];
+        if rle.num_rows() as u64 != entry.num_rows || rle.num_users() as u64 != entry.num_users {
+            return Err(StorageError::Corrupt(format!(
+                "chunk {ci}: footer row/user counts disagree with the RLE user column"
+            )));
+        }
+        Ok(rle)
+    }
+
+    /// Decode column `attr` of chunk `ci` from its blob into
+    /// current-dictionary terms, checked against the table and the chunk's
+    /// index entry. `timed` gets the codec decode's nanoseconds.
+    pub(crate) fn column(
+        &self,
+        ci: usize,
+        attr: usize,
+        blob: &[u8],
+        timed: impl FnOnce(u64),
+    ) -> Result<ChunkColumn> {
+        let in_column = |e: StorageError| e.in_column(ci, attr);
+        let start = std::time::Instant::now();
+        let col = decode_column_blob_loc(blob, &self.layouts[ci].cols[attr]).map_err(in_column)?;
+        timed(start.elapsed().as_nanos() as u64);
+        let col = match self.remap_for(ci, attr) {
+            Some(remap) => col.remap_gids(remap).map_err(in_column)?,
+            None => col,
+        };
+        validate_column_header(&self.meta, ci, attr, &col)?;
+        let entry = &self.entries[ci];
+        if col.len() as u64 != entry.num_rows {
+            return Err(StorageError::Corrupt(format!(
+                "chunk {ci}: column {attr} has {} rows, footer claims {}",
+                col.len(),
+                entry.num_rows
+            )));
+        }
+        // The footer's stats steered pruning before any I/O; now that the
+        // payload is decoded they must agree with it.
+        let stats_ok = match (entry.column_stats.get(attr), &col) {
+            (Some(ColumnStats::Str { distinct }), ChunkColumn::Str { dict, .. }) => {
+                *distinct as usize == dict.len()
+            }
+            (Some(ColumnStats::Int { min, max }), ChunkColumn::Int { .. }) => {
+                col.int_range() == Some((*min, *max))
+            }
+            _ => false,
+        };
+        if !stats_ok {
+            return Err(StorageError::Corrupt(format!(
+                "chunk {ci}: column {attr} stats disagree with payload"
+            )));
+        }
+        let schema = self.meta.schema();
+        if attr == schema.time_idx() && col.int_range() != Some((entry.time_min, entry.time_max)) {
+            return Err(StorageError::Corrupt(format!(
+                "chunk {ci}: footer time bounds disagree with the time column"
+            )));
+        }
+        if attr == schema.action_idx()
+            && col.dict().map(|d| d.global_ids()) != Some(entry.action_gids.as_slice())
+        {
+            return Err(StorageError::Corrupt(format!(
+                "chunk {ci}: footer action dictionary disagrees with the action column"
+            )));
+        }
+        Ok(col)
+    }
+
+    /// Decode chunk `ci`'s columns around its decoded user column, each
+    /// through [`Footer::column`]; `fetch` yields a blob's bytes.
     fn assemble<'a>(
         &self,
         ci: usize,
@@ -906,15 +1023,9 @@ impl Footer {
         let cols = &self.layouts[ci].cols;
         let mut columns: Vec<Option<Arc<ChunkColumn>>> = vec![None; cols.len()];
         for (idx, loc) in cols.iter().enumerate() {
-            if idx == user_idx {
-                continue;
+            if idx != user_idx {
+                columns[idx] = Some(Arc::new(self.column(ci, idx, &fetch(loc)?, |_| ())?));
             }
-            let col_err = |e: StorageError| e.in_column(ci, idx);
-            let mut col = decode_column_blob_loc(&fetch(loc)?, loc).map_err(col_err)?;
-            if let Some(remap) = self.remap_for(ci, idx) {
-                col = col.remap_gids(remap).map_err(col_err)?;
-            }
-            columns[idx] = Some(Arc::new(col));
         }
         Chunk::from_shared(Arc::new(rle), columns)
     }
@@ -1195,7 +1306,7 @@ fn read_footer(footer: &[u8], footer_start: u64, version: u32) -> Result<Footer>
 }
 
 /// Decode one self-contained RLE blob.
-pub(crate) fn decode_rle_blob(blob: &[u8]) -> Result<UserRle> {
+fn decode_rle_blob(blob: &[u8]) -> Result<UserRle> {
     let mut r = Reader::new(blob);
     let users = read_packed(&mut r)?;
     let firsts = read_packed(&mut r)?;
@@ -1256,7 +1367,7 @@ impl ColumnHeader {
 /// against their own embedded width/length *before* allocating, and which
 /// pins the decoded blob's v3 serialization to exactly `uncompressed`
 /// bytes; the bound the decoder returns proves the codes in range.
-pub(crate) fn decode_column_blob_loc(blob: &[u8], loc: &BlobLoc) -> Result<ChunkColumn> {
+fn decode_column_blob_loc(blob: &[u8], loc: &BlobLoc) -> Result<ChunkColumn> {
     let mut r = Reader::new(blob);
     let header = ColumnHeader::read(&mut r)?;
     if loc.codec == Codec::Raw {

@@ -654,7 +654,7 @@ impl CompressedTable {
                 continue;
             }
             let rle = match &splice.step[user_idx] {
-                Some(remap) => Arc::new(chunk.user_rle().remap_users(remap)?),
+                Some(remap) => Arc::new(chunk.user_rle().clone().remap_users(remap)?),
                 None => chunk.shared_rle().clone(),
             };
             let columns = chunk
@@ -662,7 +662,9 @@ impl CompressedTable {
                 .iter()
                 .zip(&splice.step)
                 .map(|(col, remap)| match (col, remap) {
-                    (Some(col), Some(remap)) => Ok(Some(Arc::new(col.remap_gids(remap)?))),
+                    (Some(col), Some(remap)) => {
+                        Ok(Some(Arc::new(ChunkColumn::clone(col).remap_gids(remap)?)))
+                    }
                     (col, _) => Ok(col.clone()),
                 })
                 .collect::<Result<_>>()?;

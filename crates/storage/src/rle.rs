@@ -107,8 +107,9 @@ impl UserRle {
     /// Re-base the user gids onto a merged dictionary: every gid is replaced
     /// by `remap[gid]` (the decode path for chunks written under an older
     /// dictionary epoch). Run boundaries are untouched; only the gid array
-    /// is re-packed, since the merged gids may need a wider bit width.
-    pub(crate) fn remap_users(&self, remap: &[u32]) -> crate::Result<UserRle> {
+    /// is re-packed, since the merged gids may need a wider bit width; the
+    /// run arrays move into the result uncopied.
+    pub(crate) fn remap_users(self, remap: &[u32]) -> crate::Result<UserRle> {
         let mut users = Vec::with_capacity(self.users.len());
         for i in 0..self.users.len() {
             let gid = self.users.get(i) as usize;
@@ -122,8 +123,8 @@ impl UserRle {
         }
         Ok(UserRle {
             users: BitPacked::from_slice(&users),
-            firsts: self.firsts.clone(),
-            counts: self.counts.clone(),
+            firsts: self.firsts,
+            counts: self.counts,
         })
     }
 

@@ -41,15 +41,16 @@
 //!
 //! [`ShardedSource`] opens the whole table for queries: over several shards
 //! it merges their dictionaries into one unified [`TableMeta`], re-bases every shard
-//! [`FileSource`] into that space (gid overlays applied at decode time), and
-//! concatenates their chunks behind the ordinary
+//! [`FileSource`] into that space (the shard's gid overlay is composed into
+//! its file's epoch remaps at open, so each segment is remapped once, as it
+//! decodes), and concatenates their chunks behind the ordinary
 //! [`ChunkSource`] trait. All shards share one
 //! byte-budgeted segment cache, so the memory bound is per table, not per
 //! shard, and one lifetime [`IoRecorder`](crate::IoRecorder) that counts
 //! the table's I/O.
 
 use crate::dict::GlobalDict;
-use crate::persist::{self, AppendStats, CompactStats, WrittenChunks};
+use crate::persist::{self, AppendStats, CompactStats, EpochRemaps, WrittenChunks};
 use crate::reader::{Reader, Writer};
 use crate::source::{shared_cache, ChunkIndexEntry, ChunkRef, ChunkSource, SourceIoStats};
 use crate::source::{FileSource, DEFAULT_CACHE_BUDGET};
@@ -821,7 +822,7 @@ fn merged_meta(shards: &[FileSource]) -> Result<TableMeta> {
 /// dictionary already coincides with the unified one). Remaps are strictly
 /// increasing — both dictionaries are sorted — which is what
 /// `remap_users` / `remap_gids` require to preserve ordering predicates.
-fn overlay_for_shard(unified: &TableMeta, shard: &TableMeta) -> Result<Vec<Option<Arc<Vec<u32>>>>> {
+fn overlay_for_shard(unified: &TableMeta, shard: &TableMeta) -> Result<EpochRemaps> {
     (0..unified.schema().arity())
         .map(|attr| -> Result<Option<Arc<Vec<u32>>>> {
             let Some(shard_dict) = shard.global_dict(attr) else {

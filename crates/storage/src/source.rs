@@ -21,14 +21,16 @@
 //! Opening a `FileSource` costs O(footer): a selective query on a cold table
 //! pays I/O and decode cost only for the chunk columns it actually touches,
 //! mirroring the row-group/column-chunk metadata designs of Parquet and
-//! GBAM.
+//! GBAM. A `FileSource` keeps only the cache, the positional reads and the
+//! I/O counters: every blob it reads becomes a segment through
+//! [`persist`]'s one checked decode, the same one the eager load runs.
 
 use crate::chunk::Chunk;
 use crate::column::ChunkColumn;
-use crate::persist::{self, ChunkLayout, Footer};
+use crate::persist::{self, EpochRemaps, Footer};
 use crate::record::IoRecorder;
 use crate::rle::UserRle;
-use crate::table::{validate_column_header, validate_rle, CompressedTable, TableMeta};
+use crate::table::{CompressedTable, TableMeta};
 use crate::{Result, StorageError};
 use cohana_activity::Schema;
 use std::collections::HashMap;
@@ -396,7 +398,8 @@ pub struct FileSource {
     /// the dictionary epochs of an appended file (see [`persist::append`]),
     /// through whose gid remaps chunks encoded under an older dictionary are
     /// re-based at decode time. A [`FileSource::rebase`] replaces its
-    /// metadata and action gids with unified ones.
+    /// metadata and action gids with unified ones and folds the shard's
+    /// overlay into those remaps.
     footer: Footer,
     /// Decoded-segment cache and lifetime I/O counters, shared by every
     /// shard of a sharded table (one byte budget, one counter set); a
@@ -405,11 +408,6 @@ pub struct FileSource {
     /// This source's id within its (possibly shared) cache — the first
     /// component of every [`SegKey`] it reads or writes.
     cache_id: u32,
-    /// Per-attribute gid remaps from this file's dictionary space into a
-    /// unifying dictionary (installed by [`FileSource::rebase`]; empty for
-    /// standalone sources). Applied at decode time *after* any epoch remap,
-    /// so every segment this source serves is in unified-dictionary terms.
-    overlay: Vec<Option<Arc<Vec<u32>>>>,
 }
 
 impl std::fmt::Debug for SegmentCache {
@@ -444,11 +442,11 @@ impl FileSource {
     /// cached segments, so the first reader of the new snapshot does not
     /// decode what the writer held in memory a moment earlier. They enter
     /// through the ordinary cache insert — charged like any decoded segment,
-    /// within the budget, evicted LRU — and pass through the overlay exactly
-    /// as a decoded segment does (so call after any [`FileSource::rebase`]).
-    /// A chunk is adopted only where this source's footer is the one its
-    /// writer produced — same footer offset, same blob locations — and is
-    /// otherwise left to be decoded on demand.
+    /// within the budget, evicted LRU — and are re-based by the remap a
+    /// decoded segment of their chunk gets ([`Footer::remap_for`], so call
+    /// after any [`FileSource::rebase`]). A chunk is adopted only where this
+    /// source's footer is the one its writer produced — same footer offset,
+    /// same blob locations — and is otherwise left to be decoded on demand.
     pub(crate) fn seed(&self, written: persist::WrittenChunks) -> Result<()> {
         if written.footer_start != self.footer.payload_end {
             return Ok(());
@@ -458,29 +456,25 @@ impl FileSource {
             if self.footer.layouts.get(idx) != Some(&layout) {
                 continue;
             }
-            let rle = match self.overlay_for(user_idx) {
-                Some(remap) => Arc::new(chunk.user_rle().remap_users(remap)?),
-                None => chunk.shared_rle().clone(),
+            // Take the segments out of the chunk, so a remap moves their
+            // packed codes when nothing else holds them.
+            let (rle, columns) = (chunk.shared_rle().clone(), chunk.columns().to_vec());
+            drop(chunk);
+            let rle = match self.footer.remap_for(idx, user_idx) {
+                Some(remap) => Arc::new(Arc::unwrap_or_clone(rle).remap_users(remap)?),
+                None => rle,
             };
-            let mut cache = self.cache();
             let bytes = rle.packed_bytes();
-            let mut evicted =
-                cache.insert((self.cache_id, idx as u32, SEG_RLE), CacheSlot::Rle(rle), bytes);
-            for (attr, col) in chunk.columns().iter().enumerate() {
+            self.insert((self.cache_id, idx as u32, SEG_RLE), CacheSlot::Rle(rle), bytes);
+            for (attr, col) in columns.into_iter().enumerate() {
                 let Some(col) = col else { continue };
-                let col = match self.overlay_for(attr) {
-                    Some(remap) => Arc::new(col.remap_gids(remap)?),
-                    None => col.clone(),
+                let col = match self.footer.remap_for(idx, attr) {
+                    Some(remap) => Arc::new(Arc::unwrap_or_clone(col).remap_gids(remap)?),
+                    None => col,
                 };
                 let bytes = col.packed_bytes();
-                evicted += cache.insert(
-                    (self.cache_id, idx as u32, seg_col(attr)),
-                    CacheSlot::Col(col),
-                    bytes,
-                );
+                self.insert((self.cache_id, idx as u32, seg_col(attr)), CacheSlot::Col(col), bytes);
             }
-            drop(cache);
-            self.count(|r| r.add_cache_evictions(evicted));
         }
         Ok(())
     }
@@ -497,56 +491,18 @@ impl FileSource {
     ) -> Result<FileSource> {
         let file = File::open(path)?;
         let footer = persist::read_footer_from_file(&file)?;
-        Ok(FileSource {
-            path: path.to_path_buf(),
-            file,
-            footer,
-            shared,
-            cache_id,
-            overlay: Vec::new(),
-        })
+        Ok(FileSource { path: path.to_path_buf(), file, footer, shared, cache_id })
     }
 
-    /// Re-base this source into a unifying dictionary space: replace its
-    /// table metadata with `meta` (the merged metadata of a sharded table)
-    /// and install per-attribute gid remaps from this file's own
-    /// dictionaries into the unified ones. Index entries' action-gid lists
-    /// are rewritten eagerly (they steer pruning, which runs in unified
-    /// terms); segment payloads are rewritten lazily at decode time, after
-    /// any epoch remap, so the footer cross-checks keep holding.
-    pub(crate) fn rebase(
-        &mut self,
-        meta: TableMeta,
-        overlay: Vec<Option<Arc<Vec<u32>>>>,
-    ) -> Result<()> {
-        if overlay.len() != meta.schema().arity() {
-            return Err(StorageError::Invalid(format!(
-                "rebase overlay has {} attributes, schema has {}",
-                overlay.len(),
-                meta.schema().arity()
-            )));
-        }
-        if let Some(remap) = overlay[meta.schema().action_idx()].as_ref() {
-            for entry in &mut self.footer.entries {
-                for gid in &mut entry.action_gids {
-                    *gid = *remap.get(*gid as usize).ok_or_else(|| {
-                        StorageError::Corrupt(format!(
-                            "shard action gid {gid} outside its dictionary (size {})",
-                            remap.len()
-                        ))
-                    })?;
-                }
-            }
-        }
-        self.footer.meta = meta;
-        self.overlay = overlay;
-        Ok(())
-    }
-
-    /// The overlay remap (if any) an attribute's segments need after their
-    /// epoch remap (see [`FileSource::rebase`]).
-    fn overlay_for(&self, attr: usize) -> Option<&Arc<Vec<u32>>> {
-        self.overlay.get(attr).and_then(|r| r.as_ref())
+    /// Re-base this source into a unifying dictionary space (a sharded
+    /// table's): `meta` replaces its table metadata, and `overlay` — per
+    /// attribute, the gid remap from this file's dictionaries into `meta`'s
+    /// — is composed into the footer's epoch remaps ([`Footer::rebase`]).
+    /// Each segment is then re-based once, straight into unified terms, by
+    /// the same checked decode that serves a standalone file; index entries'
+    /// action gids, which steer pruning, are rewritten here.
+    pub(crate) fn rebase(&mut self, meta: TableMeta, overlay: EpochRemaps) -> Result<()> {
+        self.footer.rebase(meta, overlay)
     }
 
     /// The file backing this source.
@@ -597,121 +553,53 @@ impl FileSource {
         Ok(buf)
     }
 
-    /// Fetch (cache or decode) the RLE user column of a chunk.
-    fn fetch_rle(&self, idx: usize, layout: &ChunkLayout) -> Result<Arc<UserRle>> {
+    /// Fetch the RLE user column of a chunk: a cache hit, or a read and
+    /// [`Footer::rle`]'s checked decode.
+    fn fetch_rle(&self, idx: usize) -> Result<Arc<UserRle>> {
         let key = (self.cache_id, idx as u32, SEG_RLE);
         if let Some(CacheSlot::Rle(rle)) = self.cache().get(key) {
             return Ok(rle);
         }
-        let meta = &self.footer.meta;
-        let entry = &self.footer.entries[idx];
-        let blob = self.read_range(layout.rle.offset, layout.rle.len)?;
-        let start = std::time::Instant::now();
-        let mut rle = persist::decode_rle_blob(&blob)?;
-        let nanos = start.elapsed().as_nanos() as u64;
-        self.count(|r| r.add_decode(0, layout.rle.uncompressed, nanos));
-        if let Some(remap) = self.footer.remap_for(idx, meta.schema().user_idx()) {
-            rle = rle.remap_users(remap)?;
-        }
-        if let Some(remap) = self.overlay_for(meta.schema().user_idx()) {
-            rle = rle.remap_users(remap)?;
-        }
-        validate_rle(meta, idx, &rle, rle.num_rows())?;
-        if rle.num_rows() as u64 != entry.num_rows || rle.num_users() as u64 != entry.num_users {
-            return Err(StorageError::Corrupt(format!(
-                "chunk {idx}: footer row/user counts disagree with the RLE user column"
-            )));
-        }
+        let loc = &self.footer.layouts[idx].rle;
+        let blob = self.read_range(loc.offset, loc.len)?;
+        let rle = self
+            .footer
+            .rle(idx, &blob, |nanos| self.count(|r| r.add_decode(0, loc.uncompressed, nanos)))?;
         self.count(|r| r.add_chunks_decoded(1));
         let rle = Arc::new(rle);
-        let bytes = rle.packed_bytes();
-        let evicted = self.cache().insert(key, CacheSlot::Rle(rle.clone()), bytes);
-        self.count(|r| r.add_cache_evictions(evicted));
+        self.insert(key, CacheSlot::Rle(rle.clone()), rle.packed_bytes());
         Ok(rle)
     }
 
-    /// Fetch (cache or decode) one column segment of a chunk, verifying
-    /// it against the footer's per-column statistics.
-    fn fetch_column(
-        &self,
-        idx: usize,
-        attr: usize,
-        layout: &ChunkLayout,
-    ) -> Result<Arc<ChunkColumn>> {
+    /// Fetch one column segment of a chunk: a cache hit, or a read and
+    /// [`Footer::column`]'s checked decode.
+    fn fetch_column(&self, idx: usize, attr: usize) -> Result<Arc<ChunkColumn>> {
         let key = (self.cache_id, idx as u32, seg_col(attr));
         if let Some(CacheSlot::Col(col)) = self.cache().get(key) {
             return Ok(col);
         }
-        let meta = &self.footer.meta;
-        let entry = &self.footer.entries[idx];
-        let loc = &layout.cols[attr];
+        let loc = &self.footer.layouts[idx].cols[attr];
         let blob = self.read_range(loc.offset, loc.len)?;
-        let start = std::time::Instant::now();
-        // Decode proves every code within the segment's own header as it
-        // packs; only the header is left to check against the table's
-        // metadata below.
-        let mut col =
-            persist::decode_column_blob_loc(&blob, loc).map_err(|e| e.in_column(idx, attr))?;
-        let nanos = start.elapsed().as_nanos() as u64;
-        self.count(|r| r.add_decode(loc.codec.tag() as usize, loc.uncompressed, nanos));
-        if let Some(remap) = self.footer.remap_for(idx, attr) {
-            col = col.remap_gids(remap)?;
-        }
-        if let Some(remap) = self.overlay_for(attr) {
-            col = col.remap_gids(remap)?;
-        }
-        validate_column_header(meta, idx, attr, &col)?;
-        if col.len() as u64 != entry.num_rows {
-            return Err(StorageError::Corrupt(format!(
-                "chunk {idx}: column {attr} has {} rows, footer claims {}",
-                col.len(),
-                entry.num_rows
-            )));
-        }
-        // The footer's stats steered pruning before any I/O; now that the
-        // payload is decoded they must agree with it — the per-column
-        // analogue of the whole-chunk footer/payload comparison.
-        let stats_ok = match (entry.column_stats.get(attr), &col) {
-            (Some(ColumnStats::Str { distinct }), ChunkColumn::Str { dict, .. }) => {
-                *distinct as usize == dict.len()
-            }
-            (Some(ColumnStats::Int { min, max }), ChunkColumn::Int { .. }) => {
-                col.int_range() == Some((*min, *max))
-            }
-            _ => false,
-        };
-        if !stats_ok {
-            return Err(StorageError::Corrupt(format!(
-                "chunk {idx}: column {attr} stats disagree with payload"
-            )));
-        }
-        let schema = meta.schema();
-        if attr == schema.time_idx() && col.int_range() != Some((entry.time_min, entry.time_max)) {
-            return Err(StorageError::Corrupt(format!(
-                "chunk {idx}: footer time bounds disagree with the time column"
-            )));
-        }
-        if attr == schema.action_idx()
-            && col.dict().map(|d| d.global_ids()) != Some(entry.action_gids.as_slice())
-        {
-            return Err(StorageError::Corrupt(format!(
-                "chunk {idx}: footer action dictionary disagrees with the action column"
-            )));
-        }
+        let col = self.footer.column(idx, attr, &blob, |nanos| {
+            self.count(|r| r.add_decode(loc.codec.tag() as usize, loc.uncompressed, nanos))
+        })?;
         self.count(|r| r.add_columns_decoded(1));
         let col = Arc::new(col);
-        let bytes = col.packed_bytes();
-        let evicted = self.cache().insert(key, CacheSlot::Col(col.clone()), bytes);
-        self.count(|r| r.add_cache_evictions(evicted));
+        self.insert(key, CacheSlot::Col(col.clone()), col.packed_bytes());
         Ok(col)
+    }
+
+    /// Cache one segment, counting the evictions that made room for it.
+    fn insert(&self, key: SegKey, slot: CacheSlot, bytes: usize) {
+        let evicted = self.cache().insert(key, slot, bytes);
+        self.count(|r| r.add_cache_evictions(evicted));
     }
 
     /// Assemble a (possibly partial) chunk: RLE + the requested columns.
     fn assemble(&self, idx: usize, cols: &[usize]) -> Result<ChunkRef<'_>> {
-        let layout = &self.footer.layouts[idx];
         let arity = self.footer.meta.schema().arity();
         let user_idx = self.footer.meta.schema().user_idx();
-        let rle = self.fetch_rle(idx, layout)?;
+        let rle = self.fetch_rle(idx)?;
         let mut columns: Vec<Option<Arc<ChunkColumn>>> = vec![None; arity];
         for &attr in cols {
             if attr >= arity {
@@ -722,7 +610,7 @@ impl FileSource {
             if attr == user_idx || columns[attr].is_some() {
                 continue;
             }
-            columns[attr] = Some(self.fetch_column(idx, attr, layout)?);
+            columns[attr] = Some(self.fetch_column(idx, attr)?);
         }
         Ok(ChunkRef::Owned(Box::new(Chunk::from_shared(rle, columns)?)))
     }
